@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-json bench-parallel bench-incremental bench-server bench-chaos bench-flatcore bench-relax bench-all fuzz fmt clean
+.PHONY: all build test check bench bench-json bench-parallel bench-incremental bench-server bench-chaos bench-flatcore bench-all fuzz fmt clean
 
 all: build
 
@@ -25,9 +25,8 @@ bench-json:
 bench-parallel:
 	dune exec bench/main.exe parallel
 
-# From-scratch vs warm-started vs cached LP sessions on multi-model
-# paper cases: wall clock, exact pivot counts and cache hit rates,
-# written to BENCH_incremental.json.
+# From-scratch vs warm-started LP sessions on multi-model paper cases:
+# wall clock and exact pivot counts, written to BENCH_incremental.json.
 bench-incremental:
 	dune exec bench/main.exe incremental
 
@@ -53,16 +52,9 @@ bench-chaos:
 bench-flatcore:
 	dune exec bench/main.exe flatcore
 
-# Branch-and-prune with the linear-relaxation layer on vs off: node
-# counts, prune attribution and wall time on the steering slice and the
-# nonlinear families, written to BENCH_relax.json.  Exits non-zero if
-# the steering node reduction drops below 2x or any verdict differs.
-bench-relax:
-	dune exec bench/main.exe relax
-
 # Re-emit every machine-readable benchmark artefact (BENCH_*.json) in
 # one go — the full measurement sweep behind the README numbers.
-bench-all: bench-json bench-parallel bench-incremental bench-server bench-chaos bench-flatcore bench-relax
+bench-all: bench-json bench-parallel bench-incremental bench-server bench-chaos bench-flatcore
 
 # Resource-governor robustness: the seeded differential fuzzer (500
 # random problems, engine and DPLL(T) baseline under tight budgets vs

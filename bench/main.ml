@@ -13,8 +13,8 @@
                                             portfolio, written to
                                             BENCH_parallel.json
      dune exec bench/main.exe incremental -- from-scratch vs warm-started
-                                            vs cached LP sessions, written
-                                            to BENCH_incremental.json
+                                            LP sessions, written to
+                                            BENCH_incremental.json
      dune exec bench/main.exe server     -- mixed workload through the solve
                                             server at 1/4/16 clients, written
                                             to BENCH_server.json
@@ -23,9 +23,6 @@
                                             fault injector, plus the half-open
                                             reclaim time, written to
                                             BENCH_chaos.json
-     dune exec bench/main.exe relax      -- branch-and-prune with the linear
-                                            relaxation layer on vs off,
-                                            written to BENCH_relax.json
 
    Absolute times are not expected to match a 2007 notebook; the shapes
    (who wins, rough factors, where solvers reject or abort) are. *)
@@ -636,10 +633,10 @@ let parallel_mode () =
   print_endline "wrote BENCH_parallel.json"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental mode: from-scratch vs warm-started session vs session   *)
-(* with the verdict cache, on multi-model paper cases. Reports wall    *)
-(* clock, exact pivot counts and cache hit rates per case, and asserts *)
-(* that the three configurations agree on every verdict.               *)
+(* Incremental mode: from-scratch vs warm-started session on           *)
+(* multi-model paper cases. Reports wall clock and exact pivot counts  *)
+(* per case, and asserts that both configurations agree on every       *)
+(* verdict.                                                            *)
 
 let incremental_mode () =
   let entries = ref [] in
@@ -650,30 +647,9 @@ let incremental_mode () =
     in
     Hashtbl.replace tot mode (t0 +. t, p0 + pivots)
   in
-  let mode_name = function
-    | `Scratch -> "from_scratch"
-    | `Warm -> "incremental"
-    | `Full -> "incremental_cache"
-  in
   let case ~name ?(registry = A.Registry.default) ?limit mk =
-    let run mode =
-      let registry =
-        match mode with
-        | `Warm ->
-          (* Session on, cache off: isolates the warm-start gain. *)
-          {
-            registry with
-            A.Registry.linear =
-              [ A.Registry.simplex_solver_custom ~cache_capacity:0 () ];
-          }
-        | `Scratch | `Full -> registry
-      in
-      let options =
-        {
-          A.Engine.default_options with
-          A.Engine.use_incremental = (mode <> `Scratch);
-        }
-      in
+    let run use_incremental =
+      let options = { A.Engine.default_options with A.Engine.use_incremental } in
       let p0 = Absolver_lp.Simplex.total_pivots () in
       let r, t =
         time (fun () ->
@@ -690,22 +666,12 @@ let incremental_mode () =
       let pivots = Absolver_lp.Simplex.total_pivots () - p0 in
       (fst r, snd r, t, pivots)
     in
-    let v_scratch, _, t_scratch, p_scratch = run `Scratch in
-    let v_warm, _, t_warm, p_warm = run `Warm in
-    let v_full, st_full, t_full, p_full = run `Full in
-    if v_scratch <> v_warm || v_scratch <> v_full then
-      Printf.printf "!! %s: verdicts differ (%s / %s / %s)\n" name v_scratch
-        v_warm v_full;
-    add_tot (mode_name `Scratch) t_scratch p_scratch;
-    add_tot (mode_name `Warm) t_warm p_warm;
-    add_tot (mode_name `Full) t_full p_full;
-    let lookups =
-      st_full.A.Engine.lp_cache_hits + st_full.A.Engine.lp_cache_misses
-    in
-    let hit_rate =
-      if lookups = 0 then 0.0
-      else float_of_int st_full.A.Engine.lp_cache_hits /. float_of_int lookups
-    in
+    let v_scratch, _, t_scratch, p_scratch = run false in
+    let v_warm, st_warm, t_warm, p_warm = run true in
+    if v_scratch <> v_warm then
+      Printf.printf "!! %s: verdicts differ (%s / %s)\n" name v_scratch v_warm;
+    add_tot "from_scratch" t_scratch p_scratch;
+    add_tot "incremental" t_warm p_warm;
     let side t pivots =
       Telemetry.Json.obj
         [
@@ -718,30 +684,23 @@ let incremental_mode () =
         [
           ("name", Printf.sprintf "%S" name);
           ("verdict", Printf.sprintf "%S" v_scratch);
-          ("verdicts_agree",
-           string_of_bool (v_scratch = v_warm && v_scratch = v_full));
+          ("verdicts_agree", string_of_bool (v_scratch = v_warm));
           ("from_scratch", side t_scratch p_scratch);
           ("incremental", side t_warm p_warm);
-          ("incremental_cache", side t_full p_full);
-          ("cache_hits", string_of_int st_full.A.Engine.lp_cache_hits);
-          ("cache_misses", string_of_int st_full.A.Engine.lp_cache_misses);
-          ("cache_hit_rate", Telemetry.Json.of_float hit_rate);
-          ("constraints_reused", string_of_int st_full.A.Engine.lp_reused);
-          ("constraints_asserted", string_of_int st_full.A.Engine.lp_asserted);
+          ("constraints_reused", string_of_int st_warm.A.Engine.lp_reused);
+          ("constraints_asserted", string_of_int st_warm.A.Engine.lp_asserted);
           ( "pivot_reduction",
             Telemetry.Json.of_float
-              (if p_full = 0 then float_of_int p_scratch
-               else float_of_int p_scratch /. float_of_int p_full) );
+              (if p_warm = 0 then float_of_int p_scratch
+               else float_of_int p_scratch /. float_of_int p_warm) );
         ]
       :: !entries;
-    Printf.printf
-      "%-22s scratch %s/%-6d warm %s/%-6d cache %s/%-6d hit-rate %.2f (%s)\n"
-      name (fmt_time t_scratch) p_scratch (fmt_time t_warm) p_warm
-      (fmt_time t_full) p_full hit_rate v_scratch;
+    Printf.printf "%-22s scratch %s/%-6d warm %s/%-6d (%s)\n" name
+      (fmt_time t_scratch) p_scratch (fmt_time t_warm) p_warm v_scratch;
     flush stdout
   in
   (* Cs_within 4 is satisfiable: the enumeration visits many Boolean
-     models, which is where the warm start and the cache earn their keep.
+     models, which is where the warm start earns its keep.
      Cs_within 2 is the unsat variant — every model's subsystem is
      refuted by the LP, a different (conflict-heavy) access pattern. *)
   for n = 1 to 3 do
@@ -767,7 +726,7 @@ let incremental_mode () =
         let t, p = Option.value ~default:(0.0, 0) (Hashtbl.find_opt tot m) in
         Printf.sprintf "  \"total_%s\": {\"seconds\": %s, \"pivots\": %d}" m
           (Telemetry.Json.of_float t) p)
-      [ "from_scratch"; "incremental"; "incremental_cache" ]
+      [ "from_scratch"; "incremental" ]
   in
   let json =
     Printf.sprintf
@@ -785,15 +744,15 @@ let incremental_mode () =
   let t_s, p_s =
     Option.value ~default:(0.0, 0) (Hashtbl.find_opt tot "from_scratch")
   in
-  let t_f, p_f =
-    Option.value ~default:(0.0, 1) (Hashtbl.find_opt tot "incremental_cache")
+  let t_w, p_w =
+    Option.value ~default:(0.0, 0) (Hashtbl.find_opt tot "incremental")
   in
   Printf.printf
-    "totals: from-scratch %s (%d pivots), incremental+cache %s (%d pivots, %.1fx fewer)\n\
+    "totals: from-scratch %s (%d pivots), incremental %s (%d pivots, %.1fx fewer)\n\
      wrote BENCH_incremental.json\n"
-    (fmt_time t_s) p_s (fmt_time t_f) p_f
-    (if p_f = 0 then float_of_int p_s
-     else float_of_int p_s /. float_of_int p_f)
+    (fmt_time t_s) p_s (fmt_time t_w) p_w
+    (if p_w = 0 then float_of_int p_s
+     else float_of_int p_s /. float_of_int p_w)
 
 (* ------------------------------------------------------------------ *)
 (* Server mode: the same mixed workload (FISCHER sat/unsat, Sudoku,    *)
@@ -1432,227 +1391,6 @@ let flatcore_mode () =
     exit 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* Relax mode: the branch-and-prune linear-relaxation layer            *)
-(* (lib/relax) on vs off, dumped as BENCH_relax.json. The headline     *)
-(* figure is node reduction — how many fewer branch-and-prune nodes    *)
-(* the search needs to reach the same verdict under the same node cap  *)
-(* — with the wall-time delta reported next to it (each LP-backed node *)
-(* costs more than an interval-only node; the relaxation trades        *)
-(* per-node cost for tree size). Gate: >= 2x node reduction on the     *)
-(* car-steering slice, verdicts equal everywhere.                      *)
-
-(* The headline steering measurement runs branch-and-prune directly on
-   the model's full constraint conjunction over the "critical slice" of
-   the sensor space: every sensor range shrunk to its central quarter —
-   the plausible-driving region the monitor cascade targets — where the
-   conjunction is infeasible and the search must prove it. The sampler
-   is off (a refutation cannot be sampled) and OBBT runs at every node
-   over all variables, so the comparison isolates what the relaxation
-   layer contributes to the size of the refutation tree. *)
-let steering_slice () =
-  let p = M.Steering.problem () in
-  let n = A.Ab_problem.num_arith_vars p in
-  let box = Absolver_nlp.Box.create n in
-  List.iter
-    (fun (v, (lo, hi)) ->
-      let lo = match lo with Some q -> Q.to_float q | None -> -1e6
-      and hi = match hi with Some q -> Q.to_float q | None -> 1e6 in
-      let m = (lo +. hi) /. 2.0 and w = (hi -. lo) /. 2.0 in
-      box.(v) <-
-        Absolver_numeric.Interval.make (m -. (w *. 0.25)) (m +. (w *. 0.25)))
-    (A.Ab_problem.bounds p);
-  let rels =
-    List.map (fun (d : A.Ab_problem.def) -> d.rel) (A.Ab_problem.defs p)
-  in
-  (n, box, rels)
-
-let steering_slice_config nvars =
-  {
-    BP.default_config with
-    BP.max_nodes = 50_000;
-    samples_per_node = 0;
-    root_samples = 0;
-    relax_obbt_depth = max_int;
-    relax_obbt_vars = nvars;
-  }
-
-(* sphere_cap_unsat: ball of radius 1 cut by a plane outside it — every
-   Boolean model forces an empty intersection, and the linear relaxation
-   of the quadratic sees it immediately while plain interval splitting
-   has to shave the box down. *)
-let sphere_cap_problem () =
-  let text =
-    {|p cnf 1 1
-1 0
-c def real 1 x * x + y * y + z * z <= 1
-c def real 1 x + y + z >= 2
-c bound x -2 2
-c bound y -2 2
-c bound z -2 2
-|}
-  in
-  match A.Dimacs_ext.parse_string text with
-  | Ok p -> p
-  | Error e -> failwith ("sphere_cap: " ^ e)
-
-let relax_mode () =
-  print_endline
-    "== Linear relaxation: LP cuts ahead of branch-and-prune ============";
-  Printf.printf "%-22s %-9s %8s %8s %7s %9s %9s %7s\n" "Benchmark" "verdict"
-    "nodes+" "nodes-" "redux" "time+" "time-" "pruned";
-  let entries = ref [] in
-  let mismatches = ref 0 in
-  let steering_reduction = ref 0.0 in
-  let case ~name ?(registry = A.Registry.default) ?(options = A.Engine.default_options)
-      mk =
-    let run relax =
-      time (fun () ->
-          A.Engine.solve ~registry
-            ~options:{ options with A.Engine.use_bp_relaxation = relax }
-            (mk ()))
-    in
-    let (r_on, st_on), t_on = run true in
-    let (r_off, st_off), t_off = run false in
-    let v_on = engine_verdict r_on and v_off = engine_verdict r_off in
-    if v_on <> v_off then begin
-      incr mismatches;
-      Printf.printf "!! %s: verdict differs (relax on %s, off %s)\n" name v_on
-        v_off
-    end;
-    let n_on = st_on.A.Engine.bp_nodes and n_off = st_off.A.Engine.bp_nodes in
-    let reduction =
-      if n_on > 0 then float_of_int n_off /. float_of_int n_on else 0.0
-    in
-    if name = "car_steering" then steering_reduction := reduction;
-    Printf.printf "%-22s %-9s %8d %8d %6.1fx %9s %9s %7d\n" name v_on n_on
-      n_off reduction (fmt_time t_on) (fmt_time t_off)
-      st_on.A.Engine.relax_nodes_pruned;
-    flush stdout;
-    entries :=
-      Telemetry.Json.obj
-        [
-          ("name", Printf.sprintf "%S" name);
-          ("verdict", Printf.sprintf "%S" v_on);
-          ("verdict_relax_off", Printf.sprintf "%S" v_off);
-          ( "relax_on",
-            Telemetry.Json.obj
-              [
-                ("bp_nodes", string_of_int n_on);
-                ("seconds", Telemetry.Json.of_float t_on);
-                ("cuts_asserted", string_of_int st_on.A.Engine.relax_cuts_asserted);
-                ("lp_checks", string_of_int st_on.A.Engine.relax_lp_checks);
-                ("nodes_pruned", string_of_int st_on.A.Engine.relax_nodes_pruned);
-                ( "bounds_tightened",
-                  string_of_int st_on.A.Engine.relax_bounds_tightened );
-              ] );
-          ( "relax_off",
-            Telemetry.Json.obj
-              [
-                ("bp_nodes", string_of_int n_off);
-                ("seconds", Telemetry.Json.of_float t_off);
-              ] );
-          ("node_reduction", Telemetry.Json.of_float reduction);
-          ( "wall_time_delta_seconds",
-            Telemetry.Json.of_float (t_on -. t_off) );
-        ]
-      :: !entries
-  in
-  let bp_case ~name mk_instance =
-    let nvars, box, rels = mk_instance () in
-    let config = steering_slice_config nvars in
-    let run relax =
-      let oracle =
-        if relax then
-          Some (Absolver_relax.Relax.oracle ~config ~nvars rels)
-        else None
-      in
-      time (fun () ->
-          BP.solve ~config ?relax:oracle ~nvars
-            ~box:(Absolver_nlp.Box.copy box) rels)
-    in
-    let (v_on, st_on), t_on = run true in
-    let (v_off, st_off), t_off = run false in
-    let outcome = function
-      | BP.Sat _ -> "sat"
-      | BP.Unsat -> "unsat"
-      | BP.Approx_sat _ -> "approx"
-      | BP.Unknown -> "unknown"
-    in
-    let s_on = outcome v_on and s_off = outcome v_off in
-    if s_on <> s_off then begin
-      incr mismatches;
-      Printf.printf "!! %s: verdict differs (relax on %s, off %s)\n" name s_on
-        s_off
-    end;
-    let n_on = st_on.BP.nodes and n_off = st_off.BP.nodes in
-    let reduction =
-      if n_on > 0 then float_of_int n_off /. float_of_int n_on else 0.0
-    in
-    if name = "car_steering" then steering_reduction := reduction;
-    Printf.printf "%-22s %-9s %8d %8d %6.1fx %9s %9s %7d\n" name s_on n_on
-      n_off reduction (fmt_time t_on) (fmt_time t_off) st_on.BP.relax_pruned;
-    flush stdout;
-    entries :=
-      Telemetry.Json.obj
-        [
-          ("name", Printf.sprintf "%S" name);
-          ("verdict", Printf.sprintf "%S" s_on);
-          ("verdict_relax_off", Printf.sprintf "%S" s_off);
-          ( "relax_on",
-            Telemetry.Json.obj
-              [
-                ("bp_nodes", string_of_int n_on);
-                ("seconds", Telemetry.Json.of_float t_on);
-                ("cuts_asserted", string_of_int st_on.BP.relax_cuts);
-                ("lp_checks", string_of_int st_on.BP.relax_lp_checks);
-                ("nodes_pruned", string_of_int st_on.BP.relax_pruned);
-                ("bounds_tightened", string_of_int st_on.BP.relax_tightened);
-              ] );
-          ( "relax_off",
-            Telemetry.Json.obj
-              [
-                ("bp_nodes", string_of_int n_off);
-                ("seconds", Telemetry.Json.of_float t_off);
-              ] );
-          ("node_reduction", Telemetry.Json.of_float reduction);
-          ("wall_time_delta_seconds", Telemetry.Json.of_float (t_on -. t_off));
-        ]
-      :: !entries
-  in
-  bp_case ~name:"car_steering" steering_slice;
-  case ~name:"nonlinear_unsat" nonlinear_unsat_problem;
-  case ~name:"sphere_cap_unsat" sphere_cap_problem;
-  case ~name:"esat_n11_m8" esat_problem;
-  case ~name:"div_operator" div_operator_problem;
-  let gate_ok = !steering_reduction >= 2.0 && !mismatches = 0 in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"branch-and-prune linear relaxation (lib/relax)\",\n\
-      \  \"steering_node_reduction\": %s,\n\
-      \  \"gate\": \"car_steering node_reduction >= 2.0, verdicts equal\",\n\
-      \  \"gate_ok\": %b,\n\
-      \  \"verdict_mismatches\": %d,\n\
-      \  \"cases\": [\n%s\n  ]\n}\n"
-      (Telemetry.Json.of_float !steering_reduction)
-      gate_ok !mismatches
-      (String.concat ",\n"
-         (List.map (fun e -> "    " ^ e) (List.rev !entries)))
-  in
-  let oc = open_out "BENCH_relax.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "car steering: %.1fx node reduction\nwrote BENCH_relax.json\n"
-    !steering_reduction;
-  if not gate_ok then begin
-    Printf.eprintf
-      "relax: gate failed (steering reduction %.2fx, %d verdict mismatches)\n"
-      !steering_reduction !mismatches;
-    exit 1
-  end
-
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match which with
@@ -1667,7 +1405,6 @@ let () =
   | "server" -> server_mode ()
   | "chaos" -> chaos_mode ()
   | "flatcore" -> flatcore_mode ()
-  | "relax" -> relax_mode ()
   | "all" ->
     table1 ();
     table2 ();
@@ -1676,6 +1413,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown benchmark %S (expected \
-       table1|table2|table3|ablations|micro|json|parallel|incremental|server|chaos|flatcore|relax|all)\n"
+       table1|table2|table3|ablations|micro|json|parallel|incremental|server|chaos|flatcore|all)\n"
       other;
     exit 2

@@ -65,18 +65,9 @@ let solve_cmd =
   in
   let no_incremental =
     Arg.(value & flag & info [ "no-incremental" ]
-           ~doc:"Disable the incremental LP session (warm-started simplex, \
-                 theory-verdict cache, float-filtered pivoting); every \
-                 linear check solves from scratch. Verdicts are identical \
-                 either way.")
-  in
-  let no_relax =
-    Arg.(value & flag & info [ "no-relax" ]
-           ~doc:"Disable the branch-and-prune linear-relaxation layer \
-                 (LP cuts from sound linear enclosures of the nonlinear \
-                 atoms, octagon screening, optimization-based bounds \
-                 tightening); the nonlinear search falls back to pure \
-                 interval contraction. Verdicts are identical either way.")
+           ~doc:"Disable the incremental LP session (warm-started simplex \
+                 with constraint-delta assert/retract); every linear check \
+                 solves from scratch. Verdicts are identical either way.")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print statistics.") in
   let stats_flag =
@@ -134,7 +125,7 @@ let solve_cmd =
                  and cancels the losers.")
   in
   let run file all_models limit bool_solver minimize no_presolve no_incremental
-      no_relax verbose stats_flag stats_json trace metrics_file timeout
+      verbose stats_flag stats_json trace metrics_file timeout
       max_steps mem_budget jobs portfolio =
     match (read_problem file, registry_of_name bool_solver) with
     | Error e, _ | _, Error e ->
@@ -169,7 +160,6 @@ let solve_cmd =
           A.Engine.minimize_conflicts = minimize;
           use_presolve = not no_presolve;
           use_incremental = not no_incremental;
-          use_bp_relaxation = not no_relax;
           telemetry = tel;
           budget;
         }
@@ -265,7 +255,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Decide an AB-problem (extended DIMACS).")
     Term.(
       const run $ file $ all_models $ limit $ bool_solver $ minimize
-      $ no_presolve $ no_incremental $ no_relax $ verbose $ stats_flag
+      $ no_presolve $ no_incremental $ verbose $ stats_flag
       $ stats_json $ trace $ metrics_file $ timeout $ max_steps $ mem_budget
       $ jobs $ portfolio)
 
@@ -443,8 +433,8 @@ let serve_cmd =
   let slow_log =
     Arg.(value & opt (some string) None & info [ "slow-log" ] ~docv:"FILE"
       ~doc:"Append a structured JSONL record (op, verdict, latency, budget \
-            outcome, LP-cache hits, trace id) for every request at or over \
-            the $(b,--slow-ms) threshold.")
+            outcome, trace id) for every request at or over the \
+            $(b,--slow-ms) threshold.")
   in
   let slow_ms =
     Arg.(value & opt float Server.default_config.Server.slow_ms

@@ -40,7 +40,7 @@ let default_options =
     max_unknown_models = 500;
     default_phase = true;
     use_linear_relaxation = true;
-    use_bp_relaxation = true;
+    use_bp_relaxation = false;
     use_presolve = true;
     use_incremental = true;
     telemetry = Telemetry.disabled;
@@ -72,9 +72,6 @@ type run_stats = {
   mutable sat_restarts : int;
   mutable simplex_pivots : int;
   mutable budget_exhausted : Err.t option;
-  mutable lp_cache_hits : int;
-  mutable lp_cache_misses : int;
-  mutable lp_cache_evictions : int;
   mutable lp_asserted : int;
   mutable lp_retracted : int;
   mutable lp_reused : int;
@@ -82,10 +79,6 @@ type run_stats = {
   mutable alloc_major_words : float;
   mutable bp_nodes : int;
   mutable bp_prunings : int;
-  mutable relax_cuts_asserted : int;
-  mutable relax_lp_checks : int;
-  mutable relax_nodes_pruned : int;
-  mutable relax_bounds_tightened : int;
 }
 
 let mk_stats () =
@@ -107,9 +100,6 @@ let mk_stats () =
     sat_restarts = 0;
     simplex_pivots = 0;
     budget_exhausted = None;
-    lp_cache_hits = 0;
-    lp_cache_misses = 0;
-    lp_cache_evictions = 0;
     lp_asserted = 0;
     lp_retracted = 0;
     lp_reused = 0;
@@ -117,10 +107,6 @@ let mk_stats () =
     alloc_major_words = 0.0;
     bp_nodes = 0;
     bp_prunings = 0;
-    relax_cuts_asserted = 0;
-    relax_lp_checks = 0;
-    relax_nodes_pruned = 0;
-    relax_bounds_tightened = 0;
   }
 
 (* Allocation accounting around a solve. [minor_words] counts words
@@ -149,16 +135,11 @@ let pp_run_stats fmt s =
     s.presolve_removed_clauses s.presolve_tightened_bounds s.presolve_seconds
     s.sat_decisions s.sat_conflicts s.sat_propagations s.sat_restarts
     s.simplex_pivots;
-  Format.fprintf fmt
-    " lp-inc[hits=%d misses=%d evicted=%d asserted=%d retracted=%d reused=%d]"
-    s.lp_cache_hits s.lp_cache_misses s.lp_cache_evictions s.lp_asserted
-    s.lp_retracted s.lp_reused;
+  Format.fprintf fmt " lp-inc[asserted=%d retracted=%d reused=%d]"
+    s.lp_asserted s.lp_retracted s.lp_reused;
   Format.fprintf fmt " alloc[minor=%.0fw major=%.0fw]" s.alloc_minor_words
     s.alloc_major_words;
-  Format.fprintf fmt
-    " bp[nodes=%d prunings=%d] relax[cuts=%d lp=%d pruned=%d tightened=%d]"
-    s.bp_nodes s.bp_prunings s.relax_cuts_asserted s.relax_lp_checks
-    s.relax_nodes_pruned s.relax_bounds_tightened;
+  Format.fprintf fmt " bp[nodes=%d prunings=%d]" s.bp_nodes s.bp_prunings;
   match s.budget_exhausted with
   | None -> ()
   | Some e -> Format.fprintf fmt " budget-exhausted=%s" (Err.code e)
@@ -216,9 +197,6 @@ let run_stats_json s =
       ("sat_propagations", i s.sat_propagations);
       ("sat_restarts", i s.sat_restarts);
       ("simplex_pivots", i s.simplex_pivots);
-      ("lp_cache_hits", i s.lp_cache_hits);
-      ("lp_cache_misses", i s.lp_cache_misses);
-      ("lp_cache_evictions", i s.lp_cache_evictions);
       ("lp_asserted", i s.lp_asserted);
       ("lp_retracted", i s.lp_retracted);
       ("lp_reused", i s.lp_reused);
@@ -226,10 +204,6 @@ let run_stats_json s =
       ("alloc_major_words", Telemetry.Json.of_float s.alloc_major_words);
       ("bp_nodes", i s.bp_nodes);
       ("bp_prunings", i s.bp_prunings);
-      ("relax_cuts_asserted", i s.relax_cuts_asserted);
-      ("relax_lp_checks", i s.relax_lp_checks);
-      ("relax_nodes_pruned", i s.relax_nodes_pruned);
-      ("relax_bounds_tightened", i s.relax_bounds_tightened);
       ( "budget_exhausted",
         match s.budget_exhausted with
         | None -> "null"
@@ -463,8 +437,7 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
             | [] -> (Registry.N_unknown, acc)
             | (s : Registry.nonlinear_solver) :: rest -> (
               let v, st =
-                s.Registry.ns_solve ~relax:options.use_bp_relaxation ~budget
-                  ~telemetry:tel ~nvars ~box rels
+                s.Registry.ns_solve ~budget ~telemetry:tel ~nvars ~box rels
               in
               let acc = Branch_prune.merge_stats acc st in
               match v with
@@ -554,46 +527,22 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
             Telemetry.span tel "nonlinear_check"
               ~attrs:[ ("relations", Telemetry.Int (List.length rels)) ]
               (fun () ->
-                let n0 = Branch_prune.total_nodes ()
-                and pr0 = Branch_prune.total_prunings ()
-                and h0 = Hc4.total_revisions ()
+                let h0 = Hc4.total_revisions ()
                 and w0 = Newton.total_steps () in
                 let v, bp =
                   try_solvers Branch_prune.empty_stats
                     registry.Registry.nonlinear
                 in
-                Telemetry.add tel "nlp.nodes" (Branch_prune.total_nodes () - n0);
-                Telemetry.add tel "nlp.prunings"
-                  (Branch_prune.total_prunings () - pr0);
+                (* Node counts come from this call's own search stats, so
+                   concurrent solves never absorb each other's nodes. *)
+                Telemetry.add tel "nlp.nodes" bp.Branch_prune.nodes;
+                Telemetry.add tel "nlp.prunings" bp.Branch_prune.prunings;
                 Telemetry.add tel "nlp.hc4_revisions"
                   (Hc4.total_revisions () - h0);
                 Telemetry.add tel "nlp.newton_steps"
                   (Newton.total_steps () - w0);
-                (* Per-solve search + relaxation counters: the run record
-                   aggregates the per-call stats (never the process-wide
-                   totals, which conflate concurrent solves). *)
                 stats.bp_nodes <- stats.bp_nodes + bp.Branch_prune.nodes;
                 stats.bp_prunings <- stats.bp_prunings + bp.Branch_prune.prunings;
-                stats.relax_cuts_asserted <-
-                  stats.relax_cuts_asserted + bp.Branch_prune.relax_cuts;
-                stats.relax_lp_checks <-
-                  stats.relax_lp_checks + bp.Branch_prune.relax_lp_checks;
-                stats.relax_nodes_pruned <-
-                  stats.relax_nodes_pruned + bp.Branch_prune.relax_pruned;
-                stats.relax_bounds_tightened <-
-                  stats.relax_bounds_tightened + bp.Branch_prune.relax_tightened;
-                Telemetry.add tel "nlp.relax.cuts_asserted"
-                  bp.Branch_prune.relax_cuts;
-                Telemetry.add tel "nlp.relax.lp_checks"
-                  bp.Branch_prune.relax_lp_checks;
-                Telemetry.add tel "nlp.relax.nodes_pruned"
-                  bp.Branch_prune.relax_pruned;
-                Telemetry.add tel "nlp.relax.oct_pruned"
-                  bp.Branch_prune.relax_oct_pruned;
-                Telemetry.add tel "nlp.relax.bounds_tightened"
-                  bp.Branch_prune.relax_tightened;
-                Telemetry.add tel "nlp.relax.obbt_opts"
-                  bp.Branch_prune.relax_obbt;
                 v)
           in
           match nl_verdict with
@@ -703,10 +652,6 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
       let cs = sess.Registry.lsess_counters () in
       List.iter (fun (name, v) -> Telemetry.add tel name v) cs;
       let find n = Option.value ~default:0 (List.assoc_opt n cs) in
-      stats.lp_cache_hits <- stats.lp_cache_hits + find "lp.inc.cache_hits";
-      stats.lp_cache_misses <- stats.lp_cache_misses + find "lp.inc.cache_misses";
-      stats.lp_cache_evictions <-
-        stats.lp_cache_evictions + find "lp.inc.cache_evictions";
       stats.lp_asserted <- stats.lp_asserted + find "lp.inc.asserted";
       stats.lp_retracted <- stats.lp_retracted + find "lp.inc.retracted";
       stats.lp_reused <- stats.lp_reused + find "lp.inc.reused"
@@ -1047,7 +992,6 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
       if options.use_incremental then begin
         let sx = Absolver_lp.Simplex.create ~budget:options.budget () in
         Absolver_lp.Simplex.ensure_vars sx nvars;
-        Absolver_lp.Simplex.set_float_filter sx true;
         List.iter
           (fun (c : Linexpr.cons) ->
             ignore (Absolver_lp.Simplex.assert_cons sx c))

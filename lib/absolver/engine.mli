@@ -33,24 +33,19 @@ type options = {
           variables: blatantly contradictory delta-valuations then die in
           the cheap solver with small cores (ablation switch). *)
   use_bp_relaxation : bool;
-      (** Consult the branch-and-prune linear-relaxation layer
-          ([Absolver_relax]): sound linear enclosures of the nonlinear
-          atoms are asserted into a warm, search-path-scoped LP session —
-          LP infeasibility prunes nodes before interval contraction runs,
-          an octagon middle tier screens [+-x +- y <= c] cuts before any
-          pivot, and near-root LP optima tighten variable bounds (OBBT).
-          On by default; off ([CLI --no-relax]) restores the pure
-          interval search (ablation switch). Verdict-equivalent either
-          way. *)
+      (** No effect. The per-node branch-and-prune LP relaxation this
+          switch used to control has been removed; the field is kept only
+          because [benchsuite/verify.ml] still sets it, and goes with the
+          next change to the benchmark suite. The engine's one linear
+          relaxation of nonlinear terms is [use_linear_relaxation]. *)
   use_presolve : bool;
       (** Run the {!Preprocess} layer (SAT inprocessing, LP presolve,
           interval propagation) before search. On by default; off restores
           the exact pre-presolve behaviour (ablation switch). *)
   use_incremental : bool;
       (** Route LP queries through one persistent warm-started simplex
-          session per enumeration (constraint-delta assert/retract,
-          theory-verdict cache, float-filtered pivoting) instead of
-          solving each query from scratch. On by default; off ([CLI
+          session per enumeration (constraint-delta assert/retract over
+          a warm tableau) instead of solving each query from scratch. On by default; off ([CLI
           --no-incremental]) restores the paper's restart-per-model
           behaviour. Verdict-equivalent either way — only pivot counts
           and wall time change. *)
@@ -111,12 +106,6 @@ type run_stats = {
       (** [Some reason] iff the run's budget tripped (or a stray exception
           was contained at the boundary); [None] on unbudgeted runs and on
           runs that finished within budget. *)
-  mutable lp_cache_hits : int;
-      (** Theory-cache hits: LP queries answered (verdict or conflict
-          core replayed) without touching the simplex. Zero when
-          [use_incremental] is off. *)
-  mutable lp_cache_misses : int;
-  mutable lp_cache_evictions : int;
   mutable lp_asserted : int;
       (** Constraints pushed onto the persistent session's stack. *)
   mutable lp_retracted : int;
@@ -135,19 +124,8 @@ type run_stats = {
       (** Branch-and-prune nodes explored by this run's nonlinear checks
           (per-solve figures, never the process-wide totals). *)
   mutable bp_prunings : int;
-      (** Boxes discarded by the branch-and-prune searches (any cause:
-          interval certificate, relaxation, empty contraction). *)
-  mutable relax_cuts_asserted : int;
-      (** Linear cuts the relaxation layer asserted into its scoped LP
-          sessions. Zero when [use_bp_relaxation] is off. *)
-  mutable relax_lp_checks : int;
-      (** LP feasibility checks run by the relaxation layer. *)
-  mutable relax_nodes_pruned : int;
-      (** Nodes refuted by the relaxation (octagon or LP) before any
-          interval contraction ran. *)
-  mutable relax_bounds_tightened : int;
-      (** Variable bounds tightened by the relaxation layer (octagon
-          closure + OBBT). *)
+      (** Boxes discarded by the branch-and-prune searches (HC4 or Newton
+          contraction emptied them). *)
 }
 
 val pp_run_stats : Format.formatter -> run_stats -> unit

@@ -38,7 +38,6 @@ type nonlinear_verdict =
 type nonlinear_solver = {
   ns_name : string;
   ns_solve :
-    relax:bool ->
     budget:Budget.t ->
     telemetry:Absolver_telemetry.Telemetry.t ->
     nvars:int ->
@@ -61,8 +60,8 @@ let verdict_of_simplex = function
   | Simplex.Unsat tags -> L_unsat tags
   | Simplex.Unknown e -> L_unknown e
 
-let simplex_session ?cache_capacity ?float_filter () ~budget =
-  let session = Incremental.create ~budget ?cache_capacity ?float_filter () in
+let simplex_session ~budget =
+  let session = Incremental.create ~budget () in
   {
     lsess_solve =
       (fun ~int_vars constraints ->
@@ -70,23 +69,21 @@ let simplex_session ?cache_capacity ?float_filter () ~budget =
     lsess_counters = (fun () -> Incremental.counters session);
   }
 
-let simplex_solver_custom ?cache_capacity ?float_filter () =
+let simplex_solver =
   {
     ls_name = "simplex (COIN-like)";
     ls_solve =
       (fun ~int_vars ~budget constraints ->
         verdict_of_simplex (Simplex.solve_system ~int_vars ~budget constraints));
-    ls_session = Some (simplex_session ?cache_capacity ?float_filter ());
+    ls_session = Some simplex_session;
   }
-
-let simplex_solver = simplex_solver_custom ()
 
 (* A linear solver whose warm session outlives any single enumeration:
    every [ls_session] acquisition returns the SAME underlying
    [Incremental] session (created lazily, re-governed by the acquiring
    enumeration's budget), so consecutive solve requests from one server
-   client reuse the asserted constraints, the tableau basis and the
-   verdict cache across requests.  Two invariants make this safe:
+   client reuse the asserted constraints and the tableau basis across
+   requests.  Two invariants make this safe:
 
    - counters are delta'd per acquisition, so the engine's per-run
      statistics absorption sees only the work of its own enumeration,
@@ -96,13 +93,13 @@ let simplex_solver = simplex_solver_custom ()
      it per-client — the server creates one per connection and calls the
      returned [dispose] at disconnect, so no warm tableau ever leaks
      between independent clients. *)
-let persistent_simplex ?cache_capacity ?float_filter () =
+let persistent_simplex () =
   let session = ref None in
   let acquire () =
     match !session with
     | Some s -> s
     | None ->
-      let s = Incremental.create ?cache_capacity ?float_filter () in
+      let s = Incremental.create () in
       session := Some s;
       s
   in
@@ -139,15 +136,9 @@ let branch_prune_solver ?(config = Branch_prune.default_config) ?(jobs = 1) () =
       (if jobs <= 1 then "branch-and-prune (IPOPT-like)"
        else Printf.sprintf "branch-and-prune (IPOPT-like, %d jobs)" jobs);
     ns_solve =
-      (fun ~relax ~budget ~telemetry ~nvars ~box rels ->
-        let oracle =
-          if relax && config.Branch_prune.use_relax then
-            Some (Absolver_relax.Relax.oracle ~telemetry ~config ~nvars rels)
-          else None
-        in
+      (fun ~budget ~telemetry ~nvars ~box rels ->
         let verdict, stats =
-          Branch_prune.solve ?relax:oracle ~config ~budget ~telemetry ~jobs
-            ~nvars ~box rels
+          Branch_prune.solve ~config ~budget ~telemetry ~jobs ~nvars ~box rels
         in
         let v =
           match verdict with

@@ -32,8 +32,7 @@ type linear_session = {
   lsess_counters : unit -> (string * int) list;
 }
 (** A stateful linear-solver session: successive [lsess_solve] calls may
-    reuse solver state from earlier calls (warm-started tableau, cached
-    verdicts), but each call must decide exactly the constraint set it is
+    reuse solver state from earlier calls (a warm-started tableau), but each call must decide exactly the constraint set it is
     given. [lsess_counters] exposes cumulative session counters for
     telemetry absorption. *)
 
@@ -62,7 +61,6 @@ type nonlinear_verdict =
 type nonlinear_solver = {
   ns_name : string;
   ns_solve :
-    relax:bool ->
     budget:Absolver_resource.Budget.t ->
     telemetry:Absolver_telemetry.Telemetry.t ->
     nvars:int ->
@@ -76,11 +74,8 @@ type nonlinear_solver = {
     histograms, e.g. [nlp.bp_depth]). A solver free of instrumentation
     just ignores it.
 
-    [relax] is the engine's linear-relaxation switch
-    ([use_bp_relaxation] / [--no-relax]): when false the solver must not
-    consult an LP relaxation even if its own config enables one.  The
-    returned {!Absolver_nlp.Branch_prune.stats} carries per-solve search
-    and relaxation counters for the engine's run statistics; a solver
+    The returned {!Absolver_nlp.Branch_prune.stats} carries per-solve
+    search counters for the engine's run statistics; a solver
     without such instrumentation returns
     {!Absolver_nlp.Branch_prune.empty_stats}. *)
 
@@ -98,23 +93,15 @@ val lsat_solver : bool_solver
 
 val simplex_solver : linear_solver
 (** COIN stand-in: exact rational simplex with branch-and-bound for
-    integer variables. Provides an incremental session (warm-started
-    tableau + verdict cache + float-filtered pivoting) at the defaults of
-    {!Absolver_lp.Incremental.create}. *)
+    integer variables. Provides an incremental session with a
+    warm-started tableau ({!Absolver_lp.Incremental}). *)
 
-val simplex_solver_custom :
-  ?cache_capacity:int -> ?float_filter:bool -> unit -> linear_solver
-(** {!simplex_solver} with explicit session knobs — [cache_capacity 0]
-    disables the verdict cache, [float_filter false] the double-precision
-    pivot filter. The bench uses this to attribute gains. *)
-
-val persistent_simplex :
-  ?cache_capacity:int -> ?float_filter:bool -> unit -> linear_solver * (unit -> unit)
+val persistent_simplex : unit -> linear_solver * (unit -> unit)
 (** A simplex whose warm session outlives any single enumeration: every
     [ls_session] acquisition re-governs and returns the {e same}
     underlying {!Absolver_lp.Incremental} session, so consecutive solve
-    requests reuse asserted constraints, the tableau basis and the
-    verdict cache across requests — the solve server keeps one per
+    requests reuse asserted constraints and the tableau basis across
+    requests — the solve server keeps one per
     client connection.  Session counters are delta'd per acquisition, so
     per-run statistics stay attributable.  The second component tears the
     warm session down (the server calls it on client disconnect; a later

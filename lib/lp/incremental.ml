@@ -11,12 +11,9 @@ type stats = {
   mutable reused : int;
 }
 
-type cached = C_sat of (Linexpr.var * Q.t) list | C_unsat of int list
-
 type t = {
   simplex : Simplex.t;
   mutable budget : Budget.t;
-  cache : cached Verdict_cache.t;
   (* The assertion stack, top-first: one simplex trail frame per entry,
      so any suffix can be retracted independently of assertion order. *)
   mutable stack : (string * Linexpr.cons) list;
@@ -27,7 +24,7 @@ type t = {
      through [Simplex.new_var] makes each tableau index either one
      interned external variable or one slack, never both. The stack,
      the tableau and branch-and-bound all live in internal indices; the
-     cache and the returned models stay external. *)
+     returned models stay external. *)
   ext2int : (int, int) Hashtbl.t;
   int2ext : (int, int) Hashtbl.t;
   (* Interned image of each constraint, memoized by its canonical key:
@@ -41,19 +38,12 @@ type t = {
   keybuf : Buffer.t;
   needed : (string, int) Hashtbl.t;
   stats : stats;
-  (* Open cut scopes (see the scoped-cut API below): one simplex trail
-     frame per scope, layered on top of the assertion stack. *)
-  mutable scopes : int;
 }
 
-let create ?(budget = Budget.unlimited) ?(cache_capacity = 4096)
-    ?(float_filter = true) () =
-  let simplex = Simplex.create ~budget () in
-  Simplex.set_float_filter simplex float_filter;
+let create ?(budget = Budget.unlimited) () =
   {
-    simplex;
+    simplex = Simplex.create ~budget ();
     budget;
-    cache = Verdict_cache.create ~capacity:cache_capacity ();
     stack = [];
     ext2int = Hashtbl.create 64;
     int2ext = Hashtbl.create 64;
@@ -61,7 +51,6 @@ let create ?(budget = Budget.unlimited) ?(cache_capacity = 4096)
     keybuf = Buffer.create 256;
     needed = Hashtbl.create 64;
     stats = { solves = 0; asserted = 0; retracted = 0; reused = 0 };
-    scopes = 0;
   }
 
 let intern_var t v =
@@ -99,7 +88,7 @@ let extern_model t model =
     model
 
 (* A long-lived session (the solve server keeps one per client) is
-   re-governed per request: the warm tableau and the cache survive, only
+   re-governed per request: the warm tableau survives, only
    the budget polled by subsequent pivots changes. *)
 let set_budget t budget =
   t.budget <- budget;
@@ -110,70 +99,10 @@ let stats t = t.stats
 let counters t =
   [
     ("lp.inc.solves", t.stats.solves);
-    ("lp.inc.cache_hits", Verdict_cache.hits t.cache);
-    ("lp.inc.cache_misses", Verdict_cache.misses t.cache);
-    ("lp.inc.cache_evictions", Verdict_cache.evictions t.cache);
     ("lp.inc.asserted", t.stats.asserted);
     ("lp.inc.retracted", t.stats.retracted);
     ("lp.inc.reused", t.stats.reused);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Scoped cuts                                                         *)
-(*                                                                     *)
-(* The branch-and-prune relaxation layer asserts per-node cut rows that *)
-(* must retract exactly with the search path: checkpoint on branch,     *)
-(* rollback on backtrack.  Each scope is one simplex trail frame, so a  *)
-(* pop retracts the scope's bounds while keeping the pivots (warm       *)
-(* start) — the same delta mechanics [apply_delta] uses, exposed to a   *)
-(* caller that manages its own path discipline.  Scoped rows use        *)
-(* [intern_cons], not the [interned] memo: cut constants vary per box,  *)
-(* so memoizing them would grow the table without reuse (the tableau's  *)
-(* own slack-row sharing by coefficient vector still applies).          *)
-(* ------------------------------------------------------------------ *)
-
-let open_scopes t = t.scopes
-
-let scope_push t =
-  Simplex.push t.simplex;
-  t.scopes <- t.scopes + 1
-
-let scope_pop t =
-  if t.scopes <= 0 then invalid_arg "Incremental.scope_pop: no open scope";
-  Simplex.pop t.simplex;
-  t.scopes <- t.scopes - 1
-
-let scope_assert t (c : Linexpr.cons) =
-  if t.scopes <= 0 then invalid_arg "Incremental.scope_assert: no open scope";
-  t.stats.asserted <- t.stats.asserted + 1;
-  match Simplex.assert_cons t.simplex (intern_cons t c) with
-  | Simplex.Feasible -> true
-  | Simplex.Infeasible _ -> false
-
-let scope_check t =
-  match Simplex.check t.simplex with
-  | Simplex.Feasible -> true
-  | Simplex.Infeasible _ -> false
-
-type scope_opt = Opt_value of DR.t | Opt_unbounded | Opt_infeasible
-
-let scope_objective t le =
-  List.fold_left
-    (fun acc (v, q) -> Linexpr.add_term acc q (intern_var t v))
-    (Linexpr.constant (Linexpr.const le))
-    (Linexpr.coeffs le)
-
-let scope_maximize t le =
-  match Simplex.maximize t.simplex (scope_objective t le) with
-  | Simplex.O_optimal (d, _) -> Opt_value d
-  | Simplex.O_unbounded -> Opt_unbounded
-  | Simplex.O_infeasible _ -> Opt_infeasible
-
-let scope_minimize t le =
-  match Simplex.minimize_obj t.simplex (scope_objective t le) with
-  | Simplex.O_optimal (d, _) -> Opt_value d
-  | Simplex.O_unbounded -> Opt_unbounded
-  | Simplex.O_infeasible _ -> Opt_infeasible
 
 (* Canonical identity of a constraint: tag, relation, sorted coefficient
    list, constant. Two constraints with equal keys are interchangeable on
@@ -321,7 +250,7 @@ let apply_delta t ~keys ~constraints =
     keys constraints;
   !conflict
 
-let solve_uncached t ~int_vars ~keys ~constraints =
+let solve_session t ~int_vars ~keys ~constraints =
   let sx = t.simplex in
   match apply_delta t ~keys ~constraints with
   | Some tags -> Simplex.Unsat (drop_branch_tag tags)
@@ -345,8 +274,6 @@ let solve_uncached t ~int_vars ~keys ~constraints =
       Simplex.Unknown e)
 
 let solve t ?(int_vars = []) constraints =
-  if t.scopes > 0 then
-    invalid_arg "Incremental.solve: cut scopes are open (pop them first)";
   t.stats.solves <- t.stats.solves + 1;
   (* Constant constraints never reach the tableau (as in solve_system). *)
   let const_conflict =
@@ -364,28 +291,11 @@ let solve t ?(int_vars = []) constraints =
         constraints
     in
     let keys = List.map (cons_key t.keybuf) constraints in
-    let cache_key =
-      match List.sort_uniq compare int_vars with
-      | [] -> keys
-      | vs ->
-        ("ints:" ^ String.concat "," (List.map string_of_int vs)) :: keys
-    in
-    match Verdict_cache.find t.cache cache_key with
-    | Some (C_sat model) -> Simplex.Sat model
-    | Some (C_unsat tags) -> Simplex.Unsat tags
-    | None -> (
-      match
-        Faults.hit "lp.solve_system" t.budget;
-        let constraints = List.map2 (intern_memo t) keys constraints in
-        let int_vars = List.map (intern_var t) int_vars in
-        match solve_uncached t ~int_vars ~keys ~constraints with
-        | Simplex.Sat model -> Simplex.Sat (extern_model t model)
-        | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v
-      with
-      | exception Budget.Exhausted e -> Simplex.Unknown e
-      | verdict ->
-        (match verdict with
-        | Simplex.Sat model -> Verdict_cache.add t.cache cache_key (C_sat model)
-        | Simplex.Unsat tags -> Verdict_cache.add t.cache cache_key (C_unsat tags)
-        | Simplex.Unknown _ -> ());
-        verdict))
+    try
+      Faults.hit "lp.solve_system" t.budget;
+      let constraints = List.map2 (intern_memo t) keys constraints in
+      let int_vars = List.map (intern_var t) int_vars in
+      match solve_session t ~int_vars ~keys ~constraints with
+      | Simplex.Sat model -> Simplex.Sat (extern_model t model)
+      | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v
+    with Budget.Exhausted e -> Simplex.Unknown e)

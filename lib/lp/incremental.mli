@@ -8,10 +8,7 @@
     missing constraints (one trail frame per constraint, so any one of
     them can be retracted later), warm-starting every check from the
     previous basis — pivots survive retraction because they preserve the
-    solution set. Verdicts and conflict cores are additionally memoized
-    in a {!Verdict_cache} keyed by the constraint set, so repeated
-    sub-problems (equality-split combos, all-models blocking iterations)
-    are answered without touching the tableau at all.
+    solution set.
 
     Verdict-equivalent to {!Simplex.solve_system} by construction: the
     same constant-constraint screening, the same branch-and-bound over
@@ -27,74 +24,23 @@ type stats = {
   mutable reused : int;  (** constraints kept across consecutive solves *)
 }
 
-val create :
-  ?budget:Absolver_resource.Budget.t ->
-  ?cache_capacity:int ->
-  ?float_filter:bool ->
-  unit ->
-  t
+val create : ?budget:Absolver_resource.Budget.t -> unit -> t
 (** A fresh session. The [budget] governs every pivot for the session's
-    lifetime. [cache_capacity] sizes the verdict cache (0 disables it);
-    [float_filter] (default [true]) enables double-precision pivot
-    selection on the underlying simplex. *)
+    lifetime. *)
 
 val set_budget : t -> Absolver_resource.Budget.t -> unit
-(** Swap the budget governing subsequent pivots. The warm tableau, the
-    assertion stack and the verdict cache survive — this is how a
-    long-lived per-client session (the solve server's) is re-governed by
-    each request's own deadline without losing its warm start. *)
+(** Swap the budget governing subsequent pivots. The warm tableau and the
+    assertion stack survive — this is how a long-lived per-client session
+    (the solve server's) is re-governed by each request's own deadline
+    without losing its warm start. *)
 
 val solve : t -> ?int_vars:Linexpr.var list -> Linexpr.cons list -> Simplex.verdict
-(** Decide the conjunction, reusing tableau state and cached verdicts
-    from earlier calls. Library boundary: budget exhaustion rolls the
-    session back to a consistent state and returns [Unknown] — no
-    exception escapes, and the session stays usable. *)
+(** Decide the conjunction, reusing tableau state from earlier calls.
+    Library boundary: budget exhaustion rolls the session back to a consistent state and returns [Unknown] —
+    no exception escapes, and the session stays usable. *)
 
 val stats : t -> stats
 
 val counters : t -> (string * int) list
-(** Session counters in telemetry form: solves, cache hits / misses /
-    evictions, asserted / retracted / reused constraints. *)
-
-(** {1 Scoped cuts}
-
-    Path-scoped assertion for the branch-and-prune relaxation layer:
-    cut rows asserted inside a scope are retracted exactly when the
-    scope pops (checkpoint on branch, rollback on backtrack — one
-    simplex trail frame per scope, pivots kept across pops so every
-    check warm-starts). The caller owns the path discipline: {!solve}
-    raises [Invalid_argument] while scopes are open, so a session is
-    either in stack mode or in scope mode at any time. *)
-
-val scope_push : t -> unit
-(** Open a new cut scope (innermost). *)
-
-val scope_pop : t -> unit
-(** Retract every cut of the innermost scope, keeping pivots.
-    @raise Invalid_argument when no scope is open. *)
-
-val open_scopes : t -> int
-
-val scope_assert : t -> Linexpr.cons -> bool
-(** Assert a cut into the innermost scope. [false] means the cut
-    immediately conflicts with bounds asserted so far (the system is
-    infeasible); the session stays consistent either way.
-    @raise Invalid_argument when no scope is open. *)
-
-val scope_check : t -> bool
-(** Run the simplex to a verdict over everything currently asserted
-    ([true] = feasible). Sound and complete — the verdict depends only
-    on the asserted rows, never on warm-start state.
-    @raise Absolver_resource.Budget.Exhausted if the session's budget
-    trips mid-pivot (the tableau is left consistent; the caller of the
-    scoped API owns the budget boundary). *)
-
-type scope_opt = Opt_value of Absolver_numeric.Delta_rational.t | Opt_unbounded | Opt_infeasible
-
-val scope_maximize : t -> Linexpr.t -> scope_opt
-val scope_minimize : t -> Linexpr.t -> scope_opt
-(** Optimize an (affine) objective in {e external} variables over the
-    currently asserted rows; used for optimization-based bounds
-    tightening. Exact; the optimum value's rational part is a sound
-    outer bound even when a strict row leaves a delta component.
-    @raise Absolver_resource.Budget.Exhausted as {!scope_check}. *)
+(** Session counters in telemetry form: solves and asserted / retracted /
+    reused constraints. *)

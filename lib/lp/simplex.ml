@@ -59,10 +59,6 @@ type t = {
   mutable trail : (int * bound_kind * bound option) list list;
   mutable pivots : int;
   mutable budget : Budget.t;
-  (* When set, [check] first consults a double-precision shadow of the
-     tableau to guide pivot selection; verdicts still come from the exact
-     loop, so this is a heuristic only (see [float_guide] below). *)
-  mutable float_filter : bool;
 }
 
 and bound_kind = Lower | Upper
@@ -83,11 +79,9 @@ let create ?(budget = Budget.unlimited) () =
     trail = [];
     pivots = 0;
     budget;
-    float_filter = false;
   }
 
 let set_budget t budget = t.budget <- budget
-let set_float_filter t b = t.float_filter <- b
 
 let grow t n =
   let cap = Array.length t.rows in
@@ -423,10 +417,8 @@ let can_decrease t v =
 
 exception Found of int
 
-(* Exact feasibility restoration: Bland's rule on the rational tableau.
-   This is the certifying loop — every verdict ultimately comes from
-   here, whether or not the float filter ran first. *)
-let check_exact t =
+(* Exact feasibility restoration: Bland's rule on the rational tableau. *)
+let check t =
   let rec loop () =
     (* Bland's rule: smallest-index violated basic variable. *)
     let violated =
@@ -503,197 +495,6 @@ let check_exact t =
       end
   in
   loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Float-filtered pivoting (DESIGN.md Sec. 12).
-
-   A double-precision shadow of the tableau is rebuilt at [check] entry
-   and driven with a greedy (largest-violation / largest-coefficient)
-   pivot rule that the exact loop cannot afford (Bland's rule is what
-   guarantees its termination). If the shadow reaches feasibility, its
-   pivot script is replayed on the exact tableau — each replayed pivot is
-   first re-justified exactly (violated bound, nonzero coefficient), so a
-   drifted shadow can only waste a bounded amount of work, never corrupt
-   the state. The exact loop then runs regardless and is the sole source
-   of verdicts and conflict cores: the filter is a heuristic accelerator,
-   not an oracle, which is the whole soundness argument. *)
-
-let float_cap_vars = 256
-let float_margin = 1e-6
-
-(* Strict bounds live at [r + k*delta]; any small positive stand-in for
-   delta keeps the float comparisons ordered the same way as long as the
-   margin dominates the rounding noise. *)
-let float_of_dr v = Q.to_float (DR.r v) +. (1e-7 *. Q.to_float (DR.k v))
-
-let global_float_guided = Atomic.make 0
-let global_float_escalations = Atomic.make 0
-let global_float_replayed = Atomic.make 0
-
-let float_filter_stats () =
-  ( Atomic.get global_float_guided,
-    Atomic.get global_float_escalations,
-    Atomic.get global_float_replayed )
-
-(* Run the shadow simplex. Returns [Some script] — a list of
-   [(basic, entering, bound_kind)] pivots after which the shadow is
-   feasible with a clear margin — or [None] when the shadow is
-   inconclusive (borderline violations, no admissible entering variable,
-   iteration cap): the caller then escalates straight to exact pivoting. *)
-let float_guide t =
-  let n = t.nvars in
-  if n = 0 || n > float_cap_vars then None
-  else begin
-    let fm = Array.make_matrix n n 0.0 in
-    let basic = Array.make n false in
-    let fbeta = Array.make n 0.0 in
-    let flo = Array.make n neg_infinity in
-    let fhi = Array.make n infinity in
-    for v = 0 to n - 1 do
-      let r = t.rows.(v) in
-      if r != no_row then begin
-        basic.(v) <- true;
-        for i = 0 to r.len - 1 do
-          fm.(v).(r.idx.(i)) <- Q.to_float r.coef.(i)
-        done
-      end;
-      fbeta.(v) <- float_of_dr t.beta.(v);
-      (match t.lower.(v) with
-      | Some b -> flo.(v) <- float_of_dr b.value
-      | None -> ());
-      match t.upper.(v) with
-      | Some b -> fhi.(v) <- float_of_dr b.value
-      | None -> ()
-    done;
-    let cap = (4 * n) + 16 in
-    let script = ref [] in
-    let rec loop iter =
-      if iter > cap then None
-      else begin
-        (* Largest-violation selection of the leaving variable. *)
-        let x = ref (-1) in
-        let worst = ref float_margin in
-        let borderline = ref false in
-        for v = 0 to n - 1 do
-          if basic.(v) then begin
-            let viol = Float.max (flo.(v) -. fbeta.(v)) (fbeta.(v) -. fhi.(v)) in
-            if viol > !worst then begin
-              x := v;
-              worst := viol
-            end
-            else if viol > 0.0 then borderline := true
-          end
-        done;
-        if !x < 0 then if !borderline then None else Some (List.rev !script)
-        else begin
-          let x = !x in
-          let need_increase = flo.(x) -. fbeta.(x) > 0.0 in
-          (* Largest-coefficient admissible entering variable. *)
-          let y = ref (-1) in
-          let ya = ref 0.0 in
-          for j = 0 to n - 1 do
-            if (not basic.(j)) && j <> x then begin
-              let a = fm.(x).(j) in
-              if Float.abs a > 1e-9 && Float.abs a > Float.abs !ya then begin
-                let room =
-                  if (a > 0.0) = need_increase then fhi.(j) -. fbeta.(j)
-                  else fbeta.(j) -. flo.(j)
-                in
-                if room > float_margin then begin
-                  y := j;
-                  ya := a
-                end
-              end
-            end
-          done;
-          if !y < 0 then None (* float thinks infeasible: verdict needs exact cores *)
-          else begin
-            let y = !y and a = !ya in
-            let kind = if need_increase then Lower else Upper in
-            let target = if need_increase then flo.(x) else fhi.(x) in
-            (* Value update. *)
-            let theta = (target -. fbeta.(x)) /. a in
-            fbeta.(x) <- target;
-            fbeta.(y) <- fbeta.(y) +. theta;
-            for z = 0 to n - 1 do
-              if z <> x && basic.(z) && fm.(z).(y) <> 0.0 then
-                fbeta.(z) <- fbeta.(z) +. (fm.(z).(y) *. theta)
-            done;
-            (* Structural pivot: x leaves the basis, y enters. *)
-            let row_y = Array.make n 0.0 in
-            for j = 0 to n - 1 do
-              if j <> y then row_y.(j) <- -.fm.(x).(j) /. a
-            done;
-            row_y.(x) <- 1.0 /. a;
-            Array.fill fm.(x) 0 n 0.0;
-            basic.(x) <- false;
-            for z = 0 to n - 1 do
-              if z <> x && basic.(z) then begin
-                let c = fm.(z).(y) in
-                if c <> 0.0 then begin
-                  fm.(z).(y) <- 0.0;
-                  for j = 0 to n - 1 do
-                    fm.(z).(j) <- fm.(z).(j) +. (c *. row_y.(j))
-                  done
-                end
-              end
-            done;
-            Array.blit row_y 0 fm.(y) 0 n;
-            basic.(y) <- true;
-            script := (x, y, kind) :: !script;
-            loop (iter + 1)
-          end
-        end
-      end
-    in
-    loop 0
-  end
-
-(* Replay one float-suggested pivot on the exact tableau, but only when
-   the exact state still justifies it: x basic and violated in the
-   predicted direction, entering coefficient present (CSR rows never
-   store zeros). Replayed pivots go through [pivot] and therefore tick
-   the budget and the process-wide pivot counters like any other pivot. *)
-let replay_pivot t (x, y, kind) =
-  let r = t.rows.(x) in
-  if r != no_row && row_find r y >= 0 then begin
-    let justified, target =
-      match kind with
-      | Lower -> (
-        match t.lower.(x) with
-        | Some b when DR.lt t.beta.(x) b.value -> (true, b.value)
-        | _ -> (false, DR.zero))
-      | Upper -> (
-        match t.upper.(x) with
-        | Some b when DR.lt b.value t.beta.(x) -> (true, b.value)
-        | _ -> (false, DR.zero))
-    in
-    if justified then begin
-      Atomic.incr global_float_replayed;
-      pivot_and_update t x y target
-    end
-  end
-
-(* An allocation-free pre-scan: warm-started checks are very often
-   already feasible, and building the float shadow for them would cost
-   more than the exact loop's single confirming pass. *)
-let any_violation t =
-  try
-    for v = 0 to t.nvars - 1 do
-      if is_basic t v && (below_lower t v || above_upper t v) then
-        raise (Found v)
-    done;
-    false
-  with Found _ -> true
-
-let check t =
-  (if t.float_filter && any_violation t then
-     match float_guide t with
-     | None -> Atomic.incr global_float_escalations
-     | Some script ->
-       Atomic.incr global_float_guided;
-       List.iter (replay_pivot t) script);
-  check_exact t
 
 let push t = t.trail <- [] :: t.trail
 

@@ -29,14 +29,6 @@ val create : ?budget:Absolver_resource.Budget.t -> unit -> t
 
 val set_budget : t -> Absolver_resource.Budget.t -> unit
 
-val set_float_filter : t -> bool -> unit
-(** Enable the double-precision pivot filter (off by default): {!check}
-    first runs a greedy simplex on a float shadow of the tableau and
-    replays its pivot script — each pivot re-justified exactly — before
-    the certifying exact loop. Verdicts and conflict cores always come
-    from the exact loop, so this only changes which pivots are tried,
-    never the answer. *)
-
 val new_var : t -> Linexpr.var
 (** A fresh structural variable. *)
 
@@ -99,12 +91,6 @@ val total_pivots : unit -> int
 (** Process-wide cumulative pivot count over {e all} simplex instances
     (including the internal ones built by {!solve_system}). Telemetry
     snapshots this before/after a call to attribute pivots to a phase. *)
-
-val float_filter_stats : unit -> int * int * int
-(** Process-wide [(guided, escalated, replayed)] float-filter counters:
-    checks where the float shadow produced a pivot script, checks where
-    it was inconclusive and the exact loop ran cold, and individual
-    pivots replayed from a script. *)
 
 (** {1 One-shot solving} *)
 

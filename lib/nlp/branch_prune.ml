@@ -1,7 +1,6 @@
 module I = Absolver_numeric.Interval
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
-module Linexpr = Absolver_lp.Linexpr
 
 type outcome =
   | Sat of float array
@@ -18,10 +17,6 @@ type config = {
   samples_per_node : int;
   root_samples : int;
   seed : int;
-  use_relax : bool;
-  relax_octagon : bool;
-  relax_obbt_depth : int;
-  relax_obbt_vars : int;
 }
 
 let default_config =
@@ -34,102 +29,18 @@ let default_config =
     samples_per_node = 4;
     root_samples = 512;
     seed = 0x5eed;
-    use_relax = true;
-    relax_octagon = true;
-    relax_obbt_depth = 2;
-    relax_obbt_vars = 2;
   }
 
-type stats = {
-  nodes : int;
-  prunings : int;
-  max_depth : int;
-  relax_cuts : int;
-  relax_lp_checks : int;
-  relax_pruned : int;
-  relax_oct_pruned : int;
-  relax_tightened : int;
-  relax_obbt : int;
-}
+type stats = { nodes : int; prunings : int; max_depth : int }
 
-let empty_stats =
-  {
-    nodes = 0;
-    prunings = 0;
-    max_depth = 0;
-    relax_cuts = 0;
-    relax_lp_checks = 0;
-    relax_pruned = 0;
-    relax_oct_pruned = 0;
-    relax_tightened = 0;
-    relax_obbt = 0;
-  }
+let empty_stats = { nodes = 0; prunings = 0; max_depth = 0 }
 
 let merge_stats a b =
   {
     nodes = a.nodes + b.nodes;
     prunings = a.prunings + b.prunings;
     max_depth = max a.max_depth b.max_depth;
-    relax_cuts = a.relax_cuts + b.relax_cuts;
-    relax_lp_checks = a.relax_lp_checks + b.relax_lp_checks;
-    relax_pruned = a.relax_pruned + b.relax_pruned;
-    relax_oct_pruned = a.relax_oct_pruned + b.relax_oct_pruned;
-    relax_tightened = a.relax_tightened + b.relax_tightened;
-    relax_obbt = a.relax_obbt + b.relax_obbt;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Relaxation oracle hook                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The linear-relaxation layer lives in [Absolver_relax] (which depends
-   on this library), so the search loop sees it only through this record
-   of closures.  A node hands the oracle its ancestor cut chain (one
-   group of linear cuts per surviving ancestor, root first) plus its own
-   box; the oracle syncs a warm LP session to exactly that chain
-   (checkpoint on branch, rollback on backtrack), asserts the node's
-   fresh cuts and decides.  [Rx_prune] means the linear relaxation of
-   the constraint system (slackened by the feasibility tolerance) is
-   empty over the box, so the node can be discarded without HC4, Newton
-   or sampling.  [Rx_continue chain] hands back the extended chain for
-   the node's children; the oracle may also have tightened the box in
-   place (optimization-based bounds tightening).
-
-   Determinism contract: the decision (and any box tightening) must be a
-   function of [path], [depth] and the box only — never of worker
-   identity, arrival order or warm-start state — so that parallel runs
-   explore the same tree at every job count (see DESIGN.md §11, §17). *)
-
-type relax_decision = Rx_prune | Rx_continue of Linexpr.cons list list
-
-type relax_oracle = {
-  rx_node :
-    budget:Budget.t ->
-    path:Linexpr.cons list list ->
-    depth:int ->
-    Box.t ->
-    relax_decision;
-  rx_cuts : int Atomic.t;
-  rx_lp_checks : int Atomic.t;
-  rx_pruned : int Atomic.t;
-  rx_oct_pruned : int Atomic.t;
-  rx_tightened : int Atomic.t;
-  rx_obbt : int Atomic.t;
-}
-
-let relax_stats relax base =
-  match relax with
-  | None -> base
-  | Some rx ->
-    {
-      base with
-      relax_cuts = Atomic.get rx.rx_cuts;
-      relax_lp_checks = Atomic.get rx.rx_lp_checks;
-      relax_pruned = Atomic.get rx.rx_pruned;
-      relax_oct_pruned = Atomic.get rx.rx_oct_pruned;
-      relax_tightened = Atomic.get rx.rx_tightened;
-      relax_obbt = Atomic.get rx.rx_obbt;
-    }
 
 let pp_outcome fmt = function
   | Sat p ->
@@ -176,31 +87,11 @@ let newton_pass ?budget box rels =
 
 exception Done of outcome
 
-(* Process-wide branch-and-prune totals, differenced by telemetry (same
-   pattern as Simplex.total_pivots).  Atomic: parallel workers flush their
-   per-worker tallies concurrently.  These conflate concurrent solves by
-   design; per-solve figures live in the [stats] record. *)
-let global_nodes = Atomic.make 0
-let global_prunings = Atomic.make 0
-let total_nodes () = Atomic.get global_nodes
-let total_prunings () = Atomic.get global_prunings
-
-(* Consult the relaxation oracle for one node.  Returns [None] when the
-   node is pruned, [Some chain] (the children's cut chain) otherwise. *)
-let consult_relax relax config ~budget ~path ~depth b =
-  match relax with
-  | Some rx when config.use_relax -> (
-    match rx.rx_node ~budget ~path ~depth b with
-    | Rx_prune -> None
-    | Rx_continue chain -> Some chain)
-  | _ -> Some path
-
-(* Sequential search, the jobs <= 1 path.  This is the original code and
-   stays bit-for-bit identical when no oracle is installed: one RNG
-   seeded once, depth-first explicit stack, so [--jobs 1] without
-   relaxation reproduces historical witnesses exactly. *)
-let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
-    ~nvars ~box rels =
+(* Sequential search, the jobs <= 1 path.  This is the original code: one
+   RNG seeded once, depth-first explicit stack, so [--jobs 1] reproduces
+   historical witnesses exactly. *)
+let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
+    ~box rels =
   let nodes = ref 0 and prunings = ref 0 and max_depth = ref 0 in
   let candidate = ref None in
   let note_candidate p =
@@ -208,12 +99,12 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
       candidate := Some (Array.copy p)
   in
   let rng = Random.State.make [| config.seed |] in
-  let stack = ref [ (Box.copy box, 0, []) ] in
+  let stack = ref [ (Box.copy box, 0) ] in
   let outcome =
     try
       Faults.hit "nlp.branch_prune" budget;
       while !stack <> [] do
-        let b, depth, chain =
+        let b, depth =
           match !stack with
           | x :: rest ->
             stack := rest;
@@ -226,51 +117,45 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
           raise
             (Done (match !candidate with Some p -> Approx_sat p | None -> Unknown));
         if depth > !max_depth then max_depth := depth;
-        match consult_relax relax config ~budget ~path:chain ~depth b with
-        | None -> incr prunings
-        | Some chain -> (
-          let alive =
-            if config.use_hc4 then Hc4.contract ~budget b rels
-            else not (Box.is_empty b)
-          in
-          if not alive then incr prunings
+        let alive =
+          if config.use_hc4 then Hc4.contract ~budget b rels
+          else not (Box.is_empty b)
+        in
+        if not alive then incr prunings
+        else begin
+          if config.use_newton then newton_pass ~budget b rels;
+          if Box.is_empty b then incr prunings
           else begin
-            if config.use_newton then newton_pass ~budget b rels;
-            if Box.is_empty b then incr prunings
-            else begin
-              (* Whole-box certificate first, then midpoint certificate. *)
-              let p = Box.midpoint b in
-              if List.for_all (fun rel -> Expr.certainly_holds (Box.env b) rel) rels
-              then raise (Done (Sat p));
-              if certified_at rels p then raise (Done (Sat p));
-              note_candidate p;
-              (* Local search: random samples within the contracted box; a
-                 rigorously certified sample ends the search, a tolerance
-                 sample is recorded as candidate. *)
-              let n_samples =
-                if depth = 0 then max config.root_samples config.samples_per_node
-                else config.samples_per_node
-              in
-              for _ = 1 to n_samples do
-                let sp = sample_point rng b in
-                if certified_at rels sp then raise (Done (Sat sp));
-                note_candidate sp
-              done;
-              if Box.max_width b > config.eps && nvars > 0 then begin
-                let v = Box.widest_var b in
-                match I.split (Box.get b v) with
-                | exception Invalid_argument _ -> ()
-                | left, right ->
-                  let b_left = Box.copy b and b_right = Box.copy b in
-                  Box.set b_left v left;
-                  Box.set b_right v right;
-                  stack :=
-                    (b_left, depth + 1, chain)
-                    :: (b_right, depth + 1, chain)
-                    :: !stack
-              end
+            (* Whole-box certificate first, then midpoint certificate. *)
+            let p = Box.midpoint b in
+            if List.for_all (fun rel -> Expr.certainly_holds (Box.env b) rel) rels
+            then raise (Done (Sat p));
+            if certified_at rels p then raise (Done (Sat p));
+            note_candidate p;
+            (* Local search: random samples within the contracted box; a
+               rigorously certified sample ends the search, a tolerance
+               sample is recorded as candidate. *)
+            let n_samples =
+              if depth = 0 then max config.root_samples config.samples_per_node
+              else config.samples_per_node
+            in
+            for _ = 1 to n_samples do
+              let sp = sample_point rng b in
+              if certified_at rels sp then raise (Done (Sat sp));
+              note_candidate sp
+            done;
+            if Box.max_width b > config.eps && nvars > 0 then begin
+              let v = Box.widest_var b in
+              match I.split (Box.get b v) with
+              | exception Invalid_argument _ -> ()
+              | left, right ->
+                let b_left = Box.copy b and b_right = Box.copy b in
+                Box.set b_left v left;
+                Box.set b_right v right;
+                stack := (b_left, depth + 1) :: (b_right, depth + 1) :: !stack
             end
-          end)
+          end
+        end
       done;
       match !candidate with Some p -> Approx_sat p | None -> Unsat
     with
@@ -281,16 +166,7 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ?relax
          budget for the engine to report. *)
       (match !candidate with Some p -> Approx_sat p | None -> Unknown)
   in
-  ignore (Atomic.fetch_and_add global_nodes !nodes);
-  ignore (Atomic.fetch_and_add global_prunings !prunings);
-  ( outcome,
-    relax_stats relax
-      {
-        empty_stats with
-        nodes = !nodes;
-        prunings = !prunings;
-        max_depth = !max_depth;
-      } )
+  (outcome, { nodes = !nodes; prunings = !prunings; max_depth = !max_depth })
 
 (* ------------------------------------------------------------------ *)
 (* Parallel search (jobs > 1)                                          *)
@@ -306,15 +182,12 @@ module Pool = Absolver_parallel.Pool
    Determinism of the search tree: every random draw comes from an RNG
    seeded by the item's {e path} — the bit-string of split decisions from
    the root (left = 2p, right = 2p+1, wrapping harmlessly past 62 bits) —
-   never by worker identity or arrival order.  The relaxation oracle's
-   decision at a node is likewise a function of the carried cut chain
-   (the same chain the sequential search threads through its stack), so
-   the set of boxes explored and points sampled is schedule-independent;
-   only which certificate is found {e first} can vary, and any
-   certificate is sound. *)
+   never by worker identity or arrival order, so the set of boxes
+   explored and points sampled is schedule-independent; only which
+   certificate is found {e first} can vary, and any certificate is
+   sound. *)
 type par_item =
-  | Explore of Box.t * int * int * Linexpr.cons list list
-    (* box, depth, path, relaxation cut chain *)
+  | Explore of Box.t * int * int (* box, depth, path *)
   | Sample of Box.t * int * int (* box, count, chunk index *)
 
 (* First-win terminal events: a rigorous certificate, or the shared node
@@ -323,8 +196,7 @@ type par_fin = Certificate of float array | Capped
 
 let sample_chunk = 64
 
-let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
-    rels =
+let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
   let nodes = Atomic.make 0
   and prunings = Atomic.make 0
   and max_depth = Atomic.make 0 in
@@ -352,67 +224,60 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
         if certified_at rels sp then ctx.finish (Certificate sp)
         else note_candidate sp
       done
-    | Explore (b, depth, path, chain) ->
+    | Explore (b, depth, path) ->
       let n = Atomic.fetch_and_add nodes 1 + 1 in
       if n > config.max_nodes then ctx.finish Capped
       else begin
         Budget.tick ctx.budget;
         bump_max max_depth depth;
-        match
-          consult_relax relax config ~budget:ctx.budget ~path:chain ~depth b
-        with
-        | None -> Atomic.incr prunings
-        | Some chain ->
-          let alive =
-            if config.use_hc4 then Hc4.contract ~budget:ctx.budget b rels
-            else not (Box.is_empty b)
-          in
-          if not alive then Atomic.incr prunings
+        let alive =
+          if config.use_hc4 then Hc4.contract ~budget:ctx.budget b rels
+          else not (Box.is_empty b)
+        in
+        if not alive then Atomic.incr prunings
+        else begin
+          if config.use_newton then newton_pass ~budget:ctx.budget b rels;
+          if Box.is_empty b then Atomic.incr prunings
           else begin
-            if config.use_newton then newton_pass ~budget:ctx.budget b rels;
-            if Box.is_empty b then Atomic.incr prunings
+            let p = Box.midpoint b in
+            if
+              List.for_all
+                (fun rel -> Expr.certainly_holds (Box.env b) rel)
+                rels
+            then ctx.finish (Certificate p)
+            else if certified_at rels p then ctx.finish (Certificate p)
             else begin
-              let p = Box.midpoint b in
-              if
-                List.for_all
-                  (fun rel -> Expr.certainly_holds (Box.env b) rel)
-                  rels
-              then ctx.finish (Certificate p)
-              else if certified_at rels p then ctx.finish (Certificate p)
-              else begin
-                note_candidate p;
-                (* Root multistart already ran as [Sample] chunks, so every
-                   depth gets the per-node allowance only. *)
-                let n_samples = config.samples_per_node in
-                let rng = Random.State.make [| config.seed; path |] in
-                let stop = ref false in
-                for _ = 1 to n_samples do
-                  if not !stop then begin
-                    let sp = sample_point rng b in
-                    if certified_at rels sp then begin
-                      ctx.finish (Certificate sp);
-                      stop := true
-                    end
-                    else note_candidate sp
+              note_candidate p;
+              (* Root multistart already ran as [Sample] chunks, so every
+                 depth gets the per-node allowance only. *)
+              let n_samples = config.samples_per_node in
+              let rng = Random.State.make [| config.seed; path |] in
+              let stop = ref false in
+              for _ = 1 to n_samples do
+                if not !stop then begin
+                  let sp = sample_point rng b in
+                  if certified_at rels sp then begin
+                    ctx.finish (Certificate sp);
+                    stop := true
                   end
-                done;
-                if Box.max_width b > config.eps && nvars > 0 then begin
-                  let v = Box.widest_var b in
-                  match I.split (Box.get b v) with
-                  | exception Invalid_argument _ -> ()
-                  | left, right ->
-                    let b_left = Box.copy b and b_right = Box.copy b in
-                    Box.set b_left v left;
-                    Box.set b_right v right;
-                    ctx.push
-                      (Explore (b_left, depth + 1, (2 * path) land max_int, chain));
-                    ctx.push
-                      (Explore
-                         (b_right, depth + 1, ((2 * path) + 1) land max_int, chain))
+                  else note_candidate sp
                 end
+              done;
+              if Box.max_width b > config.eps && nvars > 0 then begin
+                let v = Box.widest_var b in
+                match I.split (Box.get b v) with
+                | exception Invalid_argument _ -> ()
+                | left, right ->
+                  let b_left = Box.copy b and b_right = Box.copy b in
+                  Box.set b_left v left;
+                  Box.set b_right v right;
+                  ctx.push (Explore (b_left, depth + 1, (2 * path) land max_int));
+                  ctx.push
+                    (Explore (b_right, depth + 1, ((2 * path) + 1) land max_int))
               end
             end
           end
+        end
       end
   in
   (* Root multistart sampling as independent chunks, then the root box. *)
@@ -424,7 +289,7 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
         let c = min sample_chunk (total - off) in
         chunks (i + 1) (off + c) (Sample (Box.copy box, c, i) :: acc)
     in
-    chunks 0 0 [ Explore (Box.copy box, 0, 1, []) ]
+    chunks 0 0 [ Explore (Box.copy box, 0, 1) ]
   in
   let outcome =
     match Pool.Frontier.run ~budget ~telemetry ~jobs ~init work with
@@ -435,29 +300,24 @@ let solve_par ~(config : config) ~budget ~telemetry ?relax ~jobs ~nvars ~box
     | Pool.Frontier.Drained -> (
       match Atomic.get candidate with Some p -> Approx_sat p | None -> Unsat)
   in
-  let n = Atomic.get nodes and pr = Atomic.get prunings in
-  ignore (Atomic.fetch_and_add global_nodes n);
-  ignore (Atomic.fetch_and_add global_prunings pr);
   ( outcome,
-    relax_stats relax
-      {
-        empty_stats with
-        nodes = n;
-        prunings = pr;
-        max_depth = Atomic.get max_depth;
-      } )
+    {
+      nodes = Atomic.get nodes;
+      prunings = Atomic.get prunings;
+      max_depth = Atomic.get max_depth;
+    } )
 
 let solve ?(config = default_config) ?(budget = Budget.unlimited)
-    ?(telemetry = Absolver_telemetry.Telemetry.disabled) ?(jobs = 1) ?relax
-    ~nvars ~box rels =
+    ?(telemetry = Absolver_telemetry.Telemetry.disabled) ?(jobs = 1) ~nvars
+    ~box rels =
   let ((_, stats) as r) =
-    if jobs <= 1 then solve_seq ~config ~budget ?relax ~nvars ~box rels
+    if jobs <= 1 then solve_seq ~config ~budget ~nvars ~box rels
     else begin
       match
         Budget.guard budget (fun () -> Faults.hit "nlp.branch_prune" budget)
       with
       | Error _ -> (Unknown, empty_stats)
-      | Ok () -> solve_par ~config ~budget ~telemetry ?relax ~jobs ~nvars ~box rels
+      | Ok () -> solve_par ~config ~budget ~telemetry ~jobs ~nvars ~box rels
     end
   in
   Absolver_telemetry.Telemetry.observe telemetry "nlp.bp_depth"

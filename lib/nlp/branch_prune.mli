@@ -33,36 +33,13 @@ type config = {
       (** random feasibility samples per box (IPOPT-style local search) *)
   root_samples : int; (** multistart samples at the root box *)
   seed : int; (** deterministic sampling seed *)
-  use_relax : bool;
-      (** ablation switch: consult the relaxation oracle (when one is
-          installed via [?relax]) before contracting a node *)
-  relax_octagon : bool;
-      (** try the octagon middle tier before the full LP check *)
-  relax_obbt_depth : int;
-      (** optimization-based bounds tightening runs at depths [<=] this
-          (a depth gate rather than a running count, so the decision is a
-          function of the node alone and parallel runs stay
-          schedule-independent) *)
-  relax_obbt_vars : int;
-      (** number of most-influential variables tightened per OBBT node *)
 }
 
 val default_config : config
 
-type stats = {
-  nodes : int;
-  prunings : int;
-  max_depth : int;
-  relax_cuts : int; (** linear cuts asserted by the relaxation oracle *)
-  relax_lp_checks : int; (** LP feasibility checks run *)
-  relax_pruned : int; (** nodes pruned by the relaxation (octagon or LP) *)
-  relax_oct_pruned : int; (** subset of [relax_pruned] refuted by octagons *)
-  relax_tightened : int; (** variable bounds tightened (octagon + OBBT) *)
-  relax_obbt : int; (** LP optimizations run for bounds tightening *)
-}
-(** Per-solve counters. Unlike {!total_nodes}/{!total_prunings} these
-    never conflate concurrent solves: each {!solve} call returns its own
-    figures. *)
+type stats = { nodes : int; prunings : int; max_depth : int }
+(** Per-solve counters: each {!solve} call returns its own figures, so
+    concurrent solves never conflate them. *)
 
 val empty_stats : stats
 
@@ -70,56 +47,11 @@ val merge_stats : stats -> stats -> stats
 (** Field-wise sum ([max] for [max_depth]); for callers that chain
     several solver attempts into one logical nonlinear check. *)
 
-val total_nodes : unit -> int
-val total_prunings : unit -> int
-(** Process-wide cumulative node/pruning totals over all {!solve} calls,
-    for telemetry differencing (cf. {!Absolver_lp.Simplex.total_pivots}).
-    These conflate concurrent solves; prefer the per-solve {!stats}. *)
-
-(** {1 Relaxation oracle}
-
-    The linear-relaxation layer ([Absolver_relax]) depends on this
-    library, so the search loop sees it through this record of closures.
-    [rx_node] is called once per node {e before} HC4/Newton with the
-    node's ancestor cut chain (one group of linear cuts per surviving
-    ancestor, root group first — exactly the rows a path-scoped LP
-    session holds when the search sits at this node), its depth, and its
-    box. [Rx_prune] discards the node outright; [Rx_continue chain]
-    returns the extended chain for the node's children, possibly after
-    tightening the box in place.
-
-    Contract: the decision and any box mutation must be a function of
-    [path], [depth] and the box only (never of scheduling or warm-start
-    state), and must be {e sound}: a pruned box contains no point that
-    satisfies every relation within the configured tolerance. Counters
-    are atomics because parallel workers bump them concurrently; an
-    oracle instance is meant to serve a single {!solve} call. *)
-
-type relax_decision =
-  | Rx_prune
-  | Rx_continue of Absolver_lp.Linexpr.cons list list
-
-type relax_oracle = {
-  rx_node :
-    budget:Absolver_resource.Budget.t ->
-    path:Absolver_lp.Linexpr.cons list list ->
-    depth:int ->
-    Box.t ->
-    relax_decision;
-  rx_cuts : int Atomic.t;
-  rx_lp_checks : int Atomic.t;
-  rx_pruned : int Atomic.t;
-  rx_oct_pruned : int Atomic.t;
-  rx_tightened : int Atomic.t;
-  rx_obbt : int Atomic.t;
-}
-
 val solve :
   ?config:config ->
   ?budget:Absolver_resource.Budget.t ->
   ?telemetry:Absolver_telemetry.Telemetry.t ->
   ?jobs:int ->
-  ?relax:relax_oracle ->
   nvars:int ->
   box:Box.t ->
   Expr.rel list ->
@@ -133,26 +65,20 @@ val solve :
     histogram at every job count.
 
     The [budget] is ticked once per search node (and threaded into the HC4
-    and Newton contractors, and into the relaxation oracle's LP pivots).
-    Exhaustion degrades exactly like the node cap — [Approx_sat] with the
+    and Newton contractors). Exhaustion degrades exactly like the node cap — [Approx_sat] with the
     best candidate found so far, else [Unknown] — and never escapes as an
     exception; the typed reason stays sticky in the budget
     ({!Absolver_resource.Budget.tripped}).
 
-    [relax] installs a linear-relaxation oracle consulted at every node
-    before contraction (gated by [config.use_relax]); pass a fresh oracle
-    per call — its counters are reported in the returned {!stats}.
-
     [jobs] (default 1) sets the number of worker domains. [jobs <= 1]
     runs the historical sequential search (bit-for-bit identical to
-    earlier releases when no oracle is installed).  [jobs > 1] runs the
-    box worklist as a work-stealing frontier
+    earlier releases).  [jobs > 1] runs the box worklist as a
+    work-stealing frontier
     ({!Absolver_parallel.Pool.Frontier}): workers contract and split
     boxes concurrently, the root multistart sampling is spread over the
     pool in chunks, and the first rigorous certificate cancels everyone
     else through forked budgets.  Every random draw is seeded by the
-    node's split path and every relaxation decision by the node's carried
-    cut chain, so the explored tree is schedule-independent:
+    node's split path, so the explored tree is schedule-independent:
     [Sat]/[Unsat] verdicts agree at every job count (witness points and
     [Approx_sat]/[Unknown] under a tripped cap may differ, since they
     depend on which worker reports first).  [Unsat] is only reported when

@@ -134,13 +134,6 @@ let rec eval_interval env = function
   | Sin e -> I.sin (eval_interval env e)
   | Cos e -> I.cos (eval_interval env e)
 
-(* Rigorous enclosure of the exact value at a rational point: interval
-   evaluation over verified tightest float enclosures of the
-   coordinates.  The relaxation layer uses this as a corner evaluator —
-   sound secant intercepts come from endpoint enclosures, not from
-   rounding-error-prone float evaluation. *)
-let enclose_at env e = eval_interval (fun v -> I.of_rational (env v)) e
-
 let rec eval_exact env expr =
   let ( let* ) = Option.bind in
   match expr with

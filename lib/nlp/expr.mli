@@ -59,14 +59,6 @@ val eval_float : (int -> float) -> t -> float
 val eval_interval : (int -> I.t) -> t -> I.t
 (** Sound interval enclosure of the range over the given variable boxes. *)
 
-val enclose_at : (int -> Q.t) -> t -> I.t
-(** Rigorous float enclosure of the value at an exact rational point:
-    {!eval_interval} over the verified tightest float enclosures of the
-    coordinates ({!Absolver_numeric.Interval.of_rational}). The
-    relaxation layer's sound corner evaluator: secant intercepts and
-    tangent constants derived from these enclosures over-approximate the
-    operator without float slop. *)
-
 val eval_exact : (int -> Q.t) -> t -> Q.t option
 (** Exact rational evaluation; [None] when the expression leaves the
     rationals ([sqrt], [exp], ... or division by zero). *)

@@ -110,11 +110,7 @@ let set_gauge srv name v =
   Mutex.protect srv.tel_lock (fun () -> Telemetry.set_gauge srv.tel name v)
 
 let absorb_run_stats srv (rs : Engine.run_stats) =
-  Mutex.protect srv.tel_lock (fun () ->
-      Telemetry.add srv.tel "server.lp_cache_hits" rs.Engine.lp_cache_hits;
-      Telemetry.add srv.tel "server.lp_cache_misses" rs.Engine.lp_cache_misses;
-      if rs.Engine.budget_exhausted <> None then
-        Telemetry.add srv.tel "server.budget_trips" 1)
+  if rs.Engine.budget_exhausted <> None then bump srv "server.budget_trips" 1
 
 (* ------------------------------------------------------------------ *)
 (* Per-request trace context                                           *)
@@ -176,9 +172,6 @@ let log_slow srv rq ~verdict ~latency_ms ~(run_stats : Engine.run_stats option) 
         | None -> "null")
       | None -> "null"
     in
-    let lp_cache_hits =
-      match run_stats with Some rs -> rs.Engine.lp_cache_hits | None -> 0
-    in
     let line =
       J.obj
         [
@@ -188,7 +181,6 @@ let log_slow srv rq ~verdict ~latency_ms ~(run_stats : Engine.run_stats option) 
           ("verdict", quoted verdict);
           ("latency_ms", J.of_float latency_ms);
           ("budget", budget_outcome);
-          ("lp_cache_hits", string_of_int lp_cache_hits);
           ("trace_id", quoted rq.rq_trace_id);
         ]
     in
@@ -313,12 +305,6 @@ let stats_fields srv =
                        (List.assoc_opt "pool.queue_depth"
                           (Telemetry.gauges srv.tel))) );
               ]) );
-        ( "lp_cache",
-          Sjson.Obj
-            [
-              ("hits", c "server.lp_cache_hits");
-              ("misses", c "server.lp_cache_misses");
-            ] );
         ( "clients",
           Sjson.Obj
             [

@@ -66,8 +66,8 @@ type config = {
   slow_log : out_channel option;
       (** structured slow-query JSONL sink (default [None]): one
           [{"type":"slow_query",...}] object per request at or over
-          {!field-slow_ms}, with op, verdict, latency, budget outcome,
-          LP-cache hits and trace id. *)
+          {!field-slow_ms}, with op, verdict, latency, budget outcome
+          and trace id. *)
   slow_ms : float;  (** slow-query threshold, milliseconds (default 100) *)
 }
 
@@ -108,8 +108,7 @@ val stats_json : t -> string
 (** The [stats] op's payload: queries served by op and verdict,
     rejections, budget trips, end-to-end latency quantiles
     (p50/p95/p99 ms, estimated from the shared latency histogram),
-    executor occupancy, LP-cache hit counters, connection counts,
-    uptime. *)
+    executor occupancy, connection counts, uptime. *)
 
 val metrics_text : t -> string
 (** The [metrics] op's payload: the server aggregate in Prometheus

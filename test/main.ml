@@ -23,5 +23,4 @@ let () =
       ("extra", Test_extra.suite);
       ("proof-diagnosis", Test_proof_diagnosis.suite);
       ("flatcore", Test_flatcore.suite);
-      ("relax", Test_relax.suite);
     ]

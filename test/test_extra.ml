@@ -31,7 +31,7 @@ let test_nonlinear_solver_fallback () =
     {
       A.Registry.ns_name = "always-unknown";
       ns_solve =
-        (fun ~relax:_ ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
+        (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
           incr gave_up_calls;
           (A.Registry.N_unknown, Absolver_nlp.Branch_prune.empty_stats));
     }
@@ -56,7 +56,7 @@ let test_nonlinear_all_solvers_fail () =
     {
       A.Registry.ns_name = "always-unknown";
       ns_solve =
-        (fun ~relax:_ ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
+        (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
           (A.Registry.N_unknown, Absolver_nlp.Branch_prune.empty_stats));
     }
   in

@@ -259,35 +259,6 @@ let test_csr_warm_replay () =
       done
   done
 
-(* The float filter only changes which pivots are tried, never the
-   verdict: drive the same random systems through filtered and
-   unfiltered tableaus. *)
-let test_csr_float_filter_verdicts () =
-  let st = Random.State.make [| 0xff1; 5 |] in
-  for i = 1 to 60 do
-    let nvars = 2 + Random.State.int st 4 in
-    let ncons = 3 + Random.State.int st 6 in
-    let cs = List.init ncons (fun t -> rand_cons st nvars t) in
-    let run filtered =
-      let t = S.create () in
-      S.ensure_vars t nvars;
-      S.set_float_filter t filtered;
-      let rec go = function
-        | [] -> ( match S.check t with S.Feasible -> `Sat | S.Infeasible _ -> `Unsat)
-        | c :: rest -> (
-          if L.is_constant c.L.expr then
-            if L.holds (fun _ -> Q.zero) c then go rest else `Unsat
-          else
-            match S.assert_cons t c with
-            | S.Feasible -> go rest
-            | S.Infeasible _ -> `Unsat)
-      in
-      go cs
-    in
-    if run true <> run false then
-      Alcotest.failf "case %d: float filter changed the verdict" i
-  done
-
 (* Pivoting with ~2^40-scale coefficients multiplies into > 2^62
    intermediate values: the tableau arithmetic must cross into the
    Bigint fallback and come back out exactly. *)
@@ -321,8 +292,6 @@ let suite =
       test_csr_one_shot_vs_incremental;
     Alcotest.test_case "csr warm checkpoint replay" `Quick
       test_csr_warm_replay;
-    Alcotest.test_case "csr float-filter verdict identity" `Quick
-      test_csr_float_filter_verdicts;
     Alcotest.test_case "csr overflow fallback in pivoting" `Quick
       test_csr_overflow_fallback;
   ]

@@ -2,15 +2,14 @@
    persistent warm-started LP session against the from-scratch solver —
    at the LP level (verdicts, models, conflict cores) and at the engine
    level (solve, all_models, budget pressure, parallel nonlinear jobs) —
-   plus unit tests for the delta computation, the verdict cache and the
-   simplex checkpoint/rollback API. *)
+   plus unit tests for the delta computation and the simplex
+   checkpoint/rollback API. *)
 
 module A = Absolver_core
 module E = Absolver_nlp.Expr
 module L = Absolver_lp.Linexpr
 module Sx = Absolver_lp.Simplex
 module Inc = Absolver_lp.Incremental
-module VC = Absolver_lp.Verdict_cache
 module T = Absolver_sat.Types
 module Q = Absolver_numeric.Rational
 module DR = Absolver_numeric.Delta_rational
@@ -153,8 +152,8 @@ let test_lp_differential () =
   let st = Random.State.make [| 0x1AC5E |] in
   let case = ref 0 in
   (* 30 independent sessions, 5 queries each = 150 differential cases;
-     consecutive queries share a pool so the delta path, the cache and
-     the warm-started basis all get real work. *)
+     consecutive queries share a pool so the delta path and the
+     warm-started basis both get real work. *)
   for _session = 1 to 30 do
     let nvars = 2 + Random.State.int st 3 in
     let box, pool = random_pool st ~nvars ~size:6 in
@@ -322,7 +321,7 @@ let cons_of ~tag coeffs k op =
   { L.expr; op; tag }
 
 let test_delta_reuse () =
-  let s = Inc.create ~cache_capacity:0 () in
+  let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
   let c2 = cons_of ~tag:2 [ (1, 1) ] (-5) L.Le in
   let c3 = cons_of ~tag:3 [ (1, 0); (1, 1) ] (-8) L.Ge in
@@ -352,7 +351,7 @@ let test_delta_reuse () =
 let test_delta_multiset () =
   (* Duplicate constraints are tracked as a multiset: dropping one copy
      of a duplicated row retracts exactly one frame. *)
-  let s = Inc.create ~cache_capacity:0 () in
+  let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
   ignore (Inc.solve s [ c1; c1 ]);
   let st = Inc.stats s in
@@ -362,73 +361,7 @@ let test_delta_multiset () =
   check int_t "one copy reused" 1 st.Inc.reused
 
 (* ------------------------------------------------------------------ *)
-(* Unit tests: verdict cache.                                          *)
-
-let test_cache_signature () =
-  let c = VC.create () in
-  check bool_t "order-independent" true
-    (VC.signature c [ "a"; "b"; "c" ] = VC.signature c [ "c"; "a"; "b" ]);
-  check bool_t "multiset-sensitive" true
-    (VC.signature c [ "a" ] <> VC.signature c [ "a"; "a" ])
-
-let test_cache_hit_and_order () =
-  let c = VC.create () in
-  VC.add c [ "b"; "a" ] 1;
-  check bool_t "hit in another order" true (VC.find c [ "a"; "b" ] = Some 1);
-  check bool_t "subset misses" true (VC.find c [ "a" ] = None);
-  check bool_t "superset misses" true (VC.find c [ "a"; "b"; "c" ] = None);
-  check int_t "hits" 1 (VC.hits c);
-  check int_t "misses" 2 (VC.misses c)
-
-let test_cache_collisions () =
-  (* A degenerate hash puts every entry in one bucket: the exact key
-     comparison must still answer correctly. *)
-  let c = VC.create ~hash:(fun _ -> 7L) () in
-  VC.add c [ "a" ] 1;
-  VC.add c [ "b" ] 2;
-  VC.add c [ "b"; "b" ] 3;
-  check bool_t "colliding a" true (VC.find c [ "a" ] = Some 1);
-  check bool_t "colliding b" true (VC.find c [ "b" ] = Some 2);
-  check bool_t "colliding bb" true (VC.find c [ "b"; "b" ] = Some 3);
-  check bool_t "colliding miss" true (VC.find c [ "c" ] = None);
-  check int_t "all stored" 3 (VC.size c)
-
-let test_cache_eviction () =
-  let c = VC.create ~capacity:2 () in
-  VC.add c [ "a" ] 1;
-  VC.add c [ "b" ] 2;
-  VC.add c [ "c" ] 3;
-  check int_t "capacity respected" 2 (VC.size c);
-  check int_t "one eviction" 1 (VC.evictions c);
-  check bool_t "oldest gone" true (VC.find c [ "a" ] = None);
-  check bool_t "newest present" true (VC.find c [ "c" ] = Some 3)
-
-let test_cache_disabled () =
-  let c = VC.create ~capacity:0 () in
-  VC.add c [ "a" ] 1;
-  check int_t "nothing stored" 0 (VC.size c);
-  check bool_t "never hits" true (VC.find c [ "a" ] = None)
-
-let test_session_cache_replay () =
-  let s = Inc.create () in
-  let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
-  let c2 = cons_of ~tag:2 [ (1, 0) ] 1 L.Ge in
-  let sat_set = [ c1 ] in
-  let unsat_set = [ c1; cons_of ~tag:3 [ (1, 0) ] (-7) L.Ge ] in
-  ignore c2;
-  let v1 = Inc.solve s sat_set in
-  let u1 = Inc.solve s unsat_set in
-  let v2 = Inc.solve s sat_set in
-  let u2 = Inc.solve s unsat_set in
-  check bool_t "sat replayed" true (v1 = v2);
-  check bool_t "unsat core replayed" true (u1 = u2);
-  let hits =
-    List.assoc "lp.inc.cache_hits" (Inc.counters s)
-  in
-  check bool_t "cache hit counted" true (hits >= 2)
-
-(* ------------------------------------------------------------------ *)
-(* Unit tests: simplex checkpoint/rollback and the float filter.       *)
+(* Unit tests: simplex checkpoint/rollback.                           *)
 
 let test_checkpoint_rollback () =
   let sx = Sx.create () in
@@ -458,26 +391,6 @@ let test_checkpoint_rollback () =
   | () -> Alcotest.fail "rollback above the trail should raise"
   | exception Invalid_argument _ -> ()
 
-let test_float_filter_equivalence () =
-  let st = Random.State.make [| 0xF10A7 |] in
-  for case = 1 to 40 do
-    let nvars = 2 + Random.State.int st 3 in
-    let box, pool = random_pool st ~nvars ~size:5 in
-    let constraints = box @ random_subset st pool in
-    let filtered = Inc.create ~cache_capacity:0 ~float_filter:true () in
-    let plain = Inc.create ~cache_capacity:0 ~float_filter:false () in
-    let vf = Inc.solve filtered constraints in
-    let vp = Inc.solve plain constraints in
-    let tag = function
-      | Sx.Sat _ -> "sat"
-      | Sx.Unsat _ -> "unsat"
-      | Sx.Unknown _ -> "unknown"
-    in
-    check Alcotest.string
-      (Printf.sprintf "float-filter case %d" case)
-      (tag vp) (tag vf)
-  done
-
 let test_run_stats_surface () =
   (* The incremental run populates the new stats columns and they show
      up in both renderings. *)
@@ -485,8 +398,7 @@ let test_run_stats_surface () =
   let p = random_linear_problem st in
   let _, stats = A.Engine.solve ~options:incremental_options p in
   check bool_t "session did work" true
-    (stats.A.Engine.lp_asserted > 0 || stats.A.Engine.lp_cache_hits > 0
-   || stats.A.Engine.linear_checks = 0);
+    (stats.A.Engine.lp_asserted > 0 || stats.A.Engine.linear_checks = 0);
   let json = A.Engine.run_stats_json stats in
   let contains sub =
     let n = String.length json and m = String.length sub in
@@ -495,14 +407,7 @@ let test_run_stats_surface () =
   in
   List.iter
     (fun key -> check bool_t key true (contains ("\"" ^ key ^ "\"")))
-    [
-      "lp_cache_hits";
-      "lp_cache_misses";
-      "lp_cache_evictions";
-      "lp_asserted";
-      "lp_retracted";
-      "lp_reused";
-    ];
+    [ "lp_asserted"; "lp_retracted"; "lp_reused" ];
   let scr, scr_stats = A.Engine.solve ~options:scratch_options p in
   ignore scr;
   check int_t "from-scratch run asserts nothing" 0
@@ -520,14 +425,6 @@ let suite =
     Alcotest.test_case "jobs>1 differential" `Quick test_jobs_differential;
     Alcotest.test_case "delta reuse" `Quick test_delta_reuse;
     Alcotest.test_case "delta multiset" `Quick test_delta_multiset;
-    Alcotest.test_case "cache signature" `Quick test_cache_signature;
-    Alcotest.test_case "cache hit and order" `Quick test_cache_hit_and_order;
-    Alcotest.test_case "cache collisions" `Quick test_cache_collisions;
-    Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
-    Alcotest.test_case "cache disabled" `Quick test_cache_disabled;
-    Alcotest.test_case "session cache replay" `Quick test_session_cache_replay;
     Alcotest.test_case "checkpoint/rollback" `Quick test_checkpoint_rollback;
-    Alcotest.test_case "float filter equivalence (40 cases)" `Quick
-      test_float_filter_equivalence;
     Alcotest.test_case "run stats surface" `Quick test_run_stats_surface;
   ]

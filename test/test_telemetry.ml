@@ -529,6 +529,45 @@ let test_jobs4_trace_single_tree () =
   check bool_t "worker spans present" true
     (List.exists (fun sp -> sp.TT.sp_name = "pool.worker") (TT.spans t))
 
+(* Branch-and-prune node counts are per request: two domains solving
+   nonlinear problems concurrently, each into its own handle, must each
+   see exactly the nodes of their own runs. *)
+let test_concurrent_node_counts () =
+  let sphere_cap =
+    {|p cnf 1 1
+1 0
+c def real 1 x * x + y * y + z * z <= 1
+c def real 1 x + y + z >= 2
+c bound x -2 2
+c bound y -2 2
+c bound z -2 2
+|}
+  in
+  let ready = Atomic.make 0 in
+  let worker text () =
+    let p = parse text in
+    let tel = T.create () in
+    let options = { A.Engine.default_options with A.Engine.telemetry = tel } in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let nodes = ref 0 in
+    for _ = 1 to 100 do
+      let _, st = A.Engine.solve ~options p in
+      nodes := !nodes + st.A.Engine.bp_nodes
+    done;
+    (T.counter tel "nlp.nodes", !nodes)
+  in
+  let d1 = Domain.spawn (worker sphere_cap) in
+  let d2 = Domain.spawn (worker nonlinear_text) in
+  List.iter
+    (fun d ->
+      let counted, own = Domain.join d in
+      check bool_t "runs explored nodes" true (own > 0);
+      check int_t "nlp.nodes = own runs' bp_nodes" own counted)
+    [ d1; d2 ]
+
 let suite =
   [
     Alcotest.test_case "clock is monotone" `Quick test_clock_monotone;
@@ -559,4 +598,6 @@ let suite =
       test_abandoned_children_marked;
     Alcotest.test_case "jobs=4 trace is one connected tree" `Quick
       test_jobs4_trace_single_tree;
+    Alcotest.test_case "concurrent solves keep their own node counts" `Quick
+      test_concurrent_node_counts;
   ]
