@@ -48,12 +48,21 @@ val simplify :
   nvars:int ->
   Types.lit list list ->
   result
-(** [simplify ~nvars clauses] simplifies to a propagation/subsumption/
-    probing fixpoint (bounded internally). [probe_limit] caps the number
-    of failed-literal probes (default 2000); [protect] exempts variables
-    from pure-literal elimination (default: none). Budget exhaustion stops
-    inprocessing early and returns the (equivalent) partially simplified
-    CNF; no exception escapes this boundary. *)
+(** [simplify ~nvars clauses] simplifies towards a propagation/
+    subsumption/probing fixpoint. After root-level unit propagation it
+    runs at most 3 rounds of subsumption, probing and pure-literal
+    elimination, stopping early after a round that changes nothing.
+    Within one call:
+    - [probe_limit] caps the number of probed variables (default 2000);
+    - all probes together scan at most about 300,000 clauses (checked
+      between probes, so the last probe may overrun it);
+    - subsumption is skipped in a round whose live CNF has more than
+      50,000 clauses or 500,000 literals.
+
+    [protect] exempts variables from pure-literal elimination (default:
+    none). Budget exhaustion stops inprocessing early and returns the
+    (equivalent) partially simplified CNF; no exception escapes this
+    boundary. *)
 
 val restore : pure:(Types.var * bool) list -> bool array -> unit
 (** Patch the eliminated variables' satisfying polarities into a model of

@@ -127,6 +127,301 @@ let test_sat_root_unsat () =
   | PP.Sat_simplify.Unsat -> ()
   | PP.Sat_simplify.Simplified _ -> Alcotest.fail "contradictory units accepted"
 
+(* A deterministic 48-bit LCG so the random corpora are reproducible
+   across OCaml versions; only its high bits are used, since the low bits
+   of a power-of-two LCG have short periods. *)
+let lcg seed =
+  let state = ref seed in
+  fun m ->
+    state := ((0x5DEECE66D * !state) + 0xB) land 0xFFFF_FFFF_FFFF;
+    (!state lsr 17) mod m
+
+(* A random CNF over [nvars] variables in the shapes the simplifier must
+   normalise: duplicate literals, tautologies, units and (in [empty_every]
+   of the CNFs on average) an empty clause. Returns the variable count,
+   the clauses and a random [protect] mask. *)
+let random_cnf rand ~max_vars ~empty_every =
+  let nvars = 2 + rand (max_vars - 1) in
+  let lit_near base =
+    let v = (base + rand 5) mod nvars in
+    if rand 2 = 0 then T.pos v else T.neg_of_var v
+  in
+  let lit () = lit_near (rand nvars) in
+  (* Literals of one clause come from a window of five variables, so
+     clauses overlap often enough to subsume and strengthen each other. *)
+  let clause () =
+    let base = rand nvars in
+    let c = List.init (2 + rand 3) (fun _ -> lit_near base) in
+    let c = if rand 6 = 0 then List.hd c :: c else c in
+    if rand 10 = 0 then T.negate (List.hd c) :: c else c
+  in
+  let nclauses = 1 + rand (3 * nvars) in
+  let clauses =
+    List.init nclauses (fun _ -> if rand 40 = 0 then [ lit () ] else clause ())
+  in
+  let clauses = if rand empty_every = 0 then clauses @ [ [] ] else clauses in
+  let mask = Array.init nvars (fun _ -> rand 3 = 0) in
+  let protect =
+    match rand 3 with
+    | 0 -> fun _ -> false
+    | 1 -> fun _ -> true
+    | _ -> fun v -> v < nvars && mask.(v)
+  in
+  (nvars, clauses, protect)
+
+(* ------------------------------------------------------------------ *)
+(* Sat_simplify identity: the full result, pinned.                     *)
+
+(* Everything [simplify] returns, as one digest: the clauses in order,
+   [fixed], [pure] and every stats field. *)
+let digest_result r =
+  let b = Buffer.create 4096 in
+  let add_int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  (match r with
+  | PP.Sat_simplify.Unsat -> Buffer.add_string b "unsat"
+  | PP.Sat_simplify.Simplified s ->
+    List.iter
+      (fun c ->
+        List.iter add_int c;
+        Buffer.add_char b ';')
+      s.PP.Sat_simplify.clauses;
+    let add_assignment (v, value) =
+      add_int v;
+      Buffer.add_char b (if value then 't' else 'f')
+    in
+    Buffer.add_char b '|';
+    List.iter add_assignment s.PP.Sat_simplify.fixed;
+    Buffer.add_char b '|';
+    List.iter add_assignment s.PP.Sat_simplify.pure;
+    Buffer.add_char b '|';
+    let st = s.PP.Sat_simplify.stats in
+    List.iter add_int
+      PP.Sat_simplify.
+        [
+          st.fixed_literals;
+          st.pure_literals;
+          st.removed_clauses;
+          st.strengthened_literals;
+          st.probes;
+          st.failed_literals;
+        ]);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The CNF skeleton of a paper problem; definition variables protected. *)
+let simplify_skeleton p =
+  let defined = A.Ab_problem.defined_vars p in
+  PP.Sat_simplify.simplify
+    ~protect:(fun v -> List.mem v defined)
+    ~nvars:(A.Ab_problem.num_bool_vars p) (A.Ab_problem.clauses p)
+
+let fischer_table2 n =
+  match F.problem ~rounds:6 ~property:(F.Cs_within (Q.of_int 2)) ~n () with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "fischer: %s" e
+
+let identity_named () =
+  List.map
+    (fun (name, puzzle) ->
+      (name, digest_result (simplify_skeleton (S.absolver_problem puzzle))))
+    P.all
+  @ List.init 6 (fun i ->
+        ( Printf.sprintf "FISCHER%d" (i + 1),
+          digest_result (simplify_skeleton (fischer_table2 (i + 1))) ))
+  @ [ ("steering", digest_result (simplify_skeleton (M.Steering.problem ()))) ]
+
+(* 300 seeded random CNFs; every sixth one also caps the probe count. *)
+let identity_random () =
+  let rand = lcg 20070601 in
+  List.init 300 (fun i ->
+      let nvars, clauses, protect =
+        random_cnf rand ~max_vars:24 ~empty_every:15
+      in
+      (* [simplify] must also cope with an undercounted [nvars]. *)
+      let declared = if rand 4 = 0 then nvars - 1 else nvars in
+      let r =
+        if i mod 6 = 0 then
+          PP.Sat_simplify.simplify ~probe_limit:(rand 4) ~protect ~nvars:declared
+            clauses
+        else PP.Sat_simplify.simplify ~protect ~nvars:declared clauses
+      in
+      String.sub (digest_result r) 0 8)
+
+(* Digests of the list-based simplifier's results, computed before the
+   flat rewrite; the rewrite must reproduce them bit for bit. *)
+let identity_named_pins =
+  [
+    ("2006_05_23_hard", "22efe2ce228f29db98969bc9292991b3");
+    ("2006_05_24_hard", "c28728658f79168b7d5f86ef86d02b5a");
+    ("2006_05_25_hard", "854fc58db74e20135a4ef7f0aec729bc");
+    ("2006_05_26_hard", "f75f55f427275c32709279b359d704a8");
+    ("2006_05_27_hard", "d8197e3169569f9b1c371d59047ca735");
+    ("2006_05_28_hard", "33617d2c05edf2b6765a4338297361d6");
+    ("2006_05_29_easy", "4b6a4cf06e82e679369ffff236856e34");
+    ("2006_05_29_hard", "c76f030c483df804a8936f71ec03ec25");
+    ("2006_05_30_easy", "f1407a9f8b43bcc582dbb04bd5e8d594");
+    ("2006_05_30_hard", "7b20aaa670159b53d78a183dcd49c8cb");
+    ("FISCHER1", "1c47e5f753456d05ea7addd8ece5ea95");
+    ("FISCHER2", "a4e03239ec352d058acb2c17fd71ad37");
+    ("FISCHER3", "6f3944f9e1323a2568dc80efbd3e3430");
+    ("FISCHER4", "6973a5481e3a6b2cb1a12aeaab2ca778");
+    ("FISCHER5", "93f98b2a3f539cb3dedd52ae07a603dc");
+    ("FISCHER6", "87947901213172b9f91a445b515a78eb");
+    ("steering", "df36c3e3d41e77295456e80e69e842e6");
+  ]
+
+let identity_random_pins =
+  [|
+    "07483a9a"; "023faeab"; "dd1bd83e"; "d1bf559e"; "1c955e71"; "e3533188";
+    "ab76ca46"; "ff7b2dac"; "ab76ca46"; "f9edc5ab"; "e927fcfc"; "3ea3d238";
+    "4df63647"; "bc0934ec"; "c07ea204"; "ab76ca46"; "ab76ca46"; "19ce25b3";
+    "7e6986c9"; "ab76ca46"; "3c0e483e"; "f27cdfa6"; "ab76ca46"; "1ef5f57e";
+    "d804adf4"; "3753b1b7"; "ab76ca46"; "fe82a1dd"; "882e392f"; "ad58d7e7";
+    "5248cedd"; "b0c9fde6"; "6439dfe5"; "ab76ca46"; "5391a935"; "3c9c2394";
+    "0dec8948"; "2bb57a5d"; "8cde1041"; "1b5d5ffc"; "aa1b3792"; "493d1b00";
+    "d4de39d9"; "348b8371"; "fc4a34fd"; "ab76ca46"; "cc4d0903"; "f8b70737";
+    "5931b437"; "ab76ca46"; "2a77a757"; "984c770b"; "5cd06825"; "19ca1ddf";
+    "06950115"; "bcb0b95d"; "f3040133"; "ac1dee39"; "ab76ca46"; "f913c446";
+    "35deee7b"; "1a30ac3f"; "ba443ca3"; "a0202a7d"; "31449041"; "707e84f8";
+    "ab76ca46"; "ab76ca46"; "17fe46ea"; "da28965d"; "7d1ec901"; "375c1025";
+    "59e0665e"; "f975e748"; "2b8eb30a"; "597cdb91"; "ab76ca46"; "ab76ca46";
+    "ab76ca46"; "d081208c"; "d55dd13c"; "368a1727"; "ab76ca46"; "e4256f90";
+    "ab76ca46"; "ab76ca46"; "95782693"; "3c5afe6f"; "ab76ca46"; "0c6d3b73";
+    "861c4d2d"; "6af27d3a"; "ab76ca46"; "ab76ca46"; "a47adbf3"; "11f08e10";
+    "61eba723"; "28a27ef1"; "ab76ca46"; "8b853001"; "9c511fa5"; "e77401fb";
+    "ab76ca46"; "ab76ca46"; "ab76ca46"; "ab76ca46"; "7ed72712"; "b5fb8d7e";
+    "889d79ae"; "ee5866b4"; "ab76ca46"; "2b3ff5fa"; "fe72872e"; "a3694325";
+    "bd4a46e6"; "34fe593a"; "a77847f6"; "6077f740"; "ec44b330"; "a2903364";
+    "743ef5c9"; "3ebd793c"; "46aea6cb"; "cb272af7"; "97e26bfe"; "e0de6b0b";
+    "8ac5e993"; "e479ebbc"; "f178eb01"; "d79ad1fa"; "271653d1"; "67fef087";
+    "33982822"; "5ba80ea0"; "8ac522e7"; "ab76ca46"; "a41fedfe"; "f5d3b911";
+    "ab1d68a0"; "d71339df"; "b8cb79d4"; "b47c713c"; "d0673898"; "ab76ca46";
+    "ab76ca46"; "70f7a930"; "1d7f5bdf"; "44521e47"; "18f59aec"; "935a040b";
+    "f9d3dd6b"; "4a50ac8c"; "84d293c2"; "7f35ac4d"; "47774193"; "ab76ca46";
+    "b075856e"; "1a07bc8d"; "97877095"; "767451cc"; "7f333849"; "42f5b91b";
+    "ffa9137c"; "ab76ca46"; "ab76ca46"; "98391c56"; "7a3504e7"; "a270b6aa";
+    "0668d899"; "10b785a3"; "f669e92f"; "ab76ca46"; "2fa38a18"; "208ed215";
+    "d88c6e80"; "e960f6f4"; "c090c28f"; "2aef3cc5"; "7b502c64"; "30ba71be";
+    "5e6eba3f"; "678eeb43"; "70de5405"; "e1e4eebc"; "7343f328"; "8e8a0b01";
+    "aa274d82"; "c40ecc64"; "f5221194"; "65c8810b"; "9eca5d24"; "a9d1cc81";
+    "48b147f7"; "29503d16"; "ab76ca46"; "095d190a"; "a67a2711"; "ab76ca46";
+    "6fa3992c"; "082252ac"; "bad7a33b"; "43845da6"; "ab76ca46"; "75e2923e";
+    "bdaf4342"; "ab76ca46"; "b6123a40"; "23002993"; "5455df13"; "313c5457";
+    "f7cb7172"; "80d00962"; "05f33e54"; "3121fa7c"; "310d95e0"; "c4961b02";
+    "b28be6b9"; "5ffcac29"; "bf8a9fd0"; "2ad80bc4"; "5207ee25"; "e8a625a8";
+    "ab76ca46"; "ab9e9774"; "ab76ca46"; "2db7c1ac"; "95b16941"; "59f392bd";
+    "0dd2d4b2"; "01465fc7"; "b365da56"; "d4033e05"; "5c491237"; "e455ebe5";
+    "299dc66e"; "6a411e71"; "824c3c1a"; "6d4c2b92"; "ab76ca46"; "224019d2";
+    "e2d7c881"; "59ae00d5"; "eec49758"; "1788bc96"; "8165842e"; "24c26262";
+    "0b78699e"; "c844270f"; "aef7a064"; "1d63890c"; "630bd7f4"; "5265062e";
+    "ab76ca46"; "afe99b79"; "ab76ca46"; "0fbc117c"; "4dedfc2b"; "a68e214c";
+    "2750d0c8"; "c77aabd5"; "a6259a44"; "d285ed82"; "4878bf79"; "6cb82e48";
+    "d897464a"; "ab76ca46"; "3f644ecf"; "33068361"; "0eb9d470"; "6e951a82";
+    "0e5db6b2"; "2513dcf2"; "e6c79824"; "35d4ba6a"; "9a87d6e5"; "c60da000";
+    "f9ca54f4"; "f0d1c24f"; "ab76ca46"; "ab76ca46"; "0c8153ca"; "92ec770c";
+    "f52d3503"; "c32b602c"; "cbcffff8"; "b4eade5f"; "94bb9a4e"; "ab76ca46";
+    "0e2d5fb8"; "3a7dd078"; "cad13943"; "ab76ca46"; "b3778a39"; "ab76ca46";
+    "ab76ca46"; "46449929"; "39f21a63"; "820dcc6b"; "5a0eb64b"; "35536099";
+  |]
+
+let test_sat_identity_named () =
+  List.iter2
+    (fun (name, pinned) (name', got) ->
+      check string_t "input order" name name';
+      check string_t (name ^ ": result digest") pinned got)
+    identity_named_pins (identity_named ())
+
+let test_sat_identity_random () =
+  List.iteri
+    (fun i got ->
+      check string_t
+        (Printf.sprintf "random CNF %d: result digest" i)
+        identity_random_pins.(i) got)
+    (identity_random ())
+
+(* ------------------------------------------------------------------ *)
+(* Sat_simplify model sets, by brute force.                            *)
+
+let satisfies model clauses =
+  List.for_all (List.exists (fun l -> model.(T.var_of l) = T.is_pos l)) clauses
+
+(* Every model of [clauses] over variables [0 .. n - 1]. *)
+let all_models n clauses =
+  List.filter_map
+    (fun bits ->
+      let m = Array.init n (fun v -> (bits lsr v) land 1 = 1) in
+      if satisfies m clauses then Some m else None)
+    (List.init (1 lsl n) Fun.id)
+
+(* The result of [simplify] against the model set of its input:
+   - [Unsat] only when the input has no model, and a simplified CNF has
+     a model exactly when the input does;
+   - every fixed literal holds in every model of the input;
+   - every model of the result, patched with [restore], is a model of
+     the input;
+   - both model sets agree once projected onto the protected variables. *)
+let check_model_sets name n clauses protect result =
+  let input = all_models n clauses in
+  match result with
+  | PP.Sat_simplify.Unsat ->
+    check int_t (name ^ ": unsat input") 0 (List.length input)
+  | PP.Sat_simplify.Simplified s ->
+    let output = all_models n s.PP.Sat_simplify.clauses in
+    check bool_t (name ^ ": satisfiable iff the input is") (input <> [])
+      (output <> []);
+    List.iter
+      (fun (v, b) ->
+        check bool_t (name ^ ": fixed literal holds in every input model") true
+          (List.for_all (fun m -> m.(v) = b) input))
+      s.PP.Sat_simplify.fixed;
+    List.iter
+      (fun m ->
+        let m = Array.copy m in
+        PP.Sat_simplify.restore ~pure:s.PP.Sat_simplify.pure m;
+        check bool_t (name ^ ": restored model satisfies the input") true
+          (satisfies m clauses))
+      output;
+    let protected = List.filter protect (List.init n Fun.id) in
+    let projected models =
+      List.sort_uniq compare
+        (List.map
+           (fun m -> List.map (fun v -> m.(v)) protected)
+           models)
+    in
+    check
+      Alcotest.(list (list bool))
+      (name ^ ": same models on the protected variables")
+      (projected input) (projected output)
+
+(* Seeded CNFs over at most 10 variables, each simplified without a
+   budget, with a step budget that runs out during the first
+   subsumption pass (one step per clause), and with one that runs out
+   during the first probe pass (one step per probed variable). *)
+let test_sat_model_sets () =
+  let rand = lcg 1607 in
+  let tripped = ref 0 in
+  for i = 1 to 200 do
+    let n, clauses, protect = random_cnf rand ~max_vars:10 ~empty_every:40 in
+    let ncls = List.length clauses in
+    let run budget =
+      try PP.Sat_simplify.simplify ?budget ~protect ~nvars:n clauses
+      with e -> Alcotest.failf "CNF %d: %s escaped" i (Printexc.to_string e)
+    in
+    check_model_sets (Printf.sprintf "CNF %d" i) n clauses protect (run None);
+    List.iter
+      (fun (phase, max_steps) ->
+        let budget = Absolver_resource.Budget.create ~max_steps () in
+        let result = run (Some budget) in
+        if Absolver_resource.Budget.tripped budget <> None then incr tripped;
+        check_model_sets
+          (Printf.sprintf "CNF %d, budget out %s" i phase)
+          n clauses protect result)
+      [ ("mid-subsumption", rand ncls); ("mid-probing", ncls + rand n) ]
+  done;
+  check bool_t "budgets ran out in most runs" true (!tripped > 200)
+
 (* ------------------------------------------------------------------ *)
 (* Lp_presolve.                                                        *)
 
@@ -559,6 +854,9 @@ let suite =
     ("sat: failed literal", `Quick, test_sat_failed_literal);
     ("sat: pure + restore", `Quick, test_sat_pure_and_restore);
     ("sat: root unsat", `Quick, test_sat_root_unsat);
+    ("sat: identity on paper CNFs", `Quick, test_sat_identity_named);
+    ("sat: identity on random CNFs", `Quick, test_sat_identity_random);
+    ("sat: model sets by brute force", `Quick, test_sat_model_sets);
     ("lp: singleton + propagation", `Quick, test_lp_singleton_and_propagation);
     ("lp: infeasible", `Quick, test_lp_infeasible);
     ("lp: redundant", `Quick, test_lp_redundant);
