@@ -296,9 +296,9 @@ let ablations () =
     run_opts { A.Engine.default_options with A.Engine.minimize_conflicts = true }
   in
   Printf.printf "   simplex cores only : %s, %d Boolean models examined\n"
-    (fmt_time t_plain) st_plain.A.Engine.bool_models;
+    (fmt_time t_plain) (A.Engine.counter st_plain "engine.bool_models");
   Printf.printf "   + deletion filter  : %s, %d Boolean models examined\n"
-    (fmt_time t_min) st_min.A.Engine.bool_models;
+    (fmt_time t_min) (A.Engine.counter st_min "engine.bool_models");
   flush stdout;
   (* 3. Linear relaxation of nonlinear constraints on/off. *)
   print_endline "-- linear relaxation of nonlinear subterms in the LP filter";
@@ -318,11 +318,13 @@ let ablations () =
   let (r_on, st_on), t_on = run_relax true in
   let (r_off, st_off), t_off = run_relax false in
   Printf.printf "   relaxation on : %-8s %s (%d models, %d LP conflicts)\n"
-    (engine_verdict r_on) (fmt_time t_on) st_on.A.Engine.bool_models
-    st_on.A.Engine.linear_conflicts;
+    (engine_verdict r_on) (fmt_time t_on)
+    (A.Engine.counter st_on "engine.bool_models")
+    (A.Engine.counter st_on "engine.linear_conflicts");
   Printf.printf "   relaxation off: %-8s %s (%d models, %d LP conflicts)\n"
-    (engine_verdict r_off) (fmt_time t_off) st_off.A.Engine.bool_models
-    st_off.A.Engine.linear_conflicts;
+    (engine_verdict r_off) (fmt_time t_off)
+    (A.Engine.counter st_off "engine.bool_models")
+    (A.Engine.counter st_off "engine.linear_conflicts");
   flush stdout;
   (* 4. HC4 contraction on/off inside branch-and-prune. *)
   print_endline "-- HC4 contraction in the nonlinear solver";
@@ -400,9 +402,9 @@ let ablations () =
   let (r_split, st_split), t_split = time (fun () -> A.Engine.solve (convert true)) in
   let (r_eq, st_eq), t_eq = time (fun () -> A.Engine.solve (convert false)) in
   Printf.printf "   split eq : %-8s %s (%d eq-branches)\n" (engine_verdict r_split)
-    (fmt_time t_split) st_split.A.Engine.eq_branches;
+    (fmt_time t_split) (A.Engine.counter st_split "engine.eq_branches");
   Printf.printf "   plain eq : %-8s %s (%d eq-branches)\n" (engine_verdict r_eq)
-    (fmt_time t_eq) st_eq.A.Engine.eq_branches;
+    (fmt_time t_eq) (A.Engine.counter st_eq "engine.eq_branches");
   flush stdout;
   (* 7. The presolve layer (SAT inprocessing + LP presolve + ICP) on/off. *)
   print_endline "-- presolve layer (SAT inprocessing + LP presolve + interval prop.)";
@@ -416,10 +418,12 @@ let ablations () =
   let (_, st_pre_off), t_pre_off = run_pre false in
   Printf.printf
     "   presolve on : %s (%d vars fixed, %d bounds tightened, %d Boolean models)\n"
-    (fmt_time t_pre_on) st_pre_on.A.Engine.presolve_fixed_literals
-    st_pre_on.A.Engine.presolve_tightened_bounds st_pre_on.A.Engine.bool_models;
+    (fmt_time t_pre_on)
+    (A.Engine.counter st_pre_on "presolve.fixed_literals")
+    (A.Engine.counter st_pre_on "presolve.tightened_bounds")
+    (A.Engine.counter st_pre_on "engine.bool_models");
   Printf.printf "   presolve off: %s (%d Boolean models)\n" (fmt_time t_pre_off)
-    st_pre_off.A.Engine.bool_models;
+    (A.Engine.counter st_pre_off "engine.bool_models");
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -650,8 +654,7 @@ let incremental_mode () =
   let case ~name ?(registry = A.Registry.default) ?limit mk =
     let run use_incremental =
       let options = { A.Engine.default_options with A.Engine.use_incremental } in
-      let p0 = Absolver_lp.Simplex.total_pivots () in
-      let r, t =
+      let (verdict, st), t =
         time (fun () ->
             match limit with
             | Some limit -> (
@@ -663,8 +666,7 @@ let incremental_mode () =
               let res, st = A.Engine.solve ~registry ~options (mk ()) in
               (engine_verdict res, st))
       in
-      let pivots = Absolver_lp.Simplex.total_pivots () - p0 in
-      (fst r, snd r, t, pivots)
+      (verdict, st, t, A.Engine.counter st "lp.pivots")
     in
     let v_scratch, _, t_scratch, p_scratch = run false in
     let v_warm, st_warm, t_warm, p_warm = run true in
@@ -687,8 +689,10 @@ let incremental_mode () =
           ("verdicts_agree", string_of_bool (v_scratch = v_warm));
           ("from_scratch", side t_scratch p_scratch);
           ("incremental", side t_warm p_warm);
-          ("constraints_reused", string_of_int st_warm.A.Engine.lp_reused);
-          ("constraints_asserted", string_of_int st_warm.A.Engine.lp_asserted);
+          ( "constraints_reused",
+            string_of_int (A.Engine.counter st_warm "lp.inc.reused") );
+          ( "constraints_asserted",
+            string_of_int (A.Engine.counter st_warm "lp.inc.asserted") );
           ( "pivot_reduction",
             Telemetry.Json.of_float
               (if p_warm = 0 then float_of_int p_scratch
@@ -1194,17 +1198,12 @@ let micro () =
 (* recorded pre-refactor total.                                        *)
 
 let flatcore_measure f =
-  let s0 = Gc.quick_stat () in
+  let minor0, major0 = A.Engine.alloc_snapshot () in
   let t0 = Telemetry.Clock.now () in
   let r = f () in
   let dt = Telemetry.Clock.now () -. t0 in
-  let s1 = Gc.quick_stat () in
-  let words =
-    s1.Gc.minor_words -. s0.Gc.minor_words
-    +. (s1.Gc.major_words -. s0.Gc.major_words)
-    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-  in
-  (r, dt, words)
+  let minor1, major1 = A.Engine.alloc_snapshot () in
+  (r, dt, minor1 -. minor0 +. (major1 -. major0))
 
 (* (name, verdict, seconds, allocated words) measured pre-refactor, at
    the seed of this change (commit 7c0eccf: Q.t IM.t tree-map tableau

@@ -38,7 +38,7 @@ let run ~n ~rounds ~property ~label =
       Printf.printf "  ABSOLVER: %s in %.3fs (%d Boolean models examined)\n\n"
         verdict
         (Unix.gettimeofday () -. t0)
-        run_stats.A.Engine.bool_models;
+        (A.Engine.counter run_stats "engine.bool_models");
       (match (result, bench.Absolver_smtlib.Ast.status) with
       | A.Engine.R_sat _, `Sat | A.Engine.R_unsat, `Unsat -> ()
       | _ -> failwith "verdict does not match the declared status!"))

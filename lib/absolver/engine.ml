@@ -7,8 +7,6 @@ module Box = Absolver_nlp.Box
 module Linexpr = Absolver_lp.Linexpr
 module Conflict = Absolver_lp.Conflict
 module Simplex = Absolver_lp.Simplex
-module Hc4 = Absolver_nlp.Hc4
-module Newton = Absolver_nlp.Newton
 module Branch_prune = Absolver_nlp.Branch_prune
 module Telemetry = Absolver_telemetry.Telemetry
 module Budget = Absolver_resource.Budget
@@ -54,69 +52,137 @@ let pp_result problem fmt = function
   | R_unsat -> Format.pp_print_string fmt "unsat"
   | R_unknown why -> Format.fprintf fmt "unknown (%s)" why
 
+(* Every counter a solve keeps, declared once under its telemetry name.
+   [show = (group, label)] makes it a [label=n] column of the [--stats]
+   line, inside [group[...]] unless [group] is empty. *)
+type counter = { id : int; name : string; show : (string * string) option }
+
+let declared = ref []
+
+let declare ?show name =
+  let c = { id = List.length !declared; name; show } in
+  declared := c :: !declared;
+  c
+
+let bool_models = declare ~show:("", "models") "engine.bool_models"
+let linear_checks = declare ~show:("", "lin-checks") "engine.linear_checks"
+let linear_conflicts = declare ~show:("", "lin-conflicts") "engine.linear_conflicts"
+let nonlinear_calls = declare ~show:("", "nl-calls") "engine.nonlinear_calls"
+let blocking_clauses = declare ~show:("", "blocked") "engine.blocking_clauses"
+let eq_branches = declare ~show:("", "eq-branches") "engine.eq_branches"
+let unknown_models = declare "engine.unknown_models"
+
+(* Counters read off a solver's own stats record: [(show, name, field)],
+   declared in list order. *)
+let declare_fields fields =
+  List.map (fun (show, name, field) -> (declare ?show name, field)) fields
+
+(* Presolve's, read off its [Preprocess.stats]. *)
+let presolve_counters =
+  let open Preprocess in
+  declare_fields
+    [
+      (Some ("presolve", "fixed"), "presolve.fixed_literals", fun s -> s.fixed_literals);
+      (Some ("presolve", "removed"), "presolve.removed_clauses", fun s -> s.removed_clauses);
+      (Some ("presolve", "tightened"), "presolve.tightened_bounds", fun s -> s.tightened_bounds);
+      (None, "presolve.pure_literals", fun s -> s.pure_literals);
+      (None, "presolve.strengthened_literals", fun s -> s.strengthened_literals);
+      (None, "presolve.failed_literals", fun s -> s.failed_literals);
+      (None, "presolve.unit_defs", fun s -> s.unit_defs);
+      (None, "presolve.rounds", fun s -> s.rounds);
+    ]
+
+(* The SAT solver's, read off its cumulative [Types.stats]. *)
+let sat_counters =
+  let open Types in
+  declare_fields
+    [
+      (Some ("sat", "decisions"), "sat.decisions", fun s -> s.decisions);
+      (Some ("sat", "conflicts"), "sat.conflicts", fun s -> s.conflicts);
+      (Some ("sat", "propagations"), "sat.propagations", fun s -> s.propagations);
+      (Some ("sat", "restarts"), "sat.restarts", fun s -> s.restarts);
+      (None, "sat.learnt_literals", fun s -> s.learnt_literals);
+      (None, "sat.reductions", fun s -> s.reductions);
+      (None, "sat.blocked_visits", fun s -> s.blocked_visits);
+    ]
+
+(* Every pivot of the run's linear checks and witness re-solves. A warm
+   session reports its pivots and the [lp.inc.*] counters by name. *)
+let lp_pivots = declare ~show:("", "pivots") "lp.pivots"
+let _ = declare "lp.inc.solves"
+let _ = declare ~show:("lp-inc", "asserted") "lp.inc.asserted"
+let _ = declare ~show:("lp-inc", "retracted") "lp.inc.retracted"
+let _ = declare ~show:("lp-inc", "reused") "lp.inc.reused"
+
+(* HC4 revise passes, of presolve's interval pass and the searches. *)
+let hc4_revisions = declare "nlp.hc4_revisions"
+
+(* Branch-and-prune's, read off each search's [Branch_prune.stats]. *)
+let bp_counters =
+  let open Branch_prune in
+  (hc4_revisions, fun s -> s.revisions)
+  :: declare_fields
+       [
+         (Some ("bp", "nodes"), "nlp.nodes", fun s -> s.nodes);
+         (Some ("bp", "prunings"), "nlp.prunings", fun s -> s.prunings);
+         (None, "nlp.newton_steps", fun s -> s.newton_steps);
+       ]
+
+let all_counters = Array.of_list (List.rev !declared)
+
+let counter_of_name name = Array.find_opt (fun c -> c.name = name) all_counters
+
+type counts = int array
+
 type run_stats = {
-  mutable bool_models : int;
-  mutable linear_checks : int;
-  mutable linear_conflicts : int;
-  mutable nonlinear_calls : int;
-  mutable blocking_clauses : int;
-  mutable eq_branches : int;
+  counts : counts;
   mutable wall_seconds : float;
-  mutable presolve_fixed_literals : int;
-  mutable presolve_removed_clauses : int;
-  mutable presolve_tightened_bounds : int;
   mutable presolve_seconds : float;
-  mutable sat_decisions : int;
-  mutable sat_conflicts : int;
-  mutable sat_propagations : int;
-  mutable sat_restarts : int;
-  mutable simplex_pivots : int;
   mutable budget_exhausted : Err.t option;
-  mutable lp_asserted : int;
-  mutable lp_retracted : int;
-  mutable lp_reused : int;
   mutable alloc_minor_words : float;
   mutable alloc_major_words : float;
-  mutable bp_nodes : int;
-  mutable bp_prunings : int;
 }
 
 let mk_stats () =
   {
-    bool_models = 0;
-    linear_checks = 0;
-    linear_conflicts = 0;
-    nonlinear_calls = 0;
-    blocking_clauses = 0;
-    eq_branches = 0;
+    counts = Array.make (Array.length all_counters) 0;
     wall_seconds = 0.0;
-    presolve_fixed_literals = 0;
-    presolve_removed_clauses = 0;
-    presolve_tightened_bounds = 0;
     presolve_seconds = 0.0;
-    sat_decisions = 0;
-    sat_conflicts = 0;
-    sat_propagations = 0;
-    sat_restarts = 0;
-    simplex_pivots = 0;
     budget_exhausted = None;
-    lp_asserted = 0;
-    lp_retracted = 0;
-    lp_reused = 0;
     alloc_minor_words = 0.0;
     alloc_major_words = 0.0;
-    bp_nodes = 0;
-    bp_prunings = 0;
   }
 
-(* Allocation accounting around a solve. [minor_words] counts words
-   allocated in the minor heap; the direct-to-major share is
-   [major_words - promoted_words] (promotion would otherwise double-count
-   minor allocations that survived a collection). [Gc.quick_stat] reads
-   counters without walking the heap, so the probe itself is cheap. *)
+let count stats c = stats.counts.(c.id)
+
+(* The one way a counter moves: into the run's store and the telemetry
+   handle together. *)
+let bump options stats c n =
+  stats.counts.(c.id) <- stats.counts.(c.id) + n;
+  Telemetry.add options.telemetry c.name n
+
+(* Counters reported by name (a linear session's); names the engine does
+   not declare are ignored. *)
+let bump_named options stats counters =
+  List.iter
+    (fun (name, n) ->
+      Option.iter (fun c -> bump options stats c n) (counter_of_name name))
+    counters
+
+let counters stats =
+  Array.to_list (Array.map (fun c -> (c.name, count stats c)) all_counters)
+
+let counter stats name =
+  match counter_of_name name with
+  | Some c -> count stats c
+  | None -> invalid_arg ("Engine.counter: unknown counter " ^ name)
+
+(* Minor-heap words (exact at every call, where [Gc.quick_stat]'s figure
+   only advances at minor collections) and words allocated directly in
+   the major heap (promotions would count minor words twice). *)
 let alloc_snapshot () =
   let g = Gc.quick_stat () in
-  (g.Gc.minor_words, g.Gc.major_words -. g.Gc.promoted_words)
+  (Gc.minor_words (), g.Gc.major_words -. g.Gc.promoted_words)
 
 let absorb_alloc tel stats (minor0, major0) =
   let minor1, major1 = alloc_snapshot () in
@@ -125,90 +191,54 @@ let absorb_alloc tel stats (minor0, major0) =
   Telemetry.observe tel "engine.alloc_words"
     (stats.alloc_minor_words +. stats.alloc_major_words)
 
-(* New counters are appended after the original columns: tools (and
-   eyeballs) parsing the historical prefix keep working. *)
+(* The counters with a [show] column in declaration order, then times
+   and allocation. *)
 let pp_run_stats fmt s =
-  Format.fprintf fmt
-    "models=%d lin-checks=%d lin-conflicts=%d nl-calls=%d blocked=%d eq-branches=%d time=%.3fs presolve[fixed=%d removed=%d tightened=%d time=%.3fs] sat[decisions=%d conflicts=%d propagations=%d restarts=%d] pivots=%d"
-    s.bool_models s.linear_checks s.linear_conflicts s.nonlinear_calls
-    s.blocking_clauses s.eq_branches s.wall_seconds s.presolve_fixed_literals
-    s.presolve_removed_clauses s.presolve_tightened_bounds s.presolve_seconds
-    s.sat_decisions s.sat_conflicts s.sat_propagations s.sat_restarts
-    s.simplex_pivots;
-  Format.fprintf fmt " lp-inc[asserted=%d retracted=%d reused=%d]"
-    s.lp_asserted s.lp_retracted s.lp_reused;
-  Format.fprintf fmt " alloc[minor=%.0fw major=%.0fw]" s.alloc_minor_words
-    s.alloc_major_words;
-  Format.fprintf fmt " bp[nodes=%d prunings=%d]" s.bp_nodes s.bp_prunings;
+  let group = ref "" and first = ref true in
+  let close () = if !group <> "" then Format.pp_print_char fmt ']' in
+  Array.iter
+    (fun c ->
+      Option.iter
+        (fun (g, label) ->
+          if g <> "" && g = !group then Format.pp_print_char fmt ' '
+          else begin
+            close ();
+            if not !first then Format.pp_print_char fmt ' ';
+            if g <> "" then Format.fprintf fmt "%s[" g;
+            group := g
+          end;
+          first := false;
+          Format.fprintf fmt "%s=%d" label (count s c))
+        c.show)
+    all_counters;
+  close ();
+  Format.fprintf fmt " time=%.3fs presolve-time=%.3fs alloc[minor=%.0fw major=%.0fw]"
+    s.wall_seconds s.presolve_seconds s.alloc_minor_words s.alloc_major_words;
   match s.budget_exhausted with
   | None -> ()
   | Some e -> Format.fprintf fmt " budget-exhausted=%s" (Err.code e)
 
-(* Fold the SAT solver's cumulative [Types.stats] into the run record and
-   telemetry as deltas against [snap] (which is advanced), so the same
-   helper serves both the long-lived incremental solver and the
-   rebuilt-per-model restarting one. *)
-let absorb_sat_stats tel run (snap : Types.stats) (s : Types.stats) =
-  let dd = s.Types.decisions - snap.Types.decisions in
-  let dc = s.Types.conflicts - snap.Types.conflicts in
-  let dp = s.Types.propagations - snap.Types.propagations in
-  let dr = s.Types.restarts - snap.Types.restarts in
-  let dl = s.Types.learnt_literals - snap.Types.learnt_literals in
-  let dx = s.Types.reductions - snap.Types.reductions in
-  let db = s.Types.blocked_visits - snap.Types.blocked_visits in
-  run.sat_decisions <- run.sat_decisions + dd;
-  run.sat_conflicts <- run.sat_conflicts + dc;
-  run.sat_propagations <- run.sat_propagations + dp;
-  run.sat_restarts <- run.sat_restarts + dr;
-  Telemetry.add tel "sat.decisions" dd;
-  Telemetry.add tel "sat.conflicts" dc;
-  Telemetry.add tel "sat.propagations" dp;
-  Telemetry.add tel "sat.restarts" dr;
-  Telemetry.add tel "sat.learnt_literals" dl;
-  Telemetry.add tel "sat.reductions" dx;
-  Telemetry.add tel "sat.blocked_visits" db;
-  snap.Types.decisions <- s.Types.decisions;
-  snap.Types.conflicts <- s.Types.conflicts;
-  snap.Types.propagations <- s.Types.propagations;
-  snap.Types.restarts <- s.Types.restarts;
-  snap.Types.learnt_literals <- s.Types.learnt_literals;
-  snap.Types.reductions <- s.Types.reductions;
-  snap.Types.blocked_visits <- s.Types.blocked_visits
+(* Bump the SAT counters by the work [s] did since [prev]; returns a copy
+   of [s] to difference the next call against. *)
+let absorb_sat_stats options stats ~(prev : Types.stats) (s : Types.stats) =
+  List.iter (fun (c, f) -> bump options stats c (f s - f prev)) sat_counters;
+  { s with Types.decisions = s.Types.decisions }
 
 (* One canonical JSON rendering of run_stats, shared by the CLI's
    --stats-json and the bench harness. *)
 let run_stats_json s =
-  let i n = string_of_int n in
   Telemetry.Json.obj
-    [
-      ("bool_models", i s.bool_models);
-      ("linear_checks", i s.linear_checks);
-      ("linear_conflicts", i s.linear_conflicts);
-      ("nonlinear_calls", i s.nonlinear_calls);
-      ("blocking_clauses", i s.blocking_clauses);
-      ("eq_branches", i s.eq_branches);
-      ("wall_seconds", Telemetry.Json.of_float s.wall_seconds);
-      ("presolve_fixed_literals", i s.presolve_fixed_literals);
-      ("presolve_removed_clauses", i s.presolve_removed_clauses);
-      ("presolve_tightened_bounds", i s.presolve_tightened_bounds);
-      ("presolve_seconds", Telemetry.Json.of_float s.presolve_seconds);
-      ("sat_decisions", i s.sat_decisions);
-      ("sat_conflicts", i s.sat_conflicts);
-      ("sat_propagations", i s.sat_propagations);
-      ("sat_restarts", i s.sat_restarts);
-      ("simplex_pivots", i s.simplex_pivots);
-      ("lp_asserted", i s.lp_asserted);
-      ("lp_retracted", i s.lp_retracted);
-      ("lp_reused", i s.lp_reused);
-      ("alloc_minor_words", Telemetry.Json.of_float s.alloc_minor_words);
-      ("alloc_major_words", Telemetry.Json.of_float s.alloc_major_words);
-      ("bp_nodes", i s.bp_nodes);
-      ("bp_prunings", i s.bp_prunings);
-      ( "budget_exhausted",
-        match s.budget_exhausted with
-        | None -> "null"
-        | Some e -> "\"" ^ Telemetry.Json.escape (Err.to_string e) ^ "\"" );
-    ]
+    (List.map (fun (name, n) -> (name, string_of_int n)) (counters s)
+    @ [
+        ("wall_seconds", Telemetry.Json.of_float s.wall_seconds);
+        ("presolve_seconds", Telemetry.Json.of_float s.presolve_seconds);
+        ("alloc_minor_words", Telemetry.Json.of_float s.alloc_minor_words);
+        ("alloc_major_words", Telemetry.Json.of_float s.alloc_major_words);
+        ( "budget_exhausted",
+          match s.budget_exhausted with
+          | None -> "null"
+          | Some e -> "\"" ^ Telemetry.Json.escape (Err.to_string e) ^ "\"" );
+      ])
 
 (* Outcome of checking one Boolean model arithmetically. *)
 type model_check =
@@ -314,10 +344,12 @@ end
 
 (* [lsolve] is the LP entry point for this enumeration: either a
    persistent warm-started session or a from-scratch closure (see
-   [linear_entry] below); [None] when no linear solver is registered. *)
+   [enumerate] below), each bumping its own pivots into [stats]; [None]
+   when no linear solver is registered. *)
 let check_model ~registry ~options ~stats ~pre ~lsolve problem
     (model : bool array) =
   let tel = options.telemetry in
+  let bump = bump options stats in
   let budget = options.budget in
   let defs = Ab_problem.defs problem in
   (* Presolve-tightened bounds and box: sound in every Boolean model,
@@ -364,8 +396,7 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
     let solution = ref None in
     let nvars = Ab_problem.num_arith_vars problem in
     let try_combo combo =
-      stats.eq_branches <- stats.eq_branches + 1;
-      Telemetry.add tel "engine.eq_branches" 1;
+      bump eq_branches 1;
       let rels = fixed @ combo @ bound_rels in
       let linear, nonlinear =
         List.partition_map
@@ -376,8 +407,7 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
           rels
       in
       (* Linear filter, including relaxations of the nonlinear part. *)
-      stats.linear_checks <- stats.linear_checks + 1;
-      Telemetry.add tel "engine.linear_checks" 1;
+      bump linear_checks 1;
       let lp_input =
         if options.use_linear_relaxation && nonlinear <> [] then begin
           let st = Relax.create ~first_aux:nvars ~box:(Box.copy pre.Preprocess.box) in
@@ -399,18 +429,16 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
         Telemetry.span tel "linear_check"
           ~attrs:[ ("constraints", Telemetry.Int (List.length lp_input)) ]
           (fun () ->
-            let p0 = Simplex.total_pivots () in
+            let p0 = count stats lp_pivots in
             let v = lsolve ~int_vars lp_input in
-            let dp = Simplex.total_pivots () - p0 in
-            Telemetry.add tel "lp.pivots" dp;
-            Telemetry.observe tel "lp.pivots_per_check" (float_of_int dp);
+            Telemetry.observe tel "lp.pivots_per_check"
+              (float_of_int (count stats lp_pivots - p0));
             v)
       in
       match lp_verdict with
       | Registry.L_unknown e -> unknown := Some (Err.to_string e)
       | Registry.L_unsat tags ->
-        stats.linear_conflicts <- stats.linear_conflicts + 1;
-        Telemetry.add tel "engine.linear_conflicts" 1;
+        bump linear_conflicts 1;
         let tags =
           if options.minimize_conflicts then Conflict.minimal_core linear tags
           else tags
@@ -428,21 +456,22 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
         else begin
           (* Nonlinear step over the full relation system so shared
              variables stay consistent. *)
-          stats.nonlinear_calls <- stats.nonlinear_calls + 1;
-          Telemetry.add tel "engine.nonlinear_calls" 1;
+          bump nonlinear_calls 1;
           let box = Box.copy pre.Preprocess.box in
           (* The paper's solver-list semantics: try each registered solver
              until one produces a decent result. *)
-          let rec try_solvers acc = function
-            | [] -> (Registry.N_unknown, acc)
+          let rec try_solvers = function
+            | [] -> Registry.N_unknown
             | (s : Registry.nonlinear_solver) :: rest -> (
               let v, st =
                 s.Registry.ns_solve ~budget ~telemetry:tel ~nvars ~box rels
               in
-              let acc = Branch_prune.merge_stats acc st in
+              (* The counts come from this call's own search stats, so
+                 concurrent solves never absorb each other's work. *)
+              List.iter (fun (c, f) -> bump c (f st)) bp_counters;
               match v with
-              | Registry.N_unknown -> try_solvers acc rest
-              | verdict -> (verdict, acc))
+              | Registry.N_unknown -> try_solvers rest
+              | verdict -> verdict)
           in
           let nl_vars =
             List.concat_map (fun (r : Expr.rel) -> Expr.vars r.Expr.expr) nonlinear
@@ -526,24 +555,7 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
           let nl_verdict =
             Telemetry.span tel "nonlinear_check"
               ~attrs:[ ("relations", Telemetry.Int (List.length rels)) ]
-              (fun () ->
-                let h0 = Hc4.total_revisions ()
-                and w0 = Newton.total_steps () in
-                let v, bp =
-                  try_solvers Branch_prune.empty_stats
-                    registry.Registry.nonlinear
-                in
-                (* Node counts come from this call's own search stats, so
-                   concurrent solves never absorb each other's nodes. *)
-                Telemetry.add tel "nlp.nodes" bp.Branch_prune.nodes;
-                Telemetry.add tel "nlp.prunings" bp.Branch_prune.prunings;
-                Telemetry.add tel "nlp.hc4_revisions"
-                  (Hc4.total_revisions () - h0);
-                Telemetry.add tel "nlp.newton_steps"
-                  (Newton.total_steps () - w0);
-                stats.bp_nodes <- stats.bp_nodes + bp.Branch_prune.nodes;
-                stats.bp_prunings <- stats.bp_prunings + bp.Branch_prune.prunings;
-                v)
+              (fun () -> try_solvers registry.Registry.nonlinear)
           in
           match nl_verdict with
           | Registry.N_sat p -> witness p true
@@ -591,6 +603,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   if pre.Preprocess.status = `Unsat then R_unsat
   else begin
   let tel = options.telemetry in
+  let bump = bump options stats in
   let num_vars = Ab_problem.num_bool_vars problem in
   let clauses = pre.Preprocess.clauses in
   let strategy =
@@ -599,7 +612,6 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
     | [] -> Registry.Lsat_incremental
   in
   let had_unknown = ref None in
-  let unknown_count = ref 0 in
   let finished = ref false in
   let result = ref R_unsat in
   (* Blocking projection: the declared meaningful variables, defaulting to
@@ -627,38 +639,30 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   in
   (* LP entry point for this whole enumeration: a persistent warm-started
      session when the first linear solver provides one (and the option is
-     on), otherwise a from-scratch closure over [ls_solve]. *)
-  let lsession =
+     on), otherwise a from-scratch closure over [ls_solve]. Either way
+     each call's work lands in [stats] as it happens, even when the call
+     raises. *)
+  let lsolve =
     match registry.Registry.linear with
     | { Registry.ls_session = Some mk; _ } :: _ when options.use_incremental ->
-      Some (mk ~budget:options.budget)
-    | _ -> None
-  in
-  let lsolve =
-    match (lsession, registry.Registry.linear) with
-    | Some sess, _ -> Some (sess.Registry.lsess_solve)
-    | None, (ls : Registry.linear_solver) :: _ ->
+      let sess = mk ~budget:options.budget in
+      let absorb () = bump_named options stats (sess.Registry.lsess_counters ()) in
       Some
-        (fun ~int_vars cons -> ls.Registry.ls_solve ~int_vars ~budget:options.budget cons)
-    | None, [] -> None
-  in
-  (* Session counters are cumulative; fold them into telemetry and the
-     run record exactly once, even when the enumeration exits by
-     exception (budget trip, optimizer stop). *)
-  let absorb_session () =
-    match lsession with
-    | None -> ()
-    | Some sess ->
-      let cs = sess.Registry.lsess_counters () in
-      List.iter (fun (name, v) -> Telemetry.add tel name v) cs;
-      let find n = Option.value ~default:0 (List.assoc_opt n cs) in
-      stats.lp_asserted <- stats.lp_asserted + find "lp.inc.asserted";
-      stats.lp_retracted <- stats.lp_retracted + find "lp.inc.retracted";
-      stats.lp_reused <- stats.lp_reused + find "lp.inc.reused"
+        (fun ~int_vars cons ->
+          Fun.protect ~finally:absorb (fun () ->
+              sess.Registry.lsess_solve ~int_vars cons))
+    | (ls : Registry.linear_solver) :: _ ->
+      Some
+        (fun ~int_vars cons ->
+          let v, pivots =
+            ls.Registry.ls_solve ~int_vars ~budget:options.budget cons
+          in
+          bump lp_pivots pivots;
+          v)
+    | [] -> None
   in
   let block_clause ~reason block =
-    stats.blocking_clauses <- stats.blocking_clauses + 1;
-    Telemetry.add tel "engine.blocking_clauses" 1;
+    bump blocking_clauses 1;
     Telemetry.event tel "blocking_clause"
       ~attrs:
         [
@@ -668,16 +672,15 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   in
   let handle_model solver_model add_blocking =
     Faults.hit "engine.bool_model" options.budget;
-    stats.bool_models <- stats.bool_models + 1;
-    Telemetry.add tel "engine.bool_models" 1;
-    if stats.bool_models > options.max_bool_models then begin
+    bump bool_models 1;
+    if count stats bool_models > options.max_bool_models then begin
       had_unknown := Some "Boolean model budget exhausted";
       finished := true
     end
     else
       match
         Telemetry.span tel "bool_model"
-          ~attrs:[ ("index", Telemetry.Int stats.bool_models) ]
+          ~attrs:[ ("index", Telemetry.Int (count stats bool_models)) ]
           (fun () ->
             check_model ~registry ~options ~stats ~pre ~lsolve problem
               solver_model)
@@ -702,9 +705,9 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
         add_blocking block
       | M_unknown why ->
         had_unknown := Some why;
-        incr unknown_count;
-        Telemetry.add tel "engine.unknown_models" 1;
-        if !unknown_count > options.max_unknown_models then finished := true
+        bump unknown_models 1;
+        if count stats unknown_models > options.max_unknown_models then
+          finished := true
         else begin
           (* Block this delta-valuation so the search can look for a
              decidable one; the result can no longer be a definitive
@@ -714,21 +717,20 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
           if block = [] then finished := true else add_blocking block
         end
   in
-  Fun.protect ~finally:absorb_session (fun () ->
-  match strategy with
+  (match strategy with
   | Registry.Lsat_incremental ->
     let solver = Cdcl.create () in
     Cdcl.set_default_phase solver options.default_phase;
     Cdcl.ensure_vars solver num_vars;
     List.iter (Cdcl.add_clause solver) clauses;
-    let snap = Types.mk_stats () in
+    let prev = ref (Types.mk_stats ()) in
     let sat_solve () =
       Telemetry.span tel "sat_search" (fun () ->
           let out =
             Cdcl.solve ~max_conflicts:options.sat_max_conflicts
               ~budget:options.budget solver
           in
-          absorb_sat_stats tel stats snap (Cdcl.stats solver);
+          prev := absorb_sat_stats options stats ~prev:!prev (Cdcl.stats solver);
           out)
     in
     let rec loop () =
@@ -760,7 +762,9 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
                 Cdcl.solve ~max_conflicts:options.sat_max_conflicts
                   ~budget:options.budget solver
               in
-              absorb_sat_stats tel stats (Types.mk_stats ()) (Cdcl.stats solver);
+              ignore
+                (absorb_sat_stats options stats ~prev:(Types.mk_stats ())
+                   (Cdcl.stats solver));
               out)
         in
         match out with
@@ -780,25 +784,23 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   | r, None -> r
   end
 
-(* Run (or skip) presolve and mirror its headline counters into the
-   run_stats record. [protect_also] guards pure-literal elimination when
-   the caller enumerates models over a custom projection. *)
+(* Run (or skip) presolve and count its work. [protect_also] guards
+   pure-literal elimination when the caller enumerates models over a
+   custom projection. *)
 let prepare ~options ?(protect_also = []) ~stats problem =
   let tel = options.telemetry in
-  let pre =
-    Telemetry.span tel "presolve" (fun () ->
+  Telemetry.span tel "presolve" (fun () ->
+      let pre =
         if options.use_presolve then
           Preprocess.run ~protect_also ~telemetry:tel ~budget:options.budget
             problem
-        else Preprocess.identity problem)
-  in
-  stats.presolve_fixed_literals <- pre.Preprocess.stats.Preprocess.fixed_literals;
-  stats.presolve_removed_clauses <-
-    pre.Preprocess.stats.Preprocess.removed_clauses;
-  stats.presolve_tightened_bounds <-
-    pre.Preprocess.stats.Preprocess.tightened_bounds;
-  stats.presolve_seconds <- pre.Preprocess.stats.Preprocess.wall_seconds;
-  pre
+        else Preprocess.identity problem
+      in
+      let s = pre.Preprocess.stats in
+      List.iter (fun (c, f) -> bump options stats c (f s)) presolve_counters;
+      bump options stats hc4_revisions s.Preprocess.revisions;
+      stats.presolve_seconds <- s.Preprocess.wall_seconds;
+      pre)
 
 let problem_attrs problem =
   let s = Ab_problem.stats problem in
@@ -828,7 +830,6 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
   let tel = options.telemetry in
   let stats = mk_stats () in
   let t0 = Telemetry.Clock.now () in
-  let p0 = Simplex.total_pivots () in
   let a0 = alloc_snapshot () in
   let result =
     Telemetry.span tel "solve" ~attrs:(problem_attrs problem) (fun () ->
@@ -838,7 +839,6 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
             enumerate ~registry ~options ~stats ~pre problem
               ~on_feasible:(fun _ -> `Stop)))
   in
-  stats.simplex_pivots <- Simplex.total_pivots () - p0;
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   absorb_alloc tel stats a0;
   (result, stats)
@@ -905,7 +905,6 @@ let all_models ?projection ?(registry = Registry.default)
   let tel = options.telemetry in
   let stats = mk_stats () in
   let t0 = Telemetry.Clock.now () in
-  let p0 = Simplex.total_pivots () in
   let a0 = alloc_snapshot () in
   let acc = ref [] in
   let n = ref 0 in
@@ -924,7 +923,6 @@ let all_models ?projection ?(registry = Registry.default)
                 incr n;
                 if !n >= limit then `Stop else `Continue)))
   in
-  stats.simplex_pivots <- Simplex.total_pivots () - p0;
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   absorb_alloc tel stats a0;
   match result with
@@ -1087,7 +1085,7 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
         (enumerate ~registry ~options ~stats ~pre problem
            ~on_feasible:(fun sol ->
              optimize_valuation sol;
-             if stats.bool_models >= limit then begin
+             if count stats bool_models >= limit then begin
                hit_limit := true;
                `Stop
              end

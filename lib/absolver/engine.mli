@@ -54,8 +54,8 @@ type options = {
           handle records hierarchical spans over every phase of the
           control loop — presolve (and its per-round passes), each
           [sat_search], each Boolean model's arithmetic check with its
-          [linear_check] / [nonlinear_check] children — plus per-span
-          counter deltas ([sat.*], [lp.pivots], [nlp.*], [engine.*]) and
+          [linear_check] / [nonlinear_check] children — plus the run's
+          counters (see {!counters}) as per-span deltas, and
           one [blocking_clause] event per learned blocking clause with
           its conflict-set size. Results are bit-identical with telemetry
           on or off; only observation is added. *)
@@ -81,38 +81,35 @@ type result =
 
 val pp_result : Ab_problem.t -> Format.formatter -> result -> unit
 
+(** {1 Run statistics}
+
+    Each solve counts its own work in counters declared once in the
+    engine under their telemetry names. A counter moves into the run's
+    store and [options.telemetry] in one step, so {!counter},
+    {!pp_run_stats}, {!run_stats_json} and the telemetry counters agree,
+    and concurrent solves count only their own work:
+    - [engine.*]: [bool_models], [linear_checks], [linear_conflicts],
+      [nonlinear_calls], [blocking_clauses], [eq_branches] (sign
+      combinations of negated equations tried), [unknown_models];
+    - [presolve.*]: the {!Preprocess.stats} counts;
+    - [sat.*]: CDCL work summed over every SAT call;
+    - [lp.pivots]: pivots of the linear checks and witness re-solves;
+      [lp.inc.*]: the warm session's solves, and constraints asserted,
+      retracted and reused across consecutive queries;
+    - [nlp.nodes], [nlp.prunings], [nlp.newton_steps]: branch-and-prune
+      work; [nlp.hc4_revisions]: HC4 revise passes, presolve's included. *)
+
+type counts
+(** A run's counter store; read it with {!counter} or {!counters}. *)
+
 type run_stats = {
-  mutable bool_models : int; (** Boolean models examined *)
-  mutable linear_checks : int;
-  mutable linear_conflicts : int;
-  mutable nonlinear_calls : int;
-  mutable blocking_clauses : int;
-  mutable eq_branches : int;
+  counts : counts;
   mutable wall_seconds : float;
-  mutable presolve_fixed_literals : int;
-      (** Boolean variables fixed at root level by presolve. *)
-  mutable presolve_removed_clauses : int;  (** Net CNF shrinkage. *)
-  mutable presolve_tightened_bounds : int;
-      (** Bound tightenings (LP presolve + interval contraction). *)
   mutable presolve_seconds : float;  (** Presolve wall time. *)
-  mutable sat_decisions : int;  (** CDCL decisions across all SAT calls. *)
-  mutable sat_conflicts : int;
-  mutable sat_propagations : int;
-  mutable sat_restarts : int;
-  mutable simplex_pivots : int;
-      (** Simplex pivots attributable to this run (linear checks, witness
-          re-solves, optimization). *)
   mutable budget_exhausted : Absolver_resource.Absolver_error.t option;
       (** [Some reason] iff the run's budget tripped (or a stray exception
           was contained at the boundary); [None] on unbudgeted runs and on
           runs that finished within budget. *)
-  mutable lp_asserted : int;
-      (** Constraints pushed onto the persistent session's stack. *)
-  mutable lp_retracted : int;
-      (** Constraints popped off the stack between queries. *)
-  mutable lp_reused : int;
-      (** Constraints kept asserted across consecutive queries — the
-          warm-start savings the delta computation realized. *)
   mutable alloc_minor_words : float;
       (** Words allocated in the minor heap during the run
           ([Gc.minor_words] delta). *)
@@ -120,21 +117,33 @@ type run_stats = {
       (** Words allocated directly in the major heap during the run
           ([Gc.major_words - promoted_words] delta, so minor allocations
           that survived a collection are not double-counted). *)
-  mutable bp_nodes : int;
-      (** Branch-and-prune nodes explored by this run's nonlinear checks
-          (per-solve figures, never the process-wide totals). *)
-  mutable bp_prunings : int;
-      (** Boxes discarded by the branch-and-prune searches (HC4 or Newton
-          contraction emptied them). *)
 }
 
+val counter : run_stats -> string -> int
+(** [counter st name] is the run's count under the telemetry name [name]
+    (e.g. ["engine.bool_models"]).
+    @raise Invalid_argument if the engine declares no such counter. *)
+
+val counters : run_stats -> (string * int) list
+(** Every counter, zeros included, in declaration order. *)
+
+val alloc_snapshot : unit -> float * float
+(** Words allocated so far by the calling domain: minor-heap words
+    (exact at every call) and words allocated directly in the major heap.
+    A run's [alloc_*_words] are the difference of two snapshots. *)
+
 val pp_run_stats : Format.formatter -> run_stats -> unit
-(** Prints the historical columns first, then the [presolve[...]],
-    [sat[...]] and [pivots=] suffixes; existing column order is stable. *)
+(** The [--stats] line: the headline counters in declaration order
+    ([models=… lin-checks=… … presolve[fixed=… removed=… tightened=…]
+    sat[…] pivots=… lp-inc[…] bp[nodes=… prunings=…]]), then
+    [time=], [presolve-time=] and [alloc[minor=… major=…]]. *)
 
 val run_stats_json : run_stats -> string
-(** One flat JSON object, the canonical machine-readable rendering used
-    by the CLI's [--stats-json] and the bench harness. *)
+(** One flat JSON object: every counter under its telemetry name, then
+    [wall_seconds], [presolve_seconds], [alloc_minor_words],
+    [alloc_major_words] and [budget_exhausted]. The canonical
+    machine-readable rendering used by the CLI's [--stats-json] and the
+    bench harness. *)
 
 val solve :
   ?registry:Registry.t -> ?options:options -> Ab_problem.t -> result * run_stats

@@ -20,6 +20,7 @@ type stats = {
   mutable tightened_bounds : int;
   mutable unit_defs : int;
   mutable rounds : int;
+  mutable revisions : int;
   mutable wall_seconds : float;
 }
 
@@ -33,14 +34,9 @@ let mk_stats () =
     tightened_bounds = 0;
     unit_defs = 0;
     rounds = 0;
+    revisions = 0;
     wall_seconds = 0.0;
   }
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "fixed=%d pure=%d removed=%d strengthened=%d failed=%d tightened=%d unit-defs=%d rounds=%d time=%.3fs"
-    s.fixed_literals s.pure_literals s.removed_clauses s.strengthened_literals
-    s.failed_literals s.tightened_bounds s.unit_defs s.rounds s.wall_seconds
 
 type t = {
   status : [ `Open | `Unsat ];
@@ -210,14 +206,12 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
          in
          if Box.is_empty start && nvars_a > 0 then unsat := true
          else
-           match
+           let contracted, revisions =
              Telemetry.span tel "presolve.icp" (fun () ->
-                 let h0 = Absolver_nlp.Hc4.total_revisions () in
-                 let r = Icp.contract ~budget ~box:start implied in
-                 Telemetry.add tel "nlp.hc4_revisions"
-                   (Absolver_nlp.Hc4.total_revisions () - h0);
-                 r)
-           with
+                 Icp.contract ~budget ~box:start implied)
+           in
+           stats.revisions <- stats.revisions + revisions;
+           match contracted with
            | `Empty -> unsat := true
            | `Box (contracted, narrowed) ->
              box := contracted;
@@ -295,14 +289,6 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
   stats.removed_clauses <-
     max 0 (List.length original_clauses - List.length !clauses);
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
-  Telemetry.add tel "presolve.fixed_literals" stats.fixed_literals;
-  Telemetry.add tel "presolve.pure_literals" stats.pure_literals;
-  Telemetry.add tel "presolve.removed_clauses" stats.removed_clauses;
-  Telemetry.add tel "presolve.strengthened_literals" stats.strengthened_literals;
-  Telemetry.add tel "presolve.failed_literals" stats.failed_literals;
-  Telemetry.add tel "presolve.tightened_bounds" stats.tightened_bounds;
-  Telemetry.add tel "presolve.unit_defs" stats.unit_defs;
-  Telemetry.add tel "presolve.rounds" stats.rounds;
   if !unsat then
     {
       status = `Unsat;

@@ -35,10 +35,9 @@ type stats = {
       (** Unit clauses fed back from arithmetic redundancy/infeasibility of
           defined constraints. *)
   mutable rounds : int;  (** Cross-domain fixpoint rounds executed. *)
+  mutable revisions : int;  (** HC4 revise passes of the interval pass. *)
   mutable wall_seconds : float;
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 type t = {
   status : [ `Open | `Unsat ];
@@ -70,8 +69,8 @@ val run :
     set (the engine passes enumeration-projection overrides here).
     [telemetry] (default disabled) records one [presolve.round] span per
     fixpoint round with [presolve.sat_simplify] / [presolve.lp] /
-    [presolve.icp] / [presolve.feedback] children, and mirrors the
-    headline counters as [presolve.*]. [budget] is threaded into every
+    [presolve.icp] / [presolve.feedback] children; its counters are
+    returned in [stats], which the engine reports. [budget] is threaded into every
     pass; exhaustion stops presolve early with whatever sound
     simplification was completed (never an exception — the typed reason
     stays sticky in the budget). *)

@@ -25,7 +25,10 @@ type linear_session = {
 type linear_solver = {
   ls_name : string;
   ls_solve :
-    int_vars:int list -> budget:Budget.t -> Linexpr.cons list -> linear_verdict;
+    int_vars:int list ->
+    budget:Budget.t ->
+    Linexpr.cons list ->
+    linear_verdict * int;
   ls_session : (budget:Budget.t -> linear_session) option;
 }
 
@@ -60,21 +63,32 @@ let verdict_of_simplex = function
   | Simplex.Unsat tags -> L_unsat tags
   | Simplex.Unknown e -> L_unknown e
 
-let simplex_session ~budget =
-  let session = Incremental.create ~budget () in
+(* A session over [s] whose counters report the work done since they
+   were last read, so every reader sees only its own work. *)
+let session_of s =
+  let last = ref (Incremental.counters s) in
   {
     lsess_solve =
       (fun ~int_vars constraints ->
-        verdict_of_simplex (Incremental.solve session ~int_vars constraints));
-    lsess_counters = (fun () -> Incremental.counters session);
+        verdict_of_simplex (Incremental.solve s ~int_vars constraints));
+    lsess_counters =
+      (fun () ->
+        let now = Incremental.counters s in
+        let delta = List.map2 (fun (k, v) (_, v0) -> (k, v - v0)) now !last in
+        last := now;
+        delta);
   }
+
+let simplex_session ~budget = session_of (Incremental.create ~budget ())
+
+let solve_from_scratch ~int_vars ~budget constraints =
+  let verdict, pivots = Simplex.solve_system ~int_vars ~budget constraints in
+  (verdict_of_simplex verdict, pivots)
 
 let simplex_solver =
   {
     ls_name = "simplex (COIN-like)";
-    ls_solve =
-      (fun ~int_vars ~budget constraints ->
-        verdict_of_simplex (Simplex.solve_system ~int_vars ~budget constraints));
+    ls_solve = solve_from_scratch;
     ls_session = Some simplex_session;
   }
 
@@ -85,9 +99,9 @@ let simplex_solver =
    client reuse the asserted constraints and the tableau basis across
    requests.  Two invariants make this safe:
 
-   - counters are delta'd per acquisition, so the engine's per-run
-     statistics absorption sees only the work of its own enumeration,
-     never the session's cumulative history;
+   - counters are delta'd per read ([session_of]), so the engine's
+     per-run statistics see only the work of its own enumeration, never
+     the session's cumulative history;
    - the session is an unshared value: each call to
      [persistent_simplex] builds an independent one, which is what makes
      it per-client — the server creates one per connection and calls the
@@ -106,25 +120,12 @@ let persistent_simplex () =
   let mk ~budget =
     let s = acquire () in
     Incremental.set_budget s budget;
-    let base = Incremental.counters s in
-    {
-      lsess_solve =
-        (fun ~int_vars constraints ->
-          verdict_of_simplex (Incremental.solve s ~int_vars constraints));
-      lsess_counters =
-        (fun () ->
-          List.map
-            (fun (k, v) ->
-              (k, v - Option.value ~default:0 (List.assoc_opt k base)))
-            (Incremental.counters s));
-    }
+    session_of s
   in
   let solver =
     {
       ls_name = "simplex (COIN-like, persistent session)";
-      ls_solve =
-        (fun ~int_vars ~budget constraints ->
-          verdict_of_simplex (Simplex.solve_system ~int_vars ~budget constraints));
+      ls_solve = solve_from_scratch;
       ls_session = Some mk;
     }
   in

@@ -32,9 +32,12 @@ type linear_session = {
   lsess_counters : unit -> (string * int) list;
 }
 (** A stateful linear-solver session: successive [lsess_solve] calls may
-    reuse solver state from earlier calls (a warm-started tableau), but each call must decide exactly the constraint set it is
-    given. [lsess_counters] exposes cumulative session counters for
-    telemetry absorption. *)
+    reuse solver state from earlier calls (a warm-started tableau), but
+    each call must decide exactly the constraint set it is given.
+    [lsess_counters] returns the work done since its previous call (or
+    since the session was acquired) under engine counter names
+    ([lp.pivots], [lp.inc.*]; see {!Engine.counters}); the engine reads
+    it after every solve. *)
 
 type linear_solver = {
   ls_name : string;
@@ -42,7 +45,9 @@ type linear_solver = {
     int_vars:int list ->
     budget:Absolver_resource.Budget.t ->
     Linexpr.cons list ->
-    linear_verdict;
+    linear_verdict * int;
+      (** The verdict, and the pivots the call performed (0 for a solver
+          that does not pivot). *)
   ls_session : (budget:Absolver_resource.Budget.t -> linear_session) option;
       (** When provided and the engine runs with [use_incremental], the
           engine creates one session per enumeration and routes every LP
@@ -102,7 +107,7 @@ val persistent_simplex : unit -> linear_solver * (unit -> unit)
     underlying {!Absolver_lp.Incremental} session, so consecutive solve
     requests reuse asserted constraints and the tableau basis across
     requests — the solve server keeps one per
-    client connection.  Session counters are delta'd per acquisition, so
+    client connection.  Session counters are delta'd per read, so
     per-run statistics stay attributable.  The second component tears the
     warm session down (the server calls it on client disconnect; a later
     acquisition starts fresh).  Each call builds an independent session —

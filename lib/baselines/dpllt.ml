@@ -230,7 +230,7 @@ let solve ?meter ?(max_conflicts = 50_000_000) ?(deadline_seconds = 3600.0)
                    active constraint set (the slow path of Table 3). *)
                 let active = active_cons () in
                 charge meter (64 * List.length active * max 1 (List.length int_vars));
-                match Simplex.solve_system ~int_vars ~budget active with
+                match fst (Simplex.solve_system ~int_vars ~budget active) with
                 | Simplex.Sat m when
                     int_ok m
                     && List.for_all

@@ -2,7 +2,7 @@
    "not proven infeasible": the candidate constraint is kept, so the core
    stays a superset of a minimal one — sound, just less minimal. *)
 let is_infeasible cs =
-  match Simplex.solve_system cs with
+  match fst (Simplex.solve_system cs) with
   | Simplex.Sat _ | Simplex.Unknown _ -> false
   | Simplex.Unsat _ -> true
 

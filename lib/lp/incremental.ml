@@ -4,13 +4,6 @@ module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
 module Err = Absolver_resource.Absolver_error
 
-type stats = {
-  mutable solves : int;
-  mutable asserted : int;
-  mutable retracted : int;
-  mutable reused : int;
-}
-
 type t = {
   simplex : Simplex.t;
   mutable budget : Budget.t;
@@ -37,7 +30,11 @@ type t = {
      the per-query bookkeeping stays off the allocator. *)
   keybuf : Buffer.t;
   needed : (string, int) Hashtbl.t;
-  stats : stats;
+  (* Work counters, reported by [counters]. *)
+  mutable solves : int;
+  mutable asserted : int;  (* constraints pushed onto the stack *)
+  mutable retracted : int;  (* constraints popped off it *)
+  mutable reused : int;  (* constraints kept across consecutive solves *)
 }
 
 let create ?(budget = Budget.unlimited) () =
@@ -50,7 +47,10 @@ let create ?(budget = Budget.unlimited) () =
     interned = Hashtbl.create 64;
     keybuf = Buffer.create 256;
     needed = Hashtbl.create 64;
-    stats = { solves = 0; asserted = 0; retracted = 0; reused = 0 };
+    solves = 0;
+    asserted = 0;
+    retracted = 0;
+    reused = 0;
   }
 
 let intern_var t v =
@@ -94,14 +94,13 @@ let set_budget t budget =
   t.budget <- budget;
   Simplex.set_budget t.simplex budget
 
-let stats t = t.stats
-
 let counters t =
   [
-    ("lp.inc.solves", t.stats.solves);
-    ("lp.inc.asserted", t.stats.asserted);
-    ("lp.inc.retracted", t.stats.retracted);
-    ("lp.inc.reused", t.stats.reused);
+    ("lp.inc.solves", t.solves);
+    ("lp.inc.asserted", t.asserted);
+    ("lp.inc.retracted", t.retracted);
+    ("lp.inc.reused", t.reused);
+    ("lp.pivots", Simplex.num_pivots t.simplex);
   ]
 
 (* Canonical identity of a constraint: tag, relation, sorted coefficient
@@ -226,8 +225,8 @@ let apply_delta t ~keys ~constraints =
   for _ = 1 to n_pop do
     Simplex.pop sx
   done;
-  t.stats.retracted <- t.stats.retracted + n_pop;
-  t.stats.reused <- t.stats.reused + !n_kept;
+  t.retracted <- t.retracted + n_pop;
+  t.reused <- t.reused + !n_kept;
   t.stack <- !kept;
   (* [needed] now holds, per key, how many instances the kept prefix did
      not cover: assert exactly those, in input order. *)
@@ -242,7 +241,7 @@ let apply_delta t ~keys ~constraints =
           (match Simplex.assert_cons sx c with
           | Simplex.Feasible ->
             t.stack <- (k, c) :: t.stack;
-            t.stats.asserted <- t.stats.asserted + 1
+            t.asserted <- t.asserted + 1
           | Simplex.Infeasible tags ->
             Simplex.pop sx;
             conflict := Some tags)
@@ -274,7 +273,7 @@ let solve_session t ~int_vars ~keys ~constraints =
       Simplex.Unknown e)
 
 let solve t ?(int_vars = []) constraints =
-  t.stats.solves <- t.stats.solves + 1;
+  t.solves <- t.solves + 1;
   (* Constant constraints never reach the tableau (as in solve_system). *)
   let const_conflict =
     List.find_opt

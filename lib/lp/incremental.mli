@@ -17,13 +17,6 @@
 
 type t
 
-type stats = {
-  mutable solves : int;  (** calls to {!solve} *)
-  mutable asserted : int;  (** constraints pushed onto the stack *)
-  mutable retracted : int;  (** constraints popped off the stack *)
-  mutable reused : int;  (** constraints kept across consecutive solves *)
-}
-
 val create : ?budget:Absolver_resource.Budget.t -> unit -> t
 (** A fresh session. The [budget] governs every pivot for the session's
     lifetime. *)
@@ -39,8 +32,9 @@ val solve : t -> ?int_vars:Linexpr.var list -> Linexpr.cons list -> Simplex.verd
     Library boundary: budget exhaustion rolls the session back to a consistent state and returns [Unknown] —
     no exception escapes, and the session stays usable. *)
 
-val stats : t -> stats
-
 val counters : t -> (string * int) list
-(** Session counters in telemetry form: solves and asserted / retracted /
-    reused constraints. *)
+(** The session's work counters, cumulative since {!create}:
+    [lp.inc.solves] (calls to {!solve}), [lp.inc.asserted] /
+    [lp.inc.retracted] (constraints pushed onto / popped off the stack),
+    [lp.inc.reused] (constraints kept across consecutive solves) and
+    [lp.pivots] (the pivots of the session's tableau). *)

@@ -299,13 +299,6 @@ let assert_cons t (c : Linexpr.cons) =
     | Infeasible _ as r -> r
     | Feasible -> assert_bound t ~tag:c.tag x Upper (DR.of_rational rhs))
 
-(* Process-wide pivot total across every instance (including the
-   throwaway solvers inside [solve_system]), so callers that only see
-   verdicts can still attribute pivot work to their own phases by
-   differencing this counter. *)
-let global_pivots = Atomic.make 0
-let total_pivots () = Atomic.get global_pivots
-
 (* [r] minus its entry at position [p] (column being eliminated), plus
    [c] times [ry]: a sorted two-way merge, dropping exact cancellations.
    This is the inner loop of [pivot]; everything stays in flat arrays. *)
@@ -346,7 +339,6 @@ let row_subst r p c ry =
 (* Pivot basic x with nonbasic y (coefficient a = row(x)(y) <> 0). *)
 let pivot t x y =
   t.pivots <- t.pivots + 1;
-  Atomic.incr global_pivots;
   Budget.tick t.budget;
   let row_x = t.rows.(x) in
   let px = row_find row_x y in
@@ -563,7 +555,7 @@ let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
       constraints
   in
   match const_conflict with
-  | Some c -> Unsat [ c.tag ]
+  | Some c -> (Unsat [ c.tag ], 0)
   | None ->
     let constraints =
       List.filter (fun (c : Linexpr.cons) -> not (Linexpr.is_constant c.expr)) constraints
@@ -580,73 +572,76 @@ let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
         | Feasible -> assert_all rest
         | Infeasible tags -> Some tags)
     in
-    (match
-       Faults.hit "lp.solve_system" budget;
-       assert_all constraints
-     with
-    | exception Budget.Exhausted e -> Unknown e
-    | Some tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
-    | None -> (
-      (* Defensive node cap, kept alongside the caller's budget: a
-         reachable condition, so it degrades to a typed Unknown instead
-         of an escaped exception. *)
-      let bb_nodes = ref 200_000 in
-      (* Branch and bound on integer variables on top of rational check. *)
-      let rec bb () =
-        decr bb_nodes;
-        if !bb_nodes <= 0 then raise Bb_budget;
-        match check t with
-        | Infeasible tags -> Unsat tags
-        | Feasible -> (
-          let model = concrete_model t ~vars:structural in
-          let fractional =
-            List.find_opt
-              (fun v ->
-                List.mem v int_vars
-                &&
-                match List.assoc_opt v model with
-                | Some q -> not (Q.is_integer q)
-                | None -> false)
-              structural
-          in
-          match fractional with
-          | None -> Sat model
-          | Some v ->
-            let q = List.assoc v model in
-            let lo = Q.of_bigint (Q.floor q) and hi = Q.of_bigint (Q.ceil q) in
-            push t;
-            let left =
-              match assert_bound t ~tag:branch_tag v Upper (DR.of_rational lo) with
-              | Feasible -> bb ()
-              | Infeasible tags -> Unsat tags
+    let verdict =
+      match
+        Faults.hit "lp.solve_system" budget;
+        assert_all constraints
+      with
+      | exception Budget.Exhausted e -> Unknown e
+      | Some tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
+      | None -> (
+        (* Defensive node cap, kept alongside the caller's budget: a
+           reachable condition, so it degrades to a typed Unknown instead
+           of an escaped exception. *)
+        let bb_nodes = ref 200_000 in
+        (* Branch and bound on integer variables on top of rational check. *)
+        let rec bb () =
+          decr bb_nodes;
+          if !bb_nodes <= 0 then raise Bb_budget;
+          match check t with
+          | Infeasible tags -> Unsat tags
+          | Feasible -> (
+            let model = concrete_model t ~vars:structural in
+            let fractional =
+              List.find_opt
+                (fun v ->
+                  List.mem v int_vars
+                  &&
+                  match List.assoc_opt v model with
+                  | Some q -> not (Q.is_integer q)
+                  | None -> false)
+                structural
             in
-            pop t;
-            (match left with
-            | Sat _ | Unknown _ -> left
-            | Unsat tags_l -> (
+            match fractional with
+            | None -> Sat model
+            | Some v ->
+              let q = List.assoc v model in
+              let lo = Q.of_bigint (Q.floor q) and hi = Q.of_bigint (Q.ceil q) in
               push t;
-              let right =
-                match
-                  assert_bound t ~tag:branch_tag v Lower (DR.of_rational hi)
-                with
+              let left =
+                match assert_bound t ~tag:branch_tag v Upper (DR.of_rational lo) with
                 | Feasible -> bb ()
                 | Infeasible tags -> Unsat tags
               in
               pop t;
-              match right with
-              | Sat _ | Unknown _ -> right
-              | Unsat tags_r ->
-                Unsat
-                  (List.sort_uniq compare
-                     (List.filter (fun g -> g <> branch_tag) (tags_l @ tags_r))))))
-      in
-      match bb () with
-      | Sat model -> Sat model
-      | Unsat tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
-      | Unknown _ as u -> u
-      | exception Bb_budget ->
-        Unknown (Err.Out_of_budget Err.Steps)
-      | exception Budget.Exhausted e -> Unknown e))
+              (match left with
+              | Sat _ | Unknown _ -> left
+              | Unsat tags_l -> (
+                push t;
+                let right =
+                  match
+                    assert_bound t ~tag:branch_tag v Lower (DR.of_rational hi)
+                  with
+                  | Feasible -> bb ()
+                  | Infeasible tags -> Unsat tags
+                in
+                pop t;
+                match right with
+                | Sat _ | Unknown _ -> right
+                | Unsat tags_r ->
+                  Unsat
+                    (List.sort_uniq compare
+                       (List.filter (fun g -> g <> branch_tag) (tags_l @ tags_r))))))
+        in
+        match bb () with
+        | Sat model -> Sat model
+        | Unsat tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
+        | Unknown _ as u -> u
+        | exception Bb_budget ->
+          Unknown (Err.Out_of_budget Err.Steps)
+        | exception Budget.Exhausted e -> Unknown e)
+    in
+    (verdict, t.pivots)
 
 (* ------------------------------------------------------------------ *)
 (* Primal simplex optimization over the bounded-variable tableau.      *)

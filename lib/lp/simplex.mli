@@ -86,11 +86,7 @@ val concrete_model : t -> vars:Linexpr.var list -> (Linexpr.var * Q.t) list
     delta; valid for the current feasible assignment. *)
 
 val num_pivots : t -> int
-
-val total_pivots : unit -> int
-(** Process-wide cumulative pivot count over {e all} simplex instances
-    (including the internal ones built by {!solve_system}). Telemetry
-    snapshots this before/after a call to attribute pivots to a phase. *)
+(** Pivots this tableau has performed since {!create}. *)
 
 (** {1 One-shot solving} *)
 
@@ -105,8 +101,9 @@ val solve_system :
   ?int_vars:Linexpr.var list ->
   ?budget:Absolver_resource.Budget.t ->
   Linexpr.cons list ->
-  verdict
-(** Decide a conjunction of linear constraints. With [int_vars], a
+  verdict * int
+(** Decide a conjunction of linear constraints; the second component is
+    the number of pivots the call performed. With [int_vars], a
     branch-and-bound refinement additionally requires those variables to
     take integer values. This is a library boundary: exhaustion of the
     [budget] (or of the internal branch-and-bound node cap) returns

@@ -31,16 +31,16 @@ let default_config =
     seed = 0x5eed;
   }
 
-type stats = { nodes : int; prunings : int; max_depth : int }
+type stats = {
+  nodes : int;
+  prunings : int;
+  max_depth : int;
+  revisions : int;
+  newton_steps : int;
+}
 
-let empty_stats = { nodes = 0; prunings = 0; max_depth = 0 }
-
-let merge_stats a b =
-  {
-    nodes = a.nodes + b.nodes;
-    prunings = a.prunings + b.prunings;
-    max_depth = max a.max_depth b.max_depth;
-  }
+let empty_stats =
+  { nodes = 0; prunings = 0; max_depth = 0; revisions = 0; newton_steps = 0 }
 
 let pp_outcome fmt = function
   | Sat p ->
@@ -73,17 +73,33 @@ let certified_at rels p =
 let feasible_at ~tol rels p =
   List.for_all (fun rel -> Expr.holds_float ~tol (fun v -> p.(v)) rel) rels
 
-(* Contract univariate equalities with interval Newton. *)
-let newton_pass ?budget box rels =
-  List.iter
-    (fun (rel : Expr.rel) ->
-      if rel.Expr.op = Absolver_lp.Linexpr.Eq then
+(* Contract univariate equalities with interval Newton; returns the
+   steps taken. *)
+let newton_pass ~budget box rels =
+  List.fold_left
+    (fun steps (rel : Expr.rel) ->
+      if rel.Expr.op <> Absolver_lp.Linexpr.Eq then steps
+      else
         match Expr.vars rel.Expr.expr with
         | [ v ] ->
-          let x = Newton.contract ?budget rel.Expr.expr ~var:v (Box.get box v) in
-          Box.set box v x
-        | _ -> ())
-    rels
+          let x, n = Newton.contract ~budget rel.Expr.expr ~var:v (Box.get box v) in
+          Box.set box v x;
+          steps + n
+        | _ -> steps)
+    0 rels
+
+(* One node's contraction, in place: HC4, then Newton on a surviving box.
+   Returns whether the box survived, with the HC4 revisions and Newton
+   steps it cost. *)
+let contract_node config ~budget b rels =
+  let alive, revisions =
+    if config.use_hc4 then Hc4.contract ~budget b rels
+    else (not (Box.is_empty b), 0)
+  in
+  if not alive then (false, revisions, 0)
+  else
+    let steps = if config.use_newton then newton_pass ~budget b rels else 0 in
+    (not (Box.is_empty b), revisions, steps)
 
 exception Done of outcome
 
@@ -93,6 +109,7 @@ exception Done of outcome
 let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
     ~box rels =
   let nodes = ref 0 and prunings = ref 0 and max_depth = ref 0 in
+  let revisions = ref 0 and newton_steps = ref 0 in
   let candidate = ref None in
   let note_candidate p =
     if !candidate = None && feasible_at ~tol:config.tol rels p then
@@ -117,43 +134,38 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
           raise
             (Done (match !candidate with Some p -> Approx_sat p | None -> Unknown));
         if depth > !max_depth then max_depth := depth;
-        let alive =
-          if config.use_hc4 then Hc4.contract ~budget b rels
-          else not (Box.is_empty b)
-        in
+        let alive, r, s = contract_node config ~budget b rels in
+        revisions := !revisions + r;
+        newton_steps := !newton_steps + s;
         if not alive then incr prunings
         else begin
-          if config.use_newton then newton_pass ~budget b rels;
-          if Box.is_empty b then incr prunings
-          else begin
-            (* Whole-box certificate first, then midpoint certificate. *)
-            let p = Box.midpoint b in
-            if List.for_all (fun rel -> Expr.certainly_holds (Box.env b) rel) rels
-            then raise (Done (Sat p));
-            if certified_at rels p then raise (Done (Sat p));
-            note_candidate p;
-            (* Local search: random samples within the contracted box; a
-               rigorously certified sample ends the search, a tolerance
-               sample is recorded as candidate. *)
-            let n_samples =
-              if depth = 0 then max config.root_samples config.samples_per_node
-              else config.samples_per_node
-            in
-            for _ = 1 to n_samples do
-              let sp = sample_point rng b in
-              if certified_at rels sp then raise (Done (Sat sp));
-              note_candidate sp
-            done;
-            if Box.max_width b > config.eps && nvars > 0 then begin
-              let v = Box.widest_var b in
-              match I.split (Box.get b v) with
-              | exception Invalid_argument _ -> ()
-              | left, right ->
-                let b_left = Box.copy b and b_right = Box.copy b in
-                Box.set b_left v left;
-                Box.set b_right v right;
-                stack := (b_left, depth + 1) :: (b_right, depth + 1) :: !stack
-            end
+          (* Whole-box certificate first, then midpoint certificate. *)
+          let p = Box.midpoint b in
+          if List.for_all (fun rel -> Expr.certainly_holds (Box.env b) rel) rels
+          then raise (Done (Sat p));
+          if certified_at rels p then raise (Done (Sat p));
+          note_candidate p;
+          (* Local search: random samples within the contracted box; a
+             rigorously certified sample ends the search, a tolerance
+             sample is recorded as candidate. *)
+          let n_samples =
+            if depth = 0 then max config.root_samples config.samples_per_node
+            else config.samples_per_node
+          in
+          for _ = 1 to n_samples do
+            let sp = sample_point rng b in
+            if certified_at rels sp then raise (Done (Sat sp));
+            note_candidate sp
+          done;
+          if Box.max_width b > config.eps && nvars > 0 then begin
+            let v = Box.widest_var b in
+            match I.split (Box.get b v) with
+            | exception Invalid_argument _ -> ()
+            | left, right ->
+              let b_left = Box.copy b and b_right = Box.copy b in
+              Box.set b_left v left;
+              Box.set b_right v right;
+              stack := (b_left, depth + 1) :: (b_right, depth + 1) :: !stack
           end
         end
       done;
@@ -166,7 +178,14 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
          budget for the engine to report. *)
       (match !candidate with Some p -> Approx_sat p | None -> Unknown)
   in
-  (outcome, { nodes = !nodes; prunings = !prunings; max_depth = !max_depth })
+  ( outcome,
+    {
+      nodes = !nodes;
+      prunings = !prunings;
+      max_depth = !max_depth;
+      revisions = !revisions;
+      newton_steps = !newton_steps;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Parallel search (jobs > 1)                                          *)
@@ -199,7 +218,9 @@ let sample_chunk = 64
 let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
   let nodes = Atomic.make 0
   and prunings = Atomic.make 0
-  and max_depth = Atomic.make 0 in
+  and max_depth = Atomic.make 0
+  and revisions = Atomic.make 0
+  and newton_steps = Atomic.make 0 in
   let candidate = Atomic.make None in
   let note_candidate p =
     if
@@ -230,51 +251,46 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
       else begin
         Budget.tick ctx.budget;
         bump_max max_depth depth;
-        let alive =
-          if config.use_hc4 then Hc4.contract ~budget:ctx.budget b rels
-          else not (Box.is_empty b)
-        in
+        let alive, r, s = contract_node config ~budget:ctx.budget b rels in
+        ignore (Atomic.fetch_and_add revisions r);
+        ignore (Atomic.fetch_and_add newton_steps s);
         if not alive then Atomic.incr prunings
         else begin
-          if config.use_newton then newton_pass ~budget:ctx.budget b rels;
-          if Box.is_empty b then Atomic.incr prunings
+          let p = Box.midpoint b in
+          if
+            List.for_all
+              (fun rel -> Expr.certainly_holds (Box.env b) rel)
+              rels
+          then ctx.finish (Certificate p)
+          else if certified_at rels p then ctx.finish (Certificate p)
           else begin
-            let p = Box.midpoint b in
-            if
-              List.for_all
-                (fun rel -> Expr.certainly_holds (Box.env b) rel)
-                rels
-            then ctx.finish (Certificate p)
-            else if certified_at rels p then ctx.finish (Certificate p)
-            else begin
-              note_candidate p;
-              (* Root multistart already ran as [Sample] chunks, so every
-                 depth gets the per-node allowance only. *)
-              let n_samples = config.samples_per_node in
-              let rng = Random.State.make [| config.seed; path |] in
-              let stop = ref false in
-              for _ = 1 to n_samples do
-                if not !stop then begin
-                  let sp = sample_point rng b in
-                  if certified_at rels sp then begin
-                    ctx.finish (Certificate sp);
-                    stop := true
-                  end
-                  else note_candidate sp
+            note_candidate p;
+            (* Root multistart already ran as [Sample] chunks, so every
+               depth gets the per-node allowance only. *)
+            let n_samples = config.samples_per_node in
+            let rng = Random.State.make [| config.seed; path |] in
+            let stop = ref false in
+            for _ = 1 to n_samples do
+              if not !stop then begin
+                let sp = sample_point rng b in
+                if certified_at rels sp then begin
+                  ctx.finish (Certificate sp);
+                  stop := true
                 end
-              done;
-              if Box.max_width b > config.eps && nvars > 0 then begin
-                let v = Box.widest_var b in
-                match I.split (Box.get b v) with
-                | exception Invalid_argument _ -> ()
-                | left, right ->
-                  let b_left = Box.copy b and b_right = Box.copy b in
-                  Box.set b_left v left;
-                  Box.set b_right v right;
-                  ctx.push (Explore (b_left, depth + 1, (2 * path) land max_int));
-                  ctx.push
-                    (Explore (b_right, depth + 1, ((2 * path) + 1) land max_int))
+                else note_candidate sp
               end
+            done;
+            if Box.max_width b > config.eps && nvars > 0 then begin
+              let v = Box.widest_var b in
+              match I.split (Box.get b v) with
+              | exception Invalid_argument _ -> ()
+              | left, right ->
+                let b_left = Box.copy b and b_right = Box.copy b in
+                Box.set b_left v left;
+                Box.set b_right v right;
+                ctx.push (Explore (b_left, depth + 1, (2 * path) land max_int));
+                ctx.push
+                  (Explore (b_right, depth + 1, ((2 * path) + 1) land max_int))
             end
           end
         end
@@ -305,6 +321,8 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
       nodes = Atomic.get nodes;
       prunings = Atomic.get prunings;
       max_depth = Atomic.get max_depth;
+      revisions = Atomic.get revisions;
+      newton_steps = Atomic.get newton_steps;
     } )
 
 let solve ?(config = default_config) ?(budget = Budget.unlimited)

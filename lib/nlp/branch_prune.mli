@@ -37,15 +37,18 @@ type config = {
 
 val default_config : config
 
-type stats = { nodes : int; prunings : int; max_depth : int }
-(** Per-solve counters: each {!solve} call returns its own figures, so
-    concurrent solves never conflate them. *)
+type stats = {
+  nodes : int;
+  prunings : int;  (** boxes HC4 or Newton emptied *)
+  max_depth : int;
+  revisions : int;  (** HC4 revise passes *)
+  newton_steps : int;  (** interval Newton steps *)
+}
+(** Per-solve counters: each {!solve} call returns its own figures,
+    summed over every worker at [jobs > 1], so concurrent solves never
+    conflate them. *)
 
 val empty_stats : stats
-
-val merge_stats : stats -> stats -> stats
-(** Field-wise sum ([max] for [max_depth]); for callers that chain
-    several solver attempts into one logical nonlinear check. *)
 
 val solve :
   ?config:config ->

@@ -160,14 +160,7 @@ let required_of_op (op : Absolver_lp.Linexpr.op) =
   | Absolver_lp.Linexpr.Ge | Absolver_lp.Linexpr.Gt -> I.make 0.0 Float.infinity
   | Absolver_lp.Linexpr.Eq -> I.of_float 0.0
 
-(* Process-wide revision total; telemetry attributes contraction work to
-   phases by differencing it (see Simplex.total_pivots for the pattern).
-   Atomic: parallel branch-and-prune workers revise concurrently. *)
-let global_revisions = Atomic.make 0
-let total_revisions () = Atomic.get global_revisions
-
 let revise box (rel : Expr.rel) =
-  Atomic.incr global_revisions;
   match
     let ann = forward box rel.Expr.expr in
     backward box ann (required_of_op rel.Expr.op)
@@ -176,12 +169,17 @@ let revise box (rel : Expr.rel) =
   | exception Empty -> false
 
 let contract ?(max_rounds = 10) ?(budget = Budget.unlimited) box rels =
+  let revisions = ref 0 in
+  let revise_counted rel =
+    incr revisions;
+    revise box rel
+  in
   let rec loop round =
     if round >= max_rounds then true
     else begin
       Budget.tick budget;
       let before = Box.copy box in
-      let alive = List.for_all (fun rel -> revise box rel) rels in
+      let alive = List.for_all revise_counted rels in
       if not alive then false
       else if Box.volume_reduced ~from:before ~to_:box then loop (round + 1)
       else true
@@ -190,6 +188,9 @@ let contract ?(max_rounds = 10) ?(budget = Budget.unlimited) box rels =
   (* Contraction only narrows the box while preserving every solution, so
      stopping the fixpoint early is sound: report what is known so far.
      The budget's sticky trip reason lets the caller's own poll fire. *)
-  match loop 0 with
-  | alive -> alive
-  | exception Budget.Exhausted _ -> not (Box.is_empty box)
+  let alive =
+    match loop 0 with
+    | alive -> alive
+    | exception Budget.Exhausted _ -> not (Box.is_empty box)
+  in
+  (alive, !revisions)

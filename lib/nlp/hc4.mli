@@ -10,11 +10,6 @@
 
 module I = Absolver_numeric.Interval
 
-val total_revisions : unit -> int
-(** Process-wide cumulative count of {!revise} passes (including those
-    inside {!contract}); telemetry snapshots this before/after a call to
-    attribute contraction work to a phase. *)
-
 val revise : Box.t -> Expr.rel -> bool
 (** One forward-backward pass of a single constraint; narrows [box] in
     place. Returns [false] iff the box became empty (the constraint cannot
@@ -25,9 +20,10 @@ val contract :
   ?budget:Absolver_resource.Budget.t ->
   Box.t ->
   Expr.rel list ->
-  bool
+  bool * int
 (** Fixpoint of {!revise} over all constraints. Returns [false] iff the
-    box became empty. The [budget] is ticked once per fixpoint round;
-    exhaustion stops the fixpoint early (sound: contraction preserves all
-    solutions) and never escapes — the trip reason stays sticky in the
-    budget for the caller to observe. *)
+    box became empty, with the number of {!revise} passes the call made.
+    The [budget] is ticked once per fixpoint round; exhaustion stops the
+    fixpoint early (sound: contraction preserves all solutions) and never
+    escapes — the trip reason stays sticky in the budget for the caller
+    to observe. *)

@@ -1,14 +1,7 @@
 module I = Absolver_numeric.Interval
 module Budget = Absolver_resource.Budget
 
-(* Process-wide step total, differenced by telemetry (same pattern as
-   Simplex.total_pivots).  Atomic: parallel branch-and-prune workers run
-   Newton passes concurrently. *)
-let global_steps = Atomic.make 0
-let total_steps () = Atomic.get global_steps
-
 let step f ~var x =
-  Atomic.incr global_steps;
   if I.is_empty x then I.empty
   else begin
     let m = I.mid x in
@@ -27,10 +20,12 @@ let step f ~var x =
   end
 
 let contract ?(max_steps = 20) ?(budget = Budget.unlimited) f ~var x =
+  let steps = ref 0 in
   let rec loop i x =
     if i >= max_steps || I.is_empty x then x
     else begin
       Budget.tick budget;
+      incr steps;
       let x' = step f ~var x in
       if I.is_empty x' then x'
       else if I.width x' < 0.9 *. I.width x then loop (i + 1) x'
@@ -39,7 +34,8 @@ let contract ?(max_steps = 20) ?(budget = Budget.unlimited) f ~var x =
   in
   (* Each Newton step preserves all roots, so an early stop returns a
      sound (merely wider) enclosure; the trip stays sticky in the budget. *)
-  match loop 0 x with v -> v | exception Budget.Exhausted _ -> x
+  let x = match loop 0 x with v -> v | exception Budget.Exhausted _ -> x in
+  (x, !steps)
 
 let proves_root f ~var x =
   if I.is_empty x || not (Float.is_finite (I.width x)) then false

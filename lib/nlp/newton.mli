@@ -8,10 +8,6 @@
 
 module I = Absolver_numeric.Interval
 
-val total_steps : unit -> int
-(** Process-wide cumulative count of Newton {!step}s (including those
-    inside {!contract} and {!proves_root}), for telemetry differencing. *)
-
 val step : Expr.t -> var:int -> I.t -> I.t
 (** One Newton contraction step of [f = 0] on the interval; returns a
     (possibly empty) subinterval still containing all roots. *)
@@ -22,8 +18,9 @@ val contract :
   Expr.t ->
   var:int ->
   I.t ->
-  I.t
-(** Iterate {!step} until no further progress. The [budget] is ticked once
+  I.t * int
+(** Iterate {!step} until no further progress; returns the contracted
+    interval and the number of steps taken. The [budget] is ticked once
     per step; exhaustion returns the input interval unchanged (sound: every
     Newton step preserves all roots) and never escapes. *)
 

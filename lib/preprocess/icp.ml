@@ -7,24 +7,22 @@ module Faults = Absolver_resource.Faults
 
 let contract ?max_rounds ?(budget = Budget.unlimited) ~box rels =
   let b = Box.copy box in
-  let finish alive =
-    if not alive then `Empty
+  let finish (alive, revisions) =
+    if not alive then (`Empty, revisions)
     else begin
       let narrowed = ref 0 in
       Array.iteri
         (fun i iv -> if not (I.equal iv (Box.get b i)) then incr narrowed)
         box;
-      `Box (b, !narrowed)
+      (`Box (b, !narrowed), revisions)
     end
   in
   match
     Faults.hit "presolve.icp" budget;
-    match max_rounds with
-    | None -> Hc4.contract ~budget b rels
-    | Some r -> Hc4.contract ~max_rounds:r ~budget b rels
+    Hc4.contract ?max_rounds ~budget b rels
   with
-  | alive -> finish alive
+  | r -> finish r
   | exception Budget.Exhausted _ ->
     (* Contraction so far only narrowed [b] while preserving solutions;
        return the partial result. *)
-    finish (not (Box.is_empty b))
+    finish (not (Box.is_empty b), 0)

@@ -12,10 +12,11 @@ val contract :
   ?budget:Absolver_resource.Budget.t ->
   box:Box.t ->
   Expr.rel list ->
-  [ `Empty | `Box of Box.t * int ]
+  [ `Empty | `Box of Box.t * int ] * int
 (** Contract a copy of [box] with the HC4 fixpoint over [rels]. [`Empty]
     means the relations exclude every point of the box; [`Box (b, n)]
     returns the contracted box and the number of variables whose interval
-    strictly narrowed. Budget exhaustion stops the sweep early and returns
+    strictly narrowed. The second component counts the HC4 revise passes
+    the sweep made. Budget exhaustion stops the sweep early and returns
     the partially contracted box (sound: contraction preserves solutions);
     no exception escapes. *)

@@ -109,9 +109,6 @@ let observe srv name v =
 let set_gauge srv name v =
   Mutex.protect srv.tel_lock (fun () -> Telemetry.set_gauge srv.tel name v)
 
-let absorb_run_stats srv (rs : Engine.run_stats) =
-  if rs.Engine.budget_exhausted <> None then bump srv "server.budget_trips" 1
-
 (* ------------------------------------------------------------------ *)
 (* Per-request trace context                                           *)
 (*                                                                     *)
@@ -137,8 +134,8 @@ type req = {
    one executor worker domain (the lane serializes it), so the delta
    across the request is its own allocation. *)
 let allocated_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let minor, major = Engine.alloc_snapshot () in
+  minor +. major
 
 let begin_request srv ~op ~enqueued =
   let rq_trace_id = Telemetry.mint_trace_id () in
@@ -182,6 +179,12 @@ let log_slow srv rq ~verdict ~latency_ms ~(run_stats : Engine.run_stats option) 
           ("latency_ms", J.of_float latency_ms);
           ("budget", budget_outcome);
           ("trace_id", quoted rq.rq_trace_id);
+          (* this request's own work: its fork's counter totals *)
+          ( "counters",
+            J.obj
+              (List.map
+                 (fun (name, n) -> (name, string_of_int n))
+                 (Telemetry.counters rq.rq_tel)) );
         ]
     in
     Mutex.protect srv.slow_lock (fun () ->
@@ -207,7 +210,9 @@ let end_request srv rq ~verdict ~run_stats =
   Mutex.protect srv.tel_lock (fun () ->
       Telemetry.merge srv.tel rq.rq_tel;
       Telemetry.add srv.tel ("server." ^ rq.rq_op) 1);
-  (match run_stats with Some rs -> absorb_run_stats srv rs | None -> ());
+  (match run_stats with
+  | Some { Engine.budget_exhausted = Some _; _ } -> bump srv "server.budget_trips" 1
+  | _ -> ());
   log_slow srv rq ~verdict ~latency_ms ~run_stats
 
 (* Extra response fields when tracing is on: the keys to slice the

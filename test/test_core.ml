@@ -184,7 +184,8 @@ let test_engine_fig2 () =
   match A.Engine.solve p with
   | A.Engine.R_sat sol, stats ->
     check bool_t "verified" true (A.Solution.check p sol = Ok ());
-    check bool_t "examined >= 1 model" true (stats.A.Engine.bool_models >= 1)
+    check bool_t "examined >= 1 model" true
+      (A.Engine.counter stats "engine.bool_models" >= 1)
   | (A.Engine.R_unsat | A.Engine.R_unknown _), _ -> Alcotest.fail "fig2 sat"
 
 let test_engine_pure_boolean () =
@@ -213,7 +214,7 @@ c def real 2 u >= 2
     check bool_t "verified" true (A.Solution.check p sol = Ok ());
     check bool_t "var2 false" false sol.A.Solution.bools.(1);
     check bool_t "used conflicts or direct model" true
-      (stats.A.Engine.linear_conflicts >= 0)
+      (A.Engine.counter stats "engine.linear_conflicts" >= 0)
   | _ -> Alcotest.fail "sat expected"
 
 let test_engine_arith_unsat () =
@@ -242,7 +243,8 @@ c bound u 2.6 3.4
   in
   match A.Engine.solve (parse text) with
   | A.Engine.R_unsat, stats ->
-    check bool_t "branched" true (stats.A.Engine.eq_branches >= 2)
+    check bool_t "branched" true
+      (A.Engine.counter stats "engine.eq_branches" >= 2)
   | _ -> Alcotest.fail "unsat expected (no integer != 3 in [2.6, 3.4])"
 
 let test_engine_negated_equation_sat () =
@@ -287,7 +289,7 @@ let test_engine_count_models () =
     check int_t "count" 3 n;
     (* count_models now carries the run's stats like every entry point. *)
     check bool_t "stats examine at least n models" true
-      (stats.A.Engine.bool_models >= n)
+      (A.Engine.counter stats "engine.bool_models" >= n)
   | Error e -> Alcotest.fail e
 
 let test_engine_chaff_registry_agrees () =

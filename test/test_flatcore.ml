@@ -187,7 +187,7 @@ let test_csr_one_shot_vs_incremental () =
     let nvars = 2 + Random.State.int st 4 in
     let ncons = 2 + Random.State.int st 8 in
     let cs = List.init ncons (fun t -> rand_cons st nvars t) in
-    let one_shot = S.solve_system cs in
+    let one_shot = fst (S.solve_system cs) in
     let t = S.create () in
     S.ensure_vars t nvars;
     let rec assert_all = function
@@ -272,7 +272,7 @@ let test_csr_overflow_fallback () =
       { L.expr = L.of_list [ (Q.one, 1) ] Q.zero; op = L.Ge; tag = 3 };
     ]
   in
-  match S.solve_system cs with
+  match fst (S.solve_system cs) with
   | S.Sat model ->
     check bool_t "big-coefficient model is exact" true (holds_all cs model)
   | S.Unsat _ -> Alcotest.fail "expected sat"

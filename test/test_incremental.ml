@@ -143,7 +143,7 @@ let core_is_conflicting ~case ~int_vars constraints core =
   let subset =
     List.filter (fun (c : L.cons) -> List.mem c.L.tag core) constraints
   in
-  match Sx.solve_system ~int_vars subset with
+  match fst (Sx.solve_system ~int_vars subset) with
   | Sx.Unsat _ -> ()
   | Sx.Sat _ -> Alcotest.failf "case %d: returned core is satisfiable" case
   | Sx.Unknown _ -> Alcotest.failf "case %d: core re-check unknown" case
@@ -165,7 +165,7 @@ let test_lp_differential () =
         if Random.State.int st 3 = 0 then [ Random.State.int st nvars ] else []
       in
       let inc = Inc.solve session ~int_vars constraints in
-      let scratch = Sx.solve_system ~int_vars constraints in
+      let scratch = fst (Sx.solve_system ~int_vars constraints) in
       (match (inc, scratch) with
       | Sx.Sat m, Sx.Sat _ -> model_satisfies ~case:!case constraints m
       | Sx.Unsat core, Sx.Unsat _ ->
@@ -329,24 +329,24 @@ let test_delta_reuse () =
   (match Inc.solve s [ c1; c2; c3 ] with
   | Sx.Sat _ -> ()
   | _ -> Alcotest.fail "first query should be sat");
-  let st = Inc.stats s in
-  check int_t "asserted after q1" 3 st.Inc.asserted;
-  check int_t "retracted after q1" 0 st.Inc.retracted;
+  let count name = List.assoc ("lp.inc." ^ name) (Inc.counters s) in
+  check int_t "asserted after q1" 3 (count "asserted");
+  check int_t "retracted after q1" 0 (count "retracted");
   (* Shared bottom prefix c1,c2: only c3 is retracted, only c4 pushed. *)
   (match Inc.solve s [ c1; c2; c4 ] with
   | Sx.Sat _ -> ()
   | _ -> Alcotest.fail "second query should be sat");
-  check int_t "asserted after q2" 4 st.Inc.asserted;
-  check int_t "retracted after q2" 1 st.Inc.retracted;
-  check int_t "reused after q2" 2 st.Inc.reused;
+  check int_t "asserted after q2" 4 (count "asserted");
+  check int_t "retracted after q2" 1 (count "retracted");
+  check int_t "reused after q2" 2 (count "reused");
   (* Order-insensitivity: the same multiset in another order is a full
      prefix match — nothing asserted, nothing retracted. *)
   (match Inc.solve s [ c4; c2; c1 ] with
   | Sx.Sat _ -> ()
   | _ -> Alcotest.fail "third query should be sat");
-  check int_t "asserted after q3" 4 st.Inc.asserted;
-  check int_t "retracted after q3" 1 st.Inc.retracted;
-  check int_t "reused after q3" 5 st.Inc.reused
+  check int_t "asserted after q3" 4 (count "asserted");
+  check int_t "retracted after q3" 1 (count "retracted");
+  check int_t "reused after q3" 5 (count "reused")
 
 let test_delta_multiset () =
   (* Duplicate constraints are tracked as a multiset: dropping one copy
@@ -354,11 +354,11 @@ let test_delta_multiset () =
   let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
   ignore (Inc.solve s [ c1; c1 ]);
-  let st = Inc.stats s in
-  check int_t "two frames for two copies" 2 st.Inc.asserted;
+  let count name = List.assoc ("lp.inc." ^ name) (Inc.counters s) in
+  check int_t "two frames for two copies" 2 (count "asserted");
   ignore (Inc.solve s [ c1 ]);
-  check int_t "one copy retracted" 1 st.Inc.retracted;
-  check int_t "one copy reused" 1 st.Inc.reused
+  check int_t "one copy retracted" 1 (count "retracted");
+  check int_t "one copy reused" 1 (count "reused")
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: simplex checkpoint/rollback.                           *)
@@ -398,7 +398,8 @@ let test_run_stats_surface () =
   let p = random_linear_problem st in
   let _, stats = A.Engine.solve ~options:incremental_options p in
   check bool_t "session did work" true
-    (stats.A.Engine.lp_asserted > 0 || stats.A.Engine.linear_checks = 0);
+    (A.Engine.counter stats "lp.inc.asserted" > 0
+    || A.Engine.counter stats "engine.linear_checks" = 0);
   let json = A.Engine.run_stats_json stats in
   let contains sub =
     let n = String.length json and m = String.length sub in
@@ -407,11 +408,11 @@ let test_run_stats_surface () =
   in
   List.iter
     (fun key -> check bool_t key true (contains ("\"" ^ key ^ "\"")))
-    [ "lp_asserted"; "lp_retracted"; "lp_reused" ];
+    [ "lp.inc.asserted"; "lp.inc.retracted"; "lp.inc.reused" ];
   let scr, scr_stats = A.Engine.solve ~options:scratch_options p in
   ignore scr;
   check int_t "from-scratch run asserts nothing" 0
-    scr_stats.A.Engine.lp_asserted
+    (A.Engine.counter scr_stats "lp.inc.asserted")
 
 let suite =
   [

@@ -52,7 +52,7 @@ let test_negate_op () =
 (* ------------------------------------------------------------------ *)
 (* Simplex one-shot.                                                   *)
 
-let solve = S.solve_system
+let solve cs = fst (S.solve_system cs)
 
 let test_simplex_simple_sat () =
   (* x >= 1, x <= 3, x + y = 5, y >= 3  ->  x = 2..?, actually x in [1,2] *)
@@ -171,12 +171,12 @@ let test_simplex_integer_bb () =
       cons (L.of_list [ (q 1, 0) ] (Q.of_ints (-3) 2)) L.Le 1;
     ]
   in
-  (match S.solve_system ~int_vars:[ 0 ] cs with
+  (match fst (S.solve_system ~int_vars:[ 0 ] cs) with
   | S.Sat [ (0, v) ] -> check bool_t "x = 1" true (Q.equal v Q.one)
   | S.Sat _ | S.Unsat _ | S.Unknown _ -> Alcotest.fail "expected x=1");
   (* 2x = 1 has no integer solution. *)
   let cs2 = [ cons (L.of_list [ (q 2, 0) ] (Q.neg Q.one)) L.Eq 0 ] in
-  match S.solve_system ~int_vars:[ 0 ] cs2 with
+  match fst (S.solve_system ~int_vars:[ 0 ] cs2) with
   | S.Sat _ | S.Unknown _ -> Alcotest.fail "2x=1 has no integer solution"
   | S.Unsat _ -> ()
 

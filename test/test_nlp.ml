@@ -152,21 +152,21 @@ let test_hc4_sqrt_domain () =
   (* sqrt(x) >= 2 forces x >= 4. *)
   let b = Box.of_bounds [ (0, I.make 0.0 100.0) ] 1 in
   let rel = { E.expr = E.sub (E.sqrt x) (E.const (q 2)); op = L.Ge; tag = 0 } in
-  check bool_t "alive" true (Hc4.contract b [ rel ]);
+  check bool_t "alive" true (fst (Hc4.contract b [ rel ]));
   check bool_t "x >= 4" true ((Box.get b 0).I.lo >= 3.999)
 
 let test_hc4_exp_log_inverse () =
   (* exp(x) <= 1 forces x <= 0. *)
   let b = Box.of_bounds [ (0, I.make (-5.0) 5.0) ] 1 in
   let rel = { E.expr = E.sub (E.exp x) (E.const Q.one); op = L.Le; tag = 0 } in
-  check bool_t "alive" true (Hc4.contract b [ rel ]);
+  check bool_t "alive" true (fst (Hc4.contract b [ rel ]));
   check bool_t "x <= 0" true ((Box.get b 0).I.hi <= 1e-9)
 
 let test_hc4_pow_even_projection () =
   (* x^2 <= 4 narrows x to [-2,2]. *)
   let b = Box.of_bounds [ (0, I.make (-10.0) 10.0) ] 1 in
   let rel = { E.expr = E.sub (E.pow x 2) (E.const (q 4)); op = L.Le; tag = 0 } in
-  check bool_t "alive" true (Hc4.contract b [ rel ]);
+  check bool_t "alive" true (fst (Hc4.contract b [ rel ]));
   let iv = Box.get b 0 in
   check bool_t "narrowed" true (iv.I.lo >= -2.001 && iv.I.hi <= 2.001)
 
@@ -188,7 +188,7 @@ let test_hc4_never_loses_solutions () =
       { E.expr = E.sub e2 (E.const (Q.of_float (v2 -. 0.5))); op = L.Ge; tag = 1 }
     in
     let b = Box.of_bounds [ (0, I.make (-2.0) 2.0); (1, I.make (-2.0) 2.0) ] 2 in
-    let alive = Hc4.contract b [ r1; r2 ] in
+    let alive, _ = Hc4.contract b [ r1; r2 ] in
     if not (alive && I.mem px (Box.get b 0) && I.mem py (Box.get b 1)) then
       Alcotest.failf "lost solution (%f, %f)" px py
   done
@@ -199,14 +199,14 @@ let test_hc4_never_loses_solutions () =
 let test_newton_contracts_sqrt2 () =
   (* x^2 - 2 = 0 on [1, 2]. *)
   let f = E.sub (E.pow x 2) (E.const (q 2)) in
-  let iv = N.contract f ~var:0 (I.make 1.0 2.0) in
+  let iv, _ = N.contract f ~var:0 (I.make 1.0 2.0) in
   check bool_t "contains sqrt2" true (I.mem (Float.sqrt 2.0) iv);
   check bool_t "narrow" true (I.width iv < 0.5)
 
 let test_newton_no_root () =
   (* x^2 + 1 = 0 has no real root: the interval must empty out. *)
   let f = E.add (E.pow x 2) (E.const Q.one) in
-  let iv = N.contract f ~var:0 (I.make (-10.0) 10.0) in
+  let iv, _ = N.contract f ~var:0 (I.make (-10.0) 10.0) in
   check bool_t "no root left or tiny" true (I.is_empty iv || I.width iv < 21.0)
 
 let test_newton_proves_root () =

@@ -581,6 +581,78 @@ let test_traced_request_single_tree () =
   close_out_noerr oc;
   Sys.remove path
 
+(* The slow-query log carries each request's own counters: two clients
+   solving different Fischer unrollings concurrently (one reachable
+   deadline per request, the other unreachable) log exactly the
+   counters the same requests log alone. *)
+let test_slow_log_counters () =
+  let fischer quarters =
+    Sjson.to_string
+      (Sjson.Obj
+         [
+           ("id", Sjson.Num (float_of_int quarters));
+           ("op", Sjson.Str "solve");
+           ("format", Sjson.Str "smt1");
+           ( "problem",
+             Sjson.Str
+               (Absolver_smtlib.Ast.to_string
+                  (Fischer.benchmark
+                     ~property:(Fischer.Cs_within
+                       (Absolver_numeric.Rational.of_ints quarters 4))
+                     ~n:3 ())) );
+         ])
+  in
+  let sat = List.map fischer [ 9; 10; 11; 12 ]
+  and unsat = List.map fischer [ 2; 3; 4; 5 ] in
+  (* Each script on its own connection, pipelined; returns every
+     slow-log line's verdict and counters object. *)
+  let run scripts =
+    let path = Filename.temp_file "absolver_slow" ".jsonl" in
+    let oc = open_out path in
+    let config =
+      { (test_config ()) with Server.slow_log = Some oc; slow_ms = 0. }
+    in
+    with_server ~config (fun srv ->
+        let conns = List.map (fun _ -> connect srv) scripts in
+        List.iter2 (fun c script -> List.iter (send c) script) conns scripts;
+        List.iter2
+          (fun c script ->
+            List.iter (fun _ -> ignore (recv c)) script;
+            ignore (finish c))
+          conns scripts);
+    close_out oc;
+    let ic = open_in path in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    close_in ic;
+    Sys.remove path;
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          match field "counters" l with
+          | Some c -> Some (str_field "verdict" l, Sjson.to_string c)
+          | None -> Alcotest.failf "no counters in %s" l)
+      lines
+  in
+  let sat_alone = run [ sat ] and unsat_alone = run [ unsat ] in
+  let both = run [ sat; unsat ] in
+  let logged = Alcotest.(list (pair (option string) string)) in
+  let with_verdict v = List.filter (fun (v', _) -> v' = Some v) both in
+  check int_t "one line per request" 8 (List.length both);
+  check logged "sat client: same counters as alone" sat_alone
+    (with_verdict "sat");
+  check logged "unsat client: same counters as alone" unsat_alone
+    (with_verdict "unsat");
+  let pivots (_, c) =
+    match
+      Option.bind (Result.to_option (Sjson.parse c)) (Sjson.member "lp.pivots")
+    with
+    | Some (Sjson.Num n) -> n > 0.
+    | _ -> false
+  in
+  check bool_t "both clients pivot" true
+    (List.exists pivots sat_alone && List.exists pivots unsat_alone)
+
 let test_smt2_framing_over_connection () =
   with_server (fun srv ->
       let conn = connect srv in
@@ -861,6 +933,8 @@ let suite =
       test_metrics_op_prometheus;
     Alcotest.test_case "traced request is one connected tree" `Quick
       test_traced_request_single_tree;
+    Alcotest.test_case "slow log reports per-request counters" `Quick
+      test_slow_log_counters;
     Alcotest.test_case "smt2 framing over a connection" `Quick
       test_smt2_framing_over_connection;
     Alcotest.test_case "smt2: push/pop scoping" `Quick

@@ -248,15 +248,15 @@ let verdict = function
   | A.Engine.R_unsat -> "unsat"
   | A.Engine.R_unknown _ -> "unknown"
 
-let structural (st : A.Engine.run_stats) =
-  ( st.A.Engine.bool_models,
-    st.A.Engine.linear_checks,
-    st.A.Engine.linear_conflicts,
-    st.A.Engine.nonlinear_calls,
-    st.A.Engine.blocking_clauses,
-    st.A.Engine.eq_branches,
-    st.A.Engine.sat_decisions,
-    st.A.Engine.simplex_pivots )
+let structural = A.Engine.counters
+
+(* Every run-stats counter equals the same-named counter of the run's
+   own (fresh) telemetry handle. *)
+let check_agreement name tel st =
+  List.iter
+    (fun (counter, n) ->
+      check int_t (name ^ ": " ^ counter) n (T.counter tel counter))
+    (A.Engine.counters st)
 
 let test_on_off_equivalence () =
   List.iter
@@ -269,6 +269,7 @@ let test_on_off_equivalence () =
       let tel = T.create () in
       let r_on, st_on = solve tel in
       T.close tel;
+      check_agreement name tel st_on;
       check string_t (name ^ ": same verdict") (verdict r_off) (verdict r_on);
       check bool_t
         (name ^ ": same structural stats")
@@ -285,14 +286,22 @@ let test_all_models_equivalence () =
   let solve tel =
     let options = { A.Engine.default_options with A.Engine.telemetry = tel } in
     match A.Engine.all_models ~options (parse multi_text) with
-    | Ok (models, st) -> (List.length models, structural st)
+    | Ok (models, st) -> (List.length models, st)
     | Error e -> failwith e
   in
-  let off = solve T.disabled in
+  let n_off, st_off = solve T.disabled in
   let tel = T.create () in
-  let on = solve tel in
+  let n_on, st_on = solve tel in
   T.close tel;
-  check bool_t "all_models identical with telemetry on" true (off = on)
+  check_agreement "all_models" tel st_on;
+  check bool_t "all_models identical with telemetry on" true
+    ((n_off, structural st_off) = (n_on, structural st_on))
+
+(* A tiny solve's allocation is counted exactly, not only up to the last
+   minor collection. *)
+let test_tiny_solve_alloc () =
+  let _, st = A.Engine.solve (parse unsat_text) in
+  check bool_t "minor words counted" true (st.A.Engine.alloc_minor_words > 0.)
 
 (* ---- histograms ---- *)
 
@@ -529,12 +538,20 @@ let test_jobs4_trace_single_tree () =
   check bool_t "worker spans present" true
     (List.exists (fun sp -> sp.TT.sp_name = "pool.worker") (TT.spans t))
 
-(* Branch-and-prune node counts are per request: two domains solving
-   nonlinear problems concurrently, each into its own handle, must each
-   see exactly the nodes of their own runs. *)
+(* Work counters are per solve: a domain solving a problem repeatedly
+   counts the same work whether it runs alone or beside another domain,
+   and its telemetry handle agrees with its run stats. A Fischer
+   unrolling exercises the simplex, nonlinear problems branch-and-prune
+   (the univariate equality makes interval Newton step). *)
 let test_concurrent_node_counts () =
+  let fischer =
+    match Absolver_smtlib.Fischer.problem ~n:3 () with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
   let sphere_cap =
-    {|p cnf 1 1
+    parse
+      {|p cnf 1 1
 1 0
 c def real 1 x * x + y * y + z * z <= 1
 c def real 1 x + y + z >= 2
@@ -543,30 +560,67 @@ c bound y -2 2
 c bound z -2 2
 |}
   in
-  let ready = Atomic.make 0 in
-  let worker text () =
-    let p = parse text in
+  let sqrt2 =
+    parse
+      {|p cnf 1 1
+1 0
+c def real 1 x * x = 2
+c bound x -3 3
+|}
+  in
+  let names =
+    [ "lp.pivots"; "nlp.nodes"; "nlp.hc4_revisions"; "nlp.newton_steps" ]
+  in
+  (* Solve each problem 20 times into one fresh handle, once [ready]
+     reaches 2; returns each counter's telemetry total and run-stats sum. *)
+  let worker ready problems () =
     let tel = T.create () in
     let options = { A.Engine.default_options with A.Engine.telemetry = tel } in
     Atomic.incr ready;
     while Atomic.get ready < 2 do
       Domain.cpu_relax ()
     done;
-    let nodes = ref 0 in
-    for _ = 1 to 100 do
-      let _, st = A.Engine.solve ~options p in
-      nodes := !nodes + st.A.Engine.bp_nodes
+    let own = Hashtbl.create 4 in
+    for _ = 1 to 20 do
+      List.iter
+        (fun p ->
+          let _, st = A.Engine.solve ~options p in
+          List.iter
+            (fun n ->
+              Hashtbl.replace own n
+                (A.Engine.counter st n
+                + Option.value ~default:0 (Hashtbl.find_opt own n)))
+            names)
+        problems
     done;
-    (T.counter tel "nlp.nodes", !nodes)
+    List.map (fun n -> (n, (T.counter tel n, Hashtbl.find own n))) names
   in
-  let d1 = Domain.spawn (worker sphere_cap) in
-  let d2 = Domain.spawn (worker nonlinear_text) in
+  let alone problems = worker (Atomic.make 1) problems () in
+  let linear = [ fischer ] and nonlinear = [ sphere_cap; sqrt2 ] in
+  let linear_alone = alone linear and nonlinear_alone = alone nonlinear in
+  let ready = Atomic.make 0 in
+  let d1 = Domain.spawn (worker ready linear) in
+  let d2 = Domain.spawn (worker ready nonlinear) in
+  let linear_both = Domain.join d1 and nonlinear_both = Domain.join d2 in
   List.iter
-    (fun d ->
-      let counted, own = Domain.join d in
-      check bool_t "runs explored nodes" true (own > 0);
-      check int_t "nlp.nodes = own runs' bp_nodes" own counted)
-    [ d1; d2 ]
+    (fun (what, solo, both) ->
+      List.iter2
+        (fun (n, (tel_solo, own_solo)) (_, (tel_both, own_both)) ->
+          check int_t (what ^ " alone: telemetry = run stats, " ^ n) own_solo
+            tel_solo;
+          check int_t (what ^ " concurrent: telemetry = run stats, " ^ n)
+            own_both tel_both;
+          check int_t (what ^ ": concurrent = alone, " ^ n) tel_solo tel_both)
+        solo both)
+    [
+      ("fischer", linear_alone, linear_both);
+      ("nonlinear", nonlinear_alone, nonlinear_both);
+    ];
+  let total counts n = fst (List.assoc n counts) in
+  check bool_t "fischer pivots" true (total linear_alone "lp.pivots" > 0);
+  List.iter
+    (fun n -> check bool_t ("nonlinear " ^ n) true (total nonlinear_alone n > 0))
+    names
 
 let suite =
   [
@@ -583,6 +637,8 @@ let suite =
       test_on_off_equivalence;
     Alcotest.test_case "all_models: telemetry on/off equivalence" `Quick
       test_all_models_equivalence;
+    Alcotest.test_case "tiny solve counts its allocation" `Quick
+      test_tiny_solve_alloc;
     Alcotest.test_case "histogram basics" `Quick test_hist_basic;
     Alcotest.test_case "histogram bucket boundaries" `Quick
       test_hist_bucket_boundaries;
