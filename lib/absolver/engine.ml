@@ -125,7 +125,6 @@ let bp_counters =
        [
          (Some ("bp", "nodes"), "nlp.nodes", fun s -> s.nodes);
          (Some ("bp", "prunings"), "nlp.prunings", fun s -> s.prunings);
-         (None, "nlp.newton_steps", fun s -> s.newton_steps);
        ]
 
 let all_counters = Array.of_list (List.rev !declared)

@@ -96,8 +96,7 @@ val pp_result : Ab_problem.t -> Format.formatter -> result -> unit
     - [lp.pivots]: pivots of the linear checks and witness re-solves;
       [lp.inc.*]: the warm session's solves, and constraints asserted,
       retracted and reused across consecutive queries;
-    - [nlp.nodes], [nlp.prunings], [nlp.newton_steps]: branch-and-prune
-      work; [nlp.hc4_revisions]: HC4 revise passes, presolve's included. *)
+    - [nlp.nodes], [nlp.prunings]: branch-and-prune work; [nlp.hc4_revisions]: HC4 revise passes, presolve's included. *)
 
 type counts
 (** A run's counter store; read it with {!counter} or {!counters}. *)

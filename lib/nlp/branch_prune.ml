@@ -13,7 +13,6 @@ type config = {
   tol : float;
   max_nodes : int;
   use_hc4 : bool;
-  use_newton : bool;
   samples_per_node : int;
   root_samples : int;
   seed : int;
@@ -25,7 +24,6 @@ let default_config =
     tol = 1e-7;
     max_nodes = 200_000;
     use_hc4 = true;
-    use_newton = true;
     samples_per_node = 4;
     root_samples = 512;
     seed = 0x5eed;
@@ -36,11 +34,10 @@ type stats = {
   prunings : int;
   max_depth : int;
   revisions : int;
-  newton_steps : int;
 }
 
 let empty_stats =
-  { nodes = 0; prunings = 0; max_depth = 0; revisions = 0; newton_steps = 0 }
+  { nodes = 0; prunings = 0; max_depth = 0; revisions = 0 }
 
 let pp_outcome fmt = function
   | Sat p ->
@@ -73,33 +70,11 @@ let certified_at rels p =
 let feasible_at ~tol rels p =
   List.for_all (fun rel -> Expr.holds_float ~tol (fun v -> p.(v)) rel) rels
 
-(* Contract univariate equalities with interval Newton; returns the
-   steps taken. *)
-let newton_pass ~budget box rels =
-  List.fold_left
-    (fun steps (rel : Expr.rel) ->
-      if rel.Expr.op <> Absolver_lp.Linexpr.Eq then steps
-      else
-        match Expr.vars rel.Expr.expr with
-        | [ v ] ->
-          let x, n = Newton.contract ~budget rel.Expr.expr ~var:v (Box.get box v) in
-          Box.set box v x;
-          steps + n
-        | _ -> steps)
-    0 rels
-
-(* One node's contraction, in place: HC4, then Newton on a surviving box.
-   Returns whether the box survived, with the HC4 revisions and Newton
-   steps it cost. *)
+(* One node's contraction, in place: whether the box survived HC4, with
+   the revise passes it cost. *)
 let contract_node config ~budget b rels =
-  let alive, revisions =
-    if config.use_hc4 then Hc4.contract ~budget b rels
-    else (not (Box.is_empty b), 0)
-  in
-  if not alive then (false, revisions, 0)
-  else
-    let steps = if config.use_newton then newton_pass ~budget b rels else 0 in
-    (not (Box.is_empty b), revisions, steps)
+  if config.use_hc4 then Hc4.contract ~budget b rels
+  else (not (Box.is_empty b), 0)
 
 exception Done of outcome
 
@@ -109,7 +84,7 @@ exception Done of outcome
 let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
     ~box rels =
   let nodes = ref 0 and prunings = ref 0 and max_depth = ref 0 in
-  let revisions = ref 0 and newton_steps = ref 0 in
+  let revisions = ref 0 in
   let candidate = ref None in
   let note_candidate p =
     if !candidate = None && feasible_at ~tol:config.tol rels p then
@@ -134,9 +109,8 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
           raise
             (Done (match !candidate with Some p -> Approx_sat p | None -> Unknown));
         if depth > !max_depth then max_depth := depth;
-        let alive, r, s = contract_node config ~budget b rels in
+        let alive, r = contract_node config ~budget b rels in
         revisions := !revisions + r;
-        newton_steps := !newton_steps + s;
         if not alive then incr prunings
         else begin
           (* Whole-box certificate first, then midpoint certificate. *)
@@ -184,7 +158,6 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
       prunings = !prunings;
       max_depth = !max_depth;
       revisions = !revisions;
-      newton_steps = !newton_steps;
     } )
 
 (* ------------------------------------------------------------------ *)
@@ -219,8 +192,7 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
   let nodes = Atomic.make 0
   and prunings = Atomic.make 0
   and max_depth = Atomic.make 0
-  and revisions = Atomic.make 0
-  and newton_steps = Atomic.make 0 in
+  and revisions = Atomic.make 0 in
   let candidate = Atomic.make None in
   let note_candidate p =
     if
@@ -251,9 +223,8 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
       else begin
         Budget.tick ctx.budget;
         bump_max max_depth depth;
-        let alive, r, s = contract_node config ~budget:ctx.budget b rels in
+        let alive, r = contract_node config ~budget:ctx.budget b rels in
         ignore (Atomic.fetch_and_add revisions r);
-        ignore (Atomic.fetch_and_add newton_steps s);
         if not alive then Atomic.incr prunings
         else begin
           let p = Box.midpoint b in
@@ -322,7 +293,6 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
       prunings = Atomic.get prunings;
       max_depth = Atomic.get max_depth;
       revisions = Atomic.get revisions;
-      newton_steps = Atomic.get newton_steps;
     } )
 
 let solve ?(config = default_config) ?(budget = Budget.unlimited)

@@ -28,7 +28,6 @@ type config = {
   tol : float; (** feasibility tolerance for approximate answers *)
   max_nodes : int;
   use_hc4 : bool; (** ablation switch: contraction on/off *)
-  use_newton : bool; (** ablation switch: univariate interval Newton *)
   samples_per_node : int;
       (** random feasibility samples per box (IPOPT-style local search) *)
   root_samples : int; (** multistart samples at the root box *)
@@ -39,10 +38,9 @@ val default_config : config
 
 type stats = {
   nodes : int;
-  prunings : int;  (** boxes HC4 or Newton emptied *)
+  prunings : int;  (** boxes HC4 emptied *)
   max_depth : int;
   revisions : int;  (** HC4 revise passes *)
-  newton_steps : int;  (** interval Newton steps *)
 }
 (** Per-solve counters: each {!solve} call returns its own figures,
     summed over every worker at [jobs > 1], so concurrent solves never
@@ -68,7 +66,7 @@ val solve :
     histogram at every job count.
 
     The [budget] is ticked once per search node (and threaded into the HC4
-    and Newton contractors). Exhaustion degrades exactly like the node cap — [Approx_sat] with the
+    contractor). Exhaustion degrades exactly like the node cap — [Approx_sat] with the
     best candidate found so far, else [Unknown] — and never escapes as an
     exception; the typed reason stays sticky in the budget
     ({!Absolver_resource.Budget.tripped}).

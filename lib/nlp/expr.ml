@@ -201,23 +201,6 @@ let rec linearize = function
 
 let is_linear e = Option.is_some (linearize e)
 
-let rec deriv e v =
-  match e with
-  | Const _ -> Const Q.zero
-  | Var w -> if w = v then Const Q.one else Const Q.zero
-  | Neg e -> neg (deriv e v)
-  | Add (a, b) -> add (deriv a v) (deriv b v)
-  | Sub (a, b) -> sub (deriv a v) (deriv b v)
-  | Mul (a, b) -> add (mul (deriv a v) b) (mul a (deriv b v))
-  | Div (a, b) ->
-    div (sub (mul (deriv a v) b) (mul a (deriv b v))) (pow b 2)
-  | Pow (e, n) -> mul (mul (of_int n) (pow e (n - 1))) (deriv e v)
-  | Sqrt e -> div (deriv e v) (mul (of_int 2) (sqrt e))
-  | Exp e -> mul (exp e) (deriv e v)
-  | Log e -> div (deriv e v) e
-  | Sin e -> mul (cos e) (deriv e v)
-  | Cos e -> neg (mul (sin e) (deriv e v))
-
 let rec subst f e =
   match e with
   | Var v -> ( match f v with Some e' -> e' | None -> e)

@@ -71,9 +71,6 @@ val linearize : t -> Absolver_lp.Linexpr.t option
 
 val is_linear : t -> bool
 
-val deriv : t -> int -> t
-(** Symbolic partial derivative; used by the interval-Newton refinement. *)
-
 val subst : (int -> t option) -> t -> t
 
 (** {1 Relations}

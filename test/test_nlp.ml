@@ -1,11 +1,10 @@
-(* Tests for the nonlinear layer: Expr, Box, HC4, Newton, Branch_prune. *)
+(* Tests for the nonlinear layer: Expr, Box, HC4, Branch_prune. *)
 
 module Q = Absolver_numeric.Rational
 module I = Absolver_numeric.Interval
 module E = Absolver_nlp.Expr
 module Box = Absolver_nlp.Box
 module Hc4 = Absolver_nlp.Hc4
-module N = Absolver_nlp.Newton
 module BP = Absolver_nlp.Branch_prune
 module L = Absolver_lp.Linexpr
 
@@ -64,39 +63,6 @@ let test_expr_linearize () =
     check bool_t "coeff" true (Q.equal (L.coeff le 0) (q 2));
     check bool_t "const" true (Q.equal (L.const le) (q 7))
   | None -> Alcotest.fail "should linearize"
-
-let test_expr_deriv () =
-  (* d/dx (x^2 * y + sin x) = 2xy + cos x, checked numerically. *)
-  let e = E.add (E.mul (E.pow x 2) y) (E.sin x) in
-  let d = E.deriv e 0 in
-  let env v = if v = 0 then 1.3 else 2.7 in
-  let expected = (2.0 *. 1.3 *. 2.7) +. Float.cos 1.3 in
-  check (Alcotest.float 1e-9) "derivative" expected (E.eval_float env d)
-
-let test_expr_deriv_numeric_property () =
-  (* Finite differences agree with symbolic derivatives. *)
-  let exprs =
-    [
-      E.mul x y;
-      E.div x (E.add y (E.const (q 3)));
-      E.exp (E.mul (E.const (Q.of_decimal_string "0.3")) x);
-      E.sqrt (E.add (E.pow x 2) (E.const Q.one));
-      E.cos (E.mul x y);
-      E.log (E.add (E.pow y 2) (E.const (q 2)));
-    ]
-  in
-  List.iter
-    (fun e ->
-      let d = E.deriv e 0 in
-      let at x0 = E.eval_float (fun v -> if v = 0 then x0 else 0.7) in
-      let h = 1e-6 in
-      let numeric = (at (1.1 +. h) e -. at (1.1 -. h) e) /. (2.0 *. h) in
-      let symbolic = at 1.1 d in
-      if Float.abs (numeric -. symbolic) > 1e-4 *. (1.0 +. Float.abs symbolic)
-      then
-        Alcotest.failf "derivative mismatch: %s num=%f sym=%f" (E.to_string e)
-          numeric symbolic)
-    exprs
 
 let test_expr_negate_rel () =
   let r = { E.expr = x; op = L.Le; tag = 0 } in
@@ -192,26 +158,6 @@ let test_hc4_never_loses_solutions () =
     if not (alive && I.mem px (Box.get b 0) && I.mem py (Box.get b 1)) then
       Alcotest.failf "lost solution (%f, %f)" px py
   done
-
-(* ------------------------------------------------------------------ *)
-(* Newton.                                                             *)
-
-let test_newton_contracts_sqrt2 () =
-  (* x^2 - 2 = 0 on [1, 2]. *)
-  let f = E.sub (E.pow x 2) (E.const (q 2)) in
-  let iv, _ = N.contract f ~var:0 (I.make 1.0 2.0) in
-  check bool_t "contains sqrt2" true (I.mem (Float.sqrt 2.0) iv);
-  check bool_t "narrow" true (I.width iv < 0.5)
-
-let test_newton_no_root () =
-  (* x^2 + 1 = 0 has no real root: the interval must empty out. *)
-  let f = E.add (E.pow x 2) (E.const Q.one) in
-  let iv, _ = N.contract f ~var:0 (I.make (-10.0) 10.0) in
-  check bool_t "no root left or tiny" true (I.is_empty iv || I.width iv < 21.0)
-
-let test_newton_proves_root () =
-  let f = E.sub (E.pow x 2) (E.const (q 2)) in
-  check bool_t "existence certificate" true (N.proves_root f ~var:0 (I.make 1.3 1.5))
 
 (* ------------------------------------------------------------------ *)
 (* Branch and prune.                                                   *)
@@ -315,8 +261,6 @@ let suite =
     ("expr eval float", `Quick, test_expr_eval_float);
     ("expr eval exact", `Quick, test_expr_eval_exact);
     ("expr linearize", `Quick, test_expr_linearize);
-    ("expr derivative", `Quick, test_expr_deriv);
-    ("expr derivative vs finite differences", `Quick, test_expr_deriv_numeric_property);
     ("expr negate_rel", `Quick, test_expr_negate_rel);
     ("expr interval certificates", `Quick, test_expr_rel_certificates);
     ("box operations", `Quick, test_box_ops);
@@ -326,9 +270,6 @@ let suite =
     ("hc4 exp/log backward", `Quick, test_hc4_exp_log_inverse);
     ("hc4 even power backward", `Quick, test_hc4_pow_even_projection);
     ("hc4 preserves solutions", `Quick, test_hc4_never_loses_solutions);
-    ("newton contracts to sqrt2", `Quick, test_newton_contracts_sqrt2);
-    ("newton no real root", `Quick, test_newton_no_root);
-    ("newton existence certificate", `Quick, test_newton_proves_root);
     ("branch-prune circle/line sat", `Quick, test_bp_circle_line_sat);
     ("branch-prune circle/line unsat", `Quick, test_bp_circle_line_unsat);
     ("branch-prune sqrt2 equality", `Quick, test_bp_equality_sqrt2);

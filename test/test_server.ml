@@ -241,41 +241,58 @@ let test_differential_replay () =
           (List.combine served (vanilla_verdicts texts))
       done)
 
-(* Two clients interleaved request-by-request must answer exactly what
-   each gets on a private connection — the per-client session state
-   (warm tableau, interned variables) must not leak across lanes. *)
-let test_interleaved_clients_isolated () =
-  let mk_script seed =
-    let st = Random.State.make [| seed |] in
-    List.init 10 (fun _ -> gen_problem st)
+(* Concurrent clients must each answer exactly what they get on a
+   private connection: the per-client session state (warm tableau,
+   interned variables) must not leak across lanes.  With [threads] off
+   the clients take turns request by request on one thread; with it on,
+   each client runs on its own thread and pipelines its whole script
+   before reading any reply. *)
+let check_clients_isolated ~clients ~threads =
+  let n = 10 in
+  let scripts =
+    Array.init clients (fun c ->
+        let st = Random.State.make [| 11 + (12 * c) |] in
+        Array.init n (fun i -> solve_request (i + 1) (gen_problem st)))
   in
-  let script_a = mk_script 11 and script_b = mk_script 23 in
   let isolated script =
     with_server (fun srv ->
         let conn = connect srv in
-        let out =
-          List.mapi
-            (fun i t -> roundtrip conn (solve_request (i + 1) t))
-            script
-        in
+        let out = Array.map (roundtrip conn) script in
         ignore (finish conn);
         out)
   in
-  let iso_a = isolated script_a and iso_b = isolated script_b in
+  let expected = Array.map isolated scripts in
+  let got = Array.map (fun _ -> Array.make n "") scripts in
   with_server (fun srv ->
-      let ca = connect srv and cb = connect srv in
-      let got_a = ref [] and got_b = ref [] in
-      List.iteri
-        (fun i (ta, tb) ->
-          got_a := roundtrip ca (solve_request (i + 1) ta) :: !got_a;
-          got_b := roundtrip cb (solve_request (i + 1) tb) :: !got_b)
-        (List.combine script_a script_b);
-      ignore (finish ca);
-      ignore (finish cb);
-      check (Alcotest.list string_t) "client A unaffected by B" iso_a
-        (List.rev !got_a);
-      check (Alcotest.list string_t) "client B unaffected by A" iso_b
-        (List.rev !got_b))
+      let conns = Array.map (fun _ -> connect srv) scripts in
+      if threads then
+        Array.mapi
+          (fun c conn ->
+            Thread.create
+              (fun () ->
+                Array.iter (send conn) scripts.(c);
+                Array.iteri (fun i _ -> got.(c).(i) <- recv conn) scripts.(c))
+              ())
+          conns
+        |> Array.iter Thread.join
+      else
+        for i = 0 to n - 1 do
+          Array.iteri
+            (fun c conn -> got.(c).(i) <- roundtrip conn scripts.(c).(i))
+            conns
+        done;
+      Array.iter (fun conn -> ignore (finish conn)) conns);
+  Array.iteri
+    (fun c want ->
+      check
+        (Alcotest.array string_t)
+        (Printf.sprintf "%d clients: client %d unaffected by the others" clients c)
+        want got.(c))
+    expected
+
+let test_interleaved_clients_isolated () =
+  check_clients_isolated ~clients:2 ~threads:false;
+  check_clients_isolated ~clients:4 ~threads:true
 
 (* ------------------------------------------------------------------ *)
 (* Server behaviours: admission, timeouts, stats, smt2 framing.        *)

@@ -541,8 +541,8 @@ let test_jobs4_trace_single_tree () =
 (* Work counters are per solve: a domain solving a problem repeatedly
    counts the same work whether it runs alone or beside another domain,
    and its telemetry handle agrees with its run stats. A Fischer
-   unrolling exercises the simplex, nonlinear problems branch-and-prune
-   (the univariate equality makes interval Newton step). *)
+   unrolling exercises the simplex, the sphere cap and the univariate
+   equality branch-and-prune. *)
 let test_concurrent_node_counts () =
   let fischer =
     match Absolver_smtlib.Fischer.problem ~n:3 () with
@@ -568,9 +568,7 @@ c def real 1 x * x = 2
 c bound x -3 3
 |}
   in
-  let names =
-    [ "lp.pivots"; "nlp.nodes"; "nlp.hc4_revisions"; "nlp.newton_steps" ]
-  in
+  let names = [ "lp.pivots"; "nlp.nodes"; "nlp.hc4_revisions" ] in
   (* Solve each problem 20 times into one fresh handle, once [ready]
      reaches 2; returns each counter's telemetry total and run-stats sum. *)
   let worker ready problems () =
