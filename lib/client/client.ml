@@ -7,7 +7,7 @@
    connection is rebuilt from the command journal — the sequence of
    state-bearing commands the server has acknowledged, compacted under
    push/pop (popping a frame discards its commands instead of replaying
-   and re-popping them). *)
+   and re-popping them) — sent back as a single request. *)
 
 module Sjson = Absolver_server.Sjson
 module Io = Absolver_server.Io
@@ -268,28 +268,33 @@ let roundtrip t conn cmd =
     | Io.Frame_too_large -> Transport "oversized reply"
     | Io.Io_error m -> Transport ("read: " ^ m))
 
-(* Re-establish the server session on a fresh connection.  A transport
-   fault mid-replay abandons the connection (the caller backs off and
-   tries again from scratch); admission rejections retry in place. *)
+(* Re-establish the server session on a fresh connection.  The whole
+   journal goes out as one request (its replies are not transcript), so
+   a reconnect puts one frame each way on the network, however long the
+   session: under faults that strike frame by frame, a long journal
+   replayed command by command would rarely get through whole.  A
+   transport fault mid-replay abandons the connection (the caller backs
+   off and tries again from scratch); admission rejections retry in
+   place. *)
 let replay t conn =
-  let rec send cmd attempt =
-    match roundtrip t conn cmd with
-    | Replies _ ->
-      t.n_replayed <- t.n_replayed + 1;
-      Ok ()
-    | Rejected reason ->
-      if attempt >= t.cfg.max_attempts then Error ("replay rejected: " ^ reason)
-      else begin
-        Unix.sleepf (backoff_s t.cfg ~rng:t.rng ~attempt);
-        send cmd (attempt + 1)
-      end
-    | Transport reason -> Error ("replay: " ^ reason)
-  in
-  let rec go = function
-    | [] -> Ok conn
-    | cmd :: tl -> ( match send cmd 1 with Ok () -> go tl | Error _ as e -> e)
-  in
-  go (replay_list t)
+  match replay_list t with
+  | [] -> Ok conn
+  | cmds ->
+    let script = String.concat "\n" cmds in
+    let rec send attempt =
+      match roundtrip t conn script with
+      | Replies _ ->
+        t.n_replayed <- t.n_replayed + List.length cmds;
+        Ok conn
+      | Rejected reason ->
+        if attempt >= t.cfg.max_attempts then Error ("replay rejected: " ^ reason)
+        else begin
+          Unix.sleepf (backoff_s t.cfg ~rng:t.rng ~attempt);
+          send (attempt + 1)
+        end
+      | Transport reason -> Error ("replay: " ^ reason)
+    in
+    send 1
 
 let ensure_conn t =
   match t.conn with

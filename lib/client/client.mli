@@ -7,8 +7,8 @@
     invisible: every state-bearing command that succeeds is recorded in
     a {e command journal} (with push/pop scope compaction — a popped
     frame's commands are discarded, not replayed and re-popped), and a
-    reconnect transparently replays the journal before the pending
-    command is retried.  Under the chaos harness this yields
+    reconnect transparently replays the journal, as one request, before
+    the pending command is retried.  Under the chaos harness this yields
     byte-identical transcripts to a fault-free run.
 
     Transport faults — refused or torn connections, lost replies,

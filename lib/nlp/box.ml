@@ -41,13 +41,3 @@ let pp fmt b =
   Format.fprintf fmt " }"
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 I.equal a b
-
-let volume_reduced ~from ~to_ =
-  let improved = ref false in
-  Array.iteri
-    (fun v old ->
-      let nw = I.width to_.(v) and ow = I.width old in
-      if nw < 0.9 *. ow || (I.is_empty to_.(v) && not (I.is_empty old)) then
-        improved := true)
-    from;
-  !improved

@@ -25,6 +25,3 @@ val env : t -> int -> I.t
 val point_env : float array -> int -> I.t
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
-val volume_reduced : from:t -> to_:t -> bool
-(** True when [to_] is meaningfully smaller than [from] (used as the HC4
-    fixpoint test). *)

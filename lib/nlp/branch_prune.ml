@@ -51,30 +51,37 @@ let pp_outcome fmt = function
   | Unsat -> Format.pp_print_string fmt "unsat"
   | Unknown -> Format.pp_print_string fmt "unknown"
 
-(* Random points inside a box, for IPOPT-style local feasibility search.
-   Infinite box dimensions are sampled from a clamped window. *)
-let sample_point rng (b : Box.t) =
-  Array.map
-    (fun (iv : I.t) ->
-      if I.is_empty iv then 0.0
-      else
-        let lo = Float.max iv.I.lo (-1e6) and hi = Float.min iv.I.hi 1e6 in
-        if lo >= hi then I.mid iv
-        else lo +. (Random.State.float rng (hi -. lo)))
-    b
+(* Random points inside a box, for IPOPT-style local feasibility search,
+   drawn into [buf] (as long as the box). Infinite box dimensions are
+   sampled from a clamped window. *)
+let sample_point rng (b : Box.t) buf =
+  for v = 0 to Array.length b - 1 do
+    let iv = b.(v) in
+    buf.(v) <-
+      (if I.is_empty iv then 0.0
+       else
+         let lo = Float.max iv.I.lo (-1e6) and hi = Float.min iv.I.hi 1e6 in
+         if lo >= hi then I.mid iv
+         else lo +. Random.State.float rng (hi -. lo))
+  done
 
-(* Rigorous point certificate: interval evaluation at the degenerate box. *)
-let certified_at rels p =
-  List.for_all (fun rel -> Expr.certainly_holds (Box.point_env p) rel) rels
+(* What one search thread works with: the relations' tapes (shared), its
+   own HC4 scratch and its own sample buffer. *)
+type worker = { tapes : Hc4.t; scratch : Hc4.scratch; point : float array }
 
-let feasible_at ~tol rels p =
-  List.for_all (fun rel -> Expr.holds_float ~tol (fun v -> p.(v)) rel) rels
+let worker tapes (box : Box.t) =
+  { tapes; scratch = Hc4.scratch (); point = Array.make (Array.length box) 0.0 }
 
 (* One node's contraction, in place: whether the box survived HC4, with
    the revise passes it cost. *)
-let contract_node config ~budget b rels =
-  if config.use_hc4 then Hc4.contract ~budget b rels
+let contract_node config ~budget w b =
+  if config.use_hc4 then Hc4.contract ~budget ~scratch:w.scratch w.tapes b
   else (not (Box.is_empty b), 0)
+
+(* The certificates and the tolerance check, on the worker's tapes. *)
+let certified_box w b = Hc4.certified_box w.tapes w.scratch b
+let certified_at w p = Hc4.certified_at w.tapes w.scratch p
+let feasible_at config w p = Hc4.feasible_at ~tol:config.tol w.tapes w.scratch p
 
 exception Done of outcome
 
@@ -86,8 +93,9 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
   let nodes = ref 0 and prunings = ref 0 and max_depth = ref 0 in
   let revisions = ref 0 in
   let candidate = ref None in
+  let w = worker (Hc4.compile rels) box in
   let note_candidate p =
-    if !candidate = None && feasible_at ~tol:config.tol rels p then
+    if !candidate = None && feasible_at config w p then
       candidate := Some (Array.copy p)
   in
   let rng = Random.State.make [| config.seed |] in
@@ -109,15 +117,14 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
           raise
             (Done (match !candidate with Some p -> Approx_sat p | None -> Unknown));
         if depth > !max_depth then max_depth := depth;
-        let alive, r = contract_node config ~budget b rels in
+        let alive, r = contract_node config ~budget w b in
         revisions := !revisions + r;
         if not alive then incr prunings
         else begin
           (* Whole-box certificate first, then midpoint certificate. *)
           let p = Box.midpoint b in
-          if List.for_all (fun rel -> Expr.certainly_holds (Box.env b) rel) rels
-          then raise (Done (Sat p));
-          if certified_at rels p then raise (Done (Sat p));
+          if certified_box w b then raise (Done (Sat p));
+          if certified_at w p then raise (Done (Sat p));
           note_candidate p;
           (* Local search: random samples within the contracted box; a
              rigorously certified sample ends the search, a tolerance
@@ -126,9 +133,10 @@ let solve_seq ?(config = default_config) ?(budget = Budget.unlimited) ~nvars
             if depth = 0 then max config.root_samples config.samples_per_node
             else config.samples_per_node
           in
+          let sp = w.point in
           for _ = 1 to n_samples do
-            let sp = sample_point rng b in
-            if certified_at rels sp then raise (Done (Sat sp));
+            sample_point rng b sp;
+            if certified_at w sp then raise (Done (Sat (Array.copy sp)));
             note_candidate sp
           done;
           if Box.max_width b > config.eps && nvars > 0 then begin
@@ -194,11 +202,13 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
   and max_depth = Atomic.make 0
   and revisions = Atomic.make 0 in
   let candidate = Atomic.make None in
-  let note_candidate p =
-    if
-      Atomic.get candidate = None
-      && feasible_at ~tol:config.tol rels p
-    then
+  (* Tapes are built up front and then only read; each worker owns its
+     scratch and sample buffer. *)
+  let tapes = Hc4.compile rels in
+  Hc4.build_all tapes;
+  let workers = Array.init (max 1 jobs) (fun _ -> worker tapes box) in
+  let note_candidate w p =
+    if Atomic.get candidate = None && feasible_at config w p then
       (* First tolerance-feasible point wins; losing the CAS just means
          another worker already recorded one. *)
       ignore (Atomic.compare_and_set candidate None (Some (Array.copy p)))
@@ -208,14 +218,16 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
     if v > cur && not (Atomic.compare_and_set cell cur v) then bump_max cell v
   in
   let work (ctx : (par_item, par_fin) Pool.Frontier.ctx) item =
+    let w = workers.(ctx.worker) in
     match item with
     | Sample (b, count, chunk) ->
       Budget.tick ctx.budget;
       let rng = Random.State.make [| config.seed; chunk; 0x5a17 |] in
+      let sp = w.point in
       for _ = 1 to count do
-        let sp = sample_point rng b in
-        if certified_at rels sp then ctx.finish (Certificate sp)
-        else note_candidate sp
+        sample_point rng b sp;
+        if certified_at w sp then ctx.finish (Certificate (Array.copy sp))
+        else note_candidate w sp
       done
     | Explore (b, depth, path) ->
       let n = Atomic.fetch_and_add nodes 1 + 1 in
@@ -223,32 +235,29 @@ let solve_par ~(config : config) ~budget ~telemetry ~jobs ~nvars ~box rels =
       else begin
         Budget.tick ctx.budget;
         bump_max max_depth depth;
-        let alive, r = contract_node config ~budget:ctx.budget b rels in
+        let alive, r = contract_node config ~budget:ctx.budget w b in
         ignore (Atomic.fetch_and_add revisions r);
         if not alive then Atomic.incr prunings
         else begin
           let p = Box.midpoint b in
-          if
-            List.for_all
-              (fun rel -> Expr.certainly_holds (Box.env b) rel)
-              rels
-          then ctx.finish (Certificate p)
-          else if certified_at rels p then ctx.finish (Certificate p)
+          if certified_box w b then ctx.finish (Certificate p)
+          else if certified_at w p then ctx.finish (Certificate p)
           else begin
-            note_candidate p;
+            note_candidate w p;
             (* Root multistart already ran as [Sample] chunks, so every
                depth gets the per-node allowance only. *)
             let n_samples = config.samples_per_node in
             let rng = Random.State.make [| config.seed; path |] in
             let stop = ref false in
+            let sp = w.point in
             for _ = 1 to n_samples do
               if not !stop then begin
-                let sp = sample_point rng b in
-                if certified_at rels sp then begin
-                  ctx.finish (Certificate sp);
+                sample_point rng b sp;
+                if certified_at w sp then begin
+                  ctx.finish (Certificate (Array.copy sp));
                   stop := true
                 end
-                else note_candidate sp
+                else note_candidate w sp
               end
             done;
             if Box.max_width b > config.eps && nvars > 0 then begin

@@ -23,6 +23,7 @@ val div_down : float -> float -> float
 val div_up : float -> float -> float
 
 val widen_down : float -> float
-(** Step down unless the value is exact by construction (infinite). *)
+(** Step down unless the value is exact by construction (infinite):
+    {!next_down}, with [infinity] going to [max_float]. *)
 
 val widen_up : float -> float

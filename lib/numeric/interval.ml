@@ -13,6 +13,8 @@ let make lo hi =
   else if lo > hi then invalid_arg "Interval.make: lo > hi"
   else { lo; hi }
 
+let unsafe_make lo hi = { lo; hi }
+
 let of_float x =
   if Float.is_nan x then invalid_arg "Interval.of_float: nan" else { lo = x; hi = x }
 

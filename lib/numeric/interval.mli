@@ -13,6 +13,12 @@ type t = private { lo : float; hi : float }
 val make : float -> float -> t
 (** @raise Invalid_argument if [lo > hi] or an endpoint is nan. *)
 
+val unsafe_make : float -> float -> t
+(** No check at all. Only for code that computes endpoints with this
+    module's own operations, float for float, and must hand back exactly
+    the interval the operation would have returned (HC4's flat kernels):
+    the invariant then holds or fails exactly as it would have here. *)
+
 val of_float : float -> t
 (** Degenerate point interval. @raise Invalid_argument on nan. *)
 

@@ -19,7 +19,7 @@ let contract ?max_rounds ?(budget = Budget.unlimited) ~box rels =
   in
   match
     Faults.hit "presolve.icp" budget;
-    Hc4.contract ?max_rounds ~budget b rels
+    Hc4.contract ?max_rounds ~budget (Hc4.compile rels) b
   with
   | r -> finish r
   | exception Budget.Exhausted _ ->

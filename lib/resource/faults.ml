@@ -61,13 +61,16 @@ let hit point budget =
 (* ------------------------------------------------------------------ *)
 (* Network fault injection                                             *)
 (*                                                                     *)
-(* A seeded decision oracle for the solve server's read/write/accept   *)
+(* A seeded decision oracle for the solve server's read and write      *)
 (* paths.  This module only *decides* (tear here, delay that long,     *)
 (* drop now) — applying a decision (sleeping, shutting a socket down)  *)
-(* is the caller's job, so this library stays free of Unix.  All       *)
-(* draws come from one seeded PRNG behind a mutex: a chaos run is      *)
-(* reproducible up to thread interleaving, and the differential suite  *)
-(* asserts on transcripts, which are interleaving-independent.         *)
+(* is the caller's job, so this library stays free of Unix.  Every     *)
+(* decision draws from its own PRNG, seeded by the plan seed, the kind *)
+(* of operation and a digest of the frame it concerns.  A frame's      *)
+(* bytes are a function of its session alone (the client numbers its  *)
+(* requests, retries and replays included), so the same plan injects   *)
+(* the same faults into the same session however concurrent            *)
+(* connections interleave, and a run's injected totals reproduce.      *)
 (* ------------------------------------------------------------------ *)
 
 module Net = struct
@@ -98,21 +101,13 @@ module Net = struct
 
   let no_decision = { delay_ms = 0.0; tear_at = None; drop = false }
 
-  type state = { st : Random.State.t; mutable counts : (string * int) list }
+  type state = { plan : plan; mutable counts : (string * int) list }
 
   let lock = Mutex.create ()
   let state : state option ref = ref None
 
-  let arm plan =
-    Mutex.protect lock (fun () ->
-        state :=
-          Some { st = Random.State.make [| plan.seed; 0x6e657446 |]; counts = [] })
-
-  let plan_ref = ref default_plan
-
   let arm ?(plan = default_plan) () =
-    plan_ref := plan;
-    arm plan
+    Mutex.protect lock (fun () -> state := Some { plan; counts = [] })
 
   let disarm () = Mutex.protect lock (fun () -> state := None)
   let armed () = Mutex.protect lock (fun () -> !state <> None)
@@ -127,65 +122,71 @@ module Net = struct
     Mutex.protect lock (fun () ->
         match !state with Some s -> s.counts | None -> [])
 
-  let chance s p = p > 0.0 && Random.State.float s.st 1.0 < p
+  (* The decision stream of one operation ([kind]) on one frame. *)
+  let stream plan kind frame =
+    let d = Digest.string frame in
+    Random.State.make
+      [|
+        plan.seed;
+        kind;
+        Int64.to_int (String.get_int64_le d 0);
+        Int64.to_int (String.get_int64_le d 8);
+      |]
 
-  let delay_of s plan =
-    if chance s plan.delay then begin
+  let decide default f =
+    Mutex.protect lock (fun () ->
+        match !state with None -> default | Some s -> f s)
+
+  let chance st p = p > 0.0 && Random.State.float st 1.0 < p
+
+  let delay_of s st =
+    if chance st s.plan.delay then begin
       count s "delay";
-      Random.State.float s.st (Float.max 0.01 plan.max_delay_ms)
+      Random.State.float st (Float.max 0.01 s.plan.max_delay_ms)
     end
     else 0.0
 
-  (* Decision for one write of [len] bytes. *)
-  let on_write ~len =
-    Mutex.protect lock (fun () ->
-        match !state with
-        | None -> no_decision
-        | Some s ->
-          let plan = !plan_ref in
-          let delay_ms = delay_of s plan in
-          let tear_at =
-            if len > 1 && chance s plan.tear_write then begin
-              count s "tear";
-              Some (1 + Random.State.int s.st (len - 1))
-            end
-            else None
-          in
-          let drop =
-            if chance s plan.drop then begin
-              count s "drop_write";
-              true
-            end
-            else false
-          in
-          { delay_ms; tear_at; drop })
+  (* Decision for writing [frame]. *)
+  let on_write frame =
+    decide no_decision (fun s ->
+        let st = stream s.plan 0 frame and len = String.length frame in
+        let delay_ms = delay_of s st in
+        let tear_at =
+          if len > 1 && chance st s.plan.tear_write then begin
+            count s "tear";
+            Some (1 + Random.State.int st (len - 1))
+          end
+          else None
+        in
+        let drop =
+          if chance st s.plan.drop then begin
+            count s "drop_write";
+            true
+          end
+          else false
+        in
+        { delay_ms; tear_at; drop })
 
-  (* Decision for one read attempt. *)
-  let on_read () =
-    Mutex.protect lock (fun () ->
-        match !state with
-        | None -> no_decision
-        | Some s ->
-          let plan = !plan_ref in
-          let delay_ms = delay_of s plan in
+  (* Decision for [frame], just received and not yet handled.  A
+     connection's first frame may instead be refused: the connection is
+     severed before anything is answered, which its client cannot tell
+     from a refused accept. *)
+  let on_frame ~first frame =
+    decide no_decision (fun s ->
+        let st = stream s.plan 1 frame in
+        if first && chance st s.plan.refuse_accept then begin
+          count s "refuse_accept";
+          { no_decision with drop = true }
+        end
+        else begin
+          let delay_ms = delay_of s st in
           let drop =
-            if chance s plan.drop then begin
+            if chance st s.plan.drop then begin
               count s "drop_read";
               true
             end
             else false
           in
-          { delay_ms; tear_at = None; drop })
-
-  (* [true]: refuse (sever) this freshly accepted connection. *)
-  let on_accept () =
-    Mutex.protect lock (fun () ->
-        match !state with
-        | None -> false
-        | Some s ->
-          if chance s (!plan_ref).refuse_accept then begin
-            count s "refuse_accept";
-            true
-          end
-          else false)
+          { delay_ms; tear_at = None; drop }
+        end)
 end

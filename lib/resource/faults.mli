@@ -40,24 +40,29 @@ val hits : string -> int
 (** Observed hits of a point since the last {!disarm_all} (counted only
     while any point is armed). *)
 
-(** Seeded network fault injection for the solve server's read, write
-    and accept paths (DESIGN.md Sec. 15).
+(** Seeded network fault injection for the solve server's read and
+    write paths (DESIGN.md Sec. 15).
 
-    Unlike the solver points above, network faults are drawn from a
-    seeded PRNG with per-kind probabilities: torn frames (a write split
-    in two with a delay between the halves), delayed bytes, mid-frame
-    disconnects and refused accepts.  This module only {e decides};
-    applying a decision (sleeping, shutting a socket down) is the I/O
-    layer's job ({!Absolver_server.Io}), so this library stays free of
-    [Unix].  Disarmed, every query is one mutex-protected [None]
-    check. *)
+    Unlike the solver points above, network faults are drawn at random
+    with per-kind probabilities: torn frames (a write split in two with
+    a delay between the halves), delayed bytes, mid-frame disconnects
+    and refused connections.  Each decision draws from its own PRNG,
+    seeded by the plan seed, the kind of operation and the bytes of the
+    frame concerned; since a session's frames do not depend on other
+    sessions, the same plan injects the same faults into the same
+    session however concurrent connections interleave.  This module
+    only {e decides}; applying a decision (sleeping, shutting a socket
+    down) is the I/O layer's job ({!Absolver_server.Io}), so this library
+    stays free of [Unix].  Disarmed, every query is one mutex-protected
+    [None] check. *)
 module Net : sig
   type plan = {
-    seed : int;  (** PRNG seed; same seed = same decision stream *)
+    seed : int;  (** same seed, same frames = same decisions *)
     tear_write : float;  (** probability a write is split in two *)
     delay : float;  (** probability an operation is delayed *)
     drop : float;  (** probability the connection is severed mid-frame *)
-    refuse_accept : float;  (** probability a fresh accept is severed *)
+    refuse_accept : float;
+        (** probability a connection is severed at its first frame *)
     max_delay_ms : float;  (** injected delays are uniform in [0, max] *)
   }
 
@@ -77,14 +82,13 @@ module Net : sig
   val disarm : unit -> unit
   val armed : unit -> bool
 
-  val on_write : len:int -> decision
-  (** Decision for one write of [len] bytes. *)
+  val on_write : string -> decision
+  (** Decision for writing this frame. *)
 
-  val on_read : unit -> decision
-  (** Decision for one read attempt. *)
-
-  val on_accept : unit -> bool
-  (** [true]: sever this freshly accepted connection immediately. *)
+  val on_frame : first:bool -> string -> decision
+  (** Decision for a frame just read, before it is handled: [drop]
+      severs the connection and loses the frame.  [first] marks a
+      connection's first frame, which may be refused that way instead. *)
 
   val injected : unit -> (string * int) list
   (** Injected-event counts by kind ([tear], [delay], [drop_read],

@@ -12,8 +12,8 @@
      and reports a severed peer as a value, never as an exception;
    - both paths consult {!Absolver_resource.Faults.Net} when the chaos
      harness is armed, applying its seeded decisions (delays, torn
-     writes, mid-frame disconnects) at exactly the byte level a hostile
-     network would.
+     writes, mid-frame disconnects, refused connections) at exactly the
+     byte level a hostile network would.
 
    Every error is a value of {!event}; no exception escapes, so one
    connection's misbehaviour can never take down a sibling or the
@@ -63,6 +63,7 @@ type reader = {
   mutable last_activity : float;
   mutable frame_started : float option;  (* first byte of current frame *)
   mutable at_eof : bool;
+  mutable frames : int;  (* frames returned so far *)
 }
 
 let now () = Absolver_telemetry.Telemetry.Clock.now ()
@@ -81,6 +82,7 @@ let reader ?(limits = default_limits) ?(chaos = false)
     last_activity = now ();
     frame_started = None;
     at_eof = false;
+    frames = 0;
   }
 
 let touch r = r.last_activity <- now ()
@@ -91,17 +93,24 @@ let touch r = r.last_activity <- now ()
 let sever fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-let apply_read_chaos r =
+(* The chaos decision for a frame just read: maybe a delay, maybe a
+   severed connection that loses the frame (and anything buffered after
+   it). *)
+let frame_chaos r line =
+  let first = r.frames = 0 in
+  r.frames <- r.frames + 1;
   if r.chaos && Net.armed () then begin
-    let d = Net.on_read () in
+    let d = Net.on_frame ~first line in
     if d.Net.delay_ms > 0.0 then Unix.sleepf (d.Net.delay_ms /. 1000.0);
     if d.Net.drop then begin
       sever r.fd;
-      true
+      Buffer.clear r.buf;
+      r.at_eof <- true;
+      Eof
     end
-    else false
+    else Line line
   end
-  else false
+  else Line line
 
 (* Extract one complete line from [buf], if any.  [scanned] remembers
    how far previous calls already looked, so repeated reads of a long
@@ -138,7 +147,7 @@ let read_line r =
         if String.length line > r.limits.max_frame_bytes then Frame_too_large
         else begin
           touch r;
-          Line line
+          frame_chaos r line
         end
       | None ->
         if Buffer.length r.buf > r.limits.max_frame_bytes then Frame_too_large
@@ -164,9 +173,7 @@ let read_line r =
             | exception Unix.Unix_error (e, _, _) ->
               Io_error (Unix.error_message e)
             | [], _, _ -> go ()
-            | _ :: _, _, _ ->
-              if apply_read_chaos r then Eof
-              else begin
+            | _ :: _, _, _ -> (
                 match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
                 | exception
@@ -185,8 +192,7 @@ let read_line r =
                   touch r;
                   if r.frame_started = None then r.frame_started <- Some (now ());
                   Buffer.add_subbytes r.buf r.chunk 0 n;
-                  go ()
-              end
+                  go ())
           end
         end
   in
@@ -207,7 +213,7 @@ type write_error = Peer_closed | Write_error of string
    a delay between the halves, or sever the connection mid-frame. *)
 let write_all ?(chaos = false) fd s =
   let d =
-    if chaos && Net.armed () then Net.on_write ~len:(String.length s)
+    if chaos && Net.armed () then Net.on_write s
     else Net.no_decision
   in
   if d.Net.delay_ms > 0.0 then Unix.sleepf (d.Net.delay_ms /. 1000.0);

@@ -947,13 +947,6 @@ let serve_socket_bound srv ~path =
           loop ()
         | fd, _ ->
           if srv.stopping then (try Unix.close fd with Unix.Unix_error _ -> ())
-          else if Absolver_resource.Faults.Net.on_accept () then begin
-            (* chaos: the network refused this connection — the client
-               sees an immediate reset and is expected to retry *)
-            Io.sever fd;
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            loop ()
-          end
           else begin
             Mutex.protect srv.lock (fun () ->
                 srv.client_fds <- fd :: srv.client_fds);

@@ -173,35 +173,51 @@ let test_chaos_differential () =
   let h = start_socket_server path in
   let run cmds = run_session path chaos_client_config cmds in
   let reference = map_par 8 run scripts in
-  Faults.Net.arm
-    ~plan:
-      {
-        Faults.Net.default_plan with
-        Faults.Net.seed = 42;
-        max_delay_ms = 2.0;
-      }
-    ();
-  let chaotic =
-    match map_par 8 run scripts with
-    | r -> r
-    | exception e ->
-      Faults.Net.disarm ();
-      raise e
+  let chaos_pass () =
+    Faults.Net.arm
+      ~plan:
+        {
+          Faults.Net.default_plan with
+          Faults.Net.seed = 42;
+          max_delay_ms = 2.0;
+        }
+      ();
+    let chaotic =
+      match map_par 8 run scripts with
+      | r -> r
+      | exception e ->
+        Faults.Net.disarm ();
+        raise e
+    in
+    let injected = List.sort compare (Faults.Net.injected ()) in
+    Faults.Net.disarm ();
+    (chaotic, injected)
   in
-  let injected = Faults.Net.injected () in
-  Faults.Net.disarm ();
+  let check_transcripts chaotic =
+    List.iteri
+      (fun i (want, got) ->
+        if want <> got then
+          Alcotest.failf
+            "script %d: transcript diverged under chaos\nfault-free: %s\nchaos:      %s"
+            (i + 1)
+            (String.concat " | " want)
+            (String.concat " | " got))
+      (List.combine reference chaotic)
+  in
+  let chaotic, injected = chaos_pass () in
   let total_injected = List.fold_left (fun n (_, k) -> n + k) 0 injected in
   if total_injected = 0 then
     Alcotest.fail "chaos plan injected nothing — the harness is not wired";
-  List.iteri
-    (fun i (want, got) ->
-      if want <> got then
-        Alcotest.failf
-          "script %d: transcript diverged under chaos\nfault-free: %s\nchaos:      %s"
-          (i + 1)
-          (String.concat " | " want)
-          (String.concat " | " got))
-    (List.combine reference chaotic);
+  check_transcripts chaotic;
+  List.iter (fun (kind, n) -> Printf.printf "injected %s: %d\n" kind n) injected;
+  (* Every session draws its faults from its own frames, so a second
+     storm with the same plan hits the same sessions the same way,
+     whatever the thread interleaving. *)
+  let chaotic, injected' = chaos_pass () in
+  check_transcripts chaotic;
+  check
+    (Alcotest.list (Alcotest.pair string_t int_t))
+    "same plan, same injected faults" injected injected';
   (* the daemon took the whole storm without degrading *)
   (match List.assoc "health" (Server.health_fields h.h_srv) with
   | Sjson.Str s -> check string_t "health after chaos" "ok" s

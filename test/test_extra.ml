@@ -258,7 +258,7 @@ let test_hc4_max_rounds_terminates () =
     }
   in
   (* x/2 >= x over [0,1] forces x = 0; fixpoint takes many rounds. *)
-  let alive, _ = Absolver_nlp.Hc4.contract ~max_rounds:5 b [ rel ] in
+  let alive, _ = Absolver_nlp.Hc4.(contract ~max_rounds:5 (compile [ rel ]) b) in
   check bool_t "still alive" true alive;
   check bool_t "contracted toward zero" true ((Box.get b 0).I.hi < 1.0)
 

@@ -285,6 +285,44 @@ let test_float_ops () =
   check bool_t "overflow up" true
     (F.widen_up Float.neg_infinity = -.Float.max_float)
 
+(* The float-only step of [widen_down]/[widen_up] must land exactly where
+   the bit-pattern step does: every exponent with edge and random
+   mantissas, both signs, then random bit patterns. *)
+let test_widen_matches_bits () =
+  let reference_down x =
+    if x = Float.infinity then Float.max_float
+    else if x = Float.neg_infinity then x
+    else F.next_down x
+  and reference_up x =
+    if x = Float.neg_infinity then -.Float.max_float
+    else if x = Float.infinity then x
+    else F.next_up x
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let check_float x =
+    if not (same (F.widen_down x) (reference_down x) && same (F.widen_up x) (reference_up x))
+    then Alcotest.failf "widening differs at %h" x
+  in
+  let st = Random.State.make [| 53 |] in
+  for e = 0 to 2047 do
+    let mantissas =
+      [ 0L; 1L; 2L; 0x8000000000000L; 0x8000000000001L; 0xFFFFFFFFFFFFEL; 0xFFFFFFFFFFFFFL ]
+      @ List.init 20 (fun _ -> Random.State.int64 st 0x10000000000000L)
+    in
+    List.iter
+      (fun m ->
+        List.iter
+          (fun sign ->
+            check_float
+              (Int64.float_of_bits
+                 (Int64.logor sign (Int64.logor (Int64.shift_left (Int64.of_int e) 52) m))))
+          [ 0L; Int64.min_int ])
+      mantissas
+  done;
+  for _ = 1 to 200_000 do
+    check_float (Int64.float_of_bits (Random.State.bits64 st))
+  done
+
 let prop_directed_add =
   QCheck.Test.make ~name:"directed add brackets exact result" ~count:1000
     QCheck.(pair (float_range (-1e10) 1e10) (float_range (-1e10) 1e10))
@@ -410,6 +448,7 @@ let suite =
     ("delta ordering", `Quick, test_delta_ordering);
     ("delta concretize", `Quick, test_delta_concretize);
     ("float directed ops", `Quick, test_float_ops);
+    ("float widening matches the bit pattern", `Quick, test_widen_matches_bits);
     ("interval basics", `Quick, test_interval_basics);
     ("interval division by zero-containing", `Quick, test_interval_div_zero);
     ("interval pow", `Quick, test_interval_pow);
