@@ -341,10 +341,9 @@ module Relax = struct
         Linexpr.var (aux_for st e))
 end
 
-(* [lsolve] is the LP entry point for this enumeration: either a
-   persistent warm-started session or a from-scratch closure (see
-   [enumerate] below), each bumping its own pivots into [stats]; [None]
-   when no linear solver is registered. *)
+(* [lsolve] is the LP entry point for this enumeration (see [enumerate]
+   below), bumping its own work into [stats]; [None] when no linear
+   solver is registered. *)
 let check_model ~registry ~options ~stats ~pre ~lsolve problem
     (model : bool array) =
   let tel = options.telemetry in
@@ -629,36 +628,29 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
     (* Descending variable order (the projection is ascending): the
        solver watches the clause's first literals, so watches sit on the
        high (late-decided) variables and, with phase saving, consecutive
-       models flip late variables first — keeping the early prefix of the
-       arithmetic subsystem stable and the LP session's constraint delta
-       small. *)
+       models flip late variables first — so they differ in few literals
+       and the LP session's bound delta stays small. *)
     List.rev_map
       (fun v -> if solver_model.(v) then Types.neg_of_var v else Types.pos v)
       projection
   in
-  (* LP entry point for this whole enumeration: a persistent warm-started
-     session when the first linear solver provides one (and the option is
-     on), otherwise a from-scratch closure over [ls_solve]. Either way
-     each call's work lands in [stats] as it happens, even when the call
-     raises. *)
+  (* LP entry point for this whole enumeration: one warm session for
+     every check with [use_incremental], otherwise a new session per
+     check (the paper's restart per model). Either way each call's work
+     lands in [stats] as it happens, even when the call raises. *)
   let lsolve =
     match registry.Registry.linear with
-    | { Registry.ls_session = Some mk; _ } :: _ when options.use_incremental ->
-      let sess = mk ~budget:options.budget in
-      let absorb () = bump_named options stats (sess.Registry.lsess_counters ()) in
-      Some
-        (fun ~int_vars cons ->
-          Fun.protect ~finally:absorb (fun () ->
-              sess.Registry.lsess_solve ~int_vars cons))
-    | (ls : Registry.linear_solver) :: _ ->
-      Some
-        (fun ~int_vars cons ->
-          let v, pivots =
-            ls.Registry.ls_solve ~int_vars ~budget:options.budget cons
-          in
-          bump lp_pivots pivots;
-          v)
     | [] -> None
+    | ls :: _ ->
+      let acquire warm = ls.Registry.ls_session ~budget:options.budget ~warm in
+      let shared = if options.use_incremental then Some (acquire true) else None in
+      Some
+        (fun ~int_vars cons ->
+          let sess = match shared with Some s -> s | None -> acquire false in
+          Fun.protect
+            ~finally:(fun () ->
+              bump_named options stats (sess.Registry.lsess_counters ()))
+            (fun () -> sess.Registry.lsess_solve ~int_vars cons))
   in
   let block_clause ~reason block =
     bump blocking_clauses 1;
@@ -980,50 +972,34 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
             (Expr.linearize r.Expr.expr))
         pre.Preprocess.bound_rels
     in
-    (* With [use_incremental], one simplex lives across every
-       delta-valuation: the problem bounds are asserted permanently (no
-       open frame), each valuation's relations go into a checkpointed
-       frame that is rolled back afterwards, and every [maximize] warm
-       starts from the previous optimum's basis. *)
-    let persistent =
-      if options.use_incremental then begin
-        let sx = Absolver_lp.Simplex.create ~budget:options.budget () in
-        Absolver_lp.Simplex.ensure_vars sx nvars;
-        List.iter
-          (fun (c : Linexpr.cons) ->
-            ignore (Absolver_lp.Simplex.assert_cons sx c))
-          bound_cons;
-        Some sx
-      end
-      else None
+    (* A tableau holding the problem bounds permanently (no open frame).
+       With [use_incremental] one lives across every delta-valuation and
+       each [maximize] warm starts from the previous optimum's basis;
+       otherwise each valuation gets its own. Either way the valuation's
+       relations go into a frame rolled back afterwards. *)
+    let bounded_tableau () =
+      let sx = Simplex.create ~budget:options.budget () in
+      Simplex.ensure_vars sx nvars;
+      List.iter (fun c -> ignore (Simplex.assert_cons sx c)) bound_cons;
+      sx
     in
+    let shared = if options.use_incremental then Some (bounded_tableau ()) else None in
     let optimize_valuation (sol : Solution.t) =
-      (* Build (or reuse) this delta-valuation's linear system and
-         optimize it. The budgeted tableau may raise [Exhausted] out of
-         [maximize]; the surrounding [Budget.guard] is the boundary that
-         catches it (the [finally] first restores the session). *)
-      let simplex, restore =
-        match persistent with
-        | Some sx ->
-          let cp = Absolver_lp.Simplex.checkpoint sx in
-          Absolver_lp.Simplex.push sx;
-          (sx, fun () -> Absolver_lp.Simplex.rollback sx cp)
-        | None ->
-          let sx = Absolver_lp.Simplex.create ~budget:options.budget () in
-          Absolver_lp.Simplex.ensure_vars sx nvars;
-          List.iter
-            (fun (c : Linexpr.cons) ->
-              ignore (Absolver_lp.Simplex.assert_cons sx c))
-            bound_cons;
-          (sx, Fun.id)
+      (* The budgeted tableau may raise [Exhausted] out of [maximize]; the
+         surrounding [Budget.guard] is the boundary that catches it (the
+         [finally] first restores the shared tableau). *)
+      let simplex =
+        match shared with Some sx -> sx | None -> bounded_tableau ()
       in
-      Fun.protect ~finally:restore @@ fun () ->
+      let cp = Simplex.checkpoint simplex in
+      Simplex.push simplex;
+      Fun.protect ~finally:(fun () -> Simplex.rollback simplex cp) @@ fun () ->
       let add (r : Expr.rel) =
         match Expr.linearize r.Expr.expr with
         | None -> ()
         | Some le ->
           ignore
-            (Absolver_lp.Simplex.assert_cons simplex
+            (Simplex.assert_cons simplex
                { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
       in
       List.iter
@@ -1053,10 +1029,10 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
         | `Maximize -> objective
         | `Minimize -> Linexpr.neg objective
       in
-      match Absolver_lp.Simplex.maximize simplex obj with
-      | Absolver_lp.Simplex.O_infeasible _ -> ()
-      | Absolver_lp.Simplex.O_unbounded -> raise (Opt_stop Opt_unbounded)
-      | Absolver_lp.Simplex.O_optimal (value, model) ->
+      match Simplex.maximize simplex obj with
+      | Simplex.O_infeasible _ -> ()
+      | Simplex.O_unbounded -> raise (Opt_stop Opt_unbounded)
+      | Simplex.O_optimal (value, model) ->
         let value = Absolver_numeric.Delta_rational.r value in
         let value = match direction with `Maximize -> value | `Minimize -> Q.neg value in
         let better =

@@ -43,12 +43,13 @@ type options = {
           interval propagation) before search. On by default; off restores
           the exact pre-presolve behaviour (ablation switch). *)
   use_incremental : bool;
-      (** Route LP queries through one persistent warm-started simplex
-          session per enumeration (constraint-delta assert/retract over
-          a warm tableau) instead of solving each query from scratch. On by default; off ([CLI
-          --no-incremental]) restores the paper's restart-per-model
-          behaviour. Verdict-equivalent either way — only pivot counts
-          and wall time change. *)
+      (** Route every LP query of an enumeration through one warm
+          session ({!Registry.linear_solver}), which moves only the
+          bounds that changed since the previous query. On by default;
+          off ([CLI --no-incremental]) gives each query a new session,
+          the paper's restart per model. Verdict-equivalent either way —
+          only pivot counts and wall time change. [optimize] likewise
+          shares one tableau, or builds one per delta-valuation. *)
   telemetry : Absolver_telemetry.Telemetry.t;
       (** Observability handle. Disabled by default (no-op); an enabled
           handle records hierarchical spans over every phase of the
@@ -94,8 +95,8 @@ val pp_result : Ab_problem.t -> Format.formatter -> result -> unit
     - [presolve.*]: the {!Preprocess.stats} counts;
     - [sat.*]: CDCL work summed over every SAT call;
     - [lp.pivots]: pivots of the linear checks and witness re-solves;
-      [lp.inc.*]: the warm session's solves, and constraints asserted,
-      retracted and reused across consecutive queries;
+      [lp.inc.*]: the LP sessions' solves, and the bounds asserted,
+      retracted and reused across consecutive queries of one session;
     - [nlp.nodes], [nlp.prunings]: branch-and-prune work; [nlp.hc4_revisions]: HC4 revise passes, presolve's included. *)
 
 type counts

@@ -24,12 +24,7 @@ type linear_session = {
 
 type linear_solver = {
   ls_name : string;
-  ls_solve :
-    int_vars:int list ->
-    budget:Budget.t ->
-    Linexpr.cons list ->
-    linear_verdict * int;
-  ls_session : (budget:Budget.t -> linear_session) option;
+  ls_session : budget:Budget.t -> warm:bool -> linear_session;
 }
 
 type nonlinear_verdict =
@@ -79,25 +74,21 @@ let session_of s =
         delta);
   }
 
-let simplex_session ~budget = session_of (Incremental.create ~budget ())
-
-let solve_from_scratch ~int_vars ~budget constraints =
-  let verdict, pivots = Simplex.solve_system ~int_vars ~budget constraints in
-  (verdict_of_simplex verdict, pivots)
+let fresh_session ~budget = session_of (Incremental.create ~budget ())
 
 let simplex_solver =
   {
     ls_name = "simplex (COIN-like)";
-    ls_solve = solve_from_scratch;
-    ls_session = Some simplex_session;
+    ls_session = (fun ~budget ~warm:_ -> fresh_session ~budget);
   }
 
 (* A linear solver whose warm session outlives any single enumeration:
-   every [ls_session] acquisition returns the SAME underlying
+   every warm [ls_session] acquisition returns the SAME underlying
    [Incremental] session (created lazily, re-governed by the acquiring
    enumeration's budget), so consecutive solve requests from one server
-   client reuse the asserted constraints and the tableau basis across
-   requests.  Two invariants make this safe:
+   client reuse slack rows, bounds and the tableau basis across
+   requests.  A cold acquisition is a new session.  Two invariants make
+   this safe:
 
    - counters are delta'd per read ([session_of]), so the engine's
      per-run statistics see only the work of its own enumeration, never
@@ -117,17 +108,16 @@ let persistent_simplex () =
       session := Some s;
       s
   in
-  let mk ~budget =
-    let s = acquire () in
-    Incremental.set_budget s budget;
-    session_of s
+  let mk ~budget ~warm =
+    if warm then begin
+      let s = acquire () in
+      Incremental.set_budget s budget;
+      session_of s
+    end
+    else fresh_session ~budget
   in
   let solver =
-    {
-      ls_name = "simplex (COIN-like, persistent session)";
-      ls_solve = solve_from_scratch;
-      ls_session = Some mk;
-    }
+    { ls_name = "simplex (COIN-like, persistent session)"; ls_session = mk }
   in
   (solver, fun () -> session := None)
 

@@ -41,17 +41,14 @@ type linear_session = {
 
 type linear_solver = {
   ls_name : string;
-  ls_solve :
-    int_vars:int list ->
-    budget:Absolver_resource.Budget.t ->
-    Linexpr.cons list ->
-    linear_verdict * int;
-      (** The verdict, and the pivots the call performed (0 for a solver
-          that does not pivot). *)
-  ls_session : (budget:Absolver_resource.Budget.t -> linear_session) option;
-      (** When provided and the engine runs with [use_incremental], the
-          engine creates one session per enumeration and routes every LP
-          query through it instead of [ls_solve]. *)
+  ls_session : budget:Absolver_resource.Budget.t -> warm:bool -> linear_session;
+      (** Acquire a session governed by [budget]; the engine routes every
+          LP query through one. With [warm = false] the session must share
+          no state with any earlier one: the engine then acquires one per
+          check, which is the paper's restart per model
+          ([use_incremental = false]). With [warm = true] it acquires one
+          per enumeration, which may resume a session that outlives the
+          enumeration ({!persistent_simplex}). *)
 }
 (** Solver closures receive the engine's budget and must honour the
     no-escape contract: exhaustion is reported as [L_unknown] /
@@ -98,16 +95,17 @@ val lsat_solver : bool_solver
 
 val simplex_solver : linear_solver
 (** COIN stand-in: exact rational simplex with branch-and-bound for
-    integer variables. Provides an incremental session with a
-    warm-started tableau ({!Absolver_lp.Incremental}). *)
+    integer variables. Every acquisition is a new
+    {!Absolver_lp.Incremental} session. *)
 
 val persistent_simplex : unit -> linear_solver * (unit -> unit)
 (** A simplex whose warm session outlives any single enumeration: every
-    [ls_session] acquisition re-governs and returns the {e same}
+    warm [ls_session] acquisition re-governs and returns the {e same}
     underlying {!Absolver_lp.Incremental} session, so consecutive solve
-    requests reuse asserted constraints and the tableau basis across
-    requests — the solve server keeps one per
-    client connection.  Session counters are delta'd per read, so
+    requests reuse slack rows, bounds and the tableau basis across
+    requests — the solve server keeps one per client connection.  A
+    [warm = false] acquisition is a new session, as in
+    {!simplex_solver}.  Session counters are delta'd per read, so
     per-run statistics stay attributable.  The second component tears the
     warm session down (the server calls it on client disconnect; a later
     acquisition starts fresh).  Each call builds an independent session —

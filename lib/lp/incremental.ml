@@ -2,56 +2,77 @@ module Q = Absolver_numeric.Rational
 module DR = Absolver_numeric.Delta_rational
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
-module Err = Absolver_resource.Absolver_error
 
 type t = {
   simplex : Simplex.t;
   mutable budget : Budget.t;
-  (* The assertion stack, top-first: one simplex trail frame per entry,
-     so any suffix can be retracted independently of assertion order. *)
-  mutable stack : (string * Linexpr.cons) list;
   (* Variable interning. A one-shot tableau can lay out the caller's
      structural variables below its own slacks, but a persistent session
      cannot: a later call may introduce a structural index the tableau
      already handed to a slack row. Renaming every external variable
      through [Simplex.new_var] makes each tableau index either one
-     interned external variable or one slack, never both. The stack,
-     the tableau and branch-and-bound all live in internal indices; the
+     interned external variable or one slack, never both. Bounds, the
+     tableau and branch-and-bound all live in internal indices; the
      returned models stay external. *)
   ext2int : (int, int) Hashtbl.t;
   int2ext : (int, int) Hashtbl.t;
-  (* Interned image of each constraint, memoized by its canonical key:
-     the engine re-linearizes the same atoms on every Boolean model, so
-     re-walking [intern_cons] per solve would rebuild identical
-     expressions thousands of times. Two constraints with equal keys are
-     interchangeable (see [cons_key]), so replaying the memo is exact. *)
-  interned : (string, Linexpr.cons) Hashtbl.t;
-  (* Scratch for [cons_key] and [apply_delta]; reused across solves so
-     the per-query bookkeeping stays off the allocator. *)
-  keybuf : Buffer.t;
-  needed : (string, int) Hashtbl.t;
+  (* The slack of every multi-variable linear form seen so far, keyed by
+     its external coefficients, with the form's internal variables. A
+     single-variable atom bounds its variable directly and needs no
+     entry, so the table grows with the problem's linear forms, never
+     with the constants that queries (say, witness fixes) put on them. *)
+  forms : (int * int list) Linexpr.Form_tbl.t;
+  (* Scratch indexed by tableau variable, valid where the stamp equals
+     [query]: the bounds this query wants, and the variables it mentions. *)
+  mutable want_lo : Simplex.bound option array;
+  mutable want_hi : Simplex.bound option array;
+  mutable wanted_at : int array;
+  mutable mentioned_at : int array;
+  mutable query : int;
+  (* The variables the last applied query bounded. Outside [solve] the
+     trail is empty, so the tableau's bounds are exactly that query's. *)
+  mutable bounded : int list;
   (* Work counters, reported by [counters]. *)
   mutable solves : int;
-  mutable asserted : int;  (* constraints pushed onto the stack *)
-  mutable retracted : int;  (* constraints popped off it *)
-  mutable reused : int;  (* constraints kept across consecutive solves *)
+  mutable asserted : int;  (* bounds set that the previous query lacked *)
+  mutable retracted : int;  (* bounds of the previous query dropped *)
+  mutable reused : int;  (* bounds kept across consecutive queries *)
 }
 
 let create ?(budget = Budget.unlimited) () =
   {
     simplex = Simplex.create ~budget ();
     budget;
-    stack = [];
-    ext2int = Hashtbl.create 64;
-    int2ext = Hashtbl.create 64;
-    interned = Hashtbl.create 64;
-    keybuf = Buffer.create 256;
-    needed = Hashtbl.create 64;
+    ext2int = Hashtbl.create 16;
+    int2ext = Hashtbl.create 16;
+    forms = Linexpr.Form_tbl.create 16;
+    want_lo = [||];
+    want_hi = [||];
+    wanted_at = [||];
+    mentioned_at = [||];
+    query = 0;
+    bounded = [];
     solves = 0;
     asserted = 0;
     retracted = 0;
     reused = 0;
   }
+
+(* Make the scratch arrays cover tableau variable [x]. *)
+let reserve t x =
+  let cap = Array.length t.wanted_at in
+  if x >= cap then begin
+    let c = max (x + 1) (2 * cap) in
+    let ext a fill =
+      let b = Array.make c fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.want_lo <- ext t.want_lo None;
+    t.want_hi <- ext t.want_hi None;
+    t.wanted_at <- ext t.wanted_at 0;
+    t.mentioned_at <- ext t.mentioned_at 0
+  end
 
 let intern_var t v =
   match Hashtbl.find_opt t.ext2int v with
@@ -60,24 +81,22 @@ let intern_var t v =
     let i = Simplex.new_var t.simplex in
     Hashtbl.add t.ext2int v i;
     Hashtbl.add t.int2ext i v;
+    reserve t i;
     i
 
-let intern_cons t (c : Linexpr.cons) =
-  let expr =
-    List.fold_left
-      (fun acc (v, q) -> Linexpr.add_term acc q (intern_var t v))
-      (Linexpr.constant (Linexpr.const c.expr))
-      (Linexpr.coeffs c.expr)
-  in
-  { c with Linexpr.expr }
-
-let intern_memo t k c =
-  match Hashtbl.find_opt t.interned k with
-  | Some ic -> ic
+(* The slack of a multi-variable form, defined on first sight. *)
+let form_slack t coeffs =
+  match Linexpr.Form_tbl.find_opt t.forms coeffs with
+  | Some entry -> entry
   | None ->
-    let ic = intern_cons t c in
-    Hashtbl.add t.interned k ic;
-    ic
+    let vars = List.map (fun (v, _) -> intern_var t v) coeffs in
+    let expr =
+      Linexpr.of_list (List.map2 (fun (_, q) i -> (q, i)) coeffs vars) Q.zero
+    in
+    let s = Simplex.define t.simplex expr in
+    reserve t s;
+    Linexpr.Form_tbl.add t.forms coeffs (s, vars);
+    (s, vars)
 
 let extern_model t model =
   List.filter_map
@@ -103,198 +122,127 @@ let counters t =
     ("lp.pivots", Simplex.num_pivots t.simplex);
   ]
 
-(* Canonical identity of a constraint: tag, relation, sorted coefficient
-   list, constant. Two constraints with equal keys are interchangeable on
-   the stack, which is what lets the delta treat the inputs as a
-   multiset. *)
-let cons_key b (c : Linexpr.cons) =
-  Buffer.clear b;
-  Buffer.add_string b (string_of_int c.tag);
-  Buffer.add_char b '|';
-  Buffer.add_string b
-    (match c.op with
-    | Linexpr.Le -> "<="
-    | Linexpr.Lt -> "<"
-    | Linexpr.Ge -> ">="
-    | Linexpr.Gt -> ">"
-    | Linexpr.Eq -> "=");
-  Buffer.add_char b '|';
-  List.iter
-    (fun (v, q) ->
-      Buffer.add_string b (string_of_int v);
-      Buffer.add_char b ':';
-      Buffer.add_string b (Q.to_string q);
-      Buffer.add_char b ';')
-    (Linexpr.coeffs c.expr);
-  Buffer.add_char b '|';
-  Buffer.add_string b (Q.to_string (Linexpr.const c.expr));
-  Buffer.contents b
+let flip = function
+  | Linexpr.Le -> Linexpr.Ge
+  | Linexpr.Lt -> Linexpr.Gt
+  | Linexpr.Ge -> Linexpr.Le
+  | Linexpr.Gt -> Linexpr.Lt
+  | Linexpr.Eq -> Linexpr.Eq
 
-let branch_tag = -1
-let drop_branch_tag tags = List.filter (fun g -> g <> branch_tag) tags
+(* Record that this query wants [b] on [x]; the tightest bound of each
+   kind wins, and of equal ones the first in input order. *)
+let want t ~wanted x kind (b : Simplex.bound) =
+  if t.wanted_at.(x) <> t.query then begin
+    t.wanted_at.(x) <- t.query;
+    t.want_lo.(x) <- None;
+    t.want_hi.(x) <- None;
+    wanted := x :: !wanted
+  end;
+  match kind with
+  | Simplex.Lower -> (
+    match t.want_lo.(x) with
+    | Some c when DR.leq b.value c.value -> ()
+    | _ -> t.want_lo.(x) <- Some b)
+  | Simplex.Upper -> (
+    match t.want_hi.(x) with
+    | Some c when DR.leq c.value b.value -> ()
+    | _ -> t.want_hi.(x) <- Some b)
 
-exception Bb_budget
+let mention t ~mentioned x =
+  if t.mentioned_at.(x) <> t.query then begin
+    t.mentioned_at.(x) <- t.query;
+    mentioned := x :: !mentioned
+  end
 
-(* Branch-and-bound over [int_vars] on the persistent tableau; mirrors
-   the loop in [Simplex.solve_system] (same node cap, same branching
-   order) so the two paths stay verdict-equivalent. *)
-let branch_and_bound t ~int_vars ~structural =
-  let sx = t.simplex in
-  let bb_nodes = ref 200_000 in
-  let rec bb () =
-    decr bb_nodes;
-    if !bb_nodes <= 0 then raise Bb_budget;
-    match Simplex.check sx with
-    | Simplex.Infeasible tags -> Simplex.Unsat tags
-    | Simplex.Feasible -> (
-      let model = Simplex.concrete_model sx ~vars:structural in
-      let fractional =
-        List.find_opt
-          (fun v ->
-            List.mem v int_vars
-            &&
-            match List.assoc_opt v model with
-            | Some q -> not (Q.is_integer q)
-            | None -> false)
-          structural
-      in
-      match fractional with
-      | None -> Simplex.Sat model
-      | Some v ->
-        let q = List.assoc v model in
-        let lo = Q.of_bigint (Q.floor q) and hi = Q.of_bigint (Q.ceil q) in
-        Simplex.push sx;
-        let left =
-          match
-            Simplex.assert_bound sx ~tag:branch_tag v Simplex.Upper
-              (DR.of_rational lo)
-          with
-          | Simplex.Feasible -> bb ()
-          | Simplex.Infeasible tags -> Simplex.Unsat tags
-        in
-        Simplex.pop sx;
-        (match left with
-        | Simplex.Sat _ | Simplex.Unknown _ -> left
-        | Simplex.Unsat tags_l -> (
-          Simplex.push sx;
-          let right =
-            match
-              Simplex.assert_bound sx ~tag:branch_tag v Simplex.Lower
-                (DR.of_rational hi)
-            with
-            | Simplex.Feasible -> bb ()
-            | Simplex.Infeasible tags -> Simplex.Unsat tags
-          in
-          Simplex.pop sx;
-          match right with
-          | Simplex.Sat _ | Simplex.Unknown _ -> right
-          | Simplex.Unsat tags_r ->
-            Simplex.Unsat
-              (List.sort_uniq compare (drop_branch_tag (tags_l @ tags_r))))))
+(* Map a non-constant constraint [e op 0] to the bounds it puts on one
+   tableau variable: [a*x + c op 0] bounds [x] itself, any other form
+   bounds its slack. *)
+let add_atom t ~wanted ~mentioned (c : Linexpr.cons) =
+  let k = Linexpr.const c.expr in
+  let x, op, rhs =
+    match Linexpr.coeffs c.expr with
+    | [ (v, a) ] ->
+      let x = intern_var t v in
+      mention t ~mentioned x;
+      (x, (if Q.sign a < 0 then flip c.op else c.op), Q.div (Q.neg k) a)
+    | coeffs ->
+      let s, vars = form_slack t coeffs in
+      List.iter (mention t ~mentioned) vars;
+      (s, c.op, Q.neg k)
   in
-  bb ()
+  let at value = { Simplex.value; tag = c.tag } in
+  match op with
+  | Linexpr.Le -> want t ~wanted x Simplex.Upper (at (DR.of_rational rhs))
+  | Linexpr.Lt -> want t ~wanted x Simplex.Upper (at (DR.make rhs Q.minus_one))
+  | Linexpr.Ge -> want t ~wanted x Simplex.Lower (at (DR.of_rational rhs))
+  | Linexpr.Gt -> want t ~wanted x Simplex.Lower (at (DR.make rhs Q.one))
+  | Linexpr.Eq ->
+    want t ~wanted x Simplex.Lower (at (DR.of_rational rhs));
+    want t ~wanted x Simplex.Upper (at (DR.of_rational rhs))
 
-(* Map the new constraint multiset onto the assertion stack: keep the
-   longest bottom prefix whose entries all still occur in the new set,
-   pop everything above it, then push whatever the prefix does not yet
-   cover. Returns [Some tags] on an assertion-time conflict (with the
-   offending frame already popped, so the session stays consistent). *)
-let apply_delta t ~keys ~constraints =
-  let sx = t.simplex in
-  let needed = t.needed in
-  Hashtbl.clear needed;
-  List.iter
-    (fun k ->
-      Hashtbl.replace needed k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt needed k)))
-    keys;
-  let kept = ref [] in
-  let n_kept = ref 0 in
-  let broken = ref false in
-  List.iter
-    (fun ((k, _) as entry) ->
-      if not !broken then
-        match Hashtbl.find_opt needed k with
-        | Some n when n > 0 ->
-          Hashtbl.replace needed k (n - 1);
-          kept := entry :: !kept;
-          incr n_kept
-        | _ -> broken := true)
-    (List.rev t.stack);
-  let n_pop = List.length t.stack - !n_kept in
-  for _ = 1 to n_pop do
-    Simplex.pop sx
-  done;
-  t.retracted <- t.retracted + n_pop;
-  t.reused <- t.reused + !n_kept;
-  t.stack <- !kept;
-  (* [needed] now holds, per key, how many instances the kept prefix did
-     not cover: assert exactly those, in input order. *)
-  let conflict = ref None in
-  List.iter2
-    (fun k c ->
-      if !conflict = None then
-        match Hashtbl.find_opt needed k with
-        | Some n when n > 0 ->
-          Hashtbl.replace needed k (n - 1);
-          Simplex.push sx;
-          (match Simplex.assert_cons sx c with
-          | Simplex.Feasible ->
-            t.stack <- (k, c) :: t.stack;
-            t.asserted <- t.asserted + 1
-          | Simplex.Infeasible tags ->
-            Simplex.pop sx;
-            conflict := Some tags)
-        | _ -> ())
-    keys constraints;
-  !conflict
+let crossed t x =
+  match (t.want_lo.(x), t.want_hi.(x)) with
+  | Some l, Some u when DR.lt u.value l.value -> Some [ u.tag; l.tag ]
+  | _ -> None
 
-let solve_session t ~int_vars ~keys ~constraints =
+(* Move the tableau's depth-0 bounds from the last query's to this
+   one's. Every bound that loosens (or goes) is set before any that
+   tightens, so no variable's interval is ever crossed on the way. *)
+let apply t wanted =
   let sx = t.simplex in
-  match apply_delta t ~keys ~constraints with
-  | Some tags -> Simplex.Unsat (drop_branch_tag tags)
-  | None -> (
-    let structural =
-      List.sort_uniq compare
-        (List.concat_map
-           (fun (c : Linexpr.cons) -> Linexpr.vars c.expr)
-           constraints)
-    in
-    let cp = Simplex.checkpoint sx in
-    match branch_and_bound t ~int_vars ~structural with
-    | Simplex.Sat model -> Simplex.Sat model
-    | Simplex.Unsat tags -> Simplex.Unsat (drop_branch_tag tags)
-    | Simplex.Unknown _ as u -> u
-    | exception Bb_budget ->
-      Simplex.rollback sx cp;
-      Simplex.Unknown (Err.Out_of_budget Err.Steps)
-    | exception Budget.Exhausted e ->
-      Simplex.rollback sx cp;
-      Simplex.Unknown e)
+  let tighten = ref [] in
+  let change x kind (want : Simplex.bound option) =
+    let cur = Simplex.bound sx x kind in
+    match (cur, want) with
+    | None, None -> ()
+    | Some c, Some w when c.tag = w.tag && DR.equal c.value w.value ->
+      t.reused <- t.reused + 1
+    | _ ->
+      if Option.is_some cur then t.retracted <- t.retracted + 1;
+      if Option.is_some want then t.asserted <- t.asserted + 1;
+      let looser =
+        match (cur, want, kind) with
+        | _, None, _ -> true
+        | None, Some _, _ -> false
+        | Some c, Some w, Simplex.Lower -> DR.leq w.value c.value
+        | Some c, Some w, Simplex.Upper -> DR.leq c.value w.value
+      in
+      if looser then Simplex.set_bound sx x kind want
+      else tighten := (x, kind, want) :: !tighten
+  in
+  List.iter
+    (fun x ->
+      if t.wanted_at.(x) <> t.query then begin
+        change x Simplex.Lower None;
+        change x Simplex.Upper None
+      end)
+    t.bounded;
+  List.iter
+    (fun x ->
+      change x Simplex.Lower t.want_lo.(x);
+      change x Simplex.Upper t.want_hi.(x))
+    wanted;
+  List.iter (fun (x, kind, b) -> Simplex.set_bound sx x kind b) !tighten;
+  t.bounded <- wanted
 
 let solve t ?(int_vars = []) constraints =
   t.solves <- t.solves + 1;
-  (* Constant constraints never reach the tableau (as in solve_system). *)
-  let const_conflict =
-    List.find_opt
-      (fun (c : Linexpr.cons) ->
-        Linexpr.is_constant c.expr && not (Linexpr.holds (fun _ -> Q.zero) c))
-      constraints
-  in
-  match const_conflict with
-  | Some c -> Simplex.Unsat [ c.tag ]
-  | None -> (
-    let constraints =
-      List.filter
-        (fun (c : Linexpr.cons) -> not (Linexpr.is_constant c.expr))
-        constraints
-    in
-    let keys = List.map (cons_key t.keybuf) constraints in
+  match Simplex.screen constraints with
+  | Error tag -> Simplex.Unsat [ tag ]
+  | Ok constraints -> (
     try
       Faults.hit "lp.solve_system" t.budget;
-      let constraints = List.map2 (intern_memo t) keys constraints in
-      let int_vars = List.map (intern_var t) int_vars in
-      match solve_session t ~int_vars ~keys ~constraints with
-      | Simplex.Sat model -> Simplex.Sat (extern_model t model)
-      | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v
+      t.query <- t.query + 1;
+      let wanted = ref [] and mentioned = ref [] in
+      List.iter (add_atom t ~wanted ~mentioned) constraints;
+      let wanted = List.rev !wanted in
+      match List.find_map (crossed t) wanted with
+      | Some tags -> Simplex.Unsat tags
+      | None -> (
+        apply t wanted;
+        let int_vars = List.map (intern_var t) int_vars in
+        let vars = List.sort compare !mentioned in
+        match Simplex.decide t.simplex ~int_vars ~vars with
+        | Simplex.Sat model -> Simplex.Sat (extern_model t model)
+        | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v)
     with Budget.Exhausted e -> Simplex.Unknown e)

@@ -1,19 +1,26 @@
-(** Persistent, warm-started LP sessions for the DPLL(T) loop.
+(** Warm LP sessions: every linear check of the DPLL(T) loop.
 
-    The paper's control loop restarts the linear solver from scratch on
-    every Boolean candidate model; a session instead keeps one
-    {!Simplex.t} alive for the whole enumeration. Each call to {!solve}
-    maps the new constraint set onto the simplex assertion stack by
-    popping down to the longest still-valid prefix and pushing only the
-    missing constraints (one trail frame per constraint, so any one of
-    them can be retracted later), warm-starting every check from the
-    previous basis — pivots survive retraction because they preserve the
-    solution set.
+    The paper's control loop restarts the linear solver on every Boolean
+    candidate model. A session instead keeps one {!Simplex.t} alive and
+    lays it out the way Dutertre and de Moura's DPLL(T) simplex does:
 
-    Verdict-equivalent to {!Simplex.solve_system} by construction: the
-    same constant-constraint screening, the same branch-and-bound over
-    [int_vars], the same typed [Unknown] degradation on budget
-    exhaustion — only the tableau lifetime and pivot count differ. *)
+    - each atom (a linear constraint) is registered once, the first time
+      the session sees it. A multi-variable form gets a slack row,
+      shared by every atom over that form; an atom over one variable
+      bounds the variable itself and leaves nothing behind;
+    - each call to {!solve} is a set of bounds on those variables. Per
+      variable and kind the tightest wanted bound wins (the first in
+      input order among equal ones), and only the bounds that differ
+      from the previous call's are loosened or tightened. Order and
+      duplicates in the input do not matter;
+    - every check warm-starts from the previous basis, since pivots
+      preserve the solution set.
+
+    A fresh session per check is the paper's restart per model. Verdicts
+    match {!Simplex.solve_system}: the same constant-constraint
+    screening, the same branch-and-bound ({!Simplex.decide}), the same
+    typed [Unknown] on budget exhaustion. Models, cores and pivot counts
+    may differ. *)
 
 type t
 
@@ -22,19 +29,22 @@ val create : ?budget:Absolver_resource.Budget.t -> unit -> t
     lifetime. *)
 
 val set_budget : t -> Absolver_resource.Budget.t -> unit
-(** Swap the budget governing subsequent pivots. The warm tableau and the
-    assertion stack survive — this is how a long-lived per-client session
+(** Swap the budget governing subsequent pivots. The warm tableau and
+    its bounds survive — this is how a long-lived per-client session
     (the solve server's) is re-governed by each request's own deadline
     without losing its warm start. *)
 
 val solve : t -> ?int_vars:Linexpr.var list -> Linexpr.cons list -> Simplex.verdict
 (** Decide the conjunction, reusing tableau state from earlier calls.
-    Library boundary: budget exhaustion rolls the session back to a consistent state and returns [Unknown] —
-    no exception escapes, and the session stays usable. *)
+    A slack wanted below one bound and above another is [Unsat] with
+    those two tags before anything changes. Library boundary: budget
+    exhaustion rolls back branch-and-bound and returns [Unknown] — no
+    exception escapes, and the session stays usable. *)
 
 val counters : t -> (string * int) list
 (** The session's work counters, cumulative since {!create}:
     [lp.inc.solves] (calls to {!solve}), [lp.inc.asserted] /
-    [lp.inc.retracted] (constraints pushed onto / popped off the stack),
-    [lp.inc.reused] (constraints kept across consecutive solves) and
+    [lp.inc.retracted] (bounds set that the previous call lacked / bounds
+    of the previous call dropped; a changed bound counts once in each),
+    [lp.inc.reused] (bounds kept unchanged from the previous call) and
     [lp.pivots] (the pivots of the session's tableau). *)

@@ -54,6 +54,15 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+module Form_tbl = Hashtbl.Make (struct
+  type t = (var * Q.t) list
+
+  let equal = List.equal (fun (v, a) (w, b) -> v = w && Q.equal a b)
+
+  let hash =
+    List.fold_left (fun h (v, q) -> (h * 65599) + (v * 31) + Hashtbl.hash q) 0
+end)
+
 let pp ?(name = fun v -> Printf.sprintf "x%d" v) () fmt t =
   let first = ref true in
   IM.iter

@@ -33,6 +33,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : ?name:(var -> string) -> unit -> Format.formatter -> t -> unit
 
+module Form_tbl : Hashtbl.S with type key = (var * Q.t) list
+(** Tables keyed by a constant-free linear form, given as its {!coeffs}.
+    Rationals are canonical, so equal forms have equal keys. *)
+
 (** Comparison operators of linear constraints. *)
 type op = Le | Lt | Ge | Gt | Eq
 

@@ -55,7 +55,7 @@ type t = {
   mutable lower : bound option array;
   mutable upper : bound option array;
   mutable beta : DR.t array;
-  defs : (string, int) Hashtbl.t; (* canonical expression -> slack var *)
+  defs : int Linexpr.Form_tbl.t; (* constant-free linear form -> slack var *)
   mutable trail : (int * bound_kind * bound option) list list;
   mutable pivots : int;
   mutable budget : Budget.t;
@@ -75,7 +75,7 @@ let create ?(budget = Budget.unlimited) () =
     lower = Array.make 16 None;
     upper = Array.make 16 None;
     beta = Array.make 16 DR.zero;
-    defs = Hashtbl.create 16;
+    defs = Linexpr.Form_tbl.create 16;
     trail = [];
     pivots = 0;
     budget;
@@ -206,37 +206,25 @@ let eval_row t r =
   done;
   !acc
 
-let canonical_key terms =
-  let buf = Buffer.create 64 in
-  IM.iter
-    (fun v q ->
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Q.to_string q);
-      Buffer.add_char buf ';')
-    terms;
-  Buffer.contents buf
-
 let define t expr =
-  let terms =
-    List.fold_left (fun acc (v, q) -> IM.add v q acc) IM.empty (Linexpr.coeffs expr)
-  in
-  match IM.bindings terms with
+  match Linexpr.coeffs expr with
   | [ (v, q) ] when Q.equal q Q.one ->
     ensure_vars t (v + 1);
     v
-  | bindings ->
-    List.iter (fun (v, _) -> ensure_vars t (v + 1)) bindings;
-    let key = canonical_key terms in
-    (match Hashtbl.find_opt t.defs key with
+  | coeffs -> (
+    List.iter (fun (v, _) -> ensure_vars t (v + 1)) coeffs;
+    match Linexpr.Form_tbl.find_opt t.defs coeffs with
     | Some s -> s
     | None ->
+      let terms =
+        List.fold_left (fun acc (v, q) -> IM.add v q acc) IM.empty coeffs
+      in
       let s = new_var t in
       let row = row_of_im (expand t terms) in
       t.rows.(s) <- row;
       register_cols t s row;
       t.beta.(s) <- eval_row t row;
-      Hashtbl.add t.defs key s;
+      Linexpr.Form_tbl.add t.defs coeffs s;
       s)
 
 (* Adjust a nonbasic variable and propagate through dependent rows: only
@@ -298,6 +286,30 @@ let assert_cons t (c : Linexpr.cons) =
     match assert_bound t ~tag:c.tag x Lower (DR.of_rational rhs) with
     | Infeasible _ as r -> r
     | Feasible -> assert_bound t ~tag:c.tag x Upper (DR.of_rational rhs))
+
+let bound t x = function Lower -> t.lower.(x) | Upper -> t.upper.(x)
+
+(* Replace a bound outright, looser or tighter. The trail records only
+   what a frame changed, so a bound replaced under an open frame would be
+   restored to a stale value by [pop]: this is a depth-0 operation.
+   Refusing a crossed interval keeps every nonbasic variable inside its
+   bounds, which is what lets [update] place it like [assert_bound]
+   does. *)
+let set_bound t x kind b =
+  if t.trail <> [] then invalid_arg "Simplex.set_bound: a frame is open";
+  let lo, hi =
+    match kind with Lower -> (b, t.upper.(x)) | Upper -> (t.lower.(x), b)
+  in
+  (match (lo, hi) with
+  | Some l, Some u when DR.lt u.value l.value ->
+    invalid_arg "Simplex.set_bound: lower bound above upper bound"
+  | _ -> ());
+  (match kind with Lower -> t.lower.(x) <- b | Upper -> t.upper.(x) <- b);
+  if not (is_basic t x) then
+    match (lo, hi) with
+    | Some l, _ when DR.lt t.beta.(x) l.value -> update t x l.value
+    | _, Some u when DR.lt u.value t.beta.(x) -> update t x u.value
+    | _ -> ()
 
 (* [r] minus its entry at position [p] (column being eliminated), plus
    [c] times [ry]: a sorted two-way merge, dropping exact cancellations.
@@ -543,28 +555,92 @@ type verdict =
   | Unknown of Err.t
 
 let branch_tag = -1
+let drop_branch_tag tags = List.filter (fun g -> g <> branch_tag) tags
 
-exception Bb_budget
-
-let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
-  (* Constant constraints never reach the tableau. *)
-  let const_conflict =
+(* Constant constraints never reach the tableau. *)
+let screen constraints =
+  match
     List.find_opt
       (fun (c : Linexpr.cons) ->
         Linexpr.is_constant c.expr && not (Linexpr.holds (fun _ -> Q.zero) c))
       constraints
-  in
-  match const_conflict with
-  | Some c -> (Unsat [ c.tag ], 0)
+  with
+  | Some c -> Error c.tag
   | None ->
-    let constraints =
-      List.filter (fun (c : Linexpr.cons) -> not (Linexpr.is_constant c.expr)) constraints
-    in
+    Ok
+      (List.filter
+         (fun (c : Linexpr.cons) -> not (Linexpr.is_constant c.expr))
+         constraints)
+
+exception Bb_budget
+
+let decide t ~int_vars ~vars =
+  (* Defensive node cap, kept alongside the caller's budget: a reachable
+     condition, so it degrades to a typed Unknown instead of an escaped
+     exception. *)
+  let bb_nodes = ref 200_000 in
+  (* Branch and bound on integer variables on top of rational check;
+     every branch is a frame above the depth [decide] started at. *)
+  let rec bb () =
+    decr bb_nodes;
+    if !bb_nodes <= 0 then raise Bb_budget;
+    match check t with
+    | Infeasible tags -> Unsat tags
+    | Feasible -> (
+      let model = concrete_model t ~vars in
+      let fractional =
+        List.find_opt
+          (fun v ->
+            List.mem v int_vars
+            &&
+            match List.assoc_opt v model with
+            | Some q -> not (Q.is_integer q)
+            | None -> false)
+          vars
+      in
+      match fractional with
+      | None -> Sat model
+      | Some v -> (
+        let q = List.assoc v model in
+        let branch kind value =
+          push t;
+          let r =
+            match assert_bound t ~tag:branch_tag v kind (DR.of_rational value) with
+            | Feasible -> bb ()
+            | Infeasible tags -> Unsat tags
+          in
+          pop t;
+          r
+        in
+        match branch Upper (Q.of_bigint (Q.floor q)) with
+        | (Sat _ | Unknown _) as left -> left
+        | Unsat tags_l -> (
+          match branch Lower (Q.of_bigint (Q.ceil q)) with
+          | (Sat _ | Unknown _) as right -> right
+          | Unsat tags_r ->
+            Unsat (List.sort_uniq compare (drop_branch_tag (tags_l @ tags_r))))))
+  in
+  let cp = checkpoint t in
+  match bb () with
+  | Unsat tags -> Unsat (drop_branch_tag tags)
+  | (Sat _ | Unknown _) as v -> v
+  | exception Bb_budget ->
+    rollback t cp;
+    Unknown (Err.Out_of_budget Err.Steps)
+  | exception Budget.Exhausted e ->
+    rollback t cp;
+    Unknown e
+
+let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
+  match screen constraints with
+  | Error tag -> (Unsat [ tag ], 0)
+  | Ok constraints ->
     let t = create ~budget () in
-    let structural =
-      List.sort_uniq compare (List.concat_map (fun (c : Linexpr.cons) -> Linexpr.vars c.expr) constraints)
+    let vars =
+      List.sort_uniq compare
+        (List.concat_map (fun (c : Linexpr.cons) -> Linexpr.vars c.expr) constraints)
     in
-    (match structural with [] -> () | vs -> ensure_vars t (List.fold_left max 0 vs + 1));
+    (match vars with [] -> () | vs -> ensure_vars t (List.fold_left max 0 vs + 1));
     let rec assert_all = function
       | [] -> None
       | c :: rest -> (
@@ -578,68 +654,8 @@ let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
         assert_all constraints
       with
       | exception Budget.Exhausted e -> Unknown e
-      | Some tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
-      | None -> (
-        (* Defensive node cap, kept alongside the caller's budget: a
-           reachable condition, so it degrades to a typed Unknown instead
-           of an escaped exception. *)
-        let bb_nodes = ref 200_000 in
-        (* Branch and bound on integer variables on top of rational check. *)
-        let rec bb () =
-          decr bb_nodes;
-          if !bb_nodes <= 0 then raise Bb_budget;
-          match check t with
-          | Infeasible tags -> Unsat tags
-          | Feasible -> (
-            let model = concrete_model t ~vars:structural in
-            let fractional =
-              List.find_opt
-                (fun v ->
-                  List.mem v int_vars
-                  &&
-                  match List.assoc_opt v model with
-                  | Some q -> not (Q.is_integer q)
-                  | None -> false)
-                structural
-            in
-            match fractional with
-            | None -> Sat model
-            | Some v ->
-              let q = List.assoc v model in
-              let lo = Q.of_bigint (Q.floor q) and hi = Q.of_bigint (Q.ceil q) in
-              push t;
-              let left =
-                match assert_bound t ~tag:branch_tag v Upper (DR.of_rational lo) with
-                | Feasible -> bb ()
-                | Infeasible tags -> Unsat tags
-              in
-              pop t;
-              (match left with
-              | Sat _ | Unknown _ -> left
-              | Unsat tags_l -> (
-                push t;
-                let right =
-                  match
-                    assert_bound t ~tag:branch_tag v Lower (DR.of_rational hi)
-                  with
-                  | Feasible -> bb ()
-                  | Infeasible tags -> Unsat tags
-                in
-                pop t;
-                match right with
-                | Sat _ | Unknown _ -> right
-                | Unsat tags_r ->
-                  Unsat
-                    (List.sort_uniq compare
-                       (List.filter (fun g -> g <> branch_tag) (tags_l @ tags_r))))))
-        in
-        match bb () with
-        | Sat model -> Sat model
-        | Unsat tags -> Unsat (List.filter (fun g -> g <> branch_tag) tags)
-        | Unknown _ as u -> u
-        | exception Bb_budget ->
-          Unknown (Err.Out_of_budget Err.Steps)
-        | exception Budget.Exhausted e -> Unknown e)
+      | Some tags -> Unsat (drop_branch_tag tags)
+      | None -> decide t ~int_vars ~vars
     in
     (verdict, t.pivots)
 

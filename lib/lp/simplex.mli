@@ -6,10 +6,14 @@
     slack variables carry the linear forms, asserted constraints become
     bounds, and strict inequalities are handled with delta-rationals.
 
-    The incremental interface ({!assert_bound}, {!push}/{!pop}) serves the
-    tightly-integrated MathSAT-like baseline; the one-shot {!solve_system}
-    serves ABSOLVER's loosely-coupled control loop (which restarts the
-    linear solver per Boolean model, exactly as the paper describes). *)
+    Two layers use it. {!Incremental} sessions, which decide every linear
+    check of ABSOLVER's control loop, define each atom's slack once and
+    move its bounds with {!set_bound}, then run {!decide}. The one-shot
+    {!solve_system} builds a fresh tableau per call; it is the reference
+    the tests compare against, and it serves {!Conflict.minimal_core} and
+    the DPLL(T) baselines. The frame interface ({!assert_bound},
+    {!push}/{!pop}) serves branch-and-bound and the tightly-integrated
+    MathSAT-like baseline. *)
 
 module Q = Absolver_numeric.Rational
 module DR = Absolver_numeric.Delta_rational
@@ -42,6 +46,19 @@ val define : t -> Linexpr.t -> Linexpr.var
     Repeated definitions of the same expression share the slack. *)
 
 type bound_kind = Lower | Upper
+
+type bound = { value : DR.t; tag : int }
+(** An asserted bound and the tag of the constraint it came from. *)
+
+val bound : t -> Linexpr.var -> bound_kind -> bound option
+(** The variable's current bound of that kind. *)
+
+val set_bound : t -> Linexpr.var -> bound_kind -> bound option -> unit
+(** Replace a bound outright, looser, tighter or absent. A nonbasic
+    variable left outside its bounds moves onto the violated one, as in
+    {!assert_bound}; pivots are kept.
+    @raise Invalid_argument if a frame is open (the trail could not undo
+    the change) or if the new bound crosses the opposite one. *)
 
 val assert_bound : t -> tag:int -> Linexpr.var -> bound_kind -> DR.t -> result
 (** Tighten a bound. A [Lower] bound [c + delta] encodes [x > c]; an
@@ -96,6 +113,17 @@ type verdict =
   | Unknown of Absolver_resource.Absolver_error.t
       (** gave up: budget exhausted, cancellation, or the internal
           branch-and-bound node cap *)
+
+val screen : Linexpr.cons list -> (Linexpr.cons list, int) Stdlib.result
+(** Screen out constant constraints: [Error tag] names the first one
+    that is false, [Ok rest] keeps the non-constant ones in order. *)
+
+val decide : t -> int_vars:Linexpr.var list -> vars:Linexpr.var list -> verdict
+(** Run {!check} on the current bounds, then branch-and-bound until every
+    variable of [int_vars] among [vars] is integral; a [Sat] model covers
+    [vars]. Branches are frames above the current depth and are all
+    popped on return. Budget exhaustion or the 200k-node cap rolls those
+    frames back and returns [Unknown]. *)
 
 val solve_system :
   ?int_vars:Linexpr.var list ->

@@ -1,9 +1,9 @@
-(* The incremental DPLL(T) hot path: differential testing of the
-   persistent warm-started LP session against the from-scratch solver —
-   at the LP level (verdicts, models, conflict cores) and at the engine
-   level (solve, all_models, budget pressure, parallel nonlinear jobs) —
-   plus unit tests for the delta computation and the simplex
-   checkpoint/rollback API. *)
+(* The incremental DPLL(T) hot path: differential testing of the warm
+   LP session against the one-shot solver at the LP level (verdicts,
+   models, conflict cores, budget trips mid-query) and of warm against
+   per-check sessions at the engine level (solve, all_models, budget
+   pressure, parallel nonlinear jobs), plus unit tests for the bound
+   delta, the session's size and the simplex checkpoint/rollback API. *)
 
 module A = Absolver_core
 module E = Absolver_nlp.Expr
@@ -41,7 +41,9 @@ let random_cons st ~nvars ~tag =
   { L.expr = !expr; op; tag }
 
 (* A pool of constraints plus box bounds keeping systems bounded; the
-   box rows make most subsets feasible enough to exercise warm starts. *)
+   box rows make most subsets feasible enough to exercise warm starts.
+   Every other atom is over one of a few shared linear forms, with its
+   own constant and operator, so several atoms bound the same slack. *)
 let random_pool st ~nvars ~size =
   let box =
     List.concat
@@ -57,7 +59,19 @@ let random_pool st ~nvars ~size =
              };
            ]))
   in
-  let pool = Array.init size (fun i -> random_cons st ~nvars ~tag:i) in
+  let forms =
+    Array.init (1 + Random.State.int st 2) (fun tag ->
+        L.drop_const (random_cons st ~nvars ~tag).L.expr)
+  in
+  let shared tag =
+    let form = forms.(Random.State.int st (Array.length forms)) in
+    let op = [| L.Le; L.Lt; L.Ge; L.Gt; L.Eq |].(Random.State.int st 5) in
+    { L.expr = L.set_const form (Q.of_int (Random.State.int st 11 - 5)); op; tag }
+  in
+  let pool =
+    Array.init size (fun i ->
+        if i mod 2 = 0 then random_cons st ~nvars ~tag:i else shared i)
+  in
   (box, pool)
 
 let random_subset st pool =
@@ -150,20 +164,26 @@ let core_is_conflicting ~case ~int_vars constraints core =
 
 let test_lp_differential () =
   let st = Random.State.make [| 0x1AC5E |] in
-  let case = ref 0 in
+  let case = ref 0 and recovered = ref 0 in
   (* 30 independent sessions, 5 queries each = 150 differential cases;
-     consecutive queries share a pool so the delta path and the
-     warm-started basis both get real work. *)
-  for _session = 1 to 30 do
+     consecutive queries share a pool so the bound delta and the
+     warm-started basis both get real work. Every fourth session runs
+     on a zero-step budget until a query trips it mid-check; the queries
+     after that run unlimited and must still agree. *)
+  for session_no = 1 to 30 do
     let nvars = 2 + Random.State.int st 3 in
-    let box, pool = random_pool st ~nvars ~size:6 in
+    let box, pool = random_pool st ~nvars ~size:8 in
     let session = Inc.create () in
+    let tight = ref (session_no mod 4 = 0) and tripped = ref false in
     for _query = 1 to 5 do
       incr case;
       let constraints = box @ random_subset st pool in
       let int_vars =
         if Random.State.int st 3 = 0 then [ Random.State.int st nvars ] else []
       in
+      let after_trip = !tripped in
+      Inc.set_budget session
+        (if !tight then Budget.create ~max_steps:0 () else Budget.unlimited);
       let inc = Inc.solve session ~int_vars constraints in
       let scratch = fst (Sx.solve_system ~int_vars constraints) in
       (match (inc, scratch) with
@@ -171,9 +191,13 @@ let test_lp_differential () =
       | Sx.Unsat core, Sx.Unsat _ ->
         core_is_conflicting ~case:!case ~int_vars constraints core
       | Sx.Unknown _, Sx.Unknown _ -> ()
+      | Sx.Unknown _, _ when !tight ->
+        tight := false;
+        tripped := true
       | _ ->
         Alcotest.failf "case %d: session and from-scratch verdicts differ"
           !case);
+      if after_trip then incr recovered;
       (* Integer models must actually be integral on the int vars. *)
       match inc with
       | Sx.Sat m ->
@@ -187,7 +211,8 @@ let test_lp_differential () =
       | _ -> ()
     done
   done;
-  check bool_t "ran 150 cases" true (!case = 150)
+  check bool_t "ran 150 cases" true (!case = 150);
+  check bool_t "queries after a budget trip" true (!recovered > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential: solve and all_models, incremental vs
@@ -320,45 +345,95 @@ let cons_of ~tag coeffs k op =
   in
   { L.expr; op; tag }
 
-let test_delta_reuse () =
+let count s name = List.assoc ("lp.inc." ^ name) (Inc.counters s)
+
+let expect_sat s what cs =
+  match Inc.solve s cs with
+  | Sx.Sat _ -> ()
+  | _ -> Alcotest.failf "%s should be sat" what
+
+let test_delta_order () =
   let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
   let c2 = cons_of ~tag:2 [ (1, 1) ] (-5) L.Le in
   let c3 = cons_of ~tag:3 [ (1, 0); (1, 1) ] (-8) L.Ge in
   let c4 = cons_of ~tag:4 [ (1, 0); (-1, 1) ] 0 L.Ge in
-  (match Inc.solve s [ c1; c2; c3 ] with
-  | Sx.Sat _ -> ()
-  | _ -> Alcotest.fail "first query should be sat");
-  let count name = List.assoc ("lp.inc." ^ name) (Inc.counters s) in
-  check int_t "asserted after q1" 3 (count "asserted");
-  check int_t "retracted after q1" 0 (count "retracted");
-  (* Shared bottom prefix c1,c2: only c3 is retracted, only c4 pushed. *)
-  (match Inc.solve s [ c1; c2; c4 ] with
-  | Sx.Sat _ -> ()
-  | _ -> Alcotest.fail "second query should be sat");
-  check int_t "asserted after q2" 4 (count "asserted");
-  check int_t "retracted after q2" 1 (count "retracted");
-  check int_t "reused after q2" 2 (count "reused");
-  (* Order-insensitivity: the same multiset in another order is a full
-     prefix match — nothing asserted, nothing retracted. *)
-  (match Inc.solve s [ c4; c2; c1 ] with
-  | Sx.Sat _ -> ()
-  | _ -> Alcotest.fail "third query should be sat");
-  check int_t "asserted after q3" 4 (count "asserted");
-  check int_t "retracted after q3" 1 (count "retracted");
-  check int_t "reused after q3" 5 (count "reused")
+  expect_sat s "first query" [ c1; c2; c3; c4 ];
+  check int_t "asserted after q1" 4 (count s "asserted");
+  (* The same atoms in another order are the same bounds. *)
+  expect_sat s "permuted query" [ c4; c2; c1; c3 ];
+  check int_t "asserted after q2" 4 (count s "asserted");
+  check int_t "retracted after q2" 0 (count s "retracted");
+  check int_t "reused after q2" 4 (count s "reused")
 
-let test_delta_multiset () =
-  (* Duplicate constraints are tracked as a multiset: dropping one copy
-     of a duplicated row retracts exactly one frame. *)
+let test_delta_symmetric () =
+  (* Replacing the first of five atoms changes one bound out and one in;
+     nothing after it is re-asserted. *)
+  let s = Inc.create () in
+  let atoms = List.init 5 (fun v -> cons_of ~tag:v [ (1, v) ] (-5) L.Le) in
+  expect_sat s "five atoms" atoms;
+  check int_t "asserted after q1" 5 (count s "asserted");
+  let replaced = cons_of ~tag:9 [ (1, 0); (1, 1) ] (-20) L.Le :: List.tl atoms in
+  expect_sat s "first atom replaced" replaced;
+  check int_t "asserted after q2" 6 (count s "asserted");
+  check int_t "retracted after q2" 1 (count s "retracted");
+  check int_t "reused after q2" 4 (count s "reused")
+
+let test_delta_shared_slack () =
+  (* Atoms over one form bound one slack: dropping the tighter of two
+     upper bounds must really loosen it. Checked over a slack row and
+     over a variable bounded directly. *)
+  List.iter
+    (fun form ->
+      let s = Inc.create () in
+      let le3 = cons_of ~tag:1 form (-3) L.Le in
+      let le5 = cons_of ~tag:2 form (-5) L.Le in
+      expect_sat s "x <= 3, x <= 5" [ le3; le5 ];
+      expect_sat s "x <= 5" [ le5 ];
+      expect_sat s "x <= 5, x >= 4" [ le5; cons_of ~tag:3 form (-4) L.Ge ];
+      match Inc.solve s [ le5; cons_of ~tag:4 form (-6) L.Ge ] with
+      | Sx.Unsat core ->
+        check (Alcotest.list int_t) "core" [ 2; 4 ] (List.sort compare core)
+      | _ -> Alcotest.fail "x <= 5, x >= 6 should be unsat")
+    [ [ (1, 0); (1, 1) ]; [ (1, 0) ] ]
+
+let test_delta_duplicate () =
   let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
-  ignore (Inc.solve s [ c1; c1 ]);
-  let count name = List.assoc ("lp.inc." ^ name) (Inc.counters s) in
-  check int_t "two frames for two copies" 2 (count "asserted");
-  ignore (Inc.solve s [ c1 ]);
-  check int_t "one copy retracted" 1 (count "retracted");
-  check int_t "one copy reused" 1 (count "reused")
+  expect_sat s "duplicated atom" [ c1; c1 ];
+  check int_t "one bound for two copies" 1 (count s "asserted");
+  expect_sat s "single atom" [ c1 ];
+  check int_t "nothing retracted" 0 (count s "retracted");
+  check int_t "the bound reused" 1 (count s "reused")
+
+let test_session_size () =
+  (* A witness re-solve fixes each nonlinear variable to its float value:
+     a new constant every time. A long-lived session (the server keeps
+     one per client) must not grow with them. *)
+  let s = Inc.create () in
+  let atoms =
+    [
+      cons_of ~tag:1 [ (1, 0); (1, 1) ] (-10) L.Le;
+      cons_of ~tag:2 [ (1, 0); (-1, 1) ] 5 L.Ge;
+      cons_of ~tag:3 [ (1, 1) ] 0 L.Ge;
+      cons_of ~tag:4 [ (2, 0); (3, 1); (1, 2) ] (-30) L.Le;
+    ]
+  in
+  let words = ref 0 in
+  for i = 1 to 1_000 do
+    let fix =
+      {
+        L.expr = L.add_term (L.constant (Q.of_float (-.float_of_int i /. 250.))) Q.one 0;
+        op = L.Eq;
+        tag = -3;
+      }
+    in
+    ignore (Inc.solve s (fix :: atoms));
+    if i = 10 then words := Obj.reachable_words (Obj.repr s)
+  done;
+  let final = Obj.reachable_words (Obj.repr s) in
+  if final > 2 * !words then
+    Alcotest.failf "session grew from %d to %d words" !words final
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: simplex checkpoint/rollback.                           *)
@@ -409,10 +484,17 @@ let test_run_stats_surface () =
   List.iter
     (fun key -> check bool_t key true (contains ("\"" ^ key ^ "\"")))
     [ "lp.inc.asserted"; "lp.inc.retracted"; "lp.inc.reused" ];
-  let scr, scr_stats = A.Engine.solve ~options:scratch_options p in
-  ignore scr;
-  check int_t "from-scratch run asserts nothing" 0
-    (A.Engine.counter scr_stats "lp.inc.asserted")
+  (* Per-check sessions carry nothing over, also from a registry whose
+     warm session outlives the solve. *)
+  let persistent, _ = A.Registry.persistent_simplex () in
+  List.iter
+    (fun registry ->
+      for _ = 1 to 2 do
+        let _, scr_stats = A.Engine.solve ~registry ~options:scratch_options p in
+        check int_t "per-check sessions reuse nothing" 0
+          (A.Engine.counter scr_stats "lp.inc.reused")
+      done)
+    [ A.Registry.default; { A.Registry.default with A.Registry.linear = [ persistent ] } ]
 
 let suite =
   [
@@ -424,8 +506,13 @@ let suite =
     Alcotest.test_case "budget pressure never flips (60 cases)" `Slow
       test_budget_pressure_no_flip;
     Alcotest.test_case "jobs>1 differential" `Quick test_jobs_differential;
-    Alcotest.test_case "delta reuse" `Quick test_delta_reuse;
-    Alcotest.test_case "delta multiset" `Quick test_delta_multiset;
+    Alcotest.test_case "delta ignores order" `Quick test_delta_order;
+    Alcotest.test_case "delta is a symmetric difference" `Quick
+      test_delta_symmetric;
+    Alcotest.test_case "atoms share a slack" `Quick test_delta_shared_slack;
+    Alcotest.test_case "duplicate atom counts once" `Quick test_delta_duplicate;
+    Alcotest.test_case "session size bounded under witness fixes" `Quick
+      test_session_size;
     Alcotest.test_case "checkpoint/rollback" `Quick test_checkpoint_rollback;
     Alcotest.test_case "run stats surface" `Quick test_run_stats_surface;
   ]
