@@ -1,7 +1,7 @@
 module Q = Absolver_numeric.Rational
 module I = Absolver_numeric.Interval
 module Types = Absolver_sat.Types
-module Cdcl = Absolver_sat.Cdcl
+module All_sat = Absolver_sat.All_sat
 module Expr = Absolver_nlp.Expr
 module Box = Absolver_nlp.Box
 module Linexpr = Absolver_lp.Linexpr
@@ -85,7 +85,6 @@ let presolve_counters =
       (Some ("presolve", "fixed"), "presolve.fixed_literals", fun s -> s.fixed_literals);
       (Some ("presolve", "removed"), "presolve.removed_clauses", fun s -> s.removed_clauses);
       (Some ("presolve", "tightened"), "presolve.tightened_bounds", fun s -> s.tightened_bounds);
-      (None, "presolve.pure_literals", fun s -> s.pure_literals);
       (None, "presolve.strengthened_literals", fun s -> s.strengthened_literals);
       (None, "presolve.failed_literals", fun s -> s.failed_literals);
       (None, "presolve.unit_defs", fun s -> s.unit_defs);
@@ -216,12 +215,6 @@ let pp_run_stats fmt s =
   match s.budget_exhausted with
   | None -> ()
   | Some e -> Format.fprintf fmt " budget-exhausted=%s" (Err.code e)
-
-(* Bump the SAT counters by the work [s] did since [prev]; returns a copy
-   of [s] to difference the next call against. *)
-let absorb_sat_stats options stats ~(prev : Types.stats) (s : Types.stats) =
-  List.iter (fun (c, f) -> bump options stats c (f s - f prev)) sat_counters;
-  { s with Types.decisions = s.Types.decisions }
 
 (* One canonical JSON rendering of run_stats, shared by the CLI's
    --stats-json and the bench harness. *)
@@ -607,7 +600,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   let strategy =
     match registry.Registry.boolean with
     | s :: _ -> s.Registry.bs_strategy
-    | [] -> Registry.Lsat_incremental
+    | [] -> All_sat.Incremental
   in
   let had_unknown = ref None in
   let finished = ref false in
@@ -624,16 +617,10 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
       | Some vs -> vs
       | None -> List.init num_vars Fun.id)
   in
-  let block_projection solver_model =
-    (* Descending variable order (the projection is ascending): the
-       solver watches the clause's first literals, so watches sit on the
-       high (late-decided) variables and, with phase saving, consecutive
-       models flip late variables first — so they differ in few literals
-       and the LP session's bound delta stays small. *)
-    List.rev_map
-      (fun v -> if solver_model.(v) then Types.neg_of_var v else Types.pos v)
-      projection
-  in
+  (* [All_sat.blocking]'s literal order makes consecutive models differ
+     in few late variables, which also keeps the LP session's bound delta
+     small. *)
+  let block_projection = All_sat.blocking ~projection in
   (* LP entry point for this whole enumeration: one warm session for
      every check with [use_incremental], otherwise a new session per
      check (the paper's restart per model). Either way each call's work
@@ -652,16 +639,20 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
               bump_named options stats (sess.Registry.lsess_counters ()))
             (fun () -> sess.Registry.lsess_solve ~int_vars cons))
   in
-  let block_clause ~reason block =
+  let sat = All_sat.create ~phase:options.default_phase strategy ~num_vars clauses in
+  (* An empty blocking clause blocks every valuation of the projection:
+     the enumeration is complete. *)
+  let block ~reason clause =
     bump blocking_clauses 1;
     Telemetry.event tel "blocking_clause"
       ~attrs:
         [
-          ("size", Telemetry.Int (List.length block));
+          ("size", Telemetry.Int (List.length clause));
           ("reason", Telemetry.String reason);
-        ]
+        ];
+    if clause = [] then finished := true else All_sat.block sat clause
   in
-  let handle_model solver_model add_blocking =
+  let handle_model solver_model =
     Faults.hit "engine.bool_model" options.budget;
     bump bool_models 1;
     if count stats bool_models > options.max_bool_models then begin
@@ -684,16 +675,12 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
           finished := true
         | `Continue ->
           result := R_sat sol;
-          let block = block_projection solver_model in
-          block_clause ~reason:"enumerate" block;
-          if block = [] then finished := true else add_blocking block)
+          block ~reason:"enumerate" (block_projection solver_model))
       | M_conflict [] ->
         (* Arithmetic conflict independent of the Boolean valuation. *)
         result := (match !result with R_sat _ as s -> s | _ -> R_unsat);
         finished := true
-      | M_conflict block ->
-        block_clause ~reason:"conflict" block;
-        add_blocking block
+      | M_conflict clause -> block ~reason:"conflict" clause
       | M_unknown why ->
         had_unknown := Some why;
         bump unknown_models 1;
@@ -703,88 +690,41 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
           (* Block this delta-valuation so the search can look for a
              decidable one; the result can no longer be a definitive
              UNSAT. *)
-          let block = block_projection solver_model in
-          block_clause ~reason:"unknown" block;
-          if block = [] then finished := true else add_blocking block
+          block ~reason:"unknown" (block_projection solver_model)
         end
   in
-  (match strategy with
-  | Registry.Lsat_incremental ->
-    let solver = Cdcl.create () in
-    Cdcl.set_default_phase solver options.default_phase;
-    Cdcl.ensure_vars solver num_vars;
-    List.iter (Cdcl.add_clause solver) clauses;
-    let prev = ref (Types.mk_stats ()) in
-    let sat_solve () =
-      Telemetry.span tel "sat_search" (fun () ->
-          let out =
-            Cdcl.solve ~max_conflicts:options.sat_max_conflicts
-              ~budget:options.budget solver
-          in
-          prev := absorb_sat_stats options stats ~prev:!prev (Cdcl.stats solver);
-          out)
-    in
-    let rec loop () =
-      if not !finished then
-        match sat_solve () with
-        | Types.Unsat -> ()
-        | Types.Unknown -> had_unknown := Some (sat_unknown_reason options)
-        | Types.Sat ->
-          let model = Cdcl.model solver in
-          Preprocess.restore_model pre model;
-          handle_model model (fun block -> Cdcl.add_clause solver block);
-          loop ()
-    in
-    loop ()
-  | Registry.Chaff_restarting ->
-    let blocked = ref [] in
-    let rec loop () =
-      if not !finished then begin
-        (* External restart: rebuild the entire solver, as the paper
-           describes for black-box single-solution solvers. *)
-        let solver = Cdcl.create () in
-        Cdcl.set_default_phase solver options.default_phase;
-        Cdcl.ensure_vars solver num_vars;
-        List.iter (Cdcl.add_clause solver) clauses;
-        List.iter (Cdcl.add_clause solver) !blocked;
-        let out =
-          Telemetry.span tel "sat_search" (fun () ->
-              let out =
-                Cdcl.solve ~max_conflicts:options.sat_max_conflicts
-                  ~budget:options.budget solver
-              in
-              ignore
-                (absorb_sat_stats options stats ~prev:(Types.mk_stats ())
-                   (Cdcl.stats solver));
-              out)
-        in
-        match out with
-        | Types.Unsat -> ()
-        | Types.Unknown -> had_unknown := Some (sat_unknown_reason options)
-        | Types.Sat ->
-          let model = Cdcl.model solver in
-          Preprocess.restore_model pre model;
-          handle_model model (fun block -> blocked := block :: !blocked);
-          loop ()
-      end
-    in
-    loop ());
+  let rec loop () =
+    if not !finished then
+      match
+        Telemetry.span tel "sat_search" (fun () ->
+            let out =
+              All_sat.next ~max_conflicts:options.sat_max_conflicts
+                ~budget:options.budget sat
+            in
+            let work = All_sat.work sat in
+            List.iter (fun (c, f) -> bump c (f work)) sat_counters;
+            out)
+      with
+      | Types.Unsat -> ()
+      | Types.Unknown -> had_unknown := Some (sat_unknown_reason options)
+      | Types.Sat ->
+        handle_model (All_sat.model sat);
+        loop ()
+  in
+  loop ();
   match (!result, !had_unknown) with
   | R_sat _, _ -> !result
   | _, Some why -> R_unknown why
   | r, None -> r
   end
 
-(* Run (or skip) presolve and count its work. [protect_also] guards
-   pure-literal elimination when the caller enumerates models over a
-   custom projection. *)
-let prepare ~options ?(protect_also = []) ~stats problem =
+(* Run (or skip) presolve and count its work. *)
+let prepare ~options ~stats problem =
   let tel = options.telemetry in
   Telemetry.span tel "presolve" (fun () ->
       let pre =
         if options.use_presolve then
-          Preprocess.run ~protect_also ~telemetry:tel ~budget:options.budget
-            problem
+          Preprocess.run ~telemetry:tel ~budget:options.budget problem
         else Preprocess.identity problem
       in
       let s = pre.Preprocess.stats in
@@ -902,12 +842,7 @@ let all_models ?projection ?(registry = Registry.default)
   let result =
     Telemetry.span tel "all_models" ~attrs:(problem_attrs problem) (fun () ->
         guarded_result ~options ~stats (fun () ->
-            let pre =
-              prepare ~options
-                ?protect_also:
-                  (match projection with Some vs -> Some vs | None -> None)
-                ~stats problem
-            in
+            let pre = prepare ~options ~stats problem in
             enumerate ?projection ~registry ~options ~stats ~pre problem
               ~on_feasible:(fun sol ->
                 acc := sol :: !acc;

@@ -8,7 +8,13 @@
     subset back to the SAT solver as a blocking clause on infeasibility,
     and calls the nonlinear solver whenever the circuit's output pin is
     still [?]. Iteration continues until a solution is found or all
-    Boolean assignments are exhausted. *)
+    Boolean assignments are exhausted.
+
+    Boolean models come from one {!Absolver_sat.All_sat} handle per
+    enumeration, with the strategy of the registry's first Boolean
+    solver: each iteration is [next] (a [sat_search] span), the model's
+    arithmetic check, then [block]. Presolve keeps the CNF's models, so a
+    model is checked and reported exactly as the SAT solver returns it. *)
 
 module Types = Absolver_sat.Types
 
@@ -190,7 +196,9 @@ val all_models :
   (Solution.t list * run_stats, string) Stdlib.result
 (** Every arithmetically-feasible Boolean model, each with a witness —
     the LSAT-powered mode the paper recommends for consistency-based
-    diagnosis and test-case generation (Sec. 4, Sec. 6).
+    diagnosis and test-case generation (Sec. 4, Sec. 6). Models are
+    distinct on [projection] (default: the problem's, else every
+    variable), which the blocking clauses mention.
 
     Anytime semantics under a budget: if the enumeration is cut short by
     the budget, the call still returns [Ok] with the models found so far

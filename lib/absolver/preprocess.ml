@@ -13,7 +13,6 @@ module Faults = Absolver_resource.Faults
 
 type stats = {
   mutable fixed_literals : int;
-  mutable pure_literals : int;
   mutable removed_clauses : int;
   mutable strengthened_literals : int;
   mutable failed_literals : int;
@@ -27,7 +26,6 @@ type stats = {
 let mk_stats () =
   {
     fixed_literals = 0;
-    pure_literals = 0;
     removed_clauses = 0;
     strengthened_literals = 0;
     failed_literals = 0;
@@ -42,7 +40,6 @@ type t = {
   status : [ `Open | `Unsat ];
   clauses : Types.lit list list;
   fixed : (Types.var * bool) list;
-  pure : (Types.var * bool) list;
   box : Box.t;
   bound_rels : Expr.rel list;
   stats : stats;
@@ -61,7 +58,6 @@ let identity problem =
     status = `Open;
     clauses = Ab_problem.clauses problem;
     fixed = [];
-    pure = [];
     box = initial_box problem;
     bound_rels = Ab_problem.bound_rels problem;
     stats = mk_stats ();
@@ -109,24 +105,15 @@ let bound_rels_of_lb nvars (lb : Lp_presolve.bounds) =
   done;
   !rels
 
-let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
-    ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
+(* Cross-domain fixpoint rounds. *)
+let max_rounds = 3
+
+let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
   let tel = telemetry in
   let t0 = Telemetry.Clock.now () in
   let stats = mk_stats () in
   let nvars_b = Ab_problem.num_bool_vars problem in
   let nvars_a = Ab_problem.num_arith_vars problem in
-  (* Pure-literal protection: defined variables, the enumeration
-     projection (all variables when none is declared), and any extra
-     variables the caller counts models over. *)
-  let protected = Array.make (max 1 nvars_b) false in
-  (match Ab_problem.projection problem with
-  | None -> Array.fill protected 0 (Array.length protected) true
-  | Some vs -> List.iter (fun v -> if v >= 0 && v < nvars_b then protected.(v) <- true) vs);
-  List.iter (fun v -> if v >= 0 && v < nvars_b then protected.(v) <- true) protect_also;
-  List.iter (fun v -> if v < nvars_b then protected.(v) <- true)
-    (Ab_problem.defined_vars problem);
-  let protect v = v >= Array.length protected || protected.(v) in
   (* Exact rational bounds and integer-variable marking. *)
   let lb = Lp_presolve.create nvars_a in
   List.iter
@@ -144,7 +131,6 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
   let original_clauses = Ab_problem.clauses problem in
   let clauses = ref original_clauses in
   let fixed_tbl : (Types.var, bool) Hashtbl.t = Hashtbl.create 16 in
-  let pure_tbl : (Types.var, bool) Hashtbl.t = Hashtbl.create 16 in
   let box = ref (initial_box problem) in
   let unsat = ref false in
   (* Every pass below catches its own budget exhaustion and returns a
@@ -165,16 +151,12 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
      (* 1. SAT-level simplification. *)
      (match
         Telemetry.span tel "presolve.sat_simplify" (fun () ->
-            Sat_simplify.simplify ~probe_limit ~protect ~budget ~nvars:nvars_b
-              !clauses)
+            Sat_simplify.simplify ~budget ~nvars:nvars_b !clauses)
       with
      | Sat_simplify.Unsat -> unsat := true
      | Sat_simplify.Simplified s ->
        clauses := s.Sat_simplify.clauses;
        List.iter (fun (v, b) -> Hashtbl.replace fixed_tbl v b) s.Sat_simplify.fixed;
-       List.iter
-         (fun (v, b) -> if not (Hashtbl.mem pure_tbl v) then Hashtbl.add pure_tbl v b)
-         s.Sat_simplify.pure;
        stats.strengthened_literals <-
          stats.strengthened_literals + s.Sat_simplify.stats.Sat_simplify.strengthened_literals;
        stats.failed_literals <-
@@ -285,7 +267,6 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
    done
    with Budget.Exhausted _ -> ());
   stats.fixed_literals <- Hashtbl.length fixed_tbl;
-  stats.pure_literals <- Hashtbl.length pure_tbl;
   stats.removed_clauses <-
     max 0 (List.length original_clauses - List.length !clauses);
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
@@ -294,7 +275,6 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
       status = `Unsat;
       clauses = [ [] ];
       fixed = [];
-      pure = [];
       box = initial_box problem;
       bound_rels = Ab_problem.bound_rels problem;
       stats;
@@ -304,11 +284,7 @@ let run ?(max_rounds = 3) ?(probe_limit = 2000) ?(protect_also = [])
       status = `Open;
       clauses = !clauses;
       fixed = Hashtbl.fold (fun v b acc -> (v, b) :: acc) fixed_tbl [];
-      pure = Hashtbl.fold (fun v b acc -> (v, b) :: acc) pure_tbl [];
       box = !box;
       bound_rels = bound_rels_of_lb nvars_a lb;
       stats;
     }
-
-let restore_model t model =
-  List.iter (fun (v, b) -> if v < Array.length model then model.(v) <- b) t.pure

@@ -11,11 +11,11 @@
     box feeds a unit clause on its defining literal back to the Boolean
     side — which may fix further literals, and so on.
 
-    Everything the driver derives is implied by the problem, except the
-    pure-literal eliminations, which are confined to variables that carry
-    no definition and are outside the enumeration projection; their
-    satisfying polarities are replayed by {!restore_model}. Hence solve /
-    all-models / optimize results are preserved exactly. *)
+    Everything the driver derives is implied by the problem. The SAT
+    passes keep the CNF's model set exactly, and a fed-back unit only
+    drops valuations that no arithmetic assignment extends. Hence solve /
+    all-models / optimize results are preserved exactly, and a model of
+    [clauses] is a model of the original problem as it stands. *)
 
 module Q = Absolver_numeric.Rational
 module Types = Absolver_sat.Types
@@ -24,7 +24,6 @@ module Box = Absolver_nlp.Box
 
 type stats = {
   mutable fixed_literals : int;  (** Boolean variables fixed at root level. *)
-  mutable pure_literals : int;  (** Variables eliminated as pure/free. *)
   mutable removed_clauses : int;  (** Net CNF shrinkage in clauses. *)
   mutable strengthened_literals : int;
       (** Literals dropped by self-subsuming resolution. *)
@@ -46,8 +45,6 @@ type t = {
       (** Simplified CNF over the original variable numbering (unit
           clauses for fixed variables included). *)
   fixed : (Types.var * bool) list;  (** Root-implied assignments. *)
-  pure : (Types.var * bool) list;
-      (** Eliminated variables and the polarity {!restore_model} replays. *)
   box : Box.t;  (** Tightened global interval box (per arithmetic var). *)
   bound_rels : Expr.rel list;
       (** Tightened unconditional bounds as relations (tag
@@ -57,31 +54,22 @@ type t = {
 }
 
 val run :
-  ?max_rounds:int ->
-  ?probe_limit:int ->
-  ?protect_also:Types.var list ->
   ?telemetry:Absolver_telemetry.Telemetry.t ->
   ?budget:Absolver_resource.Budget.t ->
   Ab_problem.t ->
   t
-(** Presolve to a fixpoint bounded by [max_rounds] (default 3) cross-domain
-    rounds. [protect_also] adds variables to the pure-literal protection
-    set (the engine passes enumeration-projection overrides here).
+(** Presolve to a fixpoint bounded by 3 cross-domain rounds.
     [telemetry] (default disabled) records one [presolve.round] span per
     fixpoint round with [presolve.sat_simplify] / [presolve.lp] /
     [presolve.icp] / [presolve.feedback] children; its counters are
-    returned in [stats], which the engine reports. [budget] is threaded into every
-    pass; exhaustion stops presolve early with whatever sound
+    returned in [stats], which the engine reports. [budget] is threaded
+    into every pass; exhaustion stops presolve early with whatever sound
     simplification was completed (never an exception — the typed reason
     stays sticky in the budget). *)
 
 val identity : Ab_problem.t -> t
 (** The no-op presolve: original clauses, bounds and box, zero stats —
     exact old engine behaviour for ablation. *)
-
-val restore_model : t -> bool array -> unit
-(** Patch a model of [clauses] into a model of the original problem by
-    replaying the eliminated pure literals. *)
 
 val initial_box : Ab_problem.t -> Box.t
 (** The box induced by the problem's unconditional bounds alone. *)

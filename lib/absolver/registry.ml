@@ -1,5 +1,6 @@
 module Q = Absolver_numeric.Rational
 module Types = Absolver_sat.Types
+module All_sat = Absolver_sat.All_sat
 module Expr = Absolver_nlp.Expr
 module Linexpr = Absolver_lp.Linexpr
 module Simplex = Absolver_lp.Simplex
@@ -8,9 +9,7 @@ module Branch_prune = Absolver_nlp.Branch_prune
 module Budget = Absolver_resource.Budget
 module Err = Absolver_resource.Absolver_error
 
-type bool_strategy = Lsat_incremental | Chaff_restarting
-
-type bool_solver = { bs_name : string; bs_strategy : bool_strategy }
+type bool_solver = { bs_name : string; bs_strategy : All_sat.strategy }
 
 type linear_verdict =
   | L_sat of (int * Q.t) list
@@ -50,8 +49,8 @@ type t = {
   nonlinear : nonlinear_solver list;
 }
 
-let cdcl_solver = { bs_name = "cdcl (zChaff-like)"; bs_strategy = Chaff_restarting }
-let lsat_solver = { bs_name = "lsat (all-solutions)"; bs_strategy = Lsat_incremental }
+let cdcl_solver = { bs_name = "cdcl (zChaff-like)"; bs_strategy = All_sat.Restarting }
+let lsat_solver = { bs_name = "lsat (all-solutions)"; bs_strategy = All_sat.Incremental }
 
 let verdict_of_simplex = function
   | Simplex.Sat model -> L_sat model

@@ -10,16 +10,16 @@
 
 module Q = Absolver_numeric.Rational
 module Types = Absolver_sat.Types
+module All_sat = Absolver_sat.All_sat
 module Expr = Absolver_nlp.Expr
 module Linexpr = Absolver_lp.Linexpr
 
-(** How Boolean models are enumerated. [Lsat_incremental] keeps a single
-    solver instance and blocks models with added clauses (LSAT [2]);
-    [Chaff_restarting] restarts a fresh solver per model, the behaviour
-    the paper describes for black-box solvers like zChaff. *)
-type bool_strategy = Lsat_incremental | Chaff_restarting
-
-type bool_solver = { bs_name : string; bs_strategy : bool_strategy }
+type bool_solver = { bs_name : string; bs_strategy : All_sat.strategy }
+(** A Boolean model enumerator: {!All_sat} with one of its
+    strategies. [Incremental] keeps a single solver instance and blocks
+    models with added clauses (LSAT [2]); [Restarting] rebuilds the solver
+    per model, the behaviour the paper describes for black-box solvers
+    like zChaff. *)
 
 type linear_verdict =
   | L_sat of (int * Q.t) list (** values for the structural variables *)

@@ -5,7 +5,7 @@ module Hc4 = Absolver_nlp.Hc4
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
 
-let contract ?max_rounds ?(budget = Budget.unlimited) ~box rels =
+let contract ?(budget = Budget.unlimited) ~box rels =
   let b = Box.copy box in
   let finish (alive, revisions) =
     if not alive then (`Empty, revisions)
@@ -19,7 +19,7 @@ let contract ?max_rounds ?(budget = Budget.unlimited) ~box rels =
   in
   match
     Faults.hit "presolve.icp" budget;
-    Hc4.contract ?max_rounds ~budget (Hc4.compile rels) b
+    Hc4.contract ~budget (Hc4.compile rels) b
   with
   | r -> finish r
   | exception Budget.Exhausted _ ->

@@ -8,12 +8,12 @@ module Box = Absolver_nlp.Box
 module Expr = Absolver_nlp.Expr
 
 val contract :
-  ?max_rounds:int ->
   ?budget:Absolver_resource.Budget.t ->
   box:Box.t ->
   Expr.rel list ->
   [ `Empty | `Box of Box.t * int ] * int
-(** Contract a copy of [box] with the HC4 fixpoint over [rels]. [`Empty]
+(** Contract a copy of [box] with the HC4 fixpoint over [rels] (at most
+    {!Absolver_nlp.Hc4.contract}'s default 10 rounds). [`Empty]
     means the relations exclude every point of the box; [`Box (b, n)]
     returns the contracted box and the number of variables whose interval
     strictly narrowed. The second component counts the HC4 revise passes

@@ -144,8 +144,10 @@ type outcome =
 
 exception Found_infeasible of int
 
-let presolve ?(max_rounds = 4) ?(is_int = fun _ -> false)
-    ?(budget = Budget.unlimited) b rows =
+(* Propagation rounds per call. *)
+let max_rounds = 4
+
+let presolve ?(is_int = fun _ -> false) ?(budget = Budget.unlimited) b rows =
   let tightened = ref 0 and dropped = ref 0 in
   let active = ref rows in
   try

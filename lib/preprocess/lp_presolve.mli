@@ -34,13 +34,12 @@ type outcome =
           surviving (non-redundant) rows, [dropped] counts redundant ones. *)
 
 val presolve :
-  ?max_rounds:int ->
   ?is_int:(int -> bool) ->
   ?budget:Absolver_resource.Budget.t ->
   bounds ->
   Linexpr.cons list ->
   outcome
-(** Propagate to a bounded fixpoint (default 4 rounds), mutating [bounds]
+(** Propagate to a bounded fixpoint (at most 4 rounds), mutating [bounds]
     in place. [is_int] marks integer variables whose derived bounds are
     rounded inward. Budget exhaustion stops propagation early — bounds
     derived so far are sound relaxations — and never escapes. *)

@@ -4,7 +4,6 @@ module Faults = Absolver_resource.Faults
 
 type stats = {
   mutable fixed_literals : int;
-  mutable pure_literals : int;
   mutable removed_clauses : int;
   mutable strengthened_literals : int;
   mutable probes : int;
@@ -14,7 +13,6 @@ type stats = {
 let mk_stats () =
   {
     fixed_literals = 0;
-    pure_literals = 0;
     removed_clauses = 0;
     strengthened_literals = 0;
     probes = 0;
@@ -24,7 +22,6 @@ let mk_stats () =
 type simplified = {
   clauses : Types.lit list list;
   fixed : (Types.var * bool) list;
-  pure : (Types.var * bool) list;
   stats : stats;
 }
 
@@ -66,7 +63,6 @@ type state = {
   (* Per-literal truth value: [1] true, [-1] false, [0] unassigned. *)
   value : int array;
   mutable fixed : (Types.var * bool) list; (* newest first *)
-  mutable pure : (Types.var * bool) list; (* newest first *)
   (* Root-level propagation queue: [queue.(qhead .. qtail - 1)]. *)
   mutable queue : int array;
   mutable qhead : int;
@@ -76,14 +72,12 @@ type state = {
      draws a fresh [gen], so stale stamps never need clearing. *)
   stamp : int array;
   mutable gen : int;
-  (* Scratch space reused by every pass: the subsumption order, the pure
-     pass's per-literal occurrence counts, and the probe trail (a probe
-     assigns each variable at most once, so [nvars] slots suffice). *)
+  (* Scratch space reused by every pass: the subsumption order and the
+     probe trail (a probe assigns each variable at most once, so [nvars]
+     slots suffice). *)
   order : int array;
-  cnt : int array;
   trail : int array;
   st : stats;
-  protect : Types.var -> bool;
 }
 
 let dead_bit = 1
@@ -205,7 +199,7 @@ let sort_slice (a : int array) b n =
     Array.blit sub 0 a b n
   end
 
-let init ~nvars ~protect clause_list =
+let init ~nvars clause_list =
   let nvars = ref nvars and ncls = ref 0 and total = ref 0 in
   List.iter
     (fun c ->
@@ -227,17 +221,14 @@ let init ~nvars ~protect clause_list =
       occ = Array.make total 0;
       value = Array.make nlits 0;
       fixed = [];
-      pure = [];
       queue = Array.make 64 0;
       qhead = 0;
       qtail = 0;
       stamp = Array.make nlits (-1);
       gen = 0;
       order = Array.make ncls 0;
-      cnt = Array.make nlits 0;
       trail = Array.make (max 1 nvars) 0;
       st = mk_stats ();
-      protect;
     }
   in
   (* Copy each clause into the arena once, dropping duplicate literals by
@@ -292,43 +283,6 @@ let init ~nvars ~protect clause_list =
         done)
     s.cref;
   s
-
-(* Pure-literal elimination. A variable whose negation never occurs in an
-   active clause can be set to its occurring polarity without losing
-   satisfiability; variables with no occurrence at all are free. Only
-   unprotected variables are eliminated (the caller protects variables
-   whose models are counted or that carry arithmetic definitions). The
-   counts are taken once per sweep, so they may overcount clauses killed
-   earlier in the same sweep. *)
-let pure_pass s =
-  let cnt = s.cnt in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.fill cnt 0 (Array.length cnt) 0;
-    Array.iter
-      (fun c ->
-        if not (is_dead s c) then
-          for k = c + 2 to c + 1 + len s c do
-            let l = s.arena.(k) in
-            cnt.(l) <- cnt.(l) + 1
-          done)
-      s.cref;
-    for v = 0 to s.nvars - 1 do
-      if unassigned s v && not (s.protect v) then begin
-        let cp = cnt.(Types.pos v) and cn = cnt.(Types.neg_of_var v) in
-        if cp = 0 || cn = 0 then begin
-          let value = cp > 0 in
-          let l = if value then Types.pos v else Types.neg_of_var v in
-          set_true s l;
-          s.pure <- (v, value) :: s.pure;
-          s.st.pure_literals <- s.st.pure_literals + 1;
-          kill_holding s l;
-          changed := true
-        end
-      end
-    done
-  done
 
 (* Beyond these sizes the quadratic pair exploration stops paying for
    itself even with signatures; the pass is skipped outright (the other
@@ -526,10 +480,10 @@ let probe_pass ~probe_limit ~visits ~budget s =
 
 let clause_lits s c = List.init (len s c) (fun k -> s.arena.(c + 2 + k))
 
-let simplify ?(probe_limit = 2000) ?(protect = fun _ -> false)
-    ?(budget = Budget.unlimited) ~nvars clause_list =
+let simplify ?(probe_limit = 2000) ?(budget = Budget.unlimited) ~nvars
+    clause_list =
   try
-    let s = init ~nvars ~protect clause_list in
+    let s = init ~nvars clause_list in
     propagate s;
     (* Budget exhaustion stops inprocessing early but soundly: every
        transformation already applied preserves the model set exactly, and
@@ -542,13 +496,12 @@ let simplify ?(probe_limit = 2000) ?(protect = fun _ -> false)
        while !continue_ && !rounds < 3 do
          incr rounds;
          let progress st =
-           st.fixed_literals + st.pure_literals + st.removed_clauses
+           st.fixed_literals + st.removed_clauses
            + st.strengthened_literals + st.failed_literals
          in
          let before = progress s.st in
          subsumption_pass ~budget s;
          probe_pass ~probe_limit ~visits ~budget s;
-         pure_pass s;
          continue_ := progress s.st > before
        done
      with Budget.Exhausted _ -> ());
@@ -566,12 +519,6 @@ let simplify ?(probe_limit = 2000) ?(protect = fun _ -> false)
       {
         clauses = units @ active;
         fixed = List.rev s.fixed;
-        pure = List.rev s.pure;
         stats = s.st;
       }
   with Root_conflict -> Unsat
-
-let restore ~pure model =
-  List.iter
-    (fun (v, b) -> if v < Array.length model then model.(v) <- b)
-    pure

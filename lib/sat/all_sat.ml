@@ -4,30 +4,87 @@ module Err = Absolver_resource.Absolver_error
 
 type strategy = Incremental | Restarting
 
-let blocking_clause ?projection solver =
-  (* Negate the model restricted to the projection (or all variables). *)
-  let vars =
-    match projection with
-    | Some vs -> vs
-    | None -> List.init (Cdcl.num_vars solver) Fun.id
-  in
-  (* Descending variable order: consecutive models usually differ in a
-     low-variable suffix, and [Cdcl.add_clause] watches the leading
-     (highest) literals, which then survive most model-to-model deltas. *)
-  List.fold_left
-    (fun acc v ->
-      match Cdcl.value solver v with
-      | Types.V_true -> Types.neg_of_var v :: acc
-      | Types.V_false -> Types.pos v :: acc
-      | Types.V_undef -> acc)
-    [] vars
+type t = {
+  strategy : strategy;
+  phase : bool;
+  num_vars : int;
+  clauses : Types.lit list list;
+  (* [Restarting]: every blocking clause so far, newest first. *)
+  mutable blocked : Types.lit list list;
+  mutable solver : Cdcl.t;
+  (* [Restarting] after a search: rebuild before the next one. *)
+  mutable stale : bool;
+  (* The solver's cumulative stats after the last [next], and the work in
+     between. *)
+  mutable seen : Types.stats;
+  mutable work : Types.stats;
+}
 
-let project ?projection solver =
+let build ~phase ~num_vars clauses blocked =
+  let solver = Cdcl.create () in
+  Cdcl.set_default_phase solver phase;
+  Cdcl.ensure_vars solver num_vars;
+  List.iter (Cdcl.add_clause solver) clauses;
+  List.iter (Cdcl.add_clause solver) blocked;
+  solver
+
+let create ~phase strategy ~num_vars clauses =
+  {
+    strategy;
+    phase;
+    num_vars;
+    clauses;
+    blocked = [];
+    solver = build ~phase ~num_vars clauses [];
+    stale = false;
+    seen = Types.mk_stats ();
+    work = Types.mk_stats ();
+  }
+
+let diff (a : Types.stats) (b : Types.stats) =
+  {
+    Types.conflicts = a.conflicts - b.conflicts;
+    decisions = a.decisions - b.decisions;
+    propagations = a.propagations - b.propagations;
+    restarts = a.restarts - b.restarts;
+    learnt_literals = a.learnt_literals - b.learnt_literals;
+    reductions = a.reductions - b.reductions;
+    blocked_visits = a.blocked_visits - b.blocked_visits;
+  }
+
+let next ?max_conflicts ?budget t =
+  if t.stale then begin
+    (* External restart: rebuild the entire solver, as the paper
+       describes for black-box single-solution solvers. *)
+    t.solver <- build ~phase:t.phase ~num_vars:t.num_vars t.clauses t.blocked;
+    t.seen <- Types.mk_stats ()
+  end;
+  t.stale <- t.strategy = Restarting;
+  let out = Cdcl.solve ?max_conflicts ?budget t.solver in
+  let now = Cdcl.stats t.solver in
+  t.work <- diff now t.seen;
+  t.seen <- { now with Types.conflicts = now.Types.conflicts };
+  out
+
+let model t = Cdcl.model t.solver
+let work t = t.work
+
+let block t clause =
+  match t.strategy with
+  | Incremental -> Cdcl.add_clause t.solver clause
+  | Restarting -> t.blocked <- clause :: t.blocked
+
+let blocking ~projection model =
+  List.rev_map
+    (fun v -> if model.(v) then Types.neg_of_var v else Types.pos v)
+    projection
+
+let project ?projection model =
   match projection with
-  | None -> Cdcl.model solver
+  | None -> model
   | Some vs ->
-    let m = Array.make (Cdcl.num_vars solver) false in
-    List.iter (fun v -> m.(v) <- Cdcl.value solver v = Types.V_true) vs;
+    let m = Array.make (Array.length model) false in
+    List.iter (fun v -> m.(v) <- model.(v)) vs;
     m
 
 (* The typed reason an enumeration stopped early: a tripped budget wins
@@ -37,76 +94,40 @@ let stop_reason budget =
   | Some e -> e
   | None -> Err.Internal "model enumeration: conflict budget exhausted"
 
-let iter ?projection ?(limit = max_int) ?(budget = Budget.unlimited) ~solver f
-    () =
+let enumerate ?(strategy = Incremental) ?projection ?(limit = max_int)
+    ?(budget = Budget.unlimited) ~num_vars clauses =
+  (* CDCL's own initial polarity. *)
+  let t = create ~phase:false strategy ~num_vars clauses in
+  let vars =
+    match projection with
+    | Some vs -> vs
+    | None -> List.init (Cdcl.num_vars t.solver) Fun.id
+  in
   match
     Faults.hit "sat.all_sat" budget;
-    let rec loop n =
-      if n >= limit then Ok n
+    let rec loop acc n =
+      if n >= limit then Ok acc
       else
-        match Cdcl.solve ~budget solver with
-        | Types.Unsat -> Ok n
+        match next ~budget t with
+        | Types.Unsat -> Ok acc
         | Types.Unknown -> Error (stop_reason budget)
-        | Types.Sat -> (
-          let m = project ?projection solver in
-          let block = blocking_clause ?projection solver in
-          match f m with
-          | `Stop -> Ok (n + 1)
-          | `Continue ->
-            (* An empty blocking clause means the projection is fully
-               unconstrained: there is exactly one projected model. *)
-            if block = [] then Ok (n + 1)
-            else begin
-              Cdcl.add_clause solver block;
-              loop (n + 1)
-            end)
+        | Types.Sat ->
+          let m = model t in
+          let acc = project ?projection m :: acc in
+          (* An empty blocking clause means the projection is fully
+             unconstrained: there is exactly one projected model. *)
+          let clause = blocking ~projection:vars m in
+          if clause = [] then Ok acc
+          else begin
+            block t clause;
+            loop acc (n + 1)
+          end
     in
-    loop 0
+    loop [] 0
   with
-  | r -> r
-  | exception Budget.Exhausted e -> Error e
-
-let enumerate ?projection ?limit ?max_conflicts ?budget ~num_vars clauses =
-  ignore max_conflicts;
-  let solver = Cdcl.create () in
-  Cdcl.ensure_vars solver num_vars;
-  List.iter (Cdcl.add_clause solver) clauses;
-  let acc = ref [] in
-  match
-    iter ?projection ?limit ?budget ~solver
-      (fun m ->
-        acc := Array.copy m :: !acc;
-        `Continue)
-      ()
-  with
-  | Ok _ -> Ok (List.rev !acc)
+  | Ok acc -> Ok (List.rev acc)
   | Error e -> Error e
-
-let enumerate_restarting ?projection ?(limit = max_int)
-    ?(budget = Budget.unlimited) ~num_vars clauses =
-  (* Fresh solver per model; blocking clauses accumulate externally. *)
-  let blocked = ref [] in
-  let rec loop acc n =
-    if n >= limit then Ok (List.rev acc)
-    else begin
-      let solver = Cdcl.create () in
-      Cdcl.ensure_vars solver num_vars;
-      List.iter (Cdcl.add_clause solver) clauses;
-      List.iter (Cdcl.add_clause solver) !blocked;
-      match Cdcl.solve ~budget solver with
-      | Types.Unsat -> Ok (List.rev acc)
-      | Types.Unknown -> Error (stop_reason budget)
-      | Types.Sat ->
-        let m = project ?projection solver in
-        let block = blocking_clause ?projection solver in
-        if block = [] then Ok (List.rev (m :: acc))
-        else begin
-          blocked := block :: !blocked;
-          loop (m :: acc) (n + 1)
-        end
-    end
-  in
-  loop [] 0
+  | exception Budget.Exhausted e -> Error e
 
 let count ?projection ?budget ~num_vars clauses =
   match enumerate ?projection ?budget ~num_vars clauses with

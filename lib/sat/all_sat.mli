@@ -3,52 +3,75 @@
     The paper uses LSAT to obtain {e all} satisfying Boolean assignments in
     one call, which matters for consistency-based diagnosis and for
     ABSOLVER's control loop (each Boolean model spawns one arithmetic
-    subproblem). Two strategies are provided:
+    subproblem). An enumeration is a handle {!t}: {!next} finds a model,
+    {!block} excludes it (or any other set of assignments), and so on until
+    [Unsat]. The handle hides one of two strategies:
 
-    - {!enumerate} keeps one incremental CDCL instance alive and adds a
-      blocking clause per model (the LSAT behaviour);
-    - {!enumerate_restarting} rebuilds the solver from scratch for every
-      model, reproducing the paper's remark that with a non-LSAT black-box
-      solver all models can still be computed "at the expense of the time
-      required for restarting the entire solving process externally"
-      (Sec. 4). The ablation bench quantifies that expense. *)
+    - [Incremental] keeps one CDCL instance alive and adds each blocking
+      clause to it (the LSAT behaviour);
+    - [Restarting] rebuilds the solver from the clauses and every blocking
+      clause so far before each search, reproducing the paper's remark
+      that with a non-LSAT black-box solver all models can still be
+      computed "at the expense of the time required for restarting the
+      entire solving process externally" (Sec. 4). The ablation bench
+      quantifies that expense.
+
+    Both search the same clause set after the same blocks, so they find
+    the same set of models, possibly in a different order. *)
 
 type strategy = Incremental | Restarting
 
+type t
+
+val create :
+  phase:bool -> strategy -> num_vars:int -> Types.lit list list -> t
+(** An enumeration of the models of [clauses] over variables
+    [0 .. num_vars - 1] (more if the clauses mention them). [phase] is the
+    solver's initial polarity ({!Cdcl.set_default_phase}). *)
+
+val next :
+  ?max_conflicts:int -> ?budget:Absolver_resource.Budget.t -> t -> Types.outcome
+(** Search for a model of the clauses and of every clause blocked so far.
+    After [Sat] the model is readable through {!model} until the next
+    call; [Unknown] means [max_conflicts] or [budget] ran out, with the
+    budget's reason left sticky as in {!Cdcl.solve}. *)
+
+val model : t -> bool array
+(** A fresh copy of the model the last [Sat] answer found. *)
+
+val block : t -> Types.lit list -> unit
+(** Require every later model to satisfy the clause. [Incremental] adds
+    it to the live solver, [Restarting] keeps it for the next rebuild. *)
+
+val work : t -> Types.stats
+(** The SAT solver's work in the last {!next}, including the clauses added
+    since the one before; with [Restarting] that is the whole rebuilt
+    solver's work. *)
+
+val blocking : projection:Types.var list -> bool array -> Types.lit list
+(** The clause that excludes [model]'s values on [projection] (ascending):
+    its negation, in descending variable order. {!Cdcl.add_clause} watches
+    the leading (highest) literals, and with phase saving consecutive
+    models flip late-decided, high variables first, so the watches sit
+    where models differ and survive most model-to-model deltas. Empty when
+    [projection] is. *)
+
 val enumerate :
+  ?strategy:strategy ->
   ?projection:Types.var list ->
   ?limit:int ->
-  ?max_conflicts:int ->
   ?budget:Absolver_resource.Budget.t ->
   num_vars:int ->
   Types.lit list list ->
   (bool array list, Absolver_resource.Absolver_error.t) result
 (** [enumerate ~num_vars clauses] returns the list of models (arrays of
-    length [num_vars]). With [projection] the models are projected onto the
-    given variables and duplicates w.r.t. the projection are suppressed
-    (blocking clauses mention only projected variables). [limit] stops
-    after that many models; [budget] bounds the whole enumeration and
-    yields [Error] with the typed exhaustion reason. *)
-
-val enumerate_restarting :
-  ?projection:Types.var list ->
-  ?limit:int ->
-  ?budget:Absolver_resource.Budget.t ->
-  num_vars:int ->
-  Types.lit list list ->
-  (bool array list, Absolver_resource.Absolver_error.t) result
-
-val iter :
-  ?projection:Types.var list ->
-  ?limit:int ->
-  ?budget:Absolver_resource.Budget.t ->
-  solver:Cdcl.t ->
-  (bool array -> [ `Continue | `Stop ]) ->
-  unit ->
-  (int, Absolver_resource.Absolver_error.t) result
-(** Streaming interface over an already-loaded solver: calls the callback
-    on each model, blocking it afterwards; returns the number of models
-    visited. The solver is left with the blocking clauses installed. *)
+    length [num_vars] or more), with the [strategy] (default
+    [Incremental]). With [projection] the models are projected onto the
+    given variables, the others read [false], and duplicates w.r.t. the
+    projection are suppressed (blocking clauses mention only projected
+    variables). [limit] stops after that many models; [budget] bounds the
+    whole enumeration and yields [Error] with the typed exhaustion
+    reason. *)
 
 val count :
   ?projection:Types.var list ->

@@ -8,7 +8,6 @@ module Box = Absolver_nlp.Box
 module L = Absolver_lp.Linexpr
 module T = Absolver_sat.Types
 module AS = Absolver_sat.All_sat
-module C = Absolver_sat.Cdcl
 module Q = Absolver_numeric.Rational
 module I = Absolver_numeric.Interval
 
@@ -164,21 +163,27 @@ c bound y 0 4
 (* ------------------------------------------------------------------ *)
 (* All-SAT streaming interface.                                        *)
 
+(* Stop a handle after two models, then resume it: every strategy visits
+   the 8 models of three free variables exactly once. *)
 let test_allsat_iter_stop () =
-  let solver = C.create () in
-  C.ensure_vars solver 3;
-  let seen = ref 0 in
-  match
-    AS.iter ~solver
-      (fun _ ->
-        incr seen;
-        if !seen >= 2 then `Stop else `Continue)
-      ()
-  with
-  | Ok n ->
-    check int_t "visited" 2 n;
-    check int_t "callback count" 2 !seen
-  | Error e -> Alcotest.fail (Absolver_resource.Absolver_error.to_string e)
+  List.iter
+    (fun strategy ->
+      let h = AS.create ~phase:false strategy ~num_vars:3 [] in
+      let take n =
+        List.init n (fun _ ->
+            match AS.next h with
+            | T.Sat ->
+              let m = AS.model h in
+              AS.block h (AS.blocking ~projection:[ 0; 1; 2 ] m);
+              Array.to_list m
+            | T.Unsat | T.Unknown -> Alcotest.fail "model expected")
+      in
+      let first = take 2 in
+      let rest = take 6 in
+      check bool_t "exhausted" true (AS.next h = T.Unsat);
+      check int_t "distinct models" 8
+        (List.length (List.sort_uniq compare (first @ rest))))
+    [ AS.Incremental; AS.Restarting ]
 
 let test_allsat_count () =
   match AS.count ~num_vars:3 [ [ T.pos 0 ] ] with

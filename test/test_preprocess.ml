@@ -25,8 +25,6 @@ let parse text =
   | Ok p -> p
   | Error e -> Alcotest.failf "parse error: %s" e
 
-let protect_all _ = true
-
 let simplified = function
   | PP.Sat_simplify.Unsat -> Alcotest.fail "unexpected root unsat"
   | PP.Sat_simplify.Simplified s -> s
@@ -59,7 +57,7 @@ let test_sat_unit_chain () =
 let test_sat_subsumption () =
   let s =
     simplified
-      (PP.Sat_simplify.simplify ~protect:protect_all ~nvars:3
+      (PP.Sat_simplify.simplify ~nvars:3
          [ [ T.pos 0; T.pos 1 ]; [ T.pos 0; T.pos 1; T.pos 2 ] ])
   in
   check int_t "subsumed clause removed" 1 (List.length s.PP.Sat_simplify.clauses);
@@ -71,7 +69,7 @@ let test_sat_self_subsumption () =
      clause to (b or c). *)
   let s =
     simplified
-      (PP.Sat_simplify.simplify ~protect:protect_all ~nvars:3
+      (PP.Sat_simplify.simplify ~nvars:3
          [ [ T.pos 0; T.pos 1 ]; [ T.neg_of_var 0; T.pos 1; T.pos 2 ] ])
   in
   check bool_t "one literal strengthened" true
@@ -87,7 +85,7 @@ let test_sat_failed_literal () =
      resolution sees it — only probing fixes a to false. *)
   let s =
     simplified
-      (PP.Sat_simplify.simplify ~protect:protect_all ~nvars:3
+      (PP.Sat_simplify.simplify ~nvars:3
          [
            [ T.neg_of_var 0; T.pos 1 ];
            [ T.neg_of_var 1; T.pos 2 ];
@@ -98,27 +96,6 @@ let test_sat_failed_literal () =
     (List.mem (0, false) s.PP.Sat_simplify.fixed);
   check bool_t "a failed probe counted" true
     (s.PP.Sat_simplify.stats.PP.Sat_simplify.failed_literals >= 1)
-
-let test_sat_pure_and_restore () =
-  (* b occurs only positively and is unprotected: the clause dies; the
-     reconstruction map must turn any model of the residual CNF into a
-     model of the original one. *)
-  let original = [ [ T.pos 0; T.pos 1 ] ] in
-  let s =
-    simplified
-      (PP.Sat_simplify.simplify ~protect:(fun v -> v = 0) ~nvars:2 original)
-  in
-  check bool_t "b eliminated as pure true" true
-    (List.mem (1, true) s.PP.Sat_simplify.pure);
-  let model = [| false; false |] in
-  PP.Sat_simplify.restore ~pure:s.PP.Sat_simplify.pure model;
-  let sat_clause c =
-    List.exists
-      (fun l -> model.(T.var_of l) = T.is_pos l)
-      c
-  in
-  check bool_t "restored model satisfies the original CNF" true
-    (List.for_all sat_clause original)
 
 let test_sat_root_unsat () =
   match
@@ -138,8 +115,8 @@ let lcg seed =
 
 (* A random CNF over [nvars] variables in the shapes the simplifier must
    normalise: duplicate literals, tautologies, units and (in [empty_every]
-   of the CNFs on average) an empty clause. Returns the variable count,
-   the clauses and a random [protect] mask. *)
+   of the CNFs on average) an empty clause. Returns the variable count
+   and the clauses. *)
 let random_cnf rand ~max_vars ~empty_every =
   let nvars = 2 + rand (max_vars - 1) in
   let lit_near base =
@@ -160,20 +137,13 @@ let random_cnf rand ~max_vars ~empty_every =
     List.init nclauses (fun _ -> if rand 40 = 0 then [ lit () ] else clause ())
   in
   let clauses = if rand empty_every = 0 then clauses @ [ [] ] else clauses in
-  let mask = Array.init nvars (fun _ -> rand 3 = 0) in
-  let protect =
-    match rand 3 with
-    | 0 -> fun _ -> false
-    | 1 -> fun _ -> true
-    | _ -> fun v -> v < nvars && mask.(v)
-  in
-  (nvars, clauses, protect)
+  (nvars, clauses)
 
 (* ------------------------------------------------------------------ *)
 (* Sat_simplify identity: the full result, pinned.                     *)
 
 (* Everything [simplify] returns, as one digest: the clauses in order,
-   [fixed], [pure] and every stats field. *)
+   [fixed] and every stats field. *)
 let digest_result r =
   let b = Buffer.create 4096 in
   let add_int n =
@@ -195,14 +165,11 @@ let digest_result r =
     Buffer.add_char b '|';
     List.iter add_assignment s.PP.Sat_simplify.fixed;
     Buffer.add_char b '|';
-    List.iter add_assignment s.PP.Sat_simplify.pure;
-    Buffer.add_char b '|';
     let st = s.PP.Sat_simplify.stats in
     List.iter add_int
       PP.Sat_simplify.
         [
           st.fixed_literals;
-          st.pure_literals;
           st.removed_clauses;
           st.strengthened_literals;
           st.probes;
@@ -210,11 +177,9 @@ let digest_result r =
         ]);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* The CNF skeleton of a paper problem; definition variables protected. *)
+(* The CNF skeleton of a paper problem. *)
 let simplify_skeleton p =
-  let defined = A.Ab_problem.defined_vars p in
   PP.Sat_simplify.simplify
-    ~protect:(fun v -> List.mem v defined)
     ~nvars:(A.Ab_problem.num_bool_vars p) (A.Ab_problem.clauses p)
 
 let fischer_table2 n =
@@ -236,94 +201,93 @@ let identity_named () =
 let identity_random () =
   let rand = lcg 20070601 in
   List.init 300 (fun i ->
-      let nvars, clauses, protect =
-        random_cnf rand ~max_vars:24 ~empty_every:15
-      in
+      let nvars, clauses = random_cnf rand ~max_vars:24 ~empty_every:15 in
       (* [simplify] must also cope with an undercounted [nvars]. *)
       let declared = if rand 4 = 0 then nvars - 1 else nvars in
       let r =
         if i mod 6 = 0 then
-          PP.Sat_simplify.simplify ~probe_limit:(rand 4) ~protect ~nvars:declared
-            clauses
-        else PP.Sat_simplify.simplify ~protect ~nvars:declared clauses
+          PP.Sat_simplify.simplify ~probe_limit:(rand 4) ~nvars:declared clauses
+        else PP.Sat_simplify.simplify ~nvars:declared clauses
       in
       String.sub (digest_result r) 0 8)
 
 (* Digests of the list-based simplifier's results, computed before the
-   flat rewrite; the rewrite must reproduce them bit for bit. *)
+   flat rewrite and re-derived with pure-literal elimination switched off
+   (every variable protected) before that pass was deleted; the
+   simplifier must reproduce them bit for bit. *)
 let identity_named_pins =
   [
-    ("2006_05_23_hard", "22efe2ce228f29db98969bc9292991b3");
-    ("2006_05_24_hard", "c28728658f79168b7d5f86ef86d02b5a");
-    ("2006_05_25_hard", "854fc58db74e20135a4ef7f0aec729bc");
-    ("2006_05_26_hard", "f75f55f427275c32709279b359d704a8");
-    ("2006_05_27_hard", "d8197e3169569f9b1c371d59047ca735");
-    ("2006_05_28_hard", "33617d2c05edf2b6765a4338297361d6");
-    ("2006_05_29_easy", "4b6a4cf06e82e679369ffff236856e34");
-    ("2006_05_29_hard", "c76f030c483df804a8936f71ec03ec25");
-    ("2006_05_30_easy", "f1407a9f8b43bcc582dbb04bd5e8d594");
-    ("2006_05_30_hard", "7b20aaa670159b53d78a183dcd49c8cb");
-    ("FISCHER1", "1c47e5f753456d05ea7addd8ece5ea95");
-    ("FISCHER2", "a4e03239ec352d058acb2c17fd71ad37");
-    ("FISCHER3", "6f3944f9e1323a2568dc80efbd3e3430");
-    ("FISCHER4", "6973a5481e3a6b2cb1a12aeaab2ca778");
-    ("FISCHER5", "93f98b2a3f539cb3dedd52ae07a603dc");
-    ("FISCHER6", "87947901213172b9f91a445b515a78eb");
-    ("steering", "df36c3e3d41e77295456e80e69e842e6");
+    ("2006_05_23_hard", "f4d94dd0e03c655db0ed9e62465fddf1");
+    ("2006_05_24_hard", "97f7df89b992a34be0d2d5cb7dd01b0c");
+    ("2006_05_25_hard", "0d9d5618641609eea124dc5208412901");
+    ("2006_05_26_hard", "9ac0a8f824229e2517201ae281323bae");
+    ("2006_05_27_hard", "c4ad8abf63216c29a9fad557696f5052");
+    ("2006_05_28_hard", "58e93eb0945b9b2f8b4207f338c218f6");
+    ("2006_05_29_easy", "f1c3ec3879bab93a9ab287329edb27ef");
+    ("2006_05_29_hard", "4c4726ed0fc2f9655384e9d4c6ebb8a1");
+    ("2006_05_30_easy", "7e08986a170605023104e34cda111980");
+    ("2006_05_30_hard", "ecb9e65576d4b8ddb3db1d94d6a9f14c");
+    ("FISCHER1", "396230dd5af1cf9df16e796062df2c3d");
+    ("FISCHER2", "de7c163730c86a2f8b311a183b97100e");
+    ("FISCHER3", "44a843b508c3779d73db717195c50efd");
+    ("FISCHER4", "5aca49b1025d4e76a68e72ab2710456c");
+    ("FISCHER5", "a07dff3e09a084a5cc828e7ec3f50c73");
+    ("FISCHER6", "718fb6fdfc2f0746caae73e355b5d447");
+    ("steering", "50fdc51117db3188b6783b48fee1b337");
   ]
 
 let identity_random_pins =
   [|
-    "07483a9a"; "023faeab"; "dd1bd83e"; "d1bf559e"; "1c955e71"; "e3533188";
-    "ab76ca46"; "ff7b2dac"; "ab76ca46"; "f9edc5ab"; "e927fcfc"; "3ea3d238";
-    "4df63647"; "bc0934ec"; "c07ea204"; "ab76ca46"; "ab76ca46"; "19ce25b3";
-    "7e6986c9"; "ab76ca46"; "3c0e483e"; "f27cdfa6"; "ab76ca46"; "1ef5f57e";
-    "d804adf4"; "3753b1b7"; "ab76ca46"; "fe82a1dd"; "882e392f"; "ad58d7e7";
-    "5248cedd"; "b0c9fde6"; "6439dfe5"; "ab76ca46"; "5391a935"; "3c9c2394";
-    "0dec8948"; "2bb57a5d"; "8cde1041"; "1b5d5ffc"; "aa1b3792"; "493d1b00";
-    "d4de39d9"; "348b8371"; "fc4a34fd"; "ab76ca46"; "cc4d0903"; "f8b70737";
-    "5931b437"; "ab76ca46"; "2a77a757"; "984c770b"; "5cd06825"; "19ca1ddf";
-    "06950115"; "bcb0b95d"; "f3040133"; "ac1dee39"; "ab76ca46"; "f913c446";
-    "35deee7b"; "1a30ac3f"; "ba443ca3"; "a0202a7d"; "31449041"; "707e84f8";
-    "ab76ca46"; "ab76ca46"; "17fe46ea"; "da28965d"; "7d1ec901"; "375c1025";
-    "59e0665e"; "f975e748"; "2b8eb30a"; "597cdb91"; "ab76ca46"; "ab76ca46";
-    "ab76ca46"; "d081208c"; "d55dd13c"; "368a1727"; "ab76ca46"; "e4256f90";
-    "ab76ca46"; "ab76ca46"; "95782693"; "3c5afe6f"; "ab76ca46"; "0c6d3b73";
-    "861c4d2d"; "6af27d3a"; "ab76ca46"; "ab76ca46"; "a47adbf3"; "11f08e10";
-    "61eba723"; "28a27ef1"; "ab76ca46"; "8b853001"; "9c511fa5"; "e77401fb";
-    "ab76ca46"; "ab76ca46"; "ab76ca46"; "ab76ca46"; "7ed72712"; "b5fb8d7e";
-    "889d79ae"; "ee5866b4"; "ab76ca46"; "2b3ff5fa"; "fe72872e"; "a3694325";
-    "bd4a46e6"; "34fe593a"; "a77847f6"; "6077f740"; "ec44b330"; "a2903364";
-    "743ef5c9"; "3ebd793c"; "46aea6cb"; "cb272af7"; "97e26bfe"; "e0de6b0b";
-    "8ac5e993"; "e479ebbc"; "f178eb01"; "d79ad1fa"; "271653d1"; "67fef087";
-    "33982822"; "5ba80ea0"; "8ac522e7"; "ab76ca46"; "a41fedfe"; "f5d3b911";
-    "ab1d68a0"; "d71339df"; "b8cb79d4"; "b47c713c"; "d0673898"; "ab76ca46";
-    "ab76ca46"; "70f7a930"; "1d7f5bdf"; "44521e47"; "18f59aec"; "935a040b";
-    "f9d3dd6b"; "4a50ac8c"; "84d293c2"; "7f35ac4d"; "47774193"; "ab76ca46";
-    "b075856e"; "1a07bc8d"; "97877095"; "767451cc"; "7f333849"; "42f5b91b";
-    "ffa9137c"; "ab76ca46"; "ab76ca46"; "98391c56"; "7a3504e7"; "a270b6aa";
-    "0668d899"; "10b785a3"; "f669e92f"; "ab76ca46"; "2fa38a18"; "208ed215";
-    "d88c6e80"; "e960f6f4"; "c090c28f"; "2aef3cc5"; "7b502c64"; "30ba71be";
-    "5e6eba3f"; "678eeb43"; "70de5405"; "e1e4eebc"; "7343f328"; "8e8a0b01";
-    "aa274d82"; "c40ecc64"; "f5221194"; "65c8810b"; "9eca5d24"; "a9d1cc81";
-    "48b147f7"; "29503d16"; "ab76ca46"; "095d190a"; "a67a2711"; "ab76ca46";
-    "6fa3992c"; "082252ac"; "bad7a33b"; "43845da6"; "ab76ca46"; "75e2923e";
-    "bdaf4342"; "ab76ca46"; "b6123a40"; "23002993"; "5455df13"; "313c5457";
-    "f7cb7172"; "80d00962"; "05f33e54"; "3121fa7c"; "310d95e0"; "c4961b02";
-    "b28be6b9"; "5ffcac29"; "bf8a9fd0"; "2ad80bc4"; "5207ee25"; "e8a625a8";
-    "ab76ca46"; "ab9e9774"; "ab76ca46"; "2db7c1ac"; "95b16941"; "59f392bd";
-    "0dd2d4b2"; "01465fc7"; "b365da56"; "d4033e05"; "5c491237"; "e455ebe5";
-    "299dc66e"; "6a411e71"; "824c3c1a"; "6d4c2b92"; "ab76ca46"; "224019d2";
-    "e2d7c881"; "59ae00d5"; "eec49758"; "1788bc96"; "8165842e"; "24c26262";
-    "0b78699e"; "c844270f"; "aef7a064"; "1d63890c"; "630bd7f4"; "5265062e";
-    "ab76ca46"; "afe99b79"; "ab76ca46"; "0fbc117c"; "4dedfc2b"; "a68e214c";
-    "2750d0c8"; "c77aabd5"; "a6259a44"; "d285ed82"; "4878bf79"; "6cb82e48";
-    "d897464a"; "ab76ca46"; "3f644ecf"; "33068361"; "0eb9d470"; "6e951a82";
-    "0e5db6b2"; "2513dcf2"; "e6c79824"; "35d4ba6a"; "9a87d6e5"; "c60da000";
-    "f9ca54f4"; "f0d1c24f"; "ab76ca46"; "ab76ca46"; "0c8153ca"; "92ec770c";
-    "f52d3503"; "c32b602c"; "cbcffff8"; "b4eade5f"; "94bb9a4e"; "ab76ca46";
-    "0e2d5fb8"; "3a7dd078"; "cad13943"; "ab76ca46"; "b3778a39"; "ab76ca46";
-    "ab76ca46"; "46449929"; "39f21a63"; "820dcc6b"; "5a0eb64b"; "35536099";
+    "78f0121a"; "c343b37c"; "2860de8d"; "ab76ca46"; "06a7a8c1"; "5e548b7b";
+    "ab76ca46"; "a23a6286"; "ab76ca46"; "00bdf555"; "9e34722a"; "ab76ca46";
+    "5af4b27c"; "ab76ca46"; "ef2c8423"; "206f3c45"; "8de8a499"; "75d142b2";
+    "7c52e0e0"; "ab76ca46"; "c23853bb"; "44b4a445"; "e6dad8cd"; "4dc4f707";
+    "ab76ca46"; "ab76ca46"; "afe93599"; "76a09ad1"; "6609e356"; "d3da219c";
+    "27256161"; "4fe823ed"; "4da0d2a9"; "f4414f01"; "91b1049b"; "4daca5d7";
+    "ab76ca46"; "bfde93e1"; "ab76ca46"; "2cae6b31"; "4c3e4c17"; "e7fb40e3";
+    "b2d86673"; "3180e2bd"; "f4abb733"; "b17d4967"; "436ac48e"; "e830990b";
+    "e3c115b0"; "ab76ca46"; "7fef8ce9"; "5d50e51b"; "bba8613f"; "2b3a3ef7";
+    "ab76ca46"; "32104b7c"; "d8b29084"; "e8330b00"; "eca23efa"; "ab76ca46";
+    "7f310914"; "d1e79f4d"; "4e0fb9b7"; "ab76ca46"; "56013cef"; "0c4ac933";
+    "3ae53b66"; "e09069a4"; "ab76ca46"; "84ec1e92"; "af155698"; "53a9f13b";
+    "ab76ca46"; "ab76ca46"; "70f64409"; "79829a8a"; "fcd1b991"; "abb74fb1";
+    "ab76ca46"; "dca5e6c6"; "3712fde2"; "ab76ca46"; "c26cea0b"; "69ad59ca";
+    "222bda46"; "48c6dfeb"; "c9a320d9"; "b1a165ef"; "ab76ca46"; "edbc5f86";
+    "e1ac735e"; "ab76ca46"; "d3fc0afd"; "21dca6d0"; "9cef0d56"; "f119a8c0";
+    "ad6c938e"; "ab76ca46"; "db0a103d"; "462fb979"; "3efa78df"; "324f8ecd";
+    "cedc38f4"; "cf23c6e2"; "a07f4200"; "c6675bba"; "680dca11"; "a118b54a";
+    "ab76ca46"; "da5aadae"; "bc4fd361"; "06b3151d"; "d3edc26f"; "03bb2b96";
+    "ab76ca46"; "ab76ca46"; "cbec5fae"; "181525d1"; "37bada0b"; "cb99a5f8";
+    "fc38ab83"; "2c8a1fdb"; "84694ba4"; "b2dea907"; "ab76ca46"; "76a8a9cc";
+    "292aad05"; "e6c2cf4e"; "c4810b3e"; "b87bfb1a"; "ab76ca46"; "ab76ca46";
+    "94dd28ee"; "4f9f2b3c"; "bf5aaf42"; "1f88ee80"; "0dbc3376"; "ad304ee8";
+    "ab76ca46"; "970acc30"; "e8392f37"; "2cfab4b3"; "ea0304b0"; "48f41273";
+    "bed218bc"; "8ec23f59"; "ab76ca46"; "bb08def7"; "e8a44372"; "cc4cd66b";
+    "7917dd16"; "ab76ca46"; "febae474"; "ceec18e1"; "3c9a5db5"; "3c6689fa";
+    "0dbc1366"; "26ce9543"; "9f9774bb"; "8e691255"; "ab76ca46"; "ab76ca46";
+    "5815e7c6"; "0d87d0f5"; "f667afae"; "b422ad52"; "ab76ca46"; "29ad5c44";
+    "82af4370"; "b800f9aa"; "21fb81d2"; "a70b7916"; "c069008c"; "308fc1dd";
+    "44a9784a"; "7c7644e9"; "cf62f633"; "39bde64b"; "c6207362"; "ab76ca46";
+    "6793b68b"; "0058fcf8"; "b8137cc9"; "e8ddad78"; "695a0e27"; "9d99f076";
+    "42d9624c"; "2100bc49"; "ab76ca46"; "bd24a071"; "07da1532"; "ef6785a2";
+    "db39dce2"; "25fc8e59"; "465acdd6"; "5009f30d"; "5240da0f"; "1f05516f";
+    "3aeae9d8"; "77315ae1"; "48a9ff97"; "5c9eebd3"; "128edc46"; "de6f5e1e";
+    "ab76ca46"; "fe5aa390"; "ab8ea3fa"; "ab76ca46"; "6ec438cf"; "662496f0";
+    "d4531dde"; "13afdfe1"; "8d0fb341"; "4c3c5ae0"; "ab76ca46"; "05459c9d";
+    "81813718"; "260243b5"; "99703306"; "b672e6d1"; "448e92c9"; "e6dad8cd";
+    "b1591741"; "59414933"; "2eb83083"; "f043a3cf"; "ab76ca46"; "e7acf34b";
+    "3c0964e4"; "ab76ca46"; "5add7f28"; "2cae4386"; "ab76ca46"; "fa7a7a7a";
+    "51d627e3"; "44928d29"; "fed6b3aa"; "09a02bad"; "ecefe926"; "81d1a283";
+    "cf3fb616"; "525d99e4"; "cd52dd0f"; "389ecb1c"; "76a2e5d2"; "8ec5eacd";
+    "e96ae156"; "935c0798"; "7a81fc77"; "5b99bc6b"; "4516343d"; "c1cdb09a";
+    "aff6e81d"; "998f4e0a"; "ab76ca46"; "f8a7f572"; "1bf36353"; "b8ac2806";
+    "1f49bea4"; "8e138da6"; "b7ab346c"; "6b814dd6"; "ab76ca46"; "2640049d";
+    "50e99550"; "098376dc"; "ab76ca46"; "7b869598"; "abbde093"; "9d1ed495";
+    "1d94b0e1"; "6fdcb488"; "6f1d165f"; "e3098e03"; "22453656"; "59ee1d46";
+    "c1ffed6a"; "d53f81df"; "8c7b78a0"; "ab76ca46"; "3cb55339"; "7b55d422";
+    "ac573fc5"; "7d2f2323"; "45766b55"; "f4a567af"; "9fc8e2af"; "0645077c";
+    "8ef1efd7"; "66894218"; "e19bda62"; "ab76ca46"; "f1299441"; "25dd1f6b";
+    "ab76ca46"; "f7277792"; "538f28c0"; "ab76ca46"; "1da5cdad"; "ab76ca46";
   |]
 
 let test_sat_identity_named () =
@@ -356,44 +320,24 @@ let all_models n clauses =
     (List.init (1 lsl n) Fun.id)
 
 (* The result of [simplify] against the model set of its input:
-   - [Unsat] only when the input has no model, and a simplified CNF has
-     a model exactly when the input does;
+   - [Unsat] only when the input has no model;
    - every fixed literal holds in every model of the input;
-   - every model of the result, patched with [restore], is a model of
-     the input;
-   - both model sets agree once projected onto the protected variables. *)
-let check_model_sets name n clauses protect result =
+   - a simplified CNF has exactly the models of the input. *)
+let check_model_sets name n clauses result =
   let input = all_models n clauses in
   match result with
   | PP.Sat_simplify.Unsat ->
     check int_t (name ^ ": unsat input") 0 (List.length input)
   | PP.Sat_simplify.Simplified s ->
-    let output = all_models n s.PP.Sat_simplify.clauses in
-    check bool_t (name ^ ": satisfiable iff the input is") (input <> [])
-      (output <> []);
     List.iter
       (fun (v, b) ->
         check bool_t (name ^ ": fixed literal holds in every input model") true
           (List.for_all (fun m -> m.(v) = b) input))
       s.PP.Sat_simplify.fixed;
-    List.iter
-      (fun m ->
-        let m = Array.copy m in
-        PP.Sat_simplify.restore ~pure:s.PP.Sat_simplify.pure m;
-        check bool_t (name ^ ": restored model satisfies the input") true
-          (satisfies m clauses))
-      output;
-    let protected = List.filter protect (List.init n Fun.id) in
-    let projected models =
-      List.sort_uniq compare
-        (List.map
-           (fun m -> List.map (fun v -> m.(v)) protected)
-           models)
-    in
+    let output = all_models n s.PP.Sat_simplify.clauses in
     check
-      Alcotest.(list (list bool))
-      (name ^ ": same models on the protected variables")
-      (projected input) (projected output)
+      Alcotest.(list (array bool))
+      (name ^ ": same models") input output
 
 (* Seeded CNFs over at most 10 variables, each simplified without a
    budget, with a step budget that runs out during the first
@@ -403,13 +347,13 @@ let test_sat_model_sets () =
   let rand = lcg 1607 in
   let tripped = ref 0 in
   for i = 1 to 200 do
-    let n, clauses, protect = random_cnf rand ~max_vars:10 ~empty_every:40 in
+    let n, clauses = random_cnf rand ~max_vars:10 ~empty_every:40 in
     let ncls = List.length clauses in
     let run budget =
-      try PP.Sat_simplify.simplify ?budget ~protect ~nvars:n clauses
+      try PP.Sat_simplify.simplify ?budget ~nvars:n clauses
       with e -> Alcotest.failf "CNF %d: %s escaped" i (Printexc.to_string e)
     in
-    check_model_sets (Printf.sprintf "CNF %d" i) n clauses protect (run None);
+    check_model_sets (Printf.sprintf "CNF %d" i) n clauses (run None);
     List.iter
       (fun (phase, max_steps) ->
         let budget = Absolver_resource.Budget.create ~max_steps () in
@@ -417,7 +361,7 @@ let test_sat_model_sets () =
         if Absolver_resource.Budget.tripped budget <> None then incr tripped;
         check_model_sets
           (Printf.sprintf "CNF %d, budget out %s" i phase)
-          n clauses protect result)
+          n clauses result)
       [ ("mid-subsumption", rand ncls); ("mid-probing", ncls + rand n) ]
   done;
   check bool_t "budgets ran out in most runs" true (!tripped > 200)
@@ -587,21 +531,16 @@ c bound x -100 100
   check bool_t "box lower" true (iv.I.lo >= 0.999);
   check bool_t "box upper" true (iv.I.hi <= 3.001)
 
-let test_driver_model_reconstruction () =
-  (* Variable 2 is undefined and outside the projection, so presolve may
-     eliminate it as pure; the engine must still hand back a model
-     satisfying the clause (1 or 2) via restore_model. *)
+let test_driver_projected_model () =
+  (* Variable 2 is undefined and outside the projection; the engine must
+     still hand back a model satisfying the clause (1 or 2). *)
   let p = A.Ab_problem.create () in
   A.Ab_problem.add_clause p [ T.pos 0 ];
   A.Ab_problem.add_clause p [ T.pos 1; T.pos 2 ];
   A.Ab_problem.set_projection p [ 0 ];
-  let pre = A.Preprocess.run p in
-  check bool_t "some variable eliminated as pure" true
-    (pre.A.Preprocess.pure <> []);
   match A.Engine.solve p with
   | A.Engine.R_sat sol, _ ->
-    check bool_t "reconstructed model verifies" true
-      (A.Solution.check p sol = Ok ())
+    check bool_t "model verifies" true (A.Solution.check p sol = Ok ())
   | _ -> Alcotest.fail "sat expected"
 
 (* ------------------------------------------------------------------ *)
@@ -764,7 +703,25 @@ let test_equiv_all_models () =
   check_all_models_equiv "free-clause" (fun () -> parse "p cnf 3 1\n1 2 3 0\n");
   check_all_models_equiv "esat" (fun () -> parse esat_text);
   check_all_models_equiv "fig2" (fun () -> parse fig2_text);
-  check_all_models_equiv "fischer2" (fun () -> fischer_problem 2)
+  check_all_models_equiv "fischer2" (fun () -> fischer_problem 2);
+  (* Projected inputs, whose variables outside the projection presolve
+     must still leave with their models: the smallest one has two such
+     variables that occur only negatively; the Sudoku encoding projects
+     onto its cell=digit variables, and SMT-LIB 1.2 conversion (also
+     behind [fischer_problem]) onto atoms and predicates. *)
+  check_all_models_equiv "projected-negative-pair" (fun () ->
+      let p = parse "p cnf 3 2\n1 0\n-2 -3 0\n" in
+      A.Ab_problem.set_projection p [ 0 ];
+      p);
+  let puzzle = P.generate ~name:"presolve-equiv" ~clues:40 in
+  check_all_models_equiv "sudoku-mixed" (fun () -> S.absolver_problem puzzle);
+  check_all_models_equiv "fischer2-unsplit-eq" (fun () ->
+      match
+        Absolver_smtlib.To_ab.convert_split_eq ~split_eq:false
+          (F.benchmark ~rounds:4 ~property:(F.Cs_within (Q.of_int 2)) ~n:2 ())
+      with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "fischer: %s" e)
 
 let test_equiv_optimize () =
   let mk () =
@@ -853,7 +810,6 @@ let suite =
     ("sat: subsumption", `Quick, test_sat_subsumption);
     ("sat: self-subsumption", `Quick, test_sat_self_subsumption);
     ("sat: failed literal", `Quick, test_sat_failed_literal);
-    ("sat: pure + restore", `Quick, test_sat_pure_and_restore);
     ("sat: root unsat", `Quick, test_sat_root_unsat);
     ("sat: identity on paper CNFs", `Quick, test_sat_identity_named);
     ("sat: identity on random CNFs", `Quick, test_sat_identity_random);
@@ -867,7 +823,7 @@ let suite =
     ("driver: arithmetic refutation", `Quick, test_driver_arithmetic_refutation);
     ("driver: unit-def feedback", `Quick, test_driver_unit_def_feedback);
     ("driver: box tightening", `Quick, test_driver_box_tightening);
-    ("driver: model reconstruction", `Quick, test_driver_model_reconstruction);
+    ("driver: projected model verifies", `Quick, test_driver_projected_model);
     ("equiv: solve corpus", `Quick, test_equiv_solve_corpus);
     ("equiv: steering", `Slow, test_equiv_solve_steering);
     ("equiv: all-models", `Quick, test_equiv_all_models);
