@@ -234,7 +234,7 @@ let run_stats_json s =
 
 (* Outcome of checking one Boolean model arithmetically. *)
 type model_check =
-  | M_sat of Solution.t
+  | M_sat of Solution.t * Linexpr.cons list Lazy.t (* and the conjunction it satisfies *)
   | M_conflict of Types.lit list (* blocking clause *)
   | M_unknown of string
 
@@ -260,168 +260,244 @@ let blocking_of_tags model tags =
    variable, so e.g. [yaw - f(v) >= 0.4] and [yaw - f(v) <= -0.4] become
    jointly LP-infeasible with the two-literal core {over, under} -- the
    layering that lets the cheap solver prune before the expensive one
-   runs. *)
+   runs.  A solve relaxes each relation once, over one slot per distinct
+   subterm (slot [s] is variable [-1 - s]); each check numbers the slots
+   it uses (see [relaxed_atoms]). *)
 module Relax = struct
-  type t = {
-    mutable next_aux : int;
-    table : (string, int) Hashtbl.t;
-    mutable aux_bounds : Linexpr.cons list;
-    box : Box.t;
-  }
+  (* A subterm's slot, and its range as bounds [x + k op 0]: [(k, op)]. *)
+  type slot = { id : int; range : (Q.t * Linexpr.op) list }
+  type t = { table : (string, slot) Hashtbl.t; box : Box.t }
 
-  let create ~first_aux ~box =
-    { next_aux = first_aux; table = Hashtbl.create 16; aux_bounds = []; box }
-
-  let aux_for st (e : Expr.t) =
+  let slot st (e : Expr.t) =
     let key = Expr.to_string e in
     match Hashtbl.find_opt st.table key with
-    | Some v -> v
+    | Some s -> s
     | None ->
-      let v = st.next_aux in
-      st.next_aux <- v + 1;
-      Hashtbl.add st.table key v;
       let range = Expr.eval_interval (Box.env st.box) e in
-      let open Absolver_numeric in
-      (if (not (Interval.is_empty range)) && Float.is_finite range.Interval.lo
-       then
-         st.aux_bounds <-
-           {
-             Linexpr.expr =
-               Linexpr.add_term
-                 (Linexpr.constant (Q.neg (Q.of_float range.Interval.lo)))
-                 Q.one v;
-             op = Linexpr.Ge;
-             tag = Ab_problem.bounds_tag;
-           }
-           :: st.aux_bounds);
-      (if (not (Interval.is_empty range)) && Float.is_finite range.Interval.hi
-       then
-         st.aux_bounds <-
-           {
-             Linexpr.expr =
-               Linexpr.add_term
-                 (Linexpr.constant (Q.neg (Q.of_float range.Interval.hi)))
-                 Q.one v;
-             op = Linexpr.Le;
-             tag = Ab_problem.bounds_tag;
-           }
-           :: st.aux_bounds);
-      v
+      let bound x op =
+        if (not (I.is_empty range)) && Float.is_finite x then [ (Q.neg (Q.of_float x), op) ]
+        else []
+      in
+      let range = bound range.I.lo Linexpr.Ge @ bound range.I.hi Linexpr.Le in
+      let s = { id = Hashtbl.length st.table; range } in
+      Hashtbl.add st.table key s;
+      s
 
-  let rec linexpr st (e : Expr.t) : Linexpr.t =
-    match Expr.linearize e with
-    | Some le -> le
-    | None -> (
-      match e with
-      | Expr.Add (a, b) -> Linexpr.add (linexpr st a) (linexpr st b)
-      | Expr.Sub (a, b) -> Linexpr.sub (linexpr st a) (linexpr st b)
-      | Expr.Neg a -> Linexpr.neg (linexpr st a)
-      | Expr.Mul (a, b) -> (
-        match (Expr.linearize a, Expr.linearize b) with
-        | Some la, _ when Linexpr.is_constant la ->
-          Linexpr.scale (Linexpr.const la) (linexpr st b)
-        | _, Some lb when Linexpr.is_constant lb ->
-          Linexpr.scale (Linexpr.const lb) (linexpr st a)
-        | _ -> Linexpr.var (aux_for st e))
-      | Expr.Div (a, b) -> (
-        match Expr.linearize b with
-        | Some lb
-          when Linexpr.is_constant lb && not (Q.is_zero (Linexpr.const lb)) ->
-          Linexpr.scale (Q.inv (Linexpr.const lb)) (linexpr st a)
-        | _ -> Linexpr.var (aux_for st e))
-      | Expr.Const _ | Expr.Var _ | Expr.Pow _ | Expr.Sqrt _ | Expr.Exp _
-      | Expr.Log _ | Expr.Sin _ | Expr.Cos _ ->
-        Linexpr.var (aux_for st e))
+  (* [e] over slot variables, and its slots in order of first use. *)
+  let relax st (e : Expr.t) =
+    let used = ref [] in
+    let aux e =
+      let s = slot st e in
+      if not (List.memq s !used) then used := s :: !used;
+      Linexpr.var (-1 - s.id)
+    in
+    let rec linexpr (e : Expr.t) : Linexpr.t =
+      match Expr.linearize e with
+      | Some le -> le
+      | None -> (
+        match e with
+        | Expr.Add (a, b) -> Linexpr.add (linexpr a) (linexpr b)
+        | Expr.Sub (a, b) -> Linexpr.sub (linexpr a) (linexpr b)
+        | Expr.Neg a -> Linexpr.neg (linexpr a)
+        | Expr.Mul (a, b) -> (
+          match (Expr.linearize a, Expr.linearize b) with
+          | Some la, _ when Linexpr.is_constant la ->
+            Linexpr.scale (Linexpr.const la) (linexpr b)
+          | _, Some lb when Linexpr.is_constant lb ->
+            Linexpr.scale (Linexpr.const lb) (linexpr a)
+          | _ -> aux e)
+        | Expr.Div (a, b) -> (
+          match Expr.linearize b with
+          | Some lb
+            when Linexpr.is_constant lb && not (Q.is_zero (Linexpr.const lb)) ->
+            Linexpr.scale (Q.inv (Linexpr.const lb)) (linexpr a)
+          | _ -> aux e)
+        | Expr.Const _ | Expr.Var _ | Expr.Pow _ | Expr.Sqrt _ | Expr.Exp _
+        | Expr.Log _ | Expr.Sin _ | Expr.Cos _ ->
+          aux e)
+    in
+    let le = linexpr e in
+    (le, List.rev !used)
 end
 
-(* [lsolve] is the LP entry point for this enumeration (see [enumerate]
-   below), bumping its own work into [stats]; [None] when no linear
-   solver is registered. *)
-let check_model ~registry ~options ~stats ~pre ~lsolve problem
-    (model : bool array) =
+(* A relation of a definition literal, compiled once per solve: a linear
+   one to its atom in the LP session, a nonlinear one to its relaxation
+   (built the first time a check needs it). *)
+type piece =
+  | Linear of Expr.rel * Linexpr.cons * int
+  | Nonlinear of Expr.rel * (Linexpr.t * Relax.slot list) Lazy.t
+
+let rel_of = function Linear (r, _, _) | Nonlinear (r, _) -> r
+
+(* What a literal contributes to a model's conjunction: relations that
+   all hold, or a branching group of which one must (the negation of an
+   equation or of a conjunction, Sec. 1). *)
+type side = Fixed of piece list | Group of piece list
+
+(* The problem compiled for one solve, after presolve. A literal compiles
+   the first time a model assigns it, so a solve that checks one model
+   does no more work than that check. *)
+type compiled = {
+  problem : Ab_problem.t;
+  defined : Types.var array;
+  sess : Registry.linear_session;
+  (* The sides of [defined.(i)]: true at [2i], false at [2i + 1]; [unset]
+     until compiled. *)
+  sides : side array;
+  int_vars : int list;
+  relax : Relax.t;  (* over presolve's box *)
+  bounds : piece list;  (* presolve's, asserted after the literals *)
+  bound_ids : int list;
+}
+
+let rec pieces sess relax = function
+  | [] -> []
+  | (r : Expr.rel) :: rs ->
+    let p =
+      match Expr.linearize r.Expr.expr with
+      | Some le ->
+        let c = { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag } in
+        Linear (r, c, sess.Registry.lsess_atom c)
+      | None -> Nonlinear (r, lazy (Relax.relax relax r.Expr.expr))
+    in
+    p :: pieces sess relax rs
+
+let unset = Fixed []
+let is_nonlinear = function Linear _ -> false | Nonlinear _ -> true
+
+(* The linear atoms' ids of [ps], in order, then [tail]. *)
+let ids_of ps tail =
+  List.fold_right
+    (fun p acc -> match p with Linear (_, _, id) -> id :: acc | Nonlinear _ -> acc)
+    ps tail
+
+let compile ~pre ~sess problem =
+  (* Presolve-tightened bounds and box: sound in every Boolean model,
+     since presolve only derives facts implied by the whole problem. *)
+  let relax = { Relax.table = Hashtbl.create 16; box = pre.Preprocess.box } in
+  let bounds = pieces sess relax pre.Preprocess.bound_rels in
+  let defined = Array.of_list (Ab_problem.defined_vars problem)
+  and nvars = Ab_problem.num_arith_vars problem in
+  let is_int = Array.make nvars false in
+  List.iter
+    (fun (d : Ab_problem.def) ->
+      if d.domain = Ab_problem.Dint then
+        List.iter (fun v -> is_int.(v) <- true) (Expr.vars d.rel.Expr.expr))
+    (Ab_problem.defs problem);
+  {
+    problem;
+    defined;
+    sess;
+    sides = Array.make (2 * Array.length defined) unset;
+    int_vars = List.filter (Array.get is_int) (List.init nvars Fun.id);
+    relax;
+    bounds;
+    bound_ids = ids_of bounds [];
+  }
+
+(* A true variable contributes all of its constraints; a false variable
+   demands that at least one constraint of its conjunction fail, which
+   (together with the Eq split of Sec. 1) yields a disjunctive branching
+   group. *)
+let side c i v value =
+  let i = (2 * i) + if value then 0 else 1 in
+  if c.sides.(i) != unset then c.sides.(i)
+  else
+    let rels = List.map (fun (d : Ab_problem.def) -> d.rel) (Ab_problem.find_defs c.problem v) in
+    let s =
+      if value then Fixed (pieces c.sess c.relax rels)
+      else
+        match List.concat_map Expr.negate_rel rels with
+        | [ r ] -> Fixed (pieces c.sess c.relax [ r ])
+        | rs -> Group (pieces c.sess c.relax rs)
+    in
+    c.sides.(i) <- s;
+    s
+
+(* The relaxation's atoms for one check: the relaxed forms of
+   [nonlinear] with their slots numbered [nvars], [nvars + 1], ... in
+   order of first use, then each numbered slot's range bounds, newest
+   first. *)
+let relaxed_atoms c nvars nonlinear =
+  let numbered = ref [] and bounds = ref [] in
+  let number (s : Relax.slot) =
+    if not (List.mem_assoc s.id !numbered) then begin
+      let v = nvars + List.length !numbered in
+      numbered := (s.id, v) :: !numbered;
+      List.iter
+        (fun (k, op) ->
+          let expr = Linexpr.add_term (Linexpr.constant k) Q.one v in
+          bounds := { Linexpr.expr; op; tag = Ab_problem.bounds_tag } :: !bounds)
+        s.range
+    end
+  in
+  let relaxed = function
+    | Linear (_, cons, _) -> cons
+    | Nonlinear (r, (lazy (le, slots))) ->
+      List.iter number slots;
+      let var (v, q) = (q, if v < 0 then List.assoc (-1 - v) !numbered else v) in
+      let expr = Linexpr.of_list (List.map var (Linexpr.coeffs le)) (Linexpr.const le) in
+      { Linexpr.expr; op = r.Expr.op; tag = r.Expr.tag }
+  in
+  let forms = List.map relaxed nonlinear in
+  List.map c.sess.Registry.lsess_atom (forms @ !bounds)
+
+let check_model ~registry ~options ~stats c (model : bool array) =
   let tel = options.telemetry in
   let bump = bump options stats in
   let budget = options.budget in
-  let defs = Ab_problem.defs problem in
-  (* Presolve-tightened bounds and box: sound in every Boolean model,
-     since presolve only derives facts implied by the whole problem. *)
-  let bound_rels = pre.Preprocess.bound_rels in
-  let int_vars =
-    List.concat_map
-      (fun (d : Ab_problem.def) ->
-        if d.domain = Ab_problem.Dint then Expr.vars d.rel.Expr.expr else [])
-      defs
-    |> List.sort_uniq compare
-  in
-  (* Split definitions into fixed relations and branching groups: a true
-     variable contributes all of its constraints; a false variable demands
-     that at least one constraint of its conjunction fail, which (together
-     with the Eq split of Sec. 1) yields a disjunctive branching group. *)
-  let fixed, groups =
-    List.fold_left
-      (fun (fixed, groups) v ->
-        let rels =
-          List.map (fun (d : Ab_problem.def) -> d.rel) (Ab_problem.find_defs problem v)
-        in
-        if model.(v) then (rels @ fixed, groups)
-        else
-          match List.concat_map Expr.negate_rel rels with
-          | [ r ] -> (r :: fixed, groups)
-          | rs -> (fixed, rs :: groups))
-      ([], [])
-      (Ab_problem.defined_vars problem)
-  in
+  (* Split the literals into fixed relations and branching groups. *)
+  let fixed = ref [] and groups = ref [] in
+  Array.iteri
+    (fun i v ->
+      match side c i v model.(v) with
+      | Fixed ps -> fixed := ps @ !fixed
+      | Group ps -> groups := ps :: !groups)
+    c.defined;
+  let fixed = !fixed and groups = !groups in
   if List.length groups > options.eq_split_limit then
     M_unknown
       (Printf.sprintf "more than %d negated equations in one Boolean model"
          options.eq_split_limit)
-  else if Option.is_none lsolve then
-    (* An empty solver list is a configuration error, not a crash: report
-       it as an undecidable model (pre-refactor this was a [failwith]). *)
-    M_unknown "no linear solver registered"
   else begin
-    let lsolve = Option.get lsolve in
     let all_combos = combinations groups in
     let cores = ref [] in
     let unknown = ref None in
-    let solution = ref None in
-    let nvars = Ab_problem.num_arith_vars problem in
+    let solution = ref None and satisfied = ref (lazy []) in
+    let nvars = Ab_problem.num_arith_vars c.problem in
+    (* Every LP query's work lands in [stats] as it happens, even when the
+       query raises. *)
+    let lsolve ~fixes ids =
+      Fun.protect
+        ~finally:(fun () -> bump_named options stats (c.sess.Registry.lsess_counters ()))
+        (fun () -> c.sess.Registry.lsess_solve ~int_vars:c.int_vars ~fixes ids)
+    in
     let try_combo combo =
       bump eq_branches 1;
-      let rels = fixed @ combo @ bound_rels in
-      let linear, nonlinear =
-        List.partition_map
-          (fun (r : Expr.rel) ->
-            match Expr.linearize r.Expr.expr with
-            | Some le -> Either.Left { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag }
-            | None -> Either.Right r)
-          rels
+      (* The combo's conjunction is [fixed @ combo @ bounds]: its linear
+         atoms, and its nonlinear relations. *)
+      let ids = ids_of fixed (ids_of combo c.bound_ids) in
+      let nl = List.filter is_nonlinear in
+      let nonlinear = nl fixed @ nl combo @ nl c.bounds in
+      let pieces () = fixed @ combo @ c.bounds in
+      let linear () =
+        List.filter_map
+          (function Linear (_, cons, _) -> Some cons | Nonlinear _ -> None)
+          (pieces ())
       in
       (* Linear filter, including relaxations of the nonlinear part. *)
       bump linear_checks 1;
-      let lp_input =
-        if options.use_linear_relaxation && nonlinear <> [] then begin
-          let st = Relax.create ~first_aux:nvars ~box:(Box.copy pre.Preprocess.box) in
-          let relaxed =
-            List.map
-              (fun (r : Expr.rel) ->
-                {
-                  Linexpr.expr = Relax.linexpr st r.Expr.expr;
-                  op = r.Expr.op;
-                  tag = r.Expr.tag;
-                })
-              nonlinear
-          in
-          linear @ relaxed @ st.Relax.aux_bounds
-        end
-        else linear
+      let lp_ids =
+        if options.use_linear_relaxation && nonlinear <> [] then
+          ids @ relaxed_atoms c nvars nonlinear
+        else ids
       in
       let lp_verdict =
         Telemetry.span tel "linear_check"
-          ~attrs:[ ("constraints", Telemetry.Int (List.length lp_input)) ]
+          ~attrs:[ ("constraints", Telemetry.Int (List.length lp_ids)) ]
           (fun () ->
             let p0 = count stats lp_pivots in
-            let v = lsolve ~int_vars lp_input in
+            let v = lsolve ~fixes:[] lp_ids in
             Telemetry.observe tel "lp.pivots_per_check"
               (float_of_int (count stats lp_pivots - p0));
             v)
@@ -431,11 +507,12 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
       | Registry.L_unsat tags ->
         bump linear_conflicts 1;
         let tags =
-          if options.minimize_conflicts then Conflict.minimal_core linear tags
+          if options.minimize_conflicts then Conflict.minimal_core (linear ()) tags
           else tags
         in
         cores := tags :: !cores
       | Registry.L_sat lin_model ->
+        satisfied := lazy (linear ());
         if nonlinear = [] then begin
           let arith = Array.make nvars None in
           List.iter
@@ -448,7 +525,8 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
           (* Nonlinear step over the full relation system so shared
              variables stay consistent. *)
           bump nonlinear_calls 1;
-          let box = Box.copy pre.Preprocess.box in
+          let rels = List.map rel_of (pieces ()) in
+          let box = Box.copy c.relax.Relax.box in
           (* The paper's solver-list semantics: try each registered solver
              until one produces a decent result. *)
           let rec try_solvers = function
@@ -464,67 +542,45 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
               | Registry.N_unknown -> try_solvers rest
               | verdict -> verdict)
           in
-          let nl_vars =
-            List.concat_map (fun (r : Expr.rel) -> Expr.vars r.Expr.expr) nonlinear
-            |> List.sort_uniq compare
-          in
-          (* Membership set for the snapping loop below: scanning
-             [nl_vars] per integer variable was O(|int_vars|*|nl_vars|). *)
-          let nl_set = Hashtbl.create (1 + List.length nl_vars) in
-          List.iter (fun v -> Hashtbl.replace nl_set v ()) nl_vars;
+          let is_nl = Array.make nvars false in
+          List.iter
+            (fun p -> List.iter (fun v -> is_nl.(v) <- true) (Expr.vars (rel_of p).Expr.expr))
+            nonlinear;
+          let nl_vars = List.filter (Array.get is_nl) (List.init nvars Fun.id) in
           let witness p certified =
             (* Integer variables appearing in nonlinear constraints: snap
                near-integral witness coordinates when the snapped point
                still satisfies everything. *)
+            let snapped = Array.copy p and changed = ref false in
+            List.iter
+              (fun v ->
+                let d = Float.abs (p.(v) -. Float.round p.(v)) in
+                if is_nl.(v) && d > 0.0 && d < 1e-6 then begin
+                  snapped.(v) <- Float.round p.(v);
+                  changed := true
+                end)
+              c.int_vars;
             let p =
-              let snapped = Array.copy p in
-              let changed = ref false in
-              List.iter
-                (fun v ->
-                  if Hashtbl.mem nl_set v then begin
-                    let r = Float.round snapped.(v) in
-                    if Float.abs (snapped.(v) -. r) > 0.0 && Float.abs (snapped.(v) -. r) < 1e-6
-                    then begin
-                      snapped.(v) <- r;
-                      changed := true
-                    end
-                  end)
-                int_vars;
-              if
-                !changed
-                && List.for_all
-                     (fun r -> Expr.holds_float ~tol:1e-9 (fun v -> snapped.(v)) r)
-                     rels
+              if !changed && List.for_all (Expr.holds_float ~tol:1e-9 (Array.get snapped)) rels
               then snapped
               else p
             in
-            (* The witness pins the nonlinear variables; re-solve the
-               linear subsystem exactly with the shared variables fixed so
-               purely-linear (and integer) variables get exact values. *)
-            let fix_tag = -3 in
-            let fixes =
-              List.filter_map
-                (fun v ->
-                  let touched =
-                    List.exists
-                      (fun (c : Linexpr.cons) -> List.mem v (Linexpr.vars c.Linexpr.expr))
-                      linear
-                  in
-                  if touched then
-                    Some
-                      {
-                        Linexpr.expr =
-                          Linexpr.add_term
-                            (Linexpr.constant (Q.neg (Q.of_float p.(v))))
-                            Q.one v;
-                        op = Linexpr.Eq;
-                        tag = fix_tag;
-                      }
-                  else None)
-                nl_vars
+            (* The witness pins the nonlinear variables the linear atoms
+               touch; re-solve the linear subsystem exactly with them
+               fixed so purely-linear (and integer) variables get exact
+               values. *)
+            let touched = Array.make nvars false in
+            List.iter
+              (fun (cons : Linexpr.cons) ->
+                List.iter (fun (v, _) -> touched.(v) <- true) (Linexpr.coeffs cons.expr))
+              (linear ());
+            let fix v =
+              let expr = Linexpr.add_term (Linexpr.constant (Q.neg (Q.of_float p.(v)))) Q.one v in
+              { Linexpr.expr; op = Linexpr.Eq; tag = -3 }
             in
+            let fixes = List.map fix (List.filter (Array.get touched) nl_vars) in
             let exact_part =
-              match lsolve ~int_vars (fixes @ linear) with
+              match lsolve ~fixes ids with
               | Registry.L_sat m -> Some m
               | Registry.L_unsat _ | Registry.L_unknown _ -> None
             in
@@ -573,7 +629,7 @@ let check_model ~registry ~options ~stats ~pre ~lsolve problem
     in
     run all_combos;
     match (!solution, !unknown) with
-    | Some s, _ -> M_sat s
+    | Some s, _ -> M_sat (s, !satisfied)
     | None, Some why -> M_unknown why
     | None, None ->
       let union = List.sort_uniq compare (List.concat !cores) in
@@ -597,11 +653,6 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   let bump = bump options stats in
   let num_vars = Ab_problem.num_bool_vars problem in
   let clauses = pre.Preprocess.clauses in
-  let strategy =
-    match registry.Registry.boolean with
-    | s :: _ -> s.Registry.bs_strategy
-    | [] -> All_sat.Incremental
-  in
   let had_unknown = ref None in
   let finished = ref false in
   let result = ref R_unsat in
@@ -621,25 +672,17 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
      in few late variables, which also keeps the LP session's bound delta
      small. *)
   let block_projection = All_sat.blocking ~projection in
-  (* LP entry point for this whole enumeration: one warm session for
-     every check with [use_incremental], otherwise a new session per
-     check (the paper's restart per model). Either way each call's work
-     lands in [stats] as it happens, even when the call raises. *)
-  let lsolve =
-    match registry.Registry.linear with
-    | [] -> None
-    | ls :: _ ->
-      let acquire warm = ls.Registry.ls_session ~budget:options.budget ~warm in
-      let shared = if options.use_incremental then Some (acquire true) else None in
-      Some
-        (fun ~int_vars cons ->
-          let sess = match shared with Some s -> s | None -> acquire false in
-          Fun.protect
-            ~finally:(fun () ->
-              bump_named options stats (sess.Registry.lsess_counters ()))
-            (fun () -> sess.Registry.lsess_solve ~int_vars cons))
+  (* One LP session for this whole enumeration: warm with
+     [use_incremental], otherwise deciding each check on a fresh tableau
+     (the paper's restart per model). *)
+  let sess =
+    registry.Registry.linear.Registry.ls_session ~budget:options.budget
+      ~warm:options.use_incremental
   in
-  let sat = All_sat.create ~phase:options.default_phase strategy ~num_vars clauses in
+  let compiled = lazy (compile ~pre ~sess problem) in
+  let sat =
+    All_sat.create ~phase:options.default_phase registry.Registry.boolean ~num_vars clauses
+  in
   (* An empty blocking clause blocks every valuation of the projection:
      the enumeration is complete. *)
   let block ~reason clause =
@@ -664,12 +707,12 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
         Telemetry.span tel "bool_model"
           ~attrs:[ ("index", Telemetry.Int (count stats bool_models)) ]
           (fun () ->
-            check_model ~registry ~options ~stats ~pre ~lsolve problem
+            check_model ~registry ~options ~stats (Lazy.force compiled)
               solver_model)
       with
-      | M_sat sol -> (
+      | M_sat (sol, conj) -> (
         Telemetry.event tel "solution";
-        match on_feasible sol with
+        match on_feasible sol conj with
         | `Stop ->
           result := R_sat sol;
           finished := true
@@ -768,7 +811,7 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
             Faults.hit "engine.solve" options.budget;
             let pre = prepare ~options ~stats problem in
             enumerate ~registry ~options ~stats ~pre problem
-              ~on_feasible:(fun _ -> `Stop)))
+              ~on_feasible:(fun _ _ -> `Stop)))
   in
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   absorb_alloc tel stats a0;
@@ -844,7 +887,7 @@ let all_models ?projection ?(registry = Registry.default)
         guarded_result ~options ~stats (fun () ->
             let pre = prepare ~options ~stats problem in
             enumerate ?projection ~registry ~options ~stats ~pre problem
-              ~on_feasible:(fun sol ->
+              ~on_feasible:(fun sol _ ->
                 acc := sol :: !acc;
                 incr n;
                 if !n >= limit then `Stop else `Continue)))
@@ -899,66 +942,26 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
     let guarded =
       Budget.guard options.budget (fun () ->
     let pre = prepare ~options ~stats problem in
-    let bound_cons =
-      List.filter_map
-        (fun (r : Expr.rel) ->
-          Option.map
-            (fun le -> { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
-            (Expr.linearize r.Expr.expr))
-        pre.Preprocess.bound_rels
-    in
-    (* A tableau holding the problem bounds permanently (no open frame).
-       With [use_incremental] one lives across every delta-valuation and
-       each [maximize] warm starts from the previous optimum's basis;
-       otherwise each valuation gets its own. Either way the valuation's
-       relations go into a frame rolled back afterwards. *)
-    let bounded_tableau () =
+    (* One tableau across every delta-valuation with [use_incremental],
+       each [maximize] warm-starting from the previous optimum's basis;
+       otherwise one per valuation. Either way the valuation's linear
+       conjunction (presolve bounds included) goes into a frame rolled
+       back afterwards. *)
+    let tableau () =
       let sx = Simplex.create ~budget:options.budget () in
       Simplex.ensure_vars sx nvars;
-      List.iter (fun c -> ignore (Simplex.assert_cons sx c)) bound_cons;
       sx
     in
-    let shared = if options.use_incremental then Some (bounded_tableau ()) else None in
-    let optimize_valuation (sol : Solution.t) =
+    let shared = if options.use_incremental then Some (tableau ()) else None in
+    let optimize_valuation (sol : Solution.t) conj =
       (* The budgeted tableau may raise [Exhausted] out of [maximize]; the
          surrounding [Budget.guard] is the boundary that catches it (the
          [finally] first restores the shared tableau). *)
-      let simplex =
-        match shared with Some sx -> sx | None -> bounded_tableau ()
-      in
+      let simplex = match shared with Some sx -> sx | None -> tableau () in
       let cp = Simplex.checkpoint simplex in
       Simplex.push simplex;
       Fun.protect ~finally:(fun () -> Simplex.rollback simplex cp) @@ fun () ->
-      let add (r : Expr.rel) =
-        match Expr.linearize r.Expr.expr with
-        | None -> ()
-        | Some le ->
-          ignore
-            (Simplex.assert_cons simplex
-               { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
-      in
-      List.iter
-        (fun v ->
-          let rels =
-            List.map (fun (d : Ab_problem.def) -> d.rel) (Ab_problem.find_defs problem v)
-          in
-          if sol.Solution.bools.(v) then List.iter add rels
-          else
-            (* Disjunctive negations (negated equalities / conjunctions):
-               optimize within the branch the witness satisfies. *)
-            let fenv av = Solution.float_env sol ~default:0.0 av in
-            List.iter
-              (fun r ->
-                match Expr.negate_rel r with
-                | [ nr ] -> add nr
-                | nrs -> (
-                  match
-                    List.find_opt (fun nr -> Expr.holds_float ~tol:1e-9 fenv nr) nrs
-                  with
-                  | Some nr -> add nr
-                  | None -> ( match nrs with nr :: _ -> add nr | [] -> ())))
-              rels)
-        (Ab_problem.defined_vars problem);
+      List.iter (fun c -> ignore (Simplex.assert_cons simplex c)) (Lazy.force conj);
       let obj =
         match direction with
         | `Maximize -> objective
@@ -993,8 +996,8 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
     try
       `Res
         (enumerate ~registry ~options ~stats ~pre problem
-           ~on_feasible:(fun sol ->
-             optimize_valuation sol;
+           ~on_feasible:(fun sol conj ->
+             optimize_valuation sol conj;
              if count stats bool_models >= limit then begin
                hit_limit := true;
                `Stop

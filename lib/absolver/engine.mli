@@ -11,10 +11,14 @@
     Boolean assignments are exhausted.
 
     Boolean models come from one {!Absolver_sat.All_sat} handle per
-    enumeration, with the strategy of the registry's first Boolean
-    solver: each iteration is [next] (a [sat_search] span), the model's
+    enumeration, with the registry's Boolean strategy:
+    each iteration is [next] (a [sat_search] span), the model's
     arithmetic check, then [block]. Presolve keeps the CNF's models, so a
-    model is checked and reported exactly as the SAT solver returns it. *)
+    model is checked and reported exactly as the SAT solver returns it.
+    Each solve compiles the presolved problem once, lazily: a literal's
+    relations are linearized (or relaxed) and their atoms registered
+    with the enumeration's LP session the first time a model assigns
+    it, and every check names those atoms by id. *)
 
 module Types = Absolver_sat.Types
 
@@ -52,8 +56,8 @@ type options = {
       (** Route every LP query of an enumeration through one warm
           session ({!Registry.linear_solver}), which moves only the
           bounds that changed since the previous query. On by default;
-          off ([CLI --no-incremental]) gives each query a new session,
-          the paper's restart per model. Verdict-equivalent either way —
+          off ([CLI --no-incremental]) decides each query on a fresh
+          tableau, the paper's restart per model. Verdict-equivalent either way —
           only pivot counts and wall time change. [optimize] likewise
           shares one tableau, or builds one per delta-valuation. *)
   telemetry : Absolver_telemetry.Telemetry.t;
@@ -243,8 +247,8 @@ val optimize :
   opt_outcome
 (** Rejects problems with nonlinear definitions ([Opt_unknown]); [limit]
     caps the number of delta-valuations explored (default 10000). Negated
-    equalities are disjunctive; they are optimized within the branch the
-    enumeration witness satisfies.
+    equalities and conjunctions are disjunctive; each valuation is
+    optimized within the branch its arithmetic check found feasible.
 
     An incomplete search that holds an incumbent reports {!Opt_incumbent},
     never {!Opt_best} (historically this overclaimed optimality) and never

@@ -9,15 +9,15 @@ module Branch_prune = Absolver_nlp.Branch_prune
 module Budget = Absolver_resource.Budget
 module Err = Absolver_resource.Absolver_error
 
-type bool_solver = { bs_name : string; bs_strategy : All_sat.strategy }
-
 type linear_verdict =
   | L_sat of (int * Q.t) list
   | L_unsat of int list
   | L_unknown of Err.t
 
 type linear_session = {
-  lsess_solve : int_vars:int list -> Linexpr.cons list -> linear_verdict;
+  lsess_atom : Linexpr.cons -> int;
+  lsess_solve :
+    int_vars:int list -> fixes:Linexpr.cons list -> int list -> linear_verdict;
   lsess_counters : unit -> (string * int) list;
 }
 
@@ -44,13 +44,10 @@ type nonlinear_solver = {
 }
 
 type t = {
-  boolean : bool_solver list;
-  linear : linear_solver list;
+  boolean : All_sat.strategy;
+  linear : linear_solver;
   nonlinear : nonlinear_solver list;
 }
-
-let cdcl_solver = { bs_name = "cdcl (zChaff-like)"; bs_strategy = All_sat.Restarting }
-let lsat_solver = { bs_name = "lsat (all-solutions)"; bs_strategy = All_sat.Incremental }
 
 let verdict_of_simplex = function
   | Simplex.Sat model -> L_sat model
@@ -58,13 +55,16 @@ let verdict_of_simplex = function
   | Simplex.Unknown e -> L_unknown e
 
 (* A session over [s] whose counters report the work done since they
-   were last read, so every reader sees only its own work. *)
-let session_of s =
+   were last read, so every reader sees only its own work. A cold
+   session decides every query on a fresh tableau. *)
+let session_of ~warm s =
   let last = ref (Incremental.counters s) in
   {
+    lsess_atom = Incremental.register s;
     lsess_solve =
-      (fun ~int_vars constraints ->
-        verdict_of_simplex (Incremental.solve s ~int_vars constraints));
+      (fun ~int_vars ~fixes atoms ->
+        if not warm then Incremental.reset s;
+        verdict_of_simplex (Incremental.solve s ~int_vars ~fixes atoms));
     lsess_counters =
       (fun () ->
         let now = Incremental.counters s in
@@ -73,52 +73,27 @@ let session_of s =
         delta);
   }
 
-let fresh_session ~budget = session_of (Incremental.create ~budget ())
+let fresh_session ~budget ~warm = session_of ~warm (Incremental.create ~budget ())
 
-let simplex_solver =
-  {
-    ls_name = "simplex (COIN-like)";
-    ls_session = (fun ~budget ~warm:_ -> fresh_session ~budget);
-  }
+let simplex_solver = { ls_name = "simplex (COIN-like)"; ls_session = fresh_session }
 
-(* A linear solver whose warm session outlives any single enumeration:
-   every warm [ls_session] acquisition returns the SAME underlying
-   [Incremental] session (created lazily, re-governed by the acquiring
-   enumeration's budget), so consecutive solve requests from one server
-   client reuse slack rows, bounds and the tableau basis across
-   requests.  A cold acquisition is a new session.  Two invariants make
-   this safe:
-
-   - counters are delta'd per read ([session_of]), so the engine's
-     per-run statistics see only the work of its own enumeration, never
-     the session's cumulative history;
-   - the session is an unshared value: each call to
-     [persistent_simplex] builds an independent one, which is what makes
-     it per-client — the server creates one per connection and calls the
-     returned [dispose] at disconnect, so no warm tableau ever leaks
-     between independent clients. *)
+(* Counters are delta'd per read ([session_of]), so a run sees only its
+   own work; each call builds an independent session, so no warm tableau
+   leaks between the server's clients. *)
 let persistent_simplex () =
   let session = ref None in
-  let acquire () =
-    match !session with
-    | Some s -> s
-    | None ->
-      let s = Incremental.create () in
-      session := Some s;
-      s
-  in
   let mk ~budget ~warm =
-    if warm then begin
-      let s = acquire () in
+    if not warm then fresh_session ~budget ~warm
+    else begin
+      let s = match !session with Some s -> s | None -> Incremental.create () in
+      session := Some s;
       Incremental.set_budget s budget;
-      session_of s
+      Incremental.forget s;
+      session_of ~warm s
     end
-    else fresh_session ~budget
   in
-  let solver =
-    { ls_name = "simplex (COIN-like, persistent session)"; ls_session = mk }
-  in
-  (solver, fun () -> session := None)
+  ( { ls_name = "simplex (COIN-like, persistent session)"; ls_session = mk },
+    fun () -> session := None )
 
 let branch_prune_solver ?(config = Branch_prune.default_config) ?(jobs = 1) () =
   {
@@ -142,9 +117,9 @@ let branch_prune_solver ?(config = Branch_prune.default_config) ?(jobs = 1) () =
 
 let default =
   {
-    boolean = [ lsat_solver ];
-    linear = [ simplex_solver ];
+    boolean = All_sat.Incremental;
+    linear = simplex_solver;
     nonlinear = [ branch_prune_solver () ];
   }
 
-let with_chaff = { default with boolean = [ cdcl_solver ] }
+let with_chaff = { default with boolean = All_sat.Restarting }

@@ -1,25 +1,21 @@
 (** The solver registry — ABSOLVER's extensibility point (Sec. 4).
 
-    "At each of those steps a list of solvers is used, if more than one
-    solver is enabled for some domain and the preceding solvers thereof
-    failed to provide a decent result." Each domain is a list of named
-    solvers tried in order; users plug in their own by providing the
-    closures, which is how the paper's "reuse of expert knowledge" is
-    realized. The defaults wire in this repository's own substrates
-    (CDCL / all-SAT enumeration, exact simplex, branch-and-prune). *)
+    The paper enables solvers per domain and, "if more than one solver
+    is enabled for some domain and the preceding solvers thereof failed
+    to provide a decent result", tries the next. Here the Boolean
+    domain picks the strategy of the one model enumerator
+    ({!Absolver_sat.All_sat}), the linear domain takes one solver, and
+    the nonlinear domain a list tried in order until one decides. Users plug in their own by
+    providing the closures, which is how the paper's "reuse of expert
+    knowledge" is realized. The defaults wire in this repository's own
+    substrates (CDCL / all-SAT enumeration, exact simplex,
+    branch-and-prune). *)
 
 module Q = Absolver_numeric.Rational
 module Types = Absolver_sat.Types
 module All_sat = Absolver_sat.All_sat
 module Expr = Absolver_nlp.Expr
 module Linexpr = Absolver_lp.Linexpr
-
-type bool_solver = { bs_name : string; bs_strategy : All_sat.strategy }
-(** A Boolean model enumerator: {!All_sat} with one of its
-    strategies. [Incremental] keeps a single solver instance and blocks
-    models with added clauses (LSAT [2]); [Restarting] rebuilds the solver
-    per model, the behaviour the paper describes for black-box solvers
-    like zChaff. *)
 
 type linear_verdict =
   | L_sat of (int * Q.t) list (** values for the structural variables *)
@@ -28,27 +24,32 @@ type linear_verdict =
       (** the solver gave up (budget exhausted, cancelled, internal cap) *)
 
 type linear_session = {
-  lsess_solve : int_vars:int list -> Linexpr.cons list -> linear_verdict;
+  lsess_atom : Linexpr.cons -> int;
+  lsess_solve :
+    int_vars:int list -> fixes:Linexpr.cons list -> int list -> linear_verdict;
   lsess_counters : unit -> (string * int) list;
 }
-(** A stateful linear-solver session: successive [lsess_solve] calls may
-    reuse solver state from earlier calls (a warm-started tableau), but
-    each call must decide exactly the constraint set it is given.
-    [lsess_counters] returns the work done since its previous call (or
-    since the session was acquired) under engine counter names
-    ([lp.pivots], [lp.inc.*]; see {!Engine.counters}); the engine reads
-    it after every solve. *)
+(** A stateful linear-solver session. [lsess_atom c] registers the atom
+    [c] and returns its id, the same id for an equal atom.
+    [lsess_solve ~int_vars ~fixes ids] decides the conjunction of
+    [fixes] (never registered: the engine's witness fixes) and the atoms
+    [ids], in that order. Calls may reuse solver state from earlier ones
+    (a warm-started tableau), but each must decide exactly the
+    constraints it is given. [lsess_counters] returns the work done
+    since its previous call (or since the session was acquired) under
+    engine counter names ([lp.pivots], [lp.inc.*]; see
+    {!Engine.counters}); the engine reads it after every solve. *)
 
 type linear_solver = {
   ls_name : string;
   ls_session : budget:Absolver_resource.Budget.t -> warm:bool -> linear_session;
-      (** Acquire a session governed by [budget]; the engine routes every
-          LP query through one. With [warm = false] the session must share
-          no state with any earlier one: the engine then acquires one per
-          check, which is the paper's restart per model
-          ([use_incremental = false]). With [warm = true] it acquires one
-          per enumeration, which may resume a session that outlives the
-          enumeration ({!persistent_simplex}). *)
+      (** Acquire a session governed by [budget]; the engine acquires one
+          per enumeration and routes every LP query through it. With
+          [warm = false] each query must be decided on a fresh tableau
+          that shares no state with any earlier query, which is the
+          paper's restart per model ([use_incremental = false]). With
+          [warm = true] queries warm-start, and the session may resume
+          one that outlives the enumeration ({!persistent_simplex}). *)
 }
 (** Solver closures receive the engine's budget and must honour the
     no-escape contract: exhaustion is reported as [L_unknown] /
@@ -82,16 +83,14 @@ type nonlinear_solver = {
     {!Absolver_nlp.Branch_prune.empty_stats}. *)
 
 type t = {
-  boolean : bool_solver list;
-  linear : linear_solver list;
-  nonlinear : nonlinear_solver list;
+  boolean : All_sat.strategy;
+      (** [Incremental] keeps a single solver instance and blocks models
+          with added clauses (LSAT [2]); [Restarting] rebuilds the solver
+          per model, as the paper describes for black-box solvers like
+          zChaff. *)
+  linear : linear_solver;
+  nonlinear : nonlinear_solver list;  (** tried in order *)
 }
-
-val cdcl_solver : bool_solver
-(** zChaff stand-in: restarting enumeration. *)
-
-val lsat_solver : bool_solver
-(** LSAT stand-in: incremental enumeration. *)
 
 val simplex_solver : linear_solver
 (** COIN stand-in: exact rational simplex with branch-and-bound for

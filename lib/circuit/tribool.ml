@@ -1,7 +1,6 @@
 type t = True | False | Unknown
 
 let of_bool b = if b then True else False
-let to_bool_opt = function True -> Some true | False -> Some false | Unknown -> None
 let not_ = function True -> False | False -> True | Unknown -> Unknown
 
 let and_ a b =
@@ -27,6 +26,5 @@ let xor a b =
 let iff a b = not_ (xor a b)
 let implies a b = or_ (not_ a) b
 let equal (a : t) b = a = b
-let is_known = function Unknown -> false | True | False -> true
 let to_string = function True -> "tt" | False -> "ff" | Unknown -> "?"
 let pp fmt t = Format.pp_print_string fmt (to_string t)

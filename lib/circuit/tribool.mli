@@ -4,7 +4,6 @@
 type t = True | False | Unknown
 
 val of_bool : bool -> t
-val to_bool_opt : t -> bool option
 val not_ : t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
@@ -14,6 +13,5 @@ val xor : t -> t -> t
 val iff : t -> t -> t
 val implies : t -> t -> t
 val equal : t -> t -> bool
-val is_known : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

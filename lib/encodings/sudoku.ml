@@ -296,18 +296,6 @@ let sat_problem puzzle =
     puzzle;
   problem
 
-let decode_sat (solution : Solution.t) =
-  let e r c d = (((r * 9) + c) * 9) + (d - 1) in
-  let p = Array.make_matrix 9 9 0 in
-  for r = 0 to 8 do
-    for c = 0 to 8 do
-      for d = 1 to 9 do
-        if solution.Solution.bools.(e r c d) then p.(r).(c) <- d
-      done
-    done
-  done;
-  p
-
 let decode problem solution =
   let p = Array.make_matrix 9 9 0 in
   for r = 0 to 8 do

@@ -43,7 +43,3 @@ val decode :
   Absolver_core.Ab_problem.t -> Absolver_core.Solution.t -> puzzle
 (** Read the cell values out of a solution of the mixed or baseline
     encoding (via the arithmetic cell variables). *)
-
-val decode_sat : Absolver_core.Solution.t -> puzzle
-(** Read the cell values out of a solution of {!sat_problem} (via the
-    cell=digit Booleans). *)

@@ -3,8 +3,26 @@ module DR = Absolver_numeric.Delta_rational
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
 
+(* A linear form over external variables, shared by every atom on it:
+   [[]] for a constant, one term for a bound on the variable itself. Its
+   tableau variable is resolved when a query first names one of its
+   atoms (again after a [reset]), so variables are interned and slacks
+   defined in the order a one-shot query would meet them. *)
+type form = {
+  coeffs : (Linexpr.var * Q.t) list;
+  mutable gen : int;  (* [x] and [vars] hold for this tableau generation *)
+  mutable x : int;
+  mutable vars : int list;  (* the internal variables the form mentions *)
+  mutable ids : int list;  (* the atoms registered on the form *)
+}
+
+(* An atom compiled once: the bounds [cons] puts on its form's variable.
+   A constant atom bounds nothing; [holds] says whether it is true. *)
+type atom = { cons : Linexpr.cons; form : form; lo : bound; hi : bound; holds : bool }
+and bound = Simplex.bound option
+
 type t = {
-  simplex : Simplex.t;
+  mutable simplex : Simplex.t;
   mutable budget : Budget.t;
   (* Variable interning. A one-shot tableau can lay out the caller's
      structural variables below its own slacks, but a persistent session
@@ -16,12 +34,12 @@ type t = {
      returned models stay external. *)
   ext2int : (int, int) Hashtbl.t;
   int2ext : (int, int) Hashtbl.t;
-  (* The slack of every multi-variable linear form seen so far, keyed by
-     its external coefficients, with the form's internal variables. A
-     single-variable atom bounds its variable directly and needs no
-     entry, so the table grows with the problem's linear forms, never
-     with the constants that queries (say, witness fixes) put on them. *)
-  forms : (int * int list) Linexpr.Form_tbl.t;
+  (* Every form seen, by its coefficients, and the registered atoms. *)
+  forms : form Linexpr.Form_tbl.t;
+  mutable atoms : atom array;
+  mutable num_atoms : int;
+  (* Bumped by [reset]: forms resolved before it must resolve again. *)
+  mutable gen : int;
   (* Scratch indexed by tableau variable, valid where the stamp equals
      [query]: the bounds this query wants, and the variables it mentions. *)
   mutable want_lo : Simplex.bound option array;
@@ -37,6 +55,7 @@ type t = {
   mutable asserted : int;  (* bounds set that the previous query lacked *)
   mutable retracted : int;  (* bounds of the previous query dropped *)
   mutable reused : int;  (* bounds kept across consecutive queries *)
+  mutable dropped_pivots : int;  (* pivots of tableaus [reset] dropped *)
 }
 
 let create ?(budget = Budget.unlimited) () =
@@ -46,6 +65,9 @@ let create ?(budget = Budget.unlimited) () =
     ext2int = Hashtbl.create 16;
     int2ext = Hashtbl.create 16;
     forms = Linexpr.Form_tbl.create 16;
+    atoms = [||];
+    num_atoms = 0;
+    gen = 0;
     want_lo = [||];
     want_hi = [||];
     wanted_at = [||];
@@ -56,7 +78,21 @@ let create ?(budget = Budget.unlimited) () =
     asserted = 0;
     retracted = 0;
     reused = 0;
+    dropped_pivots = 0;
   }
+
+let reset t =
+  t.dropped_pivots <- t.dropped_pivots + Simplex.num_pivots t.simplex;
+  t.simplex <- Simplex.create ~budget:t.budget ();
+  Hashtbl.reset t.ext2int;
+  Hashtbl.reset t.int2ext;
+  t.gen <- t.gen + 1;
+  t.bounded <- []
+
+let forget t =
+  Linexpr.Form_tbl.iter (fun _ f -> f.ids <- []) t.forms;
+  t.atoms <- [||];
+  t.num_atoms <- 0
 
 (* Make the scratch arrays cover tableau variable [x]. *)
 let reserve t x =
@@ -84,19 +120,13 @@ let intern_var t v =
     reserve t i;
     i
 
-(* The slack of a multi-variable form, defined on first sight. *)
-let form_slack t coeffs =
+let form t coeffs =
   match Linexpr.Form_tbl.find_opt t.forms coeffs with
-  | Some entry -> entry
+  | Some f -> f
   | None ->
-    let vars = List.map (fun (v, _) -> intern_var t v) coeffs in
-    let expr =
-      Linexpr.of_list (List.map2 (fun (_, q) i -> (q, i)) coeffs vars) Q.zero
-    in
-    let s = Simplex.define t.simplex expr in
-    reserve t s;
-    Linexpr.Form_tbl.add t.forms coeffs (s, vars);
-    (s, vars)
+    let f = { coeffs; gen = -1; x = -1; vars = []; ids = [] } in
+    Linexpr.Form_tbl.add t.forms coeffs f;
+    f
 
 let extern_model t model =
   List.filter_map
@@ -119,7 +149,7 @@ let counters t =
     ("lp.inc.asserted", t.asserted);
     ("lp.inc.retracted", t.retracted);
     ("lp.inc.reused", t.reused);
-    ("lp.pivots", Simplex.num_pivots t.simplex);
+    ("lp.pivots", t.dropped_pivots + Simplex.num_pivots t.simplex);
   ]
 
 let flip = function
@@ -131,22 +161,25 @@ let flip = function
 
 (* Record that this query wants [b] on [x]; the tightest bound of each
    kind wins, and of equal ones the first in input order. *)
-let want t ~wanted x kind (b : Simplex.bound) =
-  if t.wanted_at.(x) <> t.query then begin
-    t.wanted_at.(x) <- t.query;
-    t.want_lo.(x) <- None;
-    t.want_hi.(x) <- None;
-    wanted := x :: !wanted
-  end;
-  match kind with
-  | Simplex.Lower -> (
-    match t.want_lo.(x) with
-    | Some c when DR.leq b.value c.value -> ()
-    | _ -> t.want_lo.(x) <- Some b)
-  | Simplex.Upper -> (
-    match t.want_hi.(x) with
-    | Some c when DR.leq c.value b.value -> ()
-    | _ -> t.want_hi.(x) <- Some b)
+let want t ~wanted x kind (b : bound) =
+  match b with
+  | None -> ()
+  | Some { value; _ } -> (
+    if t.wanted_at.(x) <> t.query then begin
+      t.wanted_at.(x) <- t.query;
+      t.want_lo.(x) <- None;
+      t.want_hi.(x) <- None;
+      wanted := x :: !wanted
+    end;
+    match kind with
+    | Simplex.Lower -> (
+      match t.want_lo.(x) with
+      | Some c when DR.leq value c.value -> ()
+      | _ -> t.want_lo.(x) <- b)
+    | Simplex.Upper -> (
+      match t.want_hi.(x) with
+      | Some c when DR.leq c.value value -> ()
+      | _ -> t.want_hi.(x) <- b))
 
 let mention t ~mentioned x =
   if t.mentioned_at.(x) <> t.query then begin
@@ -154,31 +187,66 @@ let mention t ~mentioned x =
     mentioned := x :: !mentioned
   end
 
-(* Map a non-constant constraint [e op 0] to the bounds it puts on one
-   tableau variable: [a*x + c op 0] bounds [x] itself, any other form
-   bounds its slack. *)
-let add_atom t ~wanted ~mentioned (c : Linexpr.cons) =
+(* Compile [c = (e op 0)] on [form], the form of [e]: [a*x + k op 0]
+   bounds [x] itself by [-k/a], any other form bounds its variable by
+   [-k]. *)
+let compile form (c : Linexpr.cons) =
   let k = Linexpr.const c.expr in
-  let x, op, rhs =
-    match Linexpr.coeffs c.expr with
-    | [ (v, a) ] ->
-      let x = intern_var t v in
-      mention t ~mentioned x;
-      (x, (if Q.sign a < 0 then flip c.op else c.op), Q.div (Q.neg k) a)
-    | coeffs ->
-      let s, vars = form_slack t coeffs in
-      List.iter (mention t ~mentioned) vars;
-      (s, c.op, Q.neg k)
+  let op, rhs =
+    match form.coeffs with
+    | [ (_, a) ] -> ((if Q.sign a < 0 then flip c.op else c.op), Q.div (Q.neg k) a)
+    | _ -> (c.op, Q.neg k)
   in
-  let at value = { Simplex.value; tag = c.tag } in
-  match op with
-  | Linexpr.Le -> want t ~wanted x Simplex.Upper (at (DR.of_rational rhs))
-  | Linexpr.Lt -> want t ~wanted x Simplex.Upper (at (DR.make rhs Q.minus_one))
-  | Linexpr.Ge -> want t ~wanted x Simplex.Lower (at (DR.of_rational rhs))
-  | Linexpr.Gt -> want t ~wanted x Simplex.Lower (at (DR.make rhs Q.one))
-  | Linexpr.Eq ->
-    want t ~wanted x Simplex.Lower (at (DR.of_rational rhs));
-    want t ~wanted x Simplex.Upper (at (DR.of_rational rhs))
+  let delta = match op with Linexpr.Lt -> Q.minus_one | Linexpr.Gt -> Q.one | _ -> Q.zero in
+  let b = Some { Simplex.value = DR.make rhs delta; tag = c.tag } in
+  let lo, hi =
+    match op with
+    | Linexpr.Le | Linexpr.Lt -> (None, b)
+    | Linexpr.Ge | Linexpr.Gt -> (b, None)
+    | Linexpr.Eq -> (b, b)
+  in
+  { cons = c; form; lo; hi; holds = form.coeffs <> [] || Linexpr.holds (fun _ -> Q.zero) c }
+
+let rec find t (c : Linexpr.cons) = function
+  | [] -> -1
+  | id :: ids ->
+    let a = t.atoms.(id).cons in
+    if a.op = c.op && a.tag = c.tag && Q.equal (Linexpr.const a.expr) (Linexpr.const c.expr)
+    then id
+    else find t c ids
+
+let register t (c : Linexpr.cons) =
+  let f = form t (Linexpr.coeffs c.expr) in
+  match find t c f.ids with
+  | -1 ->
+    let id = t.num_atoms and a = compile f c in
+    if id = Array.length t.atoms then
+      t.atoms <- Array.init (max 16 (2 * id)) (fun i -> if i < id then t.atoms.(i) else a);
+    t.atoms.(id) <- a;
+    t.num_atoms <- id + 1;
+    f.ids <- id :: f.ids;
+    id
+  | id -> id
+
+(* Want an atom's bounds on its form's variable: the interned variable
+   of a one-term form, otherwise a slack defined on first sight. *)
+let add_atom t ~wanted ~mentioned { form = f; lo; hi; _ } =
+  if f.coeffs <> [] then begin
+    if f.gen <> t.gen then begin
+      f.vars <- List.map (fun (v, _) -> intern_var t v) f.coeffs;
+      (match (f.coeffs, f.vars) with
+      | [ _ ], [ x ] -> f.x <- x
+      | coeffs, vars ->
+        f.x <-
+          Simplex.define t.simplex
+            (Linexpr.of_list (List.map2 (fun (_, q) i -> (q, i)) coeffs vars) Q.zero);
+        reserve t f.x);
+      f.gen <- t.gen
+    end;
+    List.iter (mention t ~mentioned) f.vars;
+    want t ~wanted f.x Simplex.Lower lo;
+    want t ~wanted f.x Simplex.Upper hi
+  end
 
 let crossed t x =
   match (t.want_lo.(x), t.want_hi.(x)) with
@@ -225,16 +293,23 @@ let apply t wanted =
   List.iter (fun (x, kind, b) -> Simplex.set_bound sx x kind b) !tighten;
   t.bounded <- wanted
 
-let solve t ?(int_vars = []) constraints =
+let solve t ?(int_vars = []) ?(fixes = []) ids =
   t.solves <- t.solves + 1;
-  match Simplex.screen constraints with
-  | Error tag -> Simplex.Unsat [ tag ]
-  | Ok constraints -> (
+  let fix (c : Linexpr.cons) = compile (form t (Linexpr.coeffs c.expr)) c in
+  let fixes = List.map fix fixes in
+  match
+    List.find_opt (fun a -> not a.holds) fixes,
+    List.find_opt (fun i -> not t.atoms.(i).holds) ids
+  with
+  | Some { cons; _ }, _ -> Simplex.Unsat [ cons.tag ]
+  | None, Some i -> Simplex.Unsat [ t.atoms.(i).cons.tag ]
+  | None, None -> (
     try
       Faults.hit "lp.solve_system" t.budget;
       t.query <- t.query + 1;
       let wanted = ref [] and mentioned = ref [] in
-      List.iter (add_atom t ~wanted ~mentioned) constraints;
+      List.iter (add_atom t ~wanted ~mentioned) fixes;
+      List.iter (fun i -> add_atom t ~wanted ~mentioned t.atoms.(i)) ids;
       let wanted = List.rev !wanted in
       match List.find_map (crossed t) wanted with
       | Some tags -> Simplex.Unsat tags

@@ -4,10 +4,13 @@
     candidate model. A session instead keeps one {!Simplex.t} alive and
     lays it out the way Dutertre and de Moura's DPLL(T) simplex does:
 
-    - each atom (a linear constraint) is registered once, the first time
-      the session sees it. A multi-variable form gets a slack row,
+    - each atom (a linear constraint) is {!register}ed once and named by
+      its id from then on. Registration compiles the atom to the bounds
+      it puts on one variable: a multi-variable form gets a slack row,
       shared by every atom over that form; an atom over one variable
-      bounds the variable itself and leaves nothing behind;
+      bounds the variable itself. The variable is resolved the first
+      time a query names the atom, so the tableau is laid out in the
+      order a one-shot query would meet the atoms;
     - each call to {!solve} is a set of bounds on those variables. Per
       variable and kind the tightest wanted bound wins (the first in
       input order among equal ones), and only the bounds that differ
@@ -16,8 +19,8 @@
     - every check warm-starts from the previous basis, since pivots
       preserve the solution set.
 
-    A fresh session per check is the paper's restart per model. Verdicts
-    match {!Simplex.solve_system}: the same constant-constraint
+    A {!reset} before every check is the paper's restart per model.
+    Verdicts match {!Simplex.solve_system}: the same constant-constraint
     screening, the same branch-and-bound ({!Simplex.decide}), the same
     typed [Unknown] on budget exhaustion. Models, cores and pivot counts
     may differ. *)
@@ -34,12 +37,33 @@ val set_budget : t -> Absolver_resource.Budget.t -> unit
     (the solve server's) is re-governed by each request's own deadline
     without losing its warm start. *)
 
-val solve : t -> ?int_vars:Linexpr.var list -> Linexpr.cons list -> Simplex.verdict
-(** Decide the conjunction, reusing tableau state from earlier calls.
-    A slack wanted below one bound and above another is [Unsat] with
-    those two tags before anything changes. Library boundary: budget
-    exhaustion rolls back branch-and-bound and returns [Unknown] — no
-    exception escapes, and the session stays usable. *)
+val reset : t -> unit
+(** Drop the tableau and its bounds, as if the session were new; the
+    registered atoms stay valid. *)
+
+val forget : t -> unit
+(** Drop every registered atom, whose ids become invalid; the tableau
+    and the forms' slack rows stay warm. *)
+
+val register : t -> Linexpr.cons -> int
+(** The id of the atom [c]. Registering an atom again (same form,
+    constant, operator and tag) returns the same id, so a session grows
+    with the distinct atoms it is given, not with the calls. *)
+
+val solve :
+  t ->
+  ?int_vars:Linexpr.var list ->
+  ?fixes:Linexpr.cons list ->
+  int list ->
+  Simplex.verdict
+(** Decide the conjunction of [fixes] and the atoms with the given ids,
+    in that order, reusing tableau state from earlier calls. [fixes] are
+    never registered, so a long-lived session does not grow with them
+    (the engine's witness fixes). A slack wanted below one bound and
+    above another is [Unsat] with those two tags before anything
+    changes. Library boundary: budget exhaustion rolls back
+    branch-and-bound and returns [Unknown] — no exception escapes, and
+    the session stays usable. *)
 
 val counters : t -> (string * int) list
 (** The session's work counters, cumulative since {!create}:
@@ -47,4 +71,4 @@ val counters : t -> (string * int) list
     [lp.inc.retracted] (bounds set that the previous call lacked / bounds
     of the previous call dropped; a changed bound counts once in each),
     [lp.inc.reused] (bounds kept unchanged from the previous call) and
-    [lp.pivots] (the pivots of the session's tableau). *)
+    [lp.pivots] (the pivots of the session's tableaus). *)

@@ -94,9 +94,6 @@ let negate_op = function
 
 type cons = { expr : t; op : op; tag : int }
 
-let pp_cons ?name () fmt c =
-  Format.fprintf fmt "%a %a 0" (pp ?name ()) c.expr pp_op c.op
-
 let holds env c =
   let v = eval env c.expr in
   match c.op with

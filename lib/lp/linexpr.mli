@@ -49,5 +49,4 @@ val negate_op : op -> op
     origin (e.g. the index of the arithmetic definition in an AB-problem). *)
 type cons = { expr : t; op : op; tag : int }
 
-val pp_cons : ?name:(var -> string) -> unit -> Format.formatter -> cons -> unit
 val holds : (var -> Q.t) -> cons -> bool

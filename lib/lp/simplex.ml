@@ -557,7 +557,8 @@ type verdict =
 let branch_tag = -1
 let drop_branch_tag tags = List.filter (fun g -> g <> branch_tag) tags
 
-(* Constant constraints never reach the tableau. *)
+(* Constant constraints never reach the tableau: [Error tag] names the
+   first one that is false, [Ok rest] keeps the others in order. *)
 let screen constraints =
   match
     List.find_opt

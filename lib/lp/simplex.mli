@@ -114,10 +114,6 @@ type verdict =
       (** gave up: budget exhausted, cancellation, or the internal
           branch-and-bound node cap *)
 
-val screen : Linexpr.cons list -> (Linexpr.cons list, int) Stdlib.result
-(** Screen out constant constraints: [Error tag] names the first one
-    that is false, [Ok rest] keeps the non-constant ones in order. *)
-
 val decide : t -> int_vars:Linexpr.var list -> vars:Linexpr.var list -> verdict
 (** Run {!check} on the current bounds, then branch-and-bound until every
     variable of [int_vars] among [vars] is integral; a [Sat] model covers

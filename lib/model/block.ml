@@ -17,8 +17,6 @@ let comparison_of_string = function
   | "=" | "==" -> Some C_eq
   | _ -> None
 
-let pp_comparison fmt c = Format.pp_print_string fmt (comparison_to_string c)
-
 type math_fn = M_sqrt | M_exp | M_log | M_sin | M_cos
 
 let math_fn_to_string = function

@@ -9,7 +9,6 @@ module Q = Absolver_numeric.Rational
 
 type comparison = C_lt | C_le | C_gt | C_ge | C_eq
 
-val pp_comparison : Format.formatter -> comparison -> unit
 val comparison_of_string : string -> comparison option
 val comparison_to_string : comparison -> string
 

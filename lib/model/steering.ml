@@ -186,5 +186,3 @@ let lustre_node () =
   | Error e -> failwith ("Steering.lustre_node: " ^ e)
 
 let problem () = convert (diagram ())
-
-let diagram_core_for_debug () = build ~pad:[]

@@ -33,7 +33,3 @@ val problem : unit -> Absolver_core.Ab_problem.t
 
 val target_clauses : int
 (** 976, as published in Table 1. *)
-
-(**/**)
-
-val diagram_core_for_debug : unit -> Diagram.t

@@ -378,7 +378,6 @@ let pow b e =
 
 let succ t = add t one
 let pred t = sub t one
-let is_even t = t.sign = 0 || t.mag.(0) land 1 = 0
 
 (* Decimal I/O works in chunks of 9 digits (10^9 < 2^30). *)
 let chunk = 1_000_000_000

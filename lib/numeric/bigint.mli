@@ -78,5 +78,3 @@ val pred : t -> t
 
 val num_bits : t -> int
 (** Number of bits of the magnitude; [num_bits zero = 0]. *)
-
-val is_even : t -> bool

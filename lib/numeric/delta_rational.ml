@@ -48,7 +48,6 @@ let lt a b = compare a b < 0
 let leq a b = compare a b <= 0
 let min a b = if leq a b then a else b
 let max a b = if leq a b then b else a
-let is_rational = function Rat _ -> true | Del _ -> false
 
 let pp fmt t =
   match t with

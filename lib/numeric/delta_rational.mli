@@ -37,7 +37,6 @@ val lt : t -> t -> bool
 val leq : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
-val is_rational : t -> bool
 val pp : Format.formatter -> t -> unit
 
 val concretize_delta : (t * t) list -> Rational.t

@@ -22,12 +22,9 @@ let of_ints a b = make (float_of_int a) (float_of_int b)
 let zero = of_float 0.0
 let one = of_float 1.0
 let is_entire i = i.lo = Float.neg_infinity && i.hi = Float.infinity
-let is_point i = i.lo = i.hi
 let mem x i = i.lo <= x && x <= i.hi
 let subset a b = is_empty a || (b.lo <= a.lo && a.hi <= b.hi)
 let contains_zero i = mem 0.0 i
-let strictly_positive i = (not (is_empty i)) && i.lo > 0.0
-let strictly_negative i = (not (is_empty i)) && i.hi < 0.0
 let width i = if is_empty i then 0.0 else i.hi -. i.lo
 let equal a b = (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
 
@@ -225,14 +222,6 @@ let cos i =
 let sin i =
   if is_empty i then empty
   else cos (sub (of_float (pi /. 2.0)) (add i (make (-1e-16) 1e-16)))
-
-let min_i a b =
-  if is_empty a || is_empty b then empty
-  else { lo = Float.min a.lo b.lo; hi = Float.min a.hi b.hi }
-
-let max_i a b =
-  if is_empty a || is_empty b then empty
-  else { lo = Float.max a.lo b.lo; hi = Float.max a.hi b.hi }
 
 (* Tightest float enclosure of a rational, corrected by exact comparison:
    Rational.to_float may be off by several ulps for big numerators. *)

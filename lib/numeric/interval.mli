@@ -41,12 +41,9 @@ val one : t
 
 val is_empty : t -> bool
 val is_entire : t -> bool
-val is_point : t -> bool
 val mem : float -> t -> bool
 val subset : t -> t -> bool
 val contains_zero : t -> bool
-val strictly_positive : t -> bool
-val strictly_negative : t -> bool
 
 val width : t -> float
 (** [infinity] for unbounded intervals; [0.] for points and {!empty}. *)
@@ -90,6 +87,3 @@ val exp : t -> t
 val log : t -> t
 val sin : t -> t
 val cos : t -> t
-
-val min_i : t -> t -> t
-val max_i : t -> t -> t

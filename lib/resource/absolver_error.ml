@@ -21,7 +21,3 @@ let code = function
   | Internal _ -> "internal"
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
-
-let is_resource = function
-  | Timeout | Cancelled | Out_of_budget _ -> true
-  | Internal _ -> false

@@ -27,7 +27,3 @@ val code : t -> string
     [memory], [internal]) for stats columns and JSON. *)
 
 val pp : Format.formatter -> t -> unit
-
-val is_resource : t -> bool
-(** [true] for {!Timeout}, {!Cancelled} and {!Out_of_budget} — exhaustion
-    of a configured budget rather than an internal fault. *)

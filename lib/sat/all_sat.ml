@@ -9,7 +9,9 @@ type t = {
   phase : bool;
   num_vars : int;
   clauses : Types.lit list list;
-  (* [Restarting]: every blocking clause so far, newest first. *)
+  (* Blocks since the last [next], newest first. *)
+  mutable pending : Types.lit list list;
+  (* [Restarting]: every block before those, newest first. *)
   mutable blocked : Types.lit list list;
   mutable solver : Cdcl.t;
   (* [Restarting] after a search: rebuild before the next one. *)
@@ -34,6 +36,7 @@ let create ~phase strategy ~num_vars clauses =
     phase;
     num_vars;
     clauses;
+    pending = [];
     blocked = [];
     solver = build ~phase ~num_vars clauses [];
     stale = false;
@@ -53,12 +56,15 @@ let diff (a : Types.stats) (b : Types.stats) =
   }
 
 let next ?max_conflicts ?budget t =
+  if t.strategy = Restarting then t.blocked <- t.pending @ t.blocked;
   if t.stale then begin
     (* External restart: rebuild the entire solver, as the paper
        describes for black-box single-solution solvers. *)
     t.solver <- build ~phase:t.phase ~num_vars:t.num_vars t.clauses t.blocked;
     t.seen <- Types.mk_stats ()
-  end;
+  end
+  else List.iter (Cdcl.add_clause t.solver) (List.rev t.pending);
+  t.pending <- [];
   t.stale <- t.strategy = Restarting;
   let out = Cdcl.solve ?max_conflicts ?budget t.solver in
   let now = Cdcl.stats t.solver in
@@ -69,10 +75,7 @@ let next ?max_conflicts ?budget t =
 let model t = Cdcl.model t.solver
 let work t = t.work
 
-let block t clause =
-  match t.strategy with
-  | Incremental -> Cdcl.add_clause t.solver clause
-  | Restarting -> t.blocked <- clause :: t.blocked
+let block t clause = t.pending <- clause :: t.pending
 
 let blocking ~projection model =
   List.rev_map

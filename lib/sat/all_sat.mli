@@ -40,8 +40,11 @@ val model : t -> bool array
 (** A fresh copy of the model the last [Sat] answer found. *)
 
 val block : t -> Types.lit list -> unit
-(** Require every later model to satisfy the clause. [Incremental] adds
-    it to the live solver, [Restarting] keeps it for the next rebuild. *)
+(** Require every later model to satisfy the clause. The clause is
+    queued and added at the start of the next {!next}, so adding it
+    (with [Incremental], a backtrack of the live solver to level 0)
+    counts as that search's work; [Restarting] also keeps it for every
+    later rebuild. *)
 
 val work : t -> Types.stats
 (** The SAT solver's work in the last {!next}, including the clauses added

@@ -81,7 +81,3 @@ let to_string cnf =
       Buffer.add_string buf "0\n")
     cnf.clauses;
   Buffer.contents buf
-
-let load_into solver cnf =
-  Cdcl.ensure_vars solver cnf.num_vars;
-  List.iter (Cdcl.add_clause solver) cnf.clauses

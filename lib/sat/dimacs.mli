@@ -14,4 +14,3 @@ type cnf = {
 val parse_string : string -> (cnf, string) result
 val parse_file : string -> (cnf, string) result
 val to_string : cnf -> string
-val load_into : Cdcl.t -> cnf -> unit

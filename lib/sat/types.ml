@@ -56,15 +56,6 @@ end
 
 type value = V_true | V_false | V_undef
 
-let value_negate = function
-  | V_true -> V_false
-  | V_false -> V_true
-  | V_undef -> V_undef
-
-let pp_value fmt v =
-  Format.pp_print_string fmt
-    (match v with V_true -> "true" | V_false -> "false" | V_undef -> "undef")
-
 type outcome = Sat | Unsat | Unknown
 
 let pp_outcome fmt o =

@@ -67,9 +67,6 @@ end
 (** Three-valued assignment results. *)
 type value = V_true | V_false | V_undef
 
-val value_negate : value -> value
-val pp_value : Format.formatter -> value -> unit
-
 (** Outcome of a solver run. *)
 type outcome = Sat | Unsat | Unknown
 

@@ -198,8 +198,6 @@ let read_line r =
   in
   go ()
 
-let pending_partial r = Buffer.length r.buf > 0
-
 (* ------------------------------------------------------------------ *)
 (* Writes                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -62,9 +62,6 @@ val read_line : reader -> event
 val touch : reader -> unit
 (** Record activity (a reply written), resetting the idle clock. *)
 
-val pending_partial : reader -> bool
-(** Bytes of an incomplete frame are buffered (a torn frame at EOF). *)
-
 type write_error = Peer_closed | Write_error of string
 
 val write_all : ?chaos:bool -> Unix.file_descr -> string -> (unit, write_error) result

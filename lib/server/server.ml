@@ -31,7 +31,7 @@ type config = {
 
 let default_registry () =
   let solver, dispose = Registry.persistent_simplex () in
-  ({ Registry.default with Registry.linear = [ solver ] }, dispose)
+  ({ Registry.default with Registry.linear = solver }, dispose)
 
 let default_config =
   {

@@ -174,17 +174,22 @@ let test_lp_differential () =
     let nvars = 2 + Random.State.int st 3 in
     let box, pool = random_pool st ~nvars ~size:8 in
     let session = Inc.create () in
+    (* Every atom is registered once; queries name them by id. *)
+    let box_ids = List.map (Inc.register session) box in
+    let pool_ids = Array.map (Inc.register session) pool in
     let tight = ref (session_no mod 4 = 0) and tripped = ref false in
     for _query = 1 to 5 do
       incr case;
-      let constraints = box @ random_subset st pool in
+      let picked = random_subset st (Array.init (Array.length pool) Fun.id) in
+      let constraints = box @ List.map (fun i -> pool.(i)) picked in
+      let ids = box_ids @ List.map (fun i -> pool_ids.(i)) picked in
       let int_vars =
         if Random.State.int st 3 = 0 then [ Random.State.int st nvars ] else []
       in
       let after_trip = !tripped in
       Inc.set_budget session
         (if !tight then Budget.create ~max_steps:0 () else Budget.unlimited);
-      let inc = Inc.solve session ~int_vars constraints in
+      let inc = Inc.solve session ~int_vars ids in
       let scratch = fst (Sx.solve_system ~int_vars constraints) in
       (match (inc, scratch) with
       | Sx.Sat m, Sx.Sat _ -> model_satisfies ~case:!case constraints m
@@ -334,6 +339,196 @@ let test_jobs_differential () =
     problems
 
 (* ------------------------------------------------------------------ *)
+(* The compiled problem against the per-model construction it replaced:
+   for one Boolean model, every LP query the engine sends (in order)
+   must be the conjunction [fixed @ combo @ bounds] that linearizing
+   each definition literal and its negation gives, with the nonlinear
+   relations relaxed over auxiliary variables numbered per combo.      *)
+
+(* The relaxation as built per combo: each maximal nonlinear subterm gets
+   the next auxiliary variable at its first occurrence, bounded by its
+   interval range over [box]. *)
+let reference_relax ~nvars ~box nonlinear =
+  let table = Hashtbl.create 16 and bounds = ref [] in
+  let aux e =
+    let key = E.to_string e in
+    match Hashtbl.find_opt table key with
+    | Some v -> L.var v
+    | None ->
+      let v = nvars + Hashtbl.length table in
+      Hashtbl.add table key v;
+      let range = E.eval_interval (Absolver_nlp.Box.env box) e in
+      let bound x op =
+        if (not (Absolver_numeric.Interval.is_empty range)) && Float.is_finite x then
+          bounds :=
+            { L.expr = L.add_term (L.constant (Q.neg (Q.of_float x))) Q.one v; op;
+              tag = A.Ab_problem.bounds_tag }
+            :: !bounds
+      in
+      bound range.Absolver_numeric.Interval.lo L.Ge;
+      bound range.Absolver_numeric.Interval.hi L.Le;
+      L.var v
+  in
+  let rec lin (e : E.t) =
+    match E.linearize e with
+    | Some le -> le
+    | None -> (
+      match e with
+      | E.Add (a, b) -> L.add (lin a) (lin b)
+      | E.Sub (a, b) -> L.sub (lin a) (lin b)
+      | E.Neg a -> L.neg (lin a)
+      | E.Mul (a, b) -> (
+        match (E.linearize a, E.linearize b) with
+        | Some la, _ when L.is_constant la -> L.scale (L.const la) (lin b)
+        | _, Some lb when L.is_constant lb -> L.scale (L.const lb) (lin a)
+        | _ -> aux e)
+      | E.Div (a, b) -> (
+        match E.linearize b with
+        | Some lb when L.is_constant lb && not (Q.is_zero (L.const lb)) ->
+          L.scale (Q.inv (L.const lb)) (lin a)
+        | _ -> aux e)
+      | _ -> aux e)
+  in
+  let relaxed = List.map (fun (r : E.rel) -> { L.expr = lin r.E.expr; op = r.E.op; tag = r.E.tag }) nonlinear in
+  relaxed @ !bounds
+
+let reference_queries p model =
+  let fixed, groups =
+    List.fold_left
+      (fun (fixed, groups) v ->
+        let rels = List.map (fun (d : A.Ab_problem.def) -> d.rel) (A.Ab_problem.find_defs p v) in
+        if model.(v) then (rels @ fixed, groups)
+        else
+          match List.concat_map E.negate_rel rels with
+          | [ r ] -> (r :: fixed, groups)
+          | rs -> (fixed, rs :: groups))
+      ([], []) (A.Ab_problem.defined_vars p)
+  in
+  let rec combinations = function
+    | [] -> [ [] ]
+    | g :: rest -> List.concat_map (fun r -> List.map (List.cons r) (combinations rest)) g
+  in
+  let nvars = A.Ab_problem.num_arith_vars p and box = A.Preprocess.initial_box p in
+  List.map
+    (fun combo ->
+      let linear, nonlinear =
+        List.partition_map
+          (fun (r : E.rel) ->
+            match E.linearize r.E.expr with
+            | Some le -> Either.Left { L.expr = le; op = r.E.op; tag = r.E.tag }
+            | None -> Either.Right r)
+          (fixed @ combo @ A.Ab_problem.bound_rels p)
+      in
+      if nonlinear = [] then linear else linear @ reference_relax ~nvars ~box nonlinear)
+    (combinations groups)
+
+let random_expr st ~nvars =
+  let rec go depth =
+    let leaf () =
+      if Random.State.bool st then E.Var (Random.State.int st nvars)
+      else E.Const (Q.of_int (Random.State.int st 7 - 3))
+    in
+    if depth = 0 then leaf ()
+    else
+      let sub () = go (depth - 1) in
+      match Random.State.int st 13 with
+      | 0 -> leaf ()
+      | 1 -> E.Neg (sub ())
+      | 2 | 3 -> E.Add (sub (), sub ())
+      | 4 -> E.Sub (sub (), sub ())
+      | 5 | 6 -> E.Mul (sub (), sub ())
+      | 7 -> E.Div (sub (), sub ())
+      | 8 -> E.Pow (sub (), 2 + Random.State.int st 2)
+      | 9 -> E.Sqrt (sub ())
+      | 10 -> E.Exp (sub ())
+      | 11 -> E.Log (sub ())
+      | _ -> if Random.State.bool st then E.Sin (sub ()) else E.Cos (sub ())
+  in
+  go (1 + Random.State.int st 3)
+
+(* Definitions over every operator and comparison, one to two per
+   Boolean variable, and unit clauses that leave one Boolean model. *)
+let random_compiled_case seed =
+  let st = Random.State.make [| seed |] in
+  let p = A.Ab_problem.create () in
+  let nvars = 1 + Random.State.int st 3 in
+  for i = 0 to nvars - 1 do
+    let v = A.Ab_problem.intern_arith_var p (Printf.sprintf "x%d" i) in
+    A.Ab_problem.set_bounds p v ~lower:(Q.of_int (-4)) ~upper:(Q.of_int 5) ()
+  done;
+  let nbools = 1 + Random.State.int st 5 in
+  let model = Array.init nbools (fun _ -> Random.State.bool st) in
+  for b = 0 to nbools - 1 do
+    for _ = 0 to Random.State.int st 2 do
+      let op = [| L.Le; L.Lt; L.Ge; L.Gt; L.Eq |].(Random.State.int st 5) in
+      let domain = if Random.State.int st 4 = 0 then A.Ab_problem.Dint else A.Ab_problem.Dreal in
+      A.Ab_problem.define p ~bool_var:b ~domain { E.expr = random_expr st ~nvars; op; tag = b }
+    done;
+    A.Ab_problem.add_clause p [ (if model.(b) then T.pos b else T.neg_of_var b) ]
+  done;
+  (p, model)
+
+(* A linear solver that records each LP query as the constraints its
+   atom ids stand for, around the default session; and a nonlinear
+   solver that refutes every subsystem, so every combo gets its query. *)
+let recording_registry () =
+  let queries = ref [] in
+  let atoms = Hashtbl.create 16 in
+  let session ~budget ~warm =
+    let s = A.Registry.simplex_solver.A.Registry.ls_session ~budget ~warm in
+    {
+      A.Registry.lsess_atom =
+        (fun c ->
+          let id = s.A.Registry.lsess_atom c in
+          Hashtbl.replace atoms id c;
+          id);
+      lsess_solve =
+        (fun ~int_vars ~fixes ids ->
+          if fixes = [] then queries := List.map (Hashtbl.find atoms) ids :: !queries;
+          s.A.Registry.lsess_solve ~int_vars ~fixes ids);
+      lsess_counters = s.A.Registry.lsess_counters;
+    }
+  in
+  let refute =
+    {
+      A.Registry.ns_name = "refute";
+      ns_solve = (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
+        (A.Registry.N_unsat, Absolver_nlp.Branch_prune.empty_stats));
+    }
+  in
+  ( { A.Registry.default with
+      A.Registry.linear = { A.Registry.ls_name = "recording"; ls_session = session };
+      nonlinear = [ refute ] },
+    fun () -> List.rev !queries )
+
+let same_cons (a : L.cons) (b : L.cons) = L.equal a.L.expr b.L.expr && a.L.op = b.L.op && a.L.tag = b.L.tag
+
+let compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled atoms match per-model linearization" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let p, model = random_compiled_case seed in
+      let registry, recorded = recording_registry () in
+      List.iter
+        (fun use_incremental ->
+          let options = { A.Engine.default_options with A.Engine.use_presolve = false; use_incremental } in
+          ignore (A.Engine.solve ~registry ~options p))
+        [ true; false ];
+      let expected = reference_queries p model in
+      let rec prefix got want =
+        match (got, want) with
+        | [], _ -> true
+        | q :: got, r :: want -> List.equal same_cons q r && prefix got want
+        | _ :: _, [] -> false
+      in
+      (* Two solves, warm then cold, each recording its queries. *)
+      let got = recorded () in
+      let half = List.length got / 2 in
+      let warm = List.filteri (fun i _ -> i < half) got
+      and cold = List.filteri (fun i _ -> i >= half) got in
+      got <> [] && warm = cold && prefix warm expected)
+
+(* ------------------------------------------------------------------ *)
 (* Unit tests: delta computation.                                      *)
 
 let cons_of ~tag coeffs k op =
@@ -347,8 +542,10 @@ let cons_of ~tag coeffs k op =
 
 let count s name = List.assoc ("lp.inc." ^ name) (Inc.counters s)
 
+let solve_cons s cs = Inc.solve s (List.map (Inc.register s) cs)
+
 let expect_sat s what cs =
-  match Inc.solve s cs with
+  match solve_cons s cs with
   | Sx.Sat _ -> ()
   | _ -> Alcotest.failf "%s should be sat" what
 
@@ -391,7 +588,7 @@ let test_delta_shared_slack () =
       expect_sat s "x <= 3, x <= 5" [ le3; le5 ];
       expect_sat s "x <= 5" [ le5 ];
       expect_sat s "x <= 5, x >= 4" [ le5; cons_of ~tag:3 form (-4) L.Ge ];
-      match Inc.solve s [ le5; cons_of ~tag:4 form (-6) L.Ge ] with
+      match solve_cons s [ le5; cons_of ~tag:4 form (-6) L.Ge ] with
       | Sx.Unsat core ->
         check (Alcotest.list int_t) "core" [ 2; 4 ] (List.sort compare core)
       | _ -> Alcotest.fail "x <= 5, x >= 6 should be unsat")
@@ -400,6 +597,8 @@ let test_delta_shared_slack () =
 let test_delta_duplicate () =
   let s = Inc.create () in
   let c1 = cons_of ~tag:1 [ (1, 0) ] (-5) L.Le in
+  check int_t "one id for an atom registered twice" (Inc.register s c1)
+    (Inc.register s (cons_of ~tag:1 [ (1, 0) ] (-5) L.Le));
   expect_sat s "duplicated atom" [ c1; c1 ];
   check int_t "one bound for two copies" 1 (count s "asserted");
   expect_sat s "single atom" [ c1 ];
@@ -418,6 +617,7 @@ let test_session_size () =
       cons_of ~tag:3 [ (1, 1) ] 0 L.Ge;
       cons_of ~tag:4 [ (2, 0); (3, 1); (1, 2) ] (-30) L.Le;
     ]
+    |> List.map (Inc.register s)
   in
   let words = ref 0 in
   for i = 1 to 1_000 do
@@ -428,12 +628,30 @@ let test_session_size () =
         tag = -3;
       }
     in
-    ignore (Inc.solve s (fix :: atoms));
+    ignore (Inc.solve s ~fixes:[ fix ] atoms);
     if i = 10 then words := Obj.reachable_words (Obj.repr s)
   done;
   let final = Obj.reachable_words (Obj.repr s) in
   if final > 2 * !words then
     Alcotest.failf "session grew from %d to %d words" !words final
+
+let test_persistent_session_size () =
+  (* The server keeps one warm session per client across its requests,
+     and every request registers its own atoms: they must not pile up. *)
+  let solver, _ = A.Registry.persistent_simplex () in
+  let words = ref 0 in
+  for i = 1 to 300 do
+    let s = solver.A.Registry.ls_session ~budget:Budget.unlimited ~warm:true in
+    let ids =
+      List.map s.A.Registry.lsess_atom
+        [ cons_of ~tag:1 [ (1, 0); (1, 1) ] (-i) L.Le; cons_of ~tag:2 [ (1, 0) ] 0 L.Ge ]
+    in
+    ignore (s.A.Registry.lsess_solve ~int_vars:[] ~fixes:[] ids);
+    if i = 10 then words := Obj.reachable_words (Obj.repr solver)
+  done;
+  let final = Obj.reachable_words (Obj.repr solver) in
+  if final > 2 * !words then
+    Alcotest.failf "persistent session grew from %d to %d words" !words final
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: simplex checkpoint/rollback.                           *)
@@ -494,7 +712,7 @@ let test_run_stats_surface () =
         check int_t "per-check sessions reuse nothing" 0
           (A.Engine.counter scr_stats "lp.inc.reused")
       done)
-    [ A.Registry.default; { A.Registry.default with A.Registry.linear = [ persistent ] } ]
+    [ A.Registry.default; { A.Registry.default with A.Registry.linear = persistent } ]
 
 let suite =
   [
@@ -506,6 +724,7 @@ let suite =
     Alcotest.test_case "budget pressure never flips (60 cases)" `Slow
       test_budget_pressure_no_flip;
     Alcotest.test_case "jobs>1 differential" `Quick test_jobs_differential;
+    QCheck_alcotest.to_alcotest ~long:false compiled_matches_reference;
     Alcotest.test_case "delta ignores order" `Quick test_delta_order;
     Alcotest.test_case "delta is a symmetric difference" `Quick
       test_delta_symmetric;
@@ -513,6 +732,8 @@ let suite =
     Alcotest.test_case "duplicate atom counts once" `Quick test_delta_duplicate;
     Alcotest.test_case "session size bounded under witness fixes" `Quick
       test_session_size;
+    Alcotest.test_case "persistent session bounded across solves" `Quick
+      test_persistent_session_size;
     Alcotest.test_case "checkpoint/rollback" `Quick test_checkpoint_rollback;
     Alcotest.test_case "run stats surface" `Quick test_run_stats_surface;
   ]

@@ -178,7 +178,7 @@ let outcome_of_direct prob result =
    warm-session path against verdict flips. *)
 let reference_outcomes texts =
   let solver, dispose = Registry.persistent_simplex () in
-  let registry = { Registry.default with Registry.linear = [ solver ] } in
+  let registry = { Registry.default with Registry.linear = solver } in
   let outcomes =
     List.map
       (fun text ->
