@@ -88,7 +88,6 @@ let presolve_counters =
       (None, "presolve.strengthened_literals", fun s -> s.strengthened_literals);
       (None, "presolve.failed_literals", fun s -> s.failed_literals);
       (None, "presolve.unit_defs", fun s -> s.unit_defs);
-      (None, "presolve.rounds", fun s -> s.rounds);
     ]
 
 (* The SAT solver's, read off its cumulative [Types.stats]. *)

@@ -18,7 +18,6 @@ type stats = {
   mutable failed_literals : int;
   mutable tightened_bounds : int;
   mutable unit_defs : int;
-  mutable rounds : int;
   mutable revisions : int;
   mutable wall_seconds : float;
 }
@@ -31,7 +30,6 @@ let mk_stats () =
     failed_literals = 0;
     tightened_bounds = 0;
     unit_defs = 0;
-    rounds = 0;
     revisions = 0;
     wall_seconds = 0.0;
   }
@@ -105,8 +103,7 @@ let bound_rels_of_lb nvars (lb : Lp_presolve.bounds) =
   done;
   !rels
 
-(* Cross-domain fixpoint rounds. *)
-let max_rounds = 3
+exception Refuted
 
 let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
   let tel = telemetry in
@@ -132,145 +129,126 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
   let clauses = ref original_clauses in
   let fixed_tbl : (Types.var, bool) Hashtbl.t = Hashtbl.create 16 in
   let box = ref (initial_box problem) in
-  let unsat = ref false in
-  (* Every pass below catches its own budget exhaustion and returns a
-     sound partial result; between rounds a non-raising poll stops the
-     fixpoint. The fault point covers presolve orchestration itself. *)
-  (try
-   Faults.hit "presolve.run" budget;
-   let continue_ = ref true in
-   while
-     (not !unsat) && !continue_ && stats.rounds < max_rounds
-     && Budget.check budget = None
-   do
-     stats.rounds <- stats.rounds + 1;
-     continue_ := false;
-     Telemetry.span tel "presolve.round"
-       ~attrs:[ ("round", Telemetry.Int stats.rounds) ]
-       (fun () ->
-     (* 1. SAT-level simplification. *)
-     (match
-        Telemetry.span tel "presolve.sat_simplify" (fun () ->
-            Sat_simplify.simplify ~budget ~nvars:nvars_b !clauses)
-      with
-     | Sat_simplify.Unsat -> unsat := true
-     | Sat_simplify.Simplified s ->
-       clauses := s.Sat_simplify.clauses;
-       List.iter (fun (v, b) -> Hashtbl.replace fixed_tbl v b) s.Sat_simplify.fixed;
-       stats.strengthened_literals <-
-         stats.strengthened_literals + s.Sat_simplify.stats.Sat_simplify.strengthened_literals;
-       stats.failed_literals <-
-         stats.failed_literals + s.Sat_simplify.stats.Sat_simplify.failed_literals;
-       (* 2. LP presolve over the unconditionally implied linear rows. *)
-       let implied = implied_rels problem fixed_tbl in
-       let rows =
-         List.filter_map
-           (fun (r : Expr.rel) ->
-             Option.map
-               (fun le -> { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
-               (Expr.linearize r.Expr.expr))
-           implied
-       in
-       (match
-          Telemetry.span tel "presolve.lp" (fun () ->
-              Lp_presolve.presolve ~is_int ~budget lb rows)
-        with
-       | Lp_presolve.Infeasible_rows _ -> unsat := true
-       | Lp_presolve.Presolved { tightened; _ } ->
-         stats.tightened_bounds <- stats.tightened_bounds + tightened);
-       (* 3. Interval constraint propagation over all implied relations
-          (including nonlinear ones the LP pass cannot see). *)
-       if not !unsat then begin
-         let start =
-           Array.init nvars_a (fun i ->
-               I.inter (Box.get !box i)
-                 (I.of_rational_bounds lb.Lp_presolve.lo.(i) lb.Lp_presolve.hi.(i)))
-         in
-         if Box.is_empty start && nvars_a > 0 then unsat := true
-         else
-           let contracted, revisions =
-             Telemetry.span tel "presolve.icp" (fun () ->
-                 Icp.contract ~budget ~box:start implied)
-           in
-           stats.revisions <- stats.revisions + revisions;
-           match contracted with
-           | `Empty -> unsat := true
-           | `Box (contracted, narrowed) ->
-             box := contracted;
-             stats.tightened_bounds <- stats.tightened_bounds + narrowed;
-             (* Feed the (outward-rounded, hence sound) float box back
-                into the exact bounds. *)
-             for i = 0 to nvars_a - 1 do
-               let iv = Box.get contracted i in
-               if Float.is_finite iv.I.lo then begin
-                 let q = Q.of_float iv.I.lo in
-                 let q = if is_int i then Q.of_bigint (Q.ceil q) else q in
-                 match lb.Lp_presolve.lo.(i) with
-                 | Some old when Q.geq old q -> ()
-                 | _ -> lb.Lp_presolve.lo.(i) <- Some q
-               end;
-               if Float.is_finite iv.I.hi then begin
-                 let q = Q.of_float iv.I.hi in
-                 let q = if is_int i then Q.of_bigint (Q.floor q) else q in
-                 match lb.Lp_presolve.hi.(i) with
-                 | Some old when Q.leq old q -> ()
-                 | _ -> lb.Lp_presolve.hi.(i) <- Some q
-               end
-             done
-       end;
-       (* 4. Feed arithmetic verdicts back as unit clauses: a definition
-          whose conjunction provably holds (or provably fails) everywhere
-          in the tightened box fixes its delta-linked literal. *)
-       if not !unsat then
-         Telemetry.span tel "presolve.feedback" (fun () ->
-         let env = Box.env !box in
-         let rel_redundant (r : Expr.rel) =
-           Expr.certainly_holds env r
-           || (match Expr.linearize r.Expr.expr with
-              | Some le ->
+  (* One pass: every step below catches its own budget exhaustion and
+     returns a sound partial result; an exhausted budget skips presolve
+     altogether. The fault point covers presolve orchestration itself. *)
+  let unsat =
+    try
+      Faults.hit "presolve.run" budget;
+      Budget.check_exn budget;
+      (* 1. SAT-level simplification. *)
+      (match
+         Telemetry.span tel "presolve.sat_simplify" (fun () ->
+             Sat_simplify.simplify ~budget ~nvars:nvars_b !clauses)
+       with
+      | Sat_simplify.Unsat -> raise Refuted
+      | Sat_simplify.Simplified s ->
+        clauses := s.Sat_simplify.clauses;
+        List.iter (fun (v, b) -> Hashtbl.replace fixed_tbl v b) s.Sat_simplify.fixed;
+        stats.strengthened_literals <- s.Sat_simplify.stats.Sat_simplify.strengthened_literals;
+        stats.failed_literals <- s.Sat_simplify.stats.Sat_simplify.failed_literals);
+      (* 2. LP presolve over the unconditionally implied linear rows. *)
+      let implied = implied_rels problem fixed_tbl in
+      let rows =
+        List.filter_map
+          (fun (r : Expr.rel) ->
+            Option.map
+              (fun le -> { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
+              (Expr.linearize r.Expr.expr))
+          implied
+      in
+      (match
+         Telemetry.span tel "presolve.lp" (fun () ->
+             Lp_presolve.presolve ~is_int ~budget lb rows)
+       with
+      | Lp_presolve.Infeasible_rows _ -> raise Refuted
+      | Lp_presolve.Presolved { tightened; _ } ->
+        stats.tightened_bounds <- stats.tightened_bounds + tightened);
+      (* 3. Interval constraint propagation over all implied relations
+         (including nonlinear ones the LP pass cannot see). *)
+      let start =
+        Array.init nvars_a (fun i ->
+            I.inter (Box.get !box i)
+              (I.of_rational_bounds lb.Lp_presolve.lo.(i) lb.Lp_presolve.hi.(i)))
+      in
+      if Box.is_empty start && nvars_a > 0 then raise Refuted;
+      let contracted, revisions =
+        Telemetry.span tel "presolve.icp" (fun () ->
+            Icp.contract ~budget ~box:start implied)
+      in
+      stats.revisions <- revisions;
+      (match contracted with
+      | `Empty -> raise Refuted
+      | `Box (contracted, narrowed) ->
+        box := contracted;
+        stats.tightened_bounds <- stats.tightened_bounds + narrowed;
+        (* Feed the (outward-rounded, hence sound) float box back into
+           the exact bounds. *)
+        for i = 0 to nvars_a - 1 do
+          let iv = Box.get contracted i in
+          if Float.is_finite iv.I.lo then begin
+            let q = Q.of_float iv.I.lo in
+            let q = if is_int i then Q.of_bigint (Q.ceil q) else q in
+            match lb.Lp_presolve.lo.(i) with
+            | Some old when Q.geq old q -> ()
+            | _ -> lb.Lp_presolve.lo.(i) <- Some q
+          end;
+          if Float.is_finite iv.I.hi then begin
+            let q = Q.of_float iv.I.hi in
+            let q = if is_int i then Q.of_bigint (Q.floor q) else q in
+            match lb.Lp_presolve.hi.(i) with
+            | Some old when Q.leq old q -> ()
+            | _ -> lb.Lp_presolve.hi.(i) <- Some q
+          end
+        done);
+      (* 4. Feed arithmetic verdicts back as unit clauses: a definition
+         whose conjunction provably holds (or provably fails) everywhere
+         in the tightened box fixes its delta-linked literal. The fixed
+         value is root-implied, so it joins [fixed] too. *)
+      Telemetry.span tel "presolve.feedback" (fun () ->
+          let env = Box.env !box in
+          let lp_status (r : Expr.rel) =
+            Option.map
+              (fun le ->
                 Lp_presolve.status lb
-                  { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag }
-                = Lp_presolve.Redundant
-              | None -> false)
-         in
-         let rel_infeasible (r : Expr.rel) =
-           Expr.certainly_violated env r
-           || (match Expr.linearize r.Expr.expr with
-              | Some le ->
-                Lp_presolve.status lb
-                  { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag }
-                = Lp_presolve.Infeasible
-              | None -> false)
-         in
-         let new_units = ref [] in
-         List.iter
-           (fun v ->
-             if not (Hashtbl.mem fixed_tbl v) then begin
-               let rels =
-                 List.map
-                   (fun (d : Ab_problem.def) -> d.rel)
-                   (Ab_problem.find_defs problem v)
-               in
-               if rels <> [] then
-                 if List.for_all rel_redundant rels then
-                   new_units := [ Types.pos v ] :: !new_units
-                 else if List.exists rel_infeasible rels then
-                   new_units := [ Types.neg_of_var v ] :: !new_units
-             end)
-           (Ab_problem.defined_vars problem);
-         if !new_units <> [] then begin
-           stats.unit_defs <- stats.unit_defs + List.length !new_units;
-           clauses := !new_units @ !clauses;
-           continue_ := true
-         end))
-     )
-   done
-   with Budget.Exhausted _ -> ());
+                  { Linexpr.expr = le; op = r.Expr.op; tag = r.Expr.tag })
+              (Expr.linearize r.Expr.expr)
+          in
+          let rel_redundant r =
+            Expr.certainly_holds env r || lp_status r = Some Lp_presolve.Redundant
+          in
+          let rel_infeasible r =
+            Expr.certainly_violated env r
+            || lp_status r = Some Lp_presolve.Infeasible
+          in
+          List.iter
+            (fun v ->
+              if not (Hashtbl.mem fixed_tbl v) then begin
+                let rels =
+                  List.map
+                    (fun (d : Ab_problem.def) -> d.rel)
+                    (Ab_problem.find_defs problem v)
+                in
+                let fix b =
+                  Hashtbl.replace fixed_tbl v b;
+                  stats.unit_defs <- stats.unit_defs + 1;
+                  clauses := [ (if b then Types.pos v else Types.neg_of_var v) ] :: !clauses
+                in
+                if rels <> [] then
+                  if List.for_all rel_redundant rels then fix true
+                  else if List.exists rel_infeasible rels then fix false
+              end)
+            (Ab_problem.defined_vars problem));
+      false
+    with
+    | Budget.Exhausted _ -> false
+    | Refuted -> true
+  in
   stats.fixed_literals <- Hashtbl.length fixed_tbl;
   stats.removed_clauses <-
     max 0 (List.length original_clauses - List.length !clauses);
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
-  if !unsat then
+  if unsat then
     {
       status = `Unsat;
       clauses = [ [] ];

@@ -1,15 +1,15 @@
-(** Cross-domain presolve driver: composes SAT-level simplification
+(** Cross-domain presolve driver: one pass of SAT-level simplification
     ({!Absolver_preprocess.Sat_simplify}), LP presolve
     ({!Absolver_preprocess.Lp_presolve}) and interval constraint
-    propagation ({!Absolver_preprocess.Icp}) to a bounded fixpoint over an
-    AB-problem before the engine's control loop runs.
+    propagation ({!Absolver_preprocess.Icp}) over an AB-problem before
+    the engine's control loop runs.
 
     Information flows in both directions: Boolean root facts select the
     arithmetic constraints that hold in {e every} model, those tighten the
     exact rational bounds and the interval box, and a definition whose
     constraint becomes provably redundant (or infeasible) on the tightened
     box feeds a unit clause on its defining literal back to the Boolean
-    side — which may fix further literals, and so on.
+    side. The pass ends there: CDCL propagates the fed-back units.
 
     Everything the driver derives is implied by the problem. The SAT
     passes keep the CNF's model set exactly, and a fed-back unit only
@@ -23,7 +23,8 @@ module Expr = Absolver_nlp.Expr
 module Box = Absolver_nlp.Box
 
 type stats = {
-  mutable fixed_literals : int;  (** Boolean variables fixed at root level. *)
+  mutable fixed_literals : int;
+      (** Boolean variables fixed at root level, fed-back units included. *)
   mutable removed_clauses : int;  (** Net CNF shrinkage in clauses. *)
   mutable strengthened_literals : int;
       (** Literals dropped by self-subsuming resolution. *)
@@ -33,7 +34,6 @@ type stats = {
   mutable unit_defs : int;
       (** Unit clauses fed back from arithmetic redundancy/infeasibility of
           defined constraints. *)
-  mutable rounds : int;  (** Cross-domain fixpoint rounds executed. *)
   mutable revisions : int;  (** HC4 revise passes of the interval pass. *)
   mutable wall_seconds : float;
 }
@@ -44,7 +44,9 @@ type t = {
   clauses : Types.lit list list;
       (** Simplified CNF over the original variable numbering (unit
           clauses for fixed variables included). *)
-  fixed : (Types.var * bool) list;  (** Root-implied assignments. *)
+  fixed : (Types.var * bool) list;
+      (** Root-implied assignments: those of the SAT pass and the
+          fed-back units. *)
   box : Box.t;  (** Tightened global interval box (per arithmetic var). *)
   bound_rels : Expr.rel list;
       (** Tightened unconditional bounds as relations (tag
@@ -58,10 +60,10 @@ val run :
   ?budget:Absolver_resource.Budget.t ->
   Ab_problem.t ->
   t
-(** Presolve to a fixpoint bounded by 3 cross-domain rounds.
-    [telemetry] (default disabled) records one [presolve.round] span per
-    fixpoint round with [presolve.sat_simplify] / [presolve.lp] /
-    [presolve.icp] / [presolve.feedback] children; its counters are
+(** Presolve in one pass: SAT simplification, LP presolve, interval
+    propagation, then the arithmetic feedback. [telemetry] (default
+    disabled) records one [presolve.sat_simplify] / [presolve.lp] /
+    [presolve.icp] / [presolve.feedback] span each; the counters are
     returned in [stats], which the engine reports. [budget] is threaded
     into every pass; exhaustion stops presolve early with whatever sound
     simplification was completed (never an exception — the typed reason

@@ -22,7 +22,6 @@ type linear_session = {
 }
 
 type linear_solver = {
-  ls_name : string;
   ls_session : budget:Budget.t -> warm:bool -> linear_session;
 }
 
@@ -33,7 +32,6 @@ type nonlinear_verdict =
   | N_unknown
 
 type nonlinear_solver = {
-  ns_name : string;
   ns_solve :
     budget:Budget.t ->
     telemetry:Absolver_telemetry.Telemetry.t ->
@@ -75,7 +73,7 @@ let session_of ~warm s =
 
 let fresh_session ~budget ~warm = session_of ~warm (Incremental.create ~budget ())
 
-let simplex_solver = { ls_name = "simplex (COIN-like)"; ls_session = fresh_session }
+let simplex_solver = { ls_session = fresh_session }
 
 (* Counters are delta'd per read ([session_of]), so a run sees only its
    own work; each call builds an independent session, so no warm tableau
@@ -92,14 +90,10 @@ let persistent_simplex () =
       session_of ~warm s
     end
   in
-  ( { ls_name = "simplex (COIN-like, persistent session)"; ls_session = mk },
-    fun () -> session := None )
+  ({ ls_session = mk }, fun () -> session := None)
 
 let branch_prune_solver ?(config = Branch_prune.default_config) ?(jobs = 1) () =
   {
-    ns_name =
-      (if jobs <= 1 then "branch-and-prune (IPOPT-like)"
-       else Printf.sprintf "branch-and-prune (IPOPT-like, %d jobs)" jobs);
     ns_solve =
       (fun ~budget ~telemetry ~nvars ~box rels ->
         let verdict, stats =

@@ -41,7 +41,6 @@ type linear_session = {
     {!Engine.counters}); the engine reads it after every solve. *)
 
 type linear_solver = {
-  ls_name : string;
   ls_session : budget:Absolver_resource.Budget.t -> warm:bool -> linear_session;
       (** Acquire a session governed by [budget]; the engine acquires one
           per enumeration and routes every LP query through it. With
@@ -62,7 +61,6 @@ type nonlinear_verdict =
   | N_unknown
 
 type nonlinear_solver = {
-  ns_name : string;
   ns_solve :
     budget:Absolver_resource.Budget.t ->
     telemetry:Absolver_telemetry.Telemetry.t ->

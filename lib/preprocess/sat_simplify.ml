@@ -32,8 +32,7 @@ exception Root_conflict
 (* The clause database is one flat arena. A clause is named by its
    handle [c], the arena offset of its two header words:
 
-   - [arena.(c)] packs the length with two flags:
-     [len lsl 2 lor touched lsl 1 lor dead];
+   - [arena.(c)] packs the length with the dead flag: [len lsl 1 lor dead];
    - [arena.(c + 1)] is a 64-bit Bloom-style signature of the literal
      set, bit [l mod 63] per literal.  C ⊆ D implies sig(C) ∧ ¬sig(D) = 0,
      so one AND refutes most non-subsuming candidate pairs before the
@@ -49,11 +48,7 @@ exception Root_conflict
    [occ.(occ_start.(l)) .. occ.(occ_start.(l + 1) - 1)], in decreasing
    clause order.  They are built once and never updated, so entries go
    stale when a literal is removed from its clause; every reader checks
-   membership again.
-
-   The touched flag is set whenever the clause's literals change and
-   cleared when the clause is processed as a subsumer (see
-   {!subsumption_pass}). *)
+   membership again. *)
 type state = {
   nvars : int;
   arena : int array;
@@ -81,10 +76,8 @@ type state = {
 }
 
 let dead_bit = 1
-let touched_bit = 2
-let len s c = s.arena.(c) lsr 2
+let len s c = s.arena.(c) lsr 1
 let is_dead s c = s.arena.(c) land dead_bit <> 0
-let is_touched s c = s.arena.(c) land touched_bit <> 0
 let sig_bit (l : Types.lit) = 1 lsl (l mod 63)
 
 let compute_sig s c =
@@ -118,7 +111,7 @@ let remove_lit s c l =
     incr k
   done;
   Array.blit s.arena (!k + 1) s.arena !k (e - !k - 1);
-  s.arena.(c) <- ((len s c - 1) lsl 2) lor touched_bit;
+  s.arena.(c) <- (len s c - 1) lsl 1;
   s.arena.(c + 1) <- compute_sig s c
 
 (* The queue never wraps: each clause becomes a unit at most once and each
@@ -252,7 +245,7 @@ let init ~nvars clause_list =
         lits;
       let n = !pos - c - 2 in
       sort_slice s.arena (c + 2) n;
-      s.arena.(c) <- (n lsl 2) lor touched_bit;
+      s.arena.(c) <- n lsl 1;
       s.arena.(c + 1) <- compute_sig s c;
       let tautology = ref false in
       for k = c + 2 to !pos - 1 do
@@ -376,20 +369,14 @@ let process_subsumer s c =
   done
 
 (* One subsumption pass: every live clause, shortest first, acts as a
-   subsumer — except clauses not touched since they last did.  Skipping
-   those is exact, because clauses only shrink: if an untouched C is
-   contained in D now, it was contained in D when C was last processed,
-   so D was killed or strengthened then. *)
+   subsumer once. *)
 let subsumption_pass ~budget s =
   if not (subsumption_oversized s) then begin
     sort_by_length s;
     Array.iter
       (fun c ->
         Budget.tick budget;
-        if (not (is_dead s c)) && len s c > 0 && is_touched s c then begin
-          s.arena.(c) <- s.arena.(c) land lnot touched_bit;
-          process_subsumer s c
-        end)
+        if (not (is_dead s c)) && len s c > 0 then process_subsumer s c)
       s.order;
     propagate s
   end
@@ -412,11 +399,12 @@ let rec probe_scan s k e acc =
 
 (* Failed-literal probing: assume a literal, propagate without modifying
    the clause database; a conflict proves the negation at root level. The
-   shared [visits] budget bounds total clause scans across all probes.
+   [visits] budget bounds total clause scans across all probes.
    The budget is polled only {e between} probes: a probe restores its
    trail before returning, and interrupting it mid-propagation would leave
    probe assumptions looking like root-level assignments. *)
-let probe_pass ~probe_limit ~visits ~budget s =
+let probe_pass ~probe_limit ~budget s =
+  let visits = ref 300_000 in
   (* [s.trail] holds the literals a probe assumed, in order; it doubles
      as the probe's propagation queue, whose head is [qhead]. *)
   let trail = s.trail in
@@ -491,19 +479,8 @@ let simplify ?(probe_limit = 2000) ?(budget = Budget.unlimited) ~nvars
        database as unit clauses.  The typed reason is sticky in the budget. *)
     (try
        Faults.hit "presolve.sat_simplify" budget;
-       let visits = ref 300_000 in
-       let rounds = ref 0 and continue_ = ref true in
-       while !continue_ && !rounds < 3 do
-         incr rounds;
-         let progress st =
-           st.fixed_literals + st.removed_clauses
-           + st.strengthened_literals + st.failed_literals
-         in
-         let before = progress s.st in
-         subsumption_pass ~budget s;
-         probe_pass ~probe_limit ~visits ~budget s;
-         continue_ := progress s.st > before
-       done
+       subsumption_pass ~budget s;
+       probe_pass ~probe_limit ~budget s
      with Budget.Exhausted _ -> ());
     let active =
       Array.fold_right

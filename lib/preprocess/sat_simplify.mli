@@ -36,16 +36,15 @@ val simplify :
   nvars:int ->
   Types.lit list list ->
   result
-(** [simplify ~nvars clauses] simplifies towards a propagation/
-    subsumption/probing fixpoint. After root-level unit propagation it
-    runs at most 3 rounds of subsumption and probing, stopping early
-    after a round that changes nothing.
+(** [simplify ~nvars clauses] simplifies in one pass: root-level unit
+    propagation, then one subsumption pass (every live clause is a
+    subsumer once, shortest first), then one probing pass.
     Within one call:
     - [probe_limit] caps the number of probed variables (default 2000);
     - all probes together scan at most about 300,000 clauses (checked
       between probes, so the last probe may overrun it);
-    - subsumption is skipped in a round whose live CNF has more than
-      50,000 clauses or 500,000 literals.
+    - subsumption is skipped when the live CNF has more than 50,000
+      clauses or 500,000 literals.
 
     Budget exhaustion stops inprocessing early and returns the
     (equivalent) partially simplified CNF; no exception escapes this

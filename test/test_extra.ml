@@ -28,8 +28,7 @@ let test_nonlinear_solver_fallback () =
   let gave_up_calls = ref 0 in
   let give_up =
     {
-      A.Registry.ns_name = "always-unknown";
-      ns_solve =
+      A.Registry.ns_solve =
         (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
           incr gave_up_calls;
           (A.Registry.N_unknown, Absolver_nlp.Branch_prune.empty_stats));
@@ -53,8 +52,7 @@ let test_nonlinear_solver_fallback () =
 let test_nonlinear_all_solvers_fail () =
   let give_up =
     {
-      A.Registry.ns_name = "always-unknown";
-      ns_solve =
+      A.Registry.ns_solve =
         (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
           (A.Registry.N_unknown, Absolver_nlp.Branch_prune.empty_stats));
     }

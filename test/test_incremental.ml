@@ -491,13 +491,12 @@ let recording_registry () =
   in
   let refute =
     {
-      A.Registry.ns_name = "refute";
-      ns_solve = (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
+      A.Registry.ns_solve = (fun ~budget:_ ~telemetry:_ ~nvars:_ ~box:_ _ ->
         (A.Registry.N_unsat, Absolver_nlp.Branch_prune.empty_stats));
     }
   in
   ( { A.Registry.default with
-      A.Registry.linear = { A.Registry.ls_name = "recording"; ls_session = session };
+      A.Registry.linear = { A.Registry.ls_session = session };
       nonlinear = [ refute ] },
     fun () -> List.rev !queries )
 

@@ -211,83 +211,83 @@ let identity_random () =
       in
       String.sub (digest_result r) 0 8)
 
-(* Digests of the list-based simplifier's results, computed before the
-   flat rewrite and re-derived with pure-literal elimination switched off
-   (every variable protected) before that pass was deleted; the
-   simplifier must reproduce them bit for bit. *)
+(* Digests of the single-pass simplifier's results (one subsumption pass,
+   one probing pass). They equal those of the earlier multi-round
+   simplifier cut to its first round; the simplifier must reproduce them
+   bit for bit. *)
 let identity_named_pins =
   [
-    ("2006_05_23_hard", "f4d94dd0e03c655db0ed9e62465fddf1");
-    ("2006_05_24_hard", "97f7df89b992a34be0d2d5cb7dd01b0c");
-    ("2006_05_25_hard", "0d9d5618641609eea124dc5208412901");
-    ("2006_05_26_hard", "9ac0a8f824229e2517201ae281323bae");
-    ("2006_05_27_hard", "c4ad8abf63216c29a9fad557696f5052");
-    ("2006_05_28_hard", "58e93eb0945b9b2f8b4207f338c218f6");
-    ("2006_05_29_easy", "f1c3ec3879bab93a9ab287329edb27ef");
-    ("2006_05_29_hard", "4c4726ed0fc2f9655384e9d4c6ebb8a1");
+    ("2006_05_23_hard", "7c66b9215bf5910885f9d4b38ec3fe7a");
+    ("2006_05_24_hard", "b30f7cda00b54975b96cffc212fbdde8");
+    ("2006_05_25_hard", "5ad1785a15edccbcc1f8faaa722c30f7");
+    ("2006_05_26_hard", "d2ff266073ee2572c39ba9cceb9b7020");
+    ("2006_05_27_hard", "98b363a9500ef2df7ad2a1aee13da88e");
+    ("2006_05_28_hard", "07289f48e2098ba09fed4342cbbd4c78");
+    ("2006_05_29_easy", "a5a59a2ffe833577771368d305389f80");
+    ("2006_05_29_hard", "41d76a8c814891268fa7bae8c5a8805a");
     ("2006_05_30_easy", "7e08986a170605023104e34cda111980");
-    ("2006_05_30_hard", "ecb9e65576d4b8ddb3db1d94d6a9f14c");
+    ("2006_05_30_hard", "5765689c23b684027b250c876f27eeca");
     ("FISCHER1", "396230dd5af1cf9df16e796062df2c3d");
-    ("FISCHER2", "de7c163730c86a2f8b311a183b97100e");
-    ("FISCHER3", "44a843b508c3779d73db717195c50efd");
+    ("FISCHER2", "0eee4593bd9ccf8660838e23f662c0a9");
+    ("FISCHER3", "36df5b068fd62405a864dc4d590bf84a");
     ("FISCHER4", "5aca49b1025d4e76a68e72ab2710456c");
     ("FISCHER5", "a07dff3e09a084a5cc828e7ec3f50c73");
     ("FISCHER6", "718fb6fdfc2f0746caae73e355b5d447");
-    ("steering", "50fdc51117db3188b6783b48fee1b337");
+    ("steering", "64de5e015c6fb041db76a49411218b6a");
   ]
 
 let identity_random_pins =
   [|
-    "78f0121a"; "c343b37c"; "2860de8d"; "ab76ca46"; "06a7a8c1"; "5e548b7b";
-    "ab76ca46"; "a23a6286"; "ab76ca46"; "00bdf555"; "9e34722a"; "ab76ca46";
-    "5af4b27c"; "ab76ca46"; "ef2c8423"; "206f3c45"; "8de8a499"; "75d142b2";
-    "7c52e0e0"; "ab76ca46"; "c23853bb"; "44b4a445"; "e6dad8cd"; "4dc4f707";
-    "ab76ca46"; "ab76ca46"; "afe93599"; "76a09ad1"; "6609e356"; "d3da219c";
-    "27256161"; "4fe823ed"; "4da0d2a9"; "f4414f01"; "91b1049b"; "4daca5d7";
-    "ab76ca46"; "bfde93e1"; "ab76ca46"; "2cae6b31"; "4c3e4c17"; "e7fb40e3";
-    "b2d86673"; "3180e2bd"; "f4abb733"; "b17d4967"; "436ac48e"; "e830990b";
-    "e3c115b0"; "ab76ca46"; "7fef8ce9"; "5d50e51b"; "bba8613f"; "2b3a3ef7";
-    "ab76ca46"; "32104b7c"; "d8b29084"; "e8330b00"; "eca23efa"; "ab76ca46";
-    "7f310914"; "d1e79f4d"; "4e0fb9b7"; "ab76ca46"; "56013cef"; "0c4ac933";
-    "3ae53b66"; "e09069a4"; "ab76ca46"; "84ec1e92"; "af155698"; "53a9f13b";
-    "ab76ca46"; "ab76ca46"; "70f64409"; "79829a8a"; "fcd1b991"; "abb74fb1";
-    "ab76ca46"; "dca5e6c6"; "3712fde2"; "ab76ca46"; "c26cea0b"; "69ad59ca";
-    "222bda46"; "48c6dfeb"; "c9a320d9"; "b1a165ef"; "ab76ca46"; "edbc5f86";
-    "e1ac735e"; "ab76ca46"; "d3fc0afd"; "21dca6d0"; "9cef0d56"; "f119a8c0";
-    "ad6c938e"; "ab76ca46"; "db0a103d"; "462fb979"; "3efa78df"; "324f8ecd";
-    "cedc38f4"; "cf23c6e2"; "a07f4200"; "c6675bba"; "680dca11"; "a118b54a";
+    "78f0121a"; "c343b37c"; "8e63b250"; "ab76ca46"; "a0fd1362"; "5e548b7b";
+    "ab76ca46"; "a23a6286"; "ab76ca46"; "058a890e"; "331770e4"; "ab76ca46";
+    "5af4b27c"; "ab76ca46"; "ef2c8423"; "8071e249"; "34ce544b"; "75d142b2";
+    "7c52e0e0"; "ab76ca46"; "8f6499b4"; "72a6f663"; "e6dad8cd"; "4dc4f707";
+    "ab76ca46"; "ab76ca46"; "08d0d64c"; "d5d1443d"; "dbe0712c"; "be303029";
+    "27256161"; "df2fcfa2"; "4da0d2a9"; "a884c3d4"; "09db31bf"; "4daca5d7";
+    "ab76ca46"; "f08d3b58"; "ab76ca46"; "2cae6b31"; "4c3e4c17"; "e7fb40e3";
+    "b2d86673"; "3180e2bd"; "a87ac97f"; "b17d4967"; "52c30f2c"; "b38d9fed";
+    "e3c115b0"; "ab76ca46"; "7fef8ce9"; "72206fd8"; "bba8613f"; "2b3a3ef7";
+    "ab76ca46"; "32104b7c"; "0417808f"; "e8330b00"; "18061377"; "ab76ca46";
+    "7f310914"; "d1e79f4d"; "4e0fb9b7"; "ab76ca46"; "91c7861d"; "0c4ac933";
+    "3ae53b66"; "caee5993"; "ab76ca46"; "dc20068e"; "ed11ffef"; "61860e56";
+    "ab76ca46"; "ab76ca46"; "a1c54f04"; "79829a8a"; "9ee2962f"; "abb74fb1";
+    "ab76ca46"; "c0391a15"; "42544ea8"; "ab76ca46"; "c26cea0b"; "dca5c12d";
+    "222bda46"; "48c6dfeb"; "c9a320d9"; "64dcfd03"; "ab76ca46"; "fbd5ad2e";
+    "e1ac735e"; "ab76ca46"; "74768448"; "21dca6d0"; "cc0da926"; "0aed13c5";
+    "ad6c938e"; "ab76ca46"; "24ffa399"; "328968e6"; "ad6cb9a7"; "90f79892";
+    "cedc38f4"; "00111eb1"; "a07f4200"; "371d001b"; "29397592"; "f75d94ef";
     "ab76ca46"; "da5aadae"; "bc4fd361"; "06b3151d"; "d3edc26f"; "03bb2b96";
-    "ab76ca46"; "ab76ca46"; "cbec5fae"; "181525d1"; "37bada0b"; "cb99a5f8";
-    "fc38ab83"; "2c8a1fdb"; "84694ba4"; "b2dea907"; "ab76ca46"; "76a8a9cc";
-    "292aad05"; "e6c2cf4e"; "c4810b3e"; "b87bfb1a"; "ab76ca46"; "ab76ca46";
-    "94dd28ee"; "4f9f2b3c"; "bf5aaf42"; "1f88ee80"; "0dbc3376"; "ad304ee8";
-    "ab76ca46"; "970acc30"; "e8392f37"; "2cfab4b3"; "ea0304b0"; "48f41273";
-    "bed218bc"; "8ec23f59"; "ab76ca46"; "bb08def7"; "e8a44372"; "cc4cd66b";
-    "7917dd16"; "ab76ca46"; "febae474"; "ceec18e1"; "3c9a5db5"; "3c6689fa";
-    "0dbc1366"; "26ce9543"; "9f9774bb"; "8e691255"; "ab76ca46"; "ab76ca46";
-    "5815e7c6"; "0d87d0f5"; "f667afae"; "b422ad52"; "ab76ca46"; "29ad5c44";
-    "82af4370"; "b800f9aa"; "21fb81d2"; "a70b7916"; "c069008c"; "308fc1dd";
+    "ab76ca46"; "ab76ca46"; "cbec5fae"; "181525d1"; "89ab405f"; "cb99a5f8";
+    "fc38ab83"; "2c8a1fdb"; "84694ba4"; "b2dea907"; "ab76ca46"; "805230fd";
+    "292aad05"; "9286bab2"; "c4810b3e"; "e607e822"; "ab76ca46"; "ab76ca46";
+    "94dd28ee"; "4f9f2b3c"; "bf5aaf42"; "1f88ee80"; "331fb3fb"; "ad304ee8";
+    "ab76ca46"; "970acc30"; "378bb476"; "2cfab4b3"; "ea0304b0"; "12d27bbf";
+    "bed218bc"; "57c2e826"; "ab76ca46"; "310033af"; "06de2b8d"; "cc4cd66b";
+    "7917dd16"; "ab76ca46"; "e1b618f0"; "a1762050"; "3c9a5db5"; "3c6689fa";
+    "0dbc1366"; "3b8ee263"; "9f9774bb"; "0aed7fe1"; "ab76ca46"; "ab76ca46";
+    "5815e7c6"; "0d87d0f5"; "f667afae"; "d3684c41"; "ab76ca46"; "957de8f4";
+    "82af4370"; "4d855cb8"; "a8cce88f"; "f10df026"; "c069008c"; "308fc1dd";
     "44a9784a"; "7c7644e9"; "cf62f633"; "39bde64b"; "c6207362"; "ab76ca46";
-    "6793b68b"; "0058fcf8"; "b8137cc9"; "e8ddad78"; "695a0e27"; "9d99f076";
-    "42d9624c"; "2100bc49"; "ab76ca46"; "bd24a071"; "07da1532"; "ef6785a2";
-    "db39dce2"; "25fc8e59"; "465acdd6"; "5009f30d"; "5240da0f"; "1f05516f";
-    "3aeae9d8"; "77315ae1"; "48a9ff97"; "5c9eebd3"; "128edc46"; "de6f5e1e";
-    "ab76ca46"; "fe5aa390"; "ab8ea3fa"; "ab76ca46"; "6ec438cf"; "662496f0";
-    "d4531dde"; "13afdfe1"; "8d0fb341"; "4c3c5ae0"; "ab76ca46"; "05459c9d";
-    "81813718"; "260243b5"; "99703306"; "b672e6d1"; "448e92c9"; "e6dad8cd";
-    "b1591741"; "59414933"; "2eb83083"; "f043a3cf"; "ab76ca46"; "e7acf34b";
-    "3c0964e4"; "ab76ca46"; "5add7f28"; "2cae4386"; "ab76ca46"; "fa7a7a7a";
+    "6793b68b"; "0058fcf8"; "b8137cc9"; "d02985a3"; "a9f5d199"; "9d99f076";
+    "42d9624c"; "6379c449"; "ab76ca46"; "bd24a071"; "07da1532"; "14e6ad72";
+    "db39dce2"; "25fc8e59"; "465acdd6"; "7e78c96e"; "5240da0f"; "1f05516f";
+    "3aeae9d8"; "87958beb"; "fa31045f"; "7154f008"; "27a40f72"; "40b7484e";
+    "ab76ca46"; "fe5aa390"; "5d36ed99"; "ab76ca46"; "6ec438cf"; "fbef7e9a";
+    "d4531dde"; "13afdfe1"; "8d0fb341"; "4c3c5ae0"; "ab76ca46"; "cd4f6957";
+    "81813718"; "af31433c"; "99703306"; "6486cd2b"; "d6931ec0"; "e6dad8cd";
+    "b1591741"; "59414933"; "2eb83083"; "f043a3cf"; "ab76ca46"; "a6ed83a8";
+    "3c0964e4"; "ab76ca46"; "5add7f28"; "0b593f6b"; "ab76ca46"; "fa7a7a7a";
     "51d627e3"; "44928d29"; "fed6b3aa"; "09a02bad"; "ecefe926"; "81d1a283";
-    "cf3fb616"; "525d99e4"; "cd52dd0f"; "389ecb1c"; "76a2e5d2"; "8ec5eacd";
-    "e96ae156"; "935c0798"; "7a81fc77"; "5b99bc6b"; "4516343d"; "c1cdb09a";
-    "aff6e81d"; "998f4e0a"; "ab76ca46"; "f8a7f572"; "1bf36353"; "b8ac2806";
-    "1f49bea4"; "8e138da6"; "b7ab346c"; "6b814dd6"; "ab76ca46"; "2640049d";
-    "50e99550"; "098376dc"; "ab76ca46"; "7b869598"; "abbde093"; "9d1ed495";
-    "1d94b0e1"; "6fdcb488"; "6f1d165f"; "e3098e03"; "22453656"; "59ee1d46";
-    "c1ffed6a"; "d53f81df"; "8c7b78a0"; "ab76ca46"; "3cb55339"; "7b55d422";
-    "ac573fc5"; "7d2f2323"; "45766b55"; "f4a567af"; "9fc8e2af"; "0645077c";
-    "8ef1efd7"; "66894218"; "e19bda62"; "ab76ca46"; "f1299441"; "25dd1f6b";
-    "ab76ca46"; "f7277792"; "538f28c0"; "ab76ca46"; "1da5cdad"; "ab76ca46";
+    "cf3fb616"; "440315c9"; "cd52dd0f"; "f96dbce0"; "7628a793"; "8ec5eacd";
+    "e96ae156"; "27cb9168"; "4eb91f2d"; "74941914"; "c9645195"; "202ad8cd";
+    "aff6e81d"; "998f4e0a"; "ab76ca46"; "b8a12844"; "fc7d0848"; "1dce0352";
+    "1f49bea4"; "8e138da6"; "aa0df5c8"; "f5690d52"; "ab76ca46"; "46c0b1fc";
+    "50e99550"; "098376dc"; "ab76ca46"; "728b5c92"; "abbde093"; "9d1ed495";
+    "1d94b0e1"; "6fdcb488"; "6f1d165f"; "2661bcd0"; "2d9ba81e"; "2b14bdb2";
+    "c1ffed6a"; "d53f81df"; "a509f8ab"; "ab76ca46"; "3cb55339"; "7b55d422";
+    "ac573fc5"; "7d2f2323"; "7a8f77b8"; "3cad58cc"; "5f397934"; "af0cb610";
+    "8ef1efd7"; "350b06eb"; "6f8b3564"; "ab76ca46"; "f3f9946b"; "9d168ff0";
+    "ab76ca46"; "6a167f9c"; "50b69d3c"; "ab76ca46"; "a0fcf800"; "ab76ca46";
   |]
 
 let test_sat_identity_named () =
@@ -494,24 +494,39 @@ c def real 2 x <= 0
   check int_t "no Boolean model ever examined" 0
     (A.Engine.counter stats "engine.bool_models")
 
-let test_driver_unit_def_feedback () =
-  (* With x in [5, 10], "x >= 0" is redundant, so variable 2's definition
-     holds unconditionally; the Boolean side alone cannot fix variable 2
-     (the clause is no unit), so the fix must come from the arithmetic
-     feedback. *)
-  let p =
-    parse
-      {|p cnf 2 1
+(* With x in [5, 10], "x >= 0" is redundant, so variable 2's definition
+   holds unconditionally; the Boolean side alone cannot fix variable 2
+   (the clause is no unit), so the fix must come from the arithmetic
+   feedback. *)
+let unit_def_problem () =
+  parse
+    {|p cnf 2 1
 1 -2 0
 c def real 2 x >= 0
 c bound x 5 10
 |}
-  in
-  let pre = A.Preprocess.run p in
+
+let test_driver_unit_def_feedback () =
+  let pre = A.Preprocess.run (unit_def_problem ()) in
   check bool_t "still open" true (pre.A.Preprocess.status = `Open);
   check bool_t "unit fed back" true (pre.A.Preprocess.stats.A.Preprocess.unit_defs >= 1);
   check bool_t "defined var fixed true" true
     (List.mem (1, true) pre.A.Preprocess.fixed)
+
+(* Presolve is one pass: the fed-back unit does not send the CNF through
+   SAT simplification again. *)
+let test_driver_single_pass () =
+  let tel = Absolver_telemetry.Telemetry.create () in
+  let pre = A.Preprocess.run ~telemetry:tel (unit_def_problem ()) in
+  check bool_t "unit fed back" true (pre.A.Preprocess.stats.A.Preprocess.unit_defs >= 1);
+  let calls name =
+    match List.assoc_opt name (Absolver_telemetry.Telemetry.span_aggregates tel) with
+    | Some a -> a.Absolver_telemetry.Telemetry.agg_calls
+    | None -> 0
+  in
+  check int_t "one sat_simplify span" 1 (calls "presolve.sat_simplify");
+  check int_t "one feedback span" 1 (calls "presolve.feedback");
+  check int_t "no round span" 0 (calls "presolve.round")
 
 let test_driver_box_tightening () =
   (* Fixed definitions imply x in [1, 3] inside the declared [-100, 100]. *)
@@ -822,6 +837,7 @@ let suite =
     ("icp: empty", `Quick, test_icp_empty);
     ("driver: arithmetic refutation", `Quick, test_driver_arithmetic_refutation);
     ("driver: unit-def feedback", `Quick, test_driver_unit_def_feedback);
+    ("driver: one presolve pass", `Quick, test_driver_single_pass);
     ("driver: box tightening", `Quick, test_driver_box_tightening);
     ("driver: projected model verifies", `Quick, test_driver_projected_model);
     ("equiv: solve corpus", `Quick, test_equiv_solve_corpus);
