@@ -85,7 +85,6 @@ let presolve_counters =
       (Some ("presolve", "fixed"), "presolve.fixed_literals", fun s -> s.fixed_literals);
       (Some ("presolve", "removed"), "presolve.removed_clauses", fun s -> s.removed_clauses);
       (Some ("presolve", "tightened"), "presolve.tightened_bounds", fun s -> s.tightened_bounds);
-      (None, "presolve.strengthened_literals", fun s -> s.strengthened_literals);
       (None, "presolve.failed_literals", fun s -> s.failed_literals);
       (None, "presolve.unit_defs", fun s -> s.unit_defs);
     ]

@@ -63,7 +63,7 @@ type options = {
   telemetry : Absolver_telemetry.Telemetry.t;
       (** Observability handle. Disabled by default (no-op); an enabled
           handle records hierarchical spans over every phase of the
-          control loop — presolve (and its per-round passes), each
+          control loop — presolve (and each of its passes), each
           [sat_search], each Boolean model's arithmetic check with its
           [linear_check] / [nonlinear_check] children — plus the run's
           counters (see {!counters}) as per-span deltas, and

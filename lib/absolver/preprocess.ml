@@ -14,7 +14,6 @@ module Faults = Absolver_resource.Faults
 type stats = {
   mutable fixed_literals : int;
   mutable removed_clauses : int;
-  mutable strengthened_literals : int;
   mutable failed_literals : int;
   mutable tightened_bounds : int;
   mutable unit_defs : int;
@@ -26,7 +25,6 @@ let mk_stats () =
   {
     fixed_literals = 0;
     removed_clauses = 0;
-    strengthened_literals = 0;
     failed_literals = 0;
     tightened_bounds = 0;
     unit_defs = 0;
@@ -145,7 +143,6 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
       | Sat_simplify.Simplified s ->
         clauses := s.Sat_simplify.clauses;
         List.iter (fun (v, b) -> Hashtbl.replace fixed_tbl v b) s.Sat_simplify.fixed;
-        stats.strengthened_literals <- s.Sat_simplify.stats.Sat_simplify.strengthened_literals;
         stats.failed_literals <- s.Sat_simplify.stats.Sat_simplify.failed_literals);
       (* 2. LP presolve over the unconditionally implied linear rows. *)
       let implied = implied_rels problem fixed_tbl in

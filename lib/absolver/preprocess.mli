@@ -26,8 +26,6 @@ type stats = {
   mutable fixed_literals : int;
       (** Boolean variables fixed at root level, fed-back units included. *)
   mutable removed_clauses : int;  (** Net CNF shrinkage in clauses. *)
-  mutable strengthened_literals : int;
-      (** Literals dropped by self-subsuming resolution. *)
   mutable failed_literals : int;  (** Units found by probing. *)
   mutable tightened_bounds : int;
       (** Bound tightenings (LP presolve + interval contraction). *)

@@ -5,19 +5,12 @@ module Faults = Absolver_resource.Faults
 type stats = {
   mutable fixed_literals : int;
   mutable removed_clauses : int;
-  mutable strengthened_literals : int;
   mutable probes : int;
   mutable failed_literals : int;
 }
 
 let mk_stats () =
-  {
-    fixed_literals = 0;
-    removed_clauses = 0;
-    strengthened_literals = 0;
-    probes = 0;
-    failed_literals = 0;
-  }
+  { fixed_literals = 0; removed_clauses = 0; probes = 0; failed_literals = 0 }
 
 type simplified = {
   clauses : Types.lit list list;
@@ -30,14 +23,10 @@ type result = Unsat | Simplified of simplified
 exception Root_conflict
 
 (* The clause database is one flat arena. A clause is named by its
-   handle [c], the arena offset of its two header words:
+   handle [c], the arena offset of its header word:
 
    - [arena.(c)] packs the length with the dead flag: [len lsl 1 lor dead];
-   - [arena.(c + 1)] is a 64-bit Bloom-style signature of the literal
-     set, bit [l mod 63] per literal.  C ⊆ D implies sig(C) ∧ ¬sig(D) = 0,
-     so one AND refutes most non-subsuming candidate pairs before the
-     O(|D|) stamped-membership walk;
-   - the literals follow from [c + 2], sorted ascending without
+   - the literals follow from [c + 1], sorted ascending without
      duplicates.  Removing one shifts the rest left, so the order is kept
      and the length only shrinks.
 
@@ -62,15 +51,8 @@ type state = {
   mutable queue : int array;
   mutable qhead : int;
   mutable qtail : int;
-  (* Per-literal stamps: [stamp.(l) = gen] marks l as a literal of the
-     clause being deduplicated or processed as a subsumer; every use
-     draws a fresh [gen], so stale stamps never need clearing. *)
-  stamp : int array;
-  mutable gen : int;
-  (* Scratch space reused by every pass: the subsumption order and the
-     probe trail (a probe assigns each variable at most once, so [nvars]
-     slots suffice). *)
-  order : int array;
+  (* The probe trail: a probe assigns each variable at most once, so
+     [nvars] slots suffice. *)
   trail : int array;
   st : stats;
 }
@@ -78,14 +60,6 @@ type state = {
 let dead_bit = 1
 let len s c = s.arena.(c) lsr 1
 let is_dead s c = s.arena.(c) land dead_bit <> 0
-let sig_bit (l : Types.lit) = 1 lsl (l mod 63)
-
-let compute_sig s c =
-  let acc = ref 0 in
-  for k = c + 2 to c + 1 + len s c do
-    acc := !acc lor sig_bit s.arena.(k)
-  done;
-  !acc
 
 let set_true s l =
   s.value.(l) <- 1;
@@ -96,7 +70,7 @@ let unassigned s v = s.value.(Types.pos v) = 0
 (* Whether clause [c] holds literal [l]; the literals are sorted, so the
    walk stops at the first larger one. *)
 let mem s c l =
-  let k = ref (c + 2) and e = c + 2 + len s c in
+  let k = ref (c + 1) and e = c + 1 + len s c in
   while !k < e && s.arena.(!k) < l do
     incr k
   done;
@@ -105,14 +79,13 @@ let mem s c l =
 (* Drop literal [l], known to occur in live clause [c], keeping the
    order. *)
 let remove_lit s c l =
-  let e = c + 2 + len s c in
-  let k = ref (c + 2) in
+  let e = c + 1 + len s c in
+  let k = ref (c + 1) in
   while s.arena.(!k) <> l do
     incr k
   done;
   Array.blit s.arena (!k + 1) s.arena !k (e - !k - 1);
-  s.arena.(c) <- (len s c - 1) lsl 1;
-  s.arena.(c + 1) <- compute_sig s c
+  s.arena.(c) <- (len s c - 1) lsl 1
 
 (* The queue never wraps: each clause becomes a unit at most once and each
    variable fails a probe at most once, so it sees few pushes in all. *)
@@ -130,7 +103,7 @@ let push s l =
 let shrunk s c =
   match len s c with
   | 0 -> raise Root_conflict
-  | 1 -> push s s.arena.(c + 2)
+  | 1 -> push s s.arena.(c + 1)
   | _ -> ()
 
 let kill s c =
@@ -208,7 +181,7 @@ let init ~nvars clause_list =
   let s =
     {
       nvars;
-      arena = Array.make (max 1 ((2 * ncls) + total)) 0;
+      arena = Array.make (max 1 (ncls + total)) 0;
       cref = Array.make ncls 0;
       occ_start = Array.make (nlits + 1) 0;
       occ = Array.make total 0;
@@ -217,43 +190,39 @@ let init ~nvars clause_list =
       queue = Array.make 64 0;
       qhead = 0;
       qtail = 0;
-      stamp = Array.make nlits (-1);
-      gen = 0;
-      order = Array.make ncls 0;
       trail = Array.make (max 1 nvars) 0;
       st = mk_stats ();
     }
   in
   (* Copy each clause into the arena once, dropping duplicate literals by
      stamp, then sort it; a tautology dies here, every other clause counts
-     towards its literals' occurrence rows. *)
+     towards its literals' occurrence rows.  [stamp.(l) = ci] marks [l] as
+     a literal of clause [ci], so stale stamps never need clearing. *)
+  let stamp = Array.make nlits (-1) in
   let pos = ref 0 in
   List.iteri
     (fun ci lits ->
-      let gen = s.gen in
-      s.gen <- gen + 1;
       let c = !pos in
       s.cref.(ci) <- c;
-      pos := c + 2;
+      pos := c + 1;
       List.iter
         (fun l ->
-          if s.stamp.(l) <> gen then begin
-            s.stamp.(l) <- gen;
+          if stamp.(l) <> ci then begin
+            stamp.(l) <- ci;
             s.arena.(!pos) <- l;
             incr pos
           end)
         lits;
-      let n = !pos - c - 2 in
-      sort_slice s.arena (c + 2) n;
+      let n = !pos - c - 1 in
+      sort_slice s.arena (c + 1) n;
       s.arena.(c) <- n lsl 1;
-      s.arena.(c + 1) <- compute_sig s c;
       let tautology = ref false in
-      for k = c + 2 to !pos - 1 do
-        if s.stamp.(Types.negate s.arena.(k)) = gen then tautology := true
+      for k = c + 1 to !pos - 1 do
+        if stamp.(Types.negate s.arena.(k)) = ci then tautology := true
       done;
       if !tautology then kill s c
       else begin
-        for k = c + 2 to !pos - 1 do
+        for k = c + 1 to !pos - 1 do
           let l = s.arena.(k) in
           s.occ_start.(l) <- s.occ_start.(l) + 1
         done;
@@ -269,117 +238,13 @@ let init ~nvars clause_list =
   Array.iter
     (fun c ->
       if not (is_dead s c) then
-        for k = c + 2 to c + 1 + len s c do
+        for k = c + 1 to c + len s c do
           let l = s.arena.(k) in
           s.occ_start.(l) <- s.occ_start.(l) - 1;
           s.occ.(s.occ_start.(l)) <- c
         done)
     s.cref;
   s
-
-(* Beyond these sizes the quadratic pair exploration stops paying for
-   itself even with signatures; the pass is skipped outright (the other
-   passes still run, and skipping a model-preserving transformation is
-   always sound). *)
-let subsumption_max_clauses = 50_000
-let subsumption_max_lits = 500_000
-
-let subsumption_oversized s =
-  let clauses = ref 0 and lits = ref 0 in
-  Array.iter
-    (fun c ->
-      if not (is_dead s c) then begin
-        incr clauses;
-        lits := !lits + len s c
-      end)
-    s.cref;
-  !clauses > subsumption_max_clauses || !lits > subsumption_max_lits
-
-(* How many literals of clause [d] carry the stamp [gen]: |C ∩ D| for
-   the subsumer C being processed. *)
-let count_stamped s gen d =
-  let n = ref 0 in
-  for k = d + 2 to d + 1 + len s d do
-    if s.stamp.(s.arena.(k)) = gen then incr n
-  done;
-  !n
-
-(* The clauses in increasing length, ties in index order: a stable
-   counting sort on the current lengths. *)
-let sort_by_length s =
-  let maxlen = Array.fold_left (fun m c -> Int.max m (len s c)) 0 s.cref in
-  let first = Array.make (maxlen + 2) 0 in
-  Array.iter (fun c -> first.(len s c + 1) <- first.(len s c + 1) + 1) s.cref;
-  for n = 1 to maxlen + 1 do
-    first.(n) <- first.(n) + first.(n - 1)
-  done;
-  Array.iter
-    (fun c ->
-      s.order.(first.(len s c)) <- c;
-      first.(len s c) <- first.(len s c) + 1)
-    s.cref
-
-(* Subsumption and self-subsuming resolution on subsumer C = clause [c]:
-   kill every D ⊇ C reachable through C's rarest literal, and for each
-   l ∈ C strengthen every D ⊇ (C \ {l}) ∪ {¬l} by dropping ¬l — the
-   resolvent subsumes D.  Both transformations preserve the model set
-   exactly.  C itself never changes here, since every candidate D ≠ C. *)
-let process_subsumer s c =
-  let gen = s.gen in
-  s.gen <- gen + 1;
-  let len_c = len s c and sig_c = s.arena.(c + 1) in
-  for k = c + 2 to c + 1 + len_c do
-    s.stamp.(s.arena.(k)) <- gen
-  done;
-  let row_len l = s.occ_start.(l + 1) - s.occ_start.(l) in
-  let best = ref s.arena.(c + 2) in
-  for k = c + 3 to c + 1 + len_c do
-    if row_len s.arena.(k) < row_len !best then best := s.arena.(k)
-  done;
-  for k = s.occ_start.(!best) to s.occ_start.(!best + 1) - 1 do
-    let d = s.occ.(k) in
-    if
-      d <> c
-      && (not (is_dead s d))
-      && sig_c land lnot s.arena.(d + 1) = 0
-      && len s d >= len_c
-      && count_stamped s gen d = len_c
-    then kill s d
-  done;
-  for j = c + 2 to c + 1 + len_c do
-    let l = s.arena.(j) in
-    let nl = Types.negate l in
-    for k = s.occ_start.(nl) to s.occ_start.(nl + 1) - 1 do
-      let d = s.occ.(k) in
-      if
-        d <> c
-        && (not (is_dead s d))
-        (* C \ {l} ⊆ D is necessary for the resolvent to subsume D;
-           bit l is forgiven since l itself need not occur in D. *)
-        && sig_c land lnot (s.arena.(d + 1) lor sig_bit l) = 0
-        && len s d >= len_c
-        && mem s d nl
-        && count_stamped s gen d = len_c - 1
-      then begin
-        remove_lit s d nl;
-        s.st.strengthened_literals <- s.st.strengthened_literals + 1;
-        shrunk s d
-      end
-    done
-  done
-
-(* One subsumption pass: every live clause, shortest first, acts as a
-   subsumer once. *)
-let subsumption_pass ~budget s =
-  if not (subsumption_oversized s) then begin
-    sort_by_length s;
-    Array.iter
-      (fun c ->
-        Budget.tick budget;
-        if (not (is_dead s c)) && len s c > 0 then process_subsumer s c)
-      s.order;
-    propagate s
-  end
 
 exception Probe_conflict
 
@@ -397,14 +262,18 @@ let rec probe_scan s k e acc =
     | -1 -> probe_scan s (k + 1) e acc
     | _ -> if acc = -1 then probe_scan s (k + 1) e x else -2
 
+(* One probing pass probes at most [max_probes] variables and, across
+   all probes, scans at most about [max_visits] clauses. *)
+let max_probes = 2000
+let max_visits = 300_000
+
 (* Failed-literal probing: assume a literal, propagate without modifying
-   the clause database; a conflict proves the negation at root level. The
-   [visits] budget bounds total clause scans across all probes.
+   the clause database; a conflict proves the negation at root level.
    The budget is polled only {e between} probes: a probe restores its
    trail before returning, and interrupting it mid-propagation would leave
    probe assumptions looking like root-level assignments. *)
-let probe_pass ~probe_limit ~budget s =
-  let visits = ref 300_000 in
+let probe_pass ~budget s =
+  let visits = ref max_visits in
   (* [s.trail] holds the literals a probe assumed, in order; it doubles
      as the probe's propagation queue, whose head is [qhead]. *)
   let trail = s.trail in
@@ -431,7 +300,7 @@ let probe_pass ~probe_limit ~budget s =
             let c = s.occ.(k) in
             if not (is_dead s c) then begin
               decr visits;
-              match probe_scan s (c + 2) (c + 2 + len s c) (-1) with
+              match probe_scan s (c + 1) (c + 1 + len s c) (-1) with
               | -1 -> raise Probe_conflict
               | -2 -> ()
               | u -> assume u
@@ -448,7 +317,7 @@ let probe_pass ~probe_limit ~budget s =
     ok
   in
   let v = ref 0 in
-  while !v < s.nvars && s.st.probes < probe_limit && !visits > 0 do
+  while !v < s.nvars && s.st.probes < max_probes && !visits > 0 do
     Budget.tick budget;
     if unassigned s !v then begin
       s.st.probes <- s.st.probes + 1;
@@ -466,10 +335,9 @@ let probe_pass ~probe_limit ~budget s =
     incr v
   done
 
-let clause_lits s c = List.init (len s c) (fun k -> s.arena.(c + 2 + k))
+let clause_lits s c = List.init (len s c) (fun k -> s.arena.(c + 1 + k))
 
-let simplify ?(probe_limit = 2000) ?(budget = Budget.unlimited) ~nvars
-    clause_list =
+let simplify ?(budget = Budget.unlimited) ~nvars clause_list =
   try
     let s = init ~nvars clause_list in
     propagate s;
@@ -479,8 +347,7 @@ let simplify ?(probe_limit = 2000) ?(budget = Budget.unlimited) ~nvars
        database as unit clauses.  The typed reason is sticky in the budget. *)
     (try
        Faults.hit "presolve.sat_simplify" budget;
-       subsumption_pass ~budget s;
-       probe_pass ~probe_limit ~budget s
+       probe_pass ~budget s
      with Budget.Exhausted _ -> ());
     let active =
       Array.fold_right

@@ -29,8 +29,6 @@ let simplified = function
   | PP.Sat_simplify.Unsat -> Alcotest.fail "unexpected root unsat"
   | PP.Sat_simplify.Simplified s -> s
 
-let lit_list_t = Alcotest.(list int)
-
 (* ------------------------------------------------------------------ *)
 (* Sat_simplify.                                                       *)
 
@@ -54,35 +52,10 @@ let test_sat_unit_chain () =
     (fun c -> check int_t "unit" 1 (List.length c))
     s.PP.Sat_simplify.clauses
 
-let test_sat_subsumption () =
-  let s =
-    simplified
-      (PP.Sat_simplify.simplify ~nvars:3
-         [ [ T.pos 0; T.pos 1 ]; [ T.pos 0; T.pos 1; T.pos 2 ] ])
-  in
-  check int_t "subsumed clause removed" 1 (List.length s.PP.Sat_simplify.clauses);
-  check lit_list_t "the short clause survives" [ T.pos 0; T.pos 1 ]
-    (List.sort compare (List.hd s.PP.Sat_simplify.clauses))
-
-let test_sat_self_subsumption () =
-  (* (a or b) and (-a or b or c): resolving on a strengthens the second
-     clause to (b or c). *)
-  let s =
-    simplified
-      (PP.Sat_simplify.simplify ~nvars:3
-         [ [ T.pos 0; T.pos 1 ]; [ T.neg_of_var 0; T.pos 1; T.pos 2 ] ])
-  in
-  check bool_t "one literal strengthened" true
-    (s.PP.Sat_simplify.stats.PP.Sat_simplify.strengthened_literals >= 1);
-  check bool_t "(b or c) present" true
-    (List.exists
-       (fun c -> List.sort compare c = [ T.pos 1; T.pos 2 ])
-       s.PP.Sat_simplify.clauses)
-
 let test_sat_failed_literal () =
   (* Assuming a propagates b, then c, then a conflict with (-a or -c);
-     the implication needs two steps, so neither subsumption nor
-     resolution sees it — only probing fixes a to false. *)
+     no clause is a unit, so unit propagation fixes nothing — only
+     probing fixes a to false. *)
   let s =
     simplified
       (PP.Sat_simplify.simplify ~nvars:3
@@ -125,7 +98,7 @@ let random_cnf rand ~max_vars ~empty_every =
   in
   let lit () = lit_near (rand nvars) in
   (* Literals of one clause come from a window of five variables, so
-     clauses overlap often enough to subsume and strengthen each other. *)
+     clauses share variables often enough for probes to propagate. *)
   let clause () =
     let base = rand nvars in
     let c = List.init (2 + rand 3) (fun _ -> lit_near base) in
@@ -171,7 +144,6 @@ let digest_result r =
         [
           st.fixed_literals;
           st.removed_clauses;
-          st.strengthened_literals;
           st.probes;
           st.failed_literals;
         ]);
@@ -197,97 +169,93 @@ let identity_named () =
           digest_result (simplify_skeleton (fischer_table2 (i + 1))) ))
   @ [ ("steering", digest_result (simplify_skeleton (M.Steering.problem ()))) ]
 
-(* 300 seeded random CNFs; every sixth one also caps the probe count. *)
+(* 300 seeded random CNFs. *)
 let identity_random () =
   let rand = lcg 20070601 in
-  List.init 300 (fun i ->
+  List.init 300 (fun _ ->
       let nvars, clauses = random_cnf rand ~max_vars:24 ~empty_every:15 in
       (* [simplify] must also cope with an undercounted [nvars]. *)
       let declared = if rand 4 = 0 then nvars - 1 else nvars in
-      let r =
-        if i mod 6 = 0 then
-          PP.Sat_simplify.simplify ~probe_limit:(rand 4) ~nvars:declared clauses
-        else PP.Sat_simplify.simplify ~nvars:declared clauses
-      in
-      String.sub (digest_result r) 0 8)
+      String.sub
+        (digest_result (PP.Sat_simplify.simplify ~nvars:declared clauses))
+        0 8)
 
-(* Digests of the single-pass simplifier's results (one subsumption pass,
-   one probing pass). They equal those of the earlier multi-round
-   simplifier cut to its first round; the simplifier must reproduce them
-   bit for bit. *)
+(* Digests of the simplifier's results (unit propagation, one probing
+   pass). They equal those of the earlier simplifier with its subsumption
+   pass skipped; the simplifier must reproduce them bit for bit. *)
 let identity_named_pins =
   [
-    ("2006_05_23_hard", "7c66b9215bf5910885f9d4b38ec3fe7a");
-    ("2006_05_24_hard", "b30f7cda00b54975b96cffc212fbdde8");
-    ("2006_05_25_hard", "5ad1785a15edccbcc1f8faaa722c30f7");
-    ("2006_05_26_hard", "d2ff266073ee2572c39ba9cceb9b7020");
-    ("2006_05_27_hard", "98b363a9500ef2df7ad2a1aee13da88e");
-    ("2006_05_28_hard", "07289f48e2098ba09fed4342cbbd4c78");
-    ("2006_05_29_easy", "a5a59a2ffe833577771368d305389f80");
-    ("2006_05_29_hard", "41d76a8c814891268fa7bae8c5a8805a");
-    ("2006_05_30_easy", "7e08986a170605023104e34cda111980");
-    ("2006_05_30_hard", "5765689c23b684027b250c876f27eeca");
-    ("FISCHER1", "396230dd5af1cf9df16e796062df2c3d");
-    ("FISCHER2", "0eee4593bd9ccf8660838e23f662c0a9");
-    ("FISCHER3", "36df5b068fd62405a864dc4d590bf84a");
-    ("FISCHER4", "5aca49b1025d4e76a68e72ab2710456c");
-    ("FISCHER5", "a07dff3e09a084a5cc828e7ec3f50c73");
-    ("FISCHER6", "718fb6fdfc2f0746caae73e355b5d447");
-    ("steering", "64de5e015c6fb041db76a49411218b6a");
+    ("2006_05_23_hard", "6765e7c23ef924cb137fed9be9de5a4d");
+    ("2006_05_24_hard", "1e735271cf453588bb232e74025554ba");
+    ("2006_05_25_hard", "08a1216a36464f7effb5e5909ba6322a");
+    ("2006_05_26_hard", "462b4bb24ca6449c5d5e628178945352");
+    ("2006_05_27_hard", "8a4f742419933dc55384661356de42fc");
+    ("2006_05_28_hard", "e422f53293859b699f37420ec8061488");
+    ("2006_05_29_easy", "a24b6a21a4247e39e28b46e238dd080d");
+    ("2006_05_29_hard", "891919a294c53031d6ad6168962f6777");
+    ("2006_05_30_easy", "a4a6aa6412981e34386f498d1320975f");
+    ("2006_05_30_hard", "11fed13d7595db06acaf573ae94e9fa1");
+    ("FISCHER1", "28b25e8910534783216d5a1c2610e1cc");
+    ("FISCHER2", "45440d6b4f18e480b06537252368da33");
+    ("FISCHER3", "3b136193bc1da9ee69e4391219568cfe");
+    ("FISCHER4", "70402aef6942b75264668e9ab80cbd9d");
+    ("FISCHER5", "8da4e90f0f3986fb4e1f8a1c5026ce22");
+    ("FISCHER6", "ea8f73c98021b47a18b981c1cddb187f");
+    ("steering", "3f2a33613b26230d49aa074d821fdb77");
   ]
 
 let identity_random_pins =
   [|
-    "78f0121a"; "c343b37c"; "8e63b250"; "ab76ca46"; "a0fd1362"; "5e548b7b";
-    "ab76ca46"; "a23a6286"; "ab76ca46"; "058a890e"; "331770e4"; "ab76ca46";
-    "5af4b27c"; "ab76ca46"; "ef2c8423"; "8071e249"; "34ce544b"; "75d142b2";
-    "7c52e0e0"; "ab76ca46"; "8f6499b4"; "72a6f663"; "e6dad8cd"; "4dc4f707";
-    "ab76ca46"; "ab76ca46"; "08d0d64c"; "d5d1443d"; "dbe0712c"; "be303029";
-    "27256161"; "df2fcfa2"; "4da0d2a9"; "a884c3d4"; "09db31bf"; "4daca5d7";
-    "ab76ca46"; "f08d3b58"; "ab76ca46"; "2cae6b31"; "4c3e4c17"; "e7fb40e3";
-    "b2d86673"; "3180e2bd"; "a87ac97f"; "b17d4967"; "52c30f2c"; "b38d9fed";
-    "e3c115b0"; "ab76ca46"; "7fef8ce9"; "72206fd8"; "bba8613f"; "2b3a3ef7";
-    "ab76ca46"; "32104b7c"; "0417808f"; "e8330b00"; "18061377"; "ab76ca46";
-    "7f310914"; "d1e79f4d"; "4e0fb9b7"; "ab76ca46"; "91c7861d"; "0c4ac933";
-    "3ae53b66"; "caee5993"; "ab76ca46"; "dc20068e"; "ed11ffef"; "61860e56";
-    "ab76ca46"; "ab76ca46"; "a1c54f04"; "79829a8a"; "9ee2962f"; "abb74fb1";
-    "ab76ca46"; "c0391a15"; "42544ea8"; "ab76ca46"; "c26cea0b"; "dca5c12d";
-    "222bda46"; "48c6dfeb"; "c9a320d9"; "64dcfd03"; "ab76ca46"; "fbd5ad2e";
-    "e1ac735e"; "ab76ca46"; "74768448"; "21dca6d0"; "cc0da926"; "0aed13c5";
-    "ad6c938e"; "ab76ca46"; "24ffa399"; "328968e6"; "ad6cb9a7"; "90f79892";
-    "cedc38f4"; "00111eb1"; "a07f4200"; "371d001b"; "29397592"; "f75d94ef";
-    "ab76ca46"; "da5aadae"; "bc4fd361"; "06b3151d"; "d3edc26f"; "03bb2b96";
-    "ab76ca46"; "ab76ca46"; "cbec5fae"; "181525d1"; "89ab405f"; "cb99a5f8";
-    "fc38ab83"; "2c8a1fdb"; "84694ba4"; "b2dea907"; "ab76ca46"; "805230fd";
-    "292aad05"; "9286bab2"; "c4810b3e"; "e607e822"; "ab76ca46"; "ab76ca46";
-    "94dd28ee"; "4f9f2b3c"; "bf5aaf42"; "1f88ee80"; "331fb3fb"; "ad304ee8";
-    "ab76ca46"; "970acc30"; "378bb476"; "2cfab4b3"; "ea0304b0"; "12d27bbf";
-    "bed218bc"; "57c2e826"; "ab76ca46"; "310033af"; "06de2b8d"; "cc4cd66b";
-    "7917dd16"; "ab76ca46"; "e1b618f0"; "a1762050"; "3c9a5db5"; "3c6689fa";
-    "0dbc1366"; "3b8ee263"; "9f9774bb"; "0aed7fe1"; "ab76ca46"; "ab76ca46";
-    "5815e7c6"; "0d87d0f5"; "f667afae"; "d3684c41"; "ab76ca46"; "957de8f4";
-    "82af4370"; "4d855cb8"; "a8cce88f"; "f10df026"; "c069008c"; "308fc1dd";
-    "44a9784a"; "7c7644e9"; "cf62f633"; "39bde64b"; "c6207362"; "ab76ca46";
-    "6793b68b"; "0058fcf8"; "b8137cc9"; "d02985a3"; "a9f5d199"; "9d99f076";
-    "42d9624c"; "6379c449"; "ab76ca46"; "bd24a071"; "07da1532"; "14e6ad72";
-    "db39dce2"; "25fc8e59"; "465acdd6"; "7e78c96e"; "5240da0f"; "1f05516f";
-    "3aeae9d8"; "87958beb"; "fa31045f"; "7154f008"; "27a40f72"; "40b7484e";
-    "ab76ca46"; "fe5aa390"; "5d36ed99"; "ab76ca46"; "6ec438cf"; "fbef7e9a";
-    "d4531dde"; "13afdfe1"; "8d0fb341"; "4c3c5ae0"; "ab76ca46"; "cd4f6957";
-    "81813718"; "af31433c"; "99703306"; "6486cd2b"; "d6931ec0"; "e6dad8cd";
-    "b1591741"; "59414933"; "2eb83083"; "f043a3cf"; "ab76ca46"; "a6ed83a8";
-    "3c0964e4"; "ab76ca46"; "5add7f28"; "0b593f6b"; "ab76ca46"; "fa7a7a7a";
-    "51d627e3"; "44928d29"; "fed6b3aa"; "09a02bad"; "ecefe926"; "81d1a283";
-    "cf3fb616"; "440315c9"; "cd52dd0f"; "f96dbce0"; "7628a793"; "8ec5eacd";
-    "e96ae156"; "27cb9168"; "4eb91f2d"; "74941914"; "c9645195"; "202ad8cd";
-    "aff6e81d"; "998f4e0a"; "ab76ca46"; "b8a12844"; "fc7d0848"; "1dce0352";
-    "1f49bea4"; "8e138da6"; "aa0df5c8"; "f5690d52"; "ab76ca46"; "46c0b1fc";
-    "50e99550"; "098376dc"; "ab76ca46"; "728b5c92"; "abbde093"; "9d1ed495";
-    "1d94b0e1"; "6fdcb488"; "6f1d165f"; "2661bcd0"; "2d9ba81e"; "2b14bdb2";
-    "c1ffed6a"; "d53f81df"; "a509f8ab"; "ab76ca46"; "3cb55339"; "7b55d422";
-    "ac573fc5"; "7d2f2323"; "7a8f77b8"; "3cad58cc"; "5f397934"; "af0cb610";
-    "8ef1efd7"; "350b06eb"; "6f8b3564"; "ab76ca46"; "f3f9946b"; "9d168ff0";
-    "ab76ca46"; "6a167f9c"; "50b69d3c"; "ab76ca46"; "a0fcf800"; "ab76ca46";
+    "33fa15b5"; "ab76ca46"; "0fd4494f"; "d5e72763"; "6393ff1c"; "ab76ca46";
+    "ab76ca46"; "d7ff02b0"; "ab04d342"; "c1432fac"; "91ac1f78"; "d34f8062";
+    "b2c0e561"; "ab76ca46"; "eff3cfcd"; "bbb586f7"; "5bea1b94"; "4792a2c3";
+    "5bae6bb0"; "4645d928"; "915dac0d"; "7bfb8011"; "c82778c1"; "46ea7f59";
+    "ab76ca46"; "82bc44d6"; "0c2f9be1"; "c71bb7ad"; "ab76ca46"; "f128650e";
+    "b614a334"; "c7b324ec"; "460d1c12"; "db7e7719"; "2032ef32"; "de9629a0";
+    "ab76ca46"; "d278ad9b"; "8c06c653"; "e73c0fde"; "58520534"; "a9ba3ff8";
+    "ead0c29f"; "13faa67c"; "ab76ca46"; "ab76ca46"; "c42dc442"; "ab76ca46";
+    "ab76ca46"; "ab76ca46"; "a49cec35"; "52dab635"; "ab76ca46"; "be332f6e";
+    "6b05ea46"; "ce645f38"; "7c476607"; "e3d90dbd"; "08240c71"; "71197a0d";
+    "ab76ca46"; "0aeb5f54"; "9a944f3c"; "2d8a0744"; "0487c320"; "ab76ca46";
+    "786d3796"; "ab76ca46"; "071df1ec"; "2bcbc5ce"; "cf1c5c5b"; "ab76ca46";
+    "ab76ca46"; "fb8469f5"; "17df5221"; "b51372a5"; "313b1ff0"; "5b9dbd7d";
+    "963929fe"; "ab76ca46"; "b07deeff"; "7427ddc2"; "81f040e2"; "eee682c8";
+    "ab76ca46"; "ab76ca46"; "899b8db7"; "836da642"; "9c6e3c9e"; "ab76ca46";
+    "87dc52ed"; "63872e80"; "52195524"; "ab76ca46"; "506427ed"; "ab76ca46";
+    "2ba37929"; "434fb413"; "adbcdc38"; "59a9e755"; "913d6ad9"; "e50a9813";
+    "9544d802"; "260abffb"; "c7050d51"; "ab76ca46"; "97200e5f"; "27b4a774";
+    "b19c64fc"; "28d3f6b0"; "36245823"; "c9968b43"; "ab76ca46"; "ab76ca46";
+    "5a5192be"; "04d93465"; "5df7dae9"; "31f2b828"; "ce9316c7"; "e0debd7e";
+    "15f26942"; "df8982d8"; "16487719"; "474660cc"; "59aac96c"; "65826031";
+    "5acad77c"; "3a9c27d7"; "9eff4f1c"; "131e6fbf"; "54867c9c"; "542e17bf";
+    "232a5293"; "f2932e0f"; "4145e1c7"; "03e32a08"; "0abc6e08"; "d1b186db";
+    "df27e92d"; "8e57766f"; "ab76ca46"; "e59a1e00"; "5f480b70"; "ab76ca46";
+    "f81b446d"; "395dd1b7"; "d889e5d4"; "ab76ca46"; "e86723cc"; "8847f81d";
+    "2d3c4dae"; "c0566dd2"; "e212d08e"; "5c52e736"; "0880c046"; "46a8c789";
+    "057bd43c"; "3f99ef2d"; "7e191169"; "108e7cb9"; "67c61e64"; "a3d23009";
+    "533b2c89"; "b30dcce1"; "37573a2a"; "c7de4559"; "3dd95e52"; "edd1f1f8";
+    "ab76ca46"; "2a70923b"; "aeaf7d34"; "5d19980a"; "ab76ca46"; "8df33c79";
+    "a529310c"; "81fe9616"; "5ed8a223"; "d5e6b358"; "c2c24d1e"; "9c405e33";
+    "364e2cce"; "245af9ea"; "bec2b674"; "26082702"; "1ae86d54"; "ab76ca46";
+    "d4fc4dfe"; "aab93e00"; "9d01b956"; "923748b1"; "b7894b0e"; "2643c362";
+    "8b2a6fd3"; "5ad8db6a"; "ab76ca46"; "0a2f0dc5"; "fc0ceb4a"; "a6533554";
+    "327e8ac9"; "80f53af6"; "b6bb204e"; "8db21d98"; "f4238b1a"; "98076f0b";
+    "e9c701a4"; "a4fbf2e5"; "c5da5c5f"; "8ec4685c"; "7f1bc1f9"; "d567107e";
+    "341b4522"; "09de0818"; "ab76ca46"; "7f41a849"; "be024b98"; "ab97b0be";
+    "7de90893"; "ab76ca46"; "fc582214"; "4eefd01a"; "ab76ca46"; "b62cd1c0";
+    "716b4f84"; "ab76ca46"; "7ae7c2f2"; "22b44f7e"; "a1520bb6"; "7194fb70";
+    "3aeae85c"; "2e08793c"; "46ec0906"; "7e5ae852"; "28f974f0"; "c9cf70ae";
+    "ffff9a42"; "5ea71f4c"; "ab76ca46"; "425528af"; "5ed8a223"; "ab76ca46";
+    "a99adc3b"; "9864b5a9"; "ada0ef0e"; "fc04bec9"; "e5851a32"; "26d53117";
+    "39b6a44a"; "4e303a28"; "ab76ca46"; "eeeefeb0"; "920705aa"; "e1731e58";
+    "bea54cc6"; "1c35d658"; "745d974b"; "f767903c"; "ab76ca46"; "ab76ca46";
+    "ab76ca46"; "ca04cffb"; "b304eb9f"; "6571cc04"; "112eefc7"; "05f2a092";
+    "973f1af5"; "09c2f141"; "01fd564e"; "1b66aa61"; "d97c0e7f"; "ab76ca46";
+    "efbbb196"; "ab76ca46"; "b3824a12"; "3f14a7f0"; "dd8e4dbd"; "403c6b37";
+    "ab76ca46"; "70fefe28"; "ab76ca46"; "150e34a2"; "53fb389e"; "2c72b234";
+    "02b55884"; "b2d8c7bd"; "437bf5b8"; "092a3d3b"; "ab76ca46"; "6981e414";
+    "e50a9813"; "7bc97a6c"; "e8071bb9"; "bc71b842"; "ab76ca46"; "ab76ca46";
+    "43b15d7f"; "97e061bc"; "ab76ca46"; "16897f5f"; "29f6a21c"; "b0272136";
   |]
 
 let test_sat_identity_named () =
@@ -340,15 +308,14 @@ let check_model_sets name n clauses result =
       (name ^ ": same models") input output
 
 (* Seeded CNFs over at most 10 variables, each simplified without a
-   budget, with a step budget that runs out during the first
-   subsumption pass (one step per clause), and with one that runs out
-   during the first probe pass (one step per probed variable). *)
+   budget and with two step budgets that run out during the probing pass
+   (one step per variable), one in its first half and one in its second
+   half. *)
 let test_sat_model_sets () =
   let rand = lcg 1607 in
   let tripped = ref 0 in
   for i = 1 to 200 do
     let n, clauses = random_cnf rand ~max_vars:10 ~empty_every:40 in
-    let ncls = List.length clauses in
     let run budget =
       try PP.Sat_simplify.simplify ?budget ~nvars:n clauses
       with e -> Alcotest.failf "CNF %d: %s escaped" i (Printexc.to_string e)
@@ -362,7 +329,10 @@ let test_sat_model_sets () =
         check_model_sets
           (Printf.sprintf "CNF %d, budget out %s" i phase)
           n clauses result)
-      [ ("mid-subsumption", rand ncls); ("mid-probing", ncls + rand n) ]
+      [
+        ("in early probing", rand ((n + 1) / 2));
+        ("in late probing", ((n + 1) / 2) + rand (n / 2));
+      ]
   done;
   check bool_t "budgets ran out in most runs" true (!tripped > 200)
 
@@ -822,8 +792,6 @@ let test_equiv_random_problems () =
 let suite =
   [
     ("sat: unit chain", `Quick, test_sat_unit_chain);
-    ("sat: subsumption", `Quick, test_sat_subsumption);
-    ("sat: self-subsumption", `Quick, test_sat_self_subsumption);
     ("sat: failed literal", `Quick, test_sat_failed_literal);
     ("sat: root unsat", `Quick, test_sat_root_unsat);
     ("sat: identity on paper CNFs", `Quick, test_sat_identity_named);
