@@ -40,7 +40,25 @@ let scale q t =
   else { terms = IM.map (Q.mul q) t.terms; const = Q.mul q t.const }
 
 let neg t = scale Q.minus_one t
-let sub a b = add a (neg b)
+
+(* [add a (neg b)] without building [neg b]: each of [b]'s terms is
+   merged into [a] with its sign flipped. ([IM.union] cannot do this: it
+   keeps the keys only [b] has as they are.) *)
+let sub a b =
+  let terms =
+    IM.fold
+      (fun v q acc ->
+        IM.update v
+          (function
+            | None -> Some (Q.neg q)
+            | Some x ->
+              let d = Q.sub x q in
+              if Q.is_zero d then None else Some d)
+          acc)
+      b.terms a.terms
+  in
+  { terms; const = Q.sub a.const b.const }
+
 let add_term t q v = add t (var ~coeff:q v)
 let set_const t c = { t with const = c }
 let drop_const t = { t with const = Q.zero }

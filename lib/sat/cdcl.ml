@@ -41,8 +41,11 @@ type t = {
   (* Clause database. *)
   clauses : clause Vec.t;
   learnts : clause Vec.t;
-  (* VSIDS. *)
-  heap : int Vec.t;
+  (* VSIDS: a binary max-heap on activity in [heap.(0 .. heap_size - 1)].
+     Each variable is in it at most once, so it grows with the
+     per-variable arrays. *)
+  mutable heap : int array;
+  mutable heap_size : int;
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable default_phase : bool;
@@ -69,7 +72,8 @@ let create ?theory () =
     qhead = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
     learnts = Vec.create ~dummy:dummy_clause ();
-    heap = Vec.create ~dummy:0 ();
+    heap = Array.make 16 0;
+    heap_size = 0;
     var_inc = 1.0;
     cla_inc = 1.0;
     default_phase = false;
@@ -90,59 +94,83 @@ let set_default_phase s b = s.default_phase <- b
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
 
-let heap_lt s a b = s.activity.(a) > s.activity.(b)
+(* Both percolations keep the moving variable [v] in a local and shift
+   the elements it passes into the hole it leaves, writing [v] once, at
+   its final slot. They make the comparisons, with the same strict [>],
+   that swapping [v] level by level would, so every variable ends in the
+   same slot and the pop order is that of the swapping heap. *)
 
-let heap_swap s i j =
-  let a = Vec.get s.heap i and b = Vec.get s.heap j in
-  Vec.set s.heap i b;
-  Vec.set s.heap j a;
-  s.heap_pos.(a) <- j;
-  s.heap_pos.(b) <- i
-
-let rec heap_up s i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if heap_lt s (Vec.get s.heap i) (Vec.get s.heap parent) then begin
-      heap_swap s i parent;
-      heap_up s parent
+let heap_up s i =
+  let heap = s.heap and act = s.activity and pos = s.heap_pos in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = heap.(parent) in
+    if a > act.(p) then begin
+      heap.(!i) <- p;
+      pos.(p) <- !i;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
-let rec heap_down s i =
-  let n = Vec.size s.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && heap_lt s (Vec.get s.heap l) (Vec.get s.heap !best) then best := l;
-  if r < n && heap_lt s (Vec.get s.heap r) (Vec.get s.heap !best) then best := r;
-  if !best <> i then begin
-    heap_swap s i !best;
-    heap_down s !best
-  end
+let heap_down s i =
+  let heap = s.heap and act = s.activity and pos = s.heap_pos in
+  let n = s.heap_size in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    (* The child that rises: the left one if it beats [v]; the right one
+       instead if it beats the left one, or [v] when the left one does
+       not. *)
+    let child =
+      if l >= n then -1
+      else
+        let la = act.(heap.(l)) in
+        let r = l + 1 in
+        if r < n then
+          let ra = act.(heap.(r)) in
+          if la > a then if ra > la then r else l
+          else if ra > a then r
+          else -1
+        else if la > a then l
+        else -1
+    in
+    if child < 0 then moving := false
+    else begin
+      let c = heap.(child) in
+      heap.(!i) <- c;
+      pos.(c) <- !i;
+      i := child
+    end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin
-    Vec.push s.heap v;
-    s.heap_pos.(v) <- Vec.size s.heap - 1;
-    heap_up s (Vec.size s.heap - 1)
+    let i = s.heap_size in
+    s.heap.(i) <- v;
+    s.heap_size <- i + 1;
+    heap_up s i
   end
 
 let heap_remove_min s =
-  let top = Vec.get s.heap 0 in
-  let last = Vec.pop s.heap in
+  let top = s.heap.(0) in
   s.heap_pos.(top) <- -1;
-  if Vec.size s.heap > 0 then begin
-    Vec.set s.heap 0 last;
-    s.heap_pos.(last) <- 0;
+  let n = s.heap_size - 1 in
+  s.heap_size <- n;
+  if n > 0 then begin
+    s.heap.(0) <- s.heap.(n);
     heap_down s 0
   end;
   top
-
-let heap_update s v =
-  let p = s.heap_pos.(v) in
-  if p >= 0 then begin
-    heap_up s p;
-    heap_down s (s.heap_pos.(v))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Variable management.                                                *)
@@ -163,6 +191,7 @@ let grow_to s n =
     s.saved_phase <- extend s.saved_phase s.default_phase;
     s.seen <- extend s.seen false;
     s.heap_pos <- extend s.heap_pos (-1);
+    s.heap <- extend s.heap 0;
     let w = Array.init (2 * cap) (fun _ -> Watches.create ~dummy:dummy_clause ()) in
     Array.blit s.watches 0 w 0 (Array.length s.watches);
     s.watches <- w
@@ -205,7 +234,11 @@ let var_bump s v =
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  heap_update s v
+  (* [v]'s activity only grew, and the rescaling multiplied every
+     activity by the same factor, so no child beats it: percolating up
+     restores the heap. *)
+  let p = s.heap_pos.(v) in
+  if p >= 0 then heap_up s p
 
 let cla_bump s (c : clause) =
   c.activity <- c.activity +. s.cla_inc;
@@ -519,7 +552,7 @@ let luby y x =
 
 let pick_branch_var s =
   let rec loop () =
-    if Vec.is_empty s.heap then -1
+    if s.heap_size = 0 then -1
     else
       let v = heap_remove_min s in
       if s.assign.(v) < 0 then v else loop ()

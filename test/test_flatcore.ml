@@ -1,12 +1,17 @@
 (* Flat-core differential tests (DESIGN.md Sec. 16): the small-value-
    inlined rational representation checked against a Bigint-backed
-   reference implementation, overflow boundaries at the 62-bit edge, and
-   CSR tableau replay consistency. *)
+   reference implementation, overflow boundaries at the 62-bit edge,
+   CSR tableau replay consistency, and CDCL's decision order pinned as
+   digests of model enumerations. *)
 
 module B = Absolver_numeric.Bigint
 module Q = Absolver_numeric.Rational
 module L = Absolver_lp.Linexpr
 module S = Absolver_lp.Simplex
+module T = Absolver_sat.Types
+module AS = Absolver_sat.All_sat
+module A = Absolver_core
+module F = Absolver_smtlib.Fischer
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -278,6 +283,177 @@ let test_csr_overflow_fallback () =
   | S.Unsat _ -> Alcotest.fail "expected sat"
   | S.Unknown _ -> Alcotest.fail "unexpected unknown"
 
+(* ------------------------------------------------------------------ *)
+(* CDCL identity: every model enumeration, pinned.                      *)
+
+(* Up to [limit] models of [clauses] with [strategy], as one digest: each
+   model in the order found, and the decisions, propagations and
+   conflicts of every search. A change to the variable CDCL decides next
+   (the VSIDS heap's pop order or tie-breaking, the reinsertion order on
+   backtrack, phase saving) changes the digest. *)
+let enumeration_trace ?max_conflicts strategy ~limit ~num_vars clauses =
+  let t = AS.create ~phase:false strategy ~num_vars clauses in
+  let b = Buffer.create 4096 in
+  let add_int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  let rec loop n =
+    let outcome = AS.next ?max_conflicts t in
+    let w = AS.work t in
+    List.iter add_int [ w.T.decisions; w.T.propagations; w.T.conflicts ];
+    match outcome with
+    | T.Sat ->
+      let m = AS.model t in
+      Array.iter (fun x -> Buffer.add_char b (if x then '1' else '0')) m;
+      Buffer.add_char b ';';
+      if n + 1 < limit then begin
+        AS.block t (AS.blocking ~projection:(List.init (Array.length m) Fun.id) m);
+        loop (n + 1)
+      end
+    | T.Unsat -> Buffer.add_string b "unsat"
+    | T.Unknown -> Buffer.add_string b "unknown"
+  in
+  loop 0;
+  Buffer.contents b
+
+(* Both strategies' traces of one CNF, as one digest. *)
+let enumeration_digest ?max_conflicts ~limit ~num_vars clauses =
+  let trace strategy =
+    enumeration_trace ?max_conflicts strategy ~limit ~num_vars clauses
+  in
+  Digest.to_hex (Digest.string (trace AS.Incremental ^ "|" ^ trace AS.Restarting))
+
+(* A random CNF around the 3-SAT threshold: 10..59 variables, 3.0..4.4
+   clauses per variable, mostly ternary clauses with some binary ones.
+   The corpus mixes unsatisfiable CNFs (136 of the 300) with ones that
+   have a few models or more than the 40 enumerated. *)
+let random_cnf rand =
+  let nvars = 10 + rand 50 in
+  let nclauses = nvars * (30 + rand 15) / 10 in
+  let lit () =
+    let v = rand nvars in
+    if rand 2 = 0 then T.pos v else T.neg_of_var v
+  in
+  let clause () = List.init (if rand 10 = 0 then 2 else 3) (fun _ -> lit ()) in
+  (nvars, List.init nclauses (fun _ -> clause ()))
+
+let cdcl_identity_random () =
+  let rand = Test_preprocess.lcg 19_830_207 in
+  List.init 300 (fun _ ->
+      let num_vars, clauses = random_cnf rand in
+      String.sub (enumeration_digest ~limit:40 ~num_vars clauses) 0 8)
+
+(* [n + 1] pigeons in [n] holes: unsatisfiable, and for [n = 8] hard
+   enough that a search stopped after 8,000 conflicts has restarted
+   several times and rescaled the variable activities (past about
+   4,500 conflicts the bump increment exceeds 1e100). *)
+let pigeonhole n =
+  let var p h = (p * n) + h in
+  let some_hole p = List.init n (fun h -> T.pos (var p h)) in
+  let no_two h =
+    List.concat
+      (List.init (n + 1) (fun p ->
+           List.init p (fun q -> [ T.neg_of_var (var p h); T.neg_of_var (var q h) ])))
+  in
+  ((n + 1) * n, List.init (n + 1) some_hole @ List.concat (List.init n no_two))
+
+(* The CNF skeletons of Table 2 instances, and a pigeonhole CNF. *)
+let cdcl_identity_named () =
+  List.map
+    (fun n ->
+      match F.problem ~rounds:6 ~property:(F.Cs_within (Q.of_int 2)) ~n () with
+      | Ok p ->
+        ( Printf.sprintf "FISCHER%d" n,
+          enumeration_digest ~limit:30 ~num_vars:(A.Ab_problem.num_bool_vars p)
+            (A.Ab_problem.clauses p) )
+      | Error e -> Alcotest.failf "fischer: %s" e)
+    [ 2; 4; 6 ]
+  @
+  let num_vars, clauses = pigeonhole 8 in
+  [ ("pigeonhole 9/8", enumeration_digest ~max_conflicts:8000 ~limit:1 ~num_vars clauses) ]
+
+(* Digests of the enumerations above. They were produced by a VSIDS
+   heap that swapped the moving variable level by level; the solver must
+   reproduce them bit for bit until a change means to alter the decision
+   order. *)
+let cdcl_identity_named_pins =
+  [
+    ("FISCHER2", "0c304ab6ea1cf20c13a6e7b609c7606f");
+    ("FISCHER4", "294e285e34533e7d5633a0589e794461");
+    ("FISCHER6", "aa38036ea4008b2117c88d8154fb6d65");
+    ("pigeonhole 9/8", "855d0809d36729cf33a4b5320e902268");
+  ]
+
+let cdcl_identity_random_pins =
+  [|
+    "9e279d29"; "243cc8e3"; "bd78a1ff"; "8da51327"; "f0928713"; "d65958a1";
+    "a7bac49e"; "e5d0d68a"; "5f19adb8"; "aa15d85f"; "db86a0e1"; "86cd1e36";
+    "a8d291ec"; "26c57926"; "175b1216"; "4d982d13"; "ea647d5e"; "24b39915";
+    "557e0303"; "d1eaf940"; "f4872435"; "3db39b77"; "1df88b50"; "51efc73e";
+    "9a696cfc"; "b5830c70"; "b8ecb71e"; "af371239"; "d869fa5b"; "f2262a8b";
+    "05afe9ad"; "f78e5a71"; "d674136c"; "b711ab1c"; "240ba4f1"; "18e7b622";
+    "9751a38e"; "d12b7914"; "91a70d00"; "e21db868"; "d9f79392"; "57512d29";
+    "79a569e3"; "b253f228"; "0166e1af"; "80330787"; "a769ef6d"; "b1a87e83";
+    "35c7d7f9"; "1ce8fdeb"; "804be18c"; "513ea549"; "71f0f84d"; "60afb693";
+    "e6cd0d7d"; "b0ff62b2"; "6a3b0aef"; "34cf689e"; "d3186c8c"; "25a255d1";
+    "994b5d95"; "49d55f52"; "2d770a1b"; "a64a7a70"; "658be2c9"; "9f655ee4";
+    "764f80f6"; "d818f50c"; "b87a49f5"; "6bbf6915"; "035dd688"; "5f2bb883";
+    "192a2a26"; "22e19a71"; "52e97ff2"; "1e7c01a1"; "2137583b"; "7aa9dfb0";
+    "4e247427"; "f9e7e9cb"; "7ddb7bb5"; "297d89de"; "ba55fc90"; "aee0d9d9";
+    "fe24b658"; "70cb2667"; "109c8a41"; "05628f67"; "cefee723"; "87b1793e";
+    "5e42be60"; "cda8429b"; "dda01360"; "63de1aa2"; "00b3cab7"; "2da14586";
+    "793b1fd3"; "86851c8f"; "d64baea4"; "8fd676b5"; "ed31ee39"; "8dc37816";
+    "402a01e0"; "a45d199b"; "7d430de0"; "81c8c496"; "07f0430b"; "eea9fcc5";
+    "1c70eadd"; "7e41e3d6"; "a6facc47"; "b11d20ba"; "15f8ef0b"; "dda01360";
+    "c2e1e59b"; "dd2b4f7d"; "6d311711"; "cddf7eaa"; "30da41e5"; "451803ae";
+    "0c2fb539"; "56fcfc9d"; "0629ea08"; "4623b6de"; "cdd8afb4"; "9c8603d4";
+    "1dc90e66"; "0fb8d261"; "a58ff52b"; "9e833847"; "4a0c35d4"; "d68b9f1d";
+    "1d1ec6e4"; "6bbf6915"; "3e4ca86b"; "fec23cfe"; "80589637"; "17c89faa";
+    "36426e31"; "13036160"; "250421d1"; "aad7bee5"; "327f8b7b"; "498c1c8a";
+    "40329d8c"; "3a06c122"; "90bbd81a"; "ed8e0ef8"; "d5b1d1d7"; "25891a5d";
+    "bf642f4c"; "ff86e804"; "8a14f9a8"; "2dc35332"; "9f435c8c"; "6c380e1a";
+    "20f4d4a2"; "85e5742e"; "b7e863d9"; "3068289e"; "026f98ca"; "9dcc830e";
+    "2f71003d"; "caabb23f"; "5c894619"; "51ac0b40"; "841202ff"; "1656696d";
+    "415495f1"; "0960f8f2"; "2905bdd4"; "fe2d900c"; "35196575"; "59d7b415";
+    "a0b71746"; "290d1905"; "465ba7be"; "9cbe1c37"; "55006844"; "5d07f668";
+    "34101ff5"; "6761697e"; "f4fe83c4"; "0d0fad9c"; "715d8e45"; "34a4e591";
+    "9f9050a5"; "175580d1"; "e6f4e524"; "9997d9fc"; "aac5986d"; "0a67cdfe";
+    "481b7618"; "5c37c9c9"; "111d10bd"; "27e1c269"; "45fef631"; "95a72cc8";
+    "9c06af66"; "e3649e7a"; "fb38d2fb"; "e4f77ee9"; "a90630a2"; "b3dd1b66";
+    "9f11a123"; "0be4a0ca"; "569dad0d"; "bf30e9be"; "31b72f33"; "93ab6033";
+    "af780ef3"; "c658b928"; "bf23af0a"; "acf6997f"; "7af1649e"; "8dd7af60";
+    "3f8a4164"; "3d0dcebf"; "b7e833b3"; "76ca83a7"; "c51b2fc7"; "dd2bb27f";
+    "e889d51e"; "9d9a6755"; "67f921da"; "ff7261e2"; "22fc4ed6"; "5e71c9a6";
+    "c7d5739e"; "173cabbe"; "63729c74"; "c3cfe531"; "76875622"; "4145cd99";
+    "fd49201f"; "36036c7a"; "74075425"; "3749b8ad"; "aea07534"; "cd82ea95";
+    "21961372"; "11c006af"; "cdb603e7"; "2004add1"; "290ec09c"; "56d4481c";
+    "5e3f3d70"; "dcccfb01"; "5e4a6dc4"; "6a99bdff"; "343306eb"; "af4d39a0";
+    "5927d3f1"; "cd0227df"; "073ba229"; "e354117d"; "61e38bc4"; "32837dc8";
+    "5e7c7b18"; "5af30d74"; "5047c55b"; "1041fa96"; "543c48cc"; "13c652ab";
+    "e8b46fa3"; "837c1f1c"; "5989c64e"; "03c2e5ad"; "6f38f735"; "3179ff89";
+    "ecb2a52b"; "a9c0bf6e"; "67863107"; "89e9112a"; "e0cb814e"; "738f5cec";
+    "39354f29"; "f046f06c"; "e8853256"; "c74909f3"; "4f1dc174"; "966d90da";
+    "297d89de"; "438cc064"; "3dea05d0"; "bfb03e79"; "b02ac02e"; "6f737779";
+    "06222ac1"; "9ffbf11e"; "331f55a8"; "1e393633"; "af696108"; "140597a2";
+    "ec7ddf1b"; "98ef0cc7"; "ab39a9bb"; "b1627b25"; "dc555894"; "4fc52774";
+  |]
+
+let test_cdcl_identity_random () =
+  List.iteri
+    (fun i got ->
+      check string_t
+        (Printf.sprintf "random CNF %d: enumeration digest" i)
+        cdcl_identity_random_pins.(i) got)
+    (cdcl_identity_random ())
+
+let test_cdcl_identity_named () =
+  List.iter2
+    (fun (name, pinned) (name', got) ->
+      check string_t "input order" name name';
+      check string_t (name ^ ": enumeration digest") pinned got)
+    cdcl_identity_named_pins (cdcl_identity_named ())
+
 let suite =
   [
     Alcotest.test_case "small-rational differential vs bigint reference" `Quick
@@ -294,4 +470,8 @@ let suite =
       test_csr_warm_replay;
     Alcotest.test_case "csr overflow fallback in pivoting" `Quick
       test_csr_overflow_fallback;
+    Alcotest.test_case "cdcl: identity on random CNFs" `Quick
+      test_cdcl_identity_random;
+    Alcotest.test_case "cdcl: identity on Fischer and pigeonhole CNFs" `Quick
+      test_cdcl_identity_named;
   ]

@@ -289,6 +289,29 @@ let test_conflict_minimal_core_tags () =
   check int_t "two tags" 2 (List.length tags);
   check bool_t "contains 0" true (List.mem 0 tags)
 
+(* Property: [sub a b] is [add a (neg b)], term for term: shared
+   variables (some cancelling), variables of only one side, constants,
+   and coefficients past the small-rational range. *)
+let arb_linexpr =
+  let open QCheck in
+  let arb_q =
+    oneof
+      [
+        map
+          (fun (n, d) -> Q.of_ints n (1 + abs d))
+          (pair (int_range (-4) 4) (int_range 0 3));
+        map (fun n -> Q.add (Q.of_int max_int) (Q.of_int n)) (int_range (-2) 2);
+      ]
+  in
+  map
+    (fun (terms, c) -> L.of_list terms c)
+    (pair (list_of_size (Gen.int_range 0 6) (pair arb_q (int_range 0 7))) arb_q)
+
+let prop_sub_is_add_neg =
+  QCheck.Test.make ~name:"linexpr sub = add of neg" ~count:500
+    (QCheck.pair arb_linexpr arb_linexpr)
+    (fun (a, b) -> L.equal (L.sub a b) (L.add a (L.neg b)))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -310,7 +333,7 @@ let suite =
     ("conflict minimize", `Quick, test_conflict_minimize);
     ("conflict minimal_core", `Quick, test_conflict_minimal_core_tags);
   ]
-  @ qsuite [ prop_planted_sat; prop_unsat_core_infeasible ]
+  @ qsuite [ prop_sub_is_add_neg; prop_planted_sat; prop_unsat_core_infeasible ]
 
 (* ------------------------------------------------------------------ *)
 (* Optimization.                                                       *)
