@@ -644,13 +644,12 @@ let sat_unknown_reason options =
 (* Enumerate Boolean models according to the configured strategy, invoking
    [on_model]; the callback's verdict drives blocking. *)
 let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
-    problem ~on_feasible =
+    ~solver problem ~on_feasible =
   if pre.Preprocess.status = `Unsat then R_unsat
   else begin
   let tel = options.telemetry in
   let bump = bump options stats in
   let num_vars = Ab_problem.num_bool_vars problem in
-  let clauses = pre.Preprocess.clauses in
   let had_unknown = ref None in
   let finished = ref false in
   let result = ref R_unsat in
@@ -679,7 +678,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   in
   let compiled = lazy (compile ~pre ~sess problem) in
   let sat =
-    All_sat.create ~phase:options.default_phase registry.Registry.boolean ~num_vars clauses
+    All_sat.create ~phase:options.default_phase registry.Registry.boolean solver
   in
   (* An empty blocking clause blocks every valuation of the projection:
      the enumeration is complete. *)
@@ -759,20 +758,24 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   | r, None -> r
   end
 
-(* Run (or skip) presolve and count its work. *)
+(* Load the CNF into the solver the search runs on, then run (or skip)
+   presolve on it and count its work. *)
 let prepare ~options ~stats problem =
   let tel = options.telemetry in
+  let solver =
+    All_sat.load ~num_vars:(Ab_problem.num_bool_vars problem) (Ab_problem.clauses problem)
+  in
   Telemetry.span tel "presolve" (fun () ->
       let pre =
         if options.use_presolve then
-          Preprocess.run ~telemetry:tel ~budget:options.budget problem
+          Preprocess.run ~telemetry:tel ~budget:options.budget problem solver
         else Preprocess.identity problem
       in
       let s = pre.Preprocess.stats in
       List.iter (fun (c, f) -> bump options stats c (f s)) presolve_counters;
       bump options stats hc4_revisions s.Preprocess.revisions;
       stats.presolve_seconds <- s.Preprocess.wall_seconds;
-      pre)
+      (pre, solver))
 
 let problem_attrs problem =
   let s = Ab_problem.stats problem in
@@ -807,8 +810,8 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
     Telemetry.span tel "solve" ~attrs:(problem_attrs problem) (fun () ->
         guarded_result ~options ~stats (fun () ->
             Faults.hit "engine.solve" options.budget;
-            let pre = prepare ~options ~stats problem in
-            enumerate ~registry ~options ~stats ~pre problem
+            let pre, solver = prepare ~options ~stats problem in
+            enumerate ~registry ~options ~stats ~pre ~solver problem
               ~on_feasible:(fun _ _ -> `Stop)))
   in
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
@@ -883,8 +886,8 @@ let all_models ?projection ?(registry = Registry.default)
   let result =
     Telemetry.span tel "all_models" ~attrs:(problem_attrs problem) (fun () ->
         guarded_result ~options ~stats (fun () ->
-            let pre = prepare ~options ~stats problem in
-            enumerate ?projection ~registry ~options ~stats ~pre problem
+            let pre, solver = prepare ~options ~stats problem in
+            enumerate ?projection ~registry ~options ~stats ~pre ~solver problem
               ~on_feasible:(fun sol _ ->
                 acc := sol :: !acc;
                 incr n;
@@ -939,7 +942,7 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
     let hit_limit = ref false in
     let guarded =
       Budget.guard options.budget (fun () ->
-    let pre = prepare ~options ~stats problem in
+    let pre, solver = prepare ~options ~stats problem in
     (* One tableau across every delta-valuation with [use_incremental],
        each [maximize] warm-starting from the previous optimum's basis;
        otherwise one per valuation. Either way the valuation's linear
@@ -993,7 +996,7 @@ let optimize ?(registry = Registry.default) ?(options = default_options)
     in
     try
       `Res
-        (enumerate ~registry ~options ~stats ~pre problem
+        (enumerate ~registry ~options ~stats ~pre ~solver problem
            ~on_feasible:(fun sol conj ->
              optimize_valuation sol conj;
              if count stats bool_models >= limit then begin

@@ -4,7 +4,7 @@ module Types = Absolver_sat.Types
 module Expr = Absolver_nlp.Expr
 module Box = Absolver_nlp.Box
 module Linexpr = Absolver_lp.Linexpr
-module Sat_simplify = Absolver_preprocess.Sat_simplify
+module Cdcl = Absolver_sat.Cdcl
 module Lp_presolve = Absolver_preprocess.Lp_presolve
 module Icp = Absolver_preprocess.Icp
 module Telemetry = Absolver_telemetry.Telemetry
@@ -34,8 +34,6 @@ let mk_stats () =
 
 type t = {
   status : [ `Open | `Unsat ];
-  clauses : Types.lit list list;
-  fixed : (Types.var * bool) list;
   box : Box.t;
   bound_rels : Expr.rel list;
   stats : stats;
@@ -52,8 +50,6 @@ let initial_box problem =
 let identity problem =
   {
     status = `Open;
-    clauses = Ab_problem.clauses problem;
-    fixed = [];
     box = initial_box problem;
     bound_rels = Ab_problem.bound_rels problem;
     stats = mk_stats ();
@@ -103,11 +99,10 @@ let bound_rels_of_lb nvars (lb : Lp_presolve.bounds) =
 
 exception Refuted
 
-let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
+let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem solver =
   let tel = telemetry in
   let t0 = Telemetry.Clock.now () in
   let stats = mk_stats () in
-  let nvars_b = Ab_problem.num_bool_vars problem in
   let nvars_a = Ab_problem.num_arith_vars problem in
   (* Exact rational bounds and integer-variable marking. *)
   let lb = Lp_presolve.create nvars_a in
@@ -123,27 +118,28 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
         List.iter (fun v -> int_var.(v) <- true) (Expr.vars d.rel.Expr.expr))
     (Ab_problem.defs problem);
   let is_int v = v >= 0 && v < nvars_a && int_var.(v) in
-  let original_clauses = Ab_problem.clauses problem in
-  let clauses = ref original_clauses in
   let fixed_tbl : (Types.var, bool) Hashtbl.t = Hashtbl.create 16 in
+  let units = ref [] in
   let box = ref (initial_box problem) in
   (* One pass: every step below catches its own budget exhaustion and
      returns a sound partial result; an exhausted budget skips presolve
      altogether. The fault point covers presolve orchestration itself. *)
-  let unsat =
+  let refuted =
     try
       Faults.hit "presolve.run" budget;
       Budget.check_exn budget;
-      (* 1. SAT-level simplification. *)
-      (match
-         Telemetry.span tel "presolve.sat_simplify" (fun () ->
-             Sat_simplify.simplify ~budget ~nvars:nvars_b !clauses)
-       with
-      | Sat_simplify.Unsat -> raise Refuted
-      | Sat_simplify.Simplified s ->
-        clauses := s.Sat_simplify.clauses;
-        List.iter (fun (v, b) -> Hashtbl.replace fixed_tbl v b) s.Sat_simplify.fixed;
-        stats.failed_literals <- s.Sat_simplify.stats.Sat_simplify.failed_literals);
+      (* 1. Failed-literal probing, by the search's own solver on its
+         own watches; loading it propagated the root units. *)
+      Telemetry.span tel "presolve.sat_simplify" (fun () ->
+          if Cdcl.is_unsat solver then raise Refuted;
+          (try
+             Faults.hit "presolve.sat_simplify" budget;
+             stats.failed_literals <- Cdcl.probe ~budget solver
+           with Budget.Exhausted _ -> ());
+          if Cdcl.is_unsat solver then raise Refuted);
+      List.iter
+        (fun l -> Hashtbl.replace fixed_tbl (Types.var_of l) (Types.is_pos l))
+        (Cdcl.fixed solver);
       (* 2. LP presolve over the unconditionally implied linear rows. *)
       let implied = implied_rels problem fixed_tbl in
       let rows =
@@ -200,8 +196,7 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
         done);
       (* 4. Feed arithmetic verdicts back as unit clauses: a definition
          whose conjunction provably holds (or provably fails) everywhere
-         in the tightened box fixes its delta-linked literal. The fixed
-         value is root-implied, so it joins [fixed] too. *)
+         in the tightened box fixes its delta-linked literal. *)
       Telemetry.span tel "presolve.feedback" (fun () ->
           let env = Box.env !box in
           let lp_status (r : Expr.rel) =
@@ -229,7 +224,7 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
                 let fix b =
                   Hashtbl.replace fixed_tbl v b;
                   stats.unit_defs <- stats.unit_defs + 1;
-                  clauses := [ (if b then Types.pos v else Types.neg_of_var v) ] :: !clauses
+                  units := [ (if b then Types.pos v else Types.neg_of_var v) ] :: !units
                 in
                 if rels <> [] then
                   if List.for_all rel_redundant rels then fix true
@@ -241,15 +236,21 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
     | Budget.Exhausted _ -> false
     | Refuted -> true
   in
+  (* Loading the fed-back units propagates them at the root and compacts
+     the clauses once more: the search gets the surviving ones, stripped
+     and watched afresh. *)
+  Cdcl.load solver !units;
+  let unsat = refuted || Cdcl.is_unsat solver in
   stats.fixed_literals <- Hashtbl.length fixed_tbl;
-  stats.removed_clauses <-
-    max 0 (List.length original_clauses - List.length !clauses);
+  if not (Cdcl.is_unsat solver) then
+    stats.removed_clauses <-
+      max 0
+        (List.length (Ab_problem.clauses problem)
+        - Hashtbl.length fixed_tbl - Cdcl.num_clauses solver);
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   if unsat then
     {
       status = `Unsat;
-      clauses = [ [] ];
-      fixed = [];
       box = initial_box problem;
       bound_rels = Ab_problem.bound_rels problem;
       stats;
@@ -257,8 +258,6 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem =
   else
     {
       status = `Open;
-      clauses = !clauses;
-      fixed = Hashtbl.fold (fun v b acc -> (v, b) :: acc) fixed_tbl [];
       box = !box;
       bound_rels = bound_rels_of_lb nvars_a lb;
       stats;

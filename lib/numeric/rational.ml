@@ -58,6 +58,10 @@ let add_chk a b =
   let s = a + b in
   if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then min_int else s
 
+let sub_chk a b =
+  let s = a - b in
+  if (a >= 0) <> (b >= 0) && (s >= 0) <> (a >= 0) then min_int else s
+
 let mul_chk a b =
   if a = 0 || b = 0 then 0
   else if a = min_int || b = min_int then min_int
@@ -119,23 +123,27 @@ let abs = function
    denominators first.  The expensive case to avoid is a gcd of
    double-width products — [g0] and [g1] only ever see operand-width
    values ([g1] divides [g0]), where {!B.gcd}'s native fast path
-   usually applies. *)
-let big_add a b =
+   usually applies. [op] is {!B.add} for the sum, {!B.sub} for the
+   difference. *)
+let big_combine op a b =
   let an, ad = to_big a and bn, bd = to_big b in
-  if B.equal ad bd then normalize_big (B.add an bn) ad
+  if B.equal ad bd then normalize_big (op an bn) ad
   else
     let g0 = B.gcd ad bd in
     if B.is_one g0 then
-      (* coprime denominators: the sum is already in lowest terms *)
-      of_big (B.add (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
+      (* coprime denominators: the result is already in lowest terms *)
+      of_big (op (B.mul an bd) (B.mul bn ad)) (B.mul ad bd)
     else
       let ad' = B.div ad g0 and bd' = B.div bd g0 in
-      let t = B.add (B.mul an bd') (B.mul bn ad') in
+      let t = op (B.mul an bd') (B.mul bn ad') in
       if B.is_zero t then zero
       else
         let g1 = B.gcd t g0 in
         if B.is_one g1 then of_big t (B.mul ad' bd)
         else of_big (B.div t g1) (B.mul ad' (B.div bd g1))
+
+let big_add = big_combine B.add
+let big_sub = big_combine B.sub
 
 let add a b =
   match (a, b) with
@@ -169,7 +177,36 @@ let add a b =
     end
   | _ -> big_add a b
 
-let sub a b = add a (neg b)
+(* [add] with the signs of [b]'s terms flipped, so that no negated copy
+   of [b] is built. *)
+let sub a b =
+  match (a, b) with
+  | S x, S y ->
+    if y.n = 0 then a
+    else if x.n = 0 then neg b
+    else if x.d = y.d then begin
+      let n = sub_chk x.n y.n in
+      if n = min_int then big_sub a b
+      else if n = 0 then zero
+      else
+        let g = gcd_int (Stdlib.abs n) x.d in
+        if g = 1 then S { n; d = x.d } else S { n = n / g; d = x.d / g }
+    end
+    else begin
+      let g0 = gcd_int x.d y.d in
+      let d1' = x.d / g0 and d2' = y.d / g0 in
+      let t1 = mul_chk x.n d2' and t2 = mul_chk y.n d1' in
+      if t1 = min_int || t2 = min_int then big_sub a b
+      else
+        let t = sub_chk t1 t2 in
+        if t = min_int then big_sub a b
+        else if t = 0 then zero
+        else
+          let g1 = if g0 = 1 then 1 else gcd_int (Stdlib.abs t) g0 in
+          let d = mul_chk d1' (y.d / g1) in
+          if d = min_int then big_sub a b else S { n = t / g1; d }
+    end
+  | _ -> big_sub a b
 
 (* Cross-reduce before multiplying: with canonical operands the product
    of the reduced parts is coprime by construction, so no gcd of the

@@ -8,6 +8,7 @@ type t = {
   strategy : strategy;
   phase : bool;
   num_vars : int;
+  (* [Restarting]: the loaded problem, as {!Cdcl.clauses} lists it. *)
   clauses : Types.lit list list;
   (* Blocks since the last [next], newest first. *)
   mutable pending : Types.lit list list;
@@ -22,23 +23,22 @@ type t = {
   mutable work : Types.stats;
 }
 
-let build ~phase ~num_vars clauses blocked =
+let load ~num_vars clauses =
   let solver = Cdcl.create () in
-  Cdcl.set_default_phase solver phase;
   Cdcl.ensure_vars solver num_vars;
-  List.iter (Cdcl.add_clause solver) clauses;
-  List.iter (Cdcl.add_clause solver) blocked;
+  Cdcl.load solver clauses;
   solver
 
-let create ~phase strategy ~num_vars clauses =
+let create ~phase strategy solver =
+  Cdcl.set_default_phase solver phase;
   {
     strategy;
     phase;
-    num_vars;
-    clauses;
+    num_vars = Cdcl.num_vars solver;
+    clauses = (match strategy with Restarting -> Cdcl.clauses solver | Incremental -> []);
     pending = [];
     blocked = [];
-    solver = build ~phase ~num_vars clauses [];
+    solver;
     stale = false;
     seen = Types.mk_stats ();
     work = Types.mk_stats ();
@@ -60,7 +60,10 @@ let next ?max_conflicts ?budget t =
   if t.stale then begin
     (* External restart: rebuild the entire solver, as the paper
        describes for black-box single-solution solvers. *)
-    t.solver <- build ~phase:t.phase ~num_vars:t.num_vars t.clauses t.blocked;
+    let solver = load ~num_vars:t.num_vars t.clauses in
+    Cdcl.set_default_phase solver t.phase;
+    List.iter (Cdcl.add_clause solver) t.blocked;
+    t.solver <- solver;
     t.seen <- Types.mk_stats ()
   end
   else List.iter (Cdcl.add_clause t.solver) (List.rev t.pending);
@@ -100,7 +103,7 @@ let stop_reason budget =
 let enumerate ?(strategy = Incremental) ?projection ?(limit = max_int)
     ?(budget = Budget.unlimited) ~num_vars clauses =
   (* CDCL's own initial polarity. *)
-  let t = create ~phase:false strategy ~num_vars clauses in
+  let t = create ~phase:false strategy (load ~num_vars clauses) in
   let vars =
     match projection with
     | Some vs -> vs

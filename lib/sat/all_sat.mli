@@ -23,11 +23,15 @@ type strategy = Incremental | Restarting
 
 type t
 
-val create :
-  phase:bool -> strategy -> num_vars:int -> Types.lit list list -> t
-(** An enumeration of the models of [clauses] over variables
-    [0 .. num_vars - 1] (more if the clauses mention them). [phase] is the
-    solver's initial polarity ({!Cdcl.set_default_phase}). *)
+val load : num_vars:int -> Types.lit list list -> Cdcl.t
+(** A fresh solver over variables [0 .. num_vars - 1] (more if the
+    clauses mention them) with [clauses] bulk-loaded ({!Cdcl.load}). *)
+
+val create : phase:bool -> strategy -> Cdcl.t -> t
+(** An enumeration of the models of the clauses loaded into [solver],
+    which it takes over. [phase] is the solver's initial polarity
+    ({!Cdcl.set_default_phase}). [Restarting] keeps {!Cdcl.clauses} of
+    the solver as it is now and rebuilds from them. *)
 
 val next :
   ?max_conflicts:int -> ?budget:Absolver_resource.Budget.t -> t -> Types.outcome

@@ -34,8 +34,11 @@ type t = {
      structure ({!Watches}); removed clauses are swept out eagerly at
      reduction time, so propagation never sees a dead entry. *)
   mutable watches : clause Watches.t array;
-  (* Trail. *)
-  trail : int Vec.t;
+  (* Trail: the assigned literals in [trail.(0 .. trail_size - 1)], in
+     order. Each variable is on it at most once, so it grows with the
+     per-variable arrays. *)
+  mutable trail : int array;
+  mutable trail_size : int;
   trail_lim : int Vec.t;
   mutable qhead : int;
   (* Clause database. *)
@@ -54,6 +57,8 @@ type t = {
   theory : theory option;
   mutable max_learnts : float;
   mutable learnt_hook : (int list -> unit) option;
+  (* Scratch for normalizing one clause before it is stored. *)
+  mutable buf : int array;
 }
 
 let create ?theory () =
@@ -67,7 +72,8 @@ let create ?theory () =
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
     watches = Array.init 32 (fun _ -> Watches.create ~dummy:dummy_clause ());
-    trail = Vec.create ~dummy:0 ();
+    trail = Array.make 16 0;
+    trail_size = 0;
     trail_lim = Vec.create ~dummy:0 ();
     qhead = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
@@ -82,14 +88,19 @@ let create ?theory () =
     theory;
     max_learnts = 0.0;
     learnt_hook = None;
+    buf = Array.make 16 0;
   }
 
 let num_vars s = s.nvars
+let num_clauses s = Vec.size s.clauses
 let set_learnt_hook s f = s.learnt_hook <- Some f
 let emit_learnt s lits = match s.learnt_hook with Some f -> f lits | None -> ()
 let is_unsat s = not s.ok
 let stats s = s.stats
-let set_default_phase s b = s.default_phase <- b
+
+let set_default_phase s b =
+  s.default_phase <- b;
+  Array.fill s.saved_phase 0 s.nvars b
 
 (* ------------------------------------------------------------------ *)
 (* Variable order heap (max-heap on activity).                         *)
@@ -192,9 +203,11 @@ let grow_to s n =
     s.seen <- extend s.seen false;
     s.heap_pos <- extend s.heap_pos (-1);
     s.heap <- extend s.heap 0;
-    let w = Array.init (2 * cap) (fun _ -> Watches.create ~dummy:dummy_clause ()) in
-    Array.blit s.watches 0 w 0 (Array.length s.watches);
-    s.watches <- w
+    s.trail <- extend s.trail 0;
+    let old = s.watches in
+    s.watches <-
+      Array.init (2 * cap) (fun l ->
+          if l < Array.length old then old.(l) else Watches.create ~dummy:dummy_clause ())
   end
 
 let new_var s =
@@ -205,7 +218,9 @@ let new_var s =
   heap_insert s v;
   v
 
-let ensure_vars s n = while s.nvars < n do ignore (new_var s) done
+let ensure_vars s n =
+  grow_to s n;
+  while s.nvars < n do ignore (new_var s) done
 
 let lit_value s l =
   let a = s.assign.(l lsr 1) in
@@ -256,21 +271,22 @@ let enqueue s l reason =
   s.assign.(v) <- (l land 1) lxor 1;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
-  Vec.push s.trail l;
+  s.trail.(s.trail_size) <- l;
+  s.trail_size <- s.trail_size + 1;
   (match s.theory with Some th -> th.t_on_assign l | None -> ())
 
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
-    for i = Vec.size s.trail - 1 downto bound do
-      let l = Vec.get s.trail i in
+    for i = s.trail_size - 1 downto bound do
+      let l = s.trail.(i) in
       let v = l lsr 1 in
       s.saved_phase.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- -1;
       s.reason.(v) <- dummy_clause;
       heap_insert s v
     done;
-    Vec.shrink s.trail bound;
+    s.trail_size <- bound;
     Vec.shrink s.trail_lim lvl;
     s.qhead <- bound;
     match s.theory with Some th -> th.t_on_backtrack bound | None -> ()
@@ -286,47 +302,62 @@ let attach s c =
 
 exception Conflict of clause
 
+(* The first literal of [lits] from position [j] on that is not false, or
+   [-1]. A top-level function, not a closure over the clause, so the
+   watch scan allocates nothing. *)
+let rec find_watch assign (lits : int array) j =
+  if j >= Array.length lits then -1
+  else
+    let l = lits.(j) in
+    let a = assign.(l lsr 1) in
+    if a < 0 || a lxor (l land 1) = 1 then j else find_watch assign lits (j + 1)
+
 let propagate_lit s p =
   (* p just became true; visit clauses watching ~p. Every entry is live:
      reduction sweeps removed clauses out of the lists eagerly, so there
-     is no dead-entry check on this path. *)
+     is no dead-entry check on this path. The list's arrays are read in
+     place, not through accessor calls. *)
   let fl = p lxor 1 in
   let ws = s.watches.(fl) in
+  let assign = s.assign in
   let i = ref 0 in
-  while !i < Watches.size ws do
+  while !i < ws.Watches.n do
     (* Blocking literal: if it is already true the clause is satisfied
        and need not be dereferenced at all. *)
-    if lit_value s (Watches.blocker ws !i) = V_true then begin
+    let b = ws.Watches.bl.(!i) in
+    let a = assign.(b lsr 1) in
+    if a >= 0 && a lxor (b land 1) = 1 then begin
       s.stats.blocked_visits <- s.stats.blocked_visits + 1;
       incr i
     end
     else begin
-      let c = Watches.clause ws !i in
+      let c = ws.Watches.cl.(!i) in
+      let lits = c.lits in
       (* Normalize: the false literal goes to position 1. *)
-      if c.lits.(0) = fl then begin
-        c.lits.(0) <- c.lits.(1);
-        c.lits.(1) <- fl
+      if lits.(0) = fl then begin
+        lits.(0) <- lits.(1);
+        lits.(1) <- fl
       end;
-      if lit_value s c.lits.(0) = V_true then begin
-        Watches.set_blocker ws !i c.lits.(0);
+      let first = lits.(0) in
+      let a = assign.(first lsr 1) in
+      if a >= 0 && a lxor (first land 1) = 1 then begin
+        ws.Watches.bl.(!i) <- first;
         incr i
       end
       else begin
         (* Look for a new literal to watch. *)
-        let n = Array.length c.lits in
-        let rec find j = if j >= n then -1 else if lit_value s c.lits.(j) <> V_false then j else find (j + 1) in
-        let j = find 2 in
+        let j = find_watch assign lits 2 in
         if j >= 0 then begin
-          c.lits.(1) <- c.lits.(j);
-          c.lits.(j) <- fl;
-          Watches.push s.watches.(c.lits.(1)) c c.lits.(0);
+          lits.(1) <- lits.(j);
+          lits.(j) <- fl;
+          Watches.push s.watches.(lits.(1)) c first;
           Watches.swap_remove ws !i
         end
-        else if lit_value s c.lits.(0) = V_false then raise (Conflict c)
+        else if a >= 0 then raise (Conflict c)
         else begin
           s.stats.propagations <- s.stats.propagations + 1;
-          enqueue s c.lits.(0) c;
-          Watches.set_blocker ws !i c.lits.(0);
+          enqueue s first c;
+          ws.Watches.bl.(!i) <- first;
           incr i
         end
       end
@@ -335,8 +366,8 @@ let propagate_lit s p =
 
 let propagate s =
   match
-    while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
+    while s.qhead < s.trail_size do
+      let p = s.trail.(s.qhead) in
       s.qhead <- s.qhead + 1;
       propagate_lit s p
     done
@@ -347,67 +378,259 @@ let propagate s =
 (* ------------------------------------------------------------------ *)
 (* Clause addition (level 0).                                          *)
 
+(* Everything below runs at decision level 0, where every assigned
+   variable is fixed for good. *)
+
+let rec descending (a : int array) i n =
+  i + 1 >= n || (a.(i) >= a.(i + 1) && descending a (i + 1) n)
+
+(* Sort [a.(0 .. n - 1)] into descending order, in place for short
+   clauses and for the blocking clauses of model enumeration, which
+   arrive sorted. *)
+let sort_desc (a : int array) n =
+  if descending a 0 n then ()
+  else if n <= 32 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) < x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let sub = Array.sub a 0 n in
+    Array.sort (fun x y -> Int.compare y x) sub;
+    Array.blit sub 0 a 0 n
+  end
+
+let reserve s n =
+  let old = s.buf in
+  if n > Array.length old then begin
+    s.buf <- Array.make (max n (2 * Array.length old)) 0;
+    Array.blit old 0 s.buf 0 (Array.length old)
+  end
+
+(* The number of variables [clause] needs, at least [m]. *)
+let rec max_var m = function
+  | [] -> m
+  | l :: rest -> max_var (if (l lsr 1) + 1 > m then (l lsr 1) + 1 else m) rest
+
+(* Copy a clause into [b] from position [i] on; returns the end. *)
+let rec copy_lits (b : int array) i = function
+  | [] -> i
+  | l :: rest ->
+    b.(i) <- l;
+    copy_lits b (i + 1) rest
+
+(* Normalize the clause in [s.buf.(0 .. n - 1)]: sort it descending, merge
+   duplicates and drop false literals. Returns the length left, or [-1]
+   when the clause is a tautology or already satisfied. *)
+let normalize s n =
+  let b = s.buf in
+  sort_desc b n;
+  let m = ref 0 and prev = ref (-1) and i = ref 0 in
+  while !i < n do
+    let l = b.(!i) in
+    incr i;
+    if l <> !prev then begin
+      let a = s.assign.(l lsr 1) in
+      if l lxor 1 = !prev || (a >= 0 && a lxor (l land 1) = 1) then begin
+        m := -1;
+        i := n
+      end
+      else if a < 0 then begin
+        b.(!m) <- l;
+        incr m
+      end;
+      prev := l
+    end
+  done;
+  !m
+
+let root_conflict s =
+  s.ok <- false;
+  emit_learnt s []
+
+(* Store the normalized clause [s.buf.(0 .. n - 1)]: the empty clause
+   refutes the instance, a unit is enqueued (the caller propagates), and
+   a longer clause is attached watching its two highest literals.
+   Blocking clauses from model enumeration are emitted in descending
+   variable order and consecutive models usually differ only in a
+   low-variable suffix, so high-end watches stay untouched across most
+   re-decisions. *)
+let store s n =
+  match n with
+  | -1 -> ()
+  | 0 -> root_conflict s
+  | 1 -> enqueue s s.buf.(0) dummy_clause
+  | n ->
+    let b = s.buf in
+    (* Short clauses, most of a CNF, are allocated inline. *)
+    let lits =
+      match n with
+      | 2 -> [| b.(0); b.(1) |]
+      | 3 -> [| b.(0); b.(1); b.(2) |]
+      | _ -> Array.sub b 0 n
+    in
+    let c = { lits; activity = 0.0; learnt = false; removed = false } in
+    Vec.push s.clauses c;
+    attach s c
+
 let add_clause s lits =
   (* Clauses are added at level 0; any in-progress model is abandoned. *)
   cancel_until s 0;
   if s.ok then begin
-    List.iter (fun l -> ensure_vars s ((l lsr 1) + 1)) lits;
-    (* Sort, dedup, drop tautologies and false literals. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      let rec adjacent = function
-        | a :: (b :: _ as rest) -> (a lxor b = 1 && a lsr 1 = b lsr 1) || adjacent rest
-        | _ -> false
+    ensure_vars s (max_var 0 lits);
+    reserve s (List.length lits);
+    let n = normalize s (copy_lits s.buf 0 lits) in
+    store s n;
+    if n = 1 && propagate s <> None then root_conflict s
+  end
+
+(* Run [f] without counting its propagations: level-0 work done before
+   the search is presolve's, not the search's. *)
+let uncounted s f =
+  let st = s.stats in
+  let props = st.propagations and blocked = st.blocked_visits in
+  f ();
+  st.propagations <- props;
+  st.blocked_visits <- blocked
+
+let root_propagate s = if s.ok && propagate s <> None then root_conflict s
+
+(* Probing stops starting probes once they and the units they found have
+   propagated this many literals. *)
+let probe_cap = 65_536
+
+(* Assume [l] one level up and propagate; [false] on a conflict. The
+   assignment is undone by hand, not by [cancel_until], so saved phases
+   and the decision heap are left as they were. *)
+let probe_lit s l =
+  let mark = s.trail_size in
+  Vec.push s.trail_lim mark;
+  enqueue s l dummy_clause;
+  let ok = propagate s = None in
+  for i = mark to s.trail_size - 1 do
+    let v = s.trail.(i) lsr 1 in
+    s.assign.(v) <- -1;
+    s.reason.(v) <- dummy_clause
+  done;
+  s.trail_size <- mark;
+  Vec.shrink s.trail_lim 0;
+  s.qhead <- mark;
+  (match s.theory with Some th -> th.t_on_backtrack mark | None -> ());
+  ok
+
+let probe ?(budget = Budget.unlimited) s =
+  cancel_until s 0;
+  let failed = ref 0 in
+  uncounted s (fun () ->
+      let start = s.stats.propagations in
+      let fix l =
+        incr failed;
+        enqueue s l dummy_clause;
+        root_propagate s
       in
-      adjacent lits
-    in
-    if not tautology then begin
-      let lits =
-        List.filter
-          (fun l ->
-            match lit_value s l with
-            | V_false -> s.level.(l lsr 1) > 0
-            | V_true | V_undef -> true)
-          lits
-      in
-      if List.exists (fun l -> lit_value s l = V_true && s.level.(l lsr 1) = 0) lits
-      then () (* satisfied at level 0 *)
-      else
-        match lits with
-        | [] ->
-          s.ok <- false;
-          emit_learnt s []
+      let v = ref 0 in
+      try
+        while s.ok && !v < s.nvars && s.stats.propagations - start < probe_cap do
+          Budget.tick budget;
+          if s.assign.(!v) < 0 then begin
+            let p = 2 * !v in
+            if not (probe_lit s p) then fix (p lxor 1)
+            else if not (probe_lit s (p lxor 1)) then fix p
+          end;
+          incr v
+        done
+      with Budget.Exhausted _ -> ());
+  !failed
+
+(* Keep the clauses of [cs] no root assignment satisfies, in order, each
+   without its false literals and sorted descending, and watch them
+   again. *)
+let compact_vec s cs =
+  let kept = ref 0 in
+  for i = 0 to Vec.size cs - 1 do
+    let c = Vec.get cs i in
+    let lits = c.lits in
+    reserve s (Array.length lits);
+    let n = ref 0 and sat = ref false in
+    for k = 0 to Array.length lits - 1 do
+      let l = lits.(k) in
+      let a = s.assign.(l lsr 1) in
+      if a < 0 then begin
+        s.buf.(!n) <- l;
+        incr n
+      end
+      else if a lxor (l land 1) = 1 then sat := true
+    done;
+    if not !sat then begin
+      assert (!n >= 2);
+      sort_desc s.buf !n;
+      if !n = Array.length lits then Array.blit s.buf 0 lits 0 !n
+      else c.lits <- Array.sub s.buf 0 !n;
+      Vec.set cs !kept c;
+      incr kept;
+      attach s c
+    end
+  done;
+  Vec.shrink cs !kept
+
+let compact s =
+  cancel_until s 0;
+  uncounted s (fun () -> root_propagate s);
+  if s.ok then begin
+    Array.iter Watches.clear s.watches;
+    compact_vec s s.clauses;
+    compact_vec s s.learnts;
+    (* Root assignments need no reasons, and the dropped clauses can go. *)
+    for i = 0 to s.trail_size - 1 do
+      s.reason.(s.trail.(i) lsr 1) <- dummy_clause
+    done
+  end
+
+let load s clauses =
+  cancel_until s 0;
+  let top = ref 0 and longest = ref 0 in
+  List.iter
+    (fun c ->
+      top := max_var !top c;
+      let n = List.length c in
+      if n > !longest then longest := n)
+    clauses;
+  ensure_vars s !top;
+  reserve s !longest;
+  (* Units first, so every longer clause is stored without the literals
+     they falsify. *)
+  List.iter
+    (fun c ->
+      if s.ok then
+        match c with
+        | [] -> root_conflict s
         | [ l ] -> (
           match lit_value s l with
-          | V_true -> ()
-          | V_false ->
-            s.ok <- false;
-            emit_learnt s []
-          | V_undef -> (
-            enqueue s l dummy_clause;
-            match propagate s with
-            | None -> ()
-            | Some _ ->
-              s.ok <- false;
-              emit_learnt s []))
-        | _ ->
-          (* Watch the highest-variable literals (the sort above is
-             ascending). Blocking clauses from model enumeration are
-             emitted in descending variable order and consecutive models
-             usually differ only in a low-variable suffix, so high-end
-             watches stay untouched across most re-decisions. *)
-          let c =
-            {
-              lits = Array.of_list (List.rev lits);
-              activity = 0.0;
-              learnt = false;
-              removed = false;
-            }
-          in
-          Vec.push s.clauses c;
-          attach s c
-    end
-  end
+          | V_undef -> enqueue s l dummy_clause
+          | V_false -> root_conflict s
+          | V_true -> ())
+        | _ -> ())
+    clauses;
+  List.iter
+    (function
+      | [] | [ _ ] -> ()
+      | lits -> if s.ok then store s (normalize s (copy_lits s.buf 0 lits)))
+    clauses;
+  compact s
+
+let fixed s =
+  List.init
+    (if decision_level s = 0 then s.trail_size else Vec.get s.trail_lim 0)
+    (Array.get s.trail)
+
+let clauses s =
+  List.map (fun l -> [ l ]) (fixed s)
+  @ List.rev (Vec.fold (fun acc c -> Array.to_list c.lits :: acc) [] s.clauses)
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
@@ -416,7 +639,7 @@ let analyze s confl =
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
-  let index = ref (Vec.size s.trail - 1) in
+  let index = ref (s.trail_size - 1) in
   let cur_level = decision_level s in
   let c = ref confl in
   let continue_loop = ref true in
@@ -435,9 +658,9 @@ let analyze s confl =
         end)
       !c.lits;
     (* Select next literal on the trail to resolve. *)
-    let rec next i = if s.seen.(Vec.get s.trail i lsr 1) then i else next (i - 1) in
+    let rec next i = if s.seen.(s.trail.(i) lsr 1) then i else next (i - 1) in
     index := next !index;
-    p := Vec.get s.trail !index;
+    p := s.trail.(!index);
     decr index;
     s.seen.(!p lsr 1) <- false;
     decr counter;
@@ -550,14 +773,11 @@ let luby y x =
   done;
   y *. (2.0 ** float_of_int !seq)
 
-let pick_branch_var s =
-  let rec loop () =
-    if s.heap_size = 0 then -1
-    else
-      let v = heap_remove_min s in
-      if s.assign.(v) < 0 then v else loop ()
-  in
-  loop ()
+let rec pick_branch_var s =
+  if s.heap_size = 0 then -1
+  else
+    let v = heap_remove_min s in
+    if s.assign.(v) < 0 then v else pick_branch_var s
 
 exception Found_unsat
 exception Found_sat
@@ -634,11 +854,11 @@ let search s budget assumptions conflict_budget =
             | V_true ->
               (* Already satisfied: open an empty level to keep the
                  level/assumption correspondence. *)
-              Vec.push s.trail_lim (Vec.size s.trail);
+              Vec.push s.trail_lim s.trail_size;
               `Skip
             | V_false -> raise Assumption_failed
             | V_undef ->
-              Vec.push s.trail_lim (Vec.size s.trail);
+              Vec.push s.trail_lim s.trail_size;
               enqueue s a dummy_clause;
               `Skip
           end
@@ -661,7 +881,7 @@ let search s budget assumptions conflict_budget =
           end
           else begin
             s.stats.decisions <- s.stats.decisions + 1;
-            Vec.push s.trail_lim (Vec.size s.trail);
+            Vec.push s.trail_lim s.trail_size;
             let phase = s.saved_phase.(v) in
             enqueue s ((2 * v) + if phase then 0 else 1) dummy_clause;
             loop ()

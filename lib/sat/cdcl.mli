@@ -40,10 +40,50 @@ val ensure_vars : t -> int -> unit
 
 val num_vars : t -> int
 
+val num_clauses : t -> int
+(** Stored non-learnt clauses of two literals or more. *)
+
 val add_clause : t -> Types.lit list -> unit
-(** Add a clause at decision level 0. Duplicate literals are merged and
-    tautologies dropped. Adding the empty clause makes the instance
+(** Add a clause at decision level 0 (the search backtracks there) and
+    propagate it if it is a unit. Duplicate literals are merged, false
+    literals dropped, and a tautology or a clause already true is not
+    stored. A longer clause is stored sorted descending and watches its
+    two highest literals. Adding the empty clause makes the instance
     permanently unsatisfiable. *)
+
+val load : t -> Types.lit list list -> unit
+(** Add a whole CNF at level 0: the bulk counterpart of {!add_clause},
+    sharing its normalization. The variable arrays grow once, the unit
+    clauses are enqueued first, then every longer clause is normalized
+    and stored in order; one propagation to a fixpoint and a {!compact}
+    follow. That propagation is presolve work: it is not counted in
+    {!stats}. *)
+
+val probe : ?budget:Absolver_resource.Budget.t -> t -> int
+(** One failed-literal probing pass at level 0, on the solver's own
+    watches: for each unassigned variable in order, assume its positive
+    literal, then its negative one, and propagate; a conflict fixes the
+    opposite literal at level 0. Returns the number of literals so fixed.
+    A probe leaves saved phases, activities, the decision heap and
+    {!stats} as they were. Probing stops starting probes once they have
+    propagated 65,536 literals in all. [budget] is ticked once per
+    variable, between probes; its exhaustion ends the pass early, with
+    the typed reason left sticky in the budget. *)
+
+val compact : t -> unit
+(** Level-0 compaction, after propagating any pending root assignment:
+    drop every clause a root assignment satisfies, strip the false
+    literals of the others, sort each descending and watch them again in
+    their order. The watches are then those a fresh {!load} of
+    {!clauses} would build. *)
+
+val fixed : t -> Types.lit list
+(** The root assignments (level 0), in the order they were made. *)
+
+val clauses : t -> Types.lit list list
+(** The stored problem: one unit per root assignment, in trail order,
+    then every stored non-learnt clause in order, literal order
+    included. *)
 
 val solve :
   ?assumptions:Types.lit list ->
@@ -72,7 +112,9 @@ val is_unsat : t -> bool
 val stats : t -> Types.stats
 
 val set_default_phase : t -> bool -> unit
-(** Initial polarity used before a variable acquires a saved phase. *)
+(** The polarity a variable is first decided with: every variable's
+    saved phase is reset to it, and later variables start with it. Set
+    it before the first search. *)
 
 val set_learnt_hook : t -> (Types.lit list -> unit) -> unit
 (** Install a callback invoked with every learnt clause, and with the

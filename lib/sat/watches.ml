@@ -6,10 +6,6 @@ type 'c t = {
 }
 
 let create ~dummy () = { cl = [||]; bl = [||]; n = 0; dummy }
-let size w = w.n
-let clause w i = w.cl.(i)
-let blocker w i = w.bl.(i)
-let set_blocker w i b = w.bl.(i) <- b
 
 let realloc w cap =
   let cl = Array.make cap w.dummy in
@@ -31,6 +27,10 @@ let swap_remove w i =
   w.bl.(i) <- w.bl.(last);
   w.cl.(last) <- w.dummy;
   w.n <- last
+
+let clear w =
+  Array.fill w.cl 0 w.n w.dummy;
+  w.n <- 0
 
 let remove_clause w c =
   let i = ref 0 in

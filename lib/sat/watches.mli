@@ -11,22 +11,28 @@
     Parameterized over the clause type to keep this module below the
     solver in the dependency order. *)
 
-type 'c t
+type 'c t = private {
+  mutable cl : 'c array;  (** The watching clauses, in [cl.(0 .. n - 1)]. *)
+  mutable bl : Types.Lit.t array;  (** Their blocking literals. *)
+  mutable n : int;
+  dummy : 'c;
+}
+(** Private, so that the propagation loop reads the arrays and updates
+    blockers in place, without a call per visit; only this module adds,
+    removes or reallocates entries. *)
 
 val create : dummy:'c -> unit -> 'c t
 (** [dummy] fills unused slots so stale clause pointers do not retain
     memory. *)
-
-val size : 'c t -> int
-val clause : 'c t -> int -> 'c
-val blocker : 'c t -> int -> Types.Lit.t
-val set_blocker : 'c t -> int -> Types.Lit.t -> unit
 
 val push : 'c t -> 'c -> Types.Lit.t -> unit
 (** Append a watched clause with its blocking literal. *)
 
 val swap_remove : 'c t -> int -> unit
 (** Constant-time removal: overwrite index with the last entry. *)
+
+val clear : 'c t -> unit
+(** Remove every entry, keeping the capacity. *)
 
 val remove_clause : 'c t -> 'c -> unit
 (** Remove the entry whose clause is physically equal to the argument,

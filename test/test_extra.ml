@@ -166,7 +166,7 @@ c bound y 0 4
 let test_allsat_iter_stop () =
   List.iter
     (fun strategy ->
-      let h = AS.create ~phase:false strategy ~num_vars:3 [] in
+      let h = AS.create ~phase:false strategy (AS.load ~num_vars:3 []) in
       let take n =
         List.init n (fun _ ->
             match AS.next h with

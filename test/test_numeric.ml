@@ -219,6 +219,28 @@ let prop_rational_field =
       && Q.equal (Q.mul a (Q.add b c)) (Q.add (Q.mul a b) (Q.mul a c))
       && Q.equal (Q.sub a b) (Q.neg (Q.sub b a)))
 
+(* Rationals on both sides of the small/big boundary: small ones,
+   numerators and denominators near [max_int] whose differences
+   overflow, and bigint-sized ones. *)
+let arb_wide_rational =
+  QCheck.map
+    (fun (kind, (n, d), big) ->
+      match kind mod 3 with
+      | 0 -> Q.of_ints n (1 + abs d)
+      | 1 ->
+        let m = max_int - (abs n mod 1000) in
+        Q.of_ints (if d < 0 then -m else m) (1 + (abs d mod 3))
+      | _ -> Q.make big (B.of_int (1 + abs d)))
+    QCheck.(triple small_nat (pair int int) arb_bigint)
+
+let prop_rational_sub =
+  QCheck.Test.make ~name:"rational sub = add of neg" ~count:2000
+    (QCheck.pair arb_wide_rational arb_wide_rational)
+    (fun (a, b) ->
+      let d = Q.sub a b and r = Q.add a (Q.neg b) in
+      (* Structural equality: the representation is canonical. *)
+      Q.equal d r && d = r)
+
 let prop_rational_ordering =
   QCheck.Test.make ~name:"rational ordering total" ~count:500
     (QCheck.pair arb_rational arb_rational)
@@ -463,6 +485,7 @@ let suite =
         prop_string_roundtrip;
         prop_compare_consistent;
         prop_rational_field;
+        prop_rational_sub;
         prop_rational_ordering;
         prop_rational_float_of_exact;
         prop_delta_add_monotone;

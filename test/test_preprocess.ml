@@ -9,6 +9,7 @@ module Box = Absolver_nlp.Box
 module I = Absolver_numeric.Interval
 module L = Absolver_lp.Linexpr
 module T = Absolver_sat.Types
+module Cdcl = Absolver_sat.Cdcl
 module Q = Absolver_numeric.Rational
 module F = Absolver_smtlib.Fischer
 module S = Absolver_encodings.Sudoku
@@ -25,57 +26,64 @@ let parse text =
   | Ok p -> p
   | Error e -> Alcotest.failf "parse error: %s" e
 
-let simplified = function
-  | PP.Sat_simplify.Unsat -> Alcotest.fail "unexpected root unsat"
-  | PP.Sat_simplify.Simplified s -> s
-
 (* ------------------------------------------------------------------ *)
-(* Sat_simplify.                                                       *)
+(* The SAT pass: root propagation and probing inside CDCL.             *)
+
+(* What the SAT pass leaves of a bare CNF, run as [Preprocess.run] runs
+   it: the bulk load with its root propagation, one probing pass and the
+   level-0 compaction. [fixed] is sorted; [cnf] is the solver's stored
+   problem ({!Cdcl.clauses}: the root units, then the surviving
+   clauses). [None] when the CNF is refuted. *)
+type presolved = { fixed : T.lit list; cnf : T.lit list list; failed : int }
+
+let presolve_cnf ?budget ~nvars clauses =
+  let s = Cdcl.create () in
+  Cdcl.ensure_vars s nvars;
+  Cdcl.load s clauses;
+  let failed = if Cdcl.is_unsat s then 0 else Cdcl.probe ?budget s in
+  Cdcl.compact s;
+  if Cdcl.is_unsat s then None
+  else Some { fixed = List.sort compare (Cdcl.fixed s); cnf = Cdcl.clauses s; failed }
+
+let presolved = function
+  | None -> Alcotest.fail "unexpected root unsat"
+  | Some p -> p
 
 let test_sat_unit_chain () =
-  let s =
-    simplified
-      (PP.Sat_simplify.simplify ~nvars:3
+  let p =
+    presolved
+      (presolve_cnf ~nvars:3
          [
            [ T.pos 0 ];
            [ T.neg_of_var 0; T.pos 1 ];
            [ T.neg_of_var 1; T.pos 2 ];
          ])
   in
-  check int_t "three vars fixed" 3 (List.length s.PP.Sat_simplify.fixed);
-  List.iter
-    (fun (_, b) -> check bool_t "all true" true b)
-    s.PP.Sat_simplify.fixed;
+  check (Alcotest.list int_t) "three vars fixed true" [ T.pos 0; T.pos 1; T.pos 2 ] p.fixed;
   (* The output CNF is the three units. *)
-  check int_t "unit clauses" 3 (List.length s.PP.Sat_simplify.clauses);
-  List.iter
-    (fun c -> check int_t "unit" 1 (List.length c))
-    s.PP.Sat_simplify.clauses
+  check int_t "unit clauses" 3 (List.length p.cnf);
+  List.iter (fun c -> check int_t "unit" 1 (List.length c)) p.cnf
 
 let test_sat_failed_literal () =
   (* Assuming a propagates b, then c, then a conflict with (-a or -c);
      no clause is a unit, so unit propagation fixes nothing — only
      probing fixes a to false. *)
-  let s =
-    simplified
-      (PP.Sat_simplify.simplify ~nvars:3
+  let p =
+    presolved
+      (presolve_cnf ~nvars:3
          [
            [ T.neg_of_var 0; T.pos 1 ];
            [ T.neg_of_var 1; T.pos 2 ];
            [ T.neg_of_var 0; T.neg_of_var 2 ];
          ])
   in
-  check bool_t "a fixed false" true
-    (List.mem (0, false) s.PP.Sat_simplify.fixed);
-  check bool_t "a failed probe counted" true
-    (s.PP.Sat_simplify.stats.PP.Sat_simplify.failed_literals >= 1)
+  check bool_t "a fixed false" true (List.mem (T.neg_of_var 0) p.fixed);
+  check bool_t "a failed probe counted" true (p.failed >= 1)
 
 let test_sat_root_unsat () =
-  match
-    PP.Sat_simplify.simplify ~nvars:1 [ [ T.pos 0 ]; [ T.neg_of_var 0 ] ]
-  with
-  | PP.Sat_simplify.Unsat -> ()
-  | PP.Sat_simplify.Simplified _ -> Alcotest.fail "contradictory units accepted"
+  match presolve_cnf ~nvars:1 [ [ T.pos 0 ]; [ T.neg_of_var 0 ] ] with
+  | None -> ()
+  | Some _ -> Alcotest.fail "contradictory units accepted"
 
 (* A deterministic 48-bit LCG so the random corpora are reproducible
    across OCaml versions; only its high bits are used, since the low bits
@@ -113,10 +121,12 @@ let random_cnf rand ~max_vars ~empty_every =
   (nvars, clauses)
 
 (* ------------------------------------------------------------------ *)
-(* Sat_simplify identity: the full result, pinned.                     *)
+(* SAT-pass identity: the full result, pinned.                         *)
 
-(* Everything [simplify] returns, as one digest: the clauses in order,
-   [fixed] and every stats field. *)
+(* What the SAT pass fixed and kept, as one digest: the fixed literals
+   in ascending order, the surviving clauses in input order, each in
+   ascending literal order, and the number of failed probes. The order
+   the engine happens to fix literals in does not enter it. *)
 let digest_result r =
   let b = Buffer.create 4096 in
   let add_int n =
@@ -124,35 +134,24 @@ let digest_result r =
     Buffer.add_char b ' '
   in
   (match r with
-  | PP.Sat_simplify.Unsat -> Buffer.add_string b "unsat"
-  | PP.Sat_simplify.Simplified s ->
+  | None -> Buffer.add_string b "unsat"
+  | Some p ->
+    List.iter add_int p.fixed;
+    Buffer.add_char b '|';
     List.iter
       (fun c ->
-        List.iter add_int c;
-        Buffer.add_char b ';')
-      s.PP.Sat_simplify.clauses;
-    let add_assignment (v, value) =
-      add_int v;
-      Buffer.add_char b (if value then 't' else 'f')
-    in
+        if List.length c > 1 then begin
+          List.iter add_int (List.sort compare c);
+          Buffer.add_char b ';'
+        end)
+      p.cnf;
     Buffer.add_char b '|';
-    List.iter add_assignment s.PP.Sat_simplify.fixed;
-    Buffer.add_char b '|';
-    let st = s.PP.Sat_simplify.stats in
-    List.iter add_int
-      PP.Sat_simplify.
-        [
-          st.fixed_literals;
-          st.removed_clauses;
-          st.probes;
-          st.failed_literals;
-        ]);
+    add_int p.failed);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The CNF skeleton of a paper problem. *)
 let simplify_skeleton p =
-  PP.Sat_simplify.simplify
-    ~nvars:(A.Ab_problem.num_bool_vars p) (A.Ab_problem.clauses p)
+  presolve_cnf ~nvars:(A.Ab_problem.num_bool_vars p) (A.Ab_problem.clauses p)
 
 let fischer_table2 n =
   match F.problem ~rounds:6 ~property:(F.Cs_within (Q.of_int 2)) ~n () with
@@ -174,88 +173,83 @@ let identity_random () =
   let rand = lcg 20070601 in
   List.init 300 (fun _ ->
       let nvars, clauses = random_cnf rand ~max_vars:24 ~empty_every:15 in
-      (* [simplify] must also cope with an undercounted [nvars]. *)
+      (* The load must also cope with an undercounted [nvars]. *)
       let declared = if rand 4 = 0 then nvars - 1 else nvars in
-      String.sub
-        (digest_result (PP.Sat_simplify.simplify ~nvars:declared clauses))
-        0 8)
+      String.sub (digest_result (presolve_cnf ~nvars:declared clauses)) 0 8)
 
-(* Digests of the simplifier's results (unit propagation, one probing
-   pass). They equal those of the earlier simplifier with its subsumption
-   pass skipped; the simplifier must reproduce them bit for bit. *)
 let identity_named_pins =
   [
-    ("2006_05_23_hard", "6765e7c23ef924cb137fed9be9de5a4d");
-    ("2006_05_24_hard", "1e735271cf453588bb232e74025554ba");
-    ("2006_05_25_hard", "08a1216a36464f7effb5e5909ba6322a");
-    ("2006_05_26_hard", "462b4bb24ca6449c5d5e628178945352");
-    ("2006_05_27_hard", "8a4f742419933dc55384661356de42fc");
-    ("2006_05_28_hard", "e422f53293859b699f37420ec8061488");
-    ("2006_05_29_easy", "a24b6a21a4247e39e28b46e238dd080d");
-    ("2006_05_29_hard", "891919a294c53031d6ad6168962f6777");
-    ("2006_05_30_easy", "a4a6aa6412981e34386f498d1320975f");
-    ("2006_05_30_hard", "11fed13d7595db06acaf573ae94e9fa1");
-    ("FISCHER1", "28b25e8910534783216d5a1c2610e1cc");
-    ("FISCHER2", "45440d6b4f18e480b06537252368da33");
-    ("FISCHER3", "3b136193bc1da9ee69e4391219568cfe");
-    ("FISCHER4", "70402aef6942b75264668e9ab80cbd9d");
-    ("FISCHER5", "8da4e90f0f3986fb4e1f8a1c5026ce22");
-    ("FISCHER6", "ea8f73c98021b47a18b981c1cddb187f");
-    ("steering", "3f2a33613b26230d49aa074d821fdb77");
+    ("2006_05_23_hard", "1cd86110e6d2eb44fcf022c229d45676");
+    ("2006_05_24_hard", "3d3494b1572d2e1e987fd5f5cc7aa2a0");
+    ("2006_05_25_hard", "32af9b2b409a5ed6b704750d4dce438e");
+    ("2006_05_26_hard", "319aa489fa06e06ec591720779851474");
+    ("2006_05_27_hard", "6a8f321d1bea2e7b91ffe133f56869e9");
+    ("2006_05_28_hard", "254ab7f97f245c9967208bad440a1bc3");
+    ("2006_05_29_easy", "4cbf1be8ec4b7c7273ebb6a79ac7d98b");
+    ("2006_05_29_hard", "32acaa8fd1278ed0f3b33538050b4cd4");
+    ("2006_05_30_easy", "06dae3a804da2f4db27250c2ed68faef");
+    ("2006_05_30_hard", "4fc75beca51f7f986310992f5efc7508");
+    ("FISCHER1", "8fbd3ef7d5e5a5755552fecaf3ba7668");
+    ("FISCHER2", "1e267b4b84ab353514b022a6b66e0c79");
+    ("FISCHER3", "a65256691e5149e13ac9c89deba23136");
+    ("FISCHER4", "5a41df1876a9c83a26c6a062e8cf7ffb");
+    ("FISCHER5", "52b82a5f30bb7a0dbff74c53c377892e");
+    ("FISCHER6", "aee97bf558f9d99d0b2388d3647f767d");
+    ("steering", "811fe5c33dcaae9796deaf0a3ab18c90");
   ]
 
 let identity_random_pins =
   [|
-    "33fa15b5"; "ab76ca46"; "0fd4494f"; "d5e72763"; "6393ff1c"; "ab76ca46";
-    "ab76ca46"; "d7ff02b0"; "ab04d342"; "c1432fac"; "91ac1f78"; "d34f8062";
-    "b2c0e561"; "ab76ca46"; "eff3cfcd"; "bbb586f7"; "5bea1b94"; "4792a2c3";
-    "5bae6bb0"; "4645d928"; "915dac0d"; "7bfb8011"; "c82778c1"; "46ea7f59";
-    "ab76ca46"; "82bc44d6"; "0c2f9be1"; "c71bb7ad"; "ab76ca46"; "f128650e";
-    "b614a334"; "c7b324ec"; "460d1c12"; "db7e7719"; "2032ef32"; "de9629a0";
-    "ab76ca46"; "d278ad9b"; "8c06c653"; "e73c0fde"; "58520534"; "a9ba3ff8";
-    "ead0c29f"; "13faa67c"; "ab76ca46"; "ab76ca46"; "c42dc442"; "ab76ca46";
-    "ab76ca46"; "ab76ca46"; "a49cec35"; "52dab635"; "ab76ca46"; "be332f6e";
-    "6b05ea46"; "ce645f38"; "7c476607"; "e3d90dbd"; "08240c71"; "71197a0d";
-    "ab76ca46"; "0aeb5f54"; "9a944f3c"; "2d8a0744"; "0487c320"; "ab76ca46";
-    "786d3796"; "ab76ca46"; "071df1ec"; "2bcbc5ce"; "cf1c5c5b"; "ab76ca46";
-    "ab76ca46"; "fb8469f5"; "17df5221"; "b51372a5"; "313b1ff0"; "5b9dbd7d";
-    "963929fe"; "ab76ca46"; "b07deeff"; "7427ddc2"; "81f040e2"; "eee682c8";
-    "ab76ca46"; "ab76ca46"; "899b8db7"; "836da642"; "9c6e3c9e"; "ab76ca46";
-    "87dc52ed"; "63872e80"; "52195524"; "ab76ca46"; "506427ed"; "ab76ca46";
-    "2ba37929"; "434fb413"; "adbcdc38"; "59a9e755"; "913d6ad9"; "e50a9813";
-    "9544d802"; "260abffb"; "c7050d51"; "ab76ca46"; "97200e5f"; "27b4a774";
-    "b19c64fc"; "28d3f6b0"; "36245823"; "c9968b43"; "ab76ca46"; "ab76ca46";
-    "5a5192be"; "04d93465"; "5df7dae9"; "31f2b828"; "ce9316c7"; "e0debd7e";
-    "15f26942"; "df8982d8"; "16487719"; "474660cc"; "59aac96c"; "65826031";
-    "5acad77c"; "3a9c27d7"; "9eff4f1c"; "131e6fbf"; "54867c9c"; "542e17bf";
-    "232a5293"; "f2932e0f"; "4145e1c7"; "03e32a08"; "0abc6e08"; "d1b186db";
-    "df27e92d"; "8e57766f"; "ab76ca46"; "e59a1e00"; "5f480b70"; "ab76ca46";
-    "f81b446d"; "395dd1b7"; "d889e5d4"; "ab76ca46"; "e86723cc"; "8847f81d";
-    "2d3c4dae"; "c0566dd2"; "e212d08e"; "5c52e736"; "0880c046"; "46a8c789";
-    "057bd43c"; "3f99ef2d"; "7e191169"; "108e7cb9"; "67c61e64"; "a3d23009";
-    "533b2c89"; "b30dcce1"; "37573a2a"; "c7de4559"; "3dd95e52"; "edd1f1f8";
-    "ab76ca46"; "2a70923b"; "aeaf7d34"; "5d19980a"; "ab76ca46"; "8df33c79";
-    "a529310c"; "81fe9616"; "5ed8a223"; "d5e6b358"; "c2c24d1e"; "9c405e33";
-    "364e2cce"; "245af9ea"; "bec2b674"; "26082702"; "1ae86d54"; "ab76ca46";
-    "d4fc4dfe"; "aab93e00"; "9d01b956"; "923748b1"; "b7894b0e"; "2643c362";
-    "8b2a6fd3"; "5ad8db6a"; "ab76ca46"; "0a2f0dc5"; "fc0ceb4a"; "a6533554";
-    "327e8ac9"; "80f53af6"; "b6bb204e"; "8db21d98"; "f4238b1a"; "98076f0b";
-    "e9c701a4"; "a4fbf2e5"; "c5da5c5f"; "8ec4685c"; "7f1bc1f9"; "d567107e";
-    "341b4522"; "09de0818"; "ab76ca46"; "7f41a849"; "be024b98"; "ab97b0be";
-    "7de90893"; "ab76ca46"; "fc582214"; "4eefd01a"; "ab76ca46"; "b62cd1c0";
-    "716b4f84"; "ab76ca46"; "7ae7c2f2"; "22b44f7e"; "a1520bb6"; "7194fb70";
-    "3aeae85c"; "2e08793c"; "46ec0906"; "7e5ae852"; "28f974f0"; "c9cf70ae";
-    "ffff9a42"; "5ea71f4c"; "ab76ca46"; "425528af"; "5ed8a223"; "ab76ca46";
-    "a99adc3b"; "9864b5a9"; "ada0ef0e"; "fc04bec9"; "e5851a32"; "26d53117";
-    "39b6a44a"; "4e303a28"; "ab76ca46"; "eeeefeb0"; "920705aa"; "e1731e58";
-    "bea54cc6"; "1c35d658"; "745d974b"; "f767903c"; "ab76ca46"; "ab76ca46";
-    "ab76ca46"; "ca04cffb"; "b304eb9f"; "6571cc04"; "112eefc7"; "05f2a092";
-    "973f1af5"; "09c2f141"; "01fd564e"; "1b66aa61"; "d97c0e7f"; "ab76ca46";
-    "efbbb196"; "ab76ca46"; "b3824a12"; "3f14a7f0"; "dd8e4dbd"; "403c6b37";
-    "ab76ca46"; "70fefe28"; "ab76ca46"; "150e34a2"; "53fb389e"; "2c72b234";
-    "02b55884"; "b2d8c7bd"; "437bf5b8"; "092a3d3b"; "ab76ca46"; "6981e414";
-    "e50a9813"; "7bc97a6c"; "e8071bb9"; "bc71b842"; "ab76ca46"; "ab76ca46";
-    "43b15d7f"; "97e061bc"; "ab76ca46"; "16897f5f"; "29f6a21c"; "b0272136";
+    "c50ec55a"; "ab76ca46"; "0fcfbc26"; "429c99f0"; "679f2ad9"; "ab76ca46";
+    "ab76ca46"; "799221d3"; "1111714f"; "91a1c8d7"; "17d07171"; "e67e9a91";
+    "515240a7"; "ab76ca46"; "59164d8b"; "113f6f89"; "1568822a"; "d56d1c6c";
+    "86059f2d"; "74afba3d"; "acac5eb5"; "5e7a335c"; "5aae3dca"; "bd61e179";
+    "ab76ca46"; "1111714f"; "2ae87e65"; "9ccd5e96"; "ab76ca46"; "facb400b";
+    "f54c16d4"; "bbcaf8fc"; "579066b2"; "ece892d0"; "04e949ae"; "61e80cec";
+    "ab76ca46"; "296743d7"; "3f79ab8d"; "6e91de23"; "434be9f1"; "908d8d42";
+    "388ee698"; "967aa490"; "ab76ca46"; "ab76ca46"; "2add23cf"; "ab76ca46";
+    "ab76ca46"; "ab76ca46"; "3fcdb861"; "e8689dd0"; "ab76ca46"; "33c374ec";
+    "97ac080f"; "7a121053"; "c8f021d4"; "c48e1bcc"; "ff6f39d7"; "60e30dad";
+    "ab76ca46"; "d9e5db10"; "8152b175"; "c01feeaa"; "a6c41579"; "ab76ca46";
+    "89582d5a"; "ab76ca46"; "1111714f"; "816a9783"; "57665688"; "ab76ca46";
+    "ab76ca46"; "a2ef06f4"; "1567334a"; "60ebdc14"; "85aa5cbd"; "b5e11893";
+    "949f3b79"; "ab76ca46"; "5f10b9c2"; "f8278207"; "90145197"; "0994d693";
+    "ab76ca46"; "ab76ca46"; "de6f70f6"; "e7ba3629"; "9451213e"; "ab76ca46";
+    "10ddea4c"; "c03a552f"; "7f5cdf17"; "ab76ca46"; "01a0c7f7"; "ab76ca46";
+    "8e6b306e"; "45cb43e0"; "2f865091"; "1c6e994a"; "91f7bc3e"; "1111714f";
+    "968925e5"; "21b3c01e"; "a5ecc139"; "ab76ca46"; "d11ca145"; "b6af37f3";
+    "ea8ca481"; "39e7c2f6"; "1474223a"; "dd3e385d"; "ab76ca46"; "ab76ca46";
+    "1111714f"; "2ff5f5de"; "6b297ead"; "f963d582"; "823ffd85"; "c151a430";
+    "8e2fa84f"; "5a700b9e"; "8b5c546b"; "6edccbc5"; "be01ffd4"; "41f06d79";
+    "ad55a298"; "ef61e749"; "c40a4739"; "8445e538"; "653b1a93"; "aa964b39";
+    "8d12b96b"; "b92da2bc"; "1111714f"; "c706e15a"; "a6d505ef"; "101cc8e6";
+    "829616c0"; "a3f76c04"; "ab76ca46"; "02ee6bd5"; "416a286e"; "ab76ca46";
+    "144fbfdf"; "25dacde5"; "c727d4aa"; "ab76ca46"; "85249d53"; "0fdb6a1f";
+    "9336d1fe"; "267158c1"; "57c7f68e"; "7f169b48"; "5f3c7658"; "807e0150";
+    "e797ba22"; "4bdd4144"; "2eb656f7"; "0cf191be"; "1b98e25f"; "f66e8ce4";
+    "ac1eab79"; "aa7389e0"; "62487951"; "c9cd4608"; "5c9b2dd0"; "a53779ef";
+    "ab76ca46"; "c5ce42de"; "4d5212cf"; "6b4c635e"; "ab76ca46"; "6323a66f";
+    "8464f836"; "1bd034a0"; "c36c3a74"; "46c2a911"; "e8c6fc25"; "cae28686";
+    "9915aa55"; "dbe07d88"; "fca12007"; "ead0a022"; "ebfb6268"; "ab76ca46";
+    "c940de38"; "55ddbacd"; "3246fe1b"; "19ee199e"; "b0328e1b"; "7ef825a4";
+    "470966f0"; "462a07d4"; "ab76ca46"; "f3ad56d6"; "099481ed"; "e84a1dcd";
+    "c0c28b10"; "aff1ed2a"; "cec128c1"; "154f21c3"; "ed8b0a7a"; "855b749d";
+    "c6843a04"; "a37de163"; "8e156159"; "b5027239"; "437c383e"; "c7407780";
+    "2ef7fddb"; "a12feba2"; "ab76ca46"; "80df4ce8"; "4f37a93d"; "c2636408";
+    "9b5d7dbc"; "ab76ca46"; "804e1b91"; "5d41143d"; "ab76ca46"; "9094ef66";
+    "57cf780b"; "ab76ca46"; "88df64cd"; "57c5f4f6"; "bd7634e2"; "53e03540";
+    "4ba69ed8"; "32fda62c"; "59f1b3b0"; "1111714f"; "1d0fba0a"; "9381c90f";
+    "c697e0ff"; "6f161d10"; "ab76ca46"; "effa1690"; "c36c3a74"; "ab76ca46";
+    "57546676"; "4ecd0afc"; "c4999a07"; "dbb79047"; "32758274"; "deb92058";
+    "923507b5"; "102bbf1e"; "ab76ca46"; "ca46ceb4"; "4a5a2c7a"; "aa040426";
+    "abf762fa"; "bad41d03"; "2f1d0d85"; "361f1710"; "ab76ca46"; "ab76ca46";
+    "ab76ca46"; "e013c5fe"; "dc8729fa"; "a42b17f5"; "2612bd2a"; "52e9998c";
+    "8f05fff4"; "6d9ddf17"; "4261e79e"; "5a763328"; "3a50f22d"; "ab76ca46";
+    "f67bb6e7"; "ab76ca46"; "8975785b"; "93ee049b"; "38b49708"; "1111714f";
+    "ab76ca46"; "4362bb81"; "ab76ca46"; "683d111b"; "ab224739"; "1498289f";
+    "065787f3"; "d8648706"; "023cae3f"; "7ff35223"; "ab76ca46"; "142a9be7";
+    "1111714f"; "823115d4"; "e4e45b04"; "d5ae0ead"; "ab76ca46"; "ab76ca46";
+    "cf0c3579"; "ea692728"; "ab76ca46"; "5debf567"; "74976cd3"; "3429b2c5";
   |]
 
 let test_sat_identity_named () =
@@ -274,7 +268,7 @@ let test_sat_identity_random () =
     (identity_random ())
 
 (* ------------------------------------------------------------------ *)
-(* Sat_simplify model sets, by brute force.                            *)
+(* SAT-pass model sets, by brute force.                                *)
 
 let satisfies model clauses =
   List.for_all (List.exists (fun l -> model.(T.var_of l) = T.is_pos l)) clauses
@@ -287,37 +281,35 @@ let all_models n clauses =
       if satisfies m clauses then Some m else None)
     (List.init (1 lsl n) Fun.id)
 
-(* The result of [simplify] against the model set of its input:
-   - [Unsat] only when the input has no model;
+(* The result of the SAT pass against the model set of its input:
+   - a refutation only when the input has no model;
    - every fixed literal holds in every model of the input;
-   - a simplified CNF has exactly the models of the input. *)
+   - the solver's stored problem has exactly the models of the input. *)
 let check_model_sets name n clauses result =
   let input = all_models n clauses in
   match result with
-  | PP.Sat_simplify.Unsat ->
-    check int_t (name ^ ": unsat input") 0 (List.length input)
-  | PP.Sat_simplify.Simplified s ->
+  | None -> check int_t (name ^ ": unsat input") 0 (List.length input)
+  | Some p ->
     List.iter
-      (fun (v, b) ->
+      (fun l ->
         check bool_t (name ^ ": fixed literal holds in every input model") true
-          (List.for_all (fun m -> m.(v) = b) input))
-      s.PP.Sat_simplify.fixed;
-    let output = all_models n s.PP.Sat_simplify.clauses in
+          (List.for_all (fun m -> m.(T.var_of l) = T.is_pos l) input))
+      p.fixed;
+    let output = all_models n p.cnf in
     check
       Alcotest.(list (array bool))
       (name ^ ": same models") input output
 
-(* Seeded CNFs over at most 10 variables, each simplified without a
-   budget and with two step budgets that run out during the probing pass
-   (one step per variable), one in its first half and one in its second
-   half. *)
+(* Seeded CNFs over at most 10 variables, each run without a budget and
+   with two step budgets that run out during the probing pass (one step
+   per variable), one in its first half and one in its second half. *)
 let test_sat_model_sets () =
   let rand = lcg 1607 in
   let tripped = ref 0 in
   for i = 1 to 200 do
     let n, clauses = random_cnf rand ~max_vars:10 ~empty_every:40 in
     let run budget =
-      try PP.Sat_simplify.simplify ?budget ~nvars:n clauses
+      try presolve_cnf ?budget ~nvars:n clauses
       with e -> Alcotest.failf "CNF %d: %s escaped" i (Printexc.to_string e)
     in
     check_model_sets (Printf.sprintf "CNF %d" i) n clauses (run None);
@@ -444,6 +436,14 @@ let test_icp_empty () =
 (* ------------------------------------------------------------------ *)
 (* The Preprocess driver.                                              *)
 
+(* Presolve [p] as the engine does: on a solver its CNF is loaded into. *)
+let run_presolve ?telemetry p =
+  let solver =
+    Absolver_sat.All_sat.load ~num_vars:(A.Ab_problem.num_bool_vars p)
+      (A.Ab_problem.clauses p)
+  in
+  (A.Preprocess.run ?telemetry p solver, solver)
+
 let test_driver_arithmetic_refutation () =
   (* Clause 1 fixes "x >= 1"; the second definition "x <= 0" is then
      infeasible on the presolved bounds, so its unit feedback contradicts
@@ -457,7 +457,7 @@ c def real 1 x >= 1
 c def real 2 x <= 0
 |}
   in
-  let pre = A.Preprocess.run p in
+  let pre, _ = run_presolve p in
   check bool_t "refuted by presolve" true (pre.A.Preprocess.status = `Unsat);
   let result, stats = A.Engine.solve p in
   check bool_t "engine agrees" true (result = A.Engine.R_unsat);
@@ -477,17 +477,16 @@ c bound x 5 10
 |}
 
 let test_driver_unit_def_feedback () =
-  let pre = A.Preprocess.run (unit_def_problem ()) in
+  let pre, solver = run_presolve (unit_def_problem ()) in
   check bool_t "still open" true (pre.A.Preprocess.status = `Open);
   check bool_t "unit fed back" true (pre.A.Preprocess.stats.A.Preprocess.unit_defs >= 1);
-  check bool_t "defined var fixed true" true
-    (List.mem (1, true) pre.A.Preprocess.fixed)
+  check bool_t "defined var fixed true" true (Cdcl.value solver 1 = T.V_true)
 
 (* Presolve is one pass: the fed-back unit does not send the CNF through
    SAT simplification again. *)
 let test_driver_single_pass () =
   let tel = Absolver_telemetry.Telemetry.create () in
-  let pre = A.Preprocess.run ~telemetry:tel (unit_def_problem ()) in
+  let pre, _ = run_presolve ~telemetry:tel (unit_def_problem ()) in
   check bool_t "unit fed back" true (pre.A.Preprocess.stats.A.Preprocess.unit_defs >= 1);
   let calls name =
     match List.assoc_opt name (Absolver_telemetry.Telemetry.span_aggregates tel) with
@@ -509,7 +508,7 @@ c def real 1 x <= 3
 c bound x -100 100
 |}
   in
-  let pre = A.Preprocess.run p in
+  let pre, _ = run_presolve p in
   check bool_t "bounds tightened" true
     (pre.A.Preprocess.stats.A.Preprocess.tightened_bounds >= 1);
   let iv = Box.get pre.A.Preprocess.box 0 in

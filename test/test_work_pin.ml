@@ -51,6 +51,38 @@ let fischer6 () =
 
 let puzzle () = S.absolver_problem (snd (List.hd P.all))
 
+module AS = Absolver_sat.All_sat
+module T = Absolver_sat.Types
+
+(* Allocation guard: minor words per propagation over CDCL's searches
+   for the first 100 models of the FISCHER6 CNF, each blocked on the
+   problem's projection. The watch scan and the propagation loop
+   allocate nothing, so what remains is conflict analysis, learnt and
+   blocking clauses, well under a word per propagation; a closure or a
+   boxed value in the scan costs several words per visit. *)
+let test_alloc_guard () =
+  let p = fischer6 () in
+  let num_vars = A.Ab_problem.num_bool_vars p in
+  let projection =
+    match A.Ab_problem.projection p with Some vs -> vs | None -> List.init num_vars Fun.id
+  in
+  let t = AS.create ~phase:false AS.Incremental (AS.load ~num_vars (A.Ab_problem.clauses p)) in
+  let words = ref 0.0 and props = ref 0 in
+  let rec loop k =
+    let w0 = Gc.minor_words () in
+    let out = AS.next t in
+    words := !words +. (Gc.minor_words () -. w0);
+    props := !props + (AS.work t).T.propagations;
+    if out = T.Sat && k < 100 then begin
+      AS.block t (AS.blocking ~projection (AS.model t));
+      loop (k + 1)
+    end
+  in
+  loop 1;
+  let per = !words /. float_of_int !props in
+  if per >= 0.5 then
+    Alcotest.failf "%.0f minor words over %d propagations: %.2f per propagation" !words !props per
+
 let suite =
   [
     Alcotest.test_case "car_steering (Table 1)" `Slow
@@ -59,4 +91,6 @@ let suite =
     Alcotest.test_case "FISCHER6-1-fair (Table 2)" `Quick
       (pin fischer6 [ 113; 0; 11712; 366467; 150; 122 ]);
     Alcotest.test_case "first Table 3 puzzle" `Quick (pin puzzle [ 1; 0; 7; 348; 0; 0 ]);
+    Alcotest.test_case "FISCHER6 searches allocate under half a word per propagation" `Quick
+      test_alloc_guard;
   ]
