@@ -748,6 +748,9 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
       | Types.Unsat -> ()
       | Types.Unknown -> had_unknown := Some (sat_unknown_reason options)
       | Types.Sat ->
+        (* The handle's own array, refilled by the next model: checking
+           copies what a solution keeps, and the block is built before
+           the next search. *)
         handle_model (All_sat.model sat);
         loop ()
   in

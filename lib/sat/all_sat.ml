@@ -21,6 +21,8 @@ type t = {
      between. *)
   mutable seen : Types.stats;
   mutable work : Types.stats;
+  (* The last model read, refilled by every [model]. *)
+  mutable buf : bool array;
 }
 
 let load ~num_vars clauses =
@@ -42,6 +44,7 @@ let create ~phase strategy solver =
     stale = false;
     seen = Types.mk_stats ();
     work = Types.mk_stats ();
+    buf = [||];
   }
 
 let diff (a : Types.stats) (b : Types.stats) =
@@ -66,7 +69,11 @@ let next ?max_conflicts ?budget t =
     t.solver <- solver;
     t.seen <- Types.mk_stats ()
   end
-  else List.iter (Cdcl.add_clause t.solver) (List.rev t.pending);
+  else begin
+    match t.pending with
+    | [ clause ] -> Cdcl.add_blocking_clause t.solver clause
+    | pending -> List.iter (Cdcl.add_clause t.solver) (List.rev pending)
+  end;
   t.pending <- [];
   t.stale <- t.strategy = Restarting;
   let out = Cdcl.solve ?max_conflicts ?budget t.solver in
@@ -75,7 +82,12 @@ let next ?max_conflicts ?budget t =
   t.seen <- { now with Types.conflicts = now.Types.conflicts };
   out
 
-let model t = Cdcl.model t.solver
+let model t =
+  let n = Cdcl.num_vars t.solver in
+  if Array.length t.buf <> n then t.buf <- Array.make n false;
+  Cdcl.read_model t.solver t.buf;
+  t.buf
+
 let work t = t.work
 
 let block t clause = t.pending <- clause :: t.pending
@@ -87,7 +99,7 @@ let blocking ~projection model =
 
 let project ?projection model =
   match projection with
-  | None -> model
+  | None -> Array.copy model
   | Some vs ->
     let m = Array.make (Array.length model) false in
     List.iter (fun v -> m.(v) <- model.(v)) vs;

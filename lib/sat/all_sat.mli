@@ -41,14 +41,18 @@ val next :
     budget's reason left sticky as in {!Cdcl.solve}. *)
 
 val model : t -> bool array
-(** A fresh copy of the model the last [Sat] answer found. *)
+(** The model the last [Sat] answer found. The array is the handle's
+    own, refilled by each call: it stays valid until the next {!next},
+    and a caller that keeps a model copies it. *)
 
 val block : t -> Types.lit list -> unit
 (** Require every later model to satisfy the clause. The clause is
     queued and added at the start of the next {!next}, so adding it
-    (with [Incremental], a backtrack of the live solver to level 0)
     counts as that search's work; [Restarting] also keeps it for every
-    later rebuild. *)
+    later rebuild. With [Incremental], a single block of a clause the
+    last model falsifies keeps the trail a restart would rebuild
+    ({!Cdcl.add_blocking_clause}); several blocks are added at level 0
+    ({!Cdcl.add_clause}). *)
 
 val work : t -> Types.stats
 (** The SAT solver's work in the last {!next}, including the clauses added
@@ -57,10 +61,11 @@ val work : t -> Types.stats
 
 val blocking : projection:Types.var list -> bool array -> Types.lit list
 (** The clause that excludes [model]'s values on [projection] (ascending):
-    its negation, in descending variable order. {!Cdcl.add_clause} watches
-    the leading (highest) literals, and with phase saving consecutive
-    models flip late-decided, high variables first, so the watches sit
-    where models differ and survive most model-to-model deltas. Empty when
+    its negation, in descending variable order. The solver watches its
+    leading (highest) literals, or with trail reuse its highest ones
+    left unassigned, and with phase saving consecutive models flip
+    late-decided, high variables first, so the watches sit where models
+    differ and survive most model-to-model deltas. Empty when
     [projection] is. *)
 
 val enumerate :

@@ -39,7 +39,10 @@ type t = {
      per-variable arrays. *)
   mutable trail : int array;
   mutable trail_size : int;
-  trail_lim : int Vec.t;
+  (* Decision levels: level [k + 1] starts at [trail.(trail_lim.(k))],
+     for [k < levels]; [levels] is the current decision level. *)
+  mutable trail_lim : int array;
+  mutable levels : int;
   mutable qhead : int;
   (* Clause database. *)
   clauses : clause Vec.t;
@@ -59,6 +62,9 @@ type t = {
   mutable learnt_hook : (int list -> unit) option;
   (* Scratch for normalizing one clause before it is stored. *)
   mutable buf : int array;
+  (* [add_blocking_clause] left a trail for the next [solve] to go on
+     from, instead of starting at level 0. *)
+  mutable resume : bool;
 }
 
 let create ?theory () =
@@ -74,7 +80,8 @@ let create ?theory () =
     watches = Array.init 32 (fun _ -> Watches.create ~dummy:dummy_clause ());
     trail = Array.make 16 0;
     trail_size = 0;
-    trail_lim = Vec.create ~dummy:0 ();
+    trail_lim = Array.make 16 0;
+    levels = 0;
     qhead = 0;
     clauses = Vec.create ~dummy:dummy_clause ();
     learnts = Vec.create ~dummy:dummy_clause ();
@@ -89,6 +96,7 @@ let create ?theory () =
     max_learnts = 0.0;
     learnt_hook = None;
     buf = Array.make 16 0;
+    resume = false;
   }
 
 let num_vars s = s.nvars
@@ -232,8 +240,28 @@ let value s v =
   let a = s.assign.(v) in
   if a < 0 then V_undef else if a = 1 then V_true else V_false
 
-let model s = Array.init s.nvars (fun v -> s.assign.(v) = 1)
-let decision_level s = Vec.size s.trail_lim
+let level s v = s.level.(v)
+
+let read_model s (m : bool array) =
+  for v = 0 to s.nvars - 1 do
+    m.(v) <- s.assign.(v) = 1
+  done
+
+let model s =
+  let m = Array.make s.nvars false in
+  read_model s m;
+  m
+
+(* Open a decision level at the current end of the trail. *)
+let new_level s =
+  let k = s.levels in
+  if k = Array.length s.trail_lim then begin
+    let lim = Array.make (2 * k) 0 in
+    Array.blit s.trail_lim 0 lim 0 k;
+    s.trail_lim <- lim
+  end;
+  s.trail_lim.(k) <- s.trail_size;
+  s.levels <- k + 1
 
 (* ------------------------------------------------------------------ *)
 (* Activity bumping.                                                   *)
@@ -269,15 +297,15 @@ let enqueue s l reason =
   let v = l lsr 1 in
   assert (s.assign.(v) < 0);
   s.assign.(v) <- (l land 1) lxor 1;
-  s.level.(v) <- decision_level s;
+  s.level.(v) <- s.levels;
   s.reason.(v) <- reason;
   s.trail.(s.trail_size) <- l;
   s.trail_size <- s.trail_size + 1;
   (match s.theory with Some th -> th.t_on_assign l | None -> ())
 
 let cancel_until s lvl =
-  if decision_level s > lvl then begin
-    let bound = Vec.get s.trail_lim lvl in
+  if s.levels > lvl then begin
+    let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
       let l = s.trail.(i) in
       let v = l lsr 1 in
@@ -287,7 +315,7 @@ let cancel_until s lvl =
       heap_insert s v
     done;
     s.trail_size <- bound;
-    Vec.shrink s.trail_lim lvl;
+    s.levels <- lvl;
     s.qhead <- bound;
     match s.theory with Some th -> th.t_on_backtrack bound | None -> ()
   end
@@ -378,8 +406,8 @@ let propagate s =
 (* ------------------------------------------------------------------ *)
 (* Clause addition (level 0).                                          *)
 
-(* Everything below runs at decision level 0, where every assigned
-   variable is fixed for good. *)
+(* Everything below but [add_blocking_clause] runs at decision level 0,
+   where every assigned variable is fixed for good. *)
 
 let rec descending (a : int array) i n =
   i + 1 >= n || (a.(i) >= a.(i + 1) && descending a (i + 1) n)
@@ -425,8 +453,9 @@ let rec copy_lits (b : int array) i = function
     copy_lits b (i + 1) rest
 
 (* Normalize the clause in [s.buf.(0 .. n - 1)]: sort it descending, merge
-   duplicates and drop false literals. Returns the length left, or [-1]
-   when the clause is a tautology or already satisfied. *)
+   duplicates and drop the literals false at level 0. Returns the length
+   left, or [-1] when the clause is a tautology or already satisfied at
+   level 0. Assignments above level 0 are left alone. *)
 let normalize s n =
   let b = s.buf in
   sort_desc b n;
@@ -435,7 +464,8 @@ let normalize s n =
     let l = b.(!i) in
     incr i;
     if l <> !prev then begin
-      let a = s.assign.(l lsr 1) in
+      let v = l lsr 1 in
+      let a = if s.level.(v) = 0 then s.assign.(v) else -1 in
       if l lxor 1 = !prev || (a >= 0 && a lxor (l land 1) = 1) then begin
         m := -1;
         i := n
@@ -489,6 +519,81 @@ let add_clause s lits =
     if n = 1 && propagate s <> None then root_conflict s
   end
 
+(* Trail reuse (van der Tak, Ramos & Heule, JSAT 2011). After a model,
+   [add_clause] backtracks to level 0 and the search decides again what
+   the heap pops first: while that is the decision variable of the next
+   old level, propagation rebuilds the level as it was. Those levels are
+   kept instead, up to the first pop that differs. *)
+
+(* Pop the levels a restart would rebuild, given that the heap holds
+   every variable [cancel_until 0] would put there, and stop below level
+   [stop]. A pop assigned at a kept level is one the search would skip.
+   Returns the number of levels kept; the variable that differs stays on
+   top of the heap, for the search to decide. *)
+let rec keep_levels s kept stop =
+  if s.heap_size = 0 then kept
+  else
+    let v = s.heap.(0) in
+    let assigned = s.assign.(v) >= 0 and lv = s.level.(v) in
+    if assigned && lv <= kept then begin
+      ignore (heap_remove_min s);
+      keep_levels s kept stop
+    end
+    else if
+      assigned && lv = kept + 1 && lv < stop
+      && s.trail.(s.trail_lim.(kept)) lsr 1 = v
+    then begin
+      ignore (heap_remove_min s);
+      keep_levels s lv stop
+    end
+    else kept
+
+(* Swap the first unassigned literal of [s.buf] from position [k] on
+   into position [k]. *)
+let watch_unassigned s k =
+  let b = s.buf in
+  let j = ref k in
+  while s.assign.(b.(!j) lsr 1) >= 0 do incr j done;
+  let l = b.(!j) in
+  b.(!j) <- b.(k);
+  b.(k) <- l
+
+let add_blocking_clause s lits =
+  if s.levels = 0 || (not s.ok) || max_var 0 lits > s.nvars then add_clause s lits
+  else begin
+    reserve s (List.length lits);
+    let n = normalize s (copy_lits s.buf 0 lits) in
+    (* The two highest levels of its literals, when every one is false. *)
+    let falsified = ref (n >= 0) and top = ref 0 and second = ref 0 in
+    for i = 0 to n - 1 do
+      let l = s.buf.(i) in
+      let a = s.assign.(l lsr 1) in
+      if a < 0 || a lxor (l land 1) = 1 then falsified := false
+      else begin
+        let lv = s.level.(l lsr 1) in
+        if lv > !top then begin
+          second := !top;
+          top := lv
+        end
+        else if lv > !second then second := lv
+      end
+    done;
+    if (not !falsified) || !second = 0 then add_clause s lits
+    else begin
+      (* What [cancel_until 0] does to the heap, in its order. *)
+      for i = s.trail_size - 1 downto s.trail_lim.(0) do
+        heap_insert s (s.trail.(i) lsr 1)
+      done;
+      (* Below its second-highest level the clause has two unassigned
+         literals, and the levels a restart rebuilds are the same with it. *)
+      cancel_until s (keep_levels s 0 !second);
+      watch_unassigned s 0;
+      watch_unassigned s 1;
+      store s n;
+      s.resume <- true
+    end
+  end
+
 (* Run [f] without counting its propagations: level-0 work done before
    the search is presolve's, not the search's. *)
 let uncounted s f =
@@ -509,7 +614,7 @@ let probe_cap = 65_536
    and the decision heap are left as they were. *)
 let probe_lit s l =
   let mark = s.trail_size in
-  Vec.push s.trail_lim mark;
+  new_level s;
   enqueue s l dummy_clause;
   let ok = propagate s = None in
   for i = mark to s.trail_size - 1 do
@@ -518,7 +623,7 @@ let probe_lit s l =
     s.reason.(v) <- dummy_clause
   done;
   s.trail_size <- mark;
-  Vec.shrink s.trail_lim 0;
+  s.levels <- 0;
   s.qhead <- mark;
   (match s.theory with Some th -> th.t_on_backtrack mark | None -> ());
   ok
@@ -625,7 +730,7 @@ let load s clauses =
 
 let fixed s =
   List.init
-    (if decision_level s = 0 then s.trail_size else Vec.get s.trail_lim 0)
+    (if s.levels = 0 then s.trail_size else s.trail_lim.(0))
     (Array.get s.trail)
 
 let clauses s =
@@ -640,7 +745,7 @@ let analyze s confl =
   let counter = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
-  let cur_level = decision_level s in
+  let cur_level = s.levels in
   let c = ref confl in
   let continue_loop = ref true in
   while !continue_loop do
@@ -824,7 +929,7 @@ let search s budget assumptions conflict_budget =
     | Some confl ->
       s.stats.conflicts <- s.stats.conflicts + 1;
       incr conflicts_here;
-      if decision_level s = 0 then raise Found_unsat;
+      if s.levels = 0 then raise Found_unsat;
       let learnt, back_level = analyze s confl in
       (* Backjumping below the assumption prefix is fine: assumptions are
          re-pushed as decisions by level number on the way back down. *)
@@ -844,9 +949,9 @@ let search s budget assumptions conflict_budget =
           if not s.ok then raise Found_unsat;
           loop ())
       | None ->
-        if float_of_int (Vec.size s.learnts) >= s.max_learnts then reduce_db s;
+        if float_of_int s.learnts.Vec.size >= s.max_learnts then reduce_db s;
         (* Assumption handling: the first [n] decisions are the assumptions. *)
-        let dl = decision_level s in
+        let dl = s.levels in
         let next_decision =
           if dl < List.length assumptions then begin
             let a = List.nth assumptions dl in
@@ -854,11 +959,11 @@ let search s budget assumptions conflict_budget =
             | V_true ->
               (* Already satisfied: open an empty level to keep the
                  level/assumption correspondence. *)
-              Vec.push s.trail_lim s.trail_size;
+              new_level s;
               `Skip
             | V_false -> raise Assumption_failed
             | V_undef ->
-              Vec.push s.trail_lim s.trail_size;
+              new_level s;
               enqueue s a dummy_clause;
               `Skip
           end
@@ -881,7 +986,7 @@ let search s budget assumptions conflict_budget =
           end
           else begin
             s.stats.decisions <- s.stats.decisions + 1;
-            Vec.push s.trail_lim s.trail_size;
+            new_level s;
             let phase = s.saved_phase.(v) in
             enqueue s ((2 * v) + if phase then 0 else 1) dummy_clause;
             loop ()
@@ -893,7 +998,9 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int)
     ?(budget = Budget.unlimited) s =
   if not s.ok then Unsat
   else begin
-    cancel_until s 0;
+    let resume = s.resume && assumptions = [] in
+    s.resume <- false;
+    if not resume then cancel_until s 0;
     s.max_learnts <- max 1000.0 (float_of_int (Vec.size s.clauses) /. 3.0);
     let result = ref Unknown in
     (try

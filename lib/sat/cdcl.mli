@@ -51,6 +51,19 @@ val add_clause : t -> Types.lit list -> unit
     two highest literals. Adding the empty clause makes the instance
     permanently unsatisfiable. *)
 
+val add_blocking_clause : t -> Types.lit list -> unit
+(** Add a clause that the complete assignment of the last [Sat] answer
+    falsifies, such as the negation of that model, and keep the part of
+    the trail a restart would rebuild (trail reuse): the levels whose
+    decision variables the heap, refilled as a backtrack to level 0
+    would refill it, pops first, in order, below the clause's
+    second-highest literal level. The solver backjumps to the last kept
+    level and stores the clause as {!add_clause} would, watching its two
+    highest unassigned literals; the next {!solve} without assumptions
+    goes on from that trail. Otherwise (the solver is at level 0, the
+    clause is not falsified, or at most one of its literals is above
+    level 0) this is {!add_clause}. *)
+
 val load : t -> Types.lit list list -> unit
 (** Add a whole CNF at level 0: the bulk counterpart of {!add_clause},
     sharing its normalization. The variable arrays grow once, the unit
@@ -102,8 +115,15 @@ val solve :
 val value : t -> Types.var -> Types.value
 (** Value in the most recent model. *)
 
+val level : t -> Types.var -> int
+(** The decision level at which an assigned variable was assigned. *)
+
 val model : t -> bool array
 (** Snapshot of the model ([V_undef] variables default to [false]). *)
+
+val read_model : t -> bool array -> unit
+(** Write the model into the first {!num_vars} entries of the array, as
+    {!model} would return it. *)
 
 val is_unsat : t -> bool
 (** The clause set itself (independent of assumptions) was proven

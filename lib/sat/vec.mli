@@ -1,6 +1,9 @@
 (** Growable arrays, used pervasively by the solver's hot loops. *)
 
-type 'a t
+type 'a t = private { mutable data : 'a array; mutable size : int; dummy : 'a }
+(** Private, so that a hot loop can read [size] in place instead of
+    calling {!size}, an out-of-line call when libraries are compiled
+    with [-opaque]. *)
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 val size : 'a t -> int

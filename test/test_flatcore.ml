@@ -317,12 +317,16 @@ let enumeration_trace ?max_conflicts strategy ~limit solver =
   loop 0;
   Buffer.contents b
 
-(* Both strategies' traces of one CNF, as one digest. *)
-let enumeration_digest ?max_conflicts ~limit ~num_vars clauses =
-  let trace strategy =
-    enumeration_trace ?max_conflicts strategy ~limit (AS.load ~num_vars clauses)
-  in
-  Digest.to_hex (Digest.string (trace AS.Incremental ^ "|" ^ trace AS.Restarting))
+(* One strategy's trace of one CNF, as a digest. *)
+let enumeration_digest ?max_conflicts strategy ~limit ~num_vars clauses =
+  Digest.to_hex
+    (Digest.string
+       (enumeration_trace ?max_conflicts strategy ~limit (AS.load ~num_vars clauses)))
+
+(* The [Incremental] and the [Restarting] digest of one CNF. *)
+let digests ?max_conflicts ~limit ~num_vars clauses =
+  let d strategy = enumeration_digest ?max_conflicts strategy ~limit ~num_vars clauses in
+  (d AS.Incremental, d AS.Restarting)
 
 (* A random CNF around the 3-SAT threshold: 10..59 variables, 3.0..4.4
    clauses per variable, mostly ternary clauses with some binary ones.
@@ -342,7 +346,8 @@ let cdcl_identity_random () =
   let rand = Test_preprocess.lcg 19_830_207 in
   List.init 300 (fun _ ->
       let num_vars, clauses = random_cnf rand in
-      String.sub (enumeration_digest ~limit:40 ~num_vars clauses) 0 8)
+      let inc, rest = digests ~limit:40 ~num_vars clauses in
+      (String.sub inc 0 8, String.sub rest 0 8))
 
 (* [n + 1] pigeons in [n] holes: unsatisfiable, and for [n = 8] hard
    enough that a search stopped after 8,000 conflicts has restarted
@@ -365,97 +370,160 @@ let cdcl_identity_named () =
       match F.problem ~rounds:6 ~property:(F.Cs_within (Q.of_int 2)) ~n () with
       | Ok p ->
         ( Printf.sprintf "FISCHER%d" n,
-          enumeration_digest ~limit:30 ~num_vars:(A.Ab_problem.num_bool_vars p)
+          digests ~limit:30 ~num_vars:(A.Ab_problem.num_bool_vars p)
             (A.Ab_problem.clauses p) )
       | Error e -> Alcotest.failf "fischer: %s" e)
     [ 2; 4; 6 ]
   @
   let num_vars, clauses = pigeonhole 8 in
-  [ ("pigeonhole 9/8", enumeration_digest ~max_conflicts:8000 ~limit:1 ~num_vars clauses) ]
+  [ ("pigeonhole 9/8", digests ~max_conflicts:8000 ~limit:1 ~num_vars clauses) ]
 
-(* Digests of the enumerations above. They were produced by a VSIDS
-   heap that swapped the moving variable level by level; the solver must
-   reproduce them bit for bit until a change means to alter the decision
-   order. Those of FISCHER2/4/6 and of 19 of the 52 random CNFs with a
-   unit clause changed when the clauses began to be loaded in bulk: its
-   root propagation is not counted as the first search's work, and the
-   compaction after it leaves other watches than adding the clauses one
-   by one did. Every CNF without a unit clause kept its digest. *)
+(* Digests of the enumerations above, one per strategy. They were
+   produced by a VSIDS heap that swapped the moving variable level by
+   level; the solver must reproduce them bit for bit until a change
+   means to alter the decision order. Those of FISCHER2/4/6 and of 19 of
+   the 52 random CNFs with a unit clause changed when the clauses began
+   to be loaded in bulk: its root propagation is not counted as the
+   first search's work, and the compaction after it leaves other watches
+   than adding the clauses one by one did. The [Incremental] digests of
+   FISCHER4/6 and of 100 random CNFs changed again with trail reuse: a
+   block keeps the levels a restart would rebuild, so their searches
+   count fewer decisions and propagations, and the kept trail and the
+   new clause's watches can change the models' order. Every
+   [Restarting] digest stayed as it was. *)
 let cdcl_identity_named_pins =
   [
-    ("FISCHER2", "a341c3cff16268a8145edd14d9079198");
-    ("FISCHER4", "8a8bee923c401607a59b070a75bb1580");
-    ("FISCHER6", "26793caf87d6b2a4f01cad92bf7167f5");
-    ("pigeonhole 9/8", "855d0809d36729cf33a4b5320e902268");
+    ("FISCHER2", "b6a1dacc630f7e2b4da6ff08851486a6", "f6b0fa6bde34211625b701b7cbe438b6");
+    ("FISCHER4", "31df3c21ca717e7b83d9b753a21127f7", "e2461ea6dcdbee4cca71e7118ed17ea2");
+    ("FISCHER6", "d6e0c10b6c09ba18db286404b7b040ad", "4e952448ace4a940055404382f1341df");
+    ("pigeonhole 9/8", "aa8740a547ad5e9e2882d71f95df7a65", "aa8740a547ad5e9e2882d71f95df7a65");
   ]
 
-let cdcl_identity_random_pins =
+let cdcl_identity_incremental_pins =
   [|
-    "9e279d29"; "243cc8e3"; "bd78a1ff"; "8da51327"; "f0928713"; "d65958a1";
-    "a7bac49e"; "e5d0d68a"; "5f19adb8"; "cf95e3b7"; "db86a0e1"; "86cd1e36";
-    "a8d291ec"; "26c57926"; "175b1216"; "4d982d13"; "ea647d5e"; "24b39915";
-    "db1f29af"; "d1eaf940"; "f4872435"; "3db39b77"; "1df88b50"; "51efc73e";
-    "9a696cfc"; "b5830c70"; "b8ecb71e"; "af371239"; "d869fa5b"; "f2262a8b";
-    "05afe9ad"; "f78e5a71"; "d674136c"; "b711ab1c"; "240ba4f1"; "18e7b622";
-    "9751a38e"; "cf95e3b7"; "91a70d00"; "e21db868"; "d9f79392"; "57512d29";
-    "79a569e3"; "b253f228"; "0166e1af"; "80330787"; "a769ef6d"; "b1a87e83";
-    "35c7d7f9"; "1ce8fdeb"; "804be18c"; "513ea549"; "71f0f84d"; "60afb693";
-    "e6cd0d7d"; "b0ff62b2"; "6a3b0aef"; "34cf689e"; "d3186c8c"; "cf95e3b7";
-    "994b5d95"; "49d55f52"; "2d770a1b"; "a64a7a70"; "658be2c9"; "9f655ee4";
-    "764f80f6"; "d818f50c"; "b87a49f5"; "98ecf8cc"; "035dd688"; "5f2bb883";
-    "192a2a26"; "8471bf32"; "52e97ff2"; "1e7c01a1"; "2137583b"; "7aa9dfb0";
-    "bf4a329d"; "f9e7e9cb"; "7ddb7bb5"; "297d89de"; "ba55fc90"; "aee0d9d9";
-    "fe24b658"; "70cb2667"; "101dec5e"; "05628f67"; "cefee723"; "87b1793e";
-    "5e42be60"; "cda8429b"; "dda01360"; "63de1aa2"; "00b3cab7"; "2da14586";
-    "793b1fd3"; "86851c8f"; "d64baea4"; "8fd676b5"; "ed31ee39"; "8dc37816";
-    "402a01e0"; "a45d199b"; "7d430de0"; "81c8c496"; "07f0430b"; "eea9fcc5";
-    "1c70eadd"; "7e41e3d6"; "a6facc47"; "b11d20ba"; "15f8ef0b"; "dda01360";
-    "c2e1e59b"; "dd2b4f7d"; "6d311711"; "cddf7eaa"; "30da41e5"; "451803ae";
-    "0c2fb539"; "56fcfc9d"; "b23dbb9b"; "63e6ae90"; "cdd8afb4"; "9c8603d4";
-    "1dc90e66"; "0fb8d261"; "a58ff52b"; "9e833847"; "4a0c35d4"; "d68b9f1d";
-    "1d1ec6e4"; "6bbf6915"; "cf95e3b7"; "fec23cfe"; "80589637"; "17c89faa";
-    "36426e31"; "13036160"; "250421d1"; "aad7bee5"; "cf95e3b7"; "498c1c8a";
-    "9998c458"; "3a06c122"; "90bbd81a"; "ed8e0ef8"; "d5b1d1d7"; "25891a5d";
-    "bf642f4c"; "ff86e804"; "8a14f9a8"; "2dc35332"; "9f435c8c"; "6c380e1a";
-    "68648084"; "85e5742e"; "b7e863d9"; "3068289e"; "026f98ca"; "9dcc830e";
-    "2f71003d"; "caabb23f"; "5c894619"; "51ac0b40"; "841202ff"; "1656696d";
-    "415495f1"; "0960f8f2"; "2905bdd4"; "fe2d900c"; "cf95e3b7"; "59d7b415";
-    "a0b71746"; "290d1905"; "465ba7be"; "9cbe1c37"; "55006844"; "5d07f668";
-    "34101ff5"; "6761697e"; "f4fe83c4"; "0d0fad9c"; "715d8e45"; "34a4e591";
-    "9f9050a5"; "175580d1"; "e6f4e524"; "9997d9fc"; "aac5986d"; "0a67cdfe";
-    "481b7618"; "5c37c9c9"; "111d10bd"; "27e1c269"; "45fef631"; "95a72cc8";
-    "9c06af66"; "e3649e7a"; "fb38d2fb"; "e4f77ee9"; "a90630a2"; "b3dd1b66";
-    "9f11a123"; "0be4a0ca"; "569dad0d"; "bf30e9be"; "31b72f33"; "93ab6033";
-    "af780ef3"; "c658b928"; "bf23af0a"; "acf6997f"; "7af1649e"; "8dd7af60";
-    "3f8a4164"; "3d0dcebf"; "b7e833b3"; "76ca83a7"; "c51b2fc7"; "dd2bb27f";
-    "e889d51e"; "9d9a6755"; "67f921da"; "ff7261e2"; "22fc4ed6"; "5e71c9a6";
-    "c7d5739e"; "173cabbe"; "63729c74"; "c3cfe531"; "76875622"; "4145cd99";
-    "fd49201f"; "36036c7a"; "74075425"; "3749b8ad"; "aea07534"; "cd82ea95";
-    "21961372"; "448635ab"; "cdb603e7"; "2004add1"; "290ec09c"; "56d4481c";
-    "5e3f3d70"; "dcccfb01"; "5e4a6dc4"; "6a99bdff"; "343306eb"; "af4d39a0";
-    "de36273e"; "cd0227df"; "073ba229"; "e354117d"; "61e38bc4"; "32837dc8";
-    "5e7c7b18"; "5af30d74"; "5047c55b"; "1041fa96"; "43c5b0f2"; "13c652ab";
-    "e8b46fa3"; "65a35b2f"; "5989c64e"; "03c2e5ad"; "6f38f735"; "3179ff89";
-    "ecb2a52b"; "a9c0bf6e"; "67863107"; "89e9112a"; "e0cb814e"; "738f5cec";
-    "39354f29"; "f046f06c"; "e8853256"; "c74909f3"; "4f1dc174"; "966d90da";
-    "297d89de"; "438cc064"; "3dea05d0"; "bfb03e79"; "b02ac02e"; "6f737779";
-    "06222ac1"; "9ffbf11e"; "331f55a8"; "1e393633"; "af696108"; "140597a2";
-    "ec7ddf1b"; "98ef0cc7"; "ab39a9bb"; "b1627b25"; "dc555894"; "4fc52774";
+    "9567d79b"; "25787462"; "5c54d57d"; "28fb4560"; "742e65d7"; "3caf5024";
+    "ae001c92"; "5300a887"; "1e357ed9"; "794d6c83"; "002409bc"; "b9de56c4";
+    "3d702be4"; "5826be22"; "abdc726d"; "9a637476"; "6c12d84f"; "da3c611a";
+    "dbbbc637"; "15c588b1"; "f3efbb4a"; "a0ddd80d"; "9c284ef2"; "5839d47f";
+    "cacb00d6"; "22dcee32"; "10cdef17"; "a6b04a38"; "5d57c498"; "84aa345f";
+    "cdff7d2a"; "966aceaa"; "33c7016f"; "93fb6397"; "db60102f"; "76b48f8e";
+    "f8757ded"; "794d6c83"; "b8f05823"; "50eef297"; "53860df0"; "0a057cd1";
+    "d640b867"; "619c5772"; "2a11152e"; "dda29217"; "c40ee7f6"; "97705033";
+    "f2db4a03"; "1587d0ef"; "7bc36ce3"; "fec643b7"; "741b7609"; "b4599d87";
+    "855ec848"; "5e905534"; "7c47078c"; "4864c4e4"; "388b547a"; "794d6c83";
+    "bbd7947d"; "998682fe"; "b2715a45"; "ec15abdb"; "07752921"; "31d87874";
+    "7d721e35"; "b6b49a44"; "ffec402f"; "68e7e1a6"; "63a7e9dc"; "5f0823a4";
+    "4a6f9057"; "845cca2a"; "19b3fd60"; "45fb5efb"; "6cf731a1"; "8cf396cc";
+    "ba5f2ca4"; "890911e5"; "30e1e039"; "987c9398"; "c7eac006"; "a5a4e7dc";
+    "8b35c17d"; "9266ef36"; "b0172fc0"; "de9f15fb"; "538cb086"; "123ef6c5";
+    "c3d2e2b1"; "5e70ae67"; "3ed70c6f"; "d02aeecc"; "5cd3fdb6"; "11122367";
+    "8594baf0"; "0687105a"; "998aa8ca"; "d2a39b16"; "36e3452a"; "633c3c46";
+    "ac2d571c"; "80c06954"; "45a9535b"; "64b5dded"; "13ef50aa"; "49670e39";
+    "86f101ea"; "52e6657f"; "fba9916a"; "4dd39f67"; "71b641fe"; "3ed70c6f";
+    "64062b28"; "b9ee10f6"; "42274b28"; "e1ad5c17"; "375debdd"; "c26a2013";
+    "8a715965"; "d92c3cd5"; "a1fa59b0"; "9692be02"; "b6c6b3a4"; "eb1dd244";
+    "6ddb9515"; "c3b7c3cd"; "9601db28"; "681351a8"; "48f0d1d4"; "5e8b2ecb";
+    "780961cb"; "159402f2"; "794d6c83"; "0b82e972"; "fd912d4a"; "cc01170f";
+    "7210287a"; "8fd7100d"; "3c6acbb4"; "41669b89"; "794d6c83"; "37d76510";
+    "61499acf"; "19a8e9d9"; "6c741d42"; "1b1e2dfc"; "0ab863e2"; "34c63902";
+    "782784f3"; "ea6045ea"; "d33516a6"; "f0347a4b"; "062be407"; "bd47feda";
+    "5d255b12"; "6a0e12a0"; "4fa1906e"; "0233d19f"; "0d0090cd"; "353cb28b";
+    "e574d2c4"; "01549fce"; "26533bcf"; "0bf4ebdf"; "cc793ecf"; "42d773ff";
+    "a09de6ba"; "4a324a18"; "f6f03bb9"; "43128173"; "794d6c83"; "e5fd8ebc";
+    "196cc9f7"; "4b38d96f"; "2b36de58"; "2ba5b3bf"; "436490d8"; "9d45ff43";
+    "6acbe700"; "8907a4eb"; "5e3b057b"; "528b77c1"; "d1b58cce"; "72f6aefa";
+    "847e5bf0"; "725dafa5"; "2a9df74b"; "c00cdc92"; "76642f42"; "1ed88979";
+    "0ebad92c"; "8a0f6a0b"; "6a5d0087"; "fa8e2849"; "adcca712"; "85a5ce9c";
+    "a376ba7d"; "ab1de11f"; "5026652c"; "44baa307"; "183d28e0"; "e111dda6";
+    "6f977ab4"; "9ec21394"; "8500bb93"; "5ec7c9cf"; "8191472f"; "b9a6db73";
+    "27d1b503"; "5c7c53b0"; "10351fee"; "250e6213"; "1597809b"; "ec1453fe";
+    "b01ab571"; "1041fe9f"; "5257107e"; "1451cd56"; "6aca2ab6"; "8a3d5b19";
+    "47343a2b"; "6bfe1663"; "ac24843d"; "de1297f8"; "16485c48"; "a03b6a23";
+    "a7964804"; "4b134474"; "8f22c3de"; "75a35bae"; "870dc121"; "dd1f16d8";
+    "7cc487ac"; "10143762"; "9828f2b5"; "b75b1abe"; "4edd34b3"; "59710b25";
+    "f419bee9"; "ac08b74c"; "25b891b6"; "11853da9"; "2aff15a1"; "2fec396b";
+    "2e8e8b1d"; "42a1ca81"; "4ce60b2b"; "51bd67bb"; "3e1ad49f"; "726e0be2";
+    "76c2bdc5"; "7e99fa34"; "acec247a"; "779470e4"; "8462196b"; "b4e3a542";
+    "9c54d01f"; "95f15eec"; "96cc44d8"; "330c7abd"; "33c1f49e"; "6050982f";
+    "acfd70f2"; "d345f660"; "96bdeb38"; "fe7bc4ca"; "5ed300d4"; "7e05bc1f";
+    "763db5d2"; "c1151ec3"; "c3a77e9b"; "8b189172"; "db51f7a5"; "4bbb97d2";
+    "5e645fcd"; "c91eee11"; "e8a42035"; "7240a80b"; "37f67674"; "145a99f8";
+    "987c9398"; "9e5caf3d"; "854847f2"; "e459dac0"; "a999f8b0"; "52d568e6";
+    "32e0e19c"; "9ee1d883"; "c1137022"; "bdf67ce2"; "d24f6d26"; "31dfefa3";
+    "25158b96"; "634c64b0"; "6945a47d"; "2205e826"; "4afbb65b"; "bb2a5446";
+  |]
+
+let cdcl_identity_restarting_pins =
+  [|
+    "9567d79b"; "25787462"; "5c54d57d"; "68d0de83"; "31dd1f1a"; "334261ef";
+    "cec32b8b"; "cb7f8b63"; "1e357ed9"; "794d6c83"; "fb15fe52"; "ad2e19ff";
+    "3d702be4"; "07c71637"; "abdc726d"; "9986fadd"; "e3769f34"; "6e890f8f";
+    "499567c4"; "f0788622"; "7da5ed7f"; "d556df1c"; "9c284ef2"; "0936b9a4";
+    "ee5c4d5c"; "22dcee32"; "7fc29364"; "ffc447ec"; "f59b536d"; "5dd11be8";
+    "cdff7d2a"; "08248cc3"; "33c7016f"; "93fb6397"; "ede76dda"; "bfadcce3";
+    "df5744b5"; "794d6c83"; "43b527d3"; "389e849a"; "942b5177"; "cb93fe69";
+    "d640b867"; "619c5772"; "44f87b7b"; "6bb28db2"; "674539e2"; "97705033";
+    "ef392f5e"; "ed4df52f"; "8ee8855b"; "fec643b7"; "65b9dfb1"; "c0315ee3";
+    "e591cd21"; "5e905534"; "0953bf2f"; "11553868"; "eb95bf09"; "794d6c83";
+    "bbd7947d"; "998682fe"; "b2715a45"; "ec15abdb"; "07752921"; "31d87874";
+    "4a86ffb9"; "2699fc70"; "ebb920f8"; "68e7e1a6"; "052c0e7e"; "5f0823a4";
+    "b80eeb07"; "a9573971"; "ca6be19a"; "9bcb2757"; "f16ebb62"; "a945bbe3";
+    "b689dca0"; "366238fb"; "30e1e039"; "987c9398"; "c7eac006"; "710797aa";
+    "8b35c17d"; "9266ef36"; "b0172fc0"; "085983d4"; "db3bd0c2"; "970678ea";
+    "c3d2e2b1"; "6fb95ffd"; "3ed70c6f"; "d02aeecc"; "6088310b"; "1b0090cb";
+    "3b3da990"; "4d3a9286"; "daa7b7d6"; "5c655216"; "36e3452a"; "633c3c46";
+    "ac2d571c"; "80c06954"; "45a9535b"; "64b5dded"; "13ef50aa"; "49670e39";
+    "a1ce573a"; "52e6657f"; "fba9916a"; "4dd39f67"; "4568da69"; "3ed70c6f";
+    "0eea674c"; "175e0114"; "bcda0138"; "1951a0eb"; "375debdd"; "693a0ef4";
+    "8a715965"; "de0eefa6"; "9cdb380d"; "b9c4bc8d"; "b6c6b3a4"; "0c82011f";
+    "1cb7fb24"; "c3b7c3cd"; "9601db28"; "681351a8"; "3b42358f"; "5e8b2ecb";
+    "33786fcc"; "159402f2"; "794d6c83"; "0b82e972"; "fd912d4a"; "58af1fe9";
+    "7210287a"; "12a9b2d5"; "2a7c58b6"; "41669b89"; "794d6c83"; "08051674";
+    "61499acf"; "19a8e9d9"; "67991c24"; "1b1e2dfc"; "445a66bc"; "50a2cdfe";
+    "782784f3"; "ea6045ea"; "14a17e40"; "f0347a4b"; "062be407"; "b4e624b1";
+    "f926bf87"; "cd0dd708"; "33fdaebf"; "0233d19f"; "0d0090cd"; "5d170518";
+    "e574d2c4"; "01549fce"; "26533bcf"; "0bf4ebdf"; "5c9b20b5"; "5cac7aaa";
+    "a09de6ba"; "2aa56bf4"; "95d49925"; "43128173"; "794d6c83"; "e5fd8ebc";
+    "4fe3baa5"; "2a8bffd2"; "2b36de58"; "2ba5b3bf"; "436490d8"; "ea849f2c";
+    "d3a18932"; "8907a4eb"; "315ddf25"; "268d74ab"; "14208590"; "72f6aefa";
+    "636d6054"; "e612e485"; "2a9df74b"; "4e7bef26"; "816950ce"; "1ed88979";
+    "0ebad92c"; "c685dce8"; "6a5d0087"; "fa8e2849"; "b2dd1638"; "85a5ce9c";
+    "a8ad6b1f"; "ab1de11f"; "5026652c"; "8f91973c"; "2c089310"; "24b24655";
+    "1c144d4a"; "d60c2039"; "8500bb93"; "5ec7c9cf"; "85a929a1"; "832c2268";
+    "27d1b503"; "5c7c53b0"; "10351fee"; "35f0ee51"; "1597809b"; "ec1453fe";
+    "a25c4d7b"; "1041fe9f"; "7bf112f9"; "c3cd0f02"; "eae3fbc7"; "9dd2e14e";
+    "47343a2b"; "e568c89a"; "eee0dccf"; "3e7d119e"; "16485c48"; "4c39922f";
+    "18f58098"; "7d13ce02"; "8f22c3de"; "b6354515"; "870dc121"; "dd1f16d8";
+    "a8f26741"; "10143762"; "14ac1fd1"; "8ac4fd6d"; "bb709c38"; "59710b25";
+    "f419bee9"; "ac08b74c"; "25b891b6"; "11853da9"; "05bfd4f5"; "2fec396b";
+    "2e8e8b1d"; "268a7ede"; "4ce60b2b"; "51bd67bb"; "3e1ad49f"; "726e0be2";
+    "2be60bb5"; "7e99fa34"; "60fe0095"; "72693efe"; "8462196b"; "2bf33fbb";
+    "9c54d01f"; "95f15eec"; "b5797fea"; "330c7abd"; "02c2ef0f"; "c971db76";
+    "acfd70f2"; "556e4095"; "3b131793"; "fe7bc4ca"; "ec38d6d1"; "7e05bc1f";
+    "55aeaf2d"; "c1151ec3"; "79acbf0f"; "48c50b9a"; "8230c83f"; "126758ef";
+    "3426fd16"; "1f0a6c1f"; "8ec9a55c"; "0891be6e"; "768290b2"; "145a99f8";
+    "987c9398"; "f9f05f92"; "d4a8a325"; "e459dac0"; "d6d828d5"; "331e7f31";
+    "74dd4923"; "a3f96a42"; "37c64506"; "bdf67ce2"; "d24f6d26"; "31dfefa3";
+    "a9a65036"; "634c64b0"; "cf98d452"; "2205e826"; "4afbb65b"; "bb2a5446";
   |]
 
 let test_cdcl_identity_random () =
   List.iteri
-    (fun i got ->
+    (fun i (inc, rest) ->
       check string_t
-        (Printf.sprintf "random CNF %d: enumeration digest" i)
-        cdcl_identity_random_pins.(i) got)
+        (Printf.sprintf "random CNF %d: Incremental digest" i)
+        cdcl_identity_incremental_pins.(i) inc;
+      check string_t
+        (Printf.sprintf "random CNF %d: Restarting digest" i)
+        cdcl_identity_restarting_pins.(i) rest)
     (cdcl_identity_random ())
 
 let test_cdcl_identity_named () =
   List.iter2
-    (fun (name, pinned) (name', got) ->
+    (fun (name, inc, rest) (name', (inc', rest')) ->
       check string_t "input order" name name';
-      check string_t (name ^ ": enumeration digest") pinned got)
+      check string_t (name ^ ": Incremental digest") inc inc';
+      check string_t (name ^ ": Restarting digest") rest rest')
     cdcl_identity_named_pins (cdcl_identity_named ())
 
 (* ------------------------------------------------------------------ *)
@@ -472,7 +540,7 @@ let all_models solver =
   let rec loop acc =
     match AS.next t with
     | T.Sat ->
-      let m = AS.model t in
+      let m = Array.copy (AS.model t) in
       AS.block t (AS.blocking ~projection:(List.init (Array.length m) Fun.id) m);
       loop (m :: acc)
     | T.Unsat | T.Unknown -> List.sort compare acc
@@ -560,6 +628,178 @@ let test_probe_leaves_no_trace () =
   check bool_t "probing fixed literals in some CNFs" true (!fixing > 10);
   check bool_t "most CNFs compared" true (!compared > 100)
 
+(* ------------------------------------------------------------------ *)
+(* Trail reuse.                                                          *)
+
+let lit_true (m : bool array) l = m.(l lsr 1) = (l land 1 = 0)
+let satisfies m clause = List.exists (lit_true m) clause
+
+(* The models of [clauses] over [nvars] variables, projected on
+   [projection], sorted, each once. *)
+let brute_force nvars clauses projection =
+  let acc = ref [] in
+  for bits = 0 to (1 lsl nvars) - 1 do
+    let m = Array.init nvars (fun v -> bits land (1 lsl v) <> 0) in
+    if List.for_all (satisfies m) clauses then
+      acc := List.map (fun v -> m.(v)) projection :: !acc
+  done;
+  List.sort_uniq compare !acc
+
+(* A random CNF over 3..12 variables with 0.5..2.5 clauses per variable
+   of two or three literals, and a unit clause in one CNF of three. Few
+   searches conflict, so most variables keep activity 0 and the heap
+   orders them by position alone. *)
+let tied_cnf rand =
+  let nvars = 3 + rand 10 in
+  let lit () = if rand 2 = 0 then T.pos (rand nvars) else T.neg_of_var (rand nvars) in
+  let clauses =
+    List.init (nvars * (5 + rand 21) / 10) (fun _ -> List.init (2 + rand 2) (fun _ -> lit ()))
+  in
+  (nvars, if rand 3 = 0 then [ lit () ] :: clauses else clauses)
+
+(* An [Incremental] enumeration blocking each model on a random
+   projection: every model satisfies the CNF and every clause blocked
+   before it, and the projected models are exactly the brute-force
+   ones, each found once. *)
+let block_keeps_models =
+  QCheck.Test.make ~name:"cdcl: trail reuse finds every model once" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rand = Test_preprocess.lcg seed in
+      let nvars, clauses = tied_cnf rand in
+      let projection = List.filter (fun _ -> rand 4 > 0) (List.init nvars Fun.id) in
+      let t =
+        AS.create ~phase:(rand 2 = 0) AS.Incremental (AS.load ~num_vars:nvars clauses)
+      in
+      let rec loop blocked found =
+        match AS.next t with
+        | T.Sat ->
+          let m = AS.model t in
+          if not (List.for_all (satisfies m) clauses && List.for_all (satisfies m) blocked)
+          then QCheck.Test.fail_report "a model falsifies a clause"
+          else
+            let found = List.map (fun v -> m.(v)) projection :: found in
+            let clause = AS.blocking ~projection m in
+            if clause = [] then found
+            else begin
+              AS.block t clause;
+              loop (clause :: blocked) found
+            end
+        | T.Unsat -> found
+        | T.Unknown -> QCheck.Test.fail_report "unknown"
+      in
+      List.sort compare (loop [] []) = brute_force nvars clauses projection)
+
+(* The solver of a fresh load of [clauses] at its [k + 1]th model, after
+   [k] models each blocked on every variable with trail reuse; [None]
+   when there are fewer models. *)
+let at_model ~num_vars clauses k =
+  let s = AS.load ~num_vars clauses in
+  let rec go i =
+    if Cdcl.solve s <> T.Sat then None
+    else if i = k then Some s
+    else begin
+      let m = Cdcl.model s in
+      Cdcl.add_blocking_clause s (AS.blocking ~projection:(List.init (Array.length m) Fun.id) m);
+      go (i + 1)
+    end
+  in
+  go 0
+
+(* Add [clause] with [add], search once, and return the outcome, the
+   model, and the search's decisions, propagations and conflicts. *)
+let search_after add s clause =
+  let st = Cdcl.stats s in
+  let d = st.T.decisions and p = st.T.propagations and c = st.T.conflicts in
+  add s clause;
+  let out = Cdcl.solve s in
+  let st = Cdcl.stats s in
+  (out, Cdcl.model s, st.T.decisions - d, st.T.propagations - p, st.T.conflicts - c)
+
+(* The negations of the model's literals on [vars]. *)
+let negation s vars =
+  let m = Cdcl.model s in
+  List.map (fun v -> if m.(v) then T.neg_of_var v else T.pos v) vars
+
+(* A clause blocked after a model keeps only what a restart would
+   rebuild. On 300 CNFs, half with many activity ties and half around
+   the 3-SAT threshold (whose conflicts order the heap, so that blocks
+   keep levels), at each of their first eight models, three clauses the model falsifies are added both with
+   trail reuse and at level 0 ({!Cdcl.add_clause}) to two copies of the
+   solver: the whole model's negation, the negations of two variables
+   of the top decision level, and the negation of one variable above
+   level 0 together with every root literal. Both copies answer alike,
+   and a model after reuse satisfies the clause. Where the level-0 copy
+   searches without a conflict, reuse finds the same model with no more
+   decisions or propagations. The last clause has only one literal above
+   level 0, so reuse must leave exactly the state {!Cdcl.add_clause}
+   leaves, as a clause added at level 0, before any search, must. *)
+let test_trail_reuse_edges () =
+  let rand = Test_preprocess.lcg 20_110_302 in
+  let kept = ref 0 and same_model = ref 0 and root_only = ref 0 in
+  for i = 1 to 300 do
+    let num_vars, clauses = if i mod 2 = 0 then tied_cnf rand else random_cnf rand in
+    let tag = Printf.sprintf "CNF %d" i in
+    let lit () = if rand 2 = 0 then T.pos (rand num_vars) else T.neg_of_var (rand num_vars) in
+    let c = List.init (1 + rand 3) (fun _ -> lit ()) in
+    let reuse = AS.load ~num_vars clauses and plain = AS.load ~num_vars clauses in
+    Cdcl.add_blocking_clause reuse c;
+    Cdcl.add_clause plain c;
+    check string_t (tag ^ ": blocked at level 0") (solver_trace plain) (solver_trace reuse);
+    let rec models k =
+      match at_model ~num_vars clauses k with
+      | None -> ()
+      | Some s ->
+        let vars = List.init (Cdcl.num_vars s) Fun.id in
+        let at_level l = List.filter (fun v -> Cdcl.level s v = l) vars in
+        let top = List.fold_left (fun acc v -> max acc (Cdcl.level s v)) 0 vars in
+        let above = List.filter (fun v -> Cdcl.level s v > 0) vars in
+        (* Each clause's variables, and whether it has a single literal
+           above level 0. *)
+        let kinds =
+          [
+            ("model", Some vars, false);
+            ( "two at the top level",
+              (match at_level top with a :: b :: _ -> Some [ a; b ] | _ -> None),
+              false );
+            ( "one above level 0",
+              (match above with v :: _ -> Some (v :: at_level 0) | [] -> None),
+              true );
+          ]
+        in
+        List.iter
+          (fun (name, vs, root_only_clause) ->
+            match vs with
+            | None -> ()
+            | Some vs ->
+              let tag = Printf.sprintf "%s, model %d, %s" tag k name in
+              let clause = negation s vs in
+              let reuse = Option.get (at_model ~num_vars clauses k) in
+              let plain = Option.get (at_model ~num_vars clauses k) in
+              let o1, m1, d1, p1, _ = search_after Cdcl.add_blocking_clause reuse clause in
+              let o2, m2, d2, p2, c2 = search_after Cdcl.add_clause plain clause in
+              check bool_t (tag ^ ": same answer") true (o1 = o2);
+              if o1 = T.Sat then check bool_t (tag ^ ": clause holds") true (satisfies m1 clause);
+              if o1 = T.Sat && c2 = 0 then begin
+                incr same_model;
+                check bool_t (tag ^ ": same model") true (m1 = m2);
+                check bool_t (tag ^ ": no more work") true (d1 <= d2 && p1 <= p2);
+                if d1 < d2 then incr kept
+              end;
+              if root_only_clause then begin
+                incr root_only;
+                check bool_t (tag ^ ": same stats") true (Cdcl.stats reuse = Cdcl.stats plain);
+                check string_t (tag ^ ": same searches") (solver_trace plain) (solver_trace reuse)
+              end)
+          kinds;
+        if k < 7 then models (k + 1)
+    in
+    models 0
+  done;
+  check bool_t "most blocks compared by model" true (!same_model > 1500);
+  check bool_t "some blocks kept levels" true (!kept > 80);
+  check bool_t "many clauses had one literal above level 0" true (!root_only > 1000)
+
 let suite =
   [
     Alcotest.test_case "small-rational differential vs bigint reference" `Quick
@@ -583,4 +823,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false bulk_load_matches_sequential;
     Alcotest.test_case "cdcl: a probe leaves phases, heap and stats alone" `Quick
       test_probe_leaves_no_trace;
+    QCheck_alcotest.to_alcotest ~long:false block_keeps_models;
+    Alcotest.test_case "cdcl: a blocked model keeps what a restart rebuilds" `Quick
+      test_trail_reuse_edges;
   ]

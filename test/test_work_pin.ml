@@ -89,7 +89,7 @@ let suite =
       (pin ~registry:steering_registry Absolver_model.Steering.problem
          [ 10; 4207; 69; 93; 1; 5 ]);
     Alcotest.test_case "FISCHER6-1-fair (Table 2)" `Quick
-      (pin fischer6 [ 113; 0; 11712; 366467; 150; 122 ]);
+      (pin fischer6 [ 110; 0; 10552; 216683; 150; 112 ]);
     Alcotest.test_case "first Table 3 puzzle" `Quick (pin puzzle [ 1; 0; 7; 348; 0; 0 ]);
     Alcotest.test_case "FISCHER6 searches allocate under half a word per propagation" `Quick
       test_alloc_guard;
