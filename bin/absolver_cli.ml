@@ -111,35 +111,14 @@ let solve_cmd =
                  the GC's minor counters) before the run degrades to \
                  unknown.")
   in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the nonlinear branch-and-prune oracle. \
-                 1 (the default) is the historical sequential search, \
-                 bit-for-bit; N>1 runs the box worklist as a work-stealing \
-                 frontier with identical SAT/UNSAT verdicts.")
-  in
-  let portfolio =
-    Arg.(value & flag & info [ "portfolio" ]
-           ~doc:"Race the ABSOLVER pipeline against the DPLL(T) baselines \
-                 on separate domains; the first definitive verdict wins \
-                 and cancels the losers.")
-  in
   let run file all_models limit bool_solver minimize no_presolve no_incremental
       verbose stats_flag stats_json trace metrics_file timeout
-      max_steps mem_budget jobs portfolio =
+      max_steps mem_budget =
     match (read_problem file, registry_of_name bool_solver) with
     | Error e, _ | _, Error e ->
       prerr_endline e;
       1
     | Ok problem, Ok registry ->
-      let registry =
-        if jobs > 1 then
-          {
-            registry with
-            A.Registry.nonlinear = [ A.Registry.branch_prune_solver ~jobs () ];
-          }
-        else registry
-      in
       let trace_oc = Option.map open_out trace in
       let tel =
         if stats_flag || stats_json <> None || trace_oc <> None
@@ -164,18 +143,16 @@ let solve_cmd =
           budget;
         }
       in
-      (* Shared epilogue: human summary, JSON dump, trace flush. *)
-      let write_metrics () =
-        match metrics_file with
+      (* Shared epilogue: metrics file, human summary, JSON dump, trace
+         flush. *)
+      let finish stats =
+        Telemetry.close tel;
+        (match metrics_file with
         | None -> ()
         | Some path ->
           let oc = open_out path in
           output_string oc (Absolver_telemetry.Prometheus.render tel);
-          close_out oc
-      in
-      let finish stats =
-        Telemetry.close tel;
-        write_metrics ();
+          close_out oc);
         if stats_flag then begin
           Format.printf "%a@." A.Engine.pp_run_stats stats;
           if Telemetry.enabled tel then
@@ -218,25 +195,6 @@ let solve_cmd =
           finish stats;
           0
       end
-      else if portfolio then begin
-        let result, winner =
-          Absolver_baselines.Portfolio.solve ~registry ~options problem
-        in
-        Format.printf "%a@." (A.Engine.pp_result problem) result;
-        (match winner with
-        | Some name -> Printf.printf "portfolio winner: %s\n" name
-        | None -> ());
-        Telemetry.close tel;
-        write_metrics ();
-        if stats_flag && Telemetry.enabled tel then
-          Format.printf "%a@." Telemetry.pp_summary tel;
-        Option.iter close_out trace_oc;
-        match result with
-        | A.Engine.R_sat _ -> 0
-        | A.Engine.R_unsat -> 20
-        | A.Engine.R_unknown _ ->
-          if Budget.tripped budget <> None then 0 else 30
-      end
       else begin
         let result, stats = A.Engine.solve ~registry ~options problem in
         Format.printf "%a@." (A.Engine.pp_result problem) result;
@@ -256,8 +214,7 @@ let solve_cmd =
     Term.(
       const run $ file $ all_models $ limit $ bool_solver $ minimize
       $ no_presolve $ no_incremental $ verbose $ stats_flag
-      $ stats_json $ trace $ metrics_file $ timeout $ max_steps $ mem_budget
-      $ jobs $ portfolio)
+      $ stats_json $ trace $ metrics_file $ timeout $ max_steps $ mem_budget)
 
 (* ---- convert ---- *)
 

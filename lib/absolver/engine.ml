@@ -12,7 +12,6 @@ module Telemetry = Absolver_telemetry.Telemetry
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
 module Err = Absolver_resource.Absolver_error
-module Pool = Absolver_parallel.Pool
 
 type options = {
   minimize_conflicts : bool;
@@ -820,63 +819,6 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   absorb_alloc tel stats a0;
   (result, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio mode: race whole solvers on separate domains.             *)
-(* ------------------------------------------------------------------ *)
-
-(* A competitor is any complete decision procedure for AB-problems.  The
-   closures live here (rather than a concrete engine-vs-baselines list)
-   because the baselines library depends on this one; the concrete wiring
-   is in [Absolver_baselines.Portfolio]. *)
-type competitor = {
-  cp_name : string;
-  cp_solve :
-    budget:Budget.t -> telemetry:Telemetry.t -> Ab_problem.t -> result;
-}
-
-let engine_competitor ?(registry = Registry.default)
-    ?(options = default_options) ?(name = "absolver") () =
-  {
-    cp_name = name;
-    cp_solve =
-      (fun ~budget ~telemetry problem ->
-        let options = { options with budget; telemetry } in
-        fst (solve ~registry ~options problem));
-  }
-
-let solve_portfolio ?(options = default_options) ~competitors problem =
-  let tel = options.telemetry in
-  let decisive = function R_sat _ | R_unsat -> true | R_unknown _ -> false in
-  Telemetry.span tel "portfolio"
-    ~attrs:[ ("competitors", Telemetry.Int (List.length competitors)) ]
-    (fun () ->
-      let entrants =
-        List.map
-          (fun c ->
-            ( c.cp_name,
-              fun ~budget ~telemetry -> c.cp_solve ~budget ~telemetry problem
-            ))
-          competitors
-      in
-      let report =
-        Pool.race ~budget:options.budget ~telemetry:tel ~decisive entrants
-      in
-      match report.Pool.winner with
-      | Some (name, r) ->
-        Telemetry.event tel "portfolio.winner"
-          ~attrs:[ ("name", Telemetry.String name) ];
-        (r, Some name)
-      | None ->
-        (* Nobody decided: keep the first competitor's verdict (the main
-           engine by convention), which preserves its unknown reason. *)
-        let r =
-          match report.Pool.results with
-          | (_, Ok r) :: _ -> r
-          | (_, Error e) :: _ -> R_unknown (Printexc.to_string e)
-          | [] -> R_unknown "empty portfolio"
-        in
-        (r, None))
 
 let all_models ?projection ?(registry = Registry.default)
     ?(options = default_options) ?(limit = max_int) problem =

@@ -158,39 +158,6 @@ val run_stats_json : run_stats -> string
 val solve :
   ?registry:Registry.t -> ?options:options -> Ab_problem.t -> result * run_stats
 
-(** {1 Portfolio mode}
-
-    Race several complete decision procedures on separate domains and
-    take the first definitive verdict (Sec. 4's "list of solvers", run
-    concurrently instead of in order).  Each competitor gets a budget
-    forked from [options.budget] and a private telemetry handle merged
-    back at join; the winner's verdict cancels the losers cooperatively
-    (they unwind at their next budget poll — no preemption). *)
-
-type competitor = {
-  cp_name : string;
-  cp_solve :
-    budget:Absolver_resource.Budget.t ->
-    telemetry:Absolver_telemetry.Telemetry.t ->
-    Ab_problem.t ->
-    result;
-}
-
-val engine_competitor :
-  ?registry:Registry.t -> ?options:options -> ?name:string -> unit -> competitor
-(** This engine as a competitor: {!solve} with the race's budget and
-    telemetry substituted into [options]. *)
-
-val solve_portfolio :
-  ?options:options -> competitors:competitor list -> Ab_problem.t -> result * string option
-(** [solve_portfolio ~competitors problem] returns the winning verdict
-    and the winner's name.  [R_sat]/[R_unsat] are decisive; if every
-    competitor returns [R_unknown], the first competitor's verdict (and
-    its reason) is kept and the winner is [None].  The concrete
-    engine-vs-DPLL(T)-baselines portfolio lives in
-    [Absolver_baselines.Portfolio] (the baselines library depends on this
-    one, so the engine only defines the generic race). *)
-
 val all_models :
   ?projection:Types.var list ->
   ?registry:Registry.t ->

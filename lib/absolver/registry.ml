@@ -92,12 +92,12 @@ let persistent_simplex () =
   in
   ({ ls_session = mk }, fun () -> session := None)
 
-let branch_prune_solver ?(config = Branch_prune.default_config) ?(jobs = 1) () =
+let branch_prune_solver ?(config = Branch_prune.default_config) () =
   {
     ns_solve =
       (fun ~budget ~telemetry ~nvars ~box rels ->
         let verdict, stats =
-          Branch_prune.solve ~config ~budget ~telemetry ~jobs ~nvars ~box rels
+          Branch_prune.solve ~config ~budget ~telemetry ~nvars ~box rels
         in
         let v =
           match verdict with

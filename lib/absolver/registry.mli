@@ -70,10 +70,9 @@ type nonlinear_solver = {
     nonlinear_verdict * Absolver_nlp.Branch_prune.stats;
 }
 (** [telemetry] is the engine's handle with the [nonlinear_check] span
-    open; oracles that fan out over domains fork it per worker so a
-    traced run stays one connected span tree (and may record their own
-    histograms, e.g. [nlp.bp_depth]). A solver free of instrumentation
-    just ignores it.
+    open; an oracle may record its own spans and histograms into it
+    (e.g. [nlp.bp_depth]). A solver free of instrumentation just ignores
+    it.
 
     The returned {!Absolver_nlp.Branch_prune.stats} carries per-solve
     search counters for the engine's run statistics; a solver
@@ -109,14 +108,9 @@ val persistent_simplex : unit -> linear_solver * (unit -> unit)
     state never leaks between two [persistent_simplex] values. *)
 
 val branch_prune_solver :
-  ?config:Absolver_nlp.Branch_prune.config ->
-  ?jobs:int ->
-  unit ->
-  nonlinear_solver
-(** IPOPT stand-in: interval branch-and-prune.  [jobs > 1] runs the
-    oracle's box worklist on that many worker domains (see
-    {!Absolver_nlp.Branch_prune.solve}); the default 1 is the historical
-    sequential search. *)
+  ?config:Absolver_nlp.Branch_prune.config -> unit -> nonlinear_solver
+(** IPOPT stand-in: interval branch-and-prune
+    ({!Absolver_nlp.Branch_prune.solve}). *)
 
 val default : t
 (** LSAT + simplex + branch-and-prune (the combination used for Tables 1

@@ -42,9 +42,8 @@ type stats = {
   max_depth : int;
   revisions : int;  (** HC4 revise passes *)
 }
-(** Per-solve counters: each {!solve} call returns its own figures,
-    summed over every worker at [jobs > 1], so concurrent solves never
-    conflate them. *)
+(** Per-solve counters: each {!solve} call returns its own figures, so
+    concurrent solves never conflate them. *)
 
 val empty_stats : stats
 
@@ -52,7 +51,6 @@ val solve :
   ?config:config ->
   ?budget:Absolver_resource.Budget.t ->
   ?telemetry:Absolver_telemetry.Telemetry.t ->
-  ?jobs:int ->
   nvars:int ->
   box:Box.t ->
   Expr.rel list ->
@@ -60,29 +58,13 @@ val solve :
 (** Decide feasibility of the conjunction over the box. Variables absent
     from all constraints keep their box midpoint in witness points.
 
-    [telemetry] is threaded into the parallel frontier (per-worker forks
-    under the caller's open span, so traced runs stay one connected
-    tree) and records the final search depth into the [nlp.bp_depth]
-    histogram at every job count.
+    [telemetry] records the final search depth into the [nlp.bp_depth]
+    histogram.
 
     The [budget] is ticked once per search node (and threaded into the HC4
     contractor). Exhaustion degrades exactly like the node cap — [Approx_sat] with the
     best candidate found so far, else [Unknown] — and never escapes as an
     exception; the typed reason stays sticky in the budget
-    ({!Absolver_resource.Budget.tripped}).
-
-    [jobs] (default 1) sets the number of worker domains. [jobs <= 1]
-    runs the historical sequential search (bit-for-bit identical to
-    earlier releases).  [jobs > 1] runs the box worklist as a
-    work-stealing frontier
-    ({!Absolver_parallel.Pool.Frontier}): workers contract and split
-    boxes concurrently, the root multistart sampling is spread over the
-    pool in chunks, and the first rigorous certificate cancels everyone
-    else through forked budgets.  Every random draw is seeded by the
-    node's split path, so the explored tree is schedule-independent:
-    [Sat]/[Unsat] verdicts agree at every job count (witness points and
-    [Approx_sat]/[Unknown] under a tripped cap may differ, since they
-    depend on which worker reports first).  [Unsat] is only reported when
-    the frontier fully drained (see DESIGN.md §11). *)
+    ({!Absolver_resource.Budget.tripped}). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -422,11 +422,6 @@ let tape t j s =
   let tp = t.tapes.(j) in
   if tp != unbuilt then tp else build t j s ~eval:false [||]
 
-let build_all t =
-  let s = scratch () in
-  fit s t;
-  Array.iteri (fun j _ -> ignore (tape t j s)) t.rels
-
 (* ------------------------------------------------------------------ *)
 (* Backward projection                                                 *)
 (* ------------------------------------------------------------------ *)

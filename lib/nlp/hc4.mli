@@ -26,14 +26,10 @@
 
 type t
 (** A conjunction of relations and their tapes. Tapes are built on first
-    use, so a [t] shared by several domains must be {!build_all}-t first. *)
+    use. *)
 
 val compile : Expr.rel list -> t
 (** Sizes the tapes; each is built the first time it is used. *)
-
-val build_all : t -> unit
-(** Builds every tape now. After this, [t] is read-only and may be shared
-    across domains (each with its own {!scratch}). *)
 
 type scratch
 (** Working arrays for the passes: node bounds, node requirements and a

@@ -10,9 +10,9 @@ let words_now () = Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
 (* The shared half of a budget: cancellation and the sticky trip reason
    live in atomics so any domain may cancel/trip while others poll.  Cells
    form a tree through [parent]: a child polls its ancestors too, so
-   cancelling a parent reaches every forked worker at its next poll, while
-   a child's own trip (say, a branch-and-prune race settled by a Sat
-   certificate) stays invisible to the parent. *)
+   cancelling a parent reaches every child at its next poll, while a
+   child's own trip (say, one request's deadline) stays invisible to the
+   parent. *)
 type cell = {
   cancelled : bool Atomic.t;
   trip_reason : Absolver_error.t option Atomic.t;
@@ -48,35 +48,6 @@ let create ?deadline_seconds ?max_steps ?max_words () =
       charged = 0;
       steps = 0;
     }
-
-(* A worker/competitor budget: fresh step and allocation meters, the
-   parent's absolute deadline, and a fresh cell linked to the parent's so
-   parent-side cancellation and trips propagate down (never up).  Forking
-   [unlimited] yields a pure cancellation flag — the cheapest budget that
-   can still take part in a first-win race. *)
-let fork = function
-  | Unlimited ->
-    Limited
-      {
-        cell = mk_cell ();
-        deadline = None;
-        max_steps = max_int;
-        max_words = infinity;
-        words0 = 0.0;
-        charged = 0;
-        steps = 0;
-      }
-  | Limited s ->
-    Limited
-      {
-        cell = mk_cell ~parent:s.cell ();
-        deadline = s.deadline;
-        max_steps = max_int;
-        max_words = infinity;
-        words0 = 0.0;
-        charged = 0;
-        steps = 0;
-      }
 
 (* A request budget sliced out of a long-lived parent (the solve server's
    per-request budgets): its own, possibly tighter, limits plus a cell
@@ -133,8 +104,8 @@ let remaining_seconds = function
     Option.map (fun d -> Float.max 0.0 (d -. Clock.now ())) s.deadline
 
 (* Cancellation or a trip anywhere up the cell chain exhausts this budget;
-   the ancestor's typed reason is inherited so a worker cut short by the
-   engine's timeout still reports Timeout, not a generic Cancelled. *)
+   the ancestor's typed reason is inherited so a child cut short by the
+   parent's timeout still reports Timeout, not a generic Cancelled. *)
 let rec inherited_verdict c =
   match Atomic.get c.trip_reason with
   | Some _ as r -> r

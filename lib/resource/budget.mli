@@ -19,9 +19,9 @@
       so NTP steps cannot corrupt them.
     - The cancellation flag and the sticky trip reason are atomics, so any
       domain may {!cancel} or {!trip} a budget that other domains poll.
-      {!fork} builds the cancellation {e tree} used by the parallel
-      subsystem: parent-side cancellation reaches every fork at its next
-      poll, while a fork's own trip stays invisible to the parent. *)
+      {!child} builds the cancellation {e tree} the solve server uses:
+      parent-side cancellation reaches every child at its next poll,
+      while a child's own trip stays invisible to the parent. *)
 
 type t
 
@@ -42,15 +42,6 @@ val create :
     words allocated since creation (GC-observed plus {!charge}d). *)
 
 val is_unlimited : t -> bool
-
-val fork : t -> t
-(** A worker/competitor budget for one branch of a parallel computation:
-    fresh step and allocation meters, the parent's absolute deadline, and
-    a cancellation cell {e linked} to the parent's — cancelling or
-    tripping the parent exhausts the fork at its next poll, but the
-    fork's own {!cancel}/{!trip} never propagates up.  Forking
-    {!unlimited} yields a pure cancellation flag (no limits), the
-    cheapest budget that can still take part in a first-win race. *)
 
 val child :
   t ->

@@ -2,7 +2,6 @@ module Budget = Absolver_resource.Budget
 module Telemetry = Absolver_telemetry.Telemetry
 module Prometheus = Absolver_telemetry.Prometheus
 module Clock = Absolver_telemetry.Telemetry.Clock
-module Pool = Absolver_parallel.Pool
 module Engine = Absolver_core.Engine
 module Registry = Absolver_core.Registry
 module Dimacs = Absolver_core.Dimacs_ext

@@ -9,7 +9,7 @@
     the main domain), one warm persistent simplex session
     ({!Absolver_core.Registry.persistent_simplex}, torn down at
     disconnect) and a {e serial lane}: its requests run one at a time,
-    in arrival order, on the shared {!Absolver_parallel.Pool.Executor}
+    in arrival order, on the shared {!Pool.Executor}
     worker domains — concurrency comes from multiple clients, so a
     connection's responses are deterministic and FIFO.
 

@@ -63,7 +63,7 @@ type span_agg = { agg_calls : int; agg_total_s : float; agg_max_s : float }
    so four buckets per octave and a worst-case quantile error of √γ ≈ 9%.
    Non-positive samples get a dedicated bucket (key [min_int], reported
    with upper bound 0).  Bucket counts merge exactly, which is the whole
-   point: per-request and per-worker histograms fold into a long-running
+   point: per-request histograms fold into a long-running
    aggregate without the bias a bounded sample window would introduce. *)
 
 let hist_gamma = Float.pow 2.0 0.25
@@ -193,9 +193,9 @@ type state = {
   mutable closed : bool;
   (* Every public operation takes this lock, so one handle may be shared
      across domains without corrupting the hash tables.  The span stack
-     still interleaves nonsensically under concurrent spans — parallel
-     workers should use their own [fork] and [merge] it at join (the lock
-     only makes the shared-handle case safe, not meaningful). *)
+     still interleaves nonsensically under concurrent spans — concurrent
+     recorders should use their own [fork] and [merge] it when done (the
+     lock only makes the shared-handle case safe, not meaningful). *)
   lock : Mutex.t;
 }
 
@@ -534,8 +534,7 @@ let span_aggregates t =
    last-write-wins, histograms merge bucket-wise (exact — the reason the
    buckets are log-spaced rather than a sample window).  Trace lines need
    no merging: a fork already writes into the shared sink.  This is the
-   join-side half of the per-worker-handle discipline used by the
-   parallel subsystem and the server's per-request handles. *)
+   closing half of the server's per-request handles. *)
 let merge dst src =
   match (dst, src) with
   | Disabled, _ | _, Disabled -> ()

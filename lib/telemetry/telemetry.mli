@@ -12,12 +12,12 @@
     [--trace]).
 
     Span ids are allocated from one process-wide counter, so spans
-    recorded by different handles never collide; {!fork} hands a worker
-    domain (or a server request) a {e linked} handle that shares the
-    parent's trace sink and id space and remembers which span it hangs
-    under. A single query that fans out across the executor and the
-    domain pool therefore yields one connected span tree in the trace,
-    stitched by parent links alone.
+    recorded by different handles never collide; {!fork} hands a server
+    request a {e linked} handle that shares the parent's trace sink and
+    id space and remembers which span it hangs under. A query that
+    passes from a connection's reader thread to an executor domain
+    therefore yields one connected span tree in the trace, stitched by
+    parent links alone.
 
     A disabled handle ({!disabled}) compiles every operation down to a
     single pattern match on an immutable constructor — the instrumented
@@ -50,9 +50,9 @@ type t
     enabled recorder with an in-memory aggregator and an optional JSONL
     trace sink. Enabled handles are domain-safe — every operation takes
     an internal lock — but spans opened concurrently from several domains
-    interleave on one stack and nest meaninglessly; parallel workers
-    record into a {!fork} of the spawner's handle and {!merge} it back at
-    join. *)
+    interleave on one stack and nest meaninglessly; a concurrent
+    recorder (a server request) records into a {!fork} of the shared
+    handle and {!merge}s it back when done. *)
 
 val disabled : t
 (** The null sink. [enabled disabled = false]; every operation is a
@@ -94,7 +94,7 @@ val fork : ?parent:int -> ?trace_id:string -> t -> t
     [trace_id] overrides it), and parents its top-level spans under
     [parent] (default: [current_span t] at fork time). Counters, gauges,
     histograms and span aggregates accumulate locally — hand the fork to
-    a worker domain or a server request, then {!merge} it back. Forking
+    a server request, then {!merge} it back. Forking
     {!disabled} yields {!disabled}. *)
 
 (** {1 Spans}
@@ -142,7 +142,7 @@ val counter : t -> string -> int
     Count/sum/min/max are exact; quantiles are estimated from the bucket
     boundaries and are accurate within a factor of √γ ≈ 1.09. Unlike a
     sample window, bucket counts merge exactly and associatively — the
-    property that lets per-worker and per-request histograms fold into
+    property that lets per-request histograms fold into
     the server's long-running aggregate without bias. *)
 
 val hist_gamma : float
@@ -197,9 +197,9 @@ val merge : t -> t -> unit
     has no trace id and [src] does, the id is preserved onto [dst].
     Trace lines are not merged — a {!fork} already writes into the
     shared sink, so there is nothing to move. No-op when either handle
-    is disabled. This is the join-side half of the per-worker-handle
-    discipline of the parallel subsystem: each worker records into a
-    fork, and the spawner merges at join. *)
+    is disabled. This is the closing half of the per-request-handle
+    discipline of the solve server: each request records into a fork,
+    and the server merges it when the request ends. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Human-readable summary: span table (calls, total, max) then counter

@@ -16,7 +16,6 @@ let () =
       ("tracetool", Test_tracetool.suite);
       ("resource", Test_resource.suite);
       ("incremental", Test_incremental.suite);
-      ("parallel", Test_parallel.suite);
       ("server", Test_server.suite);
       ("chaos", Test_chaos.suite);
       ("integration", Test_integration.suite);

@@ -10,7 +10,7 @@ module Server = Absolver_server.Server
 module Sjson = Absolver_server.Sjson
 module Io = Absolver_server.Io
 module Client = Absolver_client.Client
-module Pool = Absolver_parallel.Pool
+module Pool = Absolver_server.Pool
 module Faults = Absolver_resource.Faults
 module Budget = Absolver_resource.Budget
 

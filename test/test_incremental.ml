@@ -2,7 +2,7 @@
    LP session against the one-shot solver at the LP level (verdicts,
    models, conflict cores, budget trips mid-query) and of warm against
    per-check sessions at the engine level (solve, all_models, budget
-   pressure, parallel nonlinear jobs), plus unit tests for the bound
+   pressure, nonlinear inputs), plus unit tests for the bound
    delta, the session's size and the simplex checkpoint/rollback API. *)
 
 module A = Absolver_core
@@ -223,10 +223,20 @@ let test_lp_differential () =
 (* Engine-level differential: solve and all_models, incremental vs
    from-scratch.                                                       *)
 
+(* Nonlinear inputs: the warm session composes with the branch-and-prune
+   oracle. *)
+let nonlinear_problems =
+  [
+    "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x <= 2\nc def real 2 x >= 1\n\
+     c bound x 0 10\n";
+    "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x >= 9\nc def real 2 x <= 2\n\
+     c bound x 0 10\n";
+    "p cnf 2 1\n1 2 0\nc def real 1 x * y >= 4\nc def real 2 x + y <= 1\n\
+     c bound x 0 5\nc bound y 0 5\n";
+  ]
+
 let test_engine_solve_differential () =
-  let st = Random.State.make [| 0xD1FF |] in
-  for case = 1 to 120 do
-    let p = random_linear_problem st in
+  let check_case case p =
     let inc, _ = A.Engine.solve ~options:incremental_options p in
     let scr, _ = A.Engine.solve ~options:scratch_options p in
     check Alcotest.string
@@ -241,7 +251,17 @@ let test_engine_solve_differential () =
           | Error e -> Alcotest.failf "case %d: model broken: %s" case e)
         | _ -> ())
       [ inc; scr ]
-  done
+  in
+  let st = Random.State.make [| 0xD1FF |] in
+  for case = 1 to 120 do
+    check_case case (random_linear_problem st)
+  done;
+  List.iteri
+    (fun i text ->
+      match A.Dimacs_ext.parse_string text with
+      | Error e -> Alcotest.fail e
+      | Ok p -> check_case (121 + i) p)
+    nonlinear_problems
 
 let bools_of_solutions sols =
   List.sort compare
@@ -306,37 +326,6 @@ let test_budget_pressure_no_flip () =
       | Error e -> Alcotest.failf "case %d: budgeted model broken: %s" case e)
     | _ -> ()
   done
-
-(* The incremental session must compose with a parallel nonlinear
-   solver: same verdicts with [jobs > 1] as from scratch. *)
-let test_jobs_differential () =
-  let problems =
-    [
-      "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x <= 2\nc def real 2 x >= 1\n\
-       c bound x 0 10\n";
-      "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x >= 9\nc def real 2 x <= 2\n\
-       c bound x 0 10\n";
-      "p cnf 2 1\n1 2 0\nc def real 1 x * y >= 4\nc def real 2 x + y <= 1\n\
-       c bound x 0 5\nc bound y 0 5\n";
-    ]
-  in
-  let registry =
-    {
-      A.Registry.default with
-      A.Registry.nonlinear = [ A.Registry.branch_prune_solver ~jobs:2 () ];
-    }
-  in
-  List.iteri
-    (fun i text ->
-      match A.Dimacs_ext.parse_string text with
-      | Error e -> Alcotest.fail e
-      | Ok p ->
-        let inc, _ = A.Engine.solve ~registry ~options:incremental_options p in
-        let scr, _ = A.Engine.solve ~registry ~options:scratch_options p in
-        check Alcotest.string
-          (Printf.sprintf "jobs case %d" i)
-          (verdict_tag scr) (verdict_tag inc))
-    problems
 
 (* ------------------------------------------------------------------ *)
 (* The compiled problem against the per-model construction it replaced:
@@ -722,7 +711,6 @@ let suite =
       test_engine_all_models_differential;
     Alcotest.test_case "budget pressure never flips (60 cases)" `Slow
       test_budget_pressure_no_flip;
-    Alcotest.test_case "jobs>1 differential" `Quick test_jobs_differential;
     QCheck_alcotest.to_alcotest ~long:false compiled_matches_reference;
     Alcotest.test_case "delta ignores order" `Quick test_delta_order;
     Alcotest.test_case "delta is a symmetric difference" `Quick

@@ -105,6 +105,72 @@ let test_bigint_num_bits () =
   check int_t "bits 256" 9 (B.num_bits (B.of_int 256));
   check int_t "bits 2^100" 101 (B.num_bits (B.pow B.two 100))
 
+let test_bigint_small_matches_native () =
+  let st = Random.State.make [| 13 |] in
+  for _ = 1 to 2_000 do
+    let a = Random.State.int st 1_000_000 - 500_000 in
+    let b = Random.State.int st 1_000_000 - 500_000 in
+    let ba = B.of_int a and bb = B.of_int b in
+    check Alcotest.string "add" (string_of_int (a + b)) (B.to_string (B.add ba bb));
+    check Alcotest.string "sub" (string_of_int (a - b)) (B.to_string (B.sub ba bb));
+    check Alcotest.string "mul" (string_of_int (a * b)) (B.to_string (B.mul ba bb));
+    check int_t "compare" (Int.compare a b) (B.compare ba bb);
+    if b <> 0 then begin
+      check Alcotest.string "div" (string_of_int (a / b)) (B.to_string (B.div ba bb));
+      check Alcotest.string "rem" (string_of_int (a mod b)) (B.to_string (B.rem ba bb))
+    end;
+    let rec g a b = if b = 0 then a else g b (a mod b) in
+    check Alcotest.string "gcd"
+      (string_of_int (g (Stdlib.abs a) (Stdlib.abs b)))
+      (B.to_string (B.gcd ba bb))
+  done
+
+let test_bigint_boundary_consistency () =
+  (* Around the 2-limb (60-bit) border the implementation switches
+     between machine and limb arithmetic: algebraic identities must hold
+     regardless of which path each operand takes. *)
+  let st = Random.State.make [| 14 |] in
+  let big_pool =
+    [
+      B.of_string "1152921504606846975" (* 2^60 - 1: last all-small value *);
+      B.of_string "1152921504606846976" (* 2^60: first 3-limb magnitude *);
+      B.of_string "170141183460469231731687303715884105727";
+      B.of_string "-1152921504606846977";
+      B.of_int max_int;
+      B.of_int min_int;
+      B.of_int 1;
+      B.of_int (-1);
+      B.zero;
+    ]
+  in
+  let rand_small () = B.of_int (Random.State.int st 2_000_001 - 1_000_000) in
+  let pick () =
+    if Random.State.bool st then List.nth big_pool (Random.State.int st (List.length big_pool))
+    else rand_small ()
+  in
+  for _ = 1 to 500 do
+    let a = pick () and b = pick () in
+    (* (a + b) - b = a *)
+    check bool_t "add/sub roundtrip" true (B.equal (B.sub (B.add a b) b) a);
+    (* (a * b) / b = a when b <> 0, and divmod reconstructs. *)
+    if not (B.is_zero b) then begin
+      check bool_t "mul/div roundtrip" true (B.equal (B.div (B.mul a b) b) a);
+      let q, r = B.divmod a b in
+      check bool_t "divmod reconstructs" true (B.equal (B.add (B.mul q b) r) a);
+      check bool_t "rem bounded" true (B.compare (B.abs r) (B.abs b) < 0)
+    end;
+    (* gcd divides both and is symmetric. *)
+    let g = B.gcd a b in
+    if not (B.is_zero g) then begin
+      check bool_t "gcd divides a" true (B.is_zero (B.rem a g));
+      check bool_t "gcd divides b" true (B.is_zero (B.rem b g));
+      check bool_t "gcd symmetric" true (B.equal g (B.gcd b a))
+    end;
+    (* compare is antisymmetric and agrees with sub's sign. *)
+    check int_t "compare antisym" (B.compare a b) (-B.compare b a);
+    check int_t "compare via sub" (B.compare a b) (B.sign (B.sub a b))
+  done
+
 (* Bigint properties. *)
 
 let arb_bigint =
@@ -460,6 +526,8 @@ let suite =
     ("bigint shift", `Quick, test_bigint_shift);
     ("bigint to_int overflow", `Quick, test_bigint_to_int);
     ("bigint num_bits", `Quick, test_bigint_num_bits);
+    ("bigint small matches native", `Quick, test_bigint_small_matches_native);
+    ("bigint boundary consistency", `Quick, test_bigint_boundary_consistency);
     ("rational normalization", `Quick, test_rational_normalization);
     ("rational arithmetic", `Quick, test_rational_arith);
     ("rational decimal strings", `Quick, test_rational_decimal_strings);

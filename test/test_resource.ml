@@ -99,6 +99,40 @@ let test_guard () =
   | Some (Err.Internal _) -> ()
   | _ -> Alcotest.fail "stray exception should trip the budget")
 
+let test_budget_child_parent_cancel () =
+  let parent = Budget.create () in
+  let child = Budget.child parent () in
+  check bool_t "child starts clean" true (Budget.check child = None);
+  Budget.cancel parent;
+  check bool_t "parent cancel reaches child" true
+    (Budget.check child = Some Err.Cancelled)
+
+let test_budget_child_isolated () =
+  let parent = Budget.create () in
+  let c1 = Budget.child parent () in
+  let c2 = Budget.child parent () in
+  Budget.cancel c1;
+  check bool_t "cancelled child trips" true (Budget.check c1 <> None);
+  check bool_t "parent unaffected" true (Budget.check parent = None);
+  check bool_t "sibling unaffected" true (Budget.check c2 = None)
+
+let test_budget_child_deadline_clipped () =
+  (* The child's deadline is the tighter of its own and the parent's. *)
+  let parent = Budget.create ~deadline_seconds:0.005 () in
+  let child = Budget.child parent ~deadline_seconds:60.0 () in
+  (match Budget.remaining_seconds child with
+  | Some r -> check bool_t "clipped to the parent's deadline" true (r <= 0.005)
+  | None -> Alcotest.fail "child lost the parent's deadline");
+  let loose = Budget.create ~deadline_seconds:60.0 () in
+  let tight = Budget.child loose ~deadline_seconds:0.005 () in
+  Unix.sleepf 0.02;
+  check bool_t "child trips at the parent's deadline" true
+    (Budget.check child = Some Err.Timeout);
+  check bool_t "child trips at its own deadline" true
+    (Budget.check tight = Some Err.Timeout);
+  check bool_t "a child's timeout stays below" true
+    (Budget.tripped parent = None && Budget.check loose = None)
+
 let test_error_rendering () =
   check Alcotest.string "timeout" "timeout" (Err.to_string Err.Timeout);
   List.iter
@@ -451,6 +485,9 @@ let suite =
     ("budget: cancellation", `Quick, test_cancellation);
     ("budget: first trip wins", `Quick, test_first_trip_wins);
     ("budget: guard", `Quick, test_guard);
+    ("budget: child sees parent cancel", `Quick, test_budget_child_parent_cancel);
+    ("budget: child trip isolated", `Quick, test_budget_child_isolated);
+    ("budget: child deadline clipped", `Quick, test_budget_child_deadline_clipped);
     ("error rendering", `Quick, test_error_rendering);
     ("fuzz: budgets never flip answers", `Quick, test_fuzz_never_flips);
     ("fuzz: nonlinear degradation", `Quick, test_fuzz_nonlinear_degrades);

