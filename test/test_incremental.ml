@@ -223,20 +223,10 @@ let test_lp_differential () =
 (* Engine-level differential: solve and all_models, incremental vs
    from-scratch.                                                       *)
 
-(* Nonlinear inputs: the warm session composes with the branch-and-prune
-   oracle. *)
-let nonlinear_problems =
-  [
-    "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x <= 2\nc def real 2 x >= 1\n\
-     c bound x 0 10\n";
-    "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x >= 9\nc def real 2 x <= 2\n\
-     c bound x 0 10\n";
-    "p cnf 2 1\n1 2 0\nc def real 1 x * y >= 4\nc def real 2 x + y <= 1\n\
-     c bound x 0 5\nc bound y 0 5\n";
-  ]
-
 let test_engine_solve_differential () =
-  let check_case case p =
+  let st = Random.State.make [| 0xD1FF |] in
+  for case = 1 to 120 do
+    let p = random_linear_problem st in
     let inc, _ = A.Engine.solve ~options:incremental_options p in
     let scr, _ = A.Engine.solve ~options:scratch_options p in
     check Alcotest.string
@@ -251,17 +241,7 @@ let test_engine_solve_differential () =
           | Error e -> Alcotest.failf "case %d: model broken: %s" case e)
         | _ -> ())
       [ inc; scr ]
-  in
-  let st = Random.State.make [| 0xD1FF |] in
-  for case = 1 to 120 do
-    check_case case (random_linear_problem st)
-  done;
-  List.iteri
-    (fun i text ->
-      match A.Dimacs_ext.parse_string text with
-      | Error e -> Alcotest.fail e
-      | Ok p -> check_case (121 + i) p)
-    nonlinear_problems
+  done
 
 let bools_of_solutions sols =
   List.sort compare
@@ -326,6 +306,42 @@ let test_budget_pressure_no_flip () =
       | Error e -> Alcotest.failf "case %d: budgeted model broken: %s" case e)
     | _ -> ()
   done
+
+(* The incremental session must compose with the nonlinear
+   branch-and-prune oracle: same verdicts as from scratch. The case
+   keeps the name it had when the oracle could split its search over
+   several jobs; the search is sequential now. *)
+let test_jobs_differential () =
+  let problems =
+    [
+      "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x <= 2\nc def real 2 x >= 1\n\
+       c bound x 0 10\n";
+      "p cnf 2 2\n1 0\n2 0\nc def real 1 x * x >= 9\nc def real 2 x <= 2\n\
+       c bound x 0 10\n";
+      "p cnf 2 1\n1 2 0\nc def real 1 x * y >= 4\nc def real 2 x + y <= 1\n\
+       c bound x 0 5\nc bound y 0 5\n";
+    ]
+  in
+  List.iteri
+    (fun i text ->
+      match A.Dimacs_ext.parse_string text with
+      | Error e -> Alcotest.fail e
+      | Ok p ->
+        let inc, _ = A.Engine.solve ~options:incremental_options p in
+        let scr, _ = A.Engine.solve ~options:scratch_options p in
+        check Alcotest.string
+          (Printf.sprintf "jobs case %d" i)
+          (verdict_tag scr) (verdict_tag inc);
+        List.iter
+          (fun r ->
+            match r with
+            | A.Engine.R_sat sol -> (
+              match A.Solution.check p sol with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "jobs case %d: model broken: %s" i e)
+            | _ -> ())
+          [ inc; scr ])
+    problems
 
 (* ------------------------------------------------------------------ *)
 (* The compiled problem against the per-model construction it replaced:
@@ -711,6 +727,7 @@ let suite =
       test_engine_all_models_differential;
     Alcotest.test_case "budget pressure never flips (60 cases)" `Slow
       test_budget_pressure_no_flip;
+    Alcotest.test_case "jobs>1 differential" `Quick test_jobs_differential;
     QCheck_alcotest.to_alcotest ~long:false compiled_matches_reference;
     Alcotest.test_case "delta ignores order" `Quick test_delta_order;
     Alcotest.test_case "delta is a symmetric difference" `Quick
