@@ -14,6 +14,7 @@ type def = { bool_var : Types.var; domain : domain; rel : Expr.rel }
 type t = {
   mutable num_bool_vars : int;
   mutable clauses_rev : Types.lit list list;
+  mutable n_clauses : int;
   (* A Boolean variable may carry several definitions (paper Fig. 2 links
      variable 1 to both [i >= 0] and [j >= 0]): the variable is delta-linked
      to their conjunction.  Stored newest-first. *)
@@ -30,6 +31,7 @@ let create () =
   {
     num_bool_vars = 0;
     clauses_rev = [];
+    n_clauses = 0;
     defs_tbl = Hashtbl.create 16;
     def_order = [];
     names = Hashtbl.create 16;
@@ -41,9 +43,14 @@ let create () =
 
 let ensure_bool_vars t n = if n > t.num_bool_vars then t.num_bool_vars <- n
 
+let rec vars_needed n = function
+  | [] -> n
+  | l :: rest -> vars_needed (Int.max n (Types.var_of l + 1)) rest
+
 let add_clause t lits =
-  List.iter (fun l -> ensure_bool_vars t (Types.var_of l + 1)) lits;
-  t.clauses_rev <- lits :: t.clauses_rev
+  ensure_bool_vars t (vars_needed 0 lits);
+  t.clauses_rev <- lits :: t.clauses_rev;
+  t.n_clauses <- t.n_clauses + 1
 
 let intern_arith_var t name =
   match Hashtbl.find_opt t.names name with
@@ -94,6 +101,7 @@ let set_bounds t v ?lower ?upper () =
 
 let num_bool_vars t = t.num_bool_vars
 let clauses t = List.rev t.clauses_rev
+let num_clauses t = t.n_clauses
 
 let defs t =
   List.rev t.def_order
@@ -142,7 +150,7 @@ let stats t =
   let ds = defs t in
   let n_linear = List.length (List.filter (fun d -> Expr.is_linear d.rel.Expr.expr) ds) in
   {
-    n_clauses = List.length t.clauses_rev;
+    n_clauses = t.n_clauses;
     n_bool_vars = t.num_bool_vars;
     n_linear;
     n_nonlinear = List.length ds - n_linear;
@@ -174,7 +182,32 @@ let to_circuit t =
   let out = Circuit.and_ b clause_nodes in
   Circuit.seal b ~output:out
 
-let validate t =
+let rec lits_in_range n = function
+  | [] -> true
+  | l :: rest ->
+    let v = Types.var_of l in
+    v >= 0 && v < n && lits_in_range n rest
+
+let rec vars_in_range n (e : Expr.t) =
+  match e with
+  | Const _ -> true
+  | Var v -> v >= 0 && v < n
+  | Neg e | Pow (e, _) | Sqrt e | Exp e | Log e | Sin e | Cos e -> vars_in_range n e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> vars_in_range n a && vars_in_range n b
+
+let rec defs_in_range n = function
+  | [] -> true
+  | (d : def) :: rest -> vars_in_range n d.rel.Expr.expr && defs_in_range n rest
+
+(* The checks of [validate], without building a diagnostic or a list. *)
+let well_formed t =
+  List.for_all (function [] -> false | c -> lits_in_range t.num_bool_vars c) t.clauses_rev
+  && Hashtbl.fold
+       (fun v ds ok -> ok && v >= 0 && v < t.num_bool_vars && defs_in_range t.n_arith ds)
+       t.defs_tbl true
+  && Hashtbl.fold (fun v _ ok -> ok && v >= 0 && v < t.n_arith) t.bounds_tbl true
+
+let diagnose t =
   let problems = ref [] in
   let err fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   List.iter
@@ -207,3 +240,5 @@ let validate t =
   match !problems with
   | [] -> Ok ()
   | ps -> Error (String.concat "; " (List.rev ps))
+
+let validate t = if well_formed t then Ok () else diagnose t

@@ -52,6 +52,10 @@ val set_bounds : t -> int -> ?lower:Q.t -> ?upper:Q.t -> unit -> unit
 
 val num_bool_vars : t -> int
 val clauses : t -> Types.lit list list
+
+val num_clauses : t -> int
+(** [List.length (clauses t)], without building the list. *)
+
 val defs : t -> def list
 (** All definitions, grouped by variable in insertion order. *)
 

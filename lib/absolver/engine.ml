@@ -263,11 +263,10 @@ let blocking_of_tags model tags =
 module Relax = struct
   (* A subterm's slot, and its range as bounds [x + k op 0]: [(k, op)]. *)
   type slot = { id : int; range : (Q.t * Linexpr.op) list }
-  type t = { table : (string, slot) Hashtbl.t; box : Box.t }
+  type t = { table : slot Expr.Tbl.t; box : Box.t }
 
   let slot st (e : Expr.t) =
-    let key = Expr.to_string e in
-    match Hashtbl.find_opt st.table key with
+    match Expr.Tbl.find_opt st.table e with
     | Some s -> s
     | None ->
       let range = Expr.eval_interval (Box.env st.box) e in
@@ -276,8 +275,8 @@ module Relax = struct
         else []
       in
       let range = bound range.I.lo Linexpr.Ge @ bound range.I.hi Linexpr.Le in
-      let s = { id = Hashtbl.length st.table; range } in
-      Hashtbl.add st.table key s;
+      let s = { id = Expr.Tbl.length st.table; range } in
+      Expr.Tbl.add st.table e s;
       s
 
   (* [e] over slot variables, and its slots in order of first use. *)
@@ -371,7 +370,7 @@ let ids_of ps tail =
 let compile ~pre ~sess problem =
   (* Presolve-tightened bounds and box: sound in every Boolean model,
      since presolve only derives facts implied by the whole problem. *)
-  let relax = { Relax.table = Hashtbl.create 16; box = pre.Preprocess.box } in
+  let relax = { Relax.table = Expr.Tbl.create 16; box = pre.Preprocess.box } in
   let bounds = pieces sess relax pre.Preprocess.bound_rels in
   let defined = Array.of_list (Ab_problem.defined_vars problem)
   and nvars = Ab_problem.num_arith_vars problem in

@@ -245,7 +245,7 @@ let run ?(telemetry = Telemetry.disabled) ?(budget = Budget.unlimited) problem s
   if not (Cdcl.is_unsat solver) then
     stats.removed_clauses <-
       max 0
-        (List.length (Ab_problem.clauses problem)
+        (Ab_problem.num_clauses problem
         - Hashtbl.length fixed_tbl - Cdcl.num_clauses solver);
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   if unsat then

@@ -12,35 +12,61 @@ type gate =
 
 and node = { id : int; gate : gate }
 
+(* Hash-consing on a structural key of the gate (children by id). *)
+type key =
+  | K_input of int
+  | K_const of bool
+  | K_not of int
+  | K_and of int list
+  | K_or of int list
+  | K_cmp of Expr.t * Linexpr.op
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let mix h id = (h * 65599) + id
+
+  let hash k =
+    (match k with
+    | K_input v -> mix 1 v
+    | K_const c -> if c then 2 else 3
+    | K_not n -> mix 4 n
+    | K_and ns -> List.fold_left mix 5 ns
+    | K_or ns -> List.fold_left mix 6 ns
+    | K_cmp (e, op) -> mix (Expr.hash e) (Hashtbl.hash op))
+    land max_int
+end)
+
 type builder = {
   mutable next_id : int;
   mutable nodes : node list; (* newest first *)
-  (* Hash-consing on a structural key of the gate (children by id). *)
-  table : (string, node) Hashtbl.t;
+  table : node Key_tbl.t;
 }
 
 type t = { output : node; all : node array }
 
-let builder () = { next_id = 0; nodes = []; table = Hashtbl.create 64 }
+let builder () = { next_id = 0; nodes = []; table = Key_tbl.create 64 }
+
+let ids ns = List.map (fun n -> n.id) ns
 
 let key_of_gate = function
-  | G_input v -> "i" ^ string_of_int v
-  | G_const b -> if b then "t" else "f"
-  | G_not n -> "n" ^ string_of_int n.id
-  | G_and ns -> "a" ^ String.concat "," (List.map (fun n -> string_of_int n.id) ns)
-  | G_or ns -> "o" ^ String.concat "," (List.map (fun n -> string_of_int n.id) ns)
-  | G_cmp (e, op) ->
-    Format.asprintf "c%a|%s" Linexpr.pp_op op (Expr.to_string e)
+  | G_input v -> K_input v
+  | G_const b -> K_const b
+  | G_not n -> K_not n.id
+  | G_and ns -> K_and (ids ns)
+  | G_or ns -> K_or (ids ns)
+  | G_cmp (e, op) -> K_cmp (e, op)
 
 let mk b gate =
   let key = key_of_gate gate in
-  match Hashtbl.find_opt b.table key with
+  match Key_tbl.find_opt b.table key with
   | Some n -> n
   | None ->
     let n = { id = b.next_id; gate } in
     b.next_id <- n.id + 1;
     b.nodes <- n :: b.nodes;
-    Hashtbl.add b.table key n;
+    Key_tbl.add b.table key n;
     n
 
 let input b v = mk b (G_input v)

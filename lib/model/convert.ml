@@ -36,7 +36,7 @@ let node_to_ab ?(goal = `Find_violation) ~output (node : Lustre.node) =
       node.Lustre.inputs;
     (* Comparison atoms are shared through a table keyed on the normalized
        relation. *)
-    let atoms : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let atoms : int Expr.Atom_tbl.t = Expr.Atom_tbl.create 16 in
     let next_bool = ref 0 in
     let fresh_bool () =
       let v = !next_bool in
@@ -44,15 +44,12 @@ let node_to_ab ?(goal = `Find_violation) ~output (node : Lustre.node) =
       v
     in
     let atom_of_rel domain (rel : Expr.rel) =
-      let key =
-        Format.asprintf "%s|%a" (Expr.to_string rel.Expr.expr) Linexpr.pp_op
-          rel.Expr.op
-      in
-      match Hashtbl.find_opt atoms key with
+      let key = (rel.Expr.expr, rel.Expr.op) in
+      match Expr.Atom_tbl.find_opt atoms key with
       | Some v -> v
       | None ->
         let v = fresh_bool () in
-        Hashtbl.add atoms key v;
+        Expr.Atom_tbl.add atoms key v;
         Ab_problem.define problem ~bool_var:v ~domain rel;
         v
     in
@@ -178,7 +175,7 @@ let node_to_ab_bmc ?(goal = `Find_violation) ~steps ~output (node : Lustre.node)
             | lo, hi -> Ab_problem.set_bounds problem v ?lower:lo ?upper:hi ()
           done)
         node.Lustre.inputs;
-      let atoms : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      let atoms : int Expr.Atom_tbl.t = Expr.Atom_tbl.create 16 in
       let next_bool = ref 0 in
       let fresh_bool () =
         let v = !next_bool in
@@ -186,15 +183,12 @@ let node_to_ab_bmc ?(goal = `Find_violation) ~steps ~output (node : Lustre.node)
         v
       in
       let atom_of_rel domain (rel : Expr.rel) =
-        let key =
-          Format.asprintf "%s|%a" (Expr.to_string rel.Expr.expr) Linexpr.pp_op
-            rel.Expr.op
-        in
-        match Hashtbl.find_opt atoms key with
+        let key = (rel.Expr.expr, rel.Expr.op) in
+        match Expr.Atom_tbl.find_opt atoms key with
         | Some v -> v
         | None ->
           let v = fresh_bool () in
-          Hashtbl.add atoms key v;
+          Expr.Atom_tbl.add atoms key v;
           Ab_problem.define problem ~bool_var:v ~domain rel;
           v
       in

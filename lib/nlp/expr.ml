@@ -85,6 +85,39 @@ let rec size = function
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
+(* A hash over the whole tree: [Hashtbl.hash] looks at a bounded number
+   of nodes, so large terms that share a prefix would share a bucket. *)
+let rec hash e =
+  let mix h x = (h * 65599) + x in
+  match e with
+  | Const q -> mix 1 (Hashtbl.hash q)
+  | Var v -> mix 2 v
+  | Neg e -> mix 3 (hash e)
+  | Add (a, b) -> mix (mix 4 (hash a)) (hash b)
+  | Sub (a, b) -> mix (mix 5 (hash a)) (hash b)
+  | Mul (a, b) -> mix (mix 6 (hash a)) (hash b)
+  | Div (a, b) -> mix (mix 7 (hash a)) (hash b)
+  | Pow (e, n) -> mix (mix 8 (hash e)) n
+  | Sqrt e -> mix 9 (hash e)
+  | Exp e -> mix 10 (hash e)
+  | Log e -> mix 11 (hash e)
+  | Sin e -> mix 12 (hash e)
+  | Cos e -> mix 13 (hash e)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash e = hash e land max_int
+end)
+
+module Atom_tbl = Hashtbl.Make (struct
+  type nonrec t = t * Linexpr.op
+
+  let equal (a, op) (b, op') = op = op' && equal a b
+  let hash (e, op) = ((hash e * 5) + Hashtbl.hash op) land max_int
+end)
+
 let rec pp ?(name = fun v -> Printf.sprintf "x%d" v) () fmt e =
   let pp = pp ~name () in
   match e with

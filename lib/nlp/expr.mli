@@ -48,6 +48,19 @@ val vars : t -> int list
 val size : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val hash : t -> int
+(** Structural, over the whole term: [equal a b] implies
+    [hash a = hash b]. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by terms up to structural equality. Rationals are
+    canonical, so two terms are equal exactly when they print the same:
+    a table here shares what a table keyed by {!to_string} shares. *)
+
+module Atom_tbl : Hashtbl.S with type key = t * Absolver_lp.Linexpr.op
+(** Tables keyed by a comparison atom [e op 0]. *)
+
 val pp : ?name:(int -> string) -> unit -> Format.formatter -> t -> unit
 val to_string : ?name:(int -> string) -> t -> string
 

@@ -352,7 +352,14 @@ let of_float f =
     else Big { num = B.of_int m'; den = B.shift_left B.one (-shift) }
   end
 
-let of_decimal_string s =
+let rec decimal_digits s i acc =
+  if i = String.length s then acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> decimal_digits s (i + 1) ((acc * 10) + Char.code c - Char.code '0')
+    | _ -> -1
+
+let parse_decimal s =
   let s = String.trim s in
   if s = "" then invalid_arg "Rational.of_decimal_string: empty string";
   match String.index_opt s '/' with
@@ -397,6 +404,14 @@ let of_decimal_string s =
       else make n (B.pow B.ten scale)
     in
     if negated then neg v else v
+
+let of_decimal_string s =
+  (* An optional minus and at most 18 digits, the common case, fit a
+     native int and are read directly. *)
+  let d0 = if s <> "" && s.[0] = '-' then 1 else 0 in
+  let len = String.length s - d0 in
+  let v = if len > 0 && len <= 18 then decimal_digits s d0 0 else -1 in
+  if v >= 0 then S { n = (if d0 = 1 then -v else v); d = 1 } else parse_decimal s
 
 let to_string = function
   | S { n; d } ->

@@ -4,55 +4,155 @@ type cnf = {
   comments : string list;
 }
 
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun t -> t <> "")
+(* ------------------------------------------------------------------ *)
+(* One pass over the text: a cursor steps from line to line and the     *)
+(* tokens of a line are read in place, by index.                       *)
+
+type cursor = {
+  text : string;
+  mutable next : int;
+  mutable line_no : int;
+  mutable start : int;
+  mutable stop : int;
+}
+
+let cursor text = { text; next = 0; line_no = 0; start = 0; stop = 0 }
+
+(* The characters [String.trim] removes. *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+let rec next_line cur =
+  let text = cur.text in
+  let n = String.length text in
+  if cur.next > n then false
+  else begin
+    let s = ref cur.next in
+    let e = ref cur.next in
+    while !e < n && String.unsafe_get text !e <> '\n' do
+      incr e
+    done;
+    cur.next <- !e + 1;
+    cur.line_no <- cur.line_no + 1;
+    while !s < !e && is_space (String.unsafe_get text !s) do
+      incr s
+    done;
+    while !e > !s && is_space (String.unsafe_get text (!e - 1)) do
+      decr e
+    done;
+    if !s = !e then next_line cur
+    else begin
+      cur.start <- !s;
+      cur.stop <- !e;
+      true
+    end
+  end
+
+let rec skip_blanks text i stop =
+  if i < stop && (text.[i] = ' ' || text.[i] = '\t') then skip_blanks text (i + 1) stop
+  else i
+
+let rec token_end text i stop =
+  if i < stop && text.[i] <> ' ' && text.[i] <> '\t' then token_end text (i + 1) stop
+  else i
+
+let rec same text i word k =
+  k = String.length word || (text.[i + k] = word.[k] && same text i word (k + 1))
+
+let is_word text i j word = j - i = String.length word && same text i word 0
+
+let has_prefix text i stop prefix =
+  let n = String.length prefix in
+  stop - i >= n && is_word text i (i + n) prefix
+
+let rec digits text i j acc =
+  if i = j then acc
+  else
+    match text.[i] with
+    | '0' .. '9' as c -> digits text (i + 1) j ((acc * 10) + Char.code c - Char.code '0')
+    | _ -> -1
+
+let decimal_digits text i j = if i < j && j - i <= 18 then digits text i j 0 else -1
+
+exception Not_int
+
+let int_token text i j =
+  let d0 = if i < j && text.[i] = '-' then i + 1 else i in
+  let v = decimal_digits text d0 j in
+  if v >= 0 then if d0 > i then -v else v
+  else
+    (* Anything but a plain decimal (a sign, a base prefix, an overflow)
+       is left to [int_of_string], which decides what it means. *)
+    match int_of_string_opt (String.sub text i (j - i)) with
+    | Some v -> v
+    | None -> raise Not_int
+
+let problem_line cur =
+  let text = cur.text and stop = cur.stop in
+  let p_end = token_end text cur.start stop in
+  let f0 = skip_blanks text p_end stop in
+  let f1 = token_end text f0 stop in
+  let v0 = skip_blanks text f1 stop in
+  let v1 = token_end text v0 stop in
+  let c0 = skip_blanks text v1 stop in
+  let c1 = token_end text c0 stop in
+  if
+    is_word text cur.start p_end "p"
+    && is_word text f0 f1 "cnf"
+    && v0 < v1 && c0 < c1
+    && skip_blanks text c1 stop = stop
+  then Some ((v0, v1), (c0, c1))
+  else None
+
+let read_ints cur ~int ~bad =
+  let text = cur.text and stop = cur.stop in
+  let i = ref cur.start in
+  while !i < stop do
+    let j = token_end text !i stop in
+    (match int_token text !i j with
+    | v -> int v
+    | exception Not_int -> bad (String.sub text !i (j - !i)));
+    i := skip_blanks text j stop
+  done
+
+(* ------------------------------------------------------------------ *)
 
 let parse_string text =
-  let lines = String.split_on_char '\n' text in
   let num_vars = ref 0 in
-  let declared_clauses = ref (-1) in
   let clauses = ref [] in
   let comments = ref [] in
   let current = ref [] in
   let error = ref None in
   let set_error msg = if !error = None then error := Some msg in
-  let handle_line line_no line =
-    let line = String.trim line in
-    if line = "" then ()
-    else if line.[0] = 'c' then begin
-      let body =
-        if String.length line >= 2 && line.[1] = ' ' then
-          String.sub line 2 (String.length line - 2)
-        else String.sub line 1 (String.length line - 1)
-      in
-      comments := body :: !comments
+  let cur = cursor text in
+  let int n =
+    if n = 0 then begin
+      clauses := List.rev !current :: !clauses;
+      current := []
     end
-    else if line.[0] = 'p' then begin
-      match split_ws line with
-      | [ "p"; "cnf"; v; c ] -> (
-        match (int_of_string_opt v, int_of_string_opt c) with
-        | Some v, Some c ->
-          num_vars := v;
-          declared_clauses := c
-        | _ -> set_error (Printf.sprintf "line %d: malformed problem line" line_no))
-      | _ -> set_error (Printf.sprintf "line %d: malformed problem line" line_no)
+    else begin
+      if abs n > !num_vars then num_vars := abs n;
+      current := Types.of_dimacs n :: !current
     end
-    else
-      List.iter
-        (fun tok ->
-          match int_of_string_opt tok with
-          | None -> set_error (Printf.sprintf "line %d: bad literal %S" line_no tok)
-          | Some 0 ->
-            clauses := List.rev !current :: !clauses;
-            current := []
-          | Some n ->
-            if abs n > !num_vars then num_vars := abs n;
-            current := Types.of_dimacs n :: !current)
-        (split_ws line)
   in
-  List.iteri (fun i line -> handle_line (i + 1) line) lines;
+  let bad tok = set_error (Printf.sprintf "line %d: bad literal %S" cur.line_no tok) in
+  while next_line cur do
+    let s = cur.start in
+    match text.[s] with
+    | 'c' ->
+      let body = if cur.stop - s >= 2 && text.[s + 1] = ' ' then s + 2 else s + 1 in
+      comments := String.sub text body (cur.stop - body) :: !comments
+    | 'p' -> (
+      let malformed () =
+        set_error (Printf.sprintf "line %d: malformed problem line" cur.line_no)
+      in
+      match problem_line cur with
+      | Some ((v0, v1), (c0, c1)) -> (
+        match (int_token text v0 v1, int_token text c0 c1) with
+        | v, _ -> num_vars := v
+        | exception Not_int -> malformed ())
+      | None -> malformed ())
+    | _ -> read_ints cur ~int ~bad
+  done;
   if !current <> [] then clauses := List.rev !current :: !clauses;
   match !error with
   | Some msg -> Error msg

@@ -6,100 +6,117 @@ exception Err of string
 
 let failf fmt = Printf.ksprintf (fun s -> raise (Err s)) fmt
 
-let tokenize text =
-  let n = String.length text in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = text.[!i] in
-    if c = ';' then begin
-      (* comment to end of line *)
-      while !i < n && text.[!i] <> '\n' do incr i done
+(* One pass over the text: s-expressions are built as the characters
+   are read, with no list of token strings in between. *)
+
+type cursor = { text : string; mutable pos : int }
+
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* Skip blanks and comments (';' to the end of the line). *)
+let rec skip c =
+  let n = String.length c.text in
+  if c.pos < n then
+    let ch = c.text.[c.pos] in
+    if is_blank ch then begin
+      c.pos <- c.pos + 1;
+      skip c
     end
-    else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '(' then begin
-      toks := "(" :: !toks;
-      incr i
-    end
-    else if c = ')' then begin
-      toks := ")" :: !toks;
-      incr i
-    end
-    else if c = '"' then begin
-      (* SMT-LIB 2 string literal: kept as one atom, quotes included;
-         an embedded [""] escapes a quote character. *)
-      let start = !i in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if text.[!i] = '"' then
-          if !i + 1 < n && text.[!i + 1] = '"' then i := !i + 2
-          else begin
-            closed := true;
-            incr i
-          end
-        else incr i
+    else if ch = ';' then begin
+      while c.pos < n && c.text.[c.pos] <> '\n' do
+        c.pos <- c.pos + 1
       done;
-      if not !closed then failf "unterminated string literal";
-      toks := String.sub text start (!i - start) :: !toks
+      skip c
     end
-    else begin
-      let start = !i in
-      while
-        !i < n
-        &&
-        let d = text.[!i] in
-        d <> ' ' && d <> '\t' && d <> '\n' && d <> '\r' && d <> '(' && d <> ')'
-        && d <> ';'
-      do
-        incr i
-      done;
-      toks := String.sub text start (!i - start) :: !toks
-    end
-  done;
-  List.rev !toks
+
+(* The end of the atom at [c.pos]. An SMT-LIB 2 string literal is one
+   atom, quotes included; an embedded [""] escapes a quote character. *)
+let atom_end c =
+  let text = c.text and n = String.length c.text in
+  if text.[c.pos] = '"' then begin
+    let i = ref (c.pos + 1) in
+    let closed = ref false in
+    while (not !closed) && !i < n do
+      if text.[!i] = '"' then
+        if !i + 1 < n && text.[!i + 1] = '"' then i := !i + 2
+        else begin
+          closed := true;
+          incr i
+        end
+      else incr i
+    done;
+    if not !closed then failf "unterminated string literal";
+    !i
+  end
+  else begin
+    let i = ref c.pos in
+    while
+      !i < n
+      &&
+      let d = text.[!i] in
+      (not (is_blank d)) && d <> '(' && d <> ')' && d <> ';'
+    do
+      incr i
+    done;
+    !i
+  end
+
+(* The rest of the text, read as tokens and dropped: its only lexical
+   error is an unterminated string, which a parse error must not hide. *)
+let rec drain c =
+  skip c;
+  if c.pos < String.length c.text then begin
+    (match c.text.[c.pos] with '(' | ')' -> c.pos <- c.pos + 1 | _ -> c.pos <- atom_end c);
+    drain c
+  end
+
+let rec parse_one c =
+  match c.text.[c.pos] with
+  | '(' ->
+    c.pos <- c.pos + 1;
+    parse_items c []
+  | ')' ->
+    c.pos <- c.pos + 1;
+    drain c;
+    failf "unexpected ')'"
+  | _ ->
+    let start = c.pos in
+    c.pos <- atom_end c;
+    Atom (String.sub c.text start (c.pos - start))
+
+and parse_items c items =
+  skip c;
+  if c.pos >= String.length c.text then failf "unclosed parenthesis"
+  else if c.text.[c.pos] = ')' then begin
+    c.pos <- c.pos + 1;
+    List (List.rev items)
+  end
+  else
+    let item = parse_one c in
+    parse_items c (item :: items)
 
 let parse_sexps text =
-  match
-    let toks = ref (tokenize text) in
-    let rec parse_one () =
-      match !toks with
-      | [] -> failf "unexpected end of input"
-      | "(" :: rest ->
-        toks := rest;
-        let items = ref [] in
-        let rec loop () =
-          match !toks with
-          | ")" :: rest ->
-            toks := rest;
-            List (List.rev !items)
-          | [] -> failf "unclosed parenthesis"
-          | _ ->
-            items := parse_one () :: !items;
-            loop ()
-        in
-        loop ()
-      | ")" :: _ -> failf "unexpected ')'"
-      | atom :: rest ->
-        toks := rest;
-        Atom atom
-    in
-    let acc = ref [] in
-    while !toks <> [] do
-      acc := parse_one () :: !acc
-    done;
-    List.rev !acc
-  with
+  let c = { text; pos = 0 } in
+  let rec top acc =
+    skip c;
+    if c.pos >= String.length text then List.rev acc
+    else
+      let s = parse_one c in
+      top (s :: acc)
+  in
+  match top [] with
   | sexps -> Ok sexps
   | exception Err msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 
+let rec numeric s i =
+  i = String.length s
+  || (match s.[i] with '0' .. '9' | '.' | '/' -> true | _ -> false) && numeric s (i + 1)
+
 let is_number s =
-  s <> ""
-  &&
-  let s = if s.[0] = '-' || s.[0] = '+' then String.sub s 1 (String.length s - 1) else s in
-  s <> "" && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.' || c = '/') s
+  let first = if s <> "" && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  first < String.length s && numeric s first
 
 let rec term_of_sexp preds s =
   match s with

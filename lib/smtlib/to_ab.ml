@@ -42,7 +42,7 @@ let convert_full ?(split_eq = true) (b : Ast.benchmark) =
     let preds = Hashtbl.create 8 in
     List.iter (fun p -> Hashtbl.replace preds p (fresh ())) b.Ast.extrapreds;
     (* Arithmetic atoms, shared structurally. *)
-    let atoms = Hashtbl.create 16 in
+    let atoms = Expr.Atom_tbl.create 16 in
     let domain_of e =
       let vars = Expr.vars e in
       if vars <> [] && List.for_all (fun v -> Hashtbl.mem int_sorts v) vars then
@@ -50,12 +50,11 @@ let convert_full ?(split_eq = true) (b : Ast.benchmark) =
       else Ab_problem.Dreal
     in
     let atom_var expr op =
-      let key = Format.asprintf "%s|%a" (Expr.to_string expr) Linexpr.pp_op op in
-      match Hashtbl.find_opt atoms key with
+      match Expr.Atom_tbl.find_opt atoms (expr, op) with
       | Some v -> v
       | None ->
         let v = fresh () in
-        Hashtbl.add atoms key v;
+        Expr.Atom_tbl.add atoms (expr, op) v;
         Ab_problem.define problem ~bool_var:v ~domain:(domain_of expr)
           { Expr.expr; op; tag = v };
         v

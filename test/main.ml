@@ -23,4 +23,5 @@ let () =
       ("proof-diagnosis", Test_proof_diagnosis.suite);
       ("flatcore", Test_flatcore.suite);
       ("work-pin", Test_work_pin.suite);
+      ("frontend", Test_frontend.suite);
     ]
