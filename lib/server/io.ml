@@ -57,9 +57,11 @@ type reader = {
   chaos : bool;  (* consult Faults.Net on this side of the connection *)
   should_stop : unit -> bool;
   busy : unit -> bool;  (* in-flight work parked on this connection? *)
-  buf : Buffer.t;  (* bytes received, no complete line yet *)
+  mutable buf : Bytes.t;  (* bytes received: [buf.[lo .. hi - 1]] is pending *)
+  mutable lo : int;
+  mutable hi : int;
   chunk : Bytes.t;
-  mutable scanned : int;  (* prefix of [buf] known to be '\n'-free *)
+  mutable scanned : int;  (* [buf.[lo .. scanned - 1]] is '\n'-free *)
   mutable last_activity : float;
   mutable frame_started : float option;  (* first byte of current frame *)
   mutable at_eof : bool;
@@ -76,7 +78,9 @@ let reader ?(limits = default_limits) ?(chaos = false)
     chaos;
     should_stop;
     busy;
-    buf = Buffer.create 256;
+    buf = Bytes.create 256;
+    lo = 0;
+    hi = 0;
     chunk = Bytes.create 8192;
     scanned = 0;
     last_activity = now ();
@@ -86,6 +90,12 @@ let reader ?(limits = default_limits) ?(chaos = false)
   }
 
 let touch r = r.last_activity <- now ()
+let pending r = r.hi - r.lo
+
+let clear r =
+  r.lo <- 0;
+  r.hi <- 0;
+  r.scanned <- 0
 
 (* Sever a connection the way a hostile network would: the peer sees
    EOF / ECONNRESET, but the fd number stays valid until its owner
@@ -104,7 +114,7 @@ let frame_chaos r line =
     if d.Net.delay_ms > 0.0 then Unix.sleepf (d.Net.delay_ms /. 1000.0);
     if d.Net.drop then begin
       sever r.fd;
-      Buffer.clear r.buf;
+      clear r;
       r.at_eof <- true;
       Eof
     end
@@ -112,25 +122,43 @@ let frame_chaos r line =
   end
   else Line line
 
-(* Extract one complete line from [buf], if any.  [scanned] remembers
-   how far previous calls already looked, so repeated reads of a long
-   frame stay linear. *)
+(* Extract one complete line from [buf], if any, searching in place
+   from where previous calls stopped and copying the line out once, so
+   reading a long frame stays linear in its length. *)
 let take_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_from_opt s r.scanned '\n' with
-  | None ->
-    r.scanned <- String.length s;
+  let rec newline i = if i < r.hi && Bytes.get r.buf i <> '\n' then newline (i + 1) else i in
+  let i = newline (max r.lo r.scanned) in
+  if i = r.hi then begin
+    r.scanned <- i;
     None
-  | Some i ->
-    let line =
-      if i > 0 && s.[i - 1] = '\r' then String.sub s 0 (i - 1)
-      else String.sub s 0 i
-    in
-    Buffer.clear r.buf;
-    Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-    r.scanned <- 0;
-    r.frame_started <- (if Buffer.length r.buf > 0 then Some (now ()) else None);
+  end
+  else begin
+    let stop = if i > r.lo && Bytes.get r.buf (i - 1) = '\r' then i - 1 else i in
+    let line = Bytes.sub_string r.buf r.lo (stop - r.lo) in
+    r.lo <- i + 1;
+    r.scanned <- r.lo;
+    if r.lo = r.hi then clear r;
+    r.frame_started <- (if pending r > 0 then Some (now ()) else None);
     Some line
+  end
+
+(* Append [chunk.[0 .. n - 1]]: slide the pending bytes to the front
+   when that frees room, else double the buffer. *)
+let append r n =
+  if r.hi + n > Bytes.length r.buf then begin
+    let len = pending r in
+    let target =
+      if len + n <= Bytes.length r.buf / 2 then r.buf
+      else Bytes.create (max (2 * Bytes.length r.buf) (len + n))
+    in
+    Bytes.blit r.buf r.lo target 0 len;
+    r.buf <- target;
+    r.scanned <- r.scanned - r.lo;
+    r.lo <- 0;
+    r.hi <- len
+  end;
+  Bytes.blit r.chunk 0 r.buf r.hi n;
+  r.hi <- r.hi + n
 
 (* One '\n'-terminated frame (the trailing ['\r'] of CRLF is stripped).
    Waits honour, in order: the external stop condition, the frame-size
@@ -150,7 +178,7 @@ let read_line r =
           frame_chaos r line
         end
       | None ->
-        if Buffer.length r.buf > r.limits.max_frame_bytes then Frame_too_large
+        if pending r > r.limits.max_frame_bytes then Frame_too_large
         else if r.at_eof then Eof
         else begin
           let t = now () in
@@ -191,7 +219,7 @@ let read_line r =
                 | n ->
                   touch r;
                   if r.frame_started = None then r.frame_started <- Some (now ());
-                  Buffer.add_subbytes r.buf r.chunk 0 n;
+                  append r n;
                   go ())
           end
         end

@@ -25,7 +25,10 @@ let max_nodes = 1_000_000
 
 type cursor = { text : string; mutable pos : int; mutable nodes : int }
 
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+(* The byte at the cursor, or ['\000'] past the end (which no
+   structural character matches). *)
+let at_end c = c.pos >= String.length c.text
+let cur c = if at_end c then '\000' else String.unsafe_get c.text c.pos
 
 let skip_ws c =
   while
@@ -37,17 +40,14 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some d when d = ch -> c.pos <- c.pos + 1
-  | Some d -> failf "expected '%c', got '%c' at %d" ch d c.pos
-  | None -> failf "expected '%c', got end of input" ch
+  if at_end c then failf "expected '%c', got end of input" ch
+  else if cur c = ch then c.pos <- c.pos + 1
+  else failf "expected '%c', got '%c' at %d" ch (cur c) c.pos
 
 let literal c word v =
   let n = String.length word in
-  if
-    c.pos + n <= String.length c.text
-    && String.sub c.text c.pos n = word
-  then begin
+  let rec same i = i = n || (c.text.[c.pos + i] = word.[i] && same (i + 1)) in
+  if c.pos + n <= String.length c.text && same 0 then begin
     c.pos <- c.pos + n;
     v
   end
@@ -65,23 +65,62 @@ let utf8_encode b code =
     Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+let hex_digit ch =
+  match ch with
+  | '0' .. '9' -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+  | _ -> -1
+
+(* The four characters after [\u] as [int_of_string ("0x" ^ hex)] reads
+   them: a hex digit, then hex digits or underscores; [-1] otherwise. *)
+let hex4 text i =
+  let rec go k acc =
+    if k = 4 then acc
+    else
+      let ch = text.[i + k] in
+      if ch = '_' && k > 0 then go (k + 1) acc
+      else
+        let d = hex_digit ch in
+        if d < 0 then -1 else go (k + 1) ((acc * 16) + d)
+  in
+  go 0 0
+
+(* The run of plain bytes from [i]: up to the next quote or backslash. *)
+let rec plain_run text i =
+  if i < String.length text && text.[i] <> '"' && text.[i] <> '\\' then plain_run text (i + 1)
+  else i
+
+(* A string body, from just after its opening quote. Plain runs are
+   copied whole: a body without escapes is one [String.sub]. *)
 let parse_string_body c =
   let started = c.pos - 1 in
-  let b = Buffer.create 16 in
-  let fin = ref false in
-  while not !fin do
-    match peek c with
-    | None -> failf "unterminated string (opened at byte %d)" started
-    | Some '"' ->
-      c.pos <- c.pos + 1;
-      fin := true
-    | Some '\\' -> (
-      c.pos <- c.pos + 1;
-      match peek c with
-      | None -> failf "unterminated escape (string opened at byte %d)" started
-      | Some e ->
+  let text = c.text in
+  let first = plain_run text c.pos in
+  if first < String.length text && text.[first] = '"' then begin
+    let s = String.sub text c.pos (first - c.pos) in
+    c.pos <- first + 1;
+    s
+  end
+  else begin
+    let b = Buffer.create (first - c.pos + 16) in
+    let fin = ref false in
+    while not !fin do
+      let j = plain_run text c.pos in
+      Buffer.add_substring b text c.pos (j - c.pos);
+      c.pos <- j;
+      if at_end c then failf "unterminated string (opened at byte %d)" started
+      else if cur c = '"' then begin
         c.pos <- c.pos + 1;
-        (match e with
+        fin := true
+      end
+      else begin
+        (* a backslash *)
+        c.pos <- c.pos + 1;
+        if at_end c then failf "unterminated escape (string opened at byte %d)" started;
+        let e = cur c in
+        c.pos <- c.pos + 1;
+        match e with
         | '"' -> Buffer.add_char b '"'
         | '\\' -> Buffer.add_char b '\\'
         | '/' -> Buffer.add_char b '/'
@@ -91,18 +130,16 @@ let parse_string_body c =
         | 'r' -> Buffer.add_char b '\r'
         | 't' -> Buffer.add_char b '\t'
         | 'u' ->
-          if c.pos + 4 > String.length c.text then failf "truncated \\u escape";
-          let hex = String.sub c.text c.pos 4 in
+          if c.pos + 4 > String.length text then failf "truncated \\u escape";
+          let code = hex4 text c.pos in
+          if code < 0 then failf "invalid \\u escape %s" (String.sub text c.pos 4);
           c.pos <- c.pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code -> utf8_encode b code
-          | None -> failf "invalid \\u escape %s" hex)
-        | e -> failf "invalid escape \\%c" e))
-    | Some ch ->
-      c.pos <- c.pos + 1;
-      Buffer.add_char b ch
-  done;
-  Buffer.contents b
+          utf8_encode b code
+        | e -> failf "invalid escape \\%c" e
+      end
+    done;
+    Buffer.contents b
+  end
 
 let parse_number c =
   let start = c.pos in
@@ -127,12 +164,12 @@ let rec parse_value depth c =
   if depth > max_depth then
     failf "nesting deeper than %d at byte %d" max_depth c.pos;
   skip_ws c;
-  match peek c with
-  | None -> failf "unexpected end of input"
-  | Some '{' ->
+  if at_end c then failf "unexpected end of input";
+  match cur c with
+  | '{' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if cur c = '}' then begin
       c.pos <- c.pos + 1;
       Obj []
     end
@@ -148,19 +185,19 @@ let rec parse_value depth c =
         let v = parse_value (depth + 1) c in
         fields := (k, v) :: !fields;
         skip_ws c;
-        match peek c with
-        | Some ',' -> c.pos <- c.pos + 1
-        | Some '}' ->
+        match cur c with
+        | ',' -> c.pos <- c.pos + 1
+        | '}' ->
           c.pos <- c.pos + 1;
           fin := true
         | _ -> failf "expected ',' or '}' at %d" c.pos
       done;
       Obj (List.rev !fields)
     end
-  | Some '[' ->
+  | '[' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if cur c = ']' then begin
       c.pos <- c.pos + 1;
       Arr []
     end
@@ -171,23 +208,23 @@ let rec parse_value depth c =
         let v = parse_value (depth + 1) c in
         items := v :: !items;
         skip_ws c;
-        match peek c with
-        | Some ',' -> c.pos <- c.pos + 1
-        | Some ']' ->
+        match cur c with
+        | ',' -> c.pos <- c.pos + 1
+        | ']' ->
           c.pos <- c.pos + 1;
           fin := true
         | _ -> failf "expected ',' or ']' at %d" c.pos
       done;
       Arr (List.rev !items)
     end
-  | Some '"' ->
+  | '"' ->
     c.pos <- c.pos + 1;
     Str (parse_string_body c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> failf "unexpected character '%c' at %d" ch c.pos
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> failf "unexpected character '%c' at %d" ch c.pos
 
 let parse text =
   match

@@ -345,5 +345,49 @@ let test_puzzle_allocation () =
   let per_byte = words /. float_of_int (String.length text) in
   if per_byte >= 2.0 then Alcotest.failf "%.2f words per input byte" per_byte
 
+(* A 4 MB frame arriving in 8 KiB writes is read in allocation linear in
+   its size: the line itself, plus a buffer that doubles as it fills.
+   Copying the whole pending buffer after every read, as the reader of
+   commit 1bce76f did, allocated about 124M words here. *)
+let test_long_frame_reading () =
+  let frame_bytes = 4_000_000 in
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payload = String.make 8192 'x' in
+  let writer =
+    Thread.create
+      (fun () ->
+        let sent = ref 0 in
+        while !sent < frame_bytes do
+          let n = min 8192 (frame_bytes - !sent) in
+          let rec write off len =
+            if len > 0 then begin
+              let k = Unix.write_substring wr payload off len in
+              write (off + k) (len - k)
+            end
+          in
+          write 0 n;
+          sent := !sent + n
+        done;
+        ignore (Unix.write_substring wr "\n" 0 1))
+      ()
+  in
+  let reader = Io.reader ~limits:Io.unlimited rd in
+  let event, words = allocated_words (fun () -> Io.read_line reader) in
+  Thread.join writer;
+  Unix.close rd;
+  Unix.close wr;
+  (match event with
+  | Io.Line line -> Alcotest.(check int) "frame length" frame_bytes (String.length line)
+  | _ -> Alcotest.fail "no line");
+  let frame_words = float_of_int frame_bytes /. 8.0 in
+  if words > 4.0 *. frame_words then
+    Alcotest.failf "%.0f words to read a frame of %.0f words" words frame_words
+
 let suite =
-  suite @ [ Alcotest.test_case "a Table 3 puzzle allocates under 2 words per byte" `Quick test_puzzle_allocation ]
+  suite
+  @ [
+      Alcotest.test_case "a Table 3 puzzle allocates under 2 words per byte" `Quick
+        test_puzzle_allocation;
+      Alcotest.test_case "a 4 MB frame reads in linear allocation" `Quick
+        test_long_frame_reading;
+    ]
