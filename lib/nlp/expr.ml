@@ -127,6 +127,9 @@ let rec pp ?(name = fun v -> Printf.sprintf "x%d" v) () fmt e =
   | Add (a, b) -> Format.fprintf fmt "(%a + %a)" pp a pp b
   | Sub (a, b) -> Format.fprintf fmt "(%a - %a)" pp a pp b
   | Mul (a, b) -> Format.fprintf fmt "(%a * %a)" pp a pp b
+  | Div (a, (Const q as b)) when not (Q.is_integer q) ->
+    (* [x / 7/3] would read back as [(x / 7) / 3] *)
+    Format.fprintf fmt "(%a / (%a))" pp a pp b
   | Div (a, b) -> Format.fprintf fmt "(%a / %a)" pp a pp b
   | Pow (e, n) -> Format.fprintf fmt "(%a)^%d" pp e n
   | Sqrt e -> Format.fprintf fmt "sqrt(%a)" pp e

@@ -281,6 +281,9 @@ let json_errors =
     ("{\"a\":\"\\u12G4\"}", "invalid \\u escape 12G4");
     ("{\"a\":\"\\u_123\"}", "invalid \\u escape _123");
     ("{\"a\":\"\\u12\"}", "invalid \\u escape 12\"}");
+    ("{\"a\":\"\\u12", "truncated \\u escape");
+    ("{\"a\":nul}", "invalid literal at 5");
+    ("[1,2", "expected ',' or ']' at 4");
     ("{\"a\":\"abc", "unterminated string (opened at byte 5)");
     ("{\"a\":\"abc\\", "unterminated escape (string opened at byte 5)");
     ("{\"a\" 1}", "expected ':', got '1' at 5");
@@ -383,8 +386,161 @@ let test_long_frame_reading () =
   if words > 4.0 *. frame_words then
     Alcotest.failf "%.0f words to read a frame of %.0f words" words frame_words
 
+(* ------------------------------------------------------------------ *)
+(* Round trips                                                          *)
+
+let names = [| "x"; "y"; "z_1"; "v.a"; "w'"; "T2" |]
+let decimals = [| "2.5"; "-0.125"; "1e3"; "3.75e-2"; "-7"; "0.0"; "12345678901234567890" |]
+
+(* A random AB-problem: clauses, definitions over nonlinear terms with
+   negative, fractional and decimal constants, and one- or two-sided
+   bounds. *)
+let random_problem st =
+  let int n = Random.State.int st n in
+  let p = A.Ab_problem.create () in
+  let nb = 1 + int 8 in
+  A.Ab_problem.ensure_bool_vars p nb;
+  for _ = 1 to int 6 do
+    A.Ab_problem.add_clause p
+      (List.init (1 + int 4) (fun _ ->
+           let v = int nb in
+           if Random.State.bool st then Types.pos v else Types.neg_of_var v))
+  done;
+  let var () = A.Ab_problem.intern_arith_var p names.(int (Array.length names)) in
+  let const () =
+    match int 3 with
+    | 0 -> Q.of_ints (int 101 - 50) (1 + int 8)
+    | 1 -> Q.of_decimal_string decimals.(int (Array.length decimals))
+    | _ -> Q.of_int (int 21 - 10)
+  in
+  let rec expr d =
+    if d = 0 then if Random.State.bool st then Expr.var (var ()) else Expr.const (const ())
+    else
+      match int 11 with
+      | 0 -> Expr.add (expr (d - 1)) (expr (d - 1))
+      | 1 -> Expr.sub (expr (d - 1)) (expr (d - 1))
+      | 2 -> Expr.mul (expr (d - 1)) (expr (d - 1))
+      | 3 -> Expr.div (expr (d - 1)) (expr (d - 1))
+      | 4 -> Expr.neg (expr (d - 1))
+      | 5 -> Expr.pow (expr (d - 1)) (int 6 - 2)
+      | 6 -> Expr.sqrt (expr (d - 1))
+      | 7 -> Expr.exp (expr (d - 1))
+      | 8 -> Expr.sin (expr (d - 1))
+      | _ -> expr 0
+  in
+  let ops = [| Absolver_lp.Linexpr.Lt; Le; Gt; Ge; Eq |] in
+  for _ = 1 to int 5 do
+    A.Ab_problem.define p ~bool_var:(int nb)
+      ~domain:(if Random.State.bool st then A.Ab_problem.Dint else A.Ab_problem.Dreal)
+      { Expr.expr = expr (int 4); op = ops.(int 5); tag = 0 }
+  done;
+  for _ = 1 to int 3 do
+    let side () = if Random.State.bool st then Some (const ()) else None in
+    let lower = side () in
+    let upper = side () in
+    A.Ab_problem.set_bounds p (var ()) ?lower ?upper ()
+  done;
+  p
+
+let parse_ok text =
+  match A.Dimacs_ext.parse_string text with
+  | Ok p -> p
+  | Error e -> QCheck.Test.fail_reportf "%s in\n%s" e text
+
+(* Values of a term at a point given by variable name. *)
+let agree st p p' e e' =
+  let point = Hashtbl.create 8 in
+  let value p v =
+    let name = A.Ab_problem.arith_var_name p v in
+    match Hashtbl.find_opt point name with
+    | Some q -> q
+    | None ->
+      let q = Q.of_ints (Random.State.int st 41 - 20) (1 + Random.State.int st 4) in
+      Hashtbl.replace point name q;
+      q
+  in
+  List.for_all
+    (fun _ ->
+      Hashtbl.reset point;
+      match (Expr.eval_exact (value p) e, Expr.eval_exact (value p') e') with
+      | Some a, Some b -> Q.equal a b
+      | None, None ->
+        let a = Expr.eval_float (fun v -> Q.to_float (value p v)) e
+        and b = Expr.eval_float (fun v -> Q.to_float (value p' v)) e' in
+        (Float.is_nan a && Float.is_nan b)
+        || a = b
+        || Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
+      | _ -> false)
+    [ 1; 2; 3 ]
+
+let named_bounds p =
+  List.map (fun (v, b) -> (A.Ab_problem.arith_var_name p v, b)) (A.Ab_problem.bounds p)
+  |> List.sort compare
+
+(* [to_string] then [parse_string] keeps clauses, Boolean variables,
+   definitions (up to the constant folding the parser does) and bounds;
+   and a second round changes nothing. *)
+let dimacs_round_trip =
+  QCheck.Test.make ~name:"extended DIMACS: to_string then parse" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let p = random_problem st in
+      let text = A.Dimacs_ext.to_string p in
+      let p' = parse_ok text in
+      let ds = A.Ab_problem.defs p and ds' = A.Ab_problem.defs p' in
+      let fail what = QCheck.Test.fail_reportf "%s differ after a round trip of\n%s" what text in
+      (A.Ab_problem.num_bool_vars p = A.Ab_problem.num_bool_vars p' || fail "Boolean variables")
+      && (A.Ab_problem.clauses p = A.Ab_problem.clauses p' || fail "clauses")
+      && (named_bounds p = named_bounds p' || fail "bounds")
+      && (List.length ds = List.length ds' || fail "definition counts")
+      && (List.for_all2
+           (fun (d : A.Ab_problem.def) (d' : A.Ab_problem.def) ->
+             d.bool_var = d'.bool_var && d.domain = d'.domain
+             && d.rel.Expr.op = d'.rel.Expr.op
+             && agree st p p' d.rel.Expr.expr d'.rel.Expr.expr)
+           ds ds' || fail "definitions")
+      &&
+      let text' = A.Dimacs_ext.to_string p' in
+      A.Dimacs_ext.to_string (parse_ok text') = text' || fail "second round texts")
+
+let json_round_trip =
+  QCheck.Test.make ~name:"JSON: any string survives to_string then parse" ~count:500
+    QCheck.(pair string string)
+    (fun (k, v) ->
+      Sjson.parse (Sjson.to_string (Sjson.Obj [ (k, Sjson.Str v); ("n", Sjson.Num 1.) ]))
+      = Ok (Sjson.Obj [ (k, Sjson.Str v); ("n", Sjson.Num 1.) ]))
+
+(* Escapes as a JSON writer may send them, decoded. *)
+let escapes =
+  [|
+    ({|\"|}, "\"");
+    ({|\\|}, "\\");
+    ({|\/|}, "/");
+    ({|\b|}, "\b");
+    ({|\f|}, "\012");
+    ({|\n|}, "\n");
+    ({|\r|}, "\r");
+    ({|\t|}, "\t");
+    ({|\u0041|}, "A");
+    ({|\u00e9|}, "\xc3\xa9");
+    ({|\u20AC|}, "\xe2\x82\xac");
+    ({|\u1_23|}, "\xc4\xa3");
+    ("plain", "plain");
+    ("", "");
+  |]
+
+let json_escapes =
+  QCheck.Test.make ~name:"JSON: escapes decode in any mix" ~count:500
+    QCheck.(list (int_bound (Array.length escapes - 1)))
+    (fun picks ->
+      let body = String.concat "" (List.map (fun i -> fst escapes.(i)) picks) in
+      let decoded = String.concat "" (List.map (fun i -> snd escapes.(i)) picks) in
+      Sjson.parse ("\"" ^ body ^ "\"") = Ok (Sjson.Str decoded))
+
 let suite =
   suite
+  @ List.map QCheck_alcotest.to_alcotest [ dimacs_round_trip; json_round_trip; json_escapes ]
   @ [
       Alcotest.test_case "a Table 3 puzzle allocates under 2 words per byte" `Quick
         test_puzzle_allocation;
