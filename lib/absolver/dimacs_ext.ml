@@ -270,18 +270,12 @@ let parse_rel problem text = run problem (lexer text) 0 (String.length text) rel
 (* ------------------------------------------------------------------ *)
 (* File-level parsing: one pass over the text (see {!Dimacs.cursor}).  *)
 
-(* A [c bound] value: plain integers are read in place, anything else
-   by [Q.of_decimal_string]. *)
 let bound_value text i j =
   if Dimacs.is_word text i j "_" then Ok None
   else
-    let d0 = if text.[i] = '-' then i + 1 else i in
-    let v = Dimacs.decimal_digits text d0 j in
-    if v >= 0 then Ok (Some (Q.of_int (if d0 > i then -v else v)))
-    else
-      match Q.of_decimal_string (String.sub text i (j - i)) with
-      | q -> Ok (Some q)
-      | exception Invalid_argument m -> Error m
+    match Q.of_decimal_string (String.sub text i (j - i)) with
+    | q -> Ok (Some q)
+    | exception Invalid_argument m -> Error m
 
 let rec list_of_prefix a i acc = if i < 0 then acc else list_of_prefix a (i - 1) (a.(i) :: acc)
 
@@ -343,9 +337,7 @@ let parse_string text =
     let h1 = Dimacs.token_end text h0 e in
     if n0 < n1 && l0 < l1 && h0 < h1 && Dimacs.skip_blanks text h1 e = e then begin
       let v = Ab_problem.intern_arith_var problem (String.sub text n0 (n1 - n0)) in
-      let hi = bound_value text h0 h1 in
-      let lo = bound_value text l0 l1 in
-      match (lo, hi) with
+      match (bound_value text l0 l1, bound_value text h0 h1) with
       | Ok lo, Ok hi -> Ab_problem.set_bounds problem v ?lower:lo ?upper:hi ()
       | Error m, _ | _, Error m -> set_error m
     end

@@ -127,7 +127,7 @@ let frame_chaos r line =
    reading a long frame stays linear in its length. *)
 let take_line r =
   let rec newline i = if i < r.hi && Bytes.get r.buf i <> '\n' then newline (i + 1) else i in
-  let i = newline (max r.lo r.scanned) in
+  let i = newline r.scanned in
   if i = r.hi then begin
     r.scanned <- i;
     None

@@ -376,12 +376,12 @@ let test_long_frame_reading () =
   in
   let reader = Io.reader ~limits:Io.unlimited rd in
   let event, words = allocated_words (fun () -> Io.read_line reader) in
-  Thread.join writer;
-  Unix.close rd;
-  Unix.close wr;
   (match event with
   | Io.Line line -> Alcotest.(check int) "frame length" frame_bytes (String.length line)
   | _ -> Alcotest.fail "no line");
+  Thread.join writer;
+  Unix.close rd;
+  Unix.close wr;
   let frame_words = float_of_int frame_bytes /. 8.0 in
   if words > 4.0 *. frame_words then
     Alcotest.failf "%.0f words to read a frame of %.0f words" words frame_words
