@@ -273,9 +273,11 @@ let parse_rel problem text = run problem (lexer text) 0 (String.length text) rel
 let bound_value text i j =
   if Dimacs.is_word text i j "_" then Ok None
   else
-    match Q.of_decimal_string (String.sub text i (j - i)) with
+    let s = String.sub text i (j - i) in
+    match Q.of_decimal_string s with
     | q -> Ok (Some q)
-    | exception Invalid_argument m -> Error m
+    | exception (Invalid_argument _ | Failure _ | Division_by_zero) ->
+      Error (Printf.sprintf "malformed bound value %S" s)
 
 let rec list_of_prefix a i acc = if i < 0 then acc else list_of_prefix a (i - 1) (a.(i) :: acc)
 

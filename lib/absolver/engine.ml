@@ -6,7 +6,6 @@ module Expr = Absolver_nlp.Expr
 module Box = Absolver_nlp.Box
 module Linexpr = Absolver_lp.Linexpr
 module Conflict = Absolver_lp.Conflict
-module Simplex = Absolver_lp.Simplex
 module Branch_prune = Absolver_nlp.Branch_prune
 module Telemetry = Absolver_telemetry.Telemetry
 module Budget = Absolver_resource.Budget
@@ -16,8 +15,6 @@ module Err = Absolver_resource.Absolver_error
 type options = {
   minimize_conflicts : bool;
   max_bool_models : int;
-  eq_split_limit : int;
-  sat_max_conflicts : int;
   max_unknown_models : int;
   default_phase : bool;
   use_linear_relaxation : bool;
@@ -32,8 +29,6 @@ let default_options =
   {
     minimize_conflicts = false;
     max_bool_models = 2_000_000;
-    eq_split_limit = 12;
-    sat_max_conflicts = 50_000_000;
     max_unknown_models = 500;
     default_phase = true;
     use_linear_relaxation = true;
@@ -231,9 +226,14 @@ let run_stats_json s =
 
 (* Outcome of checking one Boolean model arithmetically. *)
 type model_check =
-  | M_sat of Solution.t * Linexpr.cons list Lazy.t (* and the conjunction it satisfies *)
+  | M_sat of Solution.t
   | M_conflict of Types.lit list (* blocking clause *)
   | M_unknown of string
+
+(* Most negated equations (or conjunctions) one Boolean model may branch
+   on: beyond it the model is left undecided rather than trying 2^n sign
+   combinations. *)
+let eq_split_limit = 12
 
 (* All sign combinations for the branched (negated equation) definitions:
    each choice picks one relation from each group. *)
@@ -451,15 +451,15 @@ let check_model ~registry ~options ~stats c (model : bool array) =
       | Group ps -> groups := ps :: !groups)
     c.defined;
   let fixed = !fixed and groups = !groups in
-  if List.length groups > options.eq_split_limit then
+  if List.length groups > eq_split_limit then
     M_unknown
       (Printf.sprintf "more than %d negated equations in one Boolean model"
-         options.eq_split_limit)
+         eq_split_limit)
   else begin
     let all_combos = combinations groups in
     let cores = ref [] in
     let unknown = ref None in
-    let solution = ref None and satisfied = ref (lazy []) in
+    let solution = ref None in
     let nvars = Ab_problem.num_arith_vars c.problem in
     (* Every LP query's work lands in [stats] as it happens, even when the
        query raises. *)
@@ -508,7 +508,6 @@ let check_model ~registry ~options ~stats c (model : bool array) =
         in
         cores := tags :: !cores
       | Registry.L_sat lin_model ->
-        satisfied := lazy (linear ());
         if nonlinear = [] then begin
           let arith = Array.make nvars None in
           List.iter
@@ -625,12 +624,15 @@ let check_model ~registry ~options ~stats c (model : bool array) =
     in
     run all_combos;
     match (!solution, !unknown) with
-    | Some s, _ -> M_sat (s, !satisfied)
+    | Some s, _ -> M_sat s
     | None, Some why -> M_unknown why
     | None, None ->
       let union = List.sort_uniq compare (List.concat !cores) in
       M_conflict (blocking_of_tags model union)
   end
+
+(* CDCL's conflict cap per search for one Boolean model. *)
+let sat_max_conflicts = 50_000_000
 
 (* A [Types.Unknown] out of CDCL either means its conflict cap fired or
    the shared budget tripped; the budget's sticky reason disambiguates. *)
@@ -640,7 +642,8 @@ let sat_unknown_reason options =
   | None -> "SAT conflict budget exhausted"
 
 (* Enumerate Boolean models according to the configured strategy, invoking
-   [on_model]; the callback's verdict drives blocking. *)
+   [on_feasible] on each feasible one; the callback's verdict drives
+   blocking. *)
 let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
     ~solver problem ~on_feasible =
   if pre.Preprocess.status = `Unsat then R_unsat
@@ -705,9 +708,9 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
             check_model ~registry ~options ~stats (Lazy.force compiled)
               solver_model)
       with
-      | M_sat (sol, conj) -> (
+      | M_sat sol -> (
         Telemetry.event tel "solution";
-        match on_feasible sol conj with
+        match on_feasible sol with
         | `Stop ->
           result := R_sat sol;
           finished := true
@@ -736,7 +739,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
       match
         Telemetry.span tel "sat_search" (fun () ->
             let out =
-              All_sat.next ~max_conflicts:options.sat_max_conflicts
+              All_sat.next ~max_conflicts:sat_max_conflicts
                 ~budget:options.budget sat
             in
             let work = All_sat.work sat in
@@ -813,7 +816,7 @@ let solve ?(registry = Registry.default) ?(options = default_options) problem =
             Faults.hit "engine.solve" options.budget;
             let pre, solver = prepare ~options ~stats problem in
             enumerate ~registry ~options ~stats ~pre ~solver problem
-              ~on_feasible:(fun _ _ -> `Stop)))
+              ~on_feasible:(fun _ -> `Stop)))
   in
   stats.wall_seconds <- Telemetry.Clock.now () -. t0;
   absorb_alloc tel stats a0;
@@ -832,7 +835,7 @@ let all_models ?projection ?(registry = Registry.default)
         guarded_result ~options ~stats (fun () ->
             let pre, solver = prepare ~options ~stats problem in
             enumerate ?projection ~registry ~options ~stats ~pre ~solver problem
-              ~on_feasible:(fun sol _ ->
+              ~on_feasible:(fun sol ->
                 acc := sol :: !acc;
                 incr n;
                 if !n >= limit then `Stop else `Continue)))
@@ -847,130 +850,3 @@ let all_models ?projection ?(registry = Registry.default)
   | R_unknown why when !acc = [] -> Error why
   | R_unknown why when !n < limit -> Error why
   | R_sat _ | R_unsat | R_unknown _ -> Ok (List.rev !acc, stats)
-
-let count_models ?registry ?options problem =
-  match all_models ?registry ?options problem with
-  | Ok (models, stats) -> Ok (List.length models, stats)
-  | Error e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Optimization modulo the Boolean structure (linear problems).        *)
-
-type opt_outcome =
-  | Opt_best of Q.t * Solution.t
-  | Opt_incumbent of Q.t * Solution.t
-  | Opt_unbounded
-  | Opt_unsat
-  | Opt_unknown of string
-
-exception Opt_stop of opt_outcome
-
-let optimize ?(registry = Registry.default) ?(options = default_options)
-    ?(limit = 10_000) ~objective direction problem =
-  let nonlinear =
-    List.filter
-      (fun (d : Ab_problem.def) -> not (Expr.is_linear d.rel.Expr.expr))
-      (Ab_problem.defs problem)
-  in
-  if nonlinear <> [] then
-    Opt_unknown
-      (Printf.sprintf "%d nonlinear definition(s): optimization is linear-only"
-         (List.length nonlinear))
-  else begin
-    let stats = mk_stats () in
-    let best = ref None in
-    let nvars = Ab_problem.num_arith_vars problem in
-    Telemetry.span options.telemetry "optimize" ~attrs:(problem_attrs problem)
-      (fun () ->
-    let a0 = alloc_snapshot () in
-    let hit_limit = ref false in
-    let guarded =
-      Budget.guard options.budget (fun () ->
-    let pre, solver = prepare ~options ~stats problem in
-    (* One tableau across every delta-valuation with [use_incremental],
-       each [maximize] warm-starting from the previous optimum's basis;
-       otherwise one per valuation. Either way the valuation's linear
-       conjunction (presolve bounds included) goes into a frame rolled
-       back afterwards. *)
-    let tableau () =
-      let sx = Simplex.create ~budget:options.budget () in
-      Simplex.ensure_vars sx nvars;
-      sx
-    in
-    let shared = if options.use_incremental then Some (tableau ()) else None in
-    let optimize_valuation (sol : Solution.t) conj =
-      (* The budgeted tableau may raise [Exhausted] out of [maximize]; the
-         surrounding [Budget.guard] is the boundary that catches it (the
-         [finally] first restores the shared tableau). *)
-      let simplex = match shared with Some sx -> sx | None -> tableau () in
-      let cp = Simplex.checkpoint simplex in
-      Simplex.push simplex;
-      Fun.protect ~finally:(fun () -> Simplex.rollback simplex cp) @@ fun () ->
-      List.iter (fun c -> ignore (Simplex.assert_cons simplex c)) (Lazy.force conj);
-      let obj =
-        match direction with
-        | `Maximize -> objective
-        | `Minimize -> Linexpr.neg objective
-      in
-      match Simplex.maximize simplex obj with
-      | Simplex.O_infeasible _ -> ()
-      | Simplex.O_unbounded -> raise (Opt_stop Opt_unbounded)
-      | Simplex.O_optimal (value, model) ->
-        let value = Absolver_numeric.Delta_rational.r value in
-        let value = match direction with `Maximize -> value | `Minimize -> Q.neg value in
-        let better =
-          match !best with
-          | None -> true
-          | Some (v, _) -> (
-            match direction with
-            | `Maximize -> Q.gt value v
-            | `Minimize -> Q.lt value v)
-        in
-        if better then begin
-          let arith = Array.make nvars None in
-          List.iter
-            (fun (v, q) -> if v < nvars then arith.(v) <- Some (Solution.Exact q))
-            model;
-          best :=
-            Some
-              ( value,
-                Solution.make ~bools:(Array.copy sol.Solution.bools) ~arith
-                  ~certified:true )
-        end
-    in
-    try
-      `Res
-        (enumerate ~registry ~options ~stats ~pre ~solver problem
-           ~on_feasible:(fun sol conj ->
-             optimize_valuation sol conj;
-             if count stats bool_models >= limit then begin
-               hit_limit := true;
-               `Stop
-             end
-             else `Continue))
-    with Opt_stop o -> `Stopped o)
-    in
-    stats.budget_exhausted <- Budget.tripped options.budget;
-    absorb_alloc options.telemetry stats a0;
-    match guarded with
-    | Ok (`Stopped o) -> o
-    | Error e -> (
-      (* Budget exhausted (or a stray exception was contained): degrade to
-         the incumbent rather than losing it. *)
-      match !best with
-      | Some (v, sol) -> Opt_incumbent (v, sol)
-      | None -> Opt_unknown (Err.to_string e))
-    | Ok (`Res r) -> (
-      (* [Opt_best] requires a complete enumeration: neither the
-         delta-valuation limit nor an undecided model may have cut it
-         short — otherwise a better vertex could exist in the unexplored
-         part and claiming optimality would overclaim. *)
-      let complete =
-        (not !hit_limit) && match r with R_unknown _ -> false | _ -> true
-      in
-      match (r, !best) with
-      | R_unknown why, None -> Opt_unknown why
-      | _, None -> Opt_unsat
-      | _, Some (v, sol) ->
-        if complete then Opt_best (v, sol) else Opt_incumbent (v, sol)))
-  end

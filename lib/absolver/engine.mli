@@ -27,9 +27,6 @@ type options = {
       (** Post-process linear conflict sets with deletion filtering
           (guaranteed-minimal hints; ablation switch). *)
   max_bool_models : int; (** Safety cap on examined Boolean models. *)
-  eq_split_limit : int;
-      (** Maximum number of negated equations branched per model. *)
-  sat_max_conflicts : int;
   max_unknown_models : int;
       (** Give up after this many Boolean models whose arithmetic part
           could not be decided. *)
@@ -58,8 +55,7 @@ type options = {
           bounds that changed since the previous query. On by default;
           off ([CLI --no-incremental]) decides each query on a fresh
           tableau, the paper's restart per model. Verdict-equivalent either way —
-          only pivot counts and wall time change. [optimize] likewise
-          shares one tableau, or builds one per delta-valuation. *)
+          only pivot counts and wall time change. *)
   telemetry : Absolver_telemetry.Telemetry.t;
       (** Observability handle. Disabled by default (no-op); an enabled
           handle records hierarchical spans over every phase of the
@@ -77,10 +73,10 @@ type options = {
           bit-identical results. When a deadline, step budget, memory
           budget or cancellation trips, the engine degrades gracefully:
           the result becomes [R_unknown] with the typed reason mirrored in
-          [run_stats.budget_exhausted], and partial results (models found
-          so far, the optimization incumbent) are preserved. Budget
-          pressure may turn SAT/UNSAT into UNKNOWN but never flips an
-          answer, and no exception ever escapes a public entry point. *)
+          [run_stats.budget_exhausted], and the models found so far are
+          preserved. Budget pressure may turn SAT/UNSAT into UNKNOWN but
+          never flips an answer, and no exception ever escapes a public
+          entry point. *)
 }
 
 val default_options : options
@@ -175,48 +171,3 @@ val all_models :
     the budget, the call still returns [Ok] with the models found so far
     and [run_stats.budget_exhausted = Some reason]; only non-budget
     unknowns (and unbudgeted incompleteness) use the [Error] path. *)
-
-val count_models :
-  ?registry:Registry.t ->
-  ?options:options ->
-  Ab_problem.t ->
-  (int * run_stats, string) Stdlib.result
-(** Like {!all_models} but returning only the count — with the run's
-    statistics, so callers can report enumeration effort. *)
-
-(** {1 Optimization modulo the Boolean structure}
-
-    An OMT-flavoured extension: maximize a linear objective over {e all}
-    arithmetically feasible delta-valuations of a (linear) AB-problem —
-    the Boolean solver enumerates the disjuncts, the simplex optimizer
-    solves each polytope, and the best vertex wins. *)
-
-type opt_outcome =
-  | Opt_best of Absolver_numeric.Rational.t * Solution.t
-      (** optimal value and an attaining solution — claimed only when the
-          delta-valuation enumeration ran to completion *)
-  | Opt_incumbent of Absolver_numeric.Rational.t * Solution.t
-      (** best value found before the search was cut short (budget
-          exhausted, [limit] reached, or an undecidable model): a sound
-          lower bound on the optimum for [`Maximize] (upper for
-          [`Minimize]), not a proof of optimality *)
-  | Opt_unbounded
-  | Opt_unsat
-  | Opt_unknown of string
-
-val optimize :
-  ?registry:Registry.t ->
-  ?options:options ->
-  ?limit:int ->
-  objective:Absolver_lp.Linexpr.t ->
-  [ `Maximize | `Minimize ] ->
-  Ab_problem.t ->
-  opt_outcome
-(** Rejects problems with nonlinear definitions ([Opt_unknown]); [limit]
-    caps the number of delta-valuations explored (default 10000). Negated
-    equalities and conjunctions are disjunctive; each valuation is
-    optimized within the branch its arithmetic check found feasible.
-
-    An incomplete search that holds an incumbent reports {!Opt_incumbent},
-    never {!Opt_best} (historically this overclaimed optimality) and never
-    silently [Opt_unknown]. *)

@@ -20,8 +20,8 @@
 
     Everything the driver derives is implied by the problem. The SAT
     level keeps the CNF's model set exactly, and a fed-back unit only
-    drops valuations that no arithmetic assignment extends. Hence solve /
-    all-models / optimize results are preserved exactly, and a model of
+    drops valuations that no arithmetic assignment extends. Hence solve
+    and all-models results are preserved exactly, and a model of
     the solver's clauses is a model of the original problem as it
     stands. *)
 

@@ -659,174 +659,3 @@ let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
       | None -> decide t ~int_vars ~vars
     in
     (verdict, t.pivots)
-
-(* ------------------------------------------------------------------ *)
-(* Primal simplex optimization over the bounded-variable tableau.      *)
-
-type opt_result =
-  | O_infeasible of int list
-  | O_unbounded
-  | O_optimal of DR.t * (Linexpr.var * Q.t) list
-
-let lower_value t v = Option.map (fun b -> b.value) t.lower.(v)
-let upper_value t v = Option.map (fun b -> b.value) t.upper.(v)
-
-(* Maximum admissible increase of beta(v) (None = unbounded). *)
-let headroom_up t v =
-  match upper_value t v with
-  | None -> None
-  | Some u -> Some (DR.sub u t.beta.(v))
-
-let headroom_down t v =
-  match lower_value t v with
-  | None -> None
-  | Some l -> Some (DR.sub t.beta.(v) l)
-
-let maximize t objective =
-  match check t with
-  | Infeasible tags -> O_infeasible tags
-  | Feasible ->
-    let z = define t (Linexpr.drop_const objective) in
-    (* [define] keeps beta consistent, but z may be nonbasic (objective is
-       a single variable): when it has a row the entering scan walks it in
-       ascending column order (Bland); a nonbasic z behaves as the trivial
-       row {z -> 1}. *)
-    let rec loop iterations =
-      if iterations > 100_000 then O_unbounded (* defensive; Bland prevents this *)
-      else begin
-        (* Entering variable: Bland's rule. *)
-        let entering =
-          if t.rows.(z) == no_row then
-            match headroom_up t z with
-            | Some h when DR.compare h DR.zero <= 0 -> None
-            | _ -> Some (z, `Up, Q.one)
-          else begin
-            let row = t.rows.(z) in
-            let res = ref None in
-            let i = ref 0 in
-            while Option.is_none !res && !i < row.len do
-              let y = row.idx.(!i) and a = row.coef.(!i) in
-              (if y <> z then
-                 if
-                   Q.sign a > 0
-                   && (match headroom_up t y with
-                      | Some h -> DR.compare h DR.zero > 0
-                      | None -> true)
-                 then res := Some (y, `Up, a)
-                 else if
-                   Q.sign a < 0
-                   && (match headroom_down t y with
-                      | Some h -> DR.compare h DR.zero > 0
-                      | None -> true)
-                 then res := Some (y, `Down, a));
-              incr i
-            done;
-            !res
-          end
-        in
-        match entering with
-        | None ->
-          let pairs = ref [] in
-          for v = 0 to t.nvars - 1 do
-            (match t.lower.(v) with
-            | Some b -> pairs := (b.value, t.beta.(v)) :: !pairs
-            | None -> ());
-            match t.upper.(v) with
-            | Some b -> pairs := (t.beta.(v), b.value) :: !pairs
-            | None -> ()
-          done;
-          let d = DR.concretize_delta !pairs in
-          let model =
-            List.map
-              (fun v -> (v, DR.substitute d t.beta.(v)))
-              (List.init t.nvars Fun.id)
-          in
-          O_optimal (DR.add t.beta.(z) (DR.of_rational (Linexpr.const objective)), model)
-        | Some (y, dir, obj_coeff) -> (
-          (* Ratio test: how far can y move before its own bound or a basic
-             variable's bound blocks. The scan stays dense and ascending in
-             the basic index — identical tie-breaking to the previous
-             representation (ties replace only on strictly smaller limit). *)
-          let own_limit =
-            match dir with `Up -> headroom_up t y | `Down -> headroom_down t y
-          in
-          let blocking = ref None in
-          let limit = ref own_limit in
-          let consider cand_limit var target =
-            match cand_limit with
-            | None -> ()
-            | Some cl -> (
-              match !limit with
-              | Some cur when DR.compare cur cl <= 0 -> ()
-              | _ ->
-                limit := Some cl;
-                blocking := Some (var, target))
-          in
-          (* The objective variable itself may be bounded (a hash-consed
-             slack shared with a constraint): its upper bound blocks the
-             increase like any basic bound. *)
-          (if t.rows.(z) != no_row then
-             match upper_value t z with
-             | None -> ()
-             | Some u ->
-               let a_abs = Q.abs obj_coeff in
-               let room = DR.sub u t.beta.(z) in
-               consider (Some (DR.scale (Q.inv a_abs) room)) z u);
-          for b = 0 to t.nvars - 1 do
-            if b <> z && b <> y then begin
-              let rowb = t.rows.(b) in
-              if rowb != no_row then begin
-                let p = row_find rowb y in
-                if p >= 0 then begin
-                  let coeff = rowb.coef.(p) in
-                  (* beta(b) changes by coeff * delta_y; delta_y is
-                     positive for `Up, negative for `Down. *)
-                  let effective =
-                    match dir with
-                    | `Up -> Q.sign coeff
-                    | `Down -> -Q.sign coeff
-                  in
-                  if effective > 0 then begin
-                    (* b increases: blocked by upper(b). *)
-                    match upper_value t b with
-                    | None -> ()
-                    | Some u ->
-                      let room = DR.sub u t.beta.(b) in
-                      let cl = DR.scale (Q.inv (Q.abs coeff)) room in
-                      consider (Some cl) b u
-                  end
-                  else if effective < 0 then begin
-                    match lower_value t b with
-                    | None -> ()
-                    | Some l ->
-                      let room = DR.sub t.beta.(b) l in
-                      let cl = DR.scale (Q.inv (Q.abs coeff)) room in
-                      consider (Some cl) b l
-                  end
-                end
-              end
-            end
-          done;
-          match (!limit, !blocking) with
-          | None, _ -> O_unbounded
-          | Some step, None ->
-            (* y's own bound blocks: move y there. *)
-            let target =
-              match dir with
-              | `Up -> DR.add t.beta.(y) step
-              | `Down -> DR.sub t.beta.(y) step
-            in
-            update t y target;
-            loop (iterations + 1)
-          | Some _, Some (b, target) ->
-            (* Basic b hits its bound first: pivot b out, y in. *)
-            pivot_and_update t b y target;
-            loop (iterations + 1))
-      end
-    in
-    loop 0
-
-let minimize_obj t objective =
-  match maximize t (Linexpr.neg objective) with
-  | O_optimal (v, model) -> O_optimal (DR.neg v, model)
-  | (O_infeasible _ | O_unbounded) as r -> r

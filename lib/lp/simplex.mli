@@ -26,7 +26,7 @@ type result = Feasible | Infeasible of int list
 
 val create : ?budget:Absolver_resource.Budget.t -> unit -> t
 (** An empty tableau. With a [budget], every pivot ticks it: the
-    incremental operations ({!check}, {!maximize}) may then raise
+    incremental operation {!check} may then raise
     {!Absolver_resource.Budget.Exhausted} — callers of the incremental
     interface own the boundary and must catch it. The one-shot
     {!solve_system} is exception-safe. *)
@@ -132,24 +132,3 @@ val solve_system :
     take integer values. This is a library boundary: exhaustion of the
     [budget] (or of the internal branch-and-bound node cap) returns
     [Unknown] with the typed reason — no exception escapes. *)
-
-(** {1 Optimization}
-
-    COIN is an optimization interface, not just a feasibility oracle; this
-    primal simplex over the same tableau maximizes a linear objective
-    subject to the asserted bounds. *)
-
-type opt_result =
-  | O_infeasible of int list (** tags, as in {!check} *)
-  | O_unbounded
-  | O_optimal of DR.t * (Linexpr.var * Q.t) list
-      (** optimum value (delta-rational: strict bounds give suprema
-          approached within delta) and a concretized optimal model *)
-
-val maximize : t -> Linexpr.t -> opt_result
-(** Maximize the (affine) objective over the current constraint system.
-    Uses Bland's rule; terminating and exact. The tableau and assignment
-    are left at the optimum. *)
-
-val minimize_obj : t -> Linexpr.t -> opt_result
-(** [maximize] of the negated objective, with the value negated back. *)

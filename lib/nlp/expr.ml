@@ -237,22 +237,6 @@ let rec linearize = function
 
 let is_linear e = Option.is_some (linearize e)
 
-let rec subst f e =
-  match e with
-  | Var v -> ( match f v with Some e' -> e' | None -> e)
-  | Const _ -> e
-  | Neg e -> neg (subst f e)
-  | Add (a, b) -> add (subst f a) (subst f b)
-  | Sub (a, b) -> sub (subst f a) (subst f b)
-  | Mul (a, b) -> mul (subst f a) (subst f b)
-  | Div (a, b) -> div (subst f a) (subst f b)
-  | Pow (e, n) -> pow (subst f e) n
-  | Sqrt e -> sqrt (subst f e)
-  | Exp e -> exp (subst f e)
-  | Log e -> log (subst f e)
-  | Sin e -> sin (subst f e)
-  | Cos e -> cos (subst f e)
-
 type rel = { expr : t; op : Linexpr.op; tag : int }
 
 let pp_rel ?name () fmt r =

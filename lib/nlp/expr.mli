@@ -84,8 +84,6 @@ val linearize : t -> Absolver_lp.Linexpr.t option
 
 val is_linear : t -> bool
 
-val subst : (int -> t option) -> t -> t
-
 (** {1 Relations}
 
     A constraint [expr op 0], tagged with its origin (the Boolean variable

@@ -78,13 +78,7 @@ exception Not_int
 let int_token text i j =
   let d0 = if i < j && text.[i] = '-' then i + 1 else i in
   let v = decimal_digits text d0 j in
-  if v >= 0 then if d0 > i then -v else v
-  else
-    (* Anything but a plain decimal (a sign, a base prefix, an overflow)
-       is left to [int_of_string], which decides what it means. *)
-    match int_of_string_opt (String.sub text i (j - i)) with
-    | Some v -> v
-    | None -> raise Not_int
+  if v < 0 then raise Not_int else if d0 > i then -v else v
 
 let problem_line cur =
   let text = cur.text and stop = cur.stop in

@@ -59,8 +59,10 @@ val decimal_digits : string -> int -> int -> int
 exception Not_int
 
 val int_token : string -> int -> int -> int
-(** The token [text.[i .. j - 1]] as [int_of_string] reads it.
-    @raise Not_int where [int_of_string] fails. *)
+(** The token [text.[i .. j - 1]] as a decimal integer: an optional
+    [-], then 1 to 18 digits.
+    @raise Not_int on anything else (a [+], a base prefix, an
+    underscore, a longer number). *)
 
 val problem_line : cursor -> ((int * int) * (int * int)) option
 (** The current line as ["p cnf V C"], exactly four tokens: the bounds

@@ -132,7 +132,12 @@ let parse_string_body c =
         | 'u' ->
           if c.pos + 4 > String.length text then failf "truncated \\u escape";
           let code = hex4 text c.pos in
-          if code < 0 then failf "invalid \\u escape %s" (String.sub text c.pos 4);
+          if code < 0 then
+            (* A quote or backslash among the four digits ends the escape
+               early: name it rather than quoting past the string's end. *)
+            if plain_run text c.pos < c.pos + 4 then
+              failf "short \\u escape at %d" (c.pos - 2)
+            else failf "invalid \\u escape %s" (String.sub text c.pos 4);
           c.pos <- c.pos + 4;
           utf8_encode b code
         | e -> failf "invalid escape \\%c" e

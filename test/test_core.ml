@@ -284,10 +284,10 @@ let test_engine_all_models_limit () =
 
 let test_engine_count_models () =
   let text = "p cnf 2 1\n1 2 0\n" in
-  match A.Engine.count_models (parse text) with
-  | Ok (n, stats) ->
+  match A.Engine.all_models (parse text) with
+  | Ok (models, stats) ->
+    let n = List.length models in
     check int_t "count" 3 n;
-    (* count_models now carries the run's stats like every entry point. *)
     check bool_t "stats examine at least n models" true
       (A.Engine.counter stats "engine.bool_models" >= n)
   | Error e -> Alcotest.fail e

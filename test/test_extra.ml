@@ -85,27 +85,23 @@ c def real 4 u <= -1
   | A.Engine.R_unsat, _ -> Alcotest.fail "budget exhaustion must not claim unsat"
 
 let test_engine_eq_split_limit () =
-  (* 3 negated equations with a limit of 2: the engine must give up
-     honestly. *)
-  let p =
-    parse
-      {|p cnf 3 3
--1 0
--2 0
--3 0
-c def real 1 u = 1
-c def real 2 v = 2
-c def real 3 w = 3
-c bound u 0 10
-c bound v 0 10
-c bound w 0 10
-|}
+  (* n negated equations u_i != i over [0, 10]: the engine branches on at
+     most 12 of them per Boolean model, so 13 must give up honestly. *)
+  let negated n =
+    let b = Buffer.create 256 in
+    Printf.bprintf b "p cnf %d %d\n" n n;
+    for i = 1 to n do Printf.bprintf b "-%d 0\n" i done;
+    for i = 1 to n do
+      Printf.bprintf b "c def real %d u%d = %d\nc bound u%d 0 10\n" i i i i
+    done;
+    parse (Buffer.contents b)
   in
-  let options = { A.Engine.default_options with A.Engine.eq_split_limit = 2 } in
-  (match A.Engine.solve ~options p with
-  | A.Engine.R_unknown _, _ -> ()
-  | _ -> Alcotest.fail "expected unknown at the split limit");
-  (* With the default limit it solves. *)
+  (match A.Engine.solve (negated 13) with
+  | A.Engine.R_unknown why, _ ->
+    check Alcotest.string "reason" "more than 12 negated equations in one Boolean model" why
+  | _ -> Alcotest.fail "expected unknown past the split limit");
+  (* At the limit it solves. *)
+  let p = negated 12 in
   match A.Engine.solve p with
   | A.Engine.R_sat sol, _ -> check bool_t "verified" true (A.Solution.check p sol = Ok ())
   | _ -> Alcotest.fail "expected sat"
@@ -359,58 +355,4 @@ let suite =
   @ [
       ("testgen coverage", `Quick, test_testgen_coverage);
       ("testgen csv", `Quick, test_testgen_csv);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Optimization modulo Boolean structure.                              *)
-
-let test_optimize_two_disjuncts () =
-  (* (u <= 2) or (u >= 5 and u <= 7), u in [0, 10]; max u = 7 in the
-     second disjunct, min u = 0 in the first. *)
-  let p =
-    parse
-      {|p cnf 3 2
-1 2 0
--2 3 0
-c def real 1 u <= 2
-c def real 2 u >= 5
-c def real 3 u <= 7
-c bound u 0 10
-|}
-  in
-  let obj = L.var 0 in
-  (match A.Engine.optimize ~objective:obj `Maximize p with
-  | A.Engine.Opt_best (v, sol) ->
-    check bool_t "max 7" true (Q.equal v (Q.of_int 7));
-    check bool_t "witness verifies" true (A.Solution.check p sol = Ok ())
-  | _ -> Alcotest.fail "expected an optimum");
-  match A.Engine.optimize ~objective:obj `Minimize p with
-  | A.Engine.Opt_best (v, _) -> check bool_t "min 0" true (Q.is_zero v)
-  | _ -> Alcotest.fail "expected a minimum"
-
-let test_optimize_unbounded_direction () =
-  let p = parse "p cnf 1 1\n1 0\nc def real 1 u >= 0\n" in
-  match A.Engine.optimize ~objective:(L.var 0) `Maximize p with
-  | A.Engine.Opt_unbounded -> ()
-  | _ -> Alcotest.fail "u >= 0 has no maximum"
-
-let test_optimize_unsat_problem () =
-  let p = parse "p cnf 2 2\n1 0\n2 0\nc def real 1 u <= 1\nc def real 2 u >= 2\n" in
-  match A.Engine.optimize ~objective:(L.var 0) `Maximize p with
-  | A.Engine.Opt_unsat -> ()
-  | _ -> Alcotest.fail "unsat expected"
-
-let test_optimize_rejects_nonlinear () =
-  let p = parse "p cnf 1 1\n1 0\nc def real 1 u * u <= 4\nc bound u 0 10\n" in
-  match A.Engine.optimize ~objective:(L.var 0) `Maximize p with
-  | A.Engine.Opt_unknown _ -> ()
-  | _ -> Alcotest.fail "nonlinear must be rejected"
-
-let suite =
-  suite
-  @ [
-      ("omt: disjuncts", `Quick, test_optimize_two_disjuncts);
-      ("omt: unbounded", `Quick, test_optimize_unbounded_direction);
-      ("omt: unsat", `Quick, test_optimize_unsat_problem);
-      ("omt: rejects nonlinear", `Quick, test_optimize_rejects_nonlinear);
     ]

@@ -7,7 +7,10 @@
    variable numbering, the projection and the SMT-LIB predicate map), so
    a change in clause order, variable numbering, definition order,
    expression shape or sharing shows as a different digest. The error
-   table pins the same commit's diagnostics. *)
+   table pins the same commit's diagnostics, except where that commit
+   was wrong: non-decimal literals such as [0x1F] are now bad literals,
+   a bad [c bound] value is named as such, and a [\u] escape cut short
+   by a quote is reported at its offset. *)
 
 module A = Absolver_core
 module SL = Absolver_smtlib
@@ -213,7 +216,7 @@ let dimacs_ext_errors =
     ("p cnf 2 1\n1 x 0\n", "line 2: bad literal \"x\"");
     ("1 2 3a 0\n", "line 1: bad literal \"3a\"");
     ("1 99999999999999999999 0\n", "line 1: bad literal \"99999999999999999999\"");
-    ("1 0x1F 0\n", "ok");
+    ("1 0x1F 0\n", "line 1: bad literal \"0x1F\"");
     ("0\n", "empty clause");
     ("p cnf x 1\n", "line 1: malformed problem line");
     ("p dnf 1 1\n", "line 1: malformed problem line");
@@ -237,9 +240,11 @@ let dimacs_ext_errors =
     ("c def int 1 x > = 0\n", "line 1: expected a factor");
     ("c def int 1 x\r>= 0\n", "line 1: unexpected character '\\r'");
     ("c bound x 1\n", "line 1: malformed bound line");
-    ("c bound x a b\n", "line 1: Bigint.of_string: invalid character");
+    ("c bound x a b\n", "line 1: malformed bound value \"a\"");
     ("c bound x 1 2 3\n", "line 1: malformed bound line");
-    ("c bound x _ 1.5.2\n", "line 1: Bigint.of_string: invalid character");
+    ("c bound x _ 1.5.2\n", "line 1: malformed bound value \"1.5.2\"");
+    ("c bound x 1eZ 2\n", "line 1: malformed bound value \"1eZ\"");
+    ("c bound x 1/0 2\n", "line 1: malformed bound value \"1/0\"");
     ("1 y 0\nc def int 0 x >= 0\nc bound x 1\n", "line 1: bad literal \"y\"");
   ]
 
@@ -249,6 +254,9 @@ let dimacs_errors =
     ("p cnf 2 x\n", "line 1: malformed problem line");
     ("p cnf 2\n", "line 1: malformed problem line");
     ("1 2 - 0\n", "line 1: bad literal \"-\"");
+    ("1 0x1F 0\n", "line 1: bad literal \"0x1F\"");
+    ("1 +5 0\n", "line 1: bad literal \"+5\"");
+    ("p cnf 0b11 1\n", "line 1: malformed problem line");
   ]
 
 let sexp_errors =
@@ -280,7 +288,7 @@ let json_errors =
     ("{\"a\":\"b\\q\"}", "invalid escape \\q");
     ("{\"a\":\"\\u12G4\"}", "invalid \\u escape 12G4");
     ("{\"a\":\"\\u_123\"}", "invalid \\u escape _123");
-    ("{\"a\":\"\\u12\"}", "invalid \\u escape 12\"}");
+    ("{\"a\":\"\\u12\"}", "short \\u escape at 6");
     ("{\"a\":\"\\u12", "truncated \\u escape");
     ("{\"a\":nul}", "invalid literal at 5");
     ("[1,2", "expected ',' or ']' at 4");

@@ -334,142 +334,3 @@ let suite =
     ("conflict minimal_core", `Quick, test_conflict_minimal_core_tags);
   ]
   @ qsuite [ prop_sub_is_add_neg; prop_planted_sat; prop_unsat_core_infeasible ]
-
-(* ------------------------------------------------------------------ *)
-(* Optimization.                                                       *)
-
-let assert_optimal r expected_q =
-  match r with
-  | S.O_optimal (v, _) ->
-    check bool_t
-      (Printf.sprintf "optimum = %s" (Q.to_string expected_q))
-      true
-      (Q.equal (DR.r v) expected_q && Q.is_zero (DR.k v))
-  | S.O_unbounded -> Alcotest.fail "unexpectedly unbounded"
-  | S.O_infeasible _ -> Alcotest.fail "unexpectedly infeasible"
-
-let test_optimize_basic () =
-  (* max x + y st x <= 3, y <= 4, x + y <= 6, x,y >= 0: optimum 6. *)
-  let t = S.create () in
-  S.ensure_vars t 2;
-  let assert_all =
-    [
-      cons (L.of_list [ (q 1, 0) ] (q (-3))) L.Le 0;
-      cons (L.of_list [ (q 1, 1) ] (q (-4))) L.Le 1;
-      cons (L.of_list [ (q 1, 0); (q 1, 1) ] (q (-6))) L.Le 2;
-      cons (L.of_list [ (q 1, 0) ] Q.zero) L.Ge 3;
-      cons (L.of_list [ (q 1, 1) ] Q.zero) L.Ge 4;
-    ]
-  in
-  List.iter (fun c -> assert (S.assert_cons t c = S.Feasible)) assert_all;
-  let r = S.maximize t (L.of_list [ (q 1, 0); (q 1, 1) ] Q.zero) in
-  assert_optimal r (q 6);
-  (match r with
-  | S.O_optimal (_, model) ->
-    let x = List.assoc 0 model and y = List.assoc 1 model in
-    check bool_t "model attains optimum" true (Q.equal (Q.add x y) (q 6));
-    check bool_t "x within bounds" true (Q.leq x (q 3) && Q.geq x Q.zero)
-  | _ -> ());
-  (* minimize the same objective: 0 at the origin corner. *)
-  assert_optimal (S.minimize_obj t (L.of_list [ (q 1, 0); (q 1, 1) ] Q.zero)) (q 0)
-
-let test_optimize_unbounded () =
-  let t = S.create () in
-  S.ensure_vars t 1;
-  assert (S.assert_cons t (cons (L.of_list [ (q 1, 0) ] Q.zero) L.Ge 0) = S.Feasible);
-  match S.maximize t (L.of_list [ (q 1, 0) ] Q.zero) with
-  | S.O_unbounded -> ()
-  | S.O_optimal _ -> Alcotest.fail "x >= 0 has no maximum"
-  | S.O_infeasible _ -> Alcotest.fail "feasible"
-
-let test_optimize_infeasible () =
-  (* Row-level infeasibility (x + y >= 5 with x,y <= 1) is only detectable
-     by pivoting; bound-vs-bound conflicts would already be rejected at
-     assert time without changing the state. *)
-  let t = S.create () in
-  S.ensure_vars t 2;
-  assert (S.assert_cons t (cons (L.of_list [ (q 1, 0); (q 1, 1) ] (q (-5))) L.Ge 0) = S.Feasible);
-  assert (S.assert_cons t (cons (L.of_list [ (q 1, 0) ] (q (-1))) L.Le 1) = S.Feasible);
-  assert (S.assert_cons t (cons (L.of_list [ (q 1, 1) ] (q (-1))) L.Le 2) = S.Feasible);
-  match S.maximize t (L.of_list [ (q 1, 0) ] Q.zero) with
-  | S.O_infeasible tags -> check bool_t "core nonempty" true (tags <> [])
-  | _ -> Alcotest.fail "infeasible expected"
-
-let test_optimize_objective_constant () =
-  (* Affine objective: max (x + 7) st x <= 2. *)
-  let t = S.create () in
-  S.ensure_vars t 1;
-  ignore (S.assert_cons t (cons (L.of_list [ (q 1, 0) ] (q (-2))) L.Le 0));
-  ignore (S.assert_cons t (cons (L.of_list [ (q 1, 0) ] Q.zero) L.Ge 1));
-  assert_optimal (S.maximize t (L.of_list [ (q 1, 0) ] (q 7))) (q 9)
-
-let test_optimize_degenerate_corner () =
-  (* max 2x + 3y st x + y <= 4, x - y <= 0, y <= 3, x,y >= 0.
-     Optimum at (1,3): 2 + 9 = 11. *)
-  let t = S.create () in
-  S.ensure_vars t 2;
-  List.iter
-    (fun c -> assert (S.assert_cons t c = S.Feasible))
-    [
-      cons (L.of_list [ (q 1, 0); (q 1, 1) ] (q (-4))) L.Le 0;
-      cons (L.of_list [ (q 1, 0); (q (-1), 1) ] Q.zero) L.Le 1;
-      cons (L.of_list [ (q 1, 1) ] (q (-3))) L.Le 2;
-      cons (L.of_list [ (q 1, 0) ] Q.zero) L.Ge 3;
-      cons (L.of_list [ (q 1, 1) ] Q.zero) L.Ge 4;
-    ];
-  assert_optimal (S.maximize t (L.of_list [ (q 2, 0); (q 3, 1) ] Q.zero)) (q 11)
-
-let prop_optimum_dominates_samples =
-  (* The reported optimum dominates the objective at any feasible point
-     returned by independent solve_system calls on the same system. *)
-  QCheck.Test.make ~name:"optimum dominates feasible points" ~count:200
-    arb_system
-    (fun (point, rows) ->
-      let point = Array.of_list point in
-      let cs =
-        List.mapi
-          (fun tag (terms, _) ->
-            let e = L.of_list terms Q.zero in
-            let v = L.eval (fun i -> point.(i)) e in
-            (* Non-strict upper bound through the planted point + slack. *)
-            cons (L.set_const e (Q.neg (Q.add v Q.one))) L.Le tag)
-          rows
-      in
-      (* Box to keep the optimum finite. *)
-      let box =
-        List.concat_map
-          (fun v ->
-            [
-              cons (L.of_list [ (Q.one, v) ] (Q.of_int (-50))) L.Le (1000 + v);
-              cons (L.of_list [ (Q.one, v) ] (Q.of_int 50)) L.Ge (2000 + v);
-            ])
-          [ 0; 1; 2; 3 ]
-      in
-      let all = cs @ box in
-      let t = S.create () in
-      S.ensure_vars t 4;
-      let ok = List.for_all (fun c -> S.assert_cons t c = S.Feasible) all in
-      QCheck.assume ok;
-      let objective = L.of_list [ (Q.one, 0); (Q.of_int 2, 1); (Q.of_int (-1), 2) ] Q.zero in
-      match S.maximize t objective with
-      | S.O_infeasible _ -> QCheck.assume_fail ()
-      | S.O_unbounded -> false (* boxed: cannot be unbounded *)
-      | S.O_optimal (opt, model) ->
-        let env v = Option.value ~default:Q.zero (List.assoc_opt v model) in
-        (* The optimal model is feasible and attains the value. *)
-        List.for_all (L.holds env) all
-        && Q.equal (L.eval env objective) (DR.r opt)
-        &&
-        (* The planted point is feasible by construction: dominated. *)
-        Q.geq (DR.r opt) (L.eval (fun i -> point.(i)) objective))
-
-let suite =
-  suite
-  @ [
-      ("optimize basic", `Quick, test_optimize_basic);
-      ("optimize unbounded", `Quick, test_optimize_unbounded);
-      ("optimize infeasible", `Quick, test_optimize_infeasible);
-      ("optimize affine objective", `Quick, test_optimize_objective_constant);
-      ("optimize degenerate corner", `Quick, test_optimize_degenerate_corner);
-    ]
-  @ qsuite [ prop_optimum_dominates_samples ]

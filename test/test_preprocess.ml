@@ -707,35 +707,6 @@ let test_equiv_all_models () =
       | Ok p -> p
       | Error e -> Alcotest.failf "fischer: %s" e)
 
-let test_equiv_optimize () =
-  let mk () =
-    parse
-      {|p cnf 3 2
-1 2 0
--2 3 0
-c def real 1 u <= 2
-c def real 2 u >= 5
-c def real 3 u <= 7
-c bound u 0 10
-|}
-  in
-  let run on dir = A.Engine.optimize ~options:(opts on) ~objective:(L.var 0) dir (mk ()) in
-  let value name a b =
-    match (a, b) with
-    | A.Engine.Opt_best (va, _), A.Engine.Opt_best (vb, _) ->
-      check bool_t (name ^ ": same optimum") true (Q.equal va vb)
-    | A.Engine.Opt_unsat, A.Engine.Opt_unsat
-    | A.Engine.Opt_unbounded, A.Engine.Opt_unbounded
-    | A.Engine.Opt_unknown _, A.Engine.Opt_unknown _ -> ()
-    | _ -> Alcotest.failf "%s: outcomes differ with presolve" name
-  in
-  value "max" (run true `Maximize) (run false `Maximize);
-  value "min" (run true `Minimize) (run false `Minimize);
-  let unsat = parse "p cnf 2 2\n1 0\n2 0\nc def real 1 u <= 1\nc def real 2 u >= 2\n" in
-  match A.Engine.optimize ~options:(opts true) ~objective:(L.var 0) `Maximize unsat with
-  | A.Engine.Opt_unsat -> ()
-  | _ -> Alcotest.fail "presolved optimize must report unsat"
-
 (* A deterministic LCG so the random corpus is reproducible. *)
 let test_equiv_random_problems () =
   let state = ref 123456789 in
@@ -810,6 +781,5 @@ let suite =
     ("equiv: solve corpus", `Quick, test_equiv_solve_corpus);
     ("equiv: steering", `Slow, test_equiv_solve_steering);
     ("equiv: all-models", `Quick, test_equiv_all_models);
-    ("equiv: optimize", `Quick, test_equiv_optimize);
     ("equiv: random problems", `Quick, test_equiv_random_problems);
   ]
