@@ -153,11 +153,11 @@ let bump options stats c n =
 
 (* Counters reported by name (a linear session's); names the engine does
    not declare are ignored. *)
-let bump_named options stats counters =
-  List.iter
-    (fun (name, n) ->
-      Option.iter (fun c -> bump options stats c n) (counter_of_name name))
-    counters
+let rec bump_named options stats = function
+  | [] -> ()
+  | (name, n) :: rest ->
+    (match counter_of_name name with Some c -> bump options stats c n | None -> ());
+    bump_named options stats rest
 
 let counters stats =
   Array.to_list (Array.map (fun c -> (c.name, count stats c)) all_counters)
@@ -325,10 +325,14 @@ type piece =
 
 let rel_of = function Linear (r, _, _) | Nonlinear (r, _) -> r
 
+(* Relations that all hold, with their linear atoms' ids and their
+   nonlinear pieces, each in order. *)
+type conj = { pieces : piece list; ids : int array; nonlinear : piece list }
+
 (* What a literal contributes to a model's conjunction: relations that
    all hold, or a branching group of which one must (the negation of an
    equation or of a conjunction, Sec. 1). *)
-type side = Fixed of piece list | Group of piece list
+type side = Fixed of conj | Group of piece list
 
 (* The problem compiled for one solve, after presolve. A literal compiles
    the first time a model assigns it, so a solve that checks one model
@@ -342,8 +346,10 @@ type compiled = {
   sides : side array;
   int_vars : int list;
   relax : Relax.t;  (* over presolve's box *)
-  bounds : piece list;  (* presolve's, asserted after the literals *)
-  bound_ids : int list;
+  bounds : conj;  (* presolve's, asserted after the literals *)
+  (* The linear atom ids of the conjunction being checked, rewritten by
+     every check: a model's query reads a prefix. *)
+  mutable ids : int array;
 }
 
 let rec pieces sess relax = function
@@ -358,14 +364,43 @@ let rec pieces sess relax = function
     in
     p :: pieces sess relax rs
 
-let unset = Fixed []
 let is_nonlinear = function Linear _ -> false | Nonlinear _ -> true
 
-(* The linear atoms' ids of [ps], in order, then [tail]. *)
-let ids_of ps tail =
-  List.fold_right
-    (fun p acc -> match p with Linear (_, _, id) -> id :: acc | Nonlinear _ -> acc)
-    ps tail
+(* Filled in place, without a list of the ids: a solve that checks one
+   model compiles a side for every literal it assigns. *)
+let conj pieces =
+  let nonlinear = List.filter is_nonlinear pieces in
+  let ids = Array.make (List.length pieces - List.length nonlinear) 0 in
+  ignore
+    (List.fold_left
+       (fun k p -> match p with Linear (_, _, id) -> ids.(k) <- id; k + 1 | Nonlinear _ -> k)
+       0 pieces);
+  { pieces; ids; nonlinear }
+
+let unset = Fixed (conj [])
+
+(* Make room for [n] ids in [c.ids], keeping those written. *)
+let reserve_ids c n =
+  if n > Array.length c.ids then begin
+    let b = Array.make (max n (2 * Array.length c.ids)) 0 in
+    Array.blit c.ids 0 b 0 (Array.length c.ids);
+    c.ids <- b
+  end
+
+(* Write into [c.ids] from position [k]; each returns the position
+   after what it wrote. *)
+let put_id c k id =
+  reserve_ids c (k + 1);
+  c.ids.(k) <- id;
+  k + 1
+
+let put_ids c k ids =
+  let n = Array.length ids in
+  reserve_ids c (k + n);
+  Array.blit ids 0 c.ids k n;
+  k + n
+
+let put_piece_id c k = function Linear (_, _, id) -> put_id c k id | Nonlinear _ -> k
 
 let compile ~pre ~sess problem =
   (* Presolve-tightened bounds and box: sound in every Boolean model,
@@ -387,8 +422,8 @@ let compile ~pre ~sess problem =
     sides = Array.make (2 * Array.length defined) unset;
     int_vars = List.filter (Array.get is_int) (List.init nvars Fun.id);
     relax;
-    bounds;
-    bound_ids = ids_of bounds [];
+    bounds = conj bounds;
+    ids = [||];
   }
 
 (* A true variable contributes all of its constraints; a false variable
@@ -401,10 +436,10 @@ let side c i v value =
   else
     let rels = List.map (fun (d : Ab_problem.def) -> d.rel) (Ab_problem.find_defs c.problem v) in
     let s =
-      if value then Fixed (pieces c.sess c.relax rels)
+      if value then Fixed (conj (pieces c.sess c.relax rels))
       else
         match List.concat_map Expr.negate_rel rels with
-        | [ r ] -> Fixed (pieces c.sess c.relax [ r ])
+        | [ r ] -> Fixed (conj (pieces c.sess c.relax [ r ]))
         | rs -> Group (pieces c.sess c.relax rs)
     in
     c.sides.(i) <- s;
@@ -442,15 +477,32 @@ let check_model ~registry ~options ~stats c (model : bool array) =
   let tel = options.telemetry in
   let bump = bump options stats in
   let budget = options.budget in
-  (* Split the literals into fixed relations and branching groups. *)
-  let fixed = ref [] and groups = ref [] in
-  Array.iteri
-    (fun i v ->
-      match side c i v model.(v) with
-      | Fixed ps -> fixed := ps @ !fixed
-      | Group ps -> groups := ps :: !groups)
-    c.defined;
-  let fixed = !fixed and groups = !groups in
+  (* Split the literals into fixed relations and branching groups. The
+     fixed relations run from the last defined variable to the first:
+     their nonlinear pieces now, their ids at the front of [c.ids], and
+     the pieces themselves only for a check that reads them. *)
+  let side_at i = side c i c.defined.(i) model.(c.defined.(i)) in
+  let fixed_nonlinear = ref [] and groups = ref [] in
+  for i = 0 to Array.length c.defined - 1 do
+    match side_at i with
+    | Fixed { nonlinear; _ } -> fixed_nonlinear := nonlinear @ !fixed_nonlinear
+    | Group ps -> groups := ps :: !groups
+  done;
+  let num_fixed = ref 0 in
+  for i = Array.length c.defined - 1 downto 0 do
+    match side_at i with
+    | Fixed { ids; _ } -> num_fixed := put_ids c !num_fixed ids
+    | Group _ -> ()
+  done;
+  let fixed =
+    lazy
+      (let fixed = ref [] in
+       for i = 0 to Array.length c.defined - 1 do
+         match side_at i with Fixed { pieces; _ } -> fixed := pieces @ !fixed | Group _ -> ()
+       done;
+       !fixed)
+  in
+  let fixed_nonlinear = !fixed_nonlinear and num_fixed = !num_fixed and groups = !groups in
   if List.length groups > eq_split_limit then
     M_unknown
       (Printf.sprintf "more than %d negated equations in one Boolean model"
@@ -463,19 +515,21 @@ let check_model ~registry ~options ~stats c (model : bool array) =
     let nvars = Ab_problem.num_arith_vars c.problem in
     (* Every LP query's work lands in [stats] as it happens, even when the
        query raises. *)
-    let lsolve ~fixes ids =
+    let lsolve ~fixes n =
       Fun.protect
         ~finally:(fun () -> bump_named options stats (c.sess.Registry.lsess_counters ()))
-        (fun () -> c.sess.Registry.lsess_solve ~int_vars:c.int_vars ~fixes ids)
+        (fun () -> c.sess.Registry.lsess_solve ~int_vars:c.int_vars ~fixes c.ids n)
     in
     let try_combo combo =
       bump eq_branches 1;
       (* The combo's conjunction is [fixed @ combo @ bounds]: its linear
-         atoms, and its nonlinear relations. *)
-      let ids = ids_of fixed (ids_of combo c.bound_ids) in
-      let nl = List.filter is_nonlinear in
-      let nonlinear = nl fixed @ nl combo @ nl c.bounds in
-      let pieces () = fixed @ combo @ c.bounds in
+         atoms, the first [num_ids] of [c.ids], and its nonlinear
+         relations. *)
+      let num_ids = put_ids c (List.fold_left (put_piece_id c) num_fixed combo) c.bounds.ids in
+      let nonlinear =
+        fixed_nonlinear @ List.filter is_nonlinear combo @ c.bounds.nonlinear
+      in
+      let pieces () = Lazy.force fixed @ combo @ c.bounds.pieces in
       let linear () =
         List.filter_map
           (function Linear (_, cons, _) -> Some cons | Nonlinear _ -> None)
@@ -483,17 +537,17 @@ let check_model ~registry ~options ~stats c (model : bool array) =
       in
       (* Linear filter, including relaxations of the nonlinear part. *)
       bump linear_checks 1;
-      let lp_ids =
+      let num_lp_ids =
         if options.use_linear_relaxation && nonlinear <> [] then
-          ids @ relaxed_atoms c nvars nonlinear
-        else ids
+          List.fold_left (put_id c) num_ids (relaxed_atoms c nvars nonlinear)
+        else num_ids
       in
       let lp_verdict =
         Telemetry.span tel "linear_check"
-          ~attrs:[ ("constraints", Telemetry.Int (List.length lp_ids)) ]
+          ~attrs:[ ("constraints", Telemetry.Int num_lp_ids) ]
           (fun () ->
             let p0 = count stats lp_pivots in
-            let v = lsolve ~fixes:[] lp_ids in
+            let v = lsolve ~fixes:[] num_lp_ids in
             Telemetry.observe tel "lp.pivots_per_check"
               (float_of_int (count stats lp_pivots - p0));
             v)
@@ -575,7 +629,7 @@ let check_model ~registry ~options ~stats c (model : bool array) =
             in
             let fixes = List.map fix (List.filter (Array.get touched) nl_vars) in
             let exact_part =
-              match lsolve ~fixes ids with
+              match lsolve ~fixes num_ids with
               | Registry.L_sat m -> Some m
               | Registry.L_unsat _ | Registry.L_unknown _ -> None
             in

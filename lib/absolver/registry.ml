@@ -17,7 +17,7 @@ type linear_verdict =
 type linear_session = {
   lsess_atom : Linexpr.cons -> int;
   lsess_solve :
-    int_vars:int list -> fixes:Linexpr.cons list -> int list -> linear_verdict;
+    int_vars:int list -> fixes:Linexpr.cons list -> int array -> int -> linear_verdict;
   lsess_counters : unit -> (string * int) list;
 }
 
@@ -60,9 +60,9 @@ let session_of ~warm s =
   {
     lsess_atom = Incremental.register s;
     lsess_solve =
-      (fun ~int_vars ~fixes atoms ->
+      (fun ~int_vars ~fixes ids n ->
         if not warm then Incremental.reset s;
-        verdict_of_simplex (Incremental.solve s ~int_vars ~fixes atoms));
+        verdict_of_simplex (Incremental.solve s ~int_vars ~fixes ids n));
     lsess_counters =
       (fun () ->
         let now = Incremental.counters s in

@@ -26,16 +26,17 @@ type linear_verdict =
 type linear_session = {
   lsess_atom : Linexpr.cons -> int;
   lsess_solve :
-    int_vars:int list -> fixes:Linexpr.cons list -> int list -> linear_verdict;
+    int_vars:int list -> fixes:Linexpr.cons list -> int array -> int -> linear_verdict;
   lsess_counters : unit -> (string * int) list;
 }
 (** A stateful linear-solver session. [lsess_atom c] registers the atom
     [c] and returns its id, the same id for an equal atom.
-    [lsess_solve ~int_vars ~fixes ids] decides the conjunction of
+    [lsess_solve ~int_vars ~fixes ids n] decides the conjunction of
     [fixes] (never registered: the engine's witness fixes) and the atoms
-    [ids], in that order. Calls may reuse solver state from earlier ones
-    (a warm-started tableau), but each must decide exactly the
-    constraints it is given. [lsess_counters] returns the work done
+    [ids.(0 .. n-1)], in that order. [ids] is the caller's buffer, which
+    it rewrites for its next query: a session must not keep it. Calls
+    may reuse solver state from earlier ones (a warm-started tableau),
+    but each must decide exactly the constraints it is given. [lsess_counters] returns the work done
     since its previous call (or since the session was acquired) under
     engine counter names ([lp.pivots], [lp.inc.*]; see
     {!Engine.counters}); the engine reads it after every solve. *)

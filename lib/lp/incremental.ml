@@ -47,9 +47,18 @@ type t = {
   mutable wanted_at : int array;
   mutable mentioned_at : int array;
   mutable query : int;
-  (* The variables the last applied query bounded. Outside [solve] the
-     trail is empty, so the tableau's bounds are exactly that query's. *)
-  mutable bounded : int list;
+  (* Buffers of tableau variables, as long as the scratch arrays: the
+     variables this query bounds ([wanted]) and mentions, each in order
+     of first sight. Each holds distinct variables, so none overflows. *)
+  mutable wanted : int array;
+  mutable num_wanted : int;
+  mutable mentioned : int array;
+  mutable num_mentioned : int;
+  (* The variables the last applied query bounded, [wanted]'s buffer of
+     that query. Outside [solve] the trail is empty, so the tableau's
+     bounds are exactly that query's. *)
+  mutable bounded : int array;
+  mutable num_bounded : int;
   (* Work counters, reported by [counters]. *)
   mutable solves : int;
   mutable asserted : int;  (* bounds set that the previous query lacked *)
@@ -73,7 +82,12 @@ let create ?(budget = Budget.unlimited) () =
     wanted_at = [||];
     mentioned_at = [||];
     query = 0;
-    bounded = [];
+    wanted = [||];
+    num_wanted = 0;
+    mentioned = [||];
+    num_mentioned = 0;
+    bounded = [||];
+    num_bounded = 0;
     solves = 0;
     asserted = 0;
     retracted = 0;
@@ -87,7 +101,7 @@ let reset t =
   Hashtbl.reset t.ext2int;
   Hashtbl.reset t.int2ext;
   t.gen <- t.gen + 1;
-  t.bounded <- []
+  t.num_bounded <- 0
 
 let forget t =
   Linexpr.Form_tbl.iter (fun _ f -> f.ids <- []) t.forms;
@@ -107,7 +121,10 @@ let reserve t x =
     t.want_lo <- ext t.want_lo None;
     t.want_hi <- ext t.want_hi None;
     t.wanted_at <- ext t.wanted_at 0;
-    t.mentioned_at <- ext t.mentioned_at 0
+    t.mentioned_at <- ext t.mentioned_at 0;
+    t.wanted <- ext t.wanted 0;
+    t.mentioned <- ext t.mentioned 0;
+    t.bounded <- ext t.bounded 0
   end
 
 let intern_var t v =
@@ -161,7 +178,7 @@ let flip = function
 
 (* Record that this query wants [b] on [x]; the tightest bound of each
    kind wins, and of equal ones the first in input order. *)
-let want t ~wanted x kind (b : bound) =
+let want t x kind (b : bound) =
   match b with
   | None -> ()
   | Some { value; _ } -> (
@@ -169,7 +186,8 @@ let want t ~wanted x kind (b : bound) =
       t.wanted_at.(x) <- t.query;
       t.want_lo.(x) <- None;
       t.want_hi.(x) <- None;
-      wanted := x :: !wanted
+      t.wanted.(t.num_wanted) <- x;
+      t.num_wanted <- t.num_wanted + 1
     end;
     match kind with
     | Simplex.Lower -> (
@@ -181,11 +199,15 @@ let want t ~wanted x kind (b : bound) =
       | Some c when DR.leq c.value value -> ()
       | _ -> t.want_hi.(x) <- b))
 
-let mention t ~mentioned x =
-  if t.mentioned_at.(x) <> t.query then begin
-    t.mentioned_at.(x) <- t.query;
-    mentioned := x :: !mentioned
-  end
+let rec mention t = function
+  | [] -> ()
+  | x :: xs ->
+    if t.mentioned_at.(x) <> t.query then begin
+      t.mentioned_at.(x) <- t.query;
+      t.mentioned.(t.num_mentioned) <- x;
+      t.num_mentioned <- t.num_mentioned + 1
+    end;
+    mention t xs
 
 (* Compile [c = (e op 0)] on [form], the form of [e]: [a*x + k op 0]
    bounds [x] itself by [-k/a], any other form bounds its variable by
@@ -230,7 +252,7 @@ let register t (c : Linexpr.cons) =
 
 (* Want an atom's bounds on its form's variable: the interned variable
    of a one-term form, otherwise a slack defined on first sight. *)
-let add_atom t ~wanted ~mentioned { form = f; lo; hi; _ } =
+let add_atom t { form = f; lo; hi; _ } =
   if f.coeffs <> [] then begin
     if f.gen <> t.gen then begin
       f.vars <- List.map (fun (v, _) -> intern_var t v) f.coeffs;
@@ -243,9 +265,9 @@ let add_atom t ~wanted ~mentioned { form = f; lo; hi; _ } =
         reserve t f.x);
       f.gen <- t.gen
     end;
-    List.iter (mention t ~mentioned) f.vars;
-    want t ~wanted f.x Simplex.Lower lo;
-    want t ~wanted f.x Simplex.Upper hi
+    mention t f.vars;
+    want t f.x Simplex.Lower lo;
+    want t f.x Simplex.Upper hi
   end
 
 let crossed t x =
@@ -253,71 +275,102 @@ let crossed t x =
   | Some l, Some u when DR.lt u.value l.value -> Some [ u.tag; l.tag ]
   | _ -> None
 
+(* The tags of the first wanted variable whose bounds cross, in order of
+   first sight. *)
+let rec first_crossed t k =
+  if k = t.num_wanted then None
+  else match crossed t t.wanted.(k) with None -> first_crossed t (k + 1) | c -> c
+
+(* The position of the first of [ids.(k .. n - 1)] that is a false
+   constant atom, or [n]. *)
+let rec first_false t ids n k =
+  if k = n || not t.atoms.(ids.(k)).holds then k else first_false t ids n (k + 1)
+
+let same (cur : Simplex.bound option) (want : Simplex.bound option) =
+  match (cur, want) with
+  | None, None -> true
+  | Some c, Some w -> c.tag = w.tag && DR.equal c.value w.value
+  | _ -> false
+
+(* Count how the tableau's bound of [kind] on [x] moves to [want], and
+   set it now unless it tightens. *)
+let change t x kind (want : Simplex.bound option) =
+  let cur = Simplex.bound t.simplex x kind in
+  if same cur want then (if Option.is_some cur then t.reused <- t.reused + 1)
+  else begin
+    if Option.is_some cur then t.retracted <- t.retracted + 1;
+    if Option.is_some want then t.asserted <- t.asserted + 1;
+    let looser =
+      match (cur, want, kind) with
+      | _, None, _ -> true
+      | None, Some _, _ -> false
+      | Some c, Some w, Simplex.Lower -> DR.leq w.value c.value
+      | Some c, Some w, Simplex.Upper -> DR.leq c.value w.value
+    in
+    if looser then Simplex.set_bound t.simplex x kind want
+  end
+
+(* A bound [change] left for later: after it, only the tightening ones
+   still differ from what the query wants. *)
+let tighten t x kind (want : Simplex.bound option) =
+  if not (same (Simplex.bound t.simplex x kind) want) then Simplex.set_bound t.simplex x kind want
+
 (* Move the tableau's depth-0 bounds from the last query's to this
    one's. Every bound that loosens (or goes) is set before any that
-   tightens, so no variable's interval is ever crossed on the way. *)
-let apply t wanted =
-  let sx = t.simplex in
-  let tighten = ref [] in
-  let change x kind (want : Simplex.bound option) =
-    let cur = Simplex.bound sx x kind in
-    match (cur, want) with
-    | None, None -> ()
-    | Some c, Some w when c.tag = w.tag && DR.equal c.value w.value ->
-      t.reused <- t.reused + 1
-    | _ ->
-      if Option.is_some cur then t.retracted <- t.retracted + 1;
-      if Option.is_some want then t.asserted <- t.asserted + 1;
-      let looser =
-        match (cur, want, kind) with
-        | _, None, _ -> true
-        | None, Some _, _ -> false
-        | Some c, Some w, Simplex.Lower -> DR.leq w.value c.value
-        | Some c, Some w, Simplex.Upper -> DR.leq c.value w.value
-      in
-      if looser then Simplex.set_bound sx x kind want
-      else tighten := (x, kind, want) :: !tighten
-  in
-  List.iter
-    (fun x ->
-      if t.wanted_at.(x) <> t.query then begin
-        change x Simplex.Lower None;
-        change x Simplex.Upper None
-      end)
-    t.bounded;
-  List.iter
-    (fun x ->
-      change x Simplex.Lower t.want_lo.(x);
-      change x Simplex.Upper t.want_hi.(x))
-    wanted;
-  List.iter (fun (x, kind, b) -> Simplex.set_bound sx x kind b) !tighten;
-  t.bounded <- wanted
+   tightens, so no variable's interval is ever crossed on the way; the
+   tightenings go last wanted variable first, upper before lower. *)
+let apply t =
+  for k = 0 to t.num_bounded - 1 do
+    let x = t.bounded.(k) in
+    if t.wanted_at.(x) <> t.query then begin
+      change t x Simplex.Lower None;
+      change t x Simplex.Upper None
+    end
+  done;
+  for k = 0 to t.num_wanted - 1 do
+    let x = t.wanted.(k) in
+    change t x Simplex.Lower t.want_lo.(x);
+    change t x Simplex.Upper t.want_hi.(x)
+  done;
+  for k = t.num_wanted - 1 downto 0 do
+    let x = t.wanted.(k) in
+    tighten t x Simplex.Upper t.want_hi.(x);
+    tighten t x Simplex.Lower t.want_lo.(x)
+  done;
+  let bounded = t.bounded in
+  t.bounded <- t.wanted;
+  t.num_bounded <- t.num_wanted;
+  t.wanted <- bounded
 
-let solve t ?(int_vars = []) ?(fixes = []) ids =
+(* The mentioned variables in increasing order. *)
+let mentioned_vars t =
+  List.sort compare (List.init t.num_mentioned (Array.get t.mentioned))
+
+let solve t ?(int_vars = []) ?(fixes = []) ids n =
   t.solves <- t.solves + 1;
   let fix (c : Linexpr.cons) = compile (form t (Linexpr.coeffs c.expr)) c in
   let fixes = List.map fix fixes in
-  match
-    List.find_opt (fun a -> not a.holds) fixes,
-    List.find_opt (fun i -> not t.atoms.(i).holds) ids
-  with
-  | Some { cons; _ }, _ -> Simplex.Unsat [ cons.tag ]
-  | None, Some i -> Simplex.Unsat [ t.atoms.(i).cons.tag ]
-  | None, None -> (
-    try
-      Faults.hit "lp.solve_system" t.budget;
-      t.query <- t.query + 1;
-      let wanted = ref [] and mentioned = ref [] in
-      List.iter (add_atom t ~wanted ~mentioned) fixes;
-      List.iter (fun i -> add_atom t ~wanted ~mentioned t.atoms.(i)) ids;
-      let wanted = List.rev !wanted in
-      match List.find_map (crossed t) wanted with
-      | Some tags -> Simplex.Unsat tags
-      | None -> (
-        apply t wanted;
-        let int_vars = List.map (intern_var t) int_vars in
-        let vars = List.sort compare !mentioned in
-        match Simplex.decide t.simplex ~int_vars ~vars with
-        | Simplex.Sat model -> Simplex.Sat (extern_model t model)
-        | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v)
-    with Budget.Exhausted e -> Simplex.Unknown e)
+  match List.find_opt (fun a -> not a.holds) fixes with
+  | Some { cons; _ } -> Simplex.Unsat [ cons.tag ]
+  | None -> (
+    match first_false t ids n 0 with
+    | k when k < n -> Simplex.Unsat [ t.atoms.(ids.(k)).cons.tag ]
+    | _ -> (
+      try
+        Faults.hit "lp.solve_system" t.budget;
+        t.query <- t.query + 1;
+        t.num_wanted <- 0;
+        t.num_mentioned <- 0;
+        List.iter (add_atom t) fixes;
+        for k = 0 to n - 1 do
+          add_atom t t.atoms.(ids.(k))
+        done;
+        match first_crossed t 0 with
+        | Some tags -> Simplex.Unsat tags
+        | None -> (
+          apply t;
+          let int_vars = List.map (intern_var t) int_vars in
+          match Simplex.decide t.simplex ~int_vars ~vars:(lazy (mentioned_vars t)) with
+          | Simplex.Sat model -> Simplex.Sat (extern_model t model)
+          | (Simplex.Unsat _ | Simplex.Unknown _) as v -> v)
+      with Budget.Exhausted e -> Simplex.Unknown e))

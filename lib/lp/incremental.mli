@@ -54,10 +54,18 @@ val solve :
   t ->
   ?int_vars:Linexpr.var list ->
   ?fixes:Linexpr.cons list ->
-  int list ->
+  int array ->
+  int ->
   Simplex.verdict
-(** Decide the conjunction of [fixes] and the atoms with the given ids,
-    in that order, reusing tableau state from earlier calls. [fixes] are
+(** [solve t ids n] decides the conjunction of [fixes] and the atoms
+    [ids.(0 .. n-1)], in that order, reusing tableau state from earlier
+    calls. The caller keeps [ids] and may rewrite it for the next query.
+    The query is flat: the variables it bounds and mentions go into
+    buffers the session owns, the bound changes are applied from them,
+    and the mentioned variables are sorted only for a feasible check
+    (the [Sat] model covers them), so a query allocates nothing in
+    proportion to [n]; only a form's first sight after a {!reset} (its
+    slack row) and the verdict do. [fixes] are
     never registered, so a long-lived session does not grow with them
     (the engine's witness fixes). A slack wanted below one bound and
     above another is [Unsat] with those two tags before anything

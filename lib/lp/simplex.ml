@@ -588,6 +588,7 @@ let decide t ~int_vars ~vars =
     match check t with
     | Infeasible tags -> Unsat tags
     | Feasible -> (
+      let vars = Lazy.force vars in
       let model = concrete_model t ~vars in
       let fractional =
         List.find_opt
@@ -656,6 +657,6 @@ let solve_system ?(int_vars = []) ?(budget = Budget.unlimited) constraints =
       with
       | exception Budget.Exhausted e -> Unknown e
       | Some tags -> Unsat (drop_branch_tag tags)
-      | None -> decide t ~int_vars ~vars
+      | None -> decide t ~int_vars ~vars:(Lazy.from_val vars)
     in
     (verdict, t.pivots)

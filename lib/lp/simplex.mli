@@ -114,12 +114,15 @@ type verdict =
       (** gave up: budget exhausted, cancellation, or the internal
           branch-and-bound node cap *)
 
-val decide : t -> int_vars:Linexpr.var list -> vars:Linexpr.var list -> verdict
+val decide :
+  t -> int_vars:Linexpr.var list -> vars:Linexpr.var list Lazy.t -> verdict
 (** Run {!check} on the current bounds, then branch-and-bound until every
     variable of [int_vars] among [vars] is integral; a [Sat] model covers
-    [vars]. Branches are frames above the current depth and are all
-    popped on return. Budget exhaustion or the 200k-node cap rolls those
-    frames back and returns [Unknown]. *)
+    [vars]. [vars] is forced only once a check is feasible, so an
+    infeasible query never builds it (an {!Incremental} session sorts its
+    query's variables there). Branches are frames above the current
+    depth and are all popped on return. Budget exhaustion or the
+    200k-node cap rolls those frames back and returns [Unknown]. *)
 
 val solve_system :
   ?int_vars:Linexpr.var list ->

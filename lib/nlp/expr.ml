@@ -244,7 +244,7 @@ let pp_rel ?name () fmt r =
 
 let holds_float ?(tol = 1e-9) env r =
   let v = eval_float env r.expr in
-  if Float.is_nan v then false
+  if not (Float.is_finite v) then false
   else
     match r.op with
     | Linexpr.Le -> v <= tol

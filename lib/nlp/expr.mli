@@ -95,7 +95,8 @@ val pp_rel : ?name:(int -> string) -> unit -> Format.formatter -> rel -> unit
 
 val holds_float : ?tol:float -> (int -> float) -> rel -> bool
 (** Floating check with tolerance on equalities (IPOPT-style approximate
-    feasibility). *)
+    feasibility). A relation whose value is not finite (nan, or an
+    infinity such as [x / 0]) does not hold. *)
 
 val certainly_holds : (int -> I.t) -> rel -> bool
 (** Interval certificate: the relation holds for {e every} point of the

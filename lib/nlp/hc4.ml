@@ -619,7 +619,7 @@ let root_holds tp s (op : Linexpr.op) =
 (* [Expr.holds_float] of [op], given the tape's root value. *)
 let root_within ~tol tp s (op : Linexpr.op) =
   let v = s.lo.(nodes tp - 1) in
-  if Float.is_nan v then false
+  if not (Float.is_finite v) then false
   else
     match op with
     | Linexpr.Le -> v <= tol

@@ -240,8 +240,13 @@ let of_rational q =
       else if Q.geq (Q.of_float x) q then x
       else fix_up (F.next_up x)
     in
-    let seed_lo = if Float.is_finite approx then approx else Float.max_float in
-    let seed_hi = if Float.is_finite approx then approx else -.Float.max_float in
+    (* Beyond the float range the enclosure is open on that side; the
+       other side starts at the largest finite float, so neither walk
+       crosses the whole float line. *)
+    let seed_lo = if Float.is_finite approx then approx else Float.min approx Float.max_float in
+    let seed_hi =
+      if Float.is_finite approx then approx else Float.max approx (-.Float.max_float)
+    in
     let lo = fix_down (F.next_down (F.next_down seed_lo)) in
     let hi = fix_up (F.next_up (F.next_up seed_hi)) in
     { lo; hi }

@@ -359,6 +359,16 @@ let rec decimal_digits s i acc =
     | '0' .. '9' as c -> decimal_digits s (i + 1) ((acc * 10) + Char.code c - Char.code '0')
     | _ -> -1
 
+let max_decimal_exponent = 1000
+
+(* The exponent after [s.[i]], within [max_decimal_exponent] (see the
+   interface): a larger one would have the parse raise ten to it. *)
+let decimal_exponent s i =
+  match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+  | Some e when e >= -max_decimal_exponent && e <= max_decimal_exponent -> e
+  | Some _ -> invalid_arg "Rational.of_decimal_string: exponent out of range"
+  | None -> invalid_arg "Rational.of_decimal_string: malformed exponent"
+
 let parse_decimal s =
   let s = String.trim s in
   if s = "" then invalid_arg "Rational.of_decimal_string: empty string";
@@ -370,14 +380,10 @@ let parse_decimal s =
   | None ->
     let mantissa, exponent =
       match String.index_opt s 'e' with
-      | Some i ->
-        ( String.sub s 0 i,
-          int_of_string (String.sub s (i + 1) (String.length s - i - 1)) )
+      | Some i -> (String.sub s 0 i, decimal_exponent s i)
       | None -> (
         match String.index_opt s 'E' with
-        | Some i ->
-          ( String.sub s 0 i,
-            int_of_string (String.sub s (i + 1) (String.length s - i - 1)) )
+        | Some i -> (String.sub s 0 i, decimal_exponent s i)
         | None -> (s, 0))
     in
     let negated, mantissa =

@@ -28,7 +28,11 @@ val of_decimal_string : string -> t
 (** Parses decimal literals as they appear in the extended-DIMACS input
     language: ["3"], ["3.5"], ["-0.25"], [".5"], ["2e3"], ["1.5e-2"], and
     exact fractions ["7/2"].
-    @raise Invalid_argument on malformed input. *)
+    The exponent may be at most 1000 in either sign: beyond every
+    float's range, and small enough that the power of ten it stands for
+    is quick to build.
+    @raise Invalid_argument on malformed input, and on a larger
+    exponent. *)
 
 (** {1 Observation} *)
 

@@ -72,17 +72,14 @@ let hex_digit ch =
   | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
   | _ -> -1
 
-(* The four characters after [\u] as [int_of_string ("0x" ^ hex)] reads
-   them: a hex digit, then hex digits or underscores; [-1] otherwise. *)
+(* The four hex digits after [\u] as a code point; [-1] if any is not
+   one. *)
 let hex4 text i =
   let rec go k acc =
     if k = 4 then acc
     else
-      let ch = text.[i + k] in
-      if ch = '_' && k > 0 then go (k + 1) acc
-      else
-        let d = hex_digit ch in
-        if d < 0 then -1 else go (k + 1) ((acc * 16) + d)
+      let d = hex_digit text.[i + k] in
+      if d < 0 then -1 else go (k + 1) ((acc * 16) + d)
   in
   go 0 0
 

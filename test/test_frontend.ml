@@ -9,8 +9,11 @@
    expression shape or sharing shows as a different digest. The error
    table pins the same commit's diagnostics, except where that commit
    was wrong: non-decimal literals such as [0x1F] are now bad literals,
-   a bad [c bound] value is named as such, and a [\u] escape cut short
-   by a quote is reported at its offset. *)
+   a bad [c bound] value is named as such, a [\u] escape cut short
+   by a quote is reported at its offset, an underscore is not a hex
+   digit of a [\u] escape, and a decimal exponent beyond 1000 is a
+   malformed number (that commit's reader did not return on
+   [1e99999999999]). *)
 
 module A = Absolver_core
 module SL = Absolver_smtlib
@@ -237,6 +240,8 @@ let dimacs_ext_errors =
     ("c def int 1 sqrt x >= 0\n", "line 1: expected '(' after sqrt");
     ("c def int 1 1.2.3 >= x\n", "line 1: malformed number \"1.2.3\"");
     ("c def int 1 . >= x\n", "line 1: malformed number \".\"");
+    ("c def real 1 x >= 1e99999999999\n", "line 1: malformed number \"1e99999999999\"");
+    ("c def real 1 x >= 1e1001\n", "line 1: malformed number \"1e1001\"");
     ("c def int 1 x > = 0\n", "line 1: expected a factor");
     ("c def int 1 x\r>= 0\n", "line 1: unexpected character '\\r'");
     ("c bound x 1\n", "line 1: malformed bound line");
@@ -245,6 +250,10 @@ let dimacs_ext_errors =
     ("c bound x _ 1.5.2\n", "line 1: malformed bound value \"1.5.2\"");
     ("c bound x 1eZ 2\n", "line 1: malformed bound value \"1eZ\"");
     ("c bound x 1/0 2\n", "line 1: malformed bound value \"1/0\"");
+    ("c bound x 0 1e99999999999\n", "line 1: malformed bound value \"1e99999999999\"");
+    ("c bound x 1e-99999999999 1\n", "line 1: malformed bound value \"1e-99999999999\"");
+    ("c bound x 0 1e99999999999999999999\n",
+     "line 1: malformed bound value \"1e99999999999999999999\"");
     ("1 y 0\nc def int 0 x >= 0\nc bound x 1\n", "line 1: bad literal \"y\"");
   ]
 
@@ -288,6 +297,7 @@ let json_errors =
     ("{\"a\":\"b\\q\"}", "invalid escape \\q");
     ("{\"a\":\"\\u12G4\"}", "invalid \\u escape 12G4");
     ("{\"a\":\"\\u_123\"}", "invalid \\u escape _123");
+    ("{\"id\":\"\\u0_41\",\"op\":\"health\"}", "invalid \\u escape 0_41");
     ("{\"a\":\"\\u12\"}", "short \\u escape at 6");
     ("{\"a\":\"\\u12", "truncated \\u escape");
     ("{\"a\":nul}", "invalid literal at 5");
@@ -533,7 +543,7 @@ let escapes =
     ({|\u0041|}, "A");
     ({|\u00e9|}, "\xc3\xa9");
     ({|\u20AC|}, "\xe2\x82\xac");
-    ({|\u1_23|}, "\xc4\xa3");
+    ({|\u0123|}, "\xc4\xa3");
     ("plain", "plain");
     ("", "");
   |]
@@ -546,8 +556,27 @@ let json_escapes =
       let decoded = String.concat "" (List.map (fun i -> snd escapes.(i)) picks) in
       Sjson.parse ("\"" ^ body ^ "\"") = Ok (Sjson.Str decoded))
 
+(* Inputs at the edge of the readers' number syntax, read and solved:
+   the largest decimal exponent is a number, and a relation divided by a
+   zero constant has no real value, so no witness satisfies it. *)
+let test_edge_answers () =
+  let solve text =
+    match A.Dimacs_ext.parse_string text with
+    | Error e -> e
+    | Ok p -> (
+      match fst (A.Engine.solve p) with
+      | A.Engine.R_sat _ -> "sat"
+      | A.Engine.R_unsat -> "unsat"
+      | A.Engine.R_unknown why -> "unknown (" ^ why ^ ")")
+  in
+  check string_t "largest exponent" "sat" (solve "p cnf 1 1\n1 0\nc def real 1 x >= 1e1000\n");
+  check string_t "smallest exponent" "sat" (solve "p cnf 1 1\n1 0\nc def real 1 x >= 1e-1000\n");
+  check string_t "division by zero" "unknown (nonlinear solver gave up)"
+    (solve "p cnf 1 1\n1 0\nc def real 1 x / 0 >= 1\nc bound x 0 10\n")
+
 let suite =
   suite
+  @ [ Alcotest.test_case "edge inputs: answers" `Quick test_edge_answers ]
   @ List.map QCheck_alcotest.to_alcotest [ dimacs_round_trip; json_round_trip; json_escapes ]
   @ [
       Alcotest.test_case "a Table 3 puzzle allocates under 2 words per byte" `Quick

@@ -136,6 +136,10 @@ let verdict_tag = function
   | A.Engine.R_unsat -> "unsat"
   | A.Engine.R_unknown _ -> "unknown"
 
+(* A session query on a list of atom ids. *)
+let solve_ids s ?int_vars ?fixes ids =
+  Inc.solve s ?int_vars ?fixes (Array.of_list ids) (List.length ids)
+
 (* ------------------------------------------------------------------ *)
 (* LP-level differential: Incremental.solve vs Simplex.solve_system.   *)
 
@@ -189,7 +193,7 @@ let test_lp_differential () =
       let after_trip = !tripped in
       Inc.set_budget session
         (if !tight then Budget.create ~max_steps:0 () else Budget.unlimited);
-      let inc = Inc.solve session ~int_vars ids in
+      let inc = solve_ids session ~int_vars ids in
       let scratch = fst (Sx.solve_system ~int_vars constraints) in
       (match (inc, scratch) with
       | Sx.Sat m, Sx.Sat _ -> model_satisfies ~case:!case constraints m
@@ -488,9 +492,10 @@ let recording_registry () =
           Hashtbl.replace atoms id c;
           id);
       lsess_solve =
-        (fun ~int_vars ~fixes ids ->
-          if fixes = [] then queries := List.map (Hashtbl.find atoms) ids :: !queries;
-          s.A.Registry.lsess_solve ~int_vars ~fixes ids);
+        (fun ~int_vars ~fixes ids n ->
+          if fixes = [] then
+            queries := List.init n (fun k -> Hashtbl.find atoms ids.(k)) :: !queries;
+          s.A.Registry.lsess_solve ~int_vars ~fixes ids n);
       lsess_counters = s.A.Registry.lsess_counters;
     }
   in
@@ -546,7 +551,7 @@ let cons_of ~tag coeffs k op =
 
 let count s name = List.assoc ("lp.inc." ^ name) (Inc.counters s)
 
-let solve_cons s cs = Inc.solve s (List.map (Inc.register s) cs)
+let solve_cons s cs = solve_ids s (List.map (Inc.register s) cs)
 
 let expect_sat s what cs =
   match solve_cons s cs with
@@ -632,7 +637,7 @@ let test_session_size () =
         tag = -3;
       }
     in
-    ignore (Inc.solve s ~fixes:[ fix ] atoms);
+    ignore (solve_ids s ~fixes:[ fix ] atoms);
     if i = 10 then words := Obj.reachable_words (Obj.repr s)
   done;
   let final = Obj.reachable_words (Obj.repr s) in
@@ -650,12 +655,63 @@ let test_persistent_session_size () =
       List.map s.A.Registry.lsess_atom
         [ cons_of ~tag:1 [ (1, 0); (1, 1) ] (-i) L.Le; cons_of ~tag:2 [ (1, 0) ] 0 L.Ge ]
     in
-    ignore (s.A.Registry.lsess_solve ~int_vars:[] ~fixes:[] ids);
+    ignore (s.A.Registry.lsess_solve ~int_vars:[] ~fixes:[] (Array.of_list ids) 2);
     if i = 10 then words := Obj.reachable_words (Obj.repr solver)
   done;
   let final = Obj.reachable_words (Obj.repr solver) in
   if final > 2 * !words then
     Alcotest.failf "persistent session grew from %d to %d words" !words final
+
+(* Allocation guard: a warm query allocates a fixed number of words,
+   whatever its number of atoms, as the engine's refuted models need.
+   Over [n] variables, each query holds [0 <= x_v <= 30], the rows
+   [x_v + x_(v+1) <= 20] and [x_0 >= 15, x_1 >= 15], which the first
+   row refutes without a pivot: about [3n] atoms. It is asked again
+   unchanged, and with the last variable's upper bound moved to 32 and
+   back, so each query retracts and asserts one bound. A query that
+   allocated per atom (a list cell, a closure) would pass the bound
+   by far at several hundred atoms. *)
+let max_query_words = 200.
+
+let test_query_alloc () =
+  List.iter
+    (fun n ->
+      let s = Inc.create () in
+      let atoms =
+        List.concat
+          (List.init n (fun v ->
+               [ cons_of ~tag:(4 * v) [ (1, v) ] 0 L.Ge; cons_of ~tag:((4 * v) + 1) [ (1, v) ] (-30) L.Le ]
+               @
+               if v + 1 < n then [ cons_of ~tag:((4 * v) + 2) [ (1, v); (1, v + 1) ] (-20) L.Le ]
+               else []))
+        @ [ cons_of ~tag:(4 * n) [ (1, 0) ] (-15) L.Ge; cons_of ~tag:((4 * n) + 1) [ (1, 1) ] (-15) L.Ge ]
+      in
+      let ids = Array.of_list (List.map (Inc.register s) atoms) in
+      let moved = Array.copy ids in
+      (* [x_(n-1) <= 30] is the atom just before the two [>= 15] ones. *)
+      let last = Array.length ids - 3 in
+      moved.(last) <- Inc.register s (cons_of ~tag:(4 * n + 2) [ (1, n - 1) ] (-32) L.Le);
+      let query ids =
+        match Inc.solve s ids (Array.length ids) with
+        | Sx.Unsat _ -> ()
+        | _ -> Alcotest.failf "%d variables: the query should be unsat" n
+      in
+      query ids;
+      (* Ten queries, the [k]th on [pick k]. *)
+      let words what pick =
+        let w0 = Gc.minor_words () in
+        for k = 1 to 10 do
+          query (pick k)
+        done;
+        let per = (Gc.minor_words () -. w0) /. 10. in
+        if per > max_query_words then
+          Alcotest.failf "%d variables (%d atoms), %s: %.0f words per query" n (Array.length ids)
+            what per
+      in
+      words "same atoms" (fun _ -> ids);
+      words "one bound moved" (fun k -> if k mod 2 = 1 then moved else ids);
+      check int_t "one bound retracted per moved query" 10 (count s "retracted"))
+    [ 50; 200 ]
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: simplex checkpoint/rollback.                           *)
@@ -738,6 +794,7 @@ let suite =
       test_session_size;
     Alcotest.test_case "persistent session bounded across solves" `Quick
       test_persistent_session_size;
+    Alcotest.test_case "warm query allocates a fixed amount" `Quick test_query_alloc;
     Alcotest.test_case "checkpoint/rollback" `Quick test_checkpoint_rollback;
     Alcotest.test_case "run stats surface" `Quick test_run_stats_surface;
   ]

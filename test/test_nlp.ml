@@ -514,12 +514,17 @@ let table1_pins =
     ("sphere_cap_unsat", "bde1776547080e473dc1accc87778262", "170f683cd945ae5dd614f800c6ecee7c");
   ]
 
+(* Same commit, except relation 19: it divides by the constant
+   [0 * 1/5], and its search accepted an approximate witness at which the
+   relation's value is infinite. Such a value does not hold (DESIGN §3),
+   so the search now ends unknown after the same 41 nodes; its
+   contraction is unchanged. *)
 let random_pins =
   [|
     "00e6dabd"; "b382ee7a"; "fb1fded8"; "0a557faa"; "1493554b"; "7e69f1b6";
     "16d75d99"; "3b84b2c5"; "a6561601"; "5d4d7d4c"; "e270ca52"; "3ff8863d";
     "2eb4817f"; "cf8cbb85"; "e8bdb2e0"; "f733b08a"; "4d2e506f"; "7ea071a4";
-    "d502e1a0"; "929cbf21"; "877697ca"; "ef1df232"; "9b5b07fe"; "25999d12";
+    "d502e1a0"; "55dc682d"; "877697ca"; "ef1df232"; "9b5b07fe"; "25999d12";
     "68db6c87"; "cd7a8972"; "458d89ed"; "e506c15b"; "08e985f9"; "d2dc1f52";
     "c1dd7217"; "5f1567b5"; "2a254085"; "411ae45f"; "61c23354"; "cd2a9e31";
     "0a320ebd"; "e680fc08"; "de118620"; "9139bf88"; "95097ded"; "1517c3ac";
