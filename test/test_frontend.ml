@@ -576,11 +576,11 @@ let test_edge_answers () =
 
 let suite =
   suite
-  @ [ Alcotest.test_case "edge inputs: answers" `Quick test_edge_answers ]
   @ List.map QCheck_alcotest.to_alcotest [ dimacs_round_trip; json_round_trip; json_escapes ]
   @ [
       Alcotest.test_case "a Table 3 puzzle allocates under 2 words per byte" `Quick
         test_puzzle_allocation;
       Alcotest.test_case "a 4 MB frame reads in linear allocation" `Quick
         test_long_frame_reading;
+      Alcotest.test_case "edge inputs: answers" `Quick test_edge_answers;
     ]
