@@ -295,7 +295,6 @@ let ablations () =
               A.Engine.default_options with
               A.Engine.use_linear_relaxation = flag;
               max_bool_models = 40;
-              max_unknown_models = 40;
             }
           (steer ()))
   in

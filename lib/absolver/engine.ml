@@ -15,7 +15,6 @@ module Err = Absolver_resource.Absolver_error
 type options = {
   minimize_conflicts : bool;
   max_bool_models : int;
-  max_unknown_models : int;
   default_phase : bool;
   use_linear_relaxation : bool;
   use_bp_relaxation : bool;
@@ -29,7 +28,6 @@ let default_options =
   {
     minimize_conflicts = false;
     max_bool_models = 2_000_000;
-    max_unknown_models = 500;
     default_phase = true;
     use_linear_relaxation = true;
     use_bp_relaxation = false;
@@ -97,13 +95,19 @@ let sat_counters =
       (None, "sat.blocked_visits", fun s -> s.blocked_visits);
     ]
 
-(* Every pivot of the run's linear checks and witness re-solves. A warm
-   session reports its pivots and the [lp.inc.*] counters by name. *)
-let lp_pivots = declare ~show:("", "pivots") "lp.pivots"
-let _ = declare "lp.inc.solves"
-let _ = declare ~show:("lp-inc", "asserted") "lp.inc.asserted"
-let _ = declare ~show:("lp-inc", "retracted") "lp.inc.retracted"
-let _ = declare ~show:("lp-inc", "reused") "lp.inc.reused"
+(* The LP sessions', read off the work each query reports. *)
+let lp_counters =
+  let open Absolver_lp.Incremental in
+  declare_fields
+    [
+      (Some ("", "pivots"), "lp.pivots", fun s -> s.pivots);
+      (None, "lp.inc.solves", fun s -> s.solves);
+      (Some ("lp-inc", "asserted"), "lp.inc.asserted", fun s -> s.asserted);
+      (Some ("lp-inc", "retracted"), "lp.inc.retracted", fun s -> s.retracted);
+      (Some ("lp-inc", "reused"), "lp.inc.reused", fun s -> s.reused);
+    ]
+
+let lp_pivots = fst (List.hd lp_counters)
 
 (* HC4 revise passes, of presolve's interval pass and the searches. *)
 let hc4_revisions = declare "nlp.hc4_revisions"
@@ -119,8 +123,6 @@ let bp_counters =
        ]
 
 let all_counters = Array.of_list (List.rev !declared)
-
-let counter_of_name name = Array.find_opt (fun c -> c.name = name) all_counters
 
 type counts = int array
 
@@ -145,27 +147,33 @@ let mk_stats () =
 
 let count stats c = stats.counts.(c.id)
 
-(* The one way a counter moves: into the run's store and the telemetry
-   handle together. *)
-let bump options stats c n =
-  stats.counts.(c.id) <- stats.counts.(c.id) + n;
-  Telemetry.add options.telemetry c.name n
-
-(* Counters reported by name (a linear session's); names the engine does
-   not declare are ignored. *)
-let rec bump_named options stats = function
-  | [] -> ()
-  | (name, n) :: rest ->
-    (match counter_of_name name with Some c -> bump options stats c n | None -> ());
-    bump_named options stats rest
+(* The one way a counter moves: into the run's store. The telemetry
+   handle gets the run's totals once, when the run ends ([run]). *)
+let bump stats c n = stats.counts.(c.id) <- stats.counts.(c.id) + n
 
 let counters stats =
   Array.to_list (Array.map (fun c -> (c.name, count stats c)) all_counters)
 
 let counter stats name =
-  match counter_of_name name with
+  match Array.find_opt (fun c -> c.name = name) all_counters with
   | Some c -> count stats c
   | None -> invalid_arg ("Engine.counter: unknown counter " ^ name)
+
+(* A span over part of the run. On an enabled handle it carries the
+   counters that moved while it was open, from a copy of the store. *)
+let span options stats ?attrs name f =
+  let tel = options.telemetry in
+  if not (Telemetry.enabled tel) then f ()
+  else
+    let before = Array.copy stats.counts in
+    let id = Telemetry.span_open tel ?attrs name in
+    let moved c acc =
+      let d = count stats c - before.(c.id) in
+      if d = 0 then acc else (c.name, d) :: acc
+    in
+    Fun.protect f ~finally:(fun () ->
+        let counters = List.sort compare (Array.fold_right moved all_counters []) in
+        Telemetry.span_close tel id ~counters)
 
 (* Minor-heap words (exact at every call, where [Gc.quick_stat]'s figure
    only advances at minor collections) and words allocated directly in
@@ -173,13 +181,6 @@ let counter stats name =
 let alloc_snapshot () =
   let g = Gc.quick_stat () in
   (Gc.minor_words (), g.Gc.major_words -. g.Gc.promoted_words)
-
-let absorb_alloc tel stats (minor0, major0) =
-  let minor1, major1 = alloc_snapshot () in
-  stats.alloc_minor_words <- minor1 -. minor0;
-  stats.alloc_major_words <- major1 -. major0;
-  Telemetry.observe tel "engine.alloc_words"
-    (stats.alloc_minor_words +. stats.alloc_major_words)
 
 (* The counters with a [show] column in declaration order, then times
    and allocation. *)
@@ -475,7 +476,7 @@ let relaxed_atoms c nvars nonlinear =
 
 let check_model ~registry ~options ~stats c (model : bool array) =
   let tel = options.telemetry in
-  let bump = bump options stats in
+  let bump = bump stats in
   let budget = options.budget in
   (* Split the literals into fixed relations and branching groups. The
      fixed relations run from the last defined variable to the first:
@@ -517,7 +518,9 @@ let check_model ~registry ~options ~stats c (model : bool array) =
        query raises. *)
     let lsolve ~fixes n =
       Fun.protect
-        ~finally:(fun () -> bump_named options stats (c.sess.Registry.lsess_counters ()))
+        ~finally:(fun () ->
+          let work = c.sess.Registry.lsess_counters () in
+          List.iter (fun (k, f) -> bump k (f work)) lp_counters)
         (fun () -> c.sess.Registry.lsess_solve ~int_vars:c.int_vars ~fixes c.ids n)
     in
     let try_combo combo =
@@ -543,7 +546,7 @@ let check_model ~registry ~options ~stats c (model : bool array) =
         else num_ids
       in
       let lp_verdict =
-        Telemetry.span tel "linear_check"
+        span options stats "linear_check"
           ~attrs:[ ("constraints", Telemetry.Int num_lp_ids) ]
           (fun () ->
             let p0 = count stats lp_pivots in
@@ -649,7 +652,7 @@ let check_model ~registry ~options ~stats c (model : bool array) =
                    ~certified:(certified && exact_part <> None))
           in
           let nl_verdict =
-            Telemetry.span tel "nonlinear_check"
+            span options stats "nonlinear_check"
               ~attrs:[ ("relations", Telemetry.Int (List.length rels)) ]
               (fun () -> try_solvers registry.Registry.nonlinear)
           in
@@ -688,6 +691,10 @@ let check_model ~registry ~options ~stats c (model : bool array) =
 (* CDCL's conflict cap per search for one Boolean model. *)
 let sat_max_conflicts = 50_000_000
 
+(* Give up after this many Boolean models whose arithmetic part could
+   not be decided. *)
+let max_unknown_models = 500
+
 (* A [Types.Unknown] out of CDCL either means its conflict cap fired or
    the shared budget tripped; the budget's sticky reason disambiguates. *)
 let sat_unknown_reason options =
@@ -703,7 +710,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   if pre.Preprocess.status = `Unsat then R_unsat
   else begin
   let tel = options.telemetry in
-  let bump = bump options stats in
+  let bump = bump stats in
   let num_vars = Ab_problem.num_bool_vars problem in
   let had_unknown = ref None in
   let finished = ref false in
@@ -756,7 +763,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
     end
     else
       match
-        Telemetry.span tel "bool_model"
+        span options stats "bool_model"
           ~attrs:[ ("index", Telemetry.Int (count stats bool_models)) ]
           (fun () ->
             check_model ~registry ~options ~stats (Lazy.force compiled)
@@ -779,7 +786,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
       | M_unknown why ->
         had_unknown := Some why;
         bump unknown_models 1;
-        if count stats unknown_models > options.max_unknown_models then
+        if count stats unknown_models > max_unknown_models then
           finished := true
         else begin
           (* Block this delta-valuation so the search can look for a
@@ -791,7 +798,7 @@ let enumerate ?projection:projection_override ~registry ~options ~stats ~pre
   let rec loop () =
     if not !finished then
       match
-        Telemetry.span tel "sat_search" (fun () ->
+        span options stats "sat_search" (fun () ->
             let out =
               All_sat.next ~max_conflicts:sat_max_conflicts
                 ~budget:options.budget sat
@@ -823,15 +830,15 @@ let prepare ~options ~stats problem =
   let solver =
     All_sat.load ~num_vars:(Ab_problem.num_bool_vars problem) (Ab_problem.clauses problem)
   in
-  Telemetry.span tel "presolve" (fun () ->
+  span options stats "presolve" (fun () ->
       let pre =
         if options.use_presolve then
           Preprocess.run ~telemetry:tel ~budget:options.budget problem solver
         else Preprocess.identity problem
       in
       let s = pre.Preprocess.stats in
-      List.iter (fun (c, f) -> bump options stats c (f s)) presolve_counters;
-      bump options stats hc4_revisions s.Preprocess.revisions;
+      List.iter (fun (c, f) -> bump stats c (f s)) presolve_counters;
+      bump stats hc4_revisions s.Preprocess.revisions;
       stats.presolve_seconds <- s.Preprocess.wall_seconds;
       (pre, solver))
 
@@ -845,57 +852,51 @@ let problem_attrs problem =
     ("nonlinear", Telemetry.Int s.Ab_problem.n_nonlinear);
   ]
 
-(* The engine's last line of defense: nothing — not [Budget.Exhausted],
+(* One run of [f] on a fresh counter store, in the [name] span. This is
+   the engine's last line of defense: nothing — not [Budget.Exhausted],
    not an injected fault, not a stray exception from a plugged-in solver —
    crosses the public entry points. Typed reasons become [R_unknown] and
    are mirrored into [run_stats.budget_exhausted] from the budget's sticky
-   trip, which also covers unknowns produced deep inside the loop. *)
-let guarded_result ~options ~stats f =
+   trip, which also covers unknowns produced deep inside the loop. The
+   telemetry handle then gets the run's allocation and counter totals,
+   budget-cut runs included. *)
+let run ~options ~name problem f =
+  let tel = options.telemetry and stats = mk_stats () in
+  let t0 = Telemetry.Clock.now () and minor0, major0 = alloc_snapshot () in
   let result =
-    match Budget.guard options.budget f with
-    | Ok r -> r
-    | Error e -> R_unknown (Err.to_string e)
+    span options stats name ~attrs:(problem_attrs problem) (fun () ->
+        match Budget.guard options.budget (fun () -> f stats) with
+        | Ok r -> r
+        | Error e -> R_unknown (Err.to_string e))
   in
   stats.budget_exhausted <- Budget.tripped options.budget;
-  result
+  stats.wall_seconds <- Telemetry.Clock.now () -. t0;
+  let minor1, major1 = alloc_snapshot () in
+  stats.alloc_minor_words <- minor1 -. minor0;
+  stats.alloc_major_words <- major1 -. major0;
+  Telemetry.observe tel "engine.alloc_words" (stats.alloc_minor_words +. stats.alloc_major_words);
+  Array.iter (fun c -> Telemetry.add tel c.name (count stats c)) all_counters;
+  (result, stats)
 
 let solve ?(registry = Registry.default) ?(options = default_options) problem =
-  let tel = options.telemetry in
-  let stats = mk_stats () in
-  let t0 = Telemetry.Clock.now () in
-  let a0 = alloc_snapshot () in
-  let result =
-    Telemetry.span tel "solve" ~attrs:(problem_attrs problem) (fun () ->
-        guarded_result ~options ~stats (fun () ->
-            Faults.hit "engine.solve" options.budget;
-            let pre, solver = prepare ~options ~stats problem in
-            enumerate ~registry ~options ~stats ~pre ~solver problem
-              ~on_feasible:(fun _ -> `Stop)))
-  in
-  stats.wall_seconds <- Telemetry.Clock.now () -. t0;
-  absorb_alloc tel stats a0;
-  (result, stats)
+  run ~options ~name:"solve" problem (fun stats ->
+      Faults.hit "engine.solve" options.budget;
+      let pre, solver = prepare ~options ~stats problem in
+      enumerate ~registry ~options ~stats ~pre ~solver problem ~on_feasible:(fun _ -> `Stop))
 
 let all_models ?projection ?(registry = Registry.default)
     ?(options = default_options) ?(limit = max_int) problem =
-  let tel = options.telemetry in
-  let stats = mk_stats () in
-  let t0 = Telemetry.Clock.now () in
-  let a0 = alloc_snapshot () in
   let acc = ref [] in
   let n = ref 0 in
-  let result =
-    Telemetry.span tel "all_models" ~attrs:(problem_attrs problem) (fun () ->
-        guarded_result ~options ~stats (fun () ->
-            let pre, solver = prepare ~options ~stats problem in
-            enumerate ?projection ~registry ~options ~stats ~pre ~solver problem
-              ~on_feasible:(fun sol ->
-                acc := sol :: !acc;
-                incr n;
-                if !n >= limit then `Stop else `Continue)))
+  let result, stats =
+    run ~options ~name:"all_models" problem (fun stats ->
+        let pre, solver = prepare ~options ~stats problem in
+        enumerate ?projection ~registry ~options ~stats ~pre ~solver problem
+          ~on_feasible:(fun sol ->
+            acc := sol :: !acc;
+            incr n;
+            if !n >= limit then `Stop else `Continue))
   in
-  stats.wall_seconds <- Telemetry.Clock.now () -. t0;
-  absorb_alloc tel stats a0;
   match result with
   (* Anytime contract: when the budget is the reason the enumeration is
      incomplete, return the models found so far with the typed reason in

@@ -27,9 +27,6 @@ type options = {
       (** Post-process linear conflict sets with deletion filtering
           (guaranteed-minimal hints; ablation switch). *)
   max_bool_models : int; (** Safety cap on examined Boolean models. *)
-  max_unknown_models : int;
-      (** Give up after this many Boolean models whose arithmetic part
-          could not be decided. *)
   default_phase : bool;
       (** Initial polarity of the Boolean solver's decisions; [true] makes
           early models assert constraints positively, which arithmetic
@@ -61,11 +58,13 @@ type options = {
           handle records hierarchical spans over every phase of the
           control loop — presolve (and each of its passes), each
           [sat_search], each Boolean model's arithmetic check with its
-          [linear_check] / [nonlinear_check] children — plus the run's
-          counters (see {!counters}) as per-span deltas, and
-          one [blocking_clause] event per learned blocking clause with
-          its conflict-set size. Results are bit-identical with telemetry
-          on or off; only observation is added. *)
+          [linear_check] / [nonlinear_check] children — each engine span
+          with the deltas of the run's counters (see {!counters}) while
+          it was open, and one [blocking_clause] event per learned
+          blocking clause with its conflict-set size. The run's counter
+          totals are added to the handle once, when the run ends. Results
+          are bit-identical with telemetry on or off; only observation is
+          added. *)
   budget : Absolver_resource.Budget.t;
       (** Resource governor handle, threaded through every hot loop of the
           pipeline (presolve passes, CDCL search, simplex pivoting,
@@ -91,10 +90,12 @@ val pp_result : Ab_problem.t -> Format.formatter -> result -> unit
 (** {1 Run statistics}
 
     Each solve counts its own work in counters declared once in the
-    engine under their telemetry names. A counter moves into the run's
-    store and [options.telemetry] in one step, so {!counter},
-    {!pp_run_stats}, {!run_stats_json} and the telemetry counters agree,
-    and concurrent solves count only their own work:
+    engine under their telemetry names. A counter moves only in the
+    run's store; the engine's spans take their deltas from it, and
+    [options.telemetry] gets its totals when the run ends. So
+    {!counter}, {!pp_run_stats}, {!run_stats_json}, the span counters and
+    the telemetry counters agree, and concurrent solves count only their
+    own work:
     - [engine.*]: [bool_models], [linear_checks], [linear_conflicts],
       [nonlinear_calls], [blocking_clauses], [eq_branches] (sign
       combinations of negated equations tried), [unknown_models];

@@ -18,7 +18,7 @@ type linear_session = {
   lsess_atom : Linexpr.cons -> int;
   lsess_solve :
     int_vars:int list -> fixes:Linexpr.cons list -> int array -> int -> linear_verdict;
-  lsess_counters : unit -> (string * int) list;
+  lsess_counters : unit -> Incremental.stats;
 }
 
 type linear_solver = {
@@ -56,7 +56,7 @@ let verdict_of_simplex = function
    were last read, so every reader sees only its own work. A cold
    session decides every query on a fresh tableau. *)
 let session_of ~warm s =
-  let last = ref (Incremental.counters s) in
+  let last = ref (Incremental.stats s) in
   {
     lsess_atom = Incremental.register s;
     lsess_solve =
@@ -65,10 +65,15 @@ let session_of ~warm s =
         verdict_of_simplex (Incremental.solve s ~int_vars ~fixes ids n));
     lsess_counters =
       (fun () ->
-        let now = Incremental.counters s in
-        let delta = List.map2 (fun (k, v) (_, v0) -> (k, v - v0)) now !last in
+        let now = Incremental.stats s and l = !last in
         last := now;
-        delta);
+        {
+          Incremental.solves = now.solves - l.solves;
+          asserted = now.asserted - l.asserted;
+          retracted = now.retracted - l.retracted;
+          reused = now.reused - l.reused;
+          pivots = now.pivots - l.pivots;
+        });
   }
 
 let fresh_session ~budget ~warm = session_of ~warm (Incremental.create ~budget ())

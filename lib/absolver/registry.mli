@@ -27,7 +27,7 @@ type linear_session = {
   lsess_atom : Linexpr.cons -> int;
   lsess_solve :
     int_vars:int list -> fixes:Linexpr.cons list -> int array -> int -> linear_verdict;
-  lsess_counters : unit -> (string * int) list;
+  lsess_counters : unit -> Absolver_lp.Incremental.stats;
 }
 (** A stateful linear-solver session. [lsess_atom c] registers the atom
     [c] and returns its id, the same id for an equal atom.
@@ -36,10 +36,11 @@ type linear_session = {
     [ids.(0 .. n-1)], in that order. [ids] is the caller's buffer, which
     it rewrites for its next query: a session must not keep it. Calls
     may reuse solver state from earlier ones (a warm-started tableau),
-    but each must decide exactly the constraints it is given. [lsess_counters] returns the work done
-    since its previous call (or since the session was acquired) under
-    engine counter names ([lp.pivots], [lp.inc.*]; see
-    {!Engine.counters}); the engine reads it after every solve. *)
+    but each must decide exactly the constraints it is given.
+    [lsess_counters] returns the work done since its previous call (or
+    since the session was acquired) as one record; the engine adds it to
+    the run's counter store ([lp.pivots], [lp.inc.*]; see
+    {!Engine.counters}) after every solve. *)
 
 type linear_solver = {
   ls_session : budget:Absolver_resource.Budget.t -> warm:bool -> linear_session;

@@ -21,6 +21,8 @@ type form = {
 type atom = { cons : Linexpr.cons; form : form; lo : bound; hi : bound; holds : bool }
 and bound = Simplex.bound option
 
+type stats = { solves : int; asserted : int; retracted : int; reused : int; pivots : int }
+
 type t = {
   mutable simplex : Simplex.t;
   mutable budget : Budget.t;
@@ -59,7 +61,7 @@ type t = {
      bounds are exactly that query's. *)
   mutable bounded : int array;
   mutable num_bounded : int;
-  (* Work counters, reported by [counters]. *)
+  (* Work counters, reported by [stats]. *)
   mutable solves : int;
   mutable asserted : int;  (* bounds set that the previous query lacked *)
   mutable retracted : int;  (* bounds of the previous query dropped *)
@@ -160,14 +162,14 @@ let set_budget t budget =
   t.budget <- budget;
   Simplex.set_budget t.simplex budget
 
-let counters t =
-  [
-    ("lp.inc.solves", t.solves);
-    ("lp.inc.asserted", t.asserted);
-    ("lp.inc.retracted", t.retracted);
-    ("lp.inc.reused", t.reused);
-    ("lp.pivots", t.dropped_pivots + Simplex.num_pivots t.simplex);
-  ]
+let stats t : stats =
+  {
+    solves = t.solves;
+    asserted = t.asserted;
+    retracted = t.retracted;
+    reused = t.reused;
+    pivots = t.dropped_pivots + Simplex.num_pivots t.simplex;
+  }
 
 let flip = function
   | Linexpr.Le -> Linexpr.Ge

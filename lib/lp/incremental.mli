@@ -73,10 +73,13 @@ val solve :
     branch-and-bound and returns [Unknown] — no exception escapes, and
     the session stays usable. *)
 
-val counters : t -> (string * int) list
-(** The session's work counters, cumulative since {!create}:
-    [lp.inc.solves] (calls to {!solve}), [lp.inc.asserted] /
-    [lp.inc.retracted] (bounds set that the previous call lacked / bounds
-    of the previous call dropped; a changed bound counts once in each),
-    [lp.inc.reused] (bounds kept unchanged from the previous call) and
-    [lp.pivots] (the pivots of the session's tableaus). *)
+type stats = { solves : int; asserted : int; retracted : int; reused : int; pivots : int }
+(** A session's work: calls to {!solve}; bounds set that the previous
+    call lacked, bounds of the previous call dropped (a changed bound
+    counts once in each) and bounds kept unchanged; and the pivots of the
+    session's tableaus. The engine reports them as [lp.inc.solves],
+    [lp.inc.asserted], [lp.inc.retracted], [lp.inc.reused] and
+    [lp.pivots]. *)
+
+val stats : t -> stats
+(** The session's work, cumulative since {!create}. *)

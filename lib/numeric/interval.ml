@@ -223,12 +223,14 @@ let sin i =
   if is_empty i then empty
   else cos (sub (of_float (pi /. 2.0)) (add i (make (-1e-16) 1e-16)))
 
-(* Tightest float enclosure of a rational, corrected by exact comparison:
-   Rational.to_float may be off by several ulps for big numerators. *)
+(* Float enclosure of a rational, corrected by exact comparison:
+   Rational.to_float may be off by several ulps for big numerators. Zero
+   is the point [0, 0], so that a division by the constant 0 is empty. *)
 let of_rational q =
   let module Q = Rational in
   let approx = Q.to_float q in
-  if Float.is_nan approx then entire
+  if Q.is_zero q then zero
+  else if Float.is_nan approx then entire
   else begin
     let rec fix_down x =
       if x = Float.neg_infinity then x

@@ -25,9 +25,10 @@ val of_float : float -> t
 val of_ints : int -> int -> t
 
 val of_rational : Rational.t -> t
-(** Tightest float enclosure of an exact rational, verified by exact
+(** A float enclosure of an exact rational, verified by exact
     comparison (sound even when [Rational.to_float] is off by several
-    ulps). *)
+    ulps). Zero encloses as the point [[0, 0]]; any other rational as an
+    interval a few ulps wide. *)
 
 val of_rational_bounds : Rational.t option -> Rational.t option -> t
 (** [None] bounds are infinite. *)

@@ -173,7 +173,6 @@ type span_rec = {
   parent : int;
   t_start : float;
   attrs : (string * value) list;
-  snapshot : (string * int) list; (* counter totals when the span opened *)
 }
 
 (* The trace sink is shared by a handle and all its forks; the write lock
@@ -371,9 +370,6 @@ let gauges t =
 
 (* ---- spans ---- *)
 
-let snapshot_counters st =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) st.cnt []
-
 let span_open t ?(attrs = []) name =
   match t with
   | Disabled -> -1
@@ -383,30 +379,10 @@ let span_open t ?(attrs = []) name =
         let parent =
           match st.stack with [] -> st.default_parent | s :: _ -> s.id
         in
-        st.stack <-
-          {
-            id;
-            name;
-            parent;
-            t_start = Clock.now ();
-            attrs;
-            snapshot = snapshot_counters st;
-          }
-          :: st.stack;
+        st.stack <- { id; name; parent; t_start = Clock.now (); attrs } :: st.stack;
         id)
 
-let counter_deltas st (sp : span_rec) =
-  Hashtbl.fold
-    (fun k r acc ->
-      let before =
-        match List.assoc_opt k sp.snapshot with Some v -> v | None -> 0
-      in
-      let d = !r - before in
-      if d <> 0 then (k, d) :: acc else acc)
-    st.cnt []
-  |> List.sort compare
-
-let close_one st ~extra_attrs (sp : span_rec) =
+let close_one st ~extra_attrs ?(counters = []) (sp : span_rec) =
   let t_end = Clock.now () in
   let dur = Float.max 0.0 (t_end -. sp.t_start) in
   (* aggregate *)
@@ -439,12 +415,11 @@ let close_one st ~extra_attrs (sp : span_rec) =
                Json.obj (List.map (fun (k, v) -> (k, Json.of_value v)) attrs) );
            ])
       @
-      match counter_deltas st sp with
-      | [] -> []
-      | ds ->
+      if counters = [] then []
+      else
         [
           ( "counters",
-            Json.obj (List.map (fun (k, d) -> (k, string_of_int d)) ds) );
+            Json.obj (List.map (fun (k, d) -> (k, string_of_int d)) counters) );
         ]
     in
     emit st (Json.obj fields)
@@ -452,7 +427,7 @@ let close_one st ~extra_attrs (sp : span_rec) =
 
 let abandoned_attr = [ ("abandoned", Bool true) ]
 
-let span_close t ?(attrs = []) id =
+let span_close t ?(attrs = []) ?counters id =
   match t with
   | Disabled -> ()
   | Enabled st ->
@@ -465,7 +440,7 @@ let span_close t ?(attrs = []) id =
             | [] -> ()
             | sp :: rest ->
               st.stack <- rest;
-              if sp.id = id then close_one st ~extra_attrs:attrs sp
+              if sp.id = id then close_one st ~extra_attrs:attrs ?counters sp
               else begin
                 close_one st ~extra_attrs:abandoned_attr sp;
                 pop ()

@@ -6,8 +6,8 @@
     — which subsystem rejects a candidate model, how many Boolean models
     the control loop burns, how the solvers compare. This module is the
     machinery behind that kind of accounting: the engine (and anything
-    else) opens {e spans} around its phases, bumps {e counters} as work
-    happens, and a sink turns the stream into either an in-memory
+    else) opens {e spans} around its phases, adds up {e counters} of the
+    work done, and a sink turns the stream into either an in-memory
     aggregate (for [--stats] / [--stats-json]) or a JSONL trace file (for
     [--trace]).
 
@@ -100,9 +100,10 @@ val fork : ?parent:int -> ?trace_id:string -> t -> t
 (** {1 Spans}
 
     Spans nest: the innermost open span is the parent of the next one
-    opened. Counter increments are attributed to every open span, so a
-    finished span knows the deltas of all counters that moved while it was
-    open ("12 pivots happened inside this linear check"). *)
+    opened. A span keeps no counters of its own: whoever closes it may
+    hand {!span_close} the counter deltas it measured while the span was
+    open ("12 pivots happened inside this linear check"), which the trace
+    records with the span. *)
 
 val span : t -> ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** [span t name f] runs [f] inside a span named [name]. Exception-safe:
@@ -112,12 +113,17 @@ val span_open : t -> ?attrs:(string * value) list -> string -> int
 (** Manual span begin, for non-lexical extents. Returns a span id
     ([-1] when disabled). *)
 
-val span_close : t -> ?attrs:(string * value) list -> int -> unit
+val span_close :
+  t -> ?attrs:(string * value) list -> ?counters:(string * int) list -> int -> unit
 (** Close the span [id]. Any spans opened after it that are still open
     are closed first (closing is properly nested by construction) and
     marked with an [abandoned:true] attribute, so a truncated trace is
     distinguishable from a clean one. Extra [attrs] are appended to the
-    span's record. *)
+    span's record. [counters] (default none) are the deltas of the
+    counters that moved while the span was open: the trace records them
+    as the span's [counters] object, and the handle's totals ({!add})
+    do not change. The engine's spans pass them from the run's counter
+    store; other spans carry none. *)
 
 val event : t -> ?attrs:(string * value) list -> string -> unit
 (** A point-in-time occurrence, attributed to the innermost open span. *)

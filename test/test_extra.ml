@@ -306,53 +306,3 @@ let suite =
     ("hc4 bounded rounds", `Quick, test_hc4_max_rounds_terminates);
     ("circuit agrees with exact solution", `Quick, test_circuit_agrees_with_solution);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Test-case generation (paper Sec. 6 future work).                    *)
-
-let thermostat_diagram () =
-  (* alarm = (temp > 30) or (temp < 5) *)
-  let d = M.Diagram.create () in
-  let t = M.Diagram.add_block d (M.Block.B_inport { name = "temp"; lo = Some (Q.of_int (-40)); hi = Some (Q.of_int 125); integer = false }) in
-  let hot = M.Diagram.add_block d (M.Block.B_compare (M.Block.C_gt, Q.of_int 30)) in
-  let cold = M.Diagram.add_block d (M.Block.B_compare (M.Block.C_lt, Q.of_int 5)) in
-  let either = M.Diagram.add_block d (M.Block.B_or 2) in
-  let out = M.Diagram.add_block d (M.Block.B_outport "alarm") in
-  M.Diagram.connect d ~src:t ~dst:hot ~port:0;
-  M.Diagram.connect d ~src:t ~dst:cold ~port:0;
-  M.Diagram.connect d ~src:hot ~dst:either ~port:0;
-  M.Diagram.connect d ~src:cold ~dst:either ~port:1;
-  M.Diagram.connect d ~src:either ~dst:out ~port:0;
-  d
-
-let test_testgen_coverage () =
-  match M.Testgen.generate ~output:"alarm" (thermostat_diagram ()) with
-  | Error e -> Alcotest.fail e
-  | Ok cov ->
-    (* Feasible patterns: (hot, ~cold), (~hot, cold), (~hot, ~cold);
-       (hot, cold) is arithmetically impossible. Two drive the alarm. *)
-    check int_t "patterns" 3 cov.M.Testgen.patterns_total;
-    check int_t "alarm patterns" 2 cov.M.Testgen.patterns_true;
-    (* Every test vector drives the diagram to its recorded output. *)
-    List.iter
-      (fun (tc : M.Testgen.test_case) ->
-        let temp = List.assoc "temp" tc.M.Testgen.inputs in
-        let expected = temp > 30.0 || temp < 5.0 in
-        check bool_t "vector consistent" expected tc.M.Testgen.output_value)
-      cov.M.Testgen.cases
-
-let test_testgen_csv () =
-  match M.Testgen.generate ~output:"alarm" (thermostat_diagram ()) with
-  | Error e -> Alcotest.fail e
-  | Ok cov ->
-    let csv = M.Testgen.to_csv cov in
-    check bool_t "header" true (contains csv "temp,expected_output");
-    check int_t "rows" (1 + cov.M.Testgen.patterns_total)
-      (List.length (String.split_on_char '\n' (String.trim csv)))
-
-let suite =
-  suite
-  @ [
-      ("testgen coverage", `Quick, test_testgen_coverage);
-      ("testgen csv", `Quick, test_testgen_csv);
-    ]

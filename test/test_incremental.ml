@@ -549,8 +549,6 @@ let cons_of ~tag coeffs k op =
   in
   { L.expr; op; tag }
 
-let count s name = List.assoc ("lp.inc." ^ name) (Inc.counters s)
-
 let solve_cons s cs = solve_ids s (List.map (Inc.register s) cs)
 
 let expect_sat s what cs =
@@ -565,12 +563,12 @@ let test_delta_order () =
   let c3 = cons_of ~tag:3 [ (1, 0); (1, 1) ] (-8) L.Ge in
   let c4 = cons_of ~tag:4 [ (1, 0); (-1, 1) ] 0 L.Ge in
   expect_sat s "first query" [ c1; c2; c3; c4 ];
-  check int_t "asserted after q1" 4 (count s "asserted");
+  check int_t "asserted after q1" 4 (Inc.stats s).Inc.asserted;
   (* The same atoms in another order are the same bounds. *)
   expect_sat s "permuted query" [ c4; c2; c1; c3 ];
-  check int_t "asserted after q2" 4 (count s "asserted");
-  check int_t "retracted after q2" 0 (count s "retracted");
-  check int_t "reused after q2" 4 (count s "reused")
+  check int_t "asserted after q2" 4 (Inc.stats s).Inc.asserted;
+  check int_t "retracted after q2" 0 (Inc.stats s).Inc.retracted;
+  check int_t "reused after q2" 4 (Inc.stats s).Inc.reused
 
 let test_delta_symmetric () =
   (* Replacing the first of five atoms changes one bound out and one in;
@@ -578,12 +576,12 @@ let test_delta_symmetric () =
   let s = Inc.create () in
   let atoms = List.init 5 (fun v -> cons_of ~tag:v [ (1, v) ] (-5) L.Le) in
   expect_sat s "five atoms" atoms;
-  check int_t "asserted after q1" 5 (count s "asserted");
+  check int_t "asserted after q1" 5 (Inc.stats s).Inc.asserted;
   let replaced = cons_of ~tag:9 [ (1, 0); (1, 1) ] (-20) L.Le :: List.tl atoms in
   expect_sat s "first atom replaced" replaced;
-  check int_t "asserted after q2" 6 (count s "asserted");
-  check int_t "retracted after q2" 1 (count s "retracted");
-  check int_t "reused after q2" 4 (count s "reused")
+  check int_t "asserted after q2" 6 (Inc.stats s).Inc.asserted;
+  check int_t "retracted after q2" 1 (Inc.stats s).Inc.retracted;
+  check int_t "reused after q2" 4 (Inc.stats s).Inc.reused
 
 let test_delta_shared_slack () =
   (* Atoms over one form bound one slack: dropping the tighter of two
@@ -609,10 +607,10 @@ let test_delta_duplicate () =
   check int_t "one id for an atom registered twice" (Inc.register s c1)
     (Inc.register s (cons_of ~tag:1 [ (1, 0) ] (-5) L.Le));
   expect_sat s "duplicated atom" [ c1; c1 ];
-  check int_t "one bound for two copies" 1 (count s "asserted");
+  check int_t "one bound for two copies" 1 (Inc.stats s).Inc.asserted;
   expect_sat s "single atom" [ c1 ];
-  check int_t "nothing retracted" 0 (count s "retracted");
-  check int_t "the bound reused" 1 (count s "reused")
+  check int_t "nothing retracted" 0 (Inc.stats s).Inc.retracted;
+  check int_t "the bound reused" 1 (Inc.stats s).Inc.reused
 
 let test_session_size () =
   (* A witness re-solve fixes each nonlinear variable to its float value:
@@ -710,7 +708,7 @@ let test_query_alloc () =
       in
       words "same atoms" (fun _ -> ids);
       words "one bound moved" (fun k -> if k mod 2 = 1 then moved else ids);
-      check int_t "one bound retracted per moved query" 10 (count s "retracted"))
+      check int_t "one bound retracted per moved query" 10 (Inc.stats s).Inc.retracted)
     [ 50; 200 ]
 
 (* ------------------------------------------------------------------ *)

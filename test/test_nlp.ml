@@ -514,24 +514,32 @@ let table1_pins =
     ("sphere_cap_unsat", "bde1776547080e473dc1accc87778262", "170f683cd945ae5dd614f800c6ecee7c");
   ]
 
-(* Same commit, except relation 19: it divides by the constant
-   [0 * 1/5], and its search accepted an approximate witness at which the
-   relation's value is infinite. Such a value does not hold (DESIGN §3),
-   so the search now ends unknown after the same 41 nodes; its
-   contraction is unchanged. *)
+(* Same commit, except the 20 relations with a zero constant (5, 10,
+   13, 19, 45, 65, 134, 174, 182, 184, 192, 204, 216, 233, 238, 243, 249,
+   260, 285 and 290): the constant 0 now encloses as the point [0, 0]
+   rather than two ulps either side, so dividing by it, [log 0] and its
+   negative powers are empty. With HC4, six searches now end unsat at
+   the root (5, 13, 65, 290; 238, which raised on a nan endpoint; 243,
+   whose witness made [log 0] infinite) and five [0 <= 0]-like ones are
+   certified at the root instead of approximated after 41 nodes.
+   Without HC4 (every fifth) no box is pruned, so 174 and 184, which had
+   accepted a witness at which [log 0] or [0^-2] has no real value
+   (DESIGN §3), end unknown after 41 nodes. The rest keep their
+   verdicts. Relation 19 had already been re-pinned for such a
+   witness. *)
 let random_pins =
   [|
-    "00e6dabd"; "b382ee7a"; "fb1fded8"; "0a557faa"; "1493554b"; "7e69f1b6";
-    "16d75d99"; "3b84b2c5"; "a6561601"; "5d4d7d4c"; "e270ca52"; "3ff8863d";
-    "2eb4817f"; "cf8cbb85"; "e8bdb2e0"; "f733b08a"; "4d2e506f"; "7ea071a4";
-    "d502e1a0"; "55dc682d"; "877697ca"; "ef1df232"; "9b5b07fe"; "25999d12";
+    "00e6dabd"; "b382ee7a"; "fb1fded8"; "0a557faa"; "1493554b"; "b7e691b1";
+    "16d75d99"; "3b84b2c5"; "a6561601"; "5d4d7d4c"; "efafc420"; "3ff8863d";
+    "2eb4817f"; "0a9151b9"; "e8bdb2e0"; "f733b08a"; "4d2e506f"; "7ea071a4";
+    "d502e1a0"; "70c4074f"; "877697ca"; "ef1df232"; "9b5b07fe"; "25999d12";
     "68db6c87"; "cd7a8972"; "458d89ed"; "e506c15b"; "08e985f9"; "d2dc1f52";
     "c1dd7217"; "5f1567b5"; "2a254085"; "411ae45f"; "61c23354"; "cd2a9e31";
     "0a320ebd"; "e680fc08"; "de118620"; "9139bf88"; "95097ded"; "1517c3ac";
-    "74c8f94c"; "23031eb3"; "9550d4d6"; "8cf3f7f2"; "62482901"; "421c9ff8";
+    "74c8f94c"; "23031eb3"; "9550d4d6"; "7297e91f"; "62482901"; "421c9ff8";
     "0477c63a"; "0b8c80b5"; "dcce5626"; "42422fe5"; "a5146946"; "8beb90fb";
     "319ff733"; "1fa16093"; "dbe9021b"; "bf1ef17e"; "2f3f0ee5"; "3161a709";
-    "37b97a80"; "fa6cf6eb"; "b831f16e"; "b56e33af"; "0b3f1b4a"; "a2baa6d2";
+    "37b97a80"; "fa6cf6eb"; "b831f16e"; "b56e33af"; "0b3f1b4a"; "e9f547b9";
     "32173020"; "a5ff9030"; "1bb51590"; "b9285038"; "b51f9684"; "785455c4";
     "634d5748"; "668ecc98"; "8571aa1d"; "be6a2392"; "f7bba2ef"; "8168fa70";
     "cb0b90a0"; "376f71c7"; "7520ae76"; "199cb45c"; "4bfc58ec"; "9c0bb818";
@@ -543,33 +551,33 @@ let random_pins =
     "19e435ba"; "41cdba41"; "3d5211cd"; "2f5c309e"; "4ea55863"; "ea16ad48";
     "34014ac5"; "c788d7dc"; "dee7143a"; "2d5b5ede"; "d3d2541f"; "b0073bbb";
     "3ed07466"; "3741863b"; "ccef91e3"; "86a6d918"; "459bd507"; "5ac31701";
-    "dbe9021b"; "5bf85342"; "7637a145"; "7e04fa61"; "4333987a"; "e475bad0";
+    "dbe9021b"; "5bf85342"; "02e93724"; "7e04fa61"; "4333987a"; "e475bad0";
     "e0d136f0"; "e8f70f4b"; "b484ab9e"; "803c43cd"; "2f6be34b"; "470a96c0";
     "5caa0bc0"; "a4c77422"; "c74db155"; "b9bcee4e"; "63eaa8ec"; "aeaae91e";
     "4769ec71"; "56b35179"; "20c0b75b"; "d69e4610"; "605796ae"; "f1bf7302";
     "70395b3f"; "22576b90"; "b2018422"; "42a79661"; "f54a2934"; "f877eac4";
     "0d3344f5"; "bb7c8e6f"; "981b1c55"; "1d6ea08c"; "ead102a6"; "9f3db6f4";
     "fc32d07e"; "ec67e0ca"; "ab8d6d0e"; "2bec2c69"; "f159a3bf"; "77412941";
-    "4526da8e"; "49fed869"; "dbe9021b"; "1dad5bfd"; "4b0bff76"; "a3674a61";
-    "67be38a2"; "4f7421ab"; "c21c9748"; "4094e058"; "b3b9f9c6"; "7aec36be";
+    "2414cd8b"; "49fed869"; "dbe9021b"; "1dad5bfd"; "4b0bff76"; "a3674a61";
+    "67be38a2"; "4f7421ab"; "06df1fb3"; "4094e058"; "c408622b"; "7aec36be";
     "d69e8d03"; "18af7cda"; "c7b8c188"; "731973cf"; "147ae09a"; "60d1e40f";
-    "fc1d72b1"; "413d49fa"; "ac1a9f4c"; "cf14f0a8"; "99cd85cb"; "aba78111";
+    "f2282e02"; "413d49fa"; "ac1a9f4c"; "cf14f0a8"; "99cd85cb"; "aba78111";
     "49de4f24"; "b48f1ed2"; "79533aec"; "ed5bb8ce"; "0c39b287"; "78eb1719";
-    "34d862e1"; "b5f081b9"; "dca6362c"; "63fdcc61"; "b1c0e7f3"; "827bd218";
+    "00bdfa5f"; "b5f081b9"; "dca6362c"; "63fdcc61"; "b1c0e7f3"; "827bd218";
     "66539865"; "0c28ef1a"; "7df9c024"; "5b8a5116"; "6878cb05"; "f5551409";
-    "8c231836"; "31369b06"; "7d9c1fcd"; "aa7384d6"; "6a8f06a7"; "135a0cf5";
+    "8d8dc145"; "31369b06"; "7d9c1fcd"; "aa7384d6"; "6a8f06a7"; "135a0cf5";
     "54e18ad5"; "bb9823fa"; "9947dec1"; "241f2159"; "d18237ec"; "3463f78a";
-    "c508202a"; "aecb2286"; "fd8459ef"; "ab1a977f"; "0b2ba9d3"; "c77e2338";
-    "11f231fe"; "075d14f6"; "ce30da75"; "6a13b33f"; "631c3e1a"; "cc9c068a";
-    "d2e0fd80"; "384c854c"; "ccd8f829"; "6e0937d4"; "e3c9f7db"; "315b22c3";
-    "20a4b82b"; "2d13d6a0"; "58e23208"; "822e7395"; "26e92bea"; "e4f0fd25";
+    "c508202a"; "aecb2286"; "fd8459ef"; "ab1a977f"; "0b2ba9d3"; "cd6d5277";
+    "11f231fe"; "075d14f6"; "ce30da75"; "6a13b33f"; "eeda822e"; "cc9c068a";
+    "d2e0fd80"; "384c854c"; "ccd8f829"; "46349828"; "e3c9f7db"; "315b22c3";
+    "20a4b82b"; "2d13d6a0"; "58e23208"; "80128178"; "26e92bea"; "e4f0fd25";
     "4b68fc19"; "44ccab52"; "1a953ccd"; "15aece5f"; "3bf1ce3c"; "c676efb9";
-    "215dfb0d"; "4d4358b6"; "79965a19"; "96ac147a"; "b06bbc49"; "6f917a20";
+    "215dfb0d"; "4d4358b6"; "7c64e842"; "96ac147a"; "b06bbc49"; "6f917a20";
     "85da4631"; "f01af801"; "c73a10c7"; "384b5fd8"; "da8c4c28"; "eca3a8a7";
     "790126a9"; "5ad1a958"; "3463f78a"; "7ff1ecd8"; "f16ebb5e"; "ba419b3f";
     "8716dc29"; "e4474ee1"; "5da45538"; "392c0cd4"; "00ef655e"; "479b42d6";
-    "6b28c6d0"; "b3f52f20"; "663e27e2"; "e738363b"; "b3c9679a"; "f4555cf2";
-    "2b2e6efd"; "50648457"; "b88f040a"; "b8ac4cb1"; "a0ff2076"; "c4bb3d44";
+    "6b28c6d0"; "b3f52f20"; "663e27e2"; "0567c760"; "b3c9679a"; "f4555cf2";
+    "2b2e6efd"; "50648457"; "72c3521e"; "b8ac4cb1"; "a0ff2076"; "c4bb3d44";
     "2591791d"; "aca2559d"; "c48574ac"; "1c564d5d"; "a1a3e789"; "abc587cb";
   |]
 

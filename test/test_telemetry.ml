@@ -611,6 +611,52 @@ c bound x -3 3
     (fun n -> check bool_t ("nonlinear " ^ n) true (total nonlinear_alone n > 0))
     names
 
+(* A traced solve's span counters are the run's own counters: the [solve]
+   span carries every counter that moved, the [sat_search] spans split
+   the SAT solver's work between them, and no span names a counter the
+   engine does not declare. *)
+let test_span_counters () =
+  let fischer =
+    match Absolver_smtlib.Fischer.problem ~n:3 () with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let stats = ref None in
+  let t =
+    with_trace (fun tel ->
+        let options = { A.Engine.default_options with A.Engine.telemetry = tel } in
+        stats := Some (snd (A.Engine.solve ~options fischer));
+        T.close tel)
+  in
+  let run = A.Engine.counters (Option.get !stats) in
+  let spans name = List.filter (fun sp -> sp.TT.sp_name = name) (TT.spans t) in
+  let pairs = Alcotest.(list (pair string int)) in
+  (match spans "solve" with
+  | [ sp ] ->
+    check pairs "solve span = nonzero run counters"
+      (List.sort compare (List.filter (fun (_, n) -> n <> 0) run))
+      (List.sort compare sp.TT.sp_counters)
+  | other -> Alcotest.failf "expected one solve span, got %d" (List.length other));
+  let searches = spans "sat_search" in
+  check bool_t "has sat_search spans" true (searches <> []);
+  List.iter
+    (fun (name, n) ->
+      if String.starts_with ~prefix:"sat." name then
+        check int_t ("sat_search spans sum to the run's " ^ name) n
+          (List.fold_left
+             (fun acc sp ->
+               acc + Option.value ~default:0 (List.assoc_opt name sp.TT.sp_counters))
+             0 searches))
+    run;
+  List.iter
+    (fun sp ->
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem_assoc name run) then
+            Alcotest.failf "span %s names undeclared counter %s" sp.TT.sp_name name)
+        sp.TT.sp_counters)
+    (TT.spans t)
+
 let suite =
   [
     Alcotest.test_case "clock is monotone" `Quick test_clock_monotone;
@@ -645,4 +691,6 @@ let suite =
       test_nonlinear_trace_single_tree;
     Alcotest.test_case "concurrent solves keep their own node counts" `Quick
       test_concurrent_node_counts;
+    Alcotest.test_case "span counters come from the run's counters" `Quick
+      test_span_counters;
   ]
