@@ -2,15 +2,6 @@ open Types
 module Budget = Absolver_resource.Budget
 module Faults = Absolver_resource.Faults
 
-type clause = {
-  mutable lits : int array;
-  mutable activity : float;
-  learnt : bool;
-  mutable removed : bool;
-}
-
-let dummy_clause = { lits = [||]; activity = 0.0; learnt = false; removed = false }
-
 type theory = {
   t_on_assign : lit -> unit;
   t_on_backtrack : int -> unit;
@@ -22,18 +13,23 @@ type t = {
   (* Per-variable state, indexed by var. *)
   mutable assign : int array; (* -1 undef, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : clause array;
+  mutable reason : int array; (* arena offset, -1 for none *)
   mutable activity : float array;
   mutable saved_phase : Bool.t array;
   mutable seen : Bool.t array;
   mutable heap_pos : int array; (* -1 when not in heap *)
   (* Watches, indexed by literal: clauses in which this literal is
      watched, each entry paired with a blocking literal whose truth
-     satisfies the clause — checking it avoids dereferencing the clause
-     at all on most visits. Clause and blocker live in one flat merged
-     structure ({!Watches}); removed clauses are swept out eagerly at
-     reduction time, so propagation never sees a dead entry. *)
-  mutable watches : clause Watches.t array;
+     satisfies the clause — checking it avoids reading the clause at all
+     on most visits. Removed clauses are swept out eagerly at reduction
+     time, so propagation never sees a dead entry. *)
+  watches : Watches.t;
+  (* Clause arena: every stored clause, at its offset [c], is a header
+     [arena.(c)] followed by its literals [arena.(c + 1 .. c + size)];
+     a learnt clause has one more word, the index of its activity in
+     [learnt_act]. The clauses fill [arena.(0 .. arena_size - 1)]. *)
+  mutable arena : int array;
+  mutable arena_size : int;
   (* Trail: the assigned literals in [trail.(0 .. trail_size - 1)], in
      order. Each variable is on it at most once, so it grows with the
      per-variable arrays. *)
@@ -44,9 +40,15 @@ type t = {
   mutable trail_lim : int array;
   mutable levels : int;
   mutable qhead : int;
-  (* Clause database. *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  (* Clause database: the offsets of the stored non-learnt clauses in
+     [clauses.(0 .. num_clauses - 1)], in arena order, and those of the
+     learnt clauses in [learnts.(0 .. num_learnts - 1)]. The learnt
+     clause [learnts.(i)] has its activity in [learnt_act.(i)]. *)
+  mutable clauses : int array;
+  mutable num_clauses : int;
+  mutable learnts : int array;
+  mutable learnt_act : float array;
+  mutable num_learnts : int;
   (* VSIDS: a binary max-heap on activity in [heap.(0 .. heap_size - 1)].
      Each variable is in it at most once, so it grows with the
      per-variable arrays. *)
@@ -72,19 +74,24 @@ let create ?theory () =
     nvars = 0;
     assign = Array.make 16 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 dummy_clause;
+    reason = Array.make 16 (-1);
     activity = Array.make 16 0.0;
     saved_phase = Array.make 16 false;
     seen = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
-    watches = Array.init 32 (fun _ -> Watches.create ~dummy:dummy_clause ());
+    watches = Watches.create 32;
+    arena = [||];
+    arena_size = 0;
     trail = Array.make 16 0;
     trail_size = 0;
     trail_lim = Array.make 16 0;
     levels = 0;
     qhead = 0;
-    clauses = Vec.create ~dummy:dummy_clause ();
-    learnts = Vec.create ~dummy:dummy_clause ();
+    clauses = [||];
+    num_clauses = 0;
+    learnts = [||];
+    learnt_act = [||];
+    num_learnts = 0;
     heap = Array.make 16 0;
     heap_size = 0;
     var_inc = 1.0;
@@ -100,7 +107,7 @@ let create ?theory () =
   }
 
 let num_vars s = s.nvars
-let num_clauses s = Vec.size s.clauses
+let num_clauses s = s.num_clauses
 let set_learnt_hook s f = s.learnt_hook <- Some f
 let emit_learnt s lits = match s.learnt_hook with Some f -> f lits | None -> ()
 let is_unsat s = not s.ok
@@ -205,17 +212,14 @@ let grow_to s n =
     in
     s.assign <- extend s.assign (-1);
     s.level <- extend s.level 0;
-    s.reason <- extend s.reason dummy_clause;
+    s.reason <- extend s.reason (-1);
     s.activity <- extend s.activity 0.0;
     s.saved_phase <- extend s.saved_phase s.default_phase;
     s.seen <- extend s.seen false;
     s.heap_pos <- extend s.heap_pos (-1);
     s.heap <- extend s.heap 0;
     s.trail <- extend s.trail 0;
-    let old = s.watches in
-    s.watches <-
-      Array.init (2 * cap) (fun l ->
-          if l < Array.length old then old.(l) else Watches.create ~dummy:dummy_clause ())
+    Watches.grow s.watches (2 * cap)
   end
 
 let new_var s =
@@ -283,12 +287,58 @@ let var_bump s v =
   let p = s.heap_pos.(v) in
   if p >= 0 then heap_up s p
 
-let cla_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
-    s.cla_inc <- s.cla_inc *. 1e-20
+
+(* ------------------------------------------------------------------ *)
+(* The clause arena.                                                   *)
+
+(* A clause's header is [size lsl 2 lor learnt lsl 1 lor removed]. While
+   the arena is compacted, the header of a clause that stays also holds
+   its new offset, from bit [fwd_shift] up; a header proper is below
+   [1 lsl fwd_shift], so a clause has fewer than [1 lsl (fwd_shift - 2)]
+   literals. *)
+let fwd_shift = 32
+let header_mask = (1 lsl fwd_shift) - 1
+
+(* The words of a clause with header [h]: the header, the literals and,
+   for a learnt clause, the index of its activity. *)
+let words h = 1 + (h lsr 2) + ((h lsr 1) land 1)
+
+let clause_size s c = s.arena.(c) lsr 2
+let is_learnt s c = s.arena.(c) land 2 <> 0
+
+(* [a], or a copy of its first [used] elements with room for [need]:
+   exactly [need] of them with [exact], else at least twice as many as
+   [a] has. *)
+let fit a used need ~exact fill =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (if exact then need else max need (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 used;
+    b
   end
+
+(* Append the header of a clause of [n] literals to the arena, with room
+   for its literals (and activity index); returns its offset. *)
+let new_clause s n ~learnt =
+  assert (n < 1 lsl (fwd_shift - 2));
+  let c = s.arena_size in
+  let h = (n lsl 2) lor if learnt then 2 else 0 in
+  s.arena <- fit s.arena c (c + words h) ~exact:false 0;
+  s.arena.(c) <- h;
+  s.arena_size <- c + words h;
+  c
+
+let rescale_clause_activity s =
+  for i = 0 to s.num_learnts - 1 do
+    s.learnt_act.(i) <- s.learnt_act.(i) *. 1e-20
+  done;
+  s.cla_inc <- s.cla_inc *. 1e-20
+
+let cla_bump s c =
+  let k = s.arena.(c + 1 + clause_size s c) in
+  let a = s.learnt_act.(k) +. s.cla_inc in
+  s.learnt_act.(k) <- a;
+  if a > 1e20 then rescale_clause_activity s
 
 (* ------------------------------------------------------------------ *)
 (* Trail operations.                                                   *)
@@ -311,7 +361,7 @@ let cancel_until s lvl =
       let v = l lsr 1 in
       s.saved_phase.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- -1;
-      s.reason.(v) <- dummy_clause;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     s.trail_size <- bound;
@@ -323,69 +373,72 @@ let cancel_until s lvl =
 (* ------------------------------------------------------------------ *)
 (* Clause attachment and propagation.                                  *)
 
+(* Watch clause [c] on its first two literals. *)
 let attach s c =
-  assert (Array.length c.lits >= 2);
-  Watches.push s.watches.(c.lits.(0)) c c.lits.(1);
-  Watches.push s.watches.(c.lits.(1)) c c.lits.(0)
+  let a = s.arena in
+  Watches.push s.watches a.(c + 1) c a.(c + 2);
+  Watches.push s.watches a.(c + 2) c a.(c + 1)
 
-exception Conflict of clause
+exception Conflict of int
 
-(* The first literal of [lits] from position [j] on that is not false, or
-   [-1]. A top-level function, not a closure over the clause, so the
-   watch scan allocates nothing. *)
-let rec find_watch assign (lits : int array) j =
-  if j >= Array.length lits then -1
+(* The first position of [arena] from [j] up to [stop] (excluded) whose
+   literal is not false, or [-1]. A top-level function, not a closure
+   over the clause, so the watch scan allocates nothing. *)
+let rec find_watch assign (arena : int array) j stop =
+  if j >= stop then -1
   else
-    let l = lits.(j) in
+    let l = arena.(j) in
     let a = assign.(l lsr 1) in
-    if a < 0 || a lxor (l land 1) = 1 then j else find_watch assign lits (j + 1)
+    if a < 0 || a lxor (l land 1) = 1 then j else find_watch assign arena (j + 1) stop
 
 let propagate_lit s p =
   (* p just became true; visit clauses watching ~p. Every entry is live:
      reduction sweeps removed clauses out of the lists eagerly, so there
-     is no dead-entry check on this path. The list's arrays are read in
-     place, not through accessor calls. *)
+     is no dead-entry check on this path. The list and the arena are
+     read in place, not through accessor calls; pushing a new watch
+     never reallocates this list, whose literal is false. *)
   let fl = p lxor 1 in
-  let ws = s.watches.(fl) in
-  let assign = s.assign in
+  let w = s.watches in
+  let ws = w.Watches.lists.(fl) in
+  let assign = s.assign and arena = s.arena in
   let i = ref 0 in
-  while !i < ws.Watches.n do
+  while !i < w.Watches.sizes.(fl) do
     (* Blocking literal: if it is already true the clause is satisfied
-       and need not be dereferenced at all. *)
-    let b = ws.Watches.bl.(!i) in
+       and need not be read at all. *)
+    let b = ws.((2 * !i) + 1) in
     let a = assign.(b lsr 1) in
     if a >= 0 && a lxor (b land 1) = 1 then begin
       s.stats.blocked_visits <- s.stats.blocked_visits + 1;
       incr i
     end
     else begin
-      let c = ws.Watches.cl.(!i) in
-      let lits = c.lits in
+      let c = ws.(2 * !i) in
       (* Normalize: the false literal goes to position 1. *)
-      if lits.(0) = fl then begin
-        lits.(0) <- lits.(1);
-        lits.(1) <- fl
+      if arena.(c + 1) = fl then begin
+        arena.(c + 1) <- arena.(c + 2);
+        arena.(c + 2) <- fl
       end;
-      let first = lits.(0) in
+      let first = arena.(c + 1) in
       let a = assign.(first lsr 1) in
       if a >= 0 && a lxor (first land 1) = 1 then begin
-        ws.Watches.bl.(!i) <- first;
+        ws.((2 * !i) + 1) <- first;
         incr i
       end
       else begin
         (* Look for a new literal to watch. *)
-        let j = find_watch assign lits 2 in
+        let j = find_watch assign arena (c + 3) (c + 1 + (arena.(c) lsr 2)) in
         if j >= 0 then begin
-          lits.(1) <- lits.(j);
-          lits.(j) <- fl;
-          Watches.push s.watches.(lits.(1)) c first;
-          Watches.swap_remove ws !i
+          let l = arena.(j) in
+          arena.(c + 2) <- l;
+          arena.(j) <- fl;
+          Watches.push w l c first;
+          Watches.swap_remove w fl !i
         end
         else if a >= 0 then raise (Conflict c)
         else begin
           s.stats.propagations <- s.stats.propagations + 1;
           enqueue s first c;
-          ws.Watches.bl.(!i) <- first;
+          ws.((2 * !i) + 1) <- first;
           incr i
         end
       end
@@ -485,28 +538,29 @@ let root_conflict s =
 
 (* Store the normalized clause [s.buf.(0 .. n - 1)]: the empty clause
    refutes the instance, a unit is enqueued (the caller propagates), and
-   a longer clause is attached watching its two highest literals.
-   Blocking clauses from model enumeration are emitted in descending
-   variable order and consecutive models usually differ only in a
-   low-variable suffix, so high-end watches stay untouched across most
-   re-decisions. *)
+   a longer clause is appended to the arena and the clause list, for the
+   caller to watch on its two highest literals; returns its offset, or
+   [-1] when nothing was stored. Blocking clauses from model enumeration
+   are emitted in descending variable order and consecutive models
+   usually differ only in a low-variable suffix, so high-end watches
+   stay untouched across most re-decisions. *)
 let store s n =
   match n with
-  | -1 -> ()
-  | 0 -> root_conflict s
-  | 1 -> enqueue s s.buf.(0) dummy_clause
+  | -1 -> -1
+  | 0 ->
+    root_conflict s;
+    -1
+  | 1 ->
+    enqueue s s.buf.(0) (-1);
+    -1
   | n ->
-    let b = s.buf in
-    (* Short clauses, most of a CNF, are allocated inline. *)
-    let lits =
-      match n with
-      | 2 -> [| b.(0); b.(1) |]
-      | 3 -> [| b.(0); b.(1); b.(2) |]
-      | _ -> Array.sub b 0 n
-    in
-    let c = { lits; activity = 0.0; learnt = false; removed = false } in
-    Vec.push s.clauses c;
-    attach s c
+    let c = new_clause s n ~learnt:false in
+    Array.blit s.buf 0 s.arena (c + 1) n;
+    let k = s.num_clauses in
+    s.clauses <- fit s.clauses k (k + 1) ~exact:false 0;
+    s.clauses.(k) <- c;
+    s.num_clauses <- k + 1;
+    c
 
 let add_clause s lits =
   (* Clauses are added at level 0; any in-progress model is abandoned. *)
@@ -515,7 +569,8 @@ let add_clause s lits =
     ensure_vars s (max_var 0 lits);
     reserve s (List.length lits);
     let n = normalize s (copy_lits s.buf 0 lits) in
-    store s n;
+    let c = store s n in
+    if c >= 0 then attach s c;
     if n = 1 && propagate s <> None then root_conflict s
   end
 
@@ -589,7 +644,7 @@ let add_blocking_clause s lits =
       cancel_until s (keep_levels s 0 !second);
       watch_unassigned s 0;
       watch_unassigned s 1;
-      store s n;
+      attach s (store s n);
       s.resume <- true
     end
   end
@@ -615,12 +670,12 @@ let probe_cap = 65_536
 let probe_lit s l =
   let mark = s.trail_size in
   new_level s;
-  enqueue s l dummy_clause;
+  enqueue s l (-1);
   let ok = propagate s = None in
   for i = mark to s.trail_size - 1 do
     let v = s.trail.(i) lsr 1 in
     s.assign.(v) <- -1;
-    s.reason.(v) <- dummy_clause
+    s.reason.(v) <- -1
   done;
   s.trail_size <- mark;
   s.levels <- 0;
@@ -635,7 +690,7 @@ let probe ?(budget = Budget.unlimited) s =
       let start = s.stats.propagations in
       let fix l =
         incr failed;
-        enqueue s l dummy_clause;
+        enqueue s l (-1);
         root_propagate s
       in
       let v = ref 0 in
@@ -652,61 +707,163 @@ let probe ?(budget = Budget.unlimited) s =
       with Budget.Exhausted _ -> ());
   !failed
 
-(* Keep the clauses of [cs] no root assignment satisfies, in order, each
+(* ------------------------------------------------------------------ *)
+(* Arena compaction.                                                   *)
+
+(* A compaction slides the clauses that stay down over those that go,
+   keeping their order, as MiniSat's region allocator relocates clauses
+   at garbage collection. [plan] gives each clause that stays its new
+   offset, kept in its header until it moves; the caller then relocates
+   every offset it holds with [moved] (dropping those [gone] says go),
+   and [slide] moves the clauses. *)
+
+(* The literals clause [c] keeps: all of them, or with [strip] its
+   unassigned ones; -1 when it goes, because it was removed or, with
+   [strip], a root assignment satisfies it. *)
+let kept_size s ~strip c =
+  let h = s.arena.(c) in
+  if h land 1 = 1 then -1
+  else if not strip then h lsr 2
+  else begin
+    let n = ref 0 and sat = ref false in
+    for k = c + 1 to c + (h lsr 2) do
+      let l = s.arena.(k) in
+      let a = s.assign.(l lsr 1) in
+      if a < 0 then incr n else if a lxor (l land 1) = 1 then sat := true
+    done;
+    if !sat then -1
+    else begin
+      assert (!n >= 2);
+      !n
+    end
+  end
+
+let plan s ~strip =
+  let arena = s.arena in
+  let c = ref 0 and d = ref 0 in
+  while !c < s.arena_size do
+    let h = arena.(!c) in
+    let m = kept_size s ~strip !c in
+    if m < 0 then arena.(!c) <- h lor 1
+    else begin
+      arena.(!c) <- (!d lsl fwd_shift) lor h;
+      d := !d + 1 + m + ((h lsr 1) land 1)
+    end;
+    c := !c + words h
+  done
+
+let gone s c = s.arena.(c) land 1 = 1
+let moved s c = s.arena.(c) lsr fwd_shift
+
+(* Move every clause that stays to its planned offset; with [strip],
+   without its false literals and sorted descending. *)
+let slide s ~strip =
+  let arena = s.arena in
+  let c = ref 0 and top = ref 0 in
+  while !c < s.arena_size do
+    let h = arena.(!c) land header_mask in
+    if h land 1 = 0 then begin
+      let d = arena.(!c) lsr fwd_shift in
+      if strip then begin
+        let n = h lsr 2 and learnt = h land 2 in
+        reserve s n;
+        let m = ref 0 in
+        for k = !c + 1 to !c + n do
+          let l = arena.(k) in
+          if s.assign.(l lsr 1) < 0 then begin
+            s.buf.(!m) <- l;
+            incr m
+          end
+        done;
+        sort_desc s.buf !m;
+        let slot = if learnt = 0 then 0 else arena.(!c + 1 + n) in
+        arena.(d) <- (!m lsl 2) lor learnt;
+        Array.blit s.buf 0 arena (d + 1) !m;
+        if learnt <> 0 then arena.(d + 1 + !m) <- slot;
+        top := d + words arena.(d)
+      end
+      else begin
+        Array.blit arena !c arena d (words h);
+        arena.(d) <- h;
+        top := d + words h
+      end
+    end;
+    c := !c + words h
+  done;
+  s.arena_size <- !top
+
+(* Watch the stored clauses from [clauses.(from)] on and then, with
+   [learnts], every learnt clause, in that order; each watch list grows
+   once, to its final length. *)
+let attach_all s ~from ~learnts =
+  let each f =
+    let watch c =
+      f s.arena.(c + 1);
+      f s.arena.(c + 2)
+    in
+    for i = from to s.num_clauses - 1 do watch s.clauses.(i) done;
+    if learnts then for i = 0 to s.num_learnts - 1 do watch s.learnts.(i) done
+  in
+  Watches.reserve s.watches each;
+  for i = from to s.num_clauses - 1 do attach s s.clauses.(i) done;
+  if learnts then for i = 0 to s.num_learnts - 1 do attach s s.learnts.(i) done
+
+(* Keep the clauses no root assignment satisfies, in order, each
    without its false literals and sorted descending, and watch them
    again. *)
-let compact_vec s cs =
-  let kept = ref 0 in
-  for i = 0 to Vec.size cs - 1 do
-    let c = Vec.get cs i in
-    let lits = c.lits in
-    reserve s (Array.length lits);
-    let n = ref 0 and sat = ref false in
-    for k = 0 to Array.length lits - 1 do
-      let l = lits.(k) in
-      let a = s.assign.(l lsr 1) in
-      if a < 0 then begin
-        s.buf.(!n) <- l;
-        incr n
-      end
-      else if a lxor (l land 1) = 1 then sat := true
-    done;
-    if not !sat then begin
-      assert (!n >= 2);
-      sort_desc s.buf !n;
-      if !n = Array.length lits then Array.blit s.buf 0 lits 0 !n
-      else c.lits <- Array.sub s.buf 0 !n;
-      Vec.set cs !kept c;
-      incr kept;
-      attach s c
-    end
-  done;
-  Vec.shrink cs !kept
-
 let compact s =
   cancel_until s 0;
   uncounted s (fun () -> root_propagate s);
   if s.ok then begin
-    Array.iter Watches.clear s.watches;
-    compact_vec s s.clauses;
-    compact_vec s s.learnts;
-    (* Root assignments need no reasons, and the dropped clauses can go. *)
+    plan s ~strip:true;
+    let k = ref 0 in
+    for i = 0 to s.num_clauses - 1 do
+      let c = s.clauses.(i) in
+      if not (gone s c) then begin
+        s.clauses.(!k) <- moved s c;
+        incr k
+      end
+    done;
+    s.num_clauses <- !k;
+    (* A learnt clause that stays takes the next activity index. *)
+    k := 0;
+    for i = 0 to s.num_learnts - 1 do
+      let c = s.learnts.(i) in
+      if not (gone s c) then begin
+        s.arena.(c + 1 + ((s.arena.(c) land header_mask) lsr 2)) <- !k;
+        s.learnts.(!k) <- moved s c;
+        s.learnt_act.(!k) <- s.learnt_act.(i);
+        incr k
+      end
+    done;
+    s.num_learnts <- !k;
+    slide s ~strip:true;
+    (* Root assignments need no reasons. *)
     for i = 0 to s.trail_size - 1 do
-      s.reason.(s.trail.(i) lsr 1) <- dummy_clause
-    done
+      s.reason.(s.trail.(i) lsr 1) <- -1
+    done;
+    Watches.clear s.watches;
+    attach_all s ~from:0 ~learnts:true
   end
 
 let load s clauses =
   cancel_until s 0;
-  let top = ref 0 and longest = ref 0 in
+  let top = ref 0 and longest = ref 0 and stored = ref 0 and arena_words = ref 0 in
   List.iter
     (fun c ->
       top := max_var !top c;
       let n = List.length c in
-      if n > !longest then longest := n)
+      if n > !longest then longest := n;
+      if n >= 2 then begin
+        incr stored;
+        arena_words := !arena_words + 1 + n
+      end)
     clauses;
   ensure_vars s !top;
   reserve s !longest;
+  (* The arena and the clause list grow once, to hold every clause. *)
+  s.arena <- fit s.arena s.arena_size (s.arena_size + !arena_words) ~exact:true 0;
+  s.clauses <- fit s.clauses s.num_clauses (s.num_clauses + !stored) ~exact:true 0;
   (* Units first, so every longer clause is stored without the literals
      they falsify. *)
   List.iter
@@ -716,16 +873,20 @@ let load s clauses =
         | [] -> root_conflict s
         | [ l ] -> (
           match lit_value s l with
-          | V_undef -> enqueue s l dummy_clause
+          | V_undef -> enqueue s l (-1)
           | V_false -> root_conflict s
           | V_true -> ())
         | _ -> ())
     clauses;
+  let first = s.num_clauses in
   List.iter
     (function
       | [] | [ _ ] -> ()
-      | lits -> if s.ok then store s (normalize s (copy_lits s.buf 0 lits)))
+      | lits -> if s.ok then ignore (store s (normalize s (copy_lits s.buf 0 lits))))
     clauses;
+  (* Each watch list gets, in order, the entries storing the clauses one
+     by one would have pushed. *)
+  attach_all s ~from:first ~learnts:false;
   compact s
 
 let fixed s =
@@ -734,42 +895,56 @@ let fixed s =
     (Array.get s.trail)
 
 let clauses s =
-  List.map (fun l -> [ l ]) (fixed s)
-  @ List.rev (Vec.fold (fun acc c -> Array.to_list c.lits :: acc) [] s.clauses)
+  let lits c = List.init (clause_size s c) (fun k -> s.arena.(c + 1 + k)) in
+  List.map (fun l -> [ l ]) (fixed s) @ List.init s.num_clauses (fun i -> lits s.clauses.(i))
 
 (* ------------------------------------------------------------------ *)
 (* Conflict analysis (first UIP).                                      *)
 
-let analyze s confl =
+(* The last trail position at or below [i] whose variable is marked. *)
+let rec next_seen s i = if s.seen.(s.trail.(i) lsr 1) then i else next_seen s (i - 1)
+
+(* Analyze the conflicting clause [lits.(lo .. hi - 1)]: a stored clause
+   in the arena, or a theory's conflict in [s.buf]. The caller has bumped
+   its activity. *)
+let analyze s (lits : int array) lo hi =
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
   let index = ref (s.trail_size - 1) in
   let cur_level = s.levels in
-  let c = ref confl in
+  let lits = ref lits and lo = ref lo and hi = ref hi in
   let continue_loop = ref true in
   while !continue_loop do
-    if !c.learnt then cla_bump s !c;
-    Array.iter
-      (fun q ->
-        if q <> !p then begin
-          let v = q lsr 1 in
-          if (not s.seen.(v)) && s.level.(v) > 0 then begin
-            s.seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= cur_level then incr counter
-            else learnt := q :: !learnt
-          end
-        end)
-      !c.lits;
+    for k = !lo to !hi - 1 do
+      let q = !lits.(k) in
+      if q <> !p then begin
+        let v = q lsr 1 in
+        if (not s.seen.(v)) && s.level.(v) > 0 then begin
+          s.seen.(v) <- true;
+          var_bump s v;
+          if s.level.(v) >= cur_level then incr counter
+          else learnt := q :: !learnt
+        end
+      end
+    done;
     (* Select next literal on the trail to resolve. *)
-    let rec next i = if s.seen.(s.trail.(i) lsr 1) then i else next (i - 1) in
-    index := next !index;
+    index := next_seen s !index;
     p := s.trail.(!index);
     decr index;
     s.seen.(!p lsr 1) <- false;
     decr counter;
-    if !counter = 0 then continue_loop := false else c := s.reason.(!p lsr 1)
+    if !counter = 0 then continue_loop := false
+    else begin
+      let r = s.reason.(!p lsr 1) in
+      if r < 0 then hi := !lo
+      else begin
+        if is_learnt s r then cla_bump s r;
+        lits := s.arena;
+        lo := r + 1;
+        hi := r + 1 + clause_size s r
+      end
+    end
   done;
   let uip = !p lxor 1 in
   (* Cheap clause minimization: a literal is redundant if the reason of its
@@ -777,11 +952,13 @@ let analyze s confl =
   List.iter (fun q -> s.seen.(q lsr 1) <- true) !learnt;
   let redundant q =
     let r = s.reason.(q lsr 1) in
-    r != dummy_clause
-    && Array.length r.lits > 0
-    && Array.for_all
-         (fun l -> l lsr 1 = q lsr 1 || s.seen.(l lsr 1) || s.level.(l lsr 1) = 0)
-         r.lits
+    let rec marked k =
+      k > r + clause_size s r
+      ||
+      let l = s.arena.(k) in
+      (l lsr 1 = q lsr 1 || s.seen.(l lsr 1) || s.level.(l lsr 1) = 0) && marked (k + 1)
+    in
+    r >= 0 && marked (r + 1)
   in
   let minimized = List.filter (fun q -> not (redundant q)) !learnt in
   List.iter (fun q -> s.seen.(q lsr 1) <- false) !learnt;
@@ -797,28 +974,29 @@ let record_learnt s lits =
   emit_learnt s lits;
   match lits with
   | [] -> s.ok <- false
-  | [ l ] -> enqueue s l dummy_clause
+  | [ l ] -> enqueue s l (-1)
   | first :: _ ->
-    let c =
-      {
-        lits = Array.of_list lits;
-        activity = 0.0;
-        learnt = true;
-        removed = false;
-      }
-    in
+    let n = List.length lits in
+    let c = new_clause s n ~learnt:true in
+    let a = s.arena in
+    ignore (copy_lits a (c + 1) lits);
     (* Watch the UIP and a literal from the backjump level so the clause
        stays well-watched after the jump: position 1 must hold a literal
        with the highest remaining level. *)
-    let arr = c.lits in
-    let best = ref 1 in
-    for i = 2 to Array.length arr - 1 do
-      if s.level.(arr.(i) lsr 1) > s.level.(arr.(!best) lsr 1) then best := i
+    let best = ref (c + 2) in
+    for i = c + 3 to c + n do
+      if s.level.(a.(i) lsr 1) > s.level.(a.(!best) lsr 1) then best := i
     done;
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!best);
-    arr.(!best) <- tmp;
-    Vec.push s.learnts c;
+    let tmp = a.(c + 2) in
+    a.(c + 2) <- a.(!best);
+    a.(!best) <- tmp;
+    let k = s.num_learnts in
+    s.learnts <- fit s.learnts k (k + 1) ~exact:false 0;
+    s.learnt_act <- fit s.learnt_act k (k + 1) ~exact:false 0.0;
+    s.learnts.(k) <- c;
+    s.learnt_act.(k) <- 0.0;
+    a.(c + 1 + n) <- k;
+    s.num_learnts <- k + 1;
     attach s c;
     cla_bump s c;
     enqueue s first c
@@ -826,39 +1004,73 @@ let record_learnt s lits =
 (* ------------------------------------------------------------------ *)
 (* Learnt clause DB reduction.                                         *)
 
-let locked s c = Array.length c.lits > 0 && s.reason.(c.lits.(0) lsr 1) == c
+let locked s c = s.reason.(s.arena.(c + 1) lsr 1) = c
 
-(* Eager detach: drop the clause from both watcher lists right away. The
-   two watched literals are always [lits.(0)] and [lits.(1)] (attach
-   establishes this and propagation preserves it), so the sweep is two
-   linear scans — paid once per reduction instead of leaving dead
+(* The entry of clause [c] among the first [n] of watch list [a], or
+   [-1]. *)
+let rec watch_index (a : int array) c i n =
+  if i >= n then -1 else if a.(2 * i) = c then i else watch_index a c (i + 1) n
+
+(* Eager detach: mark the clause removed and drop it from both watcher
+   lists right away. The two watched literals are always its first two
+   (attach establishes this and propagation preserves it), so the sweep
+   is two linear scans — paid once per reduction instead of leaving dead
    entries for every future propagation over those lists to skip. *)
 let detach s c =
-  c.removed <- true;
-  Watches.remove_clause s.watches.(c.lits.(0)) c;
-  Watches.remove_clause s.watches.(c.lits.(1)) c
+  s.arena.(c) <- s.arena.(c) lor 1;
+  let w = s.watches in
+  for k = 1 to 2 do
+    let l = s.arena.(c + k) in
+    let i = watch_index w.Watches.lists.(l) c 0 w.Watches.sizes.(l) in
+    if i >= 0 then Watches.swap_remove w l i
+  done
 
 let reduce_db s =
   s.stats.reductions <- s.stats.reductions + 1;
-  Vec.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) s.learnts;
-  let n = Vec.size s.learnts in
-  let keep = Vec.create ~dummy:dummy_clause () in
+  let n = s.num_learnts in
+  let offsets = Array.sub s.learnts 0 n and act = Array.sub s.learnt_act 0 n in
+  (* Activity indices, least active first. They are the clauses'
+     positions in the list, so this sorts the list by activity. *)
+  let order = Array.init n Fun.id in
+  Array.sort (fun i j -> Float.compare act.(i) act.(j)) order;
   let limit = n / 2 in
+  let kept = ref 0 in
   for i = 0 to n - 1 do
-    let c = Vec.get s.learnts i in
-    if i < limit && (not (locked s c)) && Array.length c.lits > 2
-    then detach s c
-    else Vec.push keep c
+    let c = offsets.(order.(i)) in
+    if i < limit && (not (locked s c)) && clause_size s c > 2 then detach s c
+    else begin
+      s.learnts.(!kept) <- c;
+      s.learnt_act.(!kept) <- act.(order.(i));
+      s.arena.(c + 1 + clause_size s c) <- !kept;
+      incr kept
+    end
   done;
-  Vec.clear s.learnts;
-  (* The database just halved: return over-grown capacity before the
-     kept clauses are pushed back, and sweep watcher lists the detach
-     loop emptied out. *)
-  Vec.compact s.learnts;
-  Vec.iter (fun c -> Vec.push s.learnts c) keep;
+  s.num_learnts <- !kept;
+  (* Shrink the watcher lists the detach loop emptied out, slide the
+     removed clauses out of the arena, and relocate every offset held
+     in a watch list, a reason or a clause list. *)
+  let w = s.watches in
   for l = 0 to (2 * s.nvars) - 1 do
-    Watches.compact s.watches.(l)
-  done
+    Watches.compact w l
+  done;
+  plan s ~strip:false;
+  for l = 0 to (2 * s.nvars) - 1 do
+    let a = w.Watches.lists.(l) in
+    for i = 0 to w.Watches.sizes.(l) - 1 do
+      a.(2 * i) <- moved s a.(2 * i)
+    done
+  done;
+  for i = 0 to s.trail_size - 1 do
+    let v = s.trail.(i) lsr 1 in
+    if s.reason.(v) >= 0 then s.reason.(v) <- moved s s.reason.(v)
+  done;
+  for i = 0 to s.num_clauses - 1 do
+    s.clauses.(i) <- moved s s.clauses.(i)
+  done;
+  for i = 0 to s.num_learnts - 1 do
+    s.learnts.(i) <- moved s s.learnts.(i)
+  done;
+  slide s ~strip:false
 
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
@@ -907,20 +1119,17 @@ let handle_conflict_clause s clause_lits =
   in
   if max_level = 0 then raise Found_unsat;
   cancel_until s max_level;
-  let c =
-    {
-      lits = Array.of_list clause_lits;
-      activity = 0.0;
-      learnt = true;
-      removed = false;
-    }
-  in
-  let learnt, back_level = analyze s c in
+  (* The clause is analyzed in the scratch buffer, as a learnt clause of
+     activity 0 that is not stored: bumping it only rescales the stored
+     clauses' activities, when the increment itself passes the bound. *)
+  reserve s (List.length clause_lits);
+  let n = copy_lits s.buf 0 clause_lits in
+  if s.cla_inc > 1e20 then rescale_clause_activity s;
+  let learnt, back_level = analyze s s.buf 0 n in
   cancel_until s back_level;
   record_learnt s learnt;
   s.var_inc <- s.var_inc *. var_decay;
   s.cla_inc <- s.cla_inc *. cla_decay
-
 let search s budget assumptions conflict_budget =
   let conflicts_here = ref 0 in
   let rec loop () =
@@ -930,7 +1139,10 @@ let search s budget assumptions conflict_budget =
       s.stats.conflicts <- s.stats.conflicts + 1;
       incr conflicts_here;
       if s.levels = 0 then raise Found_unsat;
-      let learnt, back_level = analyze s confl in
+      if is_learnt s confl then cla_bump s confl;
+      let learnt, back_level =
+        analyze s s.arena (confl + 1) (confl + 1 + clause_size s confl)
+      in
       (* Backjumping below the assumption prefix is fine: assumptions are
          re-pushed as decisions by level number on the way back down. *)
       cancel_until s back_level;
@@ -949,7 +1161,7 @@ let search s budget assumptions conflict_budget =
           if not s.ok then raise Found_unsat;
           loop ())
       | None ->
-        if float_of_int s.learnts.Vec.size >= s.max_learnts then reduce_db s;
+        if float_of_int s.num_learnts >= s.max_learnts then reduce_db s;
         (* Assumption handling: the first [n] decisions are the assumptions. *)
         let dl = s.levels in
         let next_decision =
@@ -964,7 +1176,7 @@ let search s budget assumptions conflict_budget =
             | V_false -> raise Assumption_failed
             | V_undef ->
               new_level s;
-              enqueue s a dummy_clause;
+              enqueue s a (-1);
               `Skip
           end
           else `Pick
@@ -988,7 +1200,7 @@ let search s budget assumptions conflict_budget =
             s.stats.decisions <- s.stats.decisions + 1;
             new_level s;
             let phase = s.saved_phase.(v) in
-            enqueue s ((2 * v) + if phase then 0 else 1) dummy_clause;
+            enqueue s ((2 * v) + if phase then 0 else 1) (-1);
             loop ()
           end)
   in
@@ -1001,7 +1213,7 @@ let solve ?(assumptions = []) ?(max_conflicts = max_int)
     let resume = s.resume && assumptions = [] in
     s.resume <- false;
     if not resume then cancel_until s 0;
-    s.max_learnts <- max 1000.0 (float_of_int (Vec.size s.clauses) /. 3.0);
+    s.max_learnts <- max 1000.0 (float_of_int s.num_clauses /. 3.0);
     let result = ref Unknown in
     (try
        Faults.hit "sat.solve" budget;

@@ -41,7 +41,13 @@ val ensure_vars : t -> int -> unit
 val num_vars : t -> int
 
 val num_clauses : t -> int
-(** Stored non-learnt clauses of two literals or more. *)
+(** Stored non-learnt clauses of two literals or more. Every stored
+    clause, learnt or not, lives in one [int array] arena owned by the
+    solver: a header word (size, learnt and removed flags), then the
+    literals, and for a learnt clause one more word, the index of its
+    activity in a float array. Watch lists, reasons and the clause lists
+    hold arena offsets. A reduction of the learnt clauses slides the
+    survivors down over the removed ones and relocates every offset. *)
 
 val add_clause : t -> Types.lit list -> unit
 (** Add a clause at decision level 0 (the search backtracks there) and
@@ -66,11 +72,15 @@ val add_blocking_clause : t -> Types.lit list -> unit
 
 val load : t -> Types.lit list list -> unit
 (** Add a whole CNF at level 0: the bulk counterpart of {!add_clause},
-    sharing its normalization. The variable arrays grow once, the unit
-    clauses are enqueued first, then every longer clause is normalized
-    and stored in order; one propagation to a fixpoint and a {!compact}
-    follow. That propagation is presolve work: it is not counted in
-    {!stats}. *)
+    sharing its normalization. The variable arrays, the arena and the
+    clause list grow once, for every clause of two literals or more; the
+    unit clauses are enqueued first, then every longer clause is
+    normalized and stored in order. The watch occurrences of the stored
+    clauses are counted before any is watched, so each watch list grows
+    once, to its final length, and gets its entries in the order
+    {!add_clause} would push them. One propagation to a fixpoint and a
+    {!compact} follow. That propagation is presolve work: it is not
+    counted in {!stats}. *)
 
 val probe : ?budget:Absolver_resource.Budget.t -> t -> int
 (** One failed-literal probing pass at level 0, on the solver's own
@@ -87,8 +97,10 @@ val compact : t -> unit
 (** Level-0 compaction, after propagating any pending root assignment:
     drop every clause a root assignment satisfies, strip the false
     literals of the others, sort each descending and watch them again in
-    their order. The watches are then those a fresh {!load} of
-    {!clauses} would build. *)
+    their order. The arena is compacted in place, each clause sliding
+    down over the words freed before it, and the clause lists are
+    relocated; each watch list grows at most once. The watches are then
+    those a fresh {!load} of {!clauses} would build. *)
 
 val fixed : t -> Types.lit list
 (** The root assignments (level 0), in the order they were made. *)

@@ -4,15 +4,6 @@ let create ?(capacity = 16) ~dummy () =
   { data = Array.make (max capacity 1) dummy; size = 0; dummy }
 
 let size v = v.size
-let is_empty v = v.size = 0
-
-let get v i =
-  assert (i >= 0 && i < v.size);
-  v.data.(i)
-
-let set v i x =
-  assert (i >= 0 && i < v.size);
-  v.data.(i) <- x
 
 let grow v =
   let data = Array.make (2 * Array.length v.data) v.dummy in
@@ -31,52 +22,9 @@ let pop v =
   v.data.(v.size) <- v.dummy;
   x
 
-let last v =
-  assert (v.size > 0);
-  v.data.(v.size - 1)
-
-let clear v =
-  Array.fill v.data 0 v.size v.dummy;
-  v.size <- 0
-
-let compact v =
-  let cap = Array.length v.data in
-  if cap > 16 && v.size * 4 < cap then begin
-    let data = Array.make (max 16 (2 * v.size)) v.dummy in
-    Array.blit v.data 0 data 0 v.size;
-    v.data <- data
-  end
-
-let shrink v n =
-  assert (n >= 0 && n <= v.size);
-  Array.fill v.data n (v.size - n) v.dummy;
-  v.size <- n
-
-let iter f v =
-  for i = 0 to v.size - 1 do
-    f v.data.(i)
-  done
-
 let fold f acc v =
   let acc = ref acc in
   for i = 0 to v.size - 1 do
     acc := f !acc v.data.(i)
   done;
   !acc
-
-let to_list v = List.init v.size (fun i -> v.data.(i))
-
-let exists p v =
-  let rec loop i = i < v.size && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let swap_remove v i =
-  assert (i >= 0 && i < v.size);
-  v.data.(i) <- v.data.(v.size - 1);
-  v.size <- v.size - 1;
-  v.data.(v.size) <- v.dummy
-
-let sort cmp v =
-  let sub = Array.sub v.data 0 v.size in
-  Array.sort cmp sub;
-  Array.blit sub 0 v.data 0 v.size

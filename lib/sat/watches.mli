@@ -1,45 +1,41 @@
-(** One literal's watcher list, with the clause pointers and their
-    blocking literals interleaved as two parallel flat arrays inside a
-    single structure (DESIGN.md Sec. 16).
+(** The watcher lists of every literal, in one structure (DESIGN.md
+    Sec. 16).
 
-    The previous representation kept two separate [Vec.t]s per literal
-    that had to be mutated in lockstep; merging them halves the header
-    and bookkeeping overhead, keeps the blocker — the field checked on
-    every propagation visit — in a flat unboxed [int array], and makes
-    the lockstep invariant structural instead of by convention.
+    A literal's list is a flat [int array] of pairs: the arena offset of
+    a watching clause, then its blocking literal. No literal has a record
+    of its own: the solver holds one array of lists and one array of
+    lengths, indexed by literal, and an empty list is the shared [[||]]. *)
 
-    Parameterized over the clause type to keep this module below the
-    solver in the dependency order. *)
-
-type 'c t = private {
-  mutable cl : 'c array;  (** The watching clauses, in [cl.(0 .. n - 1)]. *)
-  mutable bl : Types.Lit.t array;  (** Their blocking literals. *)
-  mutable n : int;
-  dummy : 'c;
+type t = private {
+  mutable lists : int array array;
+      (** Literal [l]'s entry [i] is the clause [lists.(l).(2 * i)] with
+          the blocker [lists.(l).(2 * i + 1)]. *)
+  mutable sizes : int array;  (** The number of entries of each list. *)
 }
-(** Private, so that the propagation loop reads the arrays and updates
+(** Private, so that the propagation loop reads a list and updates
     blockers in place, without a call per visit; only this module adds,
     removes or reallocates entries. *)
 
-val create : dummy:'c -> unit -> 'c t
-(** [dummy] fills unused slots so stale clause pointers do not retain
-    memory. *)
+val create : int -> t
+(** [create n]: empty lists for literals [0 .. n - 1]. *)
 
-val push : 'c t -> 'c -> Types.Lit.t -> unit
-(** Append a watched clause with its blocking literal. *)
+val grow : t -> int -> unit
+(** [grow w n] makes room for the lists of literals [0 .. n - 1]. *)
 
-val swap_remove : 'c t -> int -> unit
-(** Constant-time removal: overwrite index with the last entry. *)
+val push : t -> Types.Lit.t -> int -> Types.Lit.t -> unit
+(** [push w l c b] appends clause [c] with blocker [b] to [l]'s list. *)
 
-val clear : 'c t -> unit
-(** Remove every entry, keeping the capacity. *)
+val reserve : t -> ((Types.Lit.t -> unit) -> unit) -> unit
+(** [reserve w each], where [each f] calls [f l] once for every entry
+    about to be pushed on [l]'s list, grows each list that needs it
+    once, to exactly the length it will have. *)
 
-val remove_clause : 'c t -> 'c -> unit
-(** Remove the entry whose clause is physically equal to the argument,
-    if present (linear scan; used by eager detach on database
-    reduction). *)
+val swap_remove : t -> Types.Lit.t -> int -> unit
+(** Constant-time removal of an entry: overwrite it with the last one. *)
 
-val compact : 'c t -> unit
-(** Shrink the backing arrays when the list occupies less than a quarter
-    of its capacity, returning over-grown watcher memory after a
-    reduction sweep. *)
+val clear : t -> unit
+(** Empty every list, keeping the capacities. *)
+
+val compact : t -> Types.Lit.t -> unit
+(** Shrink a list's array when the list fills less than a quarter of it,
+    returning over-grown watcher memory after a reduction sweep. *)

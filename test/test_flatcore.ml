@@ -800,6 +800,66 @@ let test_trail_reuse_edges () =
   check bool_t "some blocks kept levels" true (!kept > 80);
   check bool_t "many clauses had one literal above level 0" true (!root_only > 1000)
 
+(* ------------------------------------------------------------------ *)
+(* The clause arena.                                                     *)
+
+(* Load allocation guard: the words a bulk load allocates per input
+   clause, for the FISCHER6 CNF and the first Table 3 puzzle's. The load
+   sizes the clause arena, the clause list and every watch list once,
+   so what remains is the per-variable arrays, the scratch buffer and
+   the lists' growth during root propagation: about 15.1 and 8.6 words.
+   A record and a literal array per stored clause, with watch lists
+   grown by doubling, cost 26.3 and 14.6. *)
+let test_load_alloc_guard () =
+  let guard name ~bound p =
+    let clauses = A.Ab_problem.clauses p in
+    let num_vars = A.Ab_problem.num_bool_vars p in
+    let _, words = Test_frontend.allocated_words (fun () -> AS.load ~num_vars clauses) in
+    let per = words /. float_of_int (List.length clauses) in
+    if per >= bound then
+      Alcotest.failf "%s: %.0f words to load %d clauses: %.2f per clause (bound %.0f)" name
+        words (List.length clauses) per bound
+  in
+  (match F.problem ~rounds:6 ~property:(F.Cs_within (Q.of_int 2)) ~n:6 () with
+  | Ok p -> guard "FISCHER6" ~bound:18.0 p
+  | Error e -> Alcotest.failf "fischer: %s" e);
+  guard "first Table 3 puzzle" ~bound:11.0
+    (Absolver_encodings.Sudoku.absolver_problem (snd (List.hd Absolver_encodings.Puzzles.all)))
+
+(* Relocation: searches on the pigeonhole 9/8 CNF long enough to reduce
+   the learnt-clause database, which compacts the arena and relocates
+   every watch, reason and clause offset. Between two searches a copy of
+   the first clause is added, so it is stored after learnt clauses and a
+   later reduction moves it. The stored problem is the same afterwards
+   (each clause's literals up to order, which propagation permutes), the
+   learnt hook saw one clause per conflict and every learnt literal, and
+   each clause it saw follows from the problem and the clauses before
+   it. *)
+let test_relocation () =
+  let num_vars, cnf = pigeonhole 8 in
+  let s = AS.load ~num_vars cnf in
+  let stored () = List.map (List.sort compare) (Cdcl.clauses s) in
+  let before = stored () and count = Cdcl.num_clauses s in
+  let trace = Absolver_sat.Proof.record s in
+  let search max_conflicts =
+    check bool_t "no answer yet" true (Cdcl.solve ~max_conflicts s = T.Unknown);
+    (Cdcl.stats s).T.reductions
+  in
+  let first = search 1500 in
+  check bool_t "the first search reduced the database" true (first > 0);
+  let extra = List.hd cnf in
+  Cdcl.add_clause s extra;
+  check bool_t "the second search reduced it again" true (search 3000 > first);
+  let st = Cdcl.stats s in
+  check int_t "num_clauses" (count + 1) (Cdcl.num_clauses s);
+  check bool_t "clauses" true (stored () = before @ [ List.sort compare extra ]);
+  check int_t "one learnt clause per conflict" st.T.conflicts (List.length !trace);
+  check int_t "learnt literals" st.T.learnt_literals
+    (List.fold_left (fun n c -> n + List.length c) 0 !trace);
+  check bool_t "each learnt clause follows" true
+    (Absolver_sat.Proof.check ~num_vars (cnf @ [ extra ]) !trace
+    = Absolver_sat.Proof.Valid_partial)
+
 let suite =
   [
     Alcotest.test_case "small-rational differential vs bigint reference" `Quick
@@ -826,4 +886,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false block_keeps_models;
     Alcotest.test_case "cdcl: a blocked model keeps what a restart rebuilds" `Quick
       test_trail_reuse_edges;
+    Alcotest.test_case "cdcl: a load allocates under a word bound per input clause" `Quick
+      test_load_alloc_guard;
+    Alcotest.test_case "cdcl: clause-DB reductions relocate every offset" `Quick
+      test_relocation;
   ]
